@@ -3,17 +3,23 @@
 Keywords are case-sensitive upper-case. Whitespace (including newlines)
 and ``#`` comments are skipped; block structure comes entirely from
 keywords and colons, never from indentation.
+
+Scanning costs one regex match per token, skipped text included. Tokens
+keep their character index; line, column and byte offset are worked out
+only when a token's location is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from bisect import bisect_right
 from decimal import Decimal
+from itertools import accumulate
 from typing import Optional, Union
 
 from anka.errors import ConversionError, ParseError
 from anka.location import SourceLocation
-from anka.values import INT64_MAX, INT64_MIN, parse_decimal
+from anka.values import INT64_MAX, parse_decimal
 
 KEYWORDS = frozenset(
     {
@@ -52,14 +58,79 @@ KIND_OP = "OP"
 KIND_EOF = "EOF"
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
+
+# After the skipped prefix the next character is never whitespace or `#`,
+# so some alternative always matches and the engine never backtracks into
+# a comment: `bad` takes any other character, the empty one takes the end.
+# Classes are spelled out because \d and \w admit non-ASCII digits and letters.
+_TOKEN = re.compile(
+    rf"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?:
+        (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op>{"|".join(map(re.escape, OPERATORS))})
+      | (?P<decimal>[0-9]+\.[0-9]+)
+      | (?P<int>[0-9]+)
+      | (?P<string>"{_STRING_BODY}")
+      | (?P<bad>.)
+      |
+    )""",
+    re.VERBOSE,
+)
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
+class _Lines:
+    """Turns a character index of one source text into a SourceLocation,
+    bisecting a table of line starts that is built on first use."""
+
+    __slots__ = ("source", "starts", "byte_starts")
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.starts: Optional[list[int]] = None
+        self.byte_starts: Optional[list[int]] = None
+
+    def location(self, index: int) -> SourceLocation:
+        if self.starts is None:
+            lines = self.source.split("\n")[:-1]
+            self.starts = list(accumulate((len(ln) + 1 for ln in lines), initial=0))
+            if not self.source.isascii():
+                self.byte_starts = list(
+                    accumulate((_utf8_len(ln) + 1 for ln in lines), initial=0)
+                )
+        line = bisect_right(self.starts, index)
+        start = self.starts[line - 1]
+        if self.byte_starts is None:
+            offset = index
+        else:
+            offset = self.byte_starts[line - 1] + _utf8_len(self.source[start:index])
+        return SourceLocation(line, index - start + 1, offset)
+
+
+def _utf8_len(text: str) -> int:
+    # surrogatepass: a lone surrogate is an unexpected character, not a
+    # reason for locating it to fail
+    return len(text.encode("utf-8", "surrogatepass"))
+
+
 class Token:
-    kind: str
-    text: str
-    location: SourceLocation
-    value: Union[int, str, Decimal, None] = field(default=None)
+    """One token; ``start`` is its character index in the source."""
+
+    __slots__ = ("kind", "text", "value", "start", "_lines")
+
+    def __init__(self, kind: str, text: str, start: int, lines: _Lines,
+                 value: Union[int, str, Decimal, None] = None) -> None:
+        self.kind = kind
+        self.text = text
+        self.value = value
+        self.start = start
+        self._lines = lines
+
+    @property
+    def location(self) -> SourceLocation:
+        return self._lines.location(self.start)
 
     def describe(self) -> str:
         if self.kind == KIND_KEYWORD:
@@ -71,142 +142,69 @@ class Token:
         return self.kind.lower() if self.kind != KIND_IDENT else "identifier"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch == "_" or ("a" <= ch <= "z") or ("A" <= ch <= "Z")
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or _is_digit(ch)
-
-
-def _is_digit(ch: str) -> bool:
-    # ASCII only: str.isdigit() admits superscripts and other Unicode
-    # digits that int() rejects
-    return "0" <= ch <= "9"
-
-
-class _Scanner:
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.byte_offset = 0
-        self.ascii_only = source.isascii()
-
-    def location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.byte_offset)
-
-    def peek(self, ahead: int = 0) -> Optional[str]:
-        i = self.pos + ahead
-        return self.source[i] if i < len(self.source) else None
-
-    def advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        self.byte_offset += 1 if self.ascii_only else len(ch.encode("utf-8"))
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def error(self, message: str, location: Optional[SourceLocation] = None) -> ParseError:
-        return ParseError(message, location or self.location())
-
-
 def tokenize(source: str) -> list[Token]:
     """Scan source text into tokens. Raises ParseError on an illegal
-    character or an unterminated string literal."""
-    sc = _Scanner(source)
+    character, a malformed string literal or an out-of-range number."""
+    lines = _Lines(source)
     tokens: list[Token] = []
-    while True:
-        ch = sc.peek()
-        if ch is None:
-            return tokens
-        if ch in " \t\r\n":
-            sc.advance()
-            continue
-        if ch == "#":
-            while sc.peek() is not None and sc.peek() != "\n":
-                sc.advance()
-            continue
-        start = sc.location()
-        if _is_ident_start(ch):
-            tokens.append(_scan_word(sc, start))
-        elif _is_digit(ch):
-            tokens.append(_scan_number(sc, start))
-        elif ch == '"':
-            tokens.append(_scan_string(sc, start))
+    append = tokens.append
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "word":
+            word = m["word"]
+            if word in KEYWORDS:
+                append(Token(KIND_KEYWORD, word, m.start(kind), lines))
+            else:
+                append(Token(KIND_IDENT, word, m.start(kind), lines, word))
+        elif kind == "op":
+            append(Token(KIND_OP, m["op"], m.start(kind), lines))
+        elif kind is None:
+            break
         else:
-            op = _match_operator(sc)
-            if op is None:
-                raise sc.error(f"unexpected character {ch!r}", start)
-            tokens.append(Token(KIND_OP, op, start))
+            append(_literal(kind, m[kind], m.start(kind), lines))
+    return tokens
 
 
-def _match_operator(sc: _Scanner) -> Optional[str]:
-    rest = sc.source[sc.pos : sc.pos + 2]
-    for op in OPERATORS:
-        if rest.startswith(op):
-            for _ in op:
-                sc.advance()
-            return op
-    return None
+def end_of_input(source: str, tokens: list[Token]) -> Token:
+    """The EOF token of ``source``, located through the same line table
+    as ``tokens``, the result of ``tokenize(source)``."""
+    lines = tokens[-1]._lines if tokens else _Lines(source)
+    return Token(KIND_EOF, "", len(source), lines)
 
 
-def _scan_word(sc: _Scanner, start: SourceLocation) -> Token:
-    chars = [sc.advance()]
-    while (nxt := sc.peek()) is not None and _is_ident_char(nxt):
-        chars.append(sc.advance())
-    word = "".join(chars)
-    if word in KEYWORDS:
-        return Token(KIND_KEYWORD, word, start)
-    return Token(KIND_IDENT, word, start, value=word)
-
-
-def _scan_number(sc: _Scanner, start: SourceLocation) -> Token:
-    digits = [sc.advance()]
-    while (nxt := sc.peek()) is not None and _is_digit(nxt):
-        digits.append(sc.advance())
-    is_decimal = sc.peek() == "." and (frac := sc.peek(1)) is not None and _is_digit(frac)
-    if is_decimal:
-        digits.append(sc.advance())
-        while (nxt := sc.peek()) is not None and _is_digit(nxt):
-            digits.append(sc.advance())
-    text = "".join(digits)
-    if is_decimal:
+def _literal(kind: str, text: str, start: int, lines: _Lines) -> Token:
+    if kind == "string":
+        value = text[1:-1]
+        if "\\" in value:
+            value = _ESCAPE.sub(lambda esc: _ESCAPES[esc[1]], value)
+        return Token(KIND_STRING, value, start, lines, value)
+    if kind == "int":
+        # past 19 significant digits the value cannot fit, and int() of
+        # a long enough text raises ValueError
+        digits = text.lstrip("0") or "0"
+        if len(digits) > 19 or int(digits) > INT64_MAX:
+            raise ParseError(
+                f"integer literal {text} out of 64-bit range", lines.location(start)
+            )
+        return Token(KIND_INT, text, start, lines, int(digits))
+    if kind == "decimal":
         try:
             value = parse_decimal(text)
         except ConversionError as exc:
-            raise sc.error(str(exc), start) from None
-        return Token(KIND_DECIMAL, text, start, value=value)
-    number = int(text)
-    if not INT64_MIN <= number <= INT64_MAX:
-        raise sc.error(f"integer literal {text} out of 64-bit range", start)
-    return Token(KIND_INT, text, start, value=number)
+            raise ParseError(str(exc), lines.location(start)) from None
+        return Token(KIND_DECIMAL, text, start, lines, value)
+    if text == '"':
+        raise _string_error(lines, start)
+    raise ParseError(f"unexpected character {text!r}", lines.location(start))
 
 
-def _scan_string(sc: _Scanner, start: SourceLocation) -> Token:
-    sc.advance()  # opening quote
-    chars: list[str] = []
-    while True:
-        ch = sc.peek()
-        if ch is None or ch == "\n":
-            raise sc.error("unterminated string literal", start)
-        sc.advance()
-        if ch == '"':
-            break
-        if ch == "\\":
-            esc = sc.peek()
-            if esc is None:
-                raise sc.error("unterminated string literal", start)
-            if esc not in _ESCAPES:
-                raise sc.error(f"invalid escape sequence '\\{esc}'")
-            sc.advance()
-            chars.append(_ESCAPES[esc])
-        else:
-            chars.append(ch)
-    text = "".join(chars)
-    return Token(KIND_STRING, text, start, value=text)
+def _string_error(lines: _Lines, start: int) -> ParseError:
+    """The error for the string literal at ``start``, which the token
+    pattern rejected: it stops at a bad escape, a newline or the end."""
+    source = lines.source
+    end = _STRING_PREFIX.match(source, start + 1).end()
+    if source.startswith("\\", end) and end + 1 < len(source):
+        return ParseError(
+            f"invalid escape sequence '\\{source[end + 1]}'", lines.location(end + 1)
+        )
+    return ParseError("unterminated string literal", lines.location(start))

@@ -21,9 +21,9 @@ from anka.lexer import (
     KIND_OP,
     KIND_STRING,
     Token,
+    end_of_input,
     tokenize,
 )
-from anka.location import SourceLocation
 from anka.values import Field, Schema, ValueType, parse_date, parse_datetime
 
 MAX_NESTING_DEPTH = 200
@@ -57,30 +57,23 @@ def parse(source: str) -> ast.Pipeline:
     return _Parser(source).parse_pipeline()
 
 
-def _end_location(source: str) -> SourceLocation:
-    line = source.count("\n") + 1
-    last_nl = source.rfind("\n")
-    column = len(source) - last_nl
-    return SourceLocation(line, column, len(source.encode("utf-8")))
-
-
 class _Parser:
     def __init__(self, source: str) -> None:
+        # EOF ends the list; every advance() follows a check that the
+        # current token is not EOF, so peek() never runs off the end
         self.tokens = tokenize(source)
-        self.eof = Token(KIND_EOF, "", _end_location(source))
+        self.tokens.append(end_of_input(source, self.tokens))
         self.pos = 0
         self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else self.eof
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
-        tok = self.peek()
-        if self.pos < len(self.tokens):
-            self.pos += 1
+        tok = self.tokens[self.pos]
+        self.pos += 1
         return tok
 
     def at_keyword(self, *words: str) -> bool:

@@ -2,7 +2,9 @@
 
 Inputs are corpus mutations (deletions, insertions, splices, keyword
 swaps, case flips) plus unstructured noise: random printable text,
-random bytes decoded permissively, and keyword soup.
+random bytes decoded permissively, and keyword soup. A fixed list of
+lexer edge cases (long digit runs, CRLF, non-ASCII, broken strings)
+complements them.
 """
 
 from __future__ import annotations
@@ -81,4 +83,23 @@ def fuzz_inputs(count: int, seed: int = 0xF0220) -> list[str]:
         else:  # raw bytes, decoded permissively
             raw = bytes(rng.randrange(256) for _ in range(rng.randint(0, 120)))
             inputs.append(raw.decode("latin-1"))
+    return inputs
+
+
+_EDGE_PROGRAM = (
+    "PIPELINE p:\n INPUT t: TABLE[a: INT, b: STRING]  # {comment}\n STEP s:\n"
+    "  FILTER t WHERE a > {literal} INTO r\n OUTPUT r\n"
+)
+
+
+def lexer_edge_inputs() -> list[str]:
+    """Fixed inputs at the lexer's limits, most inside a whole program."""
+    literals = []
+    for n in (19, 20, 4300, 5000):
+        literals += ["9" * n, "1" * n + ".5", "0." + "1" * n]
+    literals += ["1.", ".5", '"naïve ∆"', '"a\\\nb"']
+    inputs = [_EDGE_PROGRAM.format(comment="note", literal=lit) for lit in literals]
+    program = _EDGE_PROGRAM.format(comment="çà ∆ é", literal="1")
+    truncated = program[: program.index("1 INTO")] + '"\\'
+    inputs += [program, program.replace("\n", "\r\n"), truncated, '"\\', "1" * 5000]
     return inputs

@@ -137,10 +137,12 @@ def test_criterion_02_grammar_round_trip_over_corpus():
 
 
 def test_criterion_03_parser_totality_under_fuzzing():
-    with criterion(3, "10,000 fuzzed inputs parse or fail cleanly, each under 1s"):
+    with criterion(
+        3, "10,000 fuzzed inputs and the lexer edge cases parse or fail cleanly, each under 1s"
+    ):
         inputs = fuzzing.fuzz_inputs(10_000)
         assert len(inputs) == 10_000
-        for text in inputs:
+        for text in inputs + fuzzing.lexer_edge_inputs():
             started = time.monotonic()
             try:
                 tree = parse(text)
