@@ -117,8 +117,8 @@ def evaluate_sample(
     cap = while_cap if while_cap is not None else default_while_cap()
     insensitive = order_insensitive or task.order_insensitive
     outputs = []
+    deadline = time.monotonic() + sample_timeout
     for index, test in enumerate(task.tests):
-        deadline = time.monotonic() + sample_timeout
         try:
             outputs.append(
                 run_pipeline(

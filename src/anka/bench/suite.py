@@ -31,14 +31,12 @@ is optional and defaults to false.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from decimal import Decimal
 from pathlib import Path
 from typing import Union
 
 from anka.errors import AnkaError, ConversionError, TableError
-from anka.io_adapters import json_rows_to_table
+from anka.io_adapters import decode_json, json_rows_to_table
 from anka.values import Field, Schema, Table, ValueType
 
 CATEGORIES = (
@@ -77,11 +75,10 @@ class TaskSpec:
 
 def load_suite(path: Union[str, Path]) -> list[TaskSpec]:
     """Load and fully validate a task suite document."""
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(raw, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
-        raise SuiteError(f"suite {path}: malformed JSON: {exc}") from None
+        doc = decode_json(Path(path).read_bytes())
+    except ConversionError as exc:
+        raise SuiteError(f"suite {path}: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
         raise SuiteError(f"suite {path}: expected an object with a 'tasks' array")
     tasks = [

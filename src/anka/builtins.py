@@ -6,24 +6,14 @@ null and the implementation is not invoked.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Optional
 
 from anka.errors import ConversionError
-from anka.values import (
-    INT64_MAX,
-    INT64_MIN,
-    Cell,
-    ValueType,
-    format_cell,
-    parse_decimal,
-)
+from anka.values import Cell, ValueType, check_int, format_cell, parse_decimal, parse_int
 
 ANY = None  # argument accepts every value type
-
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 @dataclass(frozen=True)
@@ -62,16 +52,10 @@ def _to_int(value: Cell) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, Decimal):
-        result = int(value)  # truncates toward zero
-    elif isinstance(value, str):
-        if not _INT_RE.match(value.strip()):
-            raise ConversionError(f"cannot convert {value!r} to INT")
-        result = int(value.strip())
-    else:
-        raise ConversionError(f"cannot convert {type(value).__name__} to INT")
-    if not INT64_MIN <= result <= INT64_MAX:
-        raise ConversionError(f"INT overflow converting {value!r}")
-    return result
+        return check_int(int(value))  # truncates toward zero
+    if isinstance(value, str):
+        return parse_int(value.strip())
+    raise ConversionError(f"cannot convert {type(value).__name__} to INT")
 
 
 def _to_decimal(value: Cell) -> Decimal:
@@ -86,7 +70,6 @@ def _to_decimal(value: Cell) -> Decimal:
     raise ConversionError(f"cannot convert {type(value).__name__} to DECIMAL")
 
 
-_NUMERIC = frozenset({ValueType.INT, ValueType.DECIMAL})
 _STRINGY = frozenset({ValueType.STRING})
 _INTY = frozenset({ValueType.INT})
 _TEMPORAL = frozenset({ValueType.DATE, ValueType.DATETIME})

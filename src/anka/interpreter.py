@@ -457,7 +457,7 @@ class Interpreter:
             if spec.fn == "AVG":
                 total = Decimal(0)
                 for value in values:
-                    total = add_values(total, _as_decimal(value))
+                    total = add_values(total, value)
                 scale = decimal_scale(total) + DIVISION_EXTRA_SCALE
                 return decimal_divide(total, Decimal(len(values)), scale)
             if spec.fn == "MIN":
@@ -556,10 +556,6 @@ def _keys_equal(left: Cell, right: Cell) -> bool:
     # Join keys are validated comparable: same type, or INT vs DECIMAL
     # which Python compares exactly.
     return left == right
-
-
-def _as_decimal(value: Cell) -> Decimal:
-    return value if isinstance(value, Decimal) else Decimal(value)
 
 
 def _aggregate_type(spec: ast.AggregateSpec, schema: Schema) -> ValueType:

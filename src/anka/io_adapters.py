@@ -10,9 +10,9 @@ runs hermetic.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import json
-import re
 import urllib.error
 import urllib.request
 from decimal import Decimal
@@ -20,22 +20,20 @@ from typing import Optional
 
 from anka.errors import ConversionError, HttpError, IoError
 from anka.values import (
-    MAX_DECIMAL_SCALE,
     Cell,
     Schema,
     Table,
     ValueType,
-    decimal_scale,
+    check_decimal,
+    check_int,
     format_cell,
-    normalize_decimal,
     parse_date,
     parse_datetime,
     parse_decimal,
+    parse_int,
 )
 
 DEFAULT_HTTP_TIMEOUT = 10.0
-
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +69,28 @@ def _reject_constant(text: str):
     raise ConversionError(f"non-finite number {text!r} in JSON input")
 
 
+def decode_json(data: bytes):
+    """Decode a JSON document, every number as an exact Decimal. Raises
+    only ConversionError, also for absurd exponents and deep nesting."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConversionError(f"JSON input is not valid UTF-8: {exc}") from None
+    try:
+        return json.loads(
+            text,
+            parse_float=Decimal,
+            parse_int=Decimal,
+            parse_constant=_reject_constant,
+        )
+    except json.JSONDecodeError as exc:
+        raise ConversionError(f"malformed JSON: {exc}") from None
+    except decimal.InvalidOperation:  # an exponent past Decimal's own limits
+        raise ConversionError("malformed JSON: number out of range") from None
+    except RecursionError:
+        raise ConversionError("malformed JSON: nesting too deep") from None
+
+
 def table_from_json(data: bytes, schema: Schema) -> Table:
     """Decode a JSON array of objects against a declared schema.
 
@@ -78,27 +98,15 @@ def table_from_json(data: bytes, schema: Schema) -> Table:
     decoded exactly (never through binary floats); DECIMAL accepts both
     numbers and strings.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConversionError(f"JSON input is not valid UTF-8: {exc}") from None
-    try:
-        parsed = json.loads(
-            text,
-            parse_float=Decimal,
-            parse_int=int,
-            parse_constant=_reject_constant,
-        )
-    except json.JSONDecodeError as exc:
-        raise ConversionError(f"malformed JSON: {exc}") from None
+    parsed = decode_json(data)
     if not isinstance(parsed, list):
         raise ConversionError("JSON input must be an array of objects")
     return json_rows_to_table(parsed, schema)
 
 
 def json_rows_to_table(items: list, schema: Schema) -> Table:
-    """Build a table from already-decoded JSON row objects. Numbers must
-    have been decoded with parse_float=Decimal to stay exact."""
+    """Build a table from already-decoded JSON row objects. Numbers are
+    Decimals, as decode_json gives them, or ints."""
     rows = []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
@@ -119,60 +127,31 @@ def json_rows_to_table(items: list, schema: Schema) -> Table:
 def _json_to_cell(value, vtype: ValueType) -> Cell:
     if value is None:
         return None
-    if vtype is ValueType.INT:
-        if isinstance(value, bool):
-            raise ConversionError("expected INT, got boolean")
-        if isinstance(value, int):
-            return _check_int(value)
-        if isinstance(value, Decimal):
-            if value == value.to_integral_value():
-                return _check_int(int(value))
-            raise ConversionError(f"expected INT, got non-integral number {value}")
-        raise ConversionError(f"expected INT, got {_json_type_name(value)}")
-    if vtype is ValueType.DECIMAL:
-        if isinstance(value, bool):
-            raise ConversionError("expected DECIMAL, got boolean")
-        if isinstance(value, Decimal):
-            return _check_decimal(value)
-        if isinstance(value, int):
-            return Decimal(value)
-        if isinstance(value, str):
-            return parse_decimal(value)
-        raise ConversionError(f"expected DECIMAL, got {_json_type_name(value)}")
-    if vtype is ValueType.BOOL:
-        if isinstance(value, bool):
+    if isinstance(value, bool):
+        if vtype is ValueType.BOOL:
             return value
-        raise ConversionError(f"expected BOOL, got {_json_type_name(value)}")
-    if vtype is ValueType.STRING:
-        if isinstance(value, str):
-            return value
-        raise ConversionError(f"expected STRING, got {_json_type_name(value)}")
-    if vtype is ValueType.DATE:
-        if isinstance(value, str):
-            return parse_date(value)
-        raise ConversionError(f"expected DATE string, got {_json_type_name(value)}")
-    if vtype is ValueType.DATETIME:
-        if isinstance(value, str):
-            return parse_datetime(value)
-        raise ConversionError(
-            f"expected DATETIME string, got {_json_type_name(value)}"
-        )
-    raise AssertionError(f"unhandled type {vtype}")
+    elif isinstance(value, (int, Decimal)):
+        if vtype is ValueType.DECIMAL:
+            return check_decimal(Decimal(value))
+        if vtype is ValueType.INT:
+            number = check_decimal(Decimal(value))  # 38 digits at most for int()
+            if number != number.to_integral_value():
+                raise ConversionError(f"expected INT, got non-integral number {number}")
+            return check_int(int(number))
+    elif isinstance(value, str) and vtype in _JSON_TEXT_PARSERS:
+        return _JSON_TEXT_PARSERS[vtype](value)
+    temporal = vtype is ValueType.DATE or vtype is ValueType.DATETIME
+    expected = f"{vtype.value} string" if temporal else vtype.value
+    raise ConversionError(f"expected {expected}, got {_json_type_name(value)}")
 
 
-def _check_int(value: int) -> int:
-    if not -(2**63) <= value <= 2**63 - 1:
-        raise ConversionError(f"INT value {value} out of 64-bit range")
-    return value
-
-
-def _check_decimal(value: Decimal) -> Decimal:
-    value = normalize_decimal(value)
-    if decimal_scale(value) > MAX_DECIMAL_SCALE:
-        raise ConversionError(
-            f"DECIMAL value {value} exceeds maximum scale of {MAX_DECIMAL_SCALE}"
-        )
-    return value
+# the column types a JSON string may hold, and how each reads it
+_JSON_TEXT_PARSERS = {
+    ValueType.STRING: str,
+    ValueType.DECIMAL: parse_decimal,
+    ValueType.DATE: parse_date,
+    ValueType.DATETIME: parse_datetime,
+}
 
 
 def _json_type_name(value) -> str:
@@ -218,6 +197,7 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
         raise ConversionError(
             f"line 1: header mismatch: expected {expected}, got {header}"
         )
+    parsers = [_CSV_PARSERS.get(field.type) for field in schema.fields]
     rows = []
     for record in reader:
         line = reader.line_num
@@ -233,9 +213,9 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
                 f"line {line}: expected {len(schema)} fields, got {len(record)}"
             )
         row = []
-        for field, raw in zip(schema.fields, record):
+        for field, parse, raw in zip(schema.fields, parsers, record):
             try:
-                row.append(_csv_to_cell(raw, field.type))
+                row.append(raw if parse is None else parse(raw) if raw else None)
             except ConversionError as exc:
                 raise ConversionError(
                     f"line {line}, field '{field.name}': {exc.message}"
@@ -244,28 +224,21 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
     return Table(schema, rows)
 
 
-def _csv_to_cell(raw: str, vtype: ValueType) -> Cell:
-    if raw == "":
-        return "" if vtype is ValueType.STRING else None
-    if vtype is ValueType.STRING:
-        return raw
-    if vtype is ValueType.INT:
-        if not _INT_RE.match(raw):
-            raise ConversionError(f"cannot parse {raw!r} as INT")
-        return _check_int(int(raw))
-    if vtype is ValueType.DECIMAL:
-        return parse_decimal(raw)
-    if vtype is ValueType.BOOL:
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        raise ConversionError(f"cannot parse {raw!r} as BOOL, expected true/false")
-    if vtype is ValueType.DATE:
-        return parse_date(raw)
-    if vtype is ValueType.DATETIME:
-        return parse_datetime(raw)
-    raise AssertionError(f"unhandled type {vtype}")
+def _csv_bool(raw: str) -> bool:
+    if raw == "true":
+        return True
+    if raw == "false":
+        return False
+    raise ConversionError(f"cannot parse {raw!r} as BOOL, expected true/false")
+
+
+_CSV_PARSERS = {
+    ValueType.INT: parse_int,
+    ValueType.DECIMAL: parse_decimal,
+    ValueType.BOOL: _csv_bool,
+    ValueType.DATE: parse_date,
+    ValueType.DATETIME: parse_datetime,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from anka.errors import ConversionError, ParseError
 from anka.location import SourceLocation
-from anka.values import INT64_MAX, parse_decimal
+from anka.values import clip_text, parse_decimal, parse_int
 
 KEYWORDS = frozenset(
     {
@@ -179,14 +179,14 @@ def _literal(kind: str, text: str, start: int, lines: _Lines) -> Token:
             value = _ESCAPE.sub(lambda esc: _ESCAPES[esc[1]], value)
         return Token(KIND_STRING, value, start, lines, value)
     if kind == "int":
-        # past 19 significant digits the value cannot fit, and int() of
-        # a long enough text raises ValueError
-        digits = text.lstrip("0") or "0"
-        if len(digits) > 19 or int(digits) > INT64_MAX:
+        try:
+            value = parse_int(text)
+        except ConversionError:  # digits only, so the one failure is range
             raise ParseError(
-                f"integer literal {text} out of 64-bit range", lines.location(start)
-            )
-        return Token(KIND_INT, text, start, lines, int(digits))
+                f"integer literal {clip_text(text)} out of 64-bit range",
+                lines.location(start),
+            ) from None
+        return Token(KIND_INT, text, start, lines, value)
     if kind == "decimal":
         try:
             value = parse_decimal(text)

@@ -65,6 +65,7 @@ class _Parser:
         self.tokens.append(end_of_input(source, self.tokens))
         self.pos = 0
         self.depth = 0
+        self.height = 0  # of the expression node last built
 
     # -- token plumbing ----------------------------------------------------
 
@@ -122,13 +123,18 @@ class _Parser:
             return self.advance()
         raise self.fail(what)
 
-    def _enter(self) -> None:
-        self.depth += 1
+    def _enter(self, levels: int = 1) -> None:
+        # callers take the levels off on return; a ParseError ends the parse
+        self.depth += levels
         if self.depth > MAX_NESTING_DEPTH:
             raise ParseError("nesting too deep", self.peek().location)
 
-    def _exit(self) -> None:
-        self.depth -= 1
+    def _grow(self, height: int, tok: Token) -> None:
+        """Record the height of the node built at ``tok``: walkers recurse
+        that deep, so a chain of operators counts as nesting does."""
+        if self.depth + height > MAX_NESTING_DEPTH:
+            raise ParseError("nesting too deep", tok.location)
+        self.height = height
 
     # -- pipeline structure --------------------------------------------------
 
@@ -221,10 +227,9 @@ class _Parser:
             raise self.fail("a statement")
         handler = getattr(self, f"_parse_{tok.text.lower()}")
         self._enter()
-        try:
-            return handler()
-        finally:
-            self._exit()
+        statement = handler()
+        self.depth -= 1
+        return statement
 
     def _into(self) -> str:
         self.expect_keyword("INTO")
@@ -563,16 +568,17 @@ class _Parser:
 
     def parse_expr(self) -> ast.Expr:
         self._enter()
-        try:
-            return self._parse_or()
-        finally:
-            self._exit()
+        expr = self._parse_or()
+        self.depth -= 1
+        return expr
 
     def _parse_or(self) -> ast.Expr:
         expr = self._parse_and()
         while self.at_keyword("OR"):
             tok = self.advance()
+            height = self.height
             right = self._parse_and()
+            self._grow(max(height, self.height) + 1, tok)
             expr = ast.BoolOp(op="OR", left=expr, right=right, location=tok.location)
         return expr
 
@@ -580,7 +586,9 @@ class _Parser:
         expr = self._parse_not()
         while self.at_keyword("AND"):
             tok = self.advance()
+            height = self.height
             right = self._parse_not()
+            self._grow(max(height, self.height) + 1, tok)
             expr = ast.BoolOp(op="AND", left=expr, right=right, location=tok.location)
         return expr
 
@@ -588,10 +596,9 @@ class _Parser:
         if self.at_keyword("NOT"):
             tok = self.advance()
             self._enter()
-            try:
-                operand = self._parse_not()
-            finally:
-                self._exit()
+            operand = self._parse_not()
+            self.depth -= 1
+            self._grow(self.height + 1, tok)
             return ast.Not(operand=operand, location=tok.location)
         return self._parse_comparison()
 
@@ -599,7 +606,9 @@ class _Parser:
         left = self._parse_additive()
         if self.at_op(*COMPARISON_OPS):
             tok = self.advance()
+            height = self.height
             right = self._parse_additive()
+            self._grow(max(height, self.height) + 1, tok)
             return ast.Comparison(
                 op=tok.text, left=left, right=right, location=tok.location
             )
@@ -609,7 +618,9 @@ class _Parser:
         expr = self._parse_multiplicative()
         while self.at_op("+", "-"):
             tok = self.advance()
+            height = self.height
             right = self._parse_multiplicative()
+            self._grow(max(height, self.height) + 1, tok)
             expr = ast.BinaryOp(
                 op=tok.text, left=expr, right=right, location=tok.location
             )
@@ -619,7 +630,9 @@ class _Parser:
         expr = self._parse_unary()
         while self.at_op("*", "/"):
             tok = self.advance()
+            height = self.height
             right = self._parse_unary()
+            self._grow(max(height, self.height) + 1, tok)
             expr = ast.BinaryOp(
                 op=tok.text, left=expr, right=right, location=tok.location
             )
@@ -629,10 +642,9 @@ class _Parser:
         if self.at_op("-"):
             tok = self.advance()
             self._enter()
-            try:
-                operand = self._parse_unary()
-            finally:
-                self._exit()
+            operand = self._parse_unary()
+            self.depth -= 1
+            self._grow(self.height + 1, tok)
             return ast.Neg(operand=operand, location=tok.location)
         return self._parse_primary()
 
@@ -641,12 +653,11 @@ class _Parser:
         if tok.kind == KIND_OP and tok.text == "(":
             self.advance()
             self._enter()
-            try:
-                expr = self.parse_expr()
-            finally:
-                self._exit()
+            expr = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             return expr
+        self.height = 0
         if tok.kind == KIND_IDENT:
             self.advance()
             if self.at_op("("):
@@ -657,12 +668,20 @@ class _Parser:
     def _parse_call(self, name: Token) -> ast.Call:
         self.expect_op("(")
         args: list[ast.Expr] = []
+        height = 0
+        # 3 levels with parse_expr's: the parser recurses one frame deeper
+        # through a call than through a parenthesis, which costs 2
+        self._enter(2)
         if not self.at_op(")"):
             args.append(self.parse_expr())
+            height = self.height
             while self.at_op(","):
                 self.advance()
                 args.append(self.parse_expr())
+                height = max(height, self.height)
+        self.depth -= 2
         self.expect_op(")")
+        self._grow(height + 1, name)
         return ast.Call(name=name.text, args=tuple(args), location=name.location)
 
     def parse_literal(self) -> ast.Literal:

@@ -28,10 +28,9 @@ from anka import ast_nodes as ast
 from anka.builtins import BUILTINS
 from anka.errors import AnkaError, ValidationError, ValidationKind
 from anka.location import SourceLocation
-from anka.values import Field, Schema, ValueType
+from anka.values import NUMERIC_TYPES, Field, Schema, ValueType
 
-_NUMERIC = frozenset({ValueType.INT, ValueType.DECIMAL})
-_MINMAX_TYPES = _NUMERIC | {ValueType.STRING, ValueType.DATE, ValueType.DATETIME}
+_MINMAX_TYPES = NUMERIC_TYPES | {ValueType.STRING, ValueType.DATE, ValueType.DATETIME}
 
 PROVENANCE_INPUT = "INPUT"
 PROVENANCE_INTO = "INTO"
@@ -532,7 +531,7 @@ class _Checker:
             return None
         arg_type = schema.type_of(spec.arg)
         if spec.fn in ("SUM", "AVG"):
-            if arg_type not in _NUMERIC:
+            if arg_type not in NUMERIC_TYPES:
                 self.error(
                     ValidationKind.TYPE_MISMATCH,
                     f"{spec.fn} requires a numeric column, "
@@ -576,7 +575,7 @@ class _Checker:
             return None
         lt = left.type_of(stmt.left_key)
         rt = right.type_of(stmt.right_key)
-        if lt is not rt and not (lt in _NUMERIC and rt in _NUMERIC):
+        if lt is not rt and not (lt in NUMERIC_TYPES and rt in NUMERIC_TYPES):
             self.error(
                 ValidationKind.TYPE_MISMATCH,
                 f"join keys have incomparable types {lt.value} and {rt.value}",
@@ -626,7 +625,7 @@ class _Checker:
             inner = self.typecheck(expr.operand, schema)
             if inner is None:
                 return None
-            if inner not in _NUMERIC:
+            if inner not in NUMERIC_TYPES:
                 self.error(
                     ValidationKind.TYPE_MISMATCH,
                     f"unary '-' requires INT or DECIMAL, got {inner.value}",
@@ -639,7 +638,7 @@ class _Checker:
             right = self.typecheck(expr.right, schema)
             if left is None or right is None:
                 return None
-            if left not in _NUMERIC or right not in _NUMERIC:
+            if left not in NUMERIC_TYPES or right not in NUMERIC_TYPES:
                 self.error(
                     ValidationKind.TYPE_MISMATCH,
                     f"'{expr.op}' requires numeric operands, "
@@ -655,7 +654,7 @@ class _Checker:
             right = self.typecheck(expr.right, schema)
             if left is None or right is None:
                 return None
-            comparable = left is right or (left in _NUMERIC and right in _NUMERIC)
+            comparable = left is right or {left, right} <= NUMERIC_TYPES
             if not comparable:
                 self.error(
                     ValidationKind.TYPE_MISMATCH,

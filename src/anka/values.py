@@ -70,7 +70,6 @@ class ValueType(str, enum.Enum):
 
 
 NUMERIC_TYPES = frozenset({ValueType.INT, ValueType.DECIMAL})
-ORDERED_TYPES = frozenset(ValueType)  # every type has a total order
 
 
 def value_type_of(value: Cell) -> Optional[ValueType]:
@@ -282,6 +281,67 @@ def table_equal(left: Table, right: Table) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Text to INT and DECIMAL cells: the one place that admits numbers from
+# literals, TO_INT/TO_DECIMAL, JSON and CSV. Each function raises only
+# ConversionError, whatever its input.
+# ---------------------------------------------------------------------------
+
+# ASCII digits only, as \d and Decimal() admit other scripts' digits too;
+# past 9 exponent digits Decimal() itself fails
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_TEXT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,9})?")
+
+
+def clip_text(text: str) -> str:
+    """``text`` as a diagnostic echoes it: cut after 40 characters."""
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
+def parse_int(text: str) -> int:
+    """Parse an optional sign and ASCII digits into a 64-bit INT."""
+    if not _INT_TEXT.fullmatch(text):
+        raise ConversionError(f"cannot parse {clip_text(text)!r} as INT")
+    # int() fails past 4300 digits, and 20 are out of range already
+    value = int(text.lstrip("+-0")[:20] or "0")
+    return check_int(-value if text[0] == "-" else value, text)
+
+
+def check_int(value: int, text: Optional[str] = None) -> int:
+    """Admit an INT cell: the signed 64-bit range. Diagnostics echo
+    ``text``, where the value came from, if given."""
+    if INT64_MIN <= value <= INT64_MAX:
+        return value
+    if text is None:  # str() of an int past 4300 digits raises
+        text = str(value) if value.bit_length() <= 128 else "…"
+    raise ConversionError(f"INT value {clip_text(text)} out of 64-bit range")
+
+
+def parse_decimal(text: str) -> Decimal:
+    """Parse ASCII decimal text, with an optional exponent, exactly."""
+    if not _DECIMAL_TEXT.fullmatch(text):
+        raise ConversionError(f"malformed DECIMAL value {clip_text(text)!r}")
+    return check_decimal(Decimal(text), text)
+
+
+def check_decimal(value: Decimal, text: Optional[str] = None) -> Decimal:
+    """Admit a DECIMAL cell: finite, scale at most 10 and at most 38
+    digits. A positive exponent is spelled out, so 1E+3 becomes 1000.
+    Diagnostics echo ``text``, where the value came from, if given."""
+    # bounds first: quantize raises InvalidOperation past 38 digits
+    _, digits, exponent = value.as_tuple()
+    if not isinstance(exponent, int):  # NaN/Inf carry string exponents
+        problem = "is not finite"
+    elif exponent < -MAX_DECIMAL_SCALE:
+        problem = f"exceeds maximum scale of {MAX_DECIMAL_SCALE}"
+    elif len(digits) + max(exponent, 0) > DECIMAL_PRECISION and any(digits):
+        problem = "exceeds precision"
+    else:
+        return value.quantize(Decimal(1), context=_EXACT_CTX) if exponent > 0 else value
+    shown = clip_text(str(value) if text is None else text)
+    raise ConversionError(f"DECIMAL value {shown!r} {problem}")
+
+
+# ---------------------------------------------------------------------------
 # Decimal and integer arithmetic
 # ---------------------------------------------------------------------------
 
@@ -292,35 +352,6 @@ def decimal_scale(value: Decimal) -> int:
     if not isinstance(exponent, int):  # NaN/Inf carry string exponents
         raise ConversionError("non-finite DECIMAL value")
     return max(0, -exponent)
-
-
-def normalize_decimal(value: Decimal) -> Decimal:
-    """Canonicalize to a non-positive exponent so 1E+3 becomes 1000."""
-    if not value.is_finite():
-        raise ConversionError("non-finite DECIMAL value")
-    exponent = value.as_tuple().exponent
-    if isinstance(exponent, int) and exponent > 0:
-        return value.quantize(Decimal(1), context=_EXACT_CTX)
-    return value
-
-
-def parse_decimal(text: str, max_scale: int = MAX_DECIMAL_SCALE) -> Decimal:
-    """Parse decimal text exactly; rejects exponents beyond the scale cap,
-    non-finite values, and mantissas past the precision limit."""
-    try:
-        value = Decimal(text)
-    except decimal.InvalidOperation:
-        raise ConversionError(f"malformed DECIMAL value {text!r}") from None
-    if not value.is_finite():
-        raise ConversionError(f"non-finite DECIMAL value {text!r}")
-    value = normalize_decimal(value)
-    if decimal_scale(value) > max_scale:
-        raise ConversionError(
-            f"DECIMAL value {text!r} exceeds maximum scale of {max_scale}"
-        )
-    if len(value.as_tuple().digits) > DECIMAL_PRECISION:
-        raise ConversionError(f"DECIMAL value {text!r} exceeds precision")
-    return value
 
 
 def _check_int64(value: int, op: str) -> int:

@@ -3,8 +3,8 @@
 Inputs are corpus mutations (deletions, insertions, splices, keyword
 swaps, case flips) plus unstructured noise: random printable text,
 random bytes decoded permissively, and keyword soup. A fixed list of
-lexer edge cases (long digit runs, CRLF, non-ASCII, broken strings)
-complements them.
+lexer and parser edge cases (long digit runs, CRLF, non-ASCII, broken
+strings, 1000-term operator chains) complements them.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ _EDGE_PROGRAM = (
 
 
 def lexer_edge_inputs() -> list[str]:
-    """Fixed inputs at the lexer's limits, most inside a whole program."""
+    """Fixed inputs at the lexer's and the parser's limits, most inside a
+    whole program."""
     literals = []
     for n in (19, 20, 4300, 5000):
         literals += ["9" * n, "1" * n + ".5", "0." + "1" * n]
@@ -102,4 +103,7 @@ def lexer_edge_inputs() -> list[str]:
     program = _EDGE_PROGRAM.format(comment="çà ∆ é", literal="1")
     truncated = program[: program.index("1 INTO")] + '"\\'
     inputs += [program, program.replace("\n", "\r\n"), truncated, '"\\', "1" * 5000]
+    # 1000-term operator chains, far past the nesting limit
+    for chain in (" OR ".join(["a > 1"] * 1000), " + ".join(["a"] * 1000) + " > 1"):
+        inputs.append(program.replace("a > 1", chain))
     return inputs

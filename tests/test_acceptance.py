@@ -138,7 +138,9 @@ def test_criterion_02_grammar_round_trip_over_corpus():
 
 def test_criterion_03_parser_totality_under_fuzzing():
     with criterion(
-        3, "10,000 fuzzed inputs and the lexer edge cases parse or fail cleanly, each under 1s"
+        3,
+        "10,000 fuzzed inputs and the lexer edge cases parse or fail cleanly, "
+        "and what parses validates and formats, each under 1s",
     ):
         inputs = fuzzing.fuzz_inputs(10_000)
         assert len(inputs) == 10_000
@@ -147,6 +149,8 @@ def test_criterion_03_parser_totality_under_fuzzing():
             try:
                 tree = parse(text)
                 assert isinstance(tree, ast.Pipeline)
+                validate(tree)
+                assert isinstance(format_ast(tree), str)
             except ParseError as err:
                 assert err.location.line >= 1
                 assert err.location.column >= 1

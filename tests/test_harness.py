@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from anka import interpreter
 from anka.bench import (
     CandidateSet,
     SuiteError,
@@ -13,6 +14,7 @@ from anka.bench import (
     run_suite,
     task_accuracy,
 )
+from anka.bench import harness
 from anka.bench.harness import SampleResult, tables_match
 from anka.bench.suite import TaskSpec, TestCase
 from anka.values import ValueType as VT, make_table, schema_of
@@ -153,6 +155,52 @@ class TestEvaluateSample:
         result = evaluate_sample(simple_task(), NONTERMINATING, while_cap=100)
         assert (result.parse, result.execute, result.correct) == (True, False, False)
         assert "iteration cap" in result.detail
+
+    def test_conversion_failure_is_a_runtime_error(self):
+        source = CORRECT.replace(
+            "FILTER rows WHERE v > 2",
+            f'FILTER rows WHERE v > TO_INT("{"9" * 5000}")',
+        )
+        result = evaluate_sample(simple_task(), source)
+        assert (result.parse, result.execute, result.correct) == (True, False, False)
+        assert "out of 64-bit range" in result.detail
+        assert len(result.detail) < 200
+
+    def test_long_operator_chain_is_a_parse_failure(self):
+        for chain in (" OR ".join(["v > 2"] * 1000), " + ".join(["v"] * 1000) + " > 2"):
+            source = CORRECT.replace("v > 2", chain)
+            result = evaluate_sample(simple_task(), source)
+            assert (result.parse, result.execute) == (False, False)
+            assert "nesting too deep" in result.detail
+
+    def test_sample_timeout_covers_all_tests_of_a_sample(self, monkeypatch):
+        class SteppingClock:
+            """Stands in for the time module: each reading is 1 s later."""
+
+            now = 0.0
+
+            def monotonic(self):
+                self.now += 1.0
+                return self.now
+
+        # the FILTER reads the clock once per test case: each test takes
+        # 1 s, four of them take longer than the 3 s cap
+        base = simple_task()
+        task = TaskSpec(
+            id=base.id,
+            category=base.category,
+            description=base.description,
+            input_schemas=base.input_schemas,
+            tests=base.tests * 4,
+        )
+        for timeout, executes in ((3.0, False), (10.0, True)):
+            clock = SteppingClock()
+            monkeypatch.setattr(harness, "time", clock)
+            monkeypatch.setattr(interpreter, "time", clock)
+            result = evaluate_sample(task, CORRECT, sample_timeout=timeout)
+            assert result.execute is executes
+            if not executes:
+                assert "test 3" in result.detail and "time limit" in result.detail
 
     def test_monotone_flags(self):
         for source in (CORRECT, SYNTAX_ERROR, VALIDATION_ERROR, RUNTIME_ERROR, WRONG_OUTPUT):

@@ -348,6 +348,35 @@ class TestExpressions:
         with pytest.raises(ConversionError):
             self._expr('TO_INT("nope")')
 
+    def test_cast_text_grammar(self):
+        assert self._expr('TO_INT(" -12\\n")') == -12  # casts strip whitespace
+        assert self._expr('TO_DECIMAL(" 1E+3 ")') == D(1000)
+        for expr in ('TO_INT("١٢")', 'TO_INT("1_000")', 'TO_DECIMAL("١٫٥")'):
+            with pytest.raises(ConversionError):
+                self._expr(expr)
+
+    @pytest.mark.parametrize(
+        "expr, fallback",
+        [
+            (f'TO_INT("{"9" * 5000}")', "-1"),
+            (f'TO_DECIMAL("{"9" * 5000}")', "-1.0"),
+            ('TO_DECIMAL("1E+99")', "-1.0"),
+            ('TO_DECIMAL("1e999999")', "-1.0"),
+            ('TO_INT(TO_STRING(TO_DECIMAL("1E+30")))', "-1"),
+        ],
+        ids=["int-5000-digits", "decimal-5000-digits", "1E+99", "1e999999", "1E+30"],
+    )
+    def test_cast_out_of_range_is_catchable(self, expr, fallback):
+        with pytest.raises(ConversionError):
+            self._expr(expr)
+        table = make_table(schema_of(("n", VT.INT)), [(7,)])
+        out = simple(
+            f"TRY MAP t WITH c => {expr} INTO result "
+            f"ON_ERROR ADD_COLUMN t WITH c = {fallback} INTO result END_TRY",
+            table,
+        )
+        assert out.rows == ((7, D(fallback)),)
+
     def test_date_parts(self):
         table = make_table(
             schema_of(("d", VT.DATE), ("ts", VT.DATETIME)),

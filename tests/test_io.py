@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from anka.bench import SuiteError, load_suite
 from anka.errors import ConversionError, HttpError, IoError
 from anka.io_adapters import (
     FileOps,
@@ -114,6 +115,73 @@ class TestJson:
             schema = rand_schema(rng)
             table = rand_table(rng, schema)
             assert table_equal(table_from_json(table_to_json(table), schema), table)
+
+
+LONG_DIGITS = "9" * 5000
+INT_COLUMN = schema_of(("a", VT.INT))
+DECIMAL_COLUMN = schema_of(("a", VT.DECIMAL))
+
+
+class TestNumbersFromOutside:
+    """JSON and CSV number cells fail with ConversionError only, on the
+    same grammar and bounds as literals and TO_INT/TO_DECIMAL."""
+
+    @pytest.mark.parametrize("schema", [INT_COLUMN, DECIMAL_COLUMN])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            f'[{{"a": {LONG_DIGITS}}}]',
+            f'[{{"a": "{LONG_DIGITS}"}}]',
+            '[{"a": 1e999999}]',
+            '[{"a": "1e999999"}]',
+            '[{"a": 1e99999999999999999999}]',
+            '[{"a": 1e-999999}]',
+        ],
+    )
+    def test_json_number_out_of_range(self, schema, data):
+        with pytest.raises(ConversionError, match="row 0, field 'a'|malformed JSON"):
+            table_from_json(data.encode(), schema)
+
+    @pytest.mark.parametrize("schema", [INT_COLUMN, DECIMAL_COLUMN])
+    @pytest.mark.parametrize(
+        "cell", [LONG_DIGITS, "1e999999", "-" + LONG_DIGITS, "١٢", '"12\n"', " 12"]
+    )
+    def test_csv_number_rejected(self, schema, cell):
+        with pytest.raises(ConversionError, match="field 'a'"):
+            table_from_csv(f"a\n{cell}\n".encode(), schema)
+
+    def test_csv_numbers_accepted(self):
+        assert table_from_csv(b"a\n-12\n+3\n", INT_COLUMN).rows == ((-12,), (3,))
+        table = table_from_csv(b"a\n1E+3\n.5\n", DECIMAL_COLUMN)
+        assert [str(row[0]) for row in table.rows] == ["1000", "0.5"]
+
+    def test_json_decimal_number_and_string_share_bounds(self):
+        digits = "1" * 45 + ".5"
+        for data in (f'[{{"a": {digits}}}]', f'[{{"a": "{digits}"}}]'):
+            with pytest.raises(ConversionError, match="precision"):
+                table_from_json(data.encode(), DECIMAL_COLUMN)
+        table = table_from_json(b'[{"a": 1E+3}, {"a": "1E+3"}]', DECIMAL_COLUMN)
+        assert [str(row[0]) for row in table.rows] == ["1000", "1000"]
+
+    def test_json_int_column_bounds(self):
+        assert table_from_json(b'[{"a": 1E+2}]', INT_COLUMN).rows == ((100,),)
+        with pytest.raises(ConversionError, match="64-bit range"):
+            table_from_json(b'[{"a": 1E+20}]', INT_COLUMN)
+
+    def test_deeply_nested_json(self, tmp_path):
+        deep = b"[" * 100_000 + b"]" * 100_000
+        with pytest.raises(ConversionError, match="nesting too deep"):
+            table_from_json(deep, INT_COLUMN)
+        path = tmp_path / "suite.json"
+        path.write_bytes(b'{"tasks": ' + deep + b"}")
+        with pytest.raises(SuiteError, match="nesting too deep"):
+            load_suite(path)
+
+    def test_suite_file_with_bad_utf8(self, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_bytes(b'{"tasks": ["\xff"]}')
+        with pytest.raises(SuiteError, match="UTF-8"):
+            load_suite(path)
 
 
 class TestCsv:

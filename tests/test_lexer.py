@@ -112,6 +112,17 @@ class TestLexicalErrors:
             parse(source)
         assert (err.value.location.line, err.value.location.column) == (4, 22)
 
+    def test_long_literals_are_clipped_in_messages(self):
+        with pytest.raises(ParseError) as err:
+            tokenize("9" * 5000)
+        assert err.value.message == f"integer literal {'9' * 40}… out of 64-bit range"
+        with pytest.raises(ParseError) as err:
+            tokenize("1" * 5000 + ".5")
+        assert err.value.message == f"DECIMAL value '{'1' * 40}…' exceeds precision"
+        with pytest.raises(ParseError) as err:
+            tokenize("9" * 20)
+        assert err.value.message == f"integer literal {'9' * 20} out of 64-bit range"
+
 
 class TestLocations:
     def test_byte_offset_after_non_ascii_string(self):

@@ -7,8 +7,11 @@ import pytest
 
 from anka import ast_nodes as ast
 from anka.errors import ParseError
+from anka.formatter import format_ast
+from anka.interpreter import run_pipeline
 from anka.parser import parse
-from anka.values import ValueType
+from anka.validator import validate
+from anka.values import ValueType, make_table, schema_of
 
 REFERENCE_PIPELINE = """
 PIPELINE transform_sales:
@@ -302,3 +305,57 @@ class TestParseErrors:
         expr = "(" * 500 + "1" + ")" * 500
         with pytest.raises(ParseError, match="nesting too deep"):
             parse(f"PIPELINE p:\n STEP s:\n  FILTER t WHERE {expr} > 0 INTO r\n OUTPUT r")
+
+
+def _deep_program(expr: str) -> str:
+    return (
+        "PIPELINE p:\n INPUT t: TABLE[a: INT, s: STRING]\n STEP s1:\n"
+        f"  MAP t WITH b => {expr} INTO r\n OUTPUT r"
+    )
+
+
+def _left_nested(levels: int, terms: int) -> str:
+    # ((a == a OR ...) OR a == a ...): each level parses at a shallow
+    # nesting, yet sits below every operator of the levels around it
+    expr = "a == a"
+    for _ in range(levels):
+        expr = f"({expr})" + " OR a == a" * terms
+    return expr
+
+
+class TestNestingLimit:
+    """Every walker recurses along the tree, so its height is what the
+    nesting limit bounds: operator chains count like parentheses."""
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            " OR ".join(["a == a"] * 1000),
+            " AND ".join(["a == a"] * 1000),
+            " + ".join(["a"] * 600),
+            " * ".join(["a"] * 1000),
+            _left_nested(20, 150),
+            _left_nested(60, 10),
+            "UPPER(" * 98 + "s" + ")" * 98,
+            "NOT " * 300 + "TRUE",
+        ],
+        ids=["or", "and", "plus", "times", "left-nested", "left-nested-short",
+             "calls", "not"],
+    )
+    def test_deep_trees_are_a_parse_error(self, expr):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse(_deep_program(expr))
+
+    def test_tree_just_under_the_limit_parses_validates_formats_and_runs(self):
+        table = make_table(
+            schema_of(("a", ValueType.INT), ("s", ValueType.STRING)), [(1, "x")]
+        )
+        for expr, value in (
+            (" OR ".join(["a == a"] * 190), True),
+            (" + ".join(["a"] * 190), 190),
+            ("UPPER(" * 60 + "s" + ")" * 60, "X"),
+        ):
+            pipeline = parse(_deep_program(expr))
+            assert validate(pipeline).ok
+            assert parse(format_ast(pipeline)) == pipeline
+            assert run_pipeline(pipeline, {"t": table}).rows == ((1, "x", value),)

@@ -11,6 +11,8 @@ from anka.values import (
     Schema,
     ValueType,
     add_values,
+    check_decimal,
+    check_int,
     compare_values,
     decimal_scale,
     divide_values,
@@ -19,6 +21,7 @@ from anka.values import (
     parse_date,
     parse_datetime,
     parse_decimal,
+    parse_int,
     subtract_values,
     table_equal,
     schema_of,
@@ -243,6 +246,88 @@ class TestDecimalArithmetic:
 
     def test_parse_decimal_normalizes_exponent(self):
         assert str(parse_decimal("1E+3")) == "1000"
+
+
+LONG_DIGITS = "9" * 5000
+
+
+class TestTextToCells:
+    """parse_int, parse_decimal, check_int and check_decimal raise
+    nothing but ConversionError."""
+
+    def test_parse_int_grammar(self):
+        assert parse_int("42") == 42
+        assert parse_int("-42") == -42
+        assert parse_int("+7") == 7
+        assert parse_int("0" * 5000 + "7") == 7
+        assert parse_int("9223372036854775807") == 2**63 - 1
+        assert parse_int("-9223372036854775808") == -(2**63)
+        for text in ("", "-", "1.0", " 1", "1 ", "12\n", "1_000", "١٢", "１２", "0x1"):
+            with pytest.raises(ConversionError, match="as INT"):
+                parse_int(text)
+
+    def test_parse_int_range(self):
+        for text in ("9223372036854775808", "-9223372036854775809", LONG_DIGITS):
+            with pytest.raises(ConversionError, match="out of 64-bit range"):
+                parse_int(text)
+
+    def test_check_int(self):
+        assert check_int(2**63 - 1) == 2**63 - 1
+        for value in (2**63, -(2**63) - 1, 10**5000):
+            with pytest.raises(ConversionError, match="out of 64-bit range"):
+                check_int(value)
+
+    def test_parse_decimal_grammar(self):
+        assert parse_decimal("-1.50") == Decimal("-1.50")
+        assert parse_decimal("1.") == Decimal(1)
+        assert parse_decimal(".5") == Decimal("0.5")
+        assert str(parse_decimal("2.5e-3")) == "0.0025"
+        for text in ("", ".", "1.2.3", " 1.5", "1.5\n", "1_0.5", "١٫٥", "NaN",
+                     "Infinity", "-inf", "1e", "0x1p3", "1e1234567890"):
+            with pytest.raises(ConversionError, match="malformed DECIMAL"):
+                parse_decimal(text)
+
+    def test_parse_decimal_bounds(self):
+        assert parse_decimal("1" * 38) == Decimal("1" * 38)
+        assert str(parse_decimal("1E+37")) == "1" + "0" * 37
+        assert str(parse_decimal("0E+999999")) == "0"
+        for text in ("1E+38", "1E+99", "1e999999", "1e999999999", "1" * 39,
+                     LONG_DIGITS, "1" * 45 + ".5"):
+            with pytest.raises(ConversionError, match="precision"):
+                parse_decimal(text)
+        for text in ("1e-11", "1e-999999", "1e-999999999"):
+            with pytest.raises(ConversionError, match="scale"):
+                parse_decimal(text)
+
+    def test_check_decimal(self):
+        assert str(check_decimal(Decimal("1E+3"))) == "1000"
+        assert check_decimal(Decimal("0.0000000001")) == Decimal("1E-10")
+        for value, match in (
+            (Decimal("NaN"), "not finite"),
+            (Decimal("-Infinity"), "not finite"),
+            (Decimal("1E-11"), "scale"),
+            (Decimal("1E+999999"), "precision"),
+            (Decimal(LONG_DIGITS), "precision"),
+        ):
+            with pytest.raises(ConversionError, match=match):
+                check_decimal(value)
+
+    def test_messages_clip_long_text(self):
+        for parse, text in (
+            (parse_int, LONG_DIGITS),
+            (parse_int, "x" * 5000),
+            (parse_decimal, LONG_DIGITS),
+            (parse_decimal, "x" * 5000),
+        ):
+            with pytest.raises(ConversionError) as err:
+                parse(text)
+            assert len(err.value.message) < 100
+            assert "…" in err.value.message
+        with pytest.raises(ConversionError) as err:
+            parse_decimal("0.00000000001")
+        assert err.value.message == (
+            "DECIMAL value '0.00000000001' exceeds maximum scale of 10"
+        )
 
 
 class TestTemporalParsing:
