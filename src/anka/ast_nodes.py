@@ -339,29 +339,6 @@ class Pipeline(Node):
     location: SourceLocation = field(compare=False, kw_only=True)
 
 
-DATA_STATEMENTS = (
-    Filter,
-    Select,
-    Distinct,
-    Map,
-    Rename,
-    Drop,
-    AddColumn,
-    Aggregate,
-    Sort,
-    Limit,
-    Skip,
-    Slice,
-    Join,
-    LeftJoin,
-    Union,
-    Read,
-    Fetch,
-)
-
-CONTROL_STATEMENTS = (If, ForEach, While, Try)
-
-
 def statement_target(stmt: Statement) -> Optional[str]:
     """INTO target of a data-producing statement, else None."""
     return getattr(stmt, "target", None)

@@ -1,30 +1,19 @@
 """Canonical source emission from an AST.
 
 ``parse(format_ast(t))`` yields a tree structurally equal to ``t`` for
-every valid tree. Expressions are emitted with minimal parentheses
-derived from operator precedence.
+every valid tree. Each data statement is written on one line by its form
+in ``grammar.STATEMENTS``, the table the parser reads it by; expressions
+are written by ``grammar.format_expr`` with the fewest parentheses the
+operator levels need. Control-flow bodies go on their own lines, one
+indent deeper.
 """
 
 from __future__ import annotations
 
-import datetime
-from decimal import Decimal
-
 from anka import ast_nodes as ast
-from anka.values import Schema, ValueType
+from anka.grammar import STATEMENTS, format_expr, format_schema
 
-# Binding strength, loosest to tightest. A child is parenthesized when
-# its level is below the level its context requires.
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_NOT = 3
-_LEVEL_COMPARISON = 4
-_LEVEL_ADDITIVE = 5
-_LEVEL_MULTIPLICATIVE = 6
-_LEVEL_UNARY = 7
-_LEVEL_PRIMARY = 8
-
-_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+_KEYWORDS = {node: keyword for keyword, (node, _) in STATEMENTS.items()}
 
 
 def format_ast(pipeline: ast.Pipeline) -> str:
@@ -37,11 +26,6 @@ def format_ast(pipeline: ast.Pipeline) -> str:
         _emit_block(lines, step.body, indent=2)
     lines.append(f"  OUTPUT {pipeline.output}")
     return "\n".join(lines) + "\n"
-
-
-def format_schema(schema: Schema) -> str:
-    inner = ", ".join(f"{f.name}: {f.type.value}" for f in schema.fields)
-    return f"TABLE[{inner}]"
 
 
 def _emit_block(lines: list[str], body: tuple[ast.Statement, ...], indent: int) -> None:
@@ -74,138 +58,16 @@ def _emit_block(lines: list[str], body: tuple[ast.Statement, ...], indent: int) 
 
 def format_statement(stmt: ast.Statement) -> str:
     """Single-line canonical form of a data statement."""
-    if isinstance(stmt, ast.Filter):
-        return f"FILTER {stmt.source} WHERE {format_expr(stmt.predicate)} INTO {stmt.target}"
-    if isinstance(stmt, ast.Select):
-        cols = ", ".join(stmt.columns)
-        return f"SELECT {stmt.source} COLUMNS {cols} INTO {stmt.target}"
-    if isinstance(stmt, ast.Distinct):
-        return f"DISTINCT {stmt.source} INTO {stmt.target}"
-    if isinstance(stmt, ast.Map):
-        return (
-            f"MAP {stmt.source} WITH {stmt.column} => "
-            f"{format_expr(stmt.expr)} INTO {stmt.target}"
-        )
-    if isinstance(stmt, ast.Rename):
-        return (
-            f"RENAME {stmt.source} COLUMN {stmt.old_name} TO {stmt.new_name} "
-            f"INTO {stmt.target}"
-        )
-    if isinstance(stmt, ast.Drop):
-        return f"DROP {stmt.source} COLUMN {stmt.column} INTO {stmt.target}"
-    if isinstance(stmt, ast.AddColumn):
-        return (
-            f"ADD_COLUMN {stmt.source} WITH {stmt.column} = "
-            f"{format_expr(stmt.value)} INTO {stmt.target}"
-        )
-    if isinstance(stmt, ast.Aggregate):
-        parts = [f"AGGREGATE {stmt.source}"]
-        if stmt.group_by:
-            parts.append("GROUP_BY " + ", ".join(stmt.group_by))
-        computes = ", ".join(
-            f"{c.fn}({c.arg if c.arg else ''}) AS {c.alias}" for c in stmt.computes
-        )
-        parts.append(f"COMPUTE {computes}")
-        parts.append(f"INTO {stmt.target}")
-        return " ".join(parts)
-    if isinstance(stmt, ast.Sort):
-        direction = "DESC" if stmt.descending else "ASC"
-        return f"SORT {stmt.source} BY {stmt.column} {direction} INTO {stmt.target}"
-    if isinstance(stmt, ast.Limit):
-        return f"LIMIT {stmt.source} TO {stmt.count} INTO {stmt.target}"
-    if isinstance(stmt, ast.Skip):
-        return f"SKIP {stmt.source} FIRST {stmt.count} INTO {stmt.target}"
-    if isinstance(stmt, ast.Slice):
-        return (
-            f"SLICE {stmt.source} FROM {stmt.start} TO {stmt.stop} INTO {stmt.target}"
-        )
-    if isinstance(stmt, ast.Join):
-        return (
-            f"JOIN {stmt.left} WITH {stmt.right} ON {stmt.left_key} == "
-            f"{stmt.right_key} INTO {stmt.target}"
-        )
-    if isinstance(stmt, ast.LeftJoin):
-        return (
-            f"LEFT_JOIN {stmt.left} WITH {stmt.right} ON {stmt.left_key} == "
-            f"{stmt.right_key} INTO {stmt.target}"
-        )
-    if isinstance(stmt, ast.Union):
-        return f"UNION {stmt.left} WITH {stmt.right} INTO {stmt.target}"
-    if isinstance(stmt, ast.Read):
-        return (
-            f'READ {_quote(stmt.path)} AS {stmt.format.upper()} '
-            f"{format_schema(stmt.schema)} INTO {stmt.target}"
-        )
-    if isinstance(stmt, ast.Write):
-        return f"WRITE {stmt.source} TO {_quote(stmt.path)} AS {stmt.format.upper()}"
-    if isinstance(stmt, ast.Fetch):
-        return f"FETCH {_quote(stmt.url)} {format_schema(stmt.schema)} INTO {stmt.target}"
-    if isinstance(stmt, ast.Post):
-        return f"POST {stmt.source} TO {_quote(stmt.url)}"
-    raise TypeError(f"cannot format statement {type(stmt).__name__}")
-
-
-def format_expr(expr: ast.Expr, min_level: int = _LEVEL_OR) -> str:
-    level, text = _format_expr(expr)
-    if level < min_level:
-        return f"({text})"
-    return text
-
-
-def _format_expr(expr: ast.Expr) -> tuple[int, str]:
-    if isinstance(expr, ast.Literal):
-        return _LEVEL_PRIMARY, format_literal(expr)
-    if isinstance(expr, ast.ColumnRef):
-        return _LEVEL_PRIMARY, expr.name
-    if isinstance(expr, ast.Call):
-        args = ", ".join(format_expr(a) for a in expr.args)
-        return _LEVEL_PRIMARY, f"{expr.name}({args})"
-    if isinstance(expr, ast.Neg):
-        inner = format_expr(expr.operand, _LEVEL_UNARY)
-        return _LEVEL_UNARY, f"-{inner}"
-    if isinstance(expr, ast.BinaryOp):
-        level = _LEVEL_MULTIPLICATIVE if expr.op in ("*", "/") else _LEVEL_ADDITIVE
-        left = format_expr(expr.left, level)
-        right = format_expr(expr.right, level + 1)
-        return level, f"{left} {expr.op} {right}"
-    if isinstance(expr, ast.Comparison):
-        left = format_expr(expr.left, _LEVEL_COMPARISON + 1)
-        right = format_expr(expr.right, _LEVEL_COMPARISON + 1)
-        return _LEVEL_COMPARISON, f"{left} {expr.op} {right}"
-    if isinstance(expr, ast.Not):
-        inner = format_expr(expr.operand, _LEVEL_NOT)
-        return _LEVEL_NOT, f"NOT {inner}"
-    if isinstance(expr, ast.BoolOp):
-        level = _LEVEL_AND if expr.op == "AND" else _LEVEL_OR
-        left = format_expr(expr.left, level)
-        right = format_expr(expr.right, level + 1)
-        return level, f"{left} {expr.op} {right}"
-    raise TypeError(f"cannot format expression {type(expr).__name__}")
-
-
-def format_literal(lit: ast.Literal) -> str:
-    if lit.type is ValueType.INT:
-        return str(lit.value)
-    if lit.type is ValueType.DECIMAL:
-        assert isinstance(lit.value, Decimal)
-        text = format(lit.value, "f")
-        # Parsed DECIMAL literals always carry a fraction; keep a point
-        # on programmatically built scale-0 values so they stay DECIMAL.
-        return text if "." in text else text + ".0"
-    if lit.type is ValueType.STRING:
-        assert isinstance(lit.value, str)
-        return _quote(lit.value)
-    if lit.type is ValueType.BOOL:
-        return "TRUE" if lit.value else "FALSE"
-    if lit.type is ValueType.DATE:
-        assert isinstance(lit.value, datetime.date)
-        return f'DATE "{lit.value.isoformat()}"'
-    if lit.type is ValueType.DATETIME:
-        assert isinstance(lit.value, datetime.datetime)
-        return f'DATETIME "{lit.value.strftime("%Y-%m-%dT%H:%M:%S")}"'
-    raise TypeError(f"cannot format literal of type {lit.type}")
-
-
-def _quote(text: str) -> str:
-    escaped = "".join(_STRING_ESCAPES.get(ch, ch) for ch in text)
-    return f'"{escaped}"'
+    keyword = _KEYWORDS.get(type(stmt))
+    if keyword is None:
+        raise TypeError(f"cannot format statement {type(stmt).__name__}")
+    parts = [keyword]
+    for part in STATEMENTS[keyword][1]:
+        if isinstance(part, str):
+            parts.append(part)
+        else:
+            field, slot = part
+            text = slot.write(getattr(stmt, field))
+            if text is not None:
+                parts.append(text)
+    return " ".join(parts)

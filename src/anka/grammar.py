@@ -1,0 +1,277 @@
+"""Anka's canonical forms, each written once.
+
+``STATEMENTS`` gives each data statement's form: its keywords and
+operators, and typed slots for the parts that vary. ``BINARY_OPERATORS``
+and ``PREFIX_OPERATORS`` give each operator's precedence level and the
+node it builds. The parser reads source by these tables and the
+formatter writes trees back by them, so the two cannot disagree. The
+control-flow statements span several lines and are written out in both.
+"""
+
+from __future__ import annotations
+
+import datetime
+from decimal import Decimal
+from typing import Any, Callable, NamedTuple, Optional
+
+from anka import ast_nodes as ast
+from anka.lexer import KIND_INT, KIND_KEYWORD
+from anka.values import Schema, ValueType
+
+# -- operators -----------------------------------------------------------------
+
+
+class BinaryOperator(NamedTuple):
+    level: int  # binding strength, 1 (OR) loosest
+    node: type  # BoolOp, Comparison or BinaryOp
+    # The lowest level its left operand may have without parentheses: its
+    # own level for a left-associative operator, one above for one that
+    # does not chain. The right operand always needs level + 1.
+    left: int
+
+
+class PrefixOperator(NamedTuple):
+    level: int  # its operand may have this level too: NOT NOT a, - -a
+    node: type  # Not or Neg
+
+
+BINARY_OPERATORS = {
+    "OR": BinaryOperator(1, ast.BoolOp, 1),
+    "AND": BinaryOperator(2, ast.BoolOp, 2),
+    **{op: BinaryOperator(4, ast.Comparison, 5)
+       for op in ("==", "!=", ">=", "<=", ">", "<")},
+    "+": BinaryOperator(5, ast.BinaryOp, 5),
+    "-": BinaryOperator(5, ast.BinaryOp, 5),
+    "*": BinaryOperator(6, ast.BinaryOp, 6),
+    "/": BinaryOperator(6, ast.BinaryOp, 6),
+}
+
+PREFIX_OPERATORS = {
+    "NOT": PrefixOperator(3, ast.Not),
+    "-": PrefixOperator(7, ast.Neg),
+}
+
+# Literals, column references, calls and parenthesized expressions.
+PRIMARY_LEVEL = 8
+
+# A keyword operator is set off from its operand by a space.
+_PREFIX_TEXT = {
+    op.node: (op.level, text + " " if text.isalpha() else text)
+    for text, op in PREFIX_OPERATORS.items()
+}
+
+_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+
+
+def format_expr(expr: ast.Expr, min_level: int = 1) -> str:
+    """Canonical text of ``expr``, parenthesized when its level is below
+    ``min_level``; inner parentheses are the fewest the levels need."""
+    level, text = _format_expr(expr)
+    if level < min_level:
+        return f"({text})"
+    return text
+
+
+def _format_expr(expr: ast.Expr) -> tuple[int, str]:
+    if isinstance(expr, ast.Literal):
+        return PRIMARY_LEVEL, format_literal(expr)
+    if isinstance(expr, ast.ColumnRef):
+        return PRIMARY_LEVEL, expr.name
+    if isinstance(expr, ast.Call):
+        args = ", ".join(format_expr(a) for a in expr.args)
+        return PRIMARY_LEVEL, f"{expr.name}({args})"
+    prefix = _PREFIX_TEXT.get(type(expr))
+    if prefix is not None:
+        level, text = prefix
+        return level, text + format_expr(expr.operand, level)
+    if isinstance(expr, (ast.BoolOp, ast.Comparison, ast.BinaryOp)):
+        op = BINARY_OPERATORS[expr.op]
+        left = format_expr(expr.left, op.left)
+        right = format_expr(expr.right, op.level + 1)
+        return op.level, f"{left} {expr.op} {right}"
+    raise TypeError(f"cannot format expression {type(expr).__name__}")
+
+
+def format_literal(lit: ast.Literal) -> str:
+    if lit.type is ValueType.INT:
+        return str(lit.value)
+    if lit.type is ValueType.DECIMAL:
+        assert isinstance(lit.value, Decimal)
+        text = format(lit.value, "f")
+        # Parsed DECIMAL literals always carry a fraction; keep a point
+        # on programmatically built scale-0 values so they stay DECIMAL.
+        return text if "." in text else text + ".0"
+    if lit.type is ValueType.STRING:
+        assert isinstance(lit.value, str)
+        return quote(lit.value)
+    if lit.type is ValueType.BOOL:
+        return "TRUE" if lit.value else "FALSE"
+    if lit.type is ValueType.DATE:
+        assert isinstance(lit.value, datetime.date)
+        return f'DATE "{lit.value.isoformat()}"'
+    if lit.type is ValueType.DATETIME:
+        assert isinstance(lit.value, datetime.datetime)
+        return f'DATETIME "{lit.value.strftime("%Y-%m-%dT%H:%M:%S")}"'
+    raise TypeError(f"cannot format literal of type {lit.type}")
+
+
+def format_schema(schema: Schema) -> str:
+    inner = ", ".join(f"{f.name}: {f.type.value}" for f in schema.fields)
+    return f"TABLE[{inner}]"
+
+
+def quote(text: str) -> str:
+    escaped = "".join(_STRING_ESCAPES.get(ch, ch) for ch in text)
+    return f'"{escaped}"'
+
+
+# -- statement slots -----------------------------------------------------------
+
+
+class Slot(NamedTuple):
+    """A typed part of a statement form. ``read(parser, what)`` takes it
+    from the parser's tokens, and ``what`` names it in the "expected …"
+    of a ParseError; ``write(value)`` gives its canonical text, or None
+    for an optional part that is absent."""
+
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Optional[str]]
+    what: str = ""
+
+
+AGGREGATE_FNS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+
+
+def _read_name(p, what: str) -> str:
+    return p.expect_ident(what).text
+
+
+def _read_names(p, what: str) -> tuple[str, ...]:
+    return p.comma_list(lambda: p.expect_ident(what).text)
+
+
+def _read_count(p, what: str) -> int:
+    negative = p.at_op("-")
+    if negative:
+        p.advance()
+    tok = p.peek()
+    if tok.kind != KIND_INT:
+        raise p.fail(what)
+    p.advance()
+    return -tok.value if negative else tok.value
+
+
+def _read_string(p, what: str) -> str:
+    return p.expect_string(what).value
+
+
+def _choice(words: dict[str, Any]) -> Slot:
+    """A slot filled by one of ``words``' keywords, read as its value."""
+
+    def read(p, what: str) -> Any:
+        tok = p.peek()
+        if tok.kind == KIND_KEYWORD and tok.text in words:
+            p.advance()
+            return words[tok.text]
+        raise p.fail(*words)
+
+    return Slot(read, {value: word for word, value in words.items()}.__getitem__)
+
+
+def _read_group_by(p, what: str) -> tuple[str, ...]:
+    return _read_names(p, what) if p.accept_keyword("GROUP_BY") else ()
+
+
+def _write_group_by(names: tuple[str, ...]) -> Optional[str]:
+    return "GROUP_BY " + ", ".join(names) if names else None
+
+
+def _read_aggregate_spec(p) -> ast.AggregateSpec:
+    tok = p.peek()
+    if tok.kind != KIND_KEYWORD or tok.text not in AGGREGATE_FNS:
+        raise p.fail(*AGGREGATE_FNS)
+    p.advance()
+    p.expect_op("(")
+    arg: Optional[str] = None
+    if tok.text != "COUNT":
+        arg = p.expect_ident("column name").text
+    p.expect_op(")")
+    p.expect_keyword("AS")
+    alias = p.expect_ident("alias")
+    return ast.AggregateSpec(fn=tok.text, arg=arg, alias=alias.text, location=tok.location)
+
+
+def _read_computes(p, what: str) -> tuple[ast.AggregateSpec, ...]:
+    return p.comma_list(lambda: _read_aggregate_spec(p))
+
+
+def _write_computes(specs: tuple[ast.AggregateSpec, ...]) -> str:
+    return ", ".join(f"{c.fn}({c.arg if c.arg else ''}) AS {c.alias}" for c in specs)
+
+
+SLOTS = {
+    "dataset": Slot(_read_name, str, "dataset name"),
+    "column": Slot(_read_name, str, "column name"),
+    "new_column": Slot(_read_name, str, "new column name"),
+    "target": Slot(_read_name, str, "target name"),
+    "columns": Slot(_read_names, ", ".join, "column name"),
+    "expression": Slot(lambda p, what: p.parse_expr(), format_expr),
+    "literal": Slot(lambda p, what: p.parse_literal(), format_expr),
+    "count": Slot(_read_count, str, "integer literal"),
+    "path": Slot(_read_string, quote, "file path string"),
+    "url": Slot(_read_string, quote, "URL string"),
+    "format": _choice({"JSON": "json", "CSV": "csv"}),
+    "table": Slot(lambda p, what: p.parse_table_type(), format_schema),
+    "direction": _choice({"ASC": False, "DESC": True}),
+    "group_by": Slot(_read_group_by, _write_group_by, "column name"),
+    "computes": Slot(_read_computes, _write_computes),
+}
+
+
+# -- statements ----------------------------------------------------------------
+
+
+def _form(node: type, spec: str) -> tuple[type, tuple]:
+    """``field:kind`` fills the node's field from a slot of that kind; any
+    other word is a keyword or an operator that must appear as written."""
+    parts: list = []
+    for word in spec.split():
+        field, colon, kind = word.partition(":")
+        parts.append((field, SLOTS[kind]) if colon else word)
+    return node, tuple(parts)
+
+
+# Keyword -> (node class, form after the keyword): one production each.
+STATEMENTS = {
+    keyword: _form(node, spec) for keyword, node, spec in [
+        ("FILTER", ast.Filter, "source:dataset WHERE predicate:expression INTO target:target"),
+        ("SELECT", ast.Select, "source:dataset COLUMNS columns:columns INTO target:target"),
+        ("DISTINCT", ast.Distinct, "source:dataset INTO target:target"),
+        ("MAP", ast.Map,
+         "source:dataset WITH column:new_column => expr:expression INTO target:target"),
+        ("RENAME", ast.Rename,
+         "source:dataset COLUMN old_name:column TO new_name:new_column INTO target:target"),
+        ("DROP", ast.Drop, "source:dataset COLUMN column:column INTO target:target"),
+        ("ADD_COLUMN", ast.AddColumn,
+         "source:dataset WITH column:new_column = value:literal INTO target:target"),
+        ("AGGREGATE", ast.Aggregate,
+         "source:dataset group_by:group_by COMPUTE computes:computes INTO target:target"),
+        ("SORT", ast.Sort,
+         "source:dataset BY column:column descending:direction INTO target:target"),
+        ("LIMIT", ast.Limit, "source:dataset TO count:count INTO target:target"),
+        ("SKIP", ast.Skip, "source:dataset FIRST count:count INTO target:target"),
+        ("SLICE", ast.Slice,
+         "source:dataset FROM start:count TO stop:count INTO target:target"),
+        ("JOIN", ast.Join,
+         "left:dataset WITH right:dataset ON left_key:column == right_key:column "
+         "INTO target:target"),
+        ("LEFT_JOIN", ast.LeftJoin,
+         "left:dataset WITH right:dataset ON left_key:column == right_key:column "
+         "INTO target:target"),
+        ("UNION", ast.Union, "left:dataset WITH right:dataset INTO target:target"),
+        ("READ", ast.Read, "path:path AS format:format schema:table INTO target:target"),
+        ("WRITE", ast.Write, "source:dataset TO path:path AS format:format"),
+        ("FETCH", ast.Fetch, "url:url schema:table INTO target:target"),
+        ("POST", ast.Post, "source:dataset TO url:url"),
+    ]
+}

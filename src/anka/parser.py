@@ -1,18 +1,26 @@
 """Recursive-descent parser producing a fully located AST.
 
 The grammar admits exactly one statement production per operation
-keyword. Statements are self-delimiting (every data statement ends in
-its INTO target or a trailing literal clause), so no separators are
-needed and newlines carry no meaning.
+keyword. Each data statement is read by its form in
+``grammar.STATEMENTS``, the same table the formatter writes it back by;
+the four control-flow statements are read by hand. Expressions are read
+by precedence climbing over ``grammar.BINARY_OPERATORS`` and
+``grammar.PREFIX_OPERATORS``, loosest first: OR, AND, NOT, the
+comparisons (which do not chain), ``+ -``, ``* /``, unary minus.
+Statements are self-delimiting (every data statement ends in its INTO
+target or a trailing literal clause), so no separators are needed and
+newlines carry no meaning.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from anka import ast_nodes as ast
 from anka.errors import ConversionError, ParseError
+from anka.grammar import BINARY_OPERATORS, PREFIX_OPERATORS, PRIMARY_LEVEL, STATEMENTS
 from anka.lexer import (
+    KEYWORDS,
     KIND_DECIMAL,
     KIND_EOF,
     KIND_IDENT,
@@ -28,13 +36,6 @@ from anka.values import Field, Schema, ValueType, parse_date, parse_datetime
 
 MAX_NESTING_DEPTH = 200
 
-STATEMENT_KEYWORDS = (
-    "FILTER", "SELECT", "DISTINCT", "MAP", "RENAME", "DROP", "ADD_COLUMN",
-    "AGGREGATE", "SORT", "LIMIT", "SKIP", "SLICE", "JOIN", "LEFT_JOIN",
-    "UNION", "READ", "WRITE", "FETCH", "POST",
-    "IF", "FOR_EACH", "WHILE", "TRY",
-)
-
 TYPE_KEYWORDS = {
     "INT": ValueType.INT,
     "STRING": ValueType.STRING,
@@ -44,8 +45,8 @@ TYPE_KEYWORDS = {
     "DATETIME": ValueType.DATETIME,
 }
 
-COMPARISON_OPS = ("==", "!=", ">=", "<=", ">", "<")
-AGGREGATE_FNS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+# A string token's text is its value, so only these kinds spell operators.
+_OPERATOR_KINDS = (KIND_KEYWORD, KIND_OP)
 
 
 def parse(source: str) -> ast.Pipeline:
@@ -96,10 +97,10 @@ class _Parser:
         )
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.accept_keyword(word)
-        if tok is None:
-            raise self.fail(word)
-        return tok
+        tok = self.peek()
+        if tok.kind == KIND_KEYWORD and tok.text == word:
+            return self.advance()
+        raise self.fail(word)
 
     def expect_op(self, op: str) -> Token:
         tok = self.peek()
@@ -122,6 +123,13 @@ class _Parser:
         if tok.kind == KIND_STRING:
             return self.advance()
         raise self.fail(what)
+
+    def comma_list(self, read: Callable[[], object]) -> tuple:
+        items = [read()]
+        while self.at_op(","):
+            self.advance()
+            items.append(read())
+        return tuple(items)
 
     def _enter(self, levels: int = 1) -> None:
         # callers take the levels off on return; a ParseError ends the parse
@@ -175,10 +183,7 @@ class _Parser:
     def parse_table_type(self) -> Schema:
         self.expect_keyword("TABLE")
         self.expect_op("[")
-        fields = [self.parse_field()]
-        while self.at_op(","):
-            self.advance()
-            fields.append(self.parse_field())
+        fields = self.comma_list(self.parse_field)
         close = self.expect_op("]")
         seen = set()
         for f in fields:
@@ -225,282 +230,20 @@ class _Parser:
         tok = self.peek()
         if tok.kind != KIND_KEYWORD or tok.text not in STATEMENT_KEYWORDS:
             raise self.fail("a statement")
-        handler = getattr(self, f"_parse_{tok.text.lower()}")
         self._enter()
-        statement = handler()
+        control = _CONTROL.get(tok.text)
+        statement = control(self) if control else self._parse_form(*_FORMS[tok.text])
         self.depth -= 1
         return statement
 
-    def _into(self) -> str:
-        self.expect_keyword("INTO")
-        return self.expect_ident("target name").text
-
-    def _parse_filter(self) -> ast.Filter:
+    def _parse_form(self, node: type, form: tuple) -> ast.Statement:
         start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("WHERE")
-        predicate = self.parse_expr()
-        return ast.Filter(
-            source=source.text,
-            predicate=predicate,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_select(self) -> ast.Select:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("COLUMNS")
-        columns = self.parse_ident_list("column name")
-        return ast.Select(
-            source=source.text,
-            columns=columns,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_distinct(self) -> ast.Distinct:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        return ast.Distinct(
-            source=source.text, target=self._into(), location=start.location
-        )
-
-    def _parse_map(self) -> ast.Map:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("WITH")
-        column = self.expect_ident("new column name")
-        self.expect_op("=>")
-        expr = self.parse_expr()
-        return ast.Map(
-            source=source.text,
-            column=column.text,
-            expr=expr,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_rename(self) -> ast.Rename:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("COLUMN")
-        old = self.expect_ident("column name")
-        self.expect_keyword("TO")
-        new = self.expect_ident("new column name")
-        return ast.Rename(
-            source=source.text,
-            old_name=old.text,
-            new_name=new.text,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_drop(self) -> ast.Drop:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("COLUMN")
-        column = self.expect_ident("column name")
-        return ast.Drop(
-            source=source.text,
-            column=column.text,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_add_column(self) -> ast.AddColumn:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("WITH")
-        column = self.expect_ident("new column name")
-        self.expect_op("=")
-        value = self.parse_literal()
-        return ast.AddColumn(
-            source=source.text,
-            column=column.text,
-            value=value,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_aggregate(self) -> ast.Aggregate:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        group_by: tuple[str, ...] = ()
-        if self.accept_keyword("GROUP_BY"):
-            group_by = self.parse_ident_list("column name")
-        self.expect_keyword("COMPUTE")
-        computes = [self.parse_aggregate_spec()]
-        while self.at_op(","):
-            self.advance()
-            computes.append(self.parse_aggregate_spec())
-        return ast.Aggregate(
-            source=source.text,
-            group_by=group_by,
-            computes=tuple(computes),
-            target=self._into(),
-            location=start.location,
-        )
-
-    def parse_aggregate_spec(self) -> ast.AggregateSpec:
-        tok = self.peek()
-        if tok.kind != KIND_KEYWORD or tok.text not in AGGREGATE_FNS:
-            raise self.fail(*AGGREGATE_FNS)
-        self.advance()
-        self.expect_op("(")
-        arg: Optional[str] = None
-        if tok.text != "COUNT":
-            arg = self.expect_ident("column name").text
-        self.expect_op(")")
-        self.expect_keyword("AS")
-        alias = self.expect_ident("alias")
-        return ast.AggregateSpec(
-            fn=tok.text, arg=arg, alias=alias.text, location=tok.location
-        )
-
-    def _parse_sort(self) -> ast.Sort:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("BY")
-        column = self.expect_ident("column name")
-        if self.accept_keyword("ASC"):
-            descending = False
-        elif self.accept_keyword("DESC"):
-            descending = True
-        else:
-            raise self.fail("ASC", "DESC")
-        return ast.Sort(
-            source=source.text,
-            column=column.text,
-            descending=descending,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_limit(self) -> ast.Limit:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("TO")
-        count = self.parse_int_literal()
-        return ast.Limit(
-            source=source.text,
-            count=count,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_skip(self) -> ast.Skip:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("FIRST")
-        count = self.parse_int_literal()
-        return ast.Skip(
-            source=source.text,
-            count=count,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_slice(self) -> ast.Slice:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("FROM")
-        lo = self.parse_int_literal()
-        self.expect_keyword("TO")
-        hi = self.parse_int_literal()
-        return ast.Slice(
-            source=source.text,
-            start=lo,
-            stop=hi,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_join(self) -> ast.Join:
-        return self._parse_join_like(ast.Join)
-
-    def _parse_left_join(self) -> ast.LeftJoin:
-        return self._parse_join_like(ast.LeftJoin)
-
-    def _parse_join_like(self, node_type):
-        start = self.advance()
-        left = self.expect_ident("dataset name")
-        self.expect_keyword("WITH")
-        right = self.expect_ident("dataset name")
-        self.expect_keyword("ON")
-        left_key = self.expect_ident("column name")
-        self.expect_op("==")
-        right_key = self.expect_ident("column name")
-        return node_type(
-            left=left.text,
-            right=right.text,
-            left_key=left_key.text,
-            right_key=right_key.text,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_union(self) -> ast.Union:
-        start = self.advance()
-        left = self.expect_ident("dataset name")
-        self.expect_keyword("WITH")
-        right = self.expect_ident("dataset name")
-        return ast.Union(
-            left=left.text,
-            right=right.text,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_format(self) -> str:
-        if self.accept_keyword("JSON"):
-            return "json"
-        if self.accept_keyword("CSV"):
-            return "csv"
-        raise self.fail("JSON", "CSV")
-
-    def _parse_read(self) -> ast.Read:
-        start = self.advance()
-        path = self.expect_string("file path string")
-        self.expect_keyword("AS")
-        fmt = self._parse_format()
-        schema = self.parse_table_type()
-        return ast.Read(
-            path=path.value,
-            format=fmt,
-            schema=schema,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_write(self) -> ast.Write:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("TO")
-        path = self.expect_string("file path string")
-        self.expect_keyword("AS")
-        fmt = self._parse_format()
-        return ast.Write(
-            source=source.text, path=path.value, format=fmt, location=start.location
-        )
-
-    def _parse_fetch(self) -> ast.Fetch:
-        start = self.advance()
-        url = self.expect_string("URL string")
-        schema = self.parse_table_type()
-        return ast.Fetch(
-            url=url.value,
-            schema=schema,
-            target=self._into(),
-            location=start.location,
-        )
-
-    def _parse_post(self) -> ast.Post:
-        start = self.advance()
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("TO")
-        url = self.expect_string("URL string")
-        return ast.Post(source=source.text, url=url.value, location=start.location)
+        fields = {}
+        for field, read, arg in form:
+            value = read(self, arg)
+            if field is not None:
+                fields[field] = value
+        return node(**fields, location=start.location)
 
     def _parse_if(self) -> ast.If:
         start = self.advance()
@@ -546,107 +289,42 @@ class _Parser:
         self.expect_keyword("END_TRY")
         return ast.Try(body=body, handler=handler, location=start.location)
 
-    def parse_ident_list(self, what: str) -> tuple[str, ...]:
-        names = [self.expect_ident(what).text]
-        while self.at_op(","):
-            self.advance()
-            names.append(self.expect_ident(what).text)
-        return tuple(names)
-
-    def parse_int_literal(self) -> int:
-        negative = False
-        if self.at_op("-"):
-            self.advance()
-            negative = True
-        tok = self.peek()
-        if tok.kind != KIND_INT:
-            raise self.fail("integer literal")
-        self.advance()
-        return -tok.value if negative else tok.value
-
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
         self._enter()
-        expr = self._parse_or()
+        expr = self._parse_operators(1)
         self.depth -= 1
         return expr
 
-    def _parse_or(self) -> ast.Expr:
-        expr = self._parse_and()
-        while self.at_keyword("OR"):
-            tok = self.advance()
-            height = self.height
-            right = self._parse_and()
-            self._grow(max(height, self.height) + 1, tok)
-            expr = ast.BoolOp(op="OR", left=expr, right=right, location=tok.location)
-        return expr
-
-    def _parse_and(self) -> ast.Expr:
-        expr = self._parse_not()
-        while self.at_keyword("AND"):
-            tok = self.advance()
-            height = self.height
-            right = self._parse_not()
-            self._grow(max(height, self.height) + 1, tok)
-            expr = ast.BoolOp(op="AND", left=expr, right=right, location=tok.location)
-        return expr
-
-    def _parse_not(self) -> ast.Expr:
-        if self.at_keyword("NOT"):
-            tok = self.advance()
+    def _parse_operators(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: an operand, then each operator of at least
+        ``min_level`` that may take the tree built so far as its left
+        operand; its right operand is parsed one level up."""
+        tok = self.peek()
+        prefix = PREFIX_OPERATORS.get(tok.text) if tok.kind in _OPERATOR_KINDS else None
+        if prefix is not None and prefix.level >= min_level:
+            self.advance()
             self._enter()
-            operand = self._parse_not()
+            operand = self._parse_operators(prefix.level)
             self.depth -= 1
             self._grow(self.height + 1, tok)
-            return ast.Not(operand=operand, location=tok.location)
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        left = self._parse_additive()
-        if self.at_op(*COMPARISON_OPS):
-            tok = self.advance()
+            left = prefix.node(operand=operand, location=tok.location)
+            level = prefix.level
+        else:
+            left = self._parse_primary()
+            level = PRIMARY_LEVEL
+        while True:
+            tok = self.peek()
+            op = BINARY_OPERATORS.get(tok.text) if tok.kind in _OPERATOR_KINDS else None
+            if op is None or op.level < min_level or level < op.left:
+                return left
+            self.advance()
             height = self.height
-            right = self._parse_additive()
+            right = self._parse_operators(op.level + 1)
             self._grow(max(height, self.height) + 1, tok)
-            return ast.Comparison(
-                op=tok.text, left=left, right=right, location=tok.location
-            )
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        expr = self._parse_multiplicative()
-        while self.at_op("+", "-"):
-            tok = self.advance()
-            height = self.height
-            right = self._parse_multiplicative()
-            self._grow(max(height, self.height) + 1, tok)
-            expr = ast.BinaryOp(
-                op=tok.text, left=expr, right=right, location=tok.location
-            )
-        return expr
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        expr = self._parse_unary()
-        while self.at_op("*", "/"):
-            tok = self.advance()
-            height = self.height
-            right = self._parse_unary()
-            self._grow(max(height, self.height) + 1, tok)
-            expr = ast.BinaryOp(
-                op=tok.text, left=expr, right=right, location=tok.location
-            )
-        return expr
-
-    def _parse_unary(self) -> ast.Expr:
-        if self.at_op("-"):
-            tok = self.advance()
-            self._enter()
-            operand = self._parse_unary()
-            self.depth -= 1
-            self._grow(self.height + 1, tok)
-            return ast.Neg(operand=operand, location=tok.location)
-        return self._parse_primary()
+            left = op.node(op=tok.text, left=left, right=right, location=tok.location)
+            level = op.level
 
     def _parse_primary(self) -> ast.Expr:
         tok = self.peek()
@@ -746,3 +424,24 @@ class _Parser:
             return parser(tok.value)
         except ConversionError as exc:
             raise ParseError(str(exc), tok.location) from None
+
+
+_CONTROL = {
+    "IF": _Parser._parse_if,
+    "FOR_EACH": _Parser._parse_for_each,
+    "WHILE": _Parser._parse_while,
+    "TRY": _Parser._parse_try,
+}
+
+STATEMENT_KEYWORDS = tuple(STATEMENTS) + tuple(_CONTROL)
+
+# Each form part as (field or None, reader, its argument): a keyword or an
+# operator is expected as written, a slot is read by its kind.
+_FORMS = {
+    keyword: (node, tuple(
+        (None, _Parser.expect_keyword if part in KEYWORDS else _Parser.expect_op, part)
+        if isinstance(part, str) else (part[0], part[1].read, part[1].what)
+        for part in form
+    ))
+    for keyword, (node, form) in STATEMENTS.items()
+}

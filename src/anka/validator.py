@@ -212,42 +212,37 @@ class _Checker:
         self._check_condition(stmt.condition, row_schema, "IF")
         then_env = self.check_block(stmt.then_body, dict(env), row_schema)
         else_env = self.check_block(stmt.else_body, dict(env), row_schema)
-        merged = dict(env)
-        for name, binding in then_env.items():
-            if name in env or name not in else_env:
-                continue
-            other = else_env[name]
-            if binding.schema != other.schema and None not in (
-                binding.schema,
-                other.schema,
-            ):
-                self.error(
-                    ValidationKind.SCHEMA_MISMATCH,
-                    f"'{name}' is bound with different schemas in the IF branches",
-                    stmt.location,
-                )
-                merged[name] = Binding(None, PROVENANCE_INTO, binding.location)
-            else:
-                merged[name] = binding
-        return merged
+        return self._merge_branches(stmt, env, then_env, else_env, "the IF branches")
 
     def _check_try(
         self, stmt: ast.Try, env: dict[str, Binding], row_schema: Optional[Schema]
     ) -> dict[str, Binding]:
         body_env = self.check_block(stmt.body, dict(env), row_schema)
         handler_env = self.check_block(stmt.handler, dict(env), row_schema)
+        return self._merge_branches(stmt, env, body_env, handler_env, "TRY and ON_ERROR")
+
+    def _merge_branches(
+        self,
+        stmt: ast.Statement,
+        env: dict[str, Binding],
+        first: dict[str, Binding],
+        second: dict[str, Binding],
+        where: str,
+    ) -> dict[str, Binding]:
+        """Bindings after one of two branches ran: a name both bind is
+        bound after them, with no schema where the two disagree."""
         merged = dict(env)
-        for name, binding in body_env.items():
-            if name in env or name not in handler_env:
+        for name, binding in first.items():
+            if name in env or name not in second:
                 continue
-            other = handler_env[name]
+            other = second[name]
             if binding.schema != other.schema and None not in (
                 binding.schema,
                 other.schema,
             ):
                 self.error(
                     ValidationKind.SCHEMA_MISMATCH,
-                    f"'{name}' is bound with different schemas in TRY and ON_ERROR",
+                    f"'{name}' is bound with different schemas in {where}",
                     stmt.location,
                 )
                 merged[name] = Binding(None, PROVENANCE_INTO, binding.location)

@@ -4,7 +4,8 @@ Inputs are corpus mutations (deletions, insertions, splices, keyword
 swaps, case flips) plus unstructured noise: random printable text,
 random bytes decoded permissively, and keyword soup. A fixed list of
 lexer and parser edge cases (long digit runs, CRLF, non-ASCII, broken
-strings, 1000-term operator chains) complements them.
+strings, 1000-term operator chains) complements them, and so do
+programs nested or chained either side of the parser's nesting limit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 import string
 from pathlib import Path
 
+from anka.bench import fixture_dir
 from anka.lexer import KEYWORDS
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -25,6 +27,13 @@ _KEYWORD_LIST = sorted(KEYWORDS)
 
 def corpus_sources() -> list[str]:
     return [p.read_text(encoding="utf-8") for p in sorted(CORPUS_DIR.glob("*.anka"))]
+
+
+def fixture_sources() -> list[str]:
+    """The shipped fixture suite's candidates, then its broken variants."""
+    root = fixture_dir()
+    paths = sorted(root.glob("candidates/*/*.anka")) + sorted(root.glob("broken/*/*.anka"))
+    return [p.read_text(encoding="utf-8") for p in paths]
 
 
 def _mutate(rng: random.Random, text: str) -> str:
@@ -106,4 +115,66 @@ def lexer_edge_inputs() -> list[str]:
     # 1000-term operator chains, far past the nesting limit
     for chain in (" OR ".join(["a > 1"] * 1000), " + ".join(["a"] * 1000) + " > 1"):
         inputs.append(program.replace("a > 1", chain))
+    return inputs
+
+
+def nested_program(expr: str) -> str:
+    """A one-statement program whose MAP computes ``expr``."""
+    return (
+        "PIPELINE p:\n INPUT t: TABLE[a: INT, s: STRING]\n STEP s1:\n"
+        f"  MAP t WITH b => {expr} INTO r\n OUTPUT r"
+    )
+
+
+def nested_blocks(opening: str, closing: str, levels: int) -> str:
+    """A program whose one statement sits ``levels`` control blocks deep."""
+    body = "DISTINCT t INTO r"
+    for _ in range(levels):
+        body = f"{opening} {body} {closing}"
+    return (
+        "PIPELINE p:\n INPUT t: TABLE[a: INT, s: STRING]\n STEP s1:\n"
+        f"  {body}\n OUTPUT t"
+    )
+
+
+def left_nested(levels: int, terms: int) -> str:
+    """``((a == a OR ...) OR a == a ...)``: each level parses at a shallow
+    nesting, yet sits below every operator of the levels around it."""
+    expr = "a == a"
+    for _ in range(levels):
+        expr = f"({expr})" + " OR a == a" * terms
+    return expr
+
+
+_BLOCKS = (
+    ("IF a > 0 THEN", "END_IF"),
+    ("IF TRUE THEN DISTINCT t INTO d ELSE", "END_IF"),
+    ("FOR_EACH row IN t DO", "END_FOR"),
+    ("WHILE FALSE DO", "END_WHILE"),
+    ("TRY", "ON_ERROR DISTINCT t INTO e END_TRY"),
+)
+
+
+def nesting_inputs() -> list[str]:
+    """Each construct that nests or chains, at every depth from a few
+    levels under the deepest one the parser admits to a few past it."""
+    families = [
+        (range(95, 104), lambda n: "(" * n + "a" + ")" * n),
+        (range(62, 71), lambda n: "NOT (" * n + "TRUE" + ")" * n),
+        (range(62, 71), lambda n: "-(" * n + "a" + ")" * n),
+        (range(62, 71), lambda n: "UPPER(" * n + "s" + ")" * n),
+        (range(62, 71), lambda n: "CONCAT(s, " * n + "s" + ")" * n),
+        (range(35, 44), lambda n: "ABS((" * n + "a" + "))" * n),
+        (range(194, 203), lambda n: "NOT " * n + "TRUE"),
+        (range(194, 203), lambda n: "-" * n + "a"),
+        (range(194, 203), lambda n: "- " * n + "a"),
+    ]
+    for op, term in ((" OR ", "a == a"), (" AND ", "a > 0"), (" + ", "a"),
+                     (" - ", "a"), (" * ", "a"), (" / ", "a")):
+        families.append((range(194, 203), lambda n, op=op, term=term: op.join([term] * n)))
+    inputs = [nested_program(expr(n)) for depths, expr in families for n in depths]
+    inputs += [nested_program(left_nested(levels, terms))
+               for levels, terms in ((20, 9), (30, 5), (60, 2), (95, 1))]
+    for opening, closing in _BLOCKS:
+        inputs += [nested_blocks(opening, closing, n) for n in range(194, 203)]
     return inputs

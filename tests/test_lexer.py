@@ -5,7 +5,6 @@ from decimal import Decimal
 
 import pytest
 
-from anka.bench import fixture_dir
 from anka.errors import ParseError
 from anka.lexer import tokenize
 from anka.location import SourceLocation
@@ -189,12 +188,6 @@ def _lexer_digest(texts) -> str:
     return digest.hexdigest()
 
 
-def _fixture_sources() -> list[str]:
-    root = fixture_dir()
-    paths = sorted(root.glob("candidates/*/*.anka")) + sorted(root.glob("broken/*/*.anka"))
-    return [p.read_text(encoding="utf-8") for p in paths]
-
-
 # Recorded from the character-at-a-time scanner this lexer replaced; the
 # token streams and lexical errors must not change.
 LEXER_DIGESTS = {
@@ -208,7 +201,7 @@ LEXER_DIGESTS = {
 def test_token_stream_digest_unchanged(name):
     texts = {
         "corpus": fuzzing.corpus_sources,
-        "fixture": _fixture_sources,
+        "fixture": fuzzing.fixture_sources,
         "fuzz": lambda: fuzzing.fuzz_inputs(10_000),
     }[name]()
     assert _lexer_digest(texts) == LEXER_DIGESTS[name]

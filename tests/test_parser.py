@@ -1,6 +1,9 @@
 """Parser: structure of parsed pipelines and located syntax errors."""
 
 import datetime
+import hashlib
+import json
+import random
 from decimal import Decimal
 
 import pytest
@@ -12,6 +15,9 @@ from anka.interpreter import run_pipeline
 from anka.parser import parse
 from anka.validator import validate
 from anka.values import ValueType, make_table, schema_of
+
+import fuzzing
+from pipelinegen import rand_pipeline
 
 REFERENCE_PIPELINE = """
 PIPELINE transform_sales:
@@ -211,24 +217,32 @@ class TestStatementForms:
 
 class TestCanonicalForms:
     def test_exactly_one_production_per_statement_keyword(self):
-        # the dispatch table IS the grammar's statement productions:
-        # every statement keyword has exactly one handler and nothing else
-        # in the parser class parses a statement
-        from anka.parser import STATEMENT_KEYWORDS, _Parser
+        # the statement table and the four control handlers ARE the
+        # grammar's statement productions: each data statement's node
+        # class has exactly one form, each control keyword one handler,
+        # and the keyword list is derived from them
+        from anka.grammar import STATEMENTS
+        from anka.parser import _CONTROL, STATEMENT_KEYWORDS, _Parser
 
-        handlers = {
-            name
-            for name in vars(_Parser)
-            if name.startswith("_parse_") and name not in (
-                "_parse_join_like", "_parse_format", "_parse_temporal",
-                "_parse_or", "_parse_and", "_parse_not", "_parse_comparison",
-                "_parse_additive", "_parse_multiplicative", "_parse_unary",
-                "_parse_primary", "_parse_call",
-            )
+        data_nodes = [
+            ast.Filter, ast.Select, ast.Distinct, ast.Map, ast.Rename, ast.Drop,
+            ast.AddColumn, ast.Aggregate, ast.Sort, ast.Limit, ast.Skip, ast.Slice,
+            ast.Join, ast.LeftJoin, ast.Union, ast.Read, ast.Write, ast.Fetch, ast.Post,
+        ]
+        table_nodes = [node for node, _ in STATEMENTS.values()]
+        for node in data_nodes:
+            assert table_nodes.count(node) == 1, node
+        assert len(table_nodes) == 19
+        assert _CONTROL == {
+            "IF": _Parser._parse_if,
+            "FOR_EACH": _Parser._parse_for_each,
+            "WHILE": _Parser._parse_while,
+            "TRY": _Parser._parse_try,
         }
-        expected = {f"_parse_{kw.lower()}" for kw in STATEMENT_KEYWORDS}
-        assert handlers == expected
+        assert STATEMENT_KEYWORDS == tuple(STATEMENTS) + tuple(_CONTROL)
         assert len(STATEMENT_KEYWORDS) == len(set(STATEMENT_KEYWORDS)) == 23
+        assert not [name for name in vars(_Parser)
+                    if name.startswith("_parse_") and name[7:].upper() in STATEMENTS]
 
     def test_alternate_spellings_are_rejected(self):
         # common near-miss forms must not be a second way in
@@ -307,22 +321,6 @@ class TestParseErrors:
             parse(f"PIPELINE p:\n STEP s:\n  FILTER t WHERE {expr} > 0 INTO r\n OUTPUT r")
 
 
-def _deep_program(expr: str) -> str:
-    return (
-        "PIPELINE p:\n INPUT t: TABLE[a: INT, s: STRING]\n STEP s1:\n"
-        f"  MAP t WITH b => {expr} INTO r\n OUTPUT r"
-    )
-
-
-def _left_nested(levels: int, terms: int) -> str:
-    # ((a == a OR ...) OR a == a ...): each level parses at a shallow
-    # nesting, yet sits below every operator of the levels around it
-    expr = "a == a"
-    for _ in range(levels):
-        expr = f"({expr})" + " OR a == a" * terms
-    return expr
-
-
 class TestNestingLimit:
     """Every walker recurses along the tree, so its height is what the
     nesting limit bounds: operator chains count like parentheses."""
@@ -334,8 +332,8 @@ class TestNestingLimit:
             " AND ".join(["a == a"] * 1000),
             " + ".join(["a"] * 600),
             " * ".join(["a"] * 1000),
-            _left_nested(20, 150),
-            _left_nested(60, 10),
+            fuzzing.left_nested(20, 150),
+            fuzzing.left_nested(60, 10),
             "UPPER(" * 98 + "s" + ")" * 98,
             "NOT " * 300 + "TRUE",
         ],
@@ -344,7 +342,32 @@ class TestNestingLimit:
     )
     def test_deep_trees_are_a_parse_error(self, expr):
         with pytest.raises(ParseError, match="nesting too deep"):
-            parse(_deep_program(expr))
+            parse(fuzzing.nested_program(expr))
+
+    @pytest.mark.parametrize(
+        "build, deepest",
+        [
+            (lambda n: fuzzing.nested_program("(" * n + "a" + ")" * n), 99),
+            (lambda n: fuzzing.nested_program("UPPER(" * n + "s" + ")" * n), 66),
+            (lambda n: fuzzing.nested_program("NOT " * n + "TRUE"), 198),
+            (lambda n: fuzzing.nested_program("-" * n + "a"), 198),
+            (lambda n: fuzzing.nested_blocks("IF TRUE THEN", "END_IF", n), 199),
+        ],
+        ids=["parentheses", "calls", "not", "minus", "if"],
+    )
+    def test_deepest_admitted_input_works_deep_in_the_stack(self, build, deepest):
+        # a caller's own frames must not turn an admitted input into a
+        # RecursionError: parse, validate and format from 250 frames down
+        def below(frames):
+            if frames:
+                return below(frames - 1)
+            pipeline = parse(build(deepest))
+            validate(pipeline)
+            return format_ast(pipeline)
+
+        assert parse(below(250)) == parse(build(deepest))
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse(build(deepest + 1))
 
     def test_tree_just_under_the_limit_parses_validates_formats_and_runs(self):
         table = make_table(
@@ -355,7 +378,52 @@ class TestNestingLimit:
             (" + ".join(["a"] * 190), 190),
             ("UPPER(" * 60 + "s" + ")" * 60, "X"),
         ):
-            pipeline = parse(_deep_program(expr))
+            pipeline = parse(fuzzing.nested_program(expr))
             assert validate(pipeline).ok
             assert parse(format_ast(pipeline)) == pipeline
             assert run_pipeline(pipeline, {"t": table}).rows == ((1, "x", value),)
+
+
+def _parser_digest(texts) -> str:
+    """SHA-256 over, for each text in turn, the located AST and the
+    formatted source, or the ParseError's message, location and expected
+    set."""
+    digest = hashlib.sha256()
+    for text in texts:
+        try:
+            pipeline = parse(text)
+        except ParseError as err:
+            loc = err.location
+            record = ("error", err.message, loc.line, loc.column, loc.offset,
+                      err.expected)
+        else:
+            record = (json.dumps(ast.ast_to_dict(pipeline)), format_ast(pipeline))
+        digest.update(repr(record).encode("utf-8") + b"\0")
+    return digest.hexdigest()
+
+
+# Recorded from the parser and formatter that had one hand-written method
+# or branch per statement; trees, errors and formatted text must not change.
+PARSER_DIGESTS = {
+    "corpus": "986c1b0c1f69538d90311188fad3e15ded56c5c4e30b167fd93e20b8092f560f",
+    "edge": "47bce8bb4a280821b2dffd14508fccb6df7d8284fcbebb48eb38476995b4e1e9",
+    "fixture": "d3bab6708b95cb4a77a3b229c9eb58faa4b1cb5f4d8b62c66439a9ecf86ce99e",
+    "fuzz": "d5be4dda14ba02734f562381ecd3829fe43bd6910331abbd112d3ad09f4127b9",
+    "generated": "10eaeeffdba67174ba108580df78e336a8fabd98261c358eee82e0bb6592ffc5",
+    "nesting": "21de168359da51709b3e96d52b47e01dc55d40023986269907e9ddcca3805db3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_DIGESTS))
+def test_parse_and_format_digest_unchanged(name):
+    texts = {
+        "corpus": fuzzing.corpus_sources,
+        "fixture": fuzzing.fixture_sources,
+        "fuzz": lambda: fuzzing.fuzz_inputs(10_000),
+        "edge": fuzzing.lexer_edge_inputs,
+        "nesting": fuzzing.nesting_inputs,
+        "generated": lambda: [
+            format_ast(rand_pipeline(random.Random(seed))[0]) for seed in range(300)
+        ],
+    }[name]()
+    assert _parser_digest(texts) == PARSER_DIGESTS[name]

@@ -283,6 +283,19 @@ class TestControlFlowScoping:
         )
         result = check(source)
         assert kinds(result) == [ValidationKind.SCHEMA_MISMATCH]
+        assert result.errors[0].message == (
+            "'x' is bound with different schemas in the IF branches"
+        )
+
+    def test_try_and_on_error_binding_different_schemas(self):
+        source = pipeline_with(
+            "TRY SELECT t COLUMNS a INTO x ON_ERROR SELECT t COLUMNS b INTO x END_TRY"
+        )
+        result = check(source)
+        assert kinds(result) == [ValidationKind.SCHEMA_MISMATCH]
+        assert result.errors[0].message == (
+            "'x' is bound with different schemas in TRY and ON_ERROR"
+        )
 
     def test_condition_must_be_scalar_bool(self):
         result = check(pipeline_with("IF a > 0 THEN DISTINCT t INTO x END_IF"))
