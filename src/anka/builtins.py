@@ -10,10 +10,15 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Optional
 
-from anka.errors import ConversionError
+from anka.errors import AssertionFailed, ConversionError
 from anka.values import Cell, ValueType, check_int, format_cell, parse_decimal, parse_int
 
 ANY = None  # argument accepts every value type
+
+# Longest STRING that CONCAT and REPLACE build. Nested calls grow a
+# string geometrically inside one expression, where the deadline cannot
+# interrupt them, so the result length is checked before it is built.
+MAX_STRING_LENGTH = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -28,7 +33,16 @@ class Builtin:
         return len(self.params)
 
 
+def _check_length(name: str, length: int) -> None:
+    if length > MAX_STRING_LENGTH:
+        raise AssertionFailed(
+            f"{name} result of {length} characters exceeds the STRING "
+            f"length limit of {MAX_STRING_LENGTH}"
+        )
+
+
 def _concat(a: str, b: str) -> str:
+    _check_length("CONCAT", len(a) + len(b))
     return a + b
 
 
@@ -43,6 +57,9 @@ def _substring(s: str, start: int, length: int) -> str:
 def _replace(s: str, needle: str, replacement: str) -> str:
     if needle == "":
         return s
+    growth = len(replacement) - len(needle)
+    if growth > 0:
+        _check_length("REPLACE", len(s) + s.count(needle) * growth)
     return s.replace(needle, replacement)
 
 

@@ -247,13 +247,11 @@ class Interpreter:
                 env.datasets[stmt.source], stmt.column, stmt.descending
             )
         if isinstance(stmt, ast.Limit):
-            return self.eval_limit(env.datasets[stmt.source], stmt.count, stmt.location)
+            return self.eval_limit(env.datasets[stmt.source], stmt.count)
         if isinstance(stmt, ast.Skip):
-            return self.eval_skip(env.datasets[stmt.source], stmt.count, stmt.location)
+            return self.eval_skip(env.datasets[stmt.source], stmt.count)
         if isinstance(stmt, ast.Slice):
-            return self.eval_slice(
-                env.datasets[stmt.source], stmt.start, stmt.stop, stmt.location
-            )
+            return self.eval_slice(env.datasets[stmt.source], stmt.start, stmt.stop)
         if isinstance(stmt, (ast.Join, ast.LeftJoin)):
             return self.eval_join(
                 env.datasets[stmt.left],
@@ -279,6 +277,8 @@ class Interpreter:
         raise AssertionError(f"unhandled statement {type(stmt).__name__}")
 
     # -- data operations -------------------------------------------------------
+    # Outputs are built with Table.trusted: the validator proved every
+    # cell well-typed, and row-passing operators keep the source tuples.
 
     def eval_filter(self, src: Table, predicate: ast.Expr) -> Table:
         kept = []
@@ -286,13 +286,13 @@ class Interpreter:
             self._tick()
             if self._eval_expr(predicate, src.schema, row) is True:
                 kept.append(row)
-        return Table(src.schema, kept)
+        return Table.trusted(src.schema, kept)
 
     def eval_select(self, src: Table, columns: tuple[str, ...]) -> Table:
         indices = [src.schema.index_of(name) for name in columns]
         schema = Schema(src.schema.fields[i] for i in indices)
         rows = [tuple(row[i] for i in indices) for row in src.rows]
-        return Table(schema, rows)
+        return Table.trusted(schema, rows)
 
     def eval_distinct(self, src: Table) -> Table:
         seen = set()
@@ -302,7 +302,7 @@ class Interpreter:
             if row not in seen:
                 seen.add(row)
                 kept.append(row)
-        return Table(src.schema, kept)
+        return Table.trusted(src.schema, kept)
 
     def eval_map(self, src: Table, column: str, expr: ast.Expr) -> Table:
         column_type = typecheck_expr(expr, src.schema)
@@ -311,13 +311,13 @@ class Interpreter:
         for row in src.rows:
             self._tick()
             rows.append(row + (self._eval_expr(expr, src.schema, row),))
-        return Table(schema, rows)
+        return Table.trusted(schema, rows)
 
     def eval_rename(self, src: Table, old: str, new: str) -> Table:
         schema = Schema(
             Field(new, f.type) if f.name == old else f for f in src.schema.fields
         )
-        return Table(schema, src.rows)
+        return Table.trusted(schema, src.rows)
 
     def eval_drop(self, src: Table, column: str) -> Table:
         gone = src.schema.index_of(column)
@@ -325,12 +325,12 @@ class Interpreter:
         rows = [
             tuple(cell for i, cell in enumerate(row) if i != gone) for row in src.rows
         ]
-        return Table(schema, rows)
+        return Table.trusted(schema, rows)
 
     def eval_add_column(self, src: Table, column: str, value: ast.Literal) -> Table:
         schema = Schema(tuple(src.schema.fields) + (Field(column, value.type),))
         rows = [row + (value.value,) for row in src.rows]
-        return Table(schema, rows)
+        return Table.trusted(schema, rows)
 
     def eval_sort(self, src: Table, column: str, descending: bool) -> Table:
         """Stable sort by one column; null keys go last in either
@@ -339,25 +339,16 @@ class Interpreter:
         keyed = [row for row in src.rows if row[key_index] is not None]
         nulls = [row for row in src.rows if row[key_index] is None]
         ordered = sorted(keyed, key=lambda row: row[key_index], reverse=descending)
-        return Table(src.schema, ordered + nulls)
+        return Table.trusted(src.schema, ordered + nulls)
 
-    def eval_limit(self, src: Table, count: int, location) -> Table:
-        if count < 0:
-            raise AssertionFailed(f"LIMIT count must be non-negative, got {count}", location)
-        return Table(src.schema, src.rows[:count])
+    def eval_limit(self, src: Table, count: int) -> Table:
+        return Table.trusted(src.schema, src.rows[:count])
 
-    def eval_skip(self, src: Table, count: int, location) -> Table:
-        if count < 0:
-            raise AssertionFailed(f"SKIP count must be non-negative, got {count}", location)
-        return Table(src.schema, src.rows[count:])
+    def eval_skip(self, src: Table, count: int) -> Table:
+        return Table.trusted(src.schema, src.rows[count:])
 
-    def eval_slice(self, src: Table, start: int, stop: int, location) -> Table:
-        if start < 0 or stop < 0:
-            raise AssertionFailed(
-                f"SLICE bounds must be non-negative, got FROM {start} TO {stop}",
-                location,
-            )
-        return Table(src.schema, src.rows[start:stop])
+    def eval_slice(self, src: Table, start: int, stop: int) -> Table:
+        return Table.trusted(src.schema, src.rows[start:stop])
 
     def eval_join(
         self,
@@ -368,40 +359,38 @@ class Interpreter:
         *,
         left_outer: bool,
     ) -> Table:
-        """Equi-join with nested-loop semantics: output is ordered by
-        left row order, then right row order within matches. Null keys
-        never match anything. LEFT_JOIN pads unmatched left rows with
-        nulls for the right-hand columns."""
+        """Equi-join: output is ordered by left row order, then right row
+        order within matches. Null keys never match anything, and INT
+        and DECIMAL keys match when numerically equal. LEFT_JOIN pads
+        unmatched left rows with nulls for the right-hand columns."""
         li = left.schema.index_of(left_key)
         ri = right.schema.index_of(right_key)
         right_fields = [f for i, f in enumerate(right.schema.fields) if i != ri]
         schema = Schema(tuple(left.schema.fields) + tuple(right_fields))
         padding = (None,) * len(right_fields)
+        # hash(Decimal("2.0")) == hash(2), so mixed numeric keys meet in
+        # one bucket; a null key is never stored, so it finds no match
+        matches: dict[Cell, list[tuple[Cell, ...]]] = {}
+        for rrow in right.rows:
+            if rrow[ri] is not None:
+                matches.setdefault(rrow[ri], []).append(rrow[:ri] + rrow[ri + 1 :])
         rows = []
         for lrow in left.rows:
-            key = lrow[li]
-            matched = False
-            if key is not None:
-                for rrow in right.rows:
-                    self._tick()
-                    rkey = rrow[ri]
-                    if rkey is None or not _keys_equal(key, rkey):
-                        continue
-                    matched = True
-                    rows.append(
-                        lrow + tuple(c for i, c in enumerate(rrow) if i != ri)
-                    )
-                    self._check_size(len(rows))
-            if left_outer and not matched:
+            self._tick()
+            found = matches.get(lrow[li], ())
+            for rest in found:
+                rows.append(lrow + rest)
+                self._check_size(len(rows))
+            if left_outer and not found:
                 rows.append(lrow + padding)
                 self._check_size(len(rows))
-        return Table(schema, rows)
+        return Table.trusted(schema, rows)
 
     def eval_union(self, left: Table, right: Table, location) -> Table:
         """Row concatenation: left rows then right rows, duplicates kept
         (DISTINCT is the one way to deduplicate)."""
         self._check_size(len(left.rows) + len(right.rows), location)
-        return Table(left.schema, left.rows + right.rows)
+        return Table.trusted(left.schema, left.rows + right.rows)
 
     def eval_aggregate(
         self,
@@ -433,7 +422,7 @@ class Interpreter:
             for spec in computes:
                 cells.append(self._aggregate_value(spec, members, src, location))
             rows.append(tuple(cells))
-        return Table(schema, rows)
+        return Table.trusted(schema, rows)
 
     def _aggregate_value(
         self,
@@ -550,12 +539,6 @@ class Interpreter:
             raise AssertionFailed(
                 f"result exceeds the row limit of {self.max_rows}", location
             )
-
-
-def _keys_equal(left: Cell, right: Cell) -> bool:
-    # Join keys are validated comparable: same type, or INT vs DECIMAL
-    # which Python compares exactly.
-    return left == right
 
 
 def _aggregate_type(spec: ast.AggregateSpec, schema: Schema) -> ValueType:

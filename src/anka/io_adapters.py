@@ -106,7 +106,8 @@ def table_from_json(data: bytes, schema: Schema) -> Table:
 
 def json_rows_to_table(items: list, schema: Schema) -> Table:
     """Build a table from already-decoded JSON row objects. Numbers are
-    Decimals, as decode_json gives them, or ints."""
+    Decimals, as decode_json gives them, or ints. Each cell is admitted
+    by its column's type as it is read."""
     rows = []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
@@ -121,7 +122,7 @@ def json_rows_to_table(items: list, schema: Schema) -> Table:
                     f"row {i}, field '{field.name}': {exc.message}"
                 ) from None
         rows.append(tuple(row))
-    return Table(schema, rows)
+    return Table.trusted(schema, rows)
 
 
 def _json_to_cell(value, vtype: ValueType) -> Cell:
@@ -182,7 +183,8 @@ def table_to_csv(table: Table) -> bytes:
 def table_from_csv(data: bytes, schema: Schema) -> Table:
     """Decode CSV with a header row matching the schema names in order.
     An empty field reads as null for non-STRING columns and as the empty
-    string for STRING columns; errors carry 1-based line numbers."""
+    string for STRING columns; errors carry 1-based line numbers. Each
+    cell is admitted by its column's parser as it is read."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -221,7 +223,7 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
                     f"line {line}, field '{field.name}': {exc.message}"
                 ) from None
         rows.append(tuple(row))
-    return Table(schema, rows)
+    return Table.trusted(schema, rows)
 
 
 def _csv_bool(raw: str) -> bool:

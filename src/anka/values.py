@@ -173,9 +173,10 @@ def schema_of(*pairs: tuple[str, ValueType]) -> Schema:
 class Table:
     """An immutable schema plus an ordered sequence of row tuples.
 
-    Construction validates every row against the schema; a ``Table``
-    that exists is valid. Operations return new tables and never mutate
-    their inputs.
+    The public constructor checks every row against the schema, so a
+    table built from outside input is valid. ``Table.trusted`` skips the
+    check for rows already known to be valid. Operations return new
+    tables and never mutate their inputs.
     """
 
     __slots__ = ("schema", "rows")
@@ -200,6 +201,17 @@ class Table:
             checked.append(row)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "rows", tuple(checked))
+
+    @classmethod
+    def trusted(cls, schema: Schema, rows: Iterable[tuple[Cell, ...]]) -> "Table":
+        """A table of rows that are already tuples of well-typed cells:
+        operator outputs over validated pipelines, and rows whose cells
+        a decoder has just admitted. Nothing is checked; a tuple of rows
+        is kept as it is."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "schema", schema)
+        object.__setattr__(table, "rows", rows if type(rows) is tuple else tuple(rows))
+        return table
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Table is immutable")

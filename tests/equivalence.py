@@ -268,7 +268,7 @@ def _case_limit(rng):
     schema = rand_schema(rng)
     table = rand_table(rng, schema)
     count = rng.randint(0, 25)
-    result = _interp().eval_limit(table, count, LOC)
+    result = _interp().eval_limit(table, count)
     expected = oracle.o_limit(schema_to_pairs(schema), table_to_dict_rows(table), count)
     assert_tables_match(result, schema_to_pairs(schema), expected, "limit")
 
@@ -277,7 +277,7 @@ def _case_skip(rng):
     schema = rand_schema(rng)
     table = rand_table(rng, schema)
     count = rng.randint(0, 25)
-    result = _interp().eval_skip(table, count, LOC)
+    result = _interp().eval_skip(table, count)
     expected = oracle.o_skip(schema_to_pairs(schema), table_to_dict_rows(table), count)
     assert_tables_match(result, schema_to_pairs(schema), expected, "skip")
 
@@ -286,7 +286,7 @@ def _case_slice(rng):
     schema = rand_schema(rng)
     table = rand_table(rng, schema)
     start, stop = rng.randint(0, 22), rng.randint(0, 22)
-    result = _interp().eval_slice(table, start, stop, LOC)
+    result = _interp().eval_slice(table, start, stop)
     expected = oracle.o_slice(
         schema_to_pairs(schema), table_to_dict_rows(table), start, stop
     )

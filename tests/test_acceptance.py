@@ -11,6 +11,9 @@ import zlib
 from collections import Counter
 from contextlib import contextmanager
 from decimal import Decimal
+
+import pytest
+
 from anka import ast_nodes as ast
 from anka.bench import CandidateSet, evaluate_sample, fixture_dir, load_suite, run_suite
 from anka.cli import main as cli_main
@@ -159,6 +162,9 @@ def test_criterion_03_parser_totality_under_fuzzing():
             assert elapsed < 1.0, f"slow parse ({elapsed:.2f}s) on {text[:80]!r}"
 
 
+# Criteria 04 and 05 re-check every cell an operator produces, which is
+# how they catch an operator or a validator rule that yields ill-typed cells.
+@pytest.mark.usefixtures("checked_tables")
 def test_criterion_04_interpreter_matches_bruteforce_oracle():
     with criterion(4, "500 randomized cases per operation match the oracle"):
         started = time.monotonic()
@@ -169,6 +175,7 @@ def test_criterion_04_interpreter_matches_bruteforce_oracle():
         assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
 
 
+@pytest.mark.usefixtures("checked_tables")
 def test_criterion_05_validator_soundness_on_random_pipelines():
     with criterion(5, "1,000 random valid pipelines run without name/type errors"):
         rng = random.Random(0xA11CE)

@@ -166,6 +166,16 @@ class TestEvaluateSample:
         assert "out of 64-bit range" in result.detail
         assert len(result.detail) < 200
 
+    def test_string_past_the_length_cap_is_a_runtime_error(self):
+        # each REPLACE doubles the text: 40 would build 2**40 characters
+        expr = "TO_STRING(v)"
+        for _ in range(40):
+            expr = f'REPLACE({expr}, "1", "11")'
+        source = CORRECT.replace("WHERE v > 2", f"WHERE LENGTH({expr}) > 2")
+        result = evaluate_sample(simple_task(), source)
+        assert (result.parse, result.execute, result.correct) == (True, False, False)
+        assert "STRING length limit" in result.detail
+
     def test_long_operator_chain_is_a_parse_failure(self):
         for chain in (" OR ".join(["v > 2"] * 1000), " + ".join(["v"] * 1000) + " > 2"):
             source = CORRECT.replace("v > 2", chain)

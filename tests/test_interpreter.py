@@ -5,11 +5,14 @@ from decimal import Decimal
 
 import pytest
 
+from anka import interpreter
+from anka.builtins import MAX_STRING_LENGTH
 from anka.errors import (
     AssertionFailed,
     ConversionError,
     DivisionByZero,
     InputError,
+    TableError,
 )
 from anka.interpreter import run_pipeline
 from anka.parser import parse
@@ -207,13 +210,13 @@ class TestJoins:
         schema_of(("rk", VT.INT), ("r", VT.STRING)), [(2, "x"), (2, "y"), (9, "z")]
     )
 
-    def _join(self, kind: str) -> Table:
+    def _join(self, kind: str, left=LEFT, right=RIGHT, **kwargs) -> Table:
         source = (
             "PIPELINE p:\n INPUT t: TABLE[k: INT, l: STRING]\n"
             " INPUT u: TABLE[rk: INT, r: STRING]\n STEP s:\n"
             f"  {kind} t WITH u ON k == rk INTO result\n OUTPUT result"
         )
-        return run(source, {"t": self.LEFT, "u": self.RIGHT})
+        return run(source, {"t": left, "u": right}, **kwargs)
 
     def test_inner_join_order_and_matches(self):
         out = self._join("JOIN")
@@ -233,6 +236,75 @@ class TestJoins:
         )
         out = run(source, {"t": left, "u": right})
         assert out.rows == ((None, None), (1, None))
+
+    @pytest.mark.parametrize(
+        "left_type, left_keys, right_type, right_keys",
+        [
+            (VT.INT, [2, 3], VT.DECIMAL, [D("2.00"), D("3.01")]),
+            (VT.DECIMAL, [D("2.5"), D("3")], VT.DECIMAL, [D("2.50"), D("3.1")]),
+        ],
+    )
+    def test_int_and_decimal_keys_match_exactly(
+        self, left_type, left_keys, right_type, right_keys
+    ):
+        left = make_table(schema_of(("k", left_type)), [(k,) for k in left_keys])
+        right = make_table(
+            schema_of(("rk", right_type), ("r", VT.STRING)),
+            [(k, str(k)) for k in right_keys],
+        )
+        source = (
+            f"PIPELINE p:\n INPUT t: TABLE[k: {left_type.value}]\n"
+            f" INPUT u: TABLE[rk: {right_type.value}, r: STRING]\n"
+            " STEP s:\n  JOIN t WITH u ON k == rk INTO result\n OUTPUT result"
+        )
+        out = run(source, {"t": left, "u": right})
+        assert out.rows == ((left_keys[0], str(right_keys[0])),)
+
+    def test_duplicate_and_null_keys_keep_left_then_right_order(self):
+        left = make_table(
+            schema_of(("k", VT.INT), ("l", VT.STRING)),
+            [(2, "a"), (1, "b"), (None, "n"), (7, "c"), (2, "d")],
+        )
+        right = make_table(
+            schema_of(("rk", VT.INT), ("r", VT.STRING)),
+            [(2, "x"), (1, "y"), (None, "m"), (2, "z")],
+        )
+        # null keys on either side match nothing; LEFT_JOIN pads the left ones
+        matched = ((2, "a", "x"), (2, "a", "z"), (1, "b", "y"))
+        tail = ((2, "d", "x"), (2, "d", "z"))
+        assert self._join("JOIN", left, right).rows == matched + tail
+        padded = ((None, "n", None), (7, "c", None))
+        assert self._join("LEFT_JOIN", left, right).rows == matched + padded + tail
+
+    def test_join_past_row_limit_raises(self):
+        left = make_table(schema_of(("k", VT.INT), ("l", VT.STRING)), [(1, "a")] * 10)
+        right = make_table(schema_of(("rk", VT.INT), ("r", VT.STRING)), [(1, "x")] * 10)
+        for kind in ("JOIN", "LEFT_JOIN"):
+            assert len(self._join(kind, left, right, max_rows=100)) == 100
+            with pytest.raises(AssertionFailed, match="row limit"):
+                self._join(kind, left, right, max_rows=99)
+
+    def test_join_past_deadline_raises(self, monkeypatch):
+        class SteppingClock:
+            """Stands in for the time module: each reading is 1 s later."""
+
+            now = 0.0
+
+            def monotonic(self):
+                self.now += 1.0
+                return self.now
+
+        # the statement reads the clock once (1 s) before the join; the
+        # join reads it again after 4096 left rows (2 s), past the deadline
+        left = make_table(
+            schema_of(("k", VT.INT), ("l", VT.STRING)), [(i, "a") for i in range(4096)]
+        )
+        right = make_table(schema_of(("rk", VT.INT), ("r", VT.STRING)), [(-1, "x")])
+        monkeypatch.setattr(interpreter, "time", SteppingClock())
+        with pytest.raises(AssertionFailed, match="time limit"):
+            self._join("JOIN", left, right, deadline=1.5)
+        monkeypatch.setattr(interpreter, "time", SteppingClock())
+        assert len(self._join("JOIN", left, right, deadline=2.5)) == 0
 
     def test_union_concatenates(self):
         source = (
@@ -335,6 +407,25 @@ class TestExpressions:
         table = make_table(schema_of(("s", VT.STRING)), [("a-b-c",)])
         assert self._expr('REPLACE(s, "-", "+")', table) == "a+b+c"
         assert self._expr('CONCAT(s, "!")', table) == "a-b-c!"
+
+    def test_string_length_cap(self):
+        half = make_table(schema_of(("s", VT.STRING)), [("a" * (MAX_STRING_LENGTH // 2),)])
+        assert len(self._expr("CONCAT(s, s)", half)) == MAX_STRING_LENGTH
+        assert len(self._expr('REPLACE(s, "a", "aa")', half)) == MAX_STRING_LENGTH
+        for expr in ('CONCAT(CONCAT(s, s), "b")', 'REPLACE(CONCAT(s, "b"), "a", "aa")'):
+            with pytest.raises(AssertionFailed, match="STRING length limit") as info:
+                self._expr(expr, half)
+            # located at the outer call, the one whose result is too long
+            assert (info.value.location.line, info.value.location.column) == (4, 19)
+
+    def test_nested_replace_stops_at_the_string_cap(self):
+        # each call doubles the string: 40 calls would build 2**40 characters
+        expr = "s"
+        for _ in range(40):
+            expr = f'REPLACE({expr}, "a", "aa")'
+        table = make_table(schema_of(("s", VT.STRING)), [("a",)])
+        with pytest.raises(AssertionFailed, match="REPLACE result of 1048576 characters"):
+            self._expr(expr, table)
 
     def test_casts(self):
         assert self._expr('TO_INT("42")') == 42
@@ -540,3 +631,31 @@ class TestControlFlow:
         assert validate(pipeline).ok
         with pytest.raises(AssertionFailed, match="row limit"):
             run_pipeline(pipeline, {"t": table}, max_rows=15)
+
+
+class TestTrustedTables:
+    def test_row_passing_operators_keep_source_rows(self):
+        table = make_table(schema_of(("a", VT.INT)), [(2,), (1,)])
+        assert simple("RENAME t COLUMN a TO b INTO result", table).rows is table.rows
+        for statement in (
+            "FILTER t WHERE TRUE INTO result",
+            "SORT t BY a ASC INTO result",
+            "LIMIT t TO 5 INTO result",
+        ):
+            out = simple(statement, table)
+            assert {id(row) for row in out.rows} == {id(row) for row in table.rows}
+
+    def test_operator_outputs_are_not_rechecked(self, monkeypatch):
+        # an ill-typed INT + INT result passes through unchecked ...
+        monkeypatch.setitem(interpreter._ARITHMETIC, "+", lambda a, b: str(a + b))
+        table = make_table(schema_of(("a", VT.INT)), [(1,)])
+        assert simple("MAP t WITH b => a + a INTO result", table).rows == ((1, "2"),)
+
+    def test_checked_tables_fixture_rechecks_operator_outputs(
+        self, checked_tables, monkeypatch
+    ):
+        # ... and the fixture that criteria 04 and 05 run under catches it
+        monkeypatch.setitem(interpreter._ARITHMETIC, "+", lambda a, b: str(a + b))
+        table = make_table(schema_of(("a", VT.INT)), [(1,)])
+        with pytest.raises(TableError, match="column 'b': expected INT, got STRING"):
+            simple("MAP t WITH b => a + a INTO result", table)
