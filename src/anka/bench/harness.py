@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 from anka.bench.suite import CATEGORIES, TaskSpec
 from anka.errors import AnkaError, ExecutionError, InputError, ParseError
-from anka.interpreter import default_while_cap, run_pipeline
+from anka.interpreter import DEFAULT_WHILE_CAP, run_pipeline
 from anka.io_adapters import IoAdapter
 from anka.parser import parse
 from anka.validator import validate
@@ -99,7 +99,7 @@ def evaluate_sample(
     order_insensitive: bool = False,
     sandbox: bool = True,
     sample_timeout: float = DEFAULT_SAMPLE_TIMEOUT,
-    while_cap: Optional[int] = None,
+    while_cap: int = DEFAULT_WHILE_CAP,
 ) -> SampleResult:
     """Run one candidate program against every test case of a task."""
     try:
@@ -114,7 +114,6 @@ def evaluate_sample(
         )
 
     io = IoAdapter(sandbox=sandbox)
-    cap = while_cap if while_cap is not None else default_while_cap()
     insensitive = order_insensitive or task.order_insensitive
     outputs = []
     deadline = time.monotonic() + sample_timeout
@@ -125,7 +124,7 @@ def evaluate_sample(
                     pipeline,
                     test.inputs,
                     io,
-                    while_cap=cap,
+                    while_cap=while_cap,
                     deadline=deadline,
                     max_rows=MAX_RESULT_ROWS,
                 )
@@ -261,7 +260,7 @@ def run_suite(
     order_insensitive: bool = False,
     sandbox: bool = True,
     sample_timeout: float = DEFAULT_SAMPLE_TIMEOUT,
-    while_cap: Optional[int] = None,
+    while_cap: int = DEFAULT_WHILE_CAP,
 ) -> RunReport:
     """Evaluate every candidate sample of every task and aggregate the
     four metrics per category and overall.

@@ -1,8 +1,12 @@
-"""Tree-walking evaluator for validated pipelines.
+"""Evaluator for validated pipelines.
 
-Executes steps in order and statements in order within each step,
-binding every INTO target in a runtime environment of named tables.
-Input tables are immutable and never modified.
+``run_pipeline`` runs what ``validate`` resolved. Each statement is
+compiled once per pipeline into a step that holds the validator's
+output schema, the column indices it resolved, and its expressions
+compiled into closures over row-tuple indices (Feeley and Lapalme,
+"Using closures for code generation", 1987). Steps bind every INTO
+target in one dict of named tables; the validator forbids rebinding, so
+only loop and TRY scopes copy it. Input tables are never modified.
 
 Null semantics: arithmetic, comparisons, and builtins propagate null;
 WHERE coerces a null predicate to false (the row is dropped); AND/OR
@@ -10,30 +14,29 @@ use three-valued logic with short-circuiting; aggregates skip nulls;
 SORT places nulls last regardless of direction.
 
 Loop bodies (FOR_EACH, WHILE) execute in a scope discarded after each
-iteration, so their INTO bindings never escape and cannot rebind. TRY
-keeps its body's bindings on success; on a runtime error it discards
-the body's partial bindings and runs the ON_ERROR handler instead.
+iteration, so their INTO bindings never escape. TRY keeps its body's
+bindings on success; on a runtime error it discards the body's partial
+bindings and runs the ON_ERROR handler instead.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from decimal import Decimal
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from anka import ast_nodes as ast
 from anka.builtins import call_builtin
 from anka.errors import AssertionFailed, ExecutionError, InputError
 from anka.io_adapters import IoAdapter
-from anka.validator import typecheck_expr
+from anka.location import SourceLocation
+from anka.validator import ValidationException, ValidationResult, validate
 from anka.values import (
     DIVISION_EXTRA_SCALE,
     Cell,
-    Field,
     Schema,
     Table,
-    ValueType,
     add_values,
     compare_values,
     decimal_divide,
@@ -45,21 +48,12 @@ from anka.values import (
 )
 
 DEFAULT_WHILE_CAP = 100_000
-WHILE_CAP_ENV_VAR = "ANKA_WHILE_CAP"
 
-_ROWS_PER_TICK = 4096
+Row = tuple[Cell, ...]
+Step = Callable[["Interpreter", dict[str, Table], Optional[Row]], None]
+Block = tuple[tuple[SourceLocation, Step], ...]
 
-
-def default_while_cap() -> int:
-    """Iteration cap for WHILE, overridable via the environment."""
-    raw = os.environ.get(WHILE_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_WHILE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        return DEFAULT_WHILE_CAP
-    return cap if cap > 0 else DEFAULT_WHILE_CAP
+_PLAN = "_plan"
 
 
 def run_pipeline(
@@ -67,27 +61,34 @@ def run_pipeline(
     inputs: dict[str, Table],
     io: Optional[IoAdapter] = None,
     *,
-    while_cap: Optional[int] = None,
+    while_cap: int = DEFAULT_WHILE_CAP,
     deadline: Optional[float] = None,
     max_rows: Optional[int] = None,
 ) -> Table:
-    """Execute a validated pipeline against named input tables and
-    return the table bound to the OUTPUT name.
+    """Execute a pipeline against named input tables and return the
+    table bound to the OUTPUT name.
 
-    The pipeline must have passed validation; behavior on an invalid
-    tree is undefined. ``io`` defaults to a sandboxed adapter that
-    denies all file and network access. ``deadline`` is an absolute
-    ``time.monotonic()`` stamp and ``max_rows`` caps the size of any
-    produced table; both let a harness bound untrusted programs.
+    The pipeline runs on the result of ``validate``, which is computed
+    once per pipeline object, so a caller that has validated it already
+    pays nothing more; a pipeline that does not validate raises
+    ``ValidationException`` with its diagnostics. The compiled steps are
+    likewise kept with the pipeline. ``io`` defaults to a sandboxed
+    adapter that denies all file and network access. ``deadline`` is an
+    absolute ``time.monotonic()`` stamp and ``max_rows`` caps the size of
+    any produced table; both let a harness bound untrusted programs.
     """
+    result = validate(pipeline)
+    if not result.ok:
+        raise ValidationException(result.errors)
     _check_inputs(pipeline, inputs)
-    interp = Interpreter(
-        io=io if io is not None else IoAdapter(sandbox=True),
-        while_cap=while_cap if while_cap is not None else default_while_cap(),
-        deadline=deadline,
-        max_rows=max_rows,
-    )
-    return interp.run(pipeline, inputs)
+    plan = pipeline.__dict__.get(_PLAN)
+    if plan is None:
+        body = tuple(stmt for step in pipeline.steps for stmt in step.body)
+        plan = pipeline.__dict__[_PLAN] = _compile_block(body, result, None)
+    interp = Interpreter(io or IoAdapter(sandbox=True), while_cap, deadline, max_rows)
+    datasets = dict(inputs)
+    interp._exec(plan, datasets, None)
+    return datasets[pipeline.output]
 
 
 def _check_inputs(pipeline: ast.Pipeline, inputs: dict[str, Table]) -> None:
@@ -105,29 +106,168 @@ def _check_inputs(pipeline: ast.Pipeline, inputs: dict[str, Table]) -> None:
             raise InputError(f"unexpected input table '{name}'")
 
 
-class RuntimeEnvironment:
-    """Named tables bound so far, plus the FOR_EACH row scope if any."""
+# -- compiling statements -----------------------------------------------------
 
-    __slots__ = ("datasets", "row_schema", "row")
 
-    def __init__(
-        self,
-        datasets: dict[str, Table],
-        row_schema: Optional[Schema] = None,
-        row: Optional[tuple[Cell, ...]] = None,
-    ) -> None:
-        self.datasets = datasets
-        self.row_schema = row_schema
-        self.row = row
+def _compile_block(body, result: ValidationResult, row_schema: Optional[Schema]) -> Block:
+    return tuple(
+        (stmt.location, _compile_statement(stmt, result, row_schema)) for stmt in body
+    )
 
-    def child(self) -> "RuntimeEnvironment":
-        return RuntimeEnvironment(dict(self.datasets), self.row_schema, self.row)
 
-    def with_row(self, schema: Schema, row: tuple[Cell, ...]) -> "RuntimeEnvironment":
-        return RuntimeEnvironment(self.datasets, schema, row)
+def _compile_statement(
+    stmt: ast.Statement, result: ValidationResult, row_schema: Optional[Schema]
+) -> Step:
+    location = stmt.location
+    if isinstance(stmt, ast.If):
+        condition = _compile_expr(stmt.condition, row_schema)
+        then_body = _compile_block(stmt.then_body, result, row_schema)
+        else_body = _compile_block(stmt.else_body, result, row_schema)
+
+        def run_if(interp, datasets, row):
+            # a null condition counts as false
+            branch = then_body if condition(row) is True else else_body
+            interp._exec(branch, datasets, row)
+
+        return run_if
+    if isinstance(stmt, ast.While):
+        condition = _compile_expr(stmt.condition, row_schema)
+        body = _compile_block(stmt.body, result, row_schema)
+
+        def run_while(interp, datasets, row):
+            iterations = 0
+            while condition(row) is True:
+                iterations += 1
+                if iterations > interp.while_cap:
+                    raise AssertionFailed(
+                        f"WHILE exceeded the iteration cap of {interp.while_cap}",
+                        location,
+                    )
+                interp._tick(location)
+                interp._exec(body, dict(datasets), row)
+
+        return run_while
+    if isinstance(stmt, ast.ForEach):
+        source = stmt.source
+        (source_schema,) = result.sources[id(stmt)]
+        body = _compile_block(stmt.body, result, source_schema)
+
+        def run_for_each(interp, datasets, row):
+            for each in datasets[source].rows:
+                interp._tick(location)
+                interp._exec(body, dict(datasets), each)
+
+        return run_for_each
+    if isinstance(stmt, ast.Try):
+        body = _compile_block(stmt.body, result, row_schema)
+        handler = _compile_block(stmt.handler, result, row_schema)
+
+        def run_try(interp, datasets, row):
+            scope = dict(datasets)
+            try:
+                interp._exec(body, scope, row)
+            except ExecutionError:
+                interp._exec(handler, datasets, row)
+            else:
+                datasets.update(scope)
+
+        return run_try
+
+    action = _compile_action(stmt, result)
+    target = ast.statement_target(stmt)
+    if target is None:
+        return lambda interp, datasets, row: action(interp, datasets)
+
+    def bind(interp, datasets, row):
+        datasets[target] = action(interp, datasets)
+
+    return bind
+
+
+def _compile_action(stmt: ast.Statement, result: ValidationResult):
+    """A function of the interpreter and the bindings that runs one data,
+    WRITE or POST statement through its ``eval_*`` or ``IoAdapter``
+    method, with every name the validator resolved already looked up."""
+    location = stmt.location
+    source = getattr(stmt, "source", None)
+    sources = result.sources.get(id(stmt))
+    schema = result.outputs.get(id(stmt))
+    if isinstance(stmt, ast.Filter):
+        keep = _compile_expr(stmt.predicate, sources[0])
+        return lambda interp, d: interp.eval_filter(d[source], keep)
+    if isinstance(stmt, ast.Select):
+        indices = [sources[0].index_of(name) for name in stmt.columns]
+        return lambda interp, d: interp.eval_select(d[source], schema, indices)
+    if isinstance(stmt, ast.Distinct):
+        return lambda interp, d: interp.eval_distinct(d[source])
+    if isinstance(stmt, ast.Map):
+        compute = _compile_expr(stmt.expr, sources[0])
+        return lambda interp, d: interp.eval_map(d[source], schema, compute)
+    if isinstance(stmt, ast.Rename):
+        return lambda interp, d: interp.eval_rename(d[source], schema)
+    if isinstance(stmt, ast.Drop):
+        gone = sources[0].index_of(stmt.column)
+        return lambda interp, d: interp.eval_drop(d[source], schema, gone)
+    if isinstance(stmt, ast.AddColumn):
+        value = stmt.value.value
+        return lambda interp, d: interp.eval_add_column(d[source], schema, value)
+    if isinstance(stmt, ast.Aggregate):
+        keys = [sources[0].index_of(name) for name in stmt.group_by]
+        computes = [
+            (spec.fn, None if spec.arg is None else sources[0].index_of(spec.arg))
+            for spec in stmt.computes
+        ]
+        return lambda interp, d: interp.eval_aggregate(
+            d[source], schema, keys, computes, location
+        )
+    if isinstance(stmt, ast.Sort):
+        key, descending = sources[0].index_of(stmt.column), stmt.descending
+        return lambda interp, d: interp.eval_sort(d[source], key, descending)
+    if isinstance(stmt, ast.Limit):
+        count = stmt.count
+        return lambda interp, d: interp.eval_limit(d[source], count)
+    if isinstance(stmt, ast.Skip):
+        count = stmt.count
+        return lambda interp, d: interp.eval_skip(d[source], count)
+    if isinstance(stmt, ast.Slice):
+        start, stop = stmt.start, stmt.stop
+        return lambda interp, d: interp.eval_slice(d[source], start, stop)
+    if isinstance(stmt, (ast.Join, ast.LeftJoin)):
+        left, right = stmt.left, stmt.right
+        li = sources[0].index_of(stmt.left_key)
+        ri = sources[1].index_of(stmt.right_key)
+        left_outer = isinstance(stmt, ast.LeftJoin)
+        return lambda interp, d: interp.eval_join(
+            d[left], d[right], schema, li, ri, left_outer=left_outer
+        )
+    if isinstance(stmt, ast.Union):
+        left, right = stmt.left, stmt.right
+        return lambda interp, d: interp.eval_union(d[left], d[right], location)
+    if isinstance(stmt, ast.Read):
+        call = lambda io, d: io.read_table(stmt.path, stmt.format, stmt.schema)
+    elif isinstance(stmt, ast.Fetch):
+        call = lambda io, d: io.fetch_table(stmt.url, stmt.schema)
+    elif isinstance(stmt, ast.Write):
+        call = lambda io, d: io.write_table(d[source], stmt.path, stmt.format)
+    elif isinstance(stmt, ast.Post):
+        call = lambda io, d: io.post_table(stmt.url, d[source])
+    else:
+        raise AssertionError(f"unhandled statement {type(stmt).__name__}")
+
+    def located_io(interp, d):
+        try:
+            return call(interp.io, d)
+        except ExecutionError as exc:
+            raise exc.at(location)
+
+    return located_io
 
 
 class Interpreter:
+    """Runs compiled steps under one run's I/O adapter and caps. Steps
+    call the ``eval_*`` methods through the instance, not as captured
+    functions, so a profiler that wraps a class attribute sees each call."""
+
     def __init__(
         self,
         io: IoAdapter,
@@ -139,158 +279,26 @@ class Interpreter:
         self.while_cap = while_cap
         self.deadline = deadline
         self.max_rows = max_rows
-        self._tick_counter = 0
 
-    def run(self, pipeline: ast.Pipeline, inputs: dict[str, Table]) -> Table:
-        env = RuntimeEnvironment(dict(inputs))
-        for step in pipeline.steps:
-            env = self._exec_block(step.body, env)
-        try:
-            return env.datasets[pipeline.output]
-        except KeyError:
-            raise ExecutionError(
-                f"output dataset '{pipeline.output}' was never bound",
-                pipeline.output_location,
-            ) from None
-
-    # -- statements ----------------------------------------------------------
-
-    def _exec_block(
-        self, body: tuple[ast.Statement, ...], env: RuntimeEnvironment
-    ) -> RuntimeEnvironment:
-        for stmt in body:
-            env = self._exec_statement(stmt, env)
-        return env
-
-    def _exec_statement(
-        self, stmt: ast.Statement, env: RuntimeEnvironment
-    ) -> RuntimeEnvironment:
-        self._check_deadline(stmt)
-        if isinstance(stmt, ast.If):
-            condition = self._eval_condition(stmt.condition, env)
-            branch = stmt.then_body if condition else stmt.else_body
-            return self._exec_block(branch, env)
-        if isinstance(stmt, ast.While):
-            iterations = 0
-            while self._eval_condition(stmt.condition, env):
-                iterations += 1
-                if iterations > self.while_cap:
-                    raise AssertionFailed(
-                        f"WHILE exceeded the iteration cap of {self.while_cap}",
-                        stmt.location,
-                    )
-                self._check_deadline(stmt)
-                self._exec_block(stmt.body, env.child())
-            return env
-        if isinstance(stmt, ast.ForEach):
-            table = env.datasets[stmt.source]
-            for row in table.rows:
-                self._check_deadline(stmt)
-                scoped = env.child().with_row(table.schema, row)
-                self._exec_block(stmt.body, scoped)
-            return env
-        if isinstance(stmt, ast.Try):
-            try:
-                attempted = self._exec_block(stmt.body, env.child())
-            except ExecutionError:
-                return self._exec_block(stmt.handler, env.child())
-            return attempted
-        if isinstance(stmt, ast.Write):
-            table = env.datasets[stmt.source]
-            try:
-                self.io.write_table(table, stmt.path, stmt.format)
-            except ExecutionError as exc:
-                raise exc.at(stmt.location)
-            return env
-        if isinstance(stmt, ast.Post):
-            table = env.datasets[stmt.source]
-            try:
-                self.io.post_table(stmt.url, table)
-            except ExecutionError as exc:
-                raise exc.at(stmt.location)
-            return env
-
-        table = self._eval_data_statement(stmt, env)
-        datasets = dict(env.datasets)
-        datasets[ast.statement_target(stmt)] = table
-        return RuntimeEnvironment(datasets, env.row_schema, env.row)
-
-    def _eval_condition(self, expr: ast.Expr, env: RuntimeEnvironment) -> bool:
-        value = self._eval_expr(expr, env.row_schema, env.row)
-        return value is True  # null coerces to false
-
-    def _eval_data_statement(
-        self, stmt: ast.Statement, env: RuntimeEnvironment
-    ) -> Table:
-        if isinstance(stmt, ast.Filter):
-            return self.eval_filter(env.datasets[stmt.source], stmt.predicate)
-        if isinstance(stmt, ast.Select):
-            return self.eval_select(env.datasets[stmt.source], stmt.columns)
-        if isinstance(stmt, ast.Distinct):
-            return self.eval_distinct(env.datasets[stmt.source])
-        if isinstance(stmt, ast.Map):
-            return self.eval_map(env.datasets[stmt.source], stmt.column, stmt.expr)
-        if isinstance(stmt, ast.Rename):
-            return self.eval_rename(
-                env.datasets[stmt.source], stmt.old_name, stmt.new_name
-            )
-        if isinstance(stmt, ast.Drop):
-            return self.eval_drop(env.datasets[stmt.source], stmt.column)
-        if isinstance(stmt, ast.AddColumn):
-            return self.eval_add_column(env.datasets[stmt.source], stmt.column, stmt.value)
-        if isinstance(stmt, ast.Aggregate):
-            return self.eval_aggregate(
-                env.datasets[stmt.source], stmt.group_by, stmt.computes, stmt.location
-            )
-        if isinstance(stmt, ast.Sort):
-            return self.eval_sort(
-                env.datasets[stmt.source], stmt.column, stmt.descending
-            )
-        if isinstance(stmt, ast.Limit):
-            return self.eval_limit(env.datasets[stmt.source], stmt.count)
-        if isinstance(stmt, ast.Skip):
-            return self.eval_skip(env.datasets[stmt.source], stmt.count)
-        if isinstance(stmt, ast.Slice):
-            return self.eval_slice(env.datasets[stmt.source], stmt.start, stmt.stop)
-        if isinstance(stmt, (ast.Join, ast.LeftJoin)):
-            return self.eval_join(
-                env.datasets[stmt.left],
-                env.datasets[stmt.right],
-                stmt.left_key,
-                stmt.right_key,
-                left_outer=isinstance(stmt, ast.LeftJoin),
-            )
-        if isinstance(stmt, ast.Union):
-            return self.eval_union(
-                env.datasets[stmt.left], env.datasets[stmt.right], stmt.location
-            )
-        if isinstance(stmt, ast.Read):
-            try:
-                return self.io.read_table(stmt.path, stmt.format, stmt.schema)
-            except ExecutionError as exc:
-                raise exc.at(stmt.location)
-        if isinstance(stmt, ast.Fetch):
-            try:
-                return self.io.fetch_table(stmt.url, stmt.schema)
-            except ExecutionError as exc:
-                raise exc.at(stmt.location)
-        raise AssertionError(f"unhandled statement {type(stmt).__name__}")
+    def _exec(self, block: Block, datasets: dict[str, Table], row: Optional[Row]) -> None:
+        for location, step in block:
+            self._tick(location)
+            step(self, datasets, row)
 
     # -- data operations -------------------------------------------------------
     # Outputs are built with Table.trusted: the validator proved every
     # cell well-typed, and row-passing operators keep the source tuples.
+    # Operators that build a new schema take the validator's.
 
-    def eval_filter(self, src: Table, predicate: ast.Expr) -> Table:
+    def eval_filter(self, src: Table, keep: Callable[[Row], Cell]) -> Table:
         kept = []
         for row in src.rows:
             self._tick()
-            if self._eval_expr(predicate, src.schema, row) is True:
+            if keep(row) is True:
                 kept.append(row)
         return Table.trusted(src.schema, kept)
 
-    def eval_select(self, src: Table, columns: tuple[str, ...]) -> Table:
-        indices = [src.schema.index_of(name) for name in columns]
-        schema = Schema(src.schema.fields[i] for i in indices)
+    def eval_select(self, src: Table, schema: Schema, indices: list[int]) -> Table:
         rows = [tuple(row[i] for i in indices) for row in src.rows]
         return Table.trusted(schema, rows)
 
@@ -304,41 +312,30 @@ class Interpreter:
                 kept.append(row)
         return Table.trusted(src.schema, kept)
 
-    def eval_map(self, src: Table, column: str, expr: ast.Expr) -> Table:
-        column_type = typecheck_expr(expr, src.schema)
-        schema = Schema(tuple(src.schema.fields) + (Field(column, column_type),))
+    def eval_map(self, src: Table, schema: Schema, compute: Callable[[Row], Cell]) -> Table:
         rows = []
         for row in src.rows:
             self._tick()
-            rows.append(row + (self._eval_expr(expr, src.schema, row),))
+            rows.append(row + (compute(row),))
         return Table.trusted(schema, rows)
 
-    def eval_rename(self, src: Table, old: str, new: str) -> Table:
-        schema = Schema(
-            Field(new, f.type) if f.name == old else f for f in src.schema.fields
-        )
+    def eval_rename(self, src: Table, schema: Schema) -> Table:
         return Table.trusted(schema, src.rows)
 
-    def eval_drop(self, src: Table, column: str) -> Table:
-        gone = src.schema.index_of(column)
-        schema = Schema(f for i, f in enumerate(src.schema.fields) if i != gone)
-        rows = [
-            tuple(cell for i, cell in enumerate(row) if i != gone) for row in src.rows
-        ]
+    def eval_drop(self, src: Table, schema: Schema, gone: int) -> Table:
+        rows = [row[:gone] + row[gone + 1 :] for row in src.rows]
         return Table.trusted(schema, rows)
 
-    def eval_add_column(self, src: Table, column: str, value: ast.Literal) -> Table:
-        schema = Schema(tuple(src.schema.fields) + (Field(column, value.type),))
-        rows = [row + (value.value,) for row in src.rows]
+    def eval_add_column(self, src: Table, schema: Schema, value: Cell) -> Table:
+        rows = [row + (value,) for row in src.rows]
         return Table.trusted(schema, rows)
 
-    def eval_sort(self, src: Table, column: str, descending: bool) -> Table:
+    def eval_sort(self, src: Table, key_index: int, descending: bool) -> Table:
         """Stable sort by one column; null keys go last in either
         direction, keeping their original relative order."""
-        key_index = src.schema.index_of(column)
         keyed = [row for row in src.rows if row[key_index] is not None]
         nulls = [row for row in src.rows if row[key_index] is None]
-        ordered = sorted(keyed, key=lambda row: row[key_index], reverse=descending)
+        ordered = sorted(keyed, key=itemgetter(key_index), reverse=descending)
         return Table.trusted(src.schema, ordered + nulls)
 
     def eval_limit(self, src: Table, count: int) -> Table:
@@ -354,23 +351,21 @@ class Interpreter:
         self,
         left: Table,
         right: Table,
-        left_key: str,
-        right_key: str,
+        schema: Schema,
+        li: int,
+        ri: int,
         *,
         left_outer: bool,
     ) -> Table:
-        """Equi-join: output is ordered by left row order, then right row
-        order within matches. Null keys never match anything, and INT
-        and DECIMAL keys match when numerically equal. LEFT_JOIN pads
+        """Equi-join on column ``li`` of the left table and ``ri`` of the
+        right: output is ordered by left row order, then right row order
+        within matches. Null keys never match anything, and INT and
+        DECIMAL keys match when numerically equal. LEFT_JOIN pads
         unmatched left rows with nulls for the right-hand columns."""
-        li = left.schema.index_of(left_key)
-        ri = right.schema.index_of(right_key)
-        right_fields = [f for i, f in enumerate(right.schema.fields) if i != ri]
-        schema = Schema(tuple(left.schema.fields) + tuple(right_fields))
-        padding = (None,) * len(right_fields)
+        padding = (None,) * (len(right.schema) - 1)
         # hash(Decimal("2.0")) == hash(2), so mixed numeric keys meet in
         # one bucket; a null key is never stored, so it finds no match
-        matches: dict[Cell, list[tuple[Cell, ...]]] = {}
+        matches: dict[Cell, list[Row]] = {}
         for rrow in right.rows:
             if rrow[ri] is not None:
                 matches.setdefault(rrow[ri], []).append(rrow[:ri] + rrow[ri + 1 :])
@@ -395,67 +390,56 @@ class Interpreter:
     def eval_aggregate(
         self,
         src: Table,
-        group_by: tuple[str, ...],
-        computes: tuple[ast.AggregateSpec, ...],
+        schema: Schema,
+        keys: list[int],
+        computes: list[tuple[str, Optional[int]]],
         location,
     ) -> Table:
         """One output row per distinct group key, in order of first
-        appearance. An empty GROUP_BY aggregates the whole table into a
-        single row even when the table is empty."""
-        key_indices = [src.schema.index_of(name) for name in group_by]
-        groups: dict[tuple[Cell, ...], list[tuple[Cell, ...]]] = {}
+        appearance; ``computes`` pairs each function with its argument
+        column (None for COUNT). An empty GROUP_BY aggregates the whole
+        table into a single row even when the table is empty."""
+        groups: dict[Row, list[Row]] = {}
         for row in src.rows:
             self._tick()
-            key = tuple(row[i] for i in key_indices)
-            groups.setdefault(key, []).append(row)
-        if not group_by:
+            groups.setdefault(tuple(row[i] for i in keys), []).append(row)
+        if not keys:
             groups.setdefault((), [])
-
-        fields = [Field(name, src.schema.type_of(name)) for name in group_by]
-        for spec in computes:
-            fields.append(Field(spec.alias, _aggregate_type(spec, src.schema)))
-        schema = Schema(fields)
-
         rows = []
         for key, members in groups.items():
             cells = list(key)
-            for spec in computes:
-                cells.append(self._aggregate_value(spec, members, src, location))
+            for fn, index in computes:
+                cells.append(self._aggregate_value(fn, index, members, location))
             rows.append(tuple(cells))
         return Table.trusted(schema, rows)
 
     def _aggregate_value(
-        self,
-        spec: ast.AggregateSpec,
-        members: list[tuple[Cell, ...]],
-        src: Table,
-        location,
+        self, fn: str, index: Optional[int], members: list[Row], location
     ) -> Cell:
-        if spec.fn == "COUNT":
+        if fn == "COUNT":
             return len(members)
-        index = src.schema.index_of(spec.arg)
         values = [row[index] for row in members if row[index] is not None]
         if not values:
             return None
         try:
-            if spec.fn == "SUM":
+            if fn == "SUM":
                 total: Cell = values[0]
                 for value in values[1:]:
                     total = add_values(total, value)
                 return total
-            if spec.fn == "AVG":
+            if fn == "AVG":
                 total = Decimal(0)
                 for value in values:
                     total = add_values(total, value)
                 scale = decimal_scale(total) + DIVISION_EXTRA_SCALE
                 return decimal_divide(total, Decimal(len(values)), scale)
-            if spec.fn == "MIN":
+            if fn == "MIN":
                 best = values[0]
                 for value in values[1:]:
                     if compare_values(value, best) < 0:
                         best = value
                 return best
-            if spec.fn == "MAX":
+            if fn == "MAX":
                 best = values[0]
                 for value in values[1:]:
                     if compare_values(value, best) > 0:
@@ -463,76 +447,16 @@ class Interpreter:
                 return best
         except ExecutionError as exc:
             raise exc.at(location)
-        raise AssertionError(f"unhandled aggregate {spec.fn}")
-
-    # -- expressions -----------------------------------------------------------
-
-    def _eval_expr(
-        self,
-        expr: ast.Expr,
-        schema: Optional[Schema],
-        row: Optional[tuple[Cell, ...]],
-    ) -> Cell:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.ColumnRef):
-            assert schema is not None and row is not None
-            return row[schema.index_of(expr.name)]
-        if isinstance(expr, ast.Neg):
-            operand = self._eval_expr(expr.operand, schema, row)
-            return self._located(negate_value, expr.location, operand)
-        if isinstance(expr, ast.BinaryOp):
-            left = self._eval_expr(expr.left, schema, row)
-            right = self._eval_expr(expr.right, schema, row)
-            fn = _ARITHMETIC[expr.op]
-            return self._located(fn, expr.location, left, right)
-        if isinstance(expr, ast.Comparison):
-            left = self._eval_expr(expr.left, schema, row)
-            right = self._eval_expr(expr.right, schema, row)
-            if left is None or right is None:
-                return None
-            order = compare_values(left, right)
-            return _COMPARISON_RESULTS[expr.op](order)
-        if isinstance(expr, ast.BoolOp):
-            left = self._eval_expr(expr.left, schema, row)
-            if expr.op == "AND":
-                if left is False:
-                    return False
-                right = self._eval_expr(expr.right, schema, row)
-                if right is False:
-                    return False
-                return None if left is None or right is None else True
-            if left is True:
-                return True
-            right = self._eval_expr(expr.right, schema, row)
-            if right is True:
-                return True
-            return None if left is None or right is None else False
-        if isinstance(expr, ast.Not):
-            operand = self._eval_expr(expr.operand, schema, row)
-            return None if operand is None else not operand
-        if isinstance(expr, ast.Call):
-            args = [self._eval_expr(arg, schema, row) for arg in expr.args]
-            return self._located(call_builtin, expr.location, expr.name, args)
-        raise AssertionError(f"unhandled expression {type(expr).__name__}")
-
-    def _located(self, fn, location, *args):
-        try:
-            return fn(*args)
-        except ExecutionError as exc:
-            raise exc.at(location) from None
+        raise AssertionError(f"unhandled aggregate {fn}")
 
     # -- resource guards -------------------------------------------------------
 
-    def _tick(self) -> None:
-        self._tick_counter += 1
-        if self._tick_counter % _ROWS_PER_TICK == 0 and self.deadline is not None:
-            if time.monotonic() > self.deadline:
-                raise AssertionFailed("execution time limit exceeded")
-
-    def _check_deadline(self, stmt: ast.Statement) -> None:
+    def _tick(self, location: Optional[SourceLocation] = None) -> None:
+        """Read the clock before every statement, loop iteration and row
+        of a per-row operator, so a run stops within one row's work of
+        its deadline."""
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise AssertionFailed("execution time limit exceeded", stmt.location)
+            raise AssertionFailed("execution time limit exceeded", location)
 
     def _check_size(self, count: int, location=None) -> None:
         if self.max_rows is not None and count > self.max_rows:
@@ -541,12 +465,104 @@ class Interpreter:
             )
 
 
-def _aggregate_type(spec: ast.AggregateSpec, schema: Schema) -> ValueType:
-    if spec.fn == "COUNT":
-        return ValueType.INT
-    if spec.fn == "AVG":
-        return ValueType.DECIMAL
-    return schema.type_of(spec.arg)
+# -- compiling expressions ----------------------------------------------------
+# Each expression becomes a closure from a row tuple to a cell, with every
+# column reference bound to its index. A failing operator or call raises
+# with its own node's location, so the innermost failing node names it.
+
+
+def _compile_expr(expr: ast.Expr, schema: Optional[Schema]) -> Callable[[Row], Cell]:
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        return lambda row: value
+    if isinstance(expr, ast.ColumnRef):
+        return itemgetter(schema.index_of(expr.name))
+    location = expr.location
+    if isinstance(expr, ast.Neg):
+        operand = _compile_expr(expr.operand, schema)
+
+        def neg(row):
+            value = operand(row)
+            try:
+                return negate_value(value)
+            except ExecutionError as exc:
+                raise exc.at(location) from None
+
+        return neg
+    if isinstance(expr, ast.BinaryOp):
+        left = _compile_expr(expr.left, schema)
+        right = _compile_expr(expr.right, schema)
+        fn = _ARITHMETIC[expr.op]
+
+        def arithmetic(row):
+            a, b = left(row), right(row)
+            try:
+                return fn(a, b)
+            except ExecutionError as exc:
+                raise exc.at(location) from None
+
+        return arithmetic
+    if isinstance(expr, ast.Comparison):
+        left = _compile_expr(expr.left, schema)
+        right = _compile_expr(expr.right, schema)
+        holds = _COMPARISON_RESULTS[expr.op]
+
+        def comparison(row):
+            a, b = left(row), right(row)
+            if a is None or b is None:
+                return None
+            return holds(compare_values(a, b))
+
+        return comparison
+    if isinstance(expr, ast.BoolOp):
+        left = _compile_expr(expr.left, schema)
+        right = _compile_expr(expr.right, schema)
+        if expr.op == "AND":
+
+            def conjunction(row):
+                a = left(row)
+                if a is False:
+                    return False
+                b = right(row)
+                if b is False:
+                    return False
+                return None if a is None or b is None else True
+
+            return conjunction
+
+        def disjunction(row):
+            a = left(row)
+            if a is True:
+                return True
+            b = right(row)
+            if b is True:
+                return True
+            return None if a is None or b is None else False
+
+        return disjunction
+    if isinstance(expr, ast.Not):
+        operand = _compile_expr(expr.operand, schema)
+
+        def negation(row):
+            value = operand(row)
+            return None if value is None else not value
+
+        return negation
+    if isinstance(expr, ast.Call):
+        name = expr.name
+        args = [_compile_expr(arg, schema) for arg in expr.args]
+
+        def call(row):
+            values = [arg(row) for arg in args]
+            try:
+                # a global read per call, not a captured function, so that
+                # a profiler can wrap anka.interpreter.call_builtin
+                return call_builtin(name, values)
+            except ExecutionError as exc:
+                raise exc.at(location) from None
+
+        return call
+    raise AssertionError(f"unhandled expression {type(expr).__name__}")
 
 
 _ARITHMETIC = {

@@ -32,6 +32,8 @@ from anka.values import NUMERIC_TYPES, Field, Schema, ValueType
 
 _MINMAX_TYPES = NUMERIC_TYPES | {ValueType.STRING, ValueType.DATE, ValueType.DATETIME}
 
+_MEMO = "_validation"
+
 PROVENANCE_INPUT = "INPUT"
 PROVENANCE_INTO = "INTO"
 
@@ -46,37 +48,31 @@ class Binding:
     location: SourceLocation
 
 
-class Environment:
-    """Ordered dataset-name to schema map with provenance per binding."""
-
-    def __init__(self, bindings: dict[str, Binding]) -> None:
-        self._bindings = dict(bindings)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._bindings)
-
-    def schema_of(self, name: str) -> Optional[Schema]:
-        return self._bindings[name].schema
-
-    def binding(self, name: str) -> Binding:
-        return self._bindings[name]
-
-
 class ValidationResult:
-    """Outcome of ``validate``: final environment plus diagnostics."""
+    """Outcome of ``validate``: the final bindings, the diagnostics, and
+    the schemas each statement resolved, which the interpreter runs on.
+
+    ``sources`` maps a statement that reads datasets to their schemas, in
+    the order it names them; ``outputs`` maps a data statement to the
+    schema it binds. Both are keyed by ``id(stmt)``, not by the statement:
+    statements that compare equal (locations take no part in equality)
+    can see different schemas, as the same text in a TRY body and in its
+    handler can.
+    """
 
     def __init__(
         self,
-        environment: Environment,
+        environment: dict[str, Binding],
         errors: list[ValidationError],
         output_schema: Optional[Schema],
+        sources: dict[int, list[Optional[Schema]]],
+        outputs: dict[int, Optional[Schema]],
     ) -> None:
         self.environment = environment
         self.errors = errors
         self.output_schema = output_schema
+        self.sources = sources
+        self.outputs = outputs
 
     @property
     def ok(self) -> bool:
@@ -84,8 +80,8 @@ class ValidationResult:
 
 
 class ValidationException(AnkaError):
-    """Raised by the standalone inference helpers; ``validate`` itself
-    never raises."""
+    """Raised by ``typecheck_expr`` and by ``run_pipeline`` on a pipeline
+    that does not validate; ``validate`` itself never raises."""
 
     def __init__(self, errors: list[ValidationError]) -> None:
         self.errors = list(errors)
@@ -94,7 +90,15 @@ class ValidationException(AnkaError):
 
 def validate(pipeline: ast.Pipeline) -> ValidationResult:
     """Check a parsed pipeline. Returns the final environment together
-    with all diagnostics found; an empty error list means well-typed."""
+    with all diagnostics found; an empty error list means well-typed.
+
+    The result is kept on the pipeline object, outside its dataclass
+    fields, so equality and ``ast_to_dict`` never see it; validating the
+    same object again, as ``run_pipeline`` does, returns the same result.
+    """
+    memo = pipeline.__dict__.get(_MEMO)
+    if memo is not None:
+        return memo
     checker = _Checker()
     env: dict[str, Binding] = {}
     for decl in pipeline.inputs:
@@ -120,28 +124,11 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
     else:
         output_schema = env[pipeline.output].schema
 
-    return ValidationResult(Environment(env), checker.errors, output_schema)
-
-
-def infer_statement_schema(stmt: ast.Statement, env: Environment) -> Schema:
-    """Schema of the dataset a single statement produces, given the
-    bindings in ``env``. Raises ValidationException on any diagnostic."""
-    checker = _Checker()
-    bindings = {name: env.binding(name) for name in env.names()}
-    schema = checker.infer(stmt, bindings, row_schema=None)
-    if checker.errors:
-        raise ValidationException(checker.errors)
-    if schema is None:
-        raise ValidationException(
-            [
-                ValidationError(
-                    ValidationKind.SCHEMA_MISMATCH,
-                    f"{type(stmt).__name__} produces no dataset",
-                    stmt.location,
-                )
-            ]
-        )
-    return schema
+    result = ValidationResult(
+        env, checker.errors, output_schema, checker.sources, checker.outputs
+    )
+    pipeline.__dict__[_MEMO] = result
+    return result
 
 
 def typecheck_expr(expr: ast.Expr, schema: Optional[Schema]) -> ValueType:
@@ -158,6 +145,8 @@ def typecheck_expr(expr: ast.Expr, schema: Optional[Schema]) -> ValueType:
 class _Checker:
     def __init__(self) -> None:
         self.errors: list[ValidationError] = []
+        self.sources: dict[int, list[Optional[Schema]]] = {}
+        self.outputs: dict[int, Optional[Schema]] = {}
 
     def error(self, kind: ValidationKind, message: str, location: SourceLocation) -> None:
         self.errors.append(ValidationError(kind, message, location))
@@ -189,10 +178,11 @@ class _Checker:
         if isinstance(stmt, ast.Try):
             return self._check_try(stmt, env, row_schema)
         if isinstance(stmt, (ast.Write, ast.Post)):
-            self._resolve(stmt.source, env, stmt.location)
+            self._resolve(stmt, stmt.source, env)
             return env
 
-        schema = self.infer(stmt, env, row_schema)
+        schema = self.infer(stmt, env)
+        self.outputs[id(stmt)] = schema
         target = ast.statement_target(stmt)
         assert target is not None
         if target in env:
@@ -253,7 +243,7 @@ class _Checker:
     def _check_for_each(
         self, stmt: ast.ForEach, env: dict[str, Binding], row_schema: Optional[Schema]
     ) -> dict[str, Binding]:
-        source_schema = self._resolve(stmt.source, env, stmt.location)
+        source_schema = self._resolve(stmt, stmt.source, env)
         self.check_block(stmt.body, dict(env), source_schema)
         return env
 
@@ -276,29 +266,46 @@ class _Checker:
             )
 
     def _resolve(
-        self, name: str, env: dict[str, Binding], location: SourceLocation
+        self, stmt: ast.Statement, name: str, env: dict[str, Binding]
     ) -> Optional[Schema]:
-        if name not in env:
+        """Schema of a dataset ``stmt`` reads, recorded as its next source."""
+        schema = None
+        if name in env:
+            schema = env[name].schema
+        else:
             self.error(
                 ValidationKind.UNKNOWN_DATASET,
                 f"unknown dataset '{name}'",
-                location,
+                stmt.location,
             )
-            return None
-        return env[name].schema
+        self.sources.setdefault(id(stmt), []).append(schema)
+        return schema
 
     # -- per-statement schema inference --------------------------------------
 
-    def infer(
-        self,
-        stmt: ast.Statement,
-        env: dict[str, Binding],
-        row_schema: Optional[Schema],
-    ) -> Optional[Schema]:
-        if isinstance(stmt, ast.Filter):
-            schema = self._resolve(stmt.source, env, stmt.location)
-            if schema is None:
+    def infer(self, stmt: ast.Statement, env: dict[str, Binding]) -> Optional[Schema]:
+        if isinstance(stmt, (ast.Read, ast.Fetch)):
+            return stmt.schema
+        if isinstance(stmt, (ast.Join, ast.LeftJoin)):
+            return self._infer_join(stmt, env)
+        if isinstance(stmt, ast.Union):
+            left = self._resolve(stmt, stmt.left, env)
+            right = self._resolve(stmt, stmt.right, env)
+            if left is None or right is None:
                 return None
+            if left != right:
+                self.error(
+                    ValidationKind.SCHEMA_MISMATCH,
+                    f"UNION requires identical schemas, got {left!r} and {right!r}",
+                    stmt.location,
+                )
+                return None
+            return left
+
+        schema = self._resolve(stmt, stmt.source, env)
+        if schema is None:
+            return None
+        if isinstance(stmt, ast.Filter):
             ptype = self.typecheck(stmt.predicate, schema)
             if ptype is not None and ptype is not ValueType.BOOL:
                 self.error(
@@ -309,9 +316,6 @@ class _Checker:
             return schema
 
         if isinstance(stmt, (ast.Distinct, ast.Sort, ast.Limit, ast.Skip, ast.Slice)):
-            schema = self._resolve(stmt.source, env, stmt.location)
-            if schema is None:
-                return None
             if isinstance(stmt, ast.Sort) and not schema.has(stmt.column):
                 self.error(
                     ValidationKind.UNKNOWN_COLUMN,
@@ -340,9 +344,6 @@ class _Checker:
             return schema
 
         if isinstance(stmt, ast.Select):
-            schema = self._resolve(stmt.source, env, stmt.location)
-            if schema is None:
-                return None
             fields = []
             seen = set()
             ok = True
@@ -368,9 +369,6 @@ class _Checker:
             return Schema(fields) if ok and fields else None
 
         if isinstance(stmt, ast.Map):
-            schema = self._resolve(stmt.source, env, stmt.location)
-            if schema is None:
-                return None
             if schema.has(stmt.column):
                 self.error(
                     ValidationKind.SCHEMA_MISMATCH,
@@ -384,9 +382,6 @@ class _Checker:
             return Schema(tuple(schema.fields) + (Field(stmt.column, etype),))
 
         if isinstance(stmt, ast.Rename):
-            schema = self._resolve(stmt.source, env, stmt.location)
-            if schema is None:
-                return None
             if not schema.has(stmt.old_name):
                 self.error(
                     ValidationKind.UNKNOWN_COLUMN,
@@ -407,9 +402,6 @@ class _Checker:
             )
 
         if isinstance(stmt, ast.Drop):
-            schema = self._resolve(stmt.source, env, stmt.location)
-            if schema is None:
-                return None
             if not schema.has(stmt.column):
                 self.error(
                     ValidationKind.UNKNOWN_COLUMN,
@@ -427,9 +419,6 @@ class _Checker:
             return Schema(f for f in schema.fields if f.name != stmt.column)
 
         if isinstance(stmt, ast.AddColumn):
-            schema = self._resolve(stmt.source, env, stmt.location)
-            if schema is None:
-                return None
             if schema.has(stmt.column):
                 self.error(
                     ValidationKind.SCHEMA_MISMATCH,
@@ -442,36 +431,10 @@ class _Checker:
             )
 
         if isinstance(stmt, ast.Aggregate):
-            return self._infer_aggregate(stmt, env)
+            return self._infer_aggregate(stmt, schema)
+        raise AssertionError(f"unhandled statement {type(stmt).__name__}")
 
-        if isinstance(stmt, (ast.Join, ast.LeftJoin)):
-            return self._infer_join(stmt, env)
-
-        if isinstance(stmt, ast.Union):
-            left = self._resolve(stmt.left, env, stmt.location)
-            right = self._resolve(stmt.right, env, stmt.location)
-            if left is None or right is None:
-                return None
-            if left != right:
-                self.error(
-                    ValidationKind.SCHEMA_MISMATCH,
-                    f"UNION requires identical schemas, got {left!r} and {right!r}",
-                    stmt.location,
-                )
-                return None
-            return left
-
-        if isinstance(stmt, (ast.Read, ast.Fetch)):
-            return stmt.schema
-
-        return None
-
-    def _infer_aggregate(
-        self, stmt: ast.Aggregate, env: dict[str, Binding]
-    ) -> Optional[Schema]:
-        schema = self._resolve(stmt.source, env, stmt.location)
-        if schema is None:
-            return None
+    def _infer_aggregate(self, stmt: ast.Aggregate, schema: Schema) -> Optional[Schema]:
         fields: list[Field] = []
         taken: set[str] = set()
         ok = True
@@ -547,8 +510,8 @@ class _Checker:
         raise AssertionError(f"unhandled aggregate {spec.fn}")
 
     def _infer_join(self, stmt, env: dict[str, Binding]) -> Optional[Schema]:
-        left = self._resolve(stmt.left, env, stmt.location)
-        right = self._resolve(stmt.right, env, stmt.location)
+        left = self._resolve(stmt, stmt.left, env)
+        right = self._resolve(stmt, stmt.right, env)
         if left is None or right is None:
             return None
         ok = True

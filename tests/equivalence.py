@@ -1,7 +1,8 @@
 """Randomized interpreter-vs-oracle equivalence checks.
 
-Each case builds random desk-scale tables, runs one operation through
-the interpreter, runs the brute-force oracle on plain dict rows, and
+Each case builds random desk-scale tables, runs one operation as a
+one-statement pipeline through validation and the interpreter, runs the
+brute-force oracle on plain dict rows, and
 compares schemas and cells strictly (decimal cells must match in
 canonical string form, not just value, so scale drift is caught).
 """
@@ -13,8 +14,7 @@ import random
 from decimal import Decimal
 
 from anka import ast_nodes as ast
-from anka.interpreter import Interpreter
-from anka.io_adapters import IoAdapter
+from anka.interpreter import run_pipeline
 from anka.location import UNKNOWN_LOCATION as LOC
 from anka.values import Field, Schema, Table, ValueType
 
@@ -50,8 +50,21 @@ OPERATIONS = (
 )
 
 
-def _interp() -> Interpreter:
-    return Interpreter(io=IoAdapter(sandbox=True))
+def _run(statement: type, tables: dict[str, Table], **fields) -> Table:
+    """Run one statement, bound INTO ``out``, on the named tables."""
+    stmt = statement(**fields, target="out", location=LOC)
+    pipeline = ast.Pipeline(
+        name="p",
+        inputs=tuple(
+            ast.InputDecl(name=name, schema=table.schema, location=LOC)
+            for name, table in tables.items()
+        ),
+        steps=(ast.Step(name="s", body=(stmt,), location=LOC),),
+        output="out",
+        output_location=LOC,
+        location=LOC,
+    )
+    return run_pipeline(pipeline, tables)
 
 
 def strict_cell_eq(a, b) -> bool:
@@ -168,7 +181,7 @@ def _case_filter(rng):
     schema = rand_schema(rng)
     table = rand_table(rng, schema)
     predicate = rand_filter_predicate(rng, schema)
-    result = _interp().eval_filter(table, predicate)
+    result = _run(ast.Filter, {"t": table}, source="t", predicate=predicate)
     expected = oracle.o_filter(
         schema_to_pairs(schema), table_to_dict_rows(table), oracle_predicate(predicate)
     )
@@ -179,7 +192,7 @@ def _case_map(rng):
     schema = rand_schema(rng, max_cols=4)
     table = rand_table(rng, schema)
     expr, evaluate = rand_map_expr(rng, schema)
-    result = _interp().eval_map(table, "m0", expr)
+    result = _run(ast.Map, {"t": table}, source="t", column="m0", expr=expr)
     expected = oracle.o_map(
         schema_to_pairs(schema), table_to_dict_rows(table), "m0", evaluate
     )
@@ -194,7 +207,7 @@ def _case_select(rng):
     names = list(schema.names())
     rng.shuffle(names)
     columns = tuple(names[: rng.randint(1, len(names))])
-    result = _interp().eval_select(table, columns)
+    result = _run(ast.Select, {"t": table}, source="t", columns=columns)
     expected = oracle.o_select(
         schema_to_pairs(schema), table_to_dict_rows(table), columns
     )
@@ -205,7 +218,7 @@ def _case_select(rng):
 def _case_distinct(rng):
     schema = rand_schema(rng, max_cols=3)
     table = rand_table(rng, schema, null_rate=0.3, duplicate_rate=0.5)
-    result = _interp().eval_distinct(table)
+    result = _run(ast.Distinct, {"t": table}, source="t")
     expected = oracle.o_distinct(schema_to_pairs(schema), table_to_dict_rows(table))
     assert_tables_match(result, schema_to_pairs(schema), expected, "distinct")
 
@@ -214,7 +227,9 @@ def _case_rename(rng):
     schema = rand_schema(rng)
     table = rand_table(rng, schema)
     old = rng.choice(schema.names())
-    result = _interp().eval_rename(table, old, "renamed_col")
+    result = _run(
+        ast.Rename, {"t": table}, source="t", old_name=old, new_name="renamed_col"
+    )
     expected = oracle.o_rename(
         schema_to_pairs(schema), table_to_dict_rows(table), old, "renamed_col"
     )
@@ -230,7 +245,7 @@ def _case_drop(rng):
         return
     table = rand_table(rng, schema)
     column = rng.choice(schema.names())
-    result = _interp().eval_drop(table, column)
+    result = _run(ast.Drop, {"t": table}, source="t", column=column)
     expected = oracle.o_drop(schema_to_pairs(schema), table_to_dict_rows(table), column)
     expected_schema = [(n, t) for n, t in schema_to_pairs(schema) if n != column]
     assert_tables_match(result, expected_schema, expected, "drop")
@@ -244,7 +259,9 @@ def _case_add_column(rng):
     vtype = rand_type(rng)
     value = rand_cell(rng, vtype, null_rate=0.0)
     literal = ast.Literal(value=value, type=vtype, location=LOC)
-    result = _interp().eval_add_column(table, "extra", literal)
+    result = _run(
+        ast.AddColumn, {"t": table}, source="t", column="extra", value=literal
+    )
     expected = oracle.o_add_column(
         schema_to_pairs(schema), table_to_dict_rows(table), "extra", value
     )
@@ -257,7 +274,9 @@ def _case_sort(rng):
     table = rand_table(rng, schema, null_rate=0.25, duplicate_rate=0.5)
     column = rng.choice(schema.names())
     descending = rng.random() < 0.5
-    result = _interp().eval_sort(table, column, descending)
+    result = _run(
+        ast.Sort, {"t": table}, source="t", column=column, descending=descending
+    )
     expected = oracle.o_sort(
         schema_to_pairs(schema), table_to_dict_rows(table), column, descending
     )
@@ -268,7 +287,7 @@ def _case_limit(rng):
     schema = rand_schema(rng)
     table = rand_table(rng, schema)
     count = rng.randint(0, 25)
-    result = _interp().eval_limit(table, count)
+    result = _run(ast.Limit, {"t": table}, source="t", count=count)
     expected = oracle.o_limit(schema_to_pairs(schema), table_to_dict_rows(table), count)
     assert_tables_match(result, schema_to_pairs(schema), expected, "limit")
 
@@ -277,7 +296,7 @@ def _case_skip(rng):
     schema = rand_schema(rng)
     table = rand_table(rng, schema)
     count = rng.randint(0, 25)
-    result = _interp().eval_skip(table, count)
+    result = _run(ast.Skip, {"t": table}, source="t", count=count)
     expected = oracle.o_skip(schema_to_pairs(schema), table_to_dict_rows(table), count)
     assert_tables_match(result, schema_to_pairs(schema), expected, "skip")
 
@@ -286,7 +305,7 @@ def _case_slice(rng):
     schema = rand_schema(rng)
     table = rand_table(rng, schema)
     start, stop = rng.randint(0, 22), rng.randint(0, 22)
-    result = _interp().eval_slice(table, start, stop)
+    result = _run(ast.Slice, {"t": table}, source="t", start=start, stop=stop)
     expected = oracle.o_slice(
         schema_to_pairs(schema), table_to_dict_rows(table), start, stop
     )
@@ -336,7 +355,14 @@ def _join_fixtures(rng):
 
 def _case_join(rng, left_outer=False):
     left, right, lk, rk = _join_fixtures(rng)
-    result = _interp().eval_join(left, right, lk, rk, left_outer=left_outer)
+    result = _run(
+        ast.LeftJoin if left_outer else ast.Join,
+        {"l": left, "r": right},
+        left="l",
+        right="r",
+        left_key=lk,
+        right_key=rk,
+    )
     expected = oracle.o_join(
         schema_to_pairs(left.schema),
         table_to_dict_rows(left),
@@ -362,7 +388,7 @@ def _case_union(rng):
     schema = rand_schema(rng)
     left = rand_table(rng, schema)
     right = rand_table(rng, schema)
-    result = _interp().eval_union(left, right, LOC)
+    result = _run(ast.Union, {"l": left, "r": right}, left="l", right="r")
     expected = oracle.o_union(
         schema_to_pairs(schema), table_to_dict_rows(left), table_to_dict_rows(right)
     )
@@ -397,7 +423,13 @@ def _case_aggregate(rng):
             arg = rng.choice(minmaxable)
         specs.append(ast.AggregateSpec(fn=fn, arg=arg, alias=alias, location=LOC))
         computes.append((fn, arg, alias))
-    result = _interp().eval_aggregate(table, group_by, tuple(specs), LOC)
+    result = _run(
+        ast.Aggregate,
+        {"t": table},
+        source="t",
+        group_by=group_by,
+        computes=tuple(specs),
+    )
     expected = oracle.o_aggregate(
         schema_to_pairs(schema), table_to_dict_rows(table), list(group_by), computes
     )

@@ -10,6 +10,7 @@ programs nested or chained either side of the parser's nesting limit.
 
 from __future__ import annotations
 
+import functools
 import random
 import string
 from pathlib import Path
@@ -25,8 +26,10 @@ _NOISE_CHARS = (
 _KEYWORD_LIST = sorted(KEYWORDS)
 
 
-def corpus_sources() -> list[str]:
-    return [p.read_text(encoding="utf-8") for p in sorted(CORPUS_DIR.glob("*.anka"))]
+@functools.cache
+def corpus_sources() -> tuple[str, ...]:
+    """The corpus texts, read once: every splice mutation draws a donor."""
+    return tuple(p.read_text(encoding="utf-8") for p in sorted(CORPUS_DIR.glob("*.anka")))
 
 
 def fixture_sources() -> list[str]:
@@ -68,7 +71,10 @@ def _mutate(rng: random.Random, text: str) -> str:
     return text[:i] + donor[cut:]
 
 
-def fuzz_inputs(count: int, seed: int = 0xF0220) -> list[str]:
+@functools.lru_cache(maxsize=None)
+def fuzz_inputs(count: int, seed: int = 0xF0220) -> tuple[str, ...]:
+    """Generated once per (count, seed): the lexer and parser digests and
+    the parser-totality criterion share one generation."""
     rng = random.Random(seed)
     sources = corpus_sources()
     inputs: list[str] = []
@@ -92,7 +98,7 @@ def fuzz_inputs(count: int, seed: int = 0xF0220) -> list[str]:
         else:  # raw bytes, decoded permissively
             raw = bytes(rng.randrange(256) for _ in range(rng.randint(0, 120)))
             inputs.append(raw.decode("latin-1"))
-    return inputs
+    return tuple(inputs)
 
 
 _EDGE_PROGRAM = (

@@ -147,7 +147,7 @@ def test_criterion_03_parser_totality_under_fuzzing():
     ):
         inputs = fuzzing.fuzz_inputs(10_000)
         assert len(inputs) == 10_000
-        for text in inputs + fuzzing.lexer_edge_inputs():
+        for text in (*inputs, *fuzzing.lexer_edge_inputs()):
             started = time.monotonic()
             try:
                 tree = parse(text)

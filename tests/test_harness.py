@@ -193,8 +193,8 @@ class TestEvaluateSample:
                 self.now += 1.0
                 return self.now
 
-        # the FILTER reads the clock once per test case: each test takes
-        # 1 s, four of them take longer than the 3 s cap
+        # the FILTER reads the clock once as a statement and once for each
+        # of its 3 rows: each test takes 4 s, four take longer than 12 s
         base = simple_task()
         task = TaskSpec(
             id=base.id,
@@ -203,7 +203,7 @@ class TestEvaluateSample:
             input_schemas=base.input_schemas,
             tests=base.tests * 4,
         )
-        for timeout, executes in ((3.0, False), (10.0, True)):
+        for timeout, executes in ((12.0, False), (16.0, True)):
             clock = SteppingClock()
             monkeypatch.setattr(harness, "time", clock)
             monkeypatch.setattr(interpreter, "time", clock)

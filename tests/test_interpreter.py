@@ -13,10 +13,12 @@ from anka.errors import (
     DivisionByZero,
     InputError,
     TableError,
+    ValidationKind,
 )
 from anka.interpreter import run_pipeline
+from anka.io_adapters import IoAdapter
 from anka.parser import parse
-from anka.validator import validate
+from anka.validator import ValidationException, validate
 from anka.values import Table, ValueType as VT, make_table, schema_of, table_equal
 
 D = Decimal
@@ -294,17 +296,18 @@ class TestJoins:
                 self.now += 1.0
                 return self.now
 
-        # the statement reads the clock once (1 s) before the join; the
-        # join reads it again after 4096 left rows (2 s), past the deadline
+        # the statement reads the clock once (1 s), then the join reads it
+        # before each of its three left rows (2 s, 3 s, 4 s)
         left = make_table(
-            schema_of(("k", VT.INT), ("l", VT.STRING)), [(i, "a") for i in range(4096)]
+            schema_of(("k", VT.INT), ("l", VT.STRING)), [(i, "a") for i in range(3)]
         )
         right = make_table(schema_of(("rk", VT.INT), ("r", VT.STRING)), [(-1, "x")])
+        for deadline in (1.5, 3.5):
+            monkeypatch.setattr(interpreter, "time", SteppingClock())
+            with pytest.raises(AssertionFailed, match="time limit"):
+                self._join("JOIN", left, right, deadline=deadline)
         monkeypatch.setattr(interpreter, "time", SteppingClock())
-        with pytest.raises(AssertionFailed, match="time limit"):
-            self._join("JOIN", left, right, deadline=1.5)
-        monkeypatch.setattr(interpreter, "time", SteppingClock())
-        assert len(self._join("JOIN", left, right, deadline=2.5)) == 0
+        assert len(self._join("JOIN", left, right, deadline=4.5)) == 0
 
     def test_union_concatenates(self):
         source = (
@@ -583,16 +586,6 @@ class TestControlFlow:
                 while_cap=50,
             )
 
-    def test_while_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("ANKA_WHILE_CAP", "7")
-        table = make_table(schema_of(("a", VT.INT)), [(1,)])
-        with pytest.raises(AssertionFailed, match="cap of 7"):
-            simple(
-                "WHILE TRUE DO DISTINCT t INTO ignored END_WHILE "
-                "DISTINCT t INTO result",
-                table,
-            )
-
     def test_for_each_runs_body_per_row(self):
         table = make_table(schema_of(("a", VT.INT)), [(1,), (5,), (2,)])
         # IF over row columns picks rows one at a time; POST is sandboxed
@@ -621,6 +614,44 @@ class TestControlFlow:
                 deadline=time.monotonic() + 0.05,
             )
 
+    def test_deadline_stops_within_one_row_of_work(self, monkeypatch):
+        # Self-JOINs on a constant key multiply the rows, then each row
+        # pays for nested REPLACE calls. Time here advances 1 s per call,
+        # so the work done after the deadline is the calls made past it.
+        class WorkClock:
+            now = 0.0
+
+            def monotonic(self):
+                return self.now
+
+        clock = WorkClock()
+        late_calls = []
+
+        def replace_taking_a_second(name, args):
+            clock.now += 1.0
+            if clock.now > deadline:
+                late_calls.append(name)
+            return call_builtin(name, args)
+
+        call_builtin = interpreter.call_builtin
+        monkeypatch.setattr(interpreter, "time", clock)
+        monkeypatch.setattr(interpreter, "call_builtin", replace_taking_a_second)
+        table = make_table(schema_of(("k", VT.INT), ("s", VT.STRING)), [(1, "x")] * 4)
+        nested = "s"
+        for _ in range(3):
+            nested = f'REPLACE({nested}, "x", "xx")'
+        deadline = 100.5  # inside the 34th of 64 rows, three calls each
+        with pytest.raises(AssertionFailed, match="time limit"):
+            simple(
+                "SELECT t COLUMNS k INTO keys "
+                "JOIN t WITH keys ON k == k INTO once "
+                "JOIN once WITH keys ON k == k INTO twice "
+                f"MAP twice WITH grown => {nested} INTO result",
+                table,
+                deadline=deadline,
+            )
+        assert 0 < len(late_calls) <= 3
+
     def test_max_rows_guard(self):
         table = make_table(schema_of(("a", VT.INT)), [(1,)] * 10)
         source = (
@@ -631,6 +662,87 @@ class TestControlFlow:
         assert validate(pipeline).ok
         with pytest.raises(AssertionFailed, match="row limit"):
             run_pipeline(pipeline, {"t": table}, max_rows=15)
+
+
+class PostedTables(IoAdapter):
+    """Keeps each POSTed table by URL instead of sending it."""
+
+    def __init__(self):
+        super().__init__(sandbox=True)
+        self.tables = {}
+
+    def post_table(self, url, table):
+        self.tables[url] = table
+
+
+class TestValidatedPlans:
+    def test_pipeline_that_does_not_validate_raises(self):
+        pipeline = parse(
+            "PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n"
+            "  FILTER t WHERE b > 0 INTO result\n OUTPUT result"
+        )
+        table = make_table(schema_of(("a", VT.INT)), [(1,)])
+        with pytest.raises(ValidationException) as err:
+            run_pipeline(pipeline, {"t": table})
+        assert [e.kind for e in err.value.errors] == [ValidationKind.UNKNOWN_COLUMN]
+
+    def test_layout_twins_report_their_own_error_locations(self):
+        # equal trees (locations take no part in equality), run one after
+        # the other: each error is located in its own program's text
+        compact = parse(
+            "PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n"
+            "  MAP t WITH c => a / 0 INTO result\n OUTPUT result"
+        )
+        spread = parse(
+            "PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n\n"
+            "  MAP t\n    WITH c =>\n        a / 0\n    INTO result\n OUTPUT result"
+        )
+        assert compact == spread
+        table = make_table(schema_of(("a", VT.INT)), [(1,)])
+        located = []
+        for pipeline in (compact, spread):
+            with pytest.raises(DivisionByZero) as err:
+                run_pipeline(pipeline, {"t": table})
+            located.append((err.value.location.line, err.value.location.column))
+        assert located == [(4, 21), (7, 11)]
+
+    def test_equal_statements_in_try_body_and_handler_see_their_own_schemas(self):
+        # both branches run SELECT a COLUMNS y INTO b, over an `a` whose
+        # columns come in opposite orders; the IFs keep `a` branch-local
+        source = (
+            "PIPELINE p:\n INPUT t: TABLE[x: INT, y: INT]\n STEP s:\n"
+            "  TRY\n"
+            "    IF TRUE THEN\n"
+            "      SELECT t COLUMNS x, y INTO a\n"
+            "      SELECT a COLUMNS y INTO b\n"
+            '      POST b TO "http://body.test/"\n'
+            "    END_IF\n"
+            "    MAP t WITH z => x / y INTO result\n"
+            "  ON_ERROR\n"
+            "    IF TRUE THEN\n"
+            "      SELECT t COLUMNS y, x INTO a\n"
+            "      SELECT a COLUMNS y INTO b\n"
+            '      POST b TO "http://handler.test/"\n'
+            "    END_IF\n"
+            "    ADD_COLUMN t WITH z = 0 INTO result\n"
+            "  END_TRY\n"
+            " OUTPUT result"
+        )
+        pipeline = parse(source)
+        attempt, handler = pipeline.steps[0].body[0].body, pipeline.steps[0].body[0].handler
+        assert attempt[0].then_body[1] == handler[0].then_body[1]
+        schema = schema_of(("x", VT.INT), ("y", VT.INT))
+
+        posted = PostedTables()
+        out = run_pipeline(pipeline, {"t": make_table(schema, [(6, 2), (9, 3)])}, posted)
+        assert out.rows == ((6, 2, 3), (9, 3, 3))
+        assert posted.tables["http://body.test/"].rows == ((2,), (3,))
+
+        posted = PostedTables()
+        out = run_pipeline(pipeline, {"t": make_table(schema, [(6, 2), (9, 0)])}, posted)
+        assert out.rows == ((6, 2, 0), (9, 0, 0))
+        assert posted.tables["http://body.test/"].rows == ((2,), (0,))
+        assert posted.tables["http://handler.test/"].rows == ((2,), (0,))
 
 
 class TestTrustedTables:

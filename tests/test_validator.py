@@ -4,12 +4,7 @@ import pytest
 
 from anka.errors import ValidationKind
 from anka.parser import parse
-from anka.validator import (
-    ValidationException,
-    infer_statement_schema,
-    typecheck_expr,
-    validate,
-)
+from anka.validator import ValidationException, typecheck_expr, validate
 from anka.values import ValueType, schema_of
 
 REFERENCE_PIPELINE = """
@@ -46,7 +41,7 @@ class TestReferenceInference:
     def test_intermediate_schemas(self):
         result = check(REFERENCE_PIPELINE)
         env = result.environment
-        assert env.schema_of("with_tax") == schema_of(
+        assert env["with_tax"].schema == schema_of(
             ("order_id", ValueType.INT),
             ("customer", ValueType.STRING),
             ("amount", ValueType.DECIMAL),
@@ -61,9 +56,15 @@ class TestReferenceInference:
 
     def test_environment_provenance(self):
         env = check(REFERENCE_PIPELINE).environment
-        assert env.binding("orders").provenance == "INPUT"
-        assert env.binding("summary").provenance == "INTO"
-        assert env.names() == ("orders", "large_orders", "with_tax", "summary")
+        assert env["orders"].provenance == "INPUT"
+        assert env["summary"].provenance == "INTO"
+        assert tuple(env) == ("orders", "large_orders", "with_tax", "summary")
+
+    def test_result_is_kept_on_the_pipeline(self):
+        pipeline = parse(REFERENCE_PIPELINE)
+        assert validate(pipeline) is validate(pipeline)
+        # equal text parsed again is another object with its own result
+        assert validate(parse(REFERENCE_PIPELINE)) is not validate(pipeline)
 
 
 class TestBindingDiscipline:
@@ -253,12 +254,14 @@ class TestExpressionTyping:
         result = check(pipeline_with("FILTER t WHERE LENGTH(b) > 0 INTO r"))
         assert result.ok
 
-    def test_infer_statement_schema_helper(self):
+    def test_statement_schemas_are_recorded_by_node(self):
         pipeline = parse(pipeline_with("SELECT t COLUMNS b, a INTO r"))
-        result = check(pipeline_with("DISTINCT t INTO r"))
+        result = validate(pipeline)
         stmt = pipeline.steps[0].body[0]
-        schema = infer_statement_schema(stmt, result.environment)
-        assert schema == schema_of(("b", ValueType.STRING), ("a", ValueType.INT))
+        assert result.sources[id(stmt)] == [pipeline.inputs[0].schema]
+        assert result.outputs[id(stmt)] == schema_of(
+            ("b", ValueType.STRING), ("a", ValueType.INT)
+        )
 
 
 class TestControlFlowScoping:
