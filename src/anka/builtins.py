@@ -114,7 +114,6 @@ BUILTINS: dict[str, Builtin] = {
 
 def call_builtin(name: str, args: list[Cell]) -> Cell:
     """Invoke a builtin with evaluated arguments. Null in, null out."""
-    builtin = BUILTINS[name]
-    if any(a is None for a in args):
+    if None in args:
         return None
-    return builtin.fn(*args)
+    return BUILTINS[name].fn(*args)

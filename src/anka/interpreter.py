@@ -4,7 +4,9 @@
 compiled once per pipeline into a step that holds the validator's
 output schema, the column indices it resolved, and its expressions
 compiled into closures over row-tuple indices (Feeley and Lapalme,
-"Using closures for code generation", 1987). Steps bind every INTO
+"Using closures for code generation", 1987), each operator bound to the
+kernel for the types the validator proved (Neumann, "Efficiently
+compiling efficient query plans", VLDB 2011). Steps bind every INTO
 target in one dict of named tables; the validator forbids rebinding, so
 only loop and TRY scopes copy it. Input tables are never modified.
 
@@ -21,30 +23,31 @@ bindings and runs the ON_ERROR handler instead.
 
 from __future__ import annotations
 
+import decimal
+import operator
 import time
 from decimal import Decimal
+from functools import reduce
 from operator import itemgetter
 from typing import Callable, Optional
 
 from anka import ast_nodes as ast
 from anka.builtins import call_builtin
-from anka.errors import AssertionFailed, ExecutionError, InputError
+from anka.errors import AssertionFailed, ConversionError, ExecutionError, InputError
 from anka.io_adapters import IoAdapter
 from anka.location import SourceLocation
 from anka.validator import ValidationException, ValidationResult, validate
 from anka.values import (
+    ARITHMETIC_KERNELS,
     DIVISION_EXTRA_SCALE,
+    NEGATION_KERNELS,
+    OPERATION_NAMES,
     Cell,
     Schema,
     Table,
-    add_values,
-    compare_values,
+    ValueType,
     decimal_divide,
     decimal_scale,
-    divide_values,
-    multiply_values,
-    negate_value,
-    subtract_values,
 )
 
 DEFAULT_WHILE_CAP = 100_000
@@ -107,6 +110,7 @@ def _check_inputs(pipeline: ast.Pipeline, inputs: dict[str, Table]) -> None:
 
 
 # -- compiling statements -----------------------------------------------------
+# One compiler per statement class, looked up by the node's exact class.
 
 
 def _compile_block(body, result: ValidationResult, row_schema: Optional[Schema]) -> Block:
@@ -118,62 +122,13 @@ def _compile_block(body, result: ValidationResult, row_schema: Optional[Schema])
 def _compile_statement(
     stmt: ast.Statement, result: ValidationResult, row_schema: Optional[Schema]
 ) -> Step:
-    location = stmt.location
-    if isinstance(stmt, ast.If):
-        condition = _compile_expr(stmt.condition, row_schema)
-        then_body = _compile_block(stmt.then_body, result, row_schema)
-        else_body = _compile_block(stmt.else_body, result, row_schema)
-
-        def run_if(interp, datasets, row):
-            # a null condition counts as false
-            branch = then_body if condition(row) is True else else_body
-            interp._exec(branch, datasets, row)
-
-        return run_if
-    if isinstance(stmt, ast.While):
-        condition = _compile_expr(stmt.condition, row_schema)
-        body = _compile_block(stmt.body, result, row_schema)
-
-        def run_while(interp, datasets, row):
-            iterations = 0
-            while condition(row) is True:
-                iterations += 1
-                if iterations > interp.while_cap:
-                    raise AssertionFailed(
-                        f"WHILE exceeded the iteration cap of {interp.while_cap}",
-                        location,
-                    )
-                interp._tick(location)
-                interp._exec(body, dict(datasets), row)
-
-        return run_while
-    if isinstance(stmt, ast.ForEach):
-        source = stmt.source
-        (source_schema,) = result.sources[id(stmt)]
-        body = _compile_block(stmt.body, result, source_schema)
-
-        def run_for_each(interp, datasets, row):
-            for each in datasets[source].rows:
-                interp._tick(location)
-                interp._exec(body, dict(datasets), each)
-
-        return run_for_each
-    if isinstance(stmt, ast.Try):
-        body = _compile_block(stmt.body, result, row_schema)
-        handler = _compile_block(stmt.handler, result, row_schema)
-
-        def run_try(interp, datasets, row):
-            scope = dict(datasets)
-            try:
-                interp._exec(body, scope, row)
-            except ExecutionError:
-                interp._exec(handler, datasets, row)
-            else:
-                datasets.update(scope)
-
-        return run_try
-
-    action = _compile_action(stmt, result)
+    control = _CONTROL_COMPILERS.get(type(stmt))
+    if control is not None:
+        return control(stmt, result, row_schema)
+    key = id(stmt)
+    action = _ACTION_COMPILERS[type(stmt)](
+        stmt, result.sources.get(key), result.outputs.get(key), result.types
+    )
     target = ast.statement_target(stmt)
     if target is None:
         return lambda interp, datasets, row: action(interp, datasets)
@@ -184,83 +139,209 @@ def _compile_statement(
     return bind
 
 
-def _compile_action(stmt: ast.Statement, result: ValidationResult):
-    """A function of the interpreter and the bindings that runs one data,
-    WRITE or POST statement through its ``eval_*`` or ``IoAdapter``
-    method, with every name the validator resolved already looked up."""
+def _compile_if(stmt: ast.If, result, row_schema) -> Step:
+    condition = _compile_expr(stmt.condition, row_schema, result.types)
+    then_body = _compile_block(stmt.then_body, result, row_schema)
+    else_body = _compile_block(stmt.else_body, result, row_schema)
+
+    def run_if(interp, datasets, row):
+        # a null condition counts as false
+        branch = then_body if condition(row) is True else else_body
+        interp._exec(branch, datasets, row)
+
+    return run_if
+
+
+def _compile_while(stmt: ast.While, result, row_schema) -> Step:
     location = stmt.location
-    source = getattr(stmt, "source", None)
-    sources = result.sources.get(id(stmt))
-    schema = result.outputs.get(id(stmt))
-    if isinstance(stmt, ast.Filter):
-        keep = _compile_expr(stmt.predicate, sources[0])
-        return lambda interp, d: interp.eval_filter(d[source], keep)
-    if isinstance(stmt, ast.Select):
-        indices = [sources[0].index_of(name) for name in stmt.columns]
-        return lambda interp, d: interp.eval_select(d[source], schema, indices)
-    if isinstance(stmt, ast.Distinct):
-        return lambda interp, d: interp.eval_distinct(d[source])
-    if isinstance(stmt, ast.Map):
-        compute = _compile_expr(stmt.expr, sources[0])
-        return lambda interp, d: interp.eval_map(d[source], schema, compute)
-    if isinstance(stmt, ast.Rename):
-        return lambda interp, d: interp.eval_rename(d[source], schema)
-    if isinstance(stmt, ast.Drop):
-        gone = sources[0].index_of(stmt.column)
-        return lambda interp, d: interp.eval_drop(d[source], schema, gone)
-    if isinstance(stmt, ast.AddColumn):
-        value = stmt.value.value
-        return lambda interp, d: interp.eval_add_column(d[source], schema, value)
-    if isinstance(stmt, ast.Aggregate):
-        keys = [sources[0].index_of(name) for name in stmt.group_by]
-        computes = [
-            (spec.fn, None if spec.arg is None else sources[0].index_of(spec.arg))
-            for spec in stmt.computes
-        ]
-        return lambda interp, d: interp.eval_aggregate(
-            d[source], schema, keys, computes, location
-        )
-    if isinstance(stmt, ast.Sort):
-        key, descending = sources[0].index_of(stmt.column), stmt.descending
-        return lambda interp, d: interp.eval_sort(d[source], key, descending)
-    if isinstance(stmt, ast.Limit):
-        count = stmt.count
-        return lambda interp, d: interp.eval_limit(d[source], count)
-    if isinstance(stmt, ast.Skip):
-        count = stmt.count
-        return lambda interp, d: interp.eval_skip(d[source], count)
-    if isinstance(stmt, ast.Slice):
-        start, stop = stmt.start, stmt.stop
-        return lambda interp, d: interp.eval_slice(d[source], start, stop)
-    if isinstance(stmt, (ast.Join, ast.LeftJoin)):
-        left, right = stmt.left, stmt.right
-        li = sources[0].index_of(stmt.left_key)
-        ri = sources[1].index_of(stmt.right_key)
-        left_outer = isinstance(stmt, ast.LeftJoin)
-        return lambda interp, d: interp.eval_join(
-            d[left], d[right], schema, li, ri, left_outer=left_outer
-        )
-    if isinstance(stmt, ast.Union):
-        left, right = stmt.left, stmt.right
-        return lambda interp, d: interp.eval_union(d[left], d[right], location)
-    if isinstance(stmt, ast.Read):
-        call = lambda io, d: io.read_table(stmt.path, stmt.format, stmt.schema)
-    elif isinstance(stmt, ast.Fetch):
-        call = lambda io, d: io.fetch_table(stmt.url, stmt.schema)
-    elif isinstance(stmt, ast.Write):
-        call = lambda io, d: io.write_table(d[source], stmt.path, stmt.format)
-    elif isinstance(stmt, ast.Post):
-        call = lambda io, d: io.post_table(stmt.url, d[source])
-    else:
-        raise AssertionError(f"unhandled statement {type(stmt).__name__}")
+    condition = _compile_expr(stmt.condition, row_schema, result.types)
+    body = _compile_block(stmt.body, result, row_schema)
 
-    def located_io(interp, d):
+    def run_while(interp, datasets, row):
+        iterations = 0
+        while condition(row) is True:
+            iterations += 1
+            if iterations > interp.while_cap:
+                raise AssertionFailed(
+                    f"WHILE exceeded the iteration cap of {interp.while_cap}",
+                    location,
+                )
+            interp._tick(location)
+            interp._exec(body, dict(datasets), row)
+
+    return run_while
+
+
+def _compile_for_each(stmt: ast.ForEach, result, row_schema) -> Step:
+    location, source = stmt.location, stmt.source
+    (source_schema,) = result.sources[id(stmt)]
+    body = _compile_block(stmt.body, result, source_schema)
+
+    def run_for_each(interp, datasets, row):
+        for each in datasets[source].rows:
+            interp._tick(location)
+            interp._exec(body, dict(datasets), each)
+
+    return run_for_each
+
+
+def _compile_try(stmt: ast.Try, result, row_schema) -> Step:
+    body = _compile_block(stmt.body, result, row_schema)
+    handler = _compile_block(stmt.handler, result, row_schema)
+
+    def run_try(interp, datasets, row):
+        scope = dict(datasets)
         try:
-            return call(interp.io, d)
-        except ExecutionError as exc:
-            raise exc.at(location)
+            interp._exec(body, scope, row)
+        except ExecutionError:
+            interp._exec(handler, datasets, row)
+        else:
+            datasets.update(scope)
 
-    return located_io
+    return run_try
+
+
+_CONTROL_COMPILERS = {
+    ast.If: _compile_if,
+    ast.While: _compile_while,
+    ast.ForEach: _compile_for_each,
+    ast.Try: _compile_try,
+}
+
+# Action compilers take a data, WRITE or POST statement with the schemas
+# the validator resolved for it: those of its sources, in the order it
+# names them, and the one it binds. Each returns a function of the
+# interpreter and the bindings that runs the statement through its
+# ``eval_*`` or ``IoAdapter`` method, with every name already looked up.
+
+
+def _filter(stmt: ast.Filter, sources, schema, types):
+    source, keep = stmt.source, _compile_expr(stmt.predicate, sources[0], types)
+    return lambda interp, d: interp.eval_filter(d[source], keep)
+
+
+def _select(stmt: ast.Select, sources, schema, types):
+    source, indices = stmt.source, [sources[0].index_of(n) for n in stmt.columns]
+    return lambda interp, d: interp.eval_select(d[source], schema, indices)
+
+
+def _distinct(stmt: ast.Distinct, sources, schema, types):
+    source = stmt.source
+    return lambda interp, d: interp.eval_distinct(d[source])
+
+
+def _map(stmt: ast.Map, sources, schema, types):
+    source, compute = stmt.source, _compile_expr(stmt.expr, sources[0], types)
+    return lambda interp, d: interp.eval_map(d[source], schema, compute)
+
+
+def _rename(stmt: ast.Rename, sources, schema, types):
+    source = stmt.source
+    return lambda interp, d: interp.eval_rename(d[source], schema)
+
+
+def _drop(stmt: ast.Drop, sources, schema, types):
+    source, gone = stmt.source, sources[0].index_of(stmt.column)
+    return lambda interp, d: interp.eval_drop(d[source], schema, gone)
+
+
+def _add_column(stmt: ast.AddColumn, sources, schema, types):
+    source, value = stmt.source, stmt.value.value
+    return lambda interp, d: interp.eval_add_column(d[source], schema, value)
+
+
+def _aggregate(stmt: ast.Aggregate, sources, schema, types):
+    (src,) = sources
+    source, location = stmt.source, stmt.location
+    keys = [src.index_of(name) for name in stmt.group_by]
+    computes = []
+    for spec in stmt.computes:
+        if spec.fn in ("SUM", "AVG"):
+            # SUM adds with the kernel of its column's type, AVG in DECIMAL
+            vtype = src.type_of(spec.arg) if spec.fn == "SUM" else ValueType.DECIMAL
+            add = ARITHMETIC_KERNELS["+", vtype]
+        else:
+            add = None
+        index = None if spec.arg is None else src.index_of(spec.arg)
+        computes.append((spec.fn, index, add))
+    return lambda interp, d: interp.eval_aggregate(
+        d[source], schema, keys, computes, location
+    )
+
+
+def _sort(stmt: ast.Sort, sources, schema, types):
+    source, descending = stmt.source, stmt.descending
+    key = sources[0].index_of(stmt.column)
+    return lambda interp, d: interp.eval_sort(d[source], key, descending)
+
+
+def _limit(stmt: ast.Limit, sources, schema, types):
+    source, count = stmt.source, stmt.count
+    return lambda interp, d: interp.eval_limit(d[source], count)
+
+
+def _skip(stmt: ast.Skip, sources, schema, types):
+    source, count = stmt.source, stmt.count
+    return lambda interp, d: interp.eval_skip(d[source], count)
+
+
+def _slice(stmt: ast.Slice, sources, schema, types):
+    source, start, stop = stmt.source, stmt.start, stmt.stop
+    return lambda interp, d: interp.eval_slice(d[source], start, stop)
+
+
+def _join(stmt, sources, schema, types):
+    left, right, left_outer = stmt.left, stmt.right, type(stmt) is ast.LeftJoin
+    li, ri = sources[0].index_of(stmt.left_key), sources[1].index_of(stmt.right_key)
+    return lambda interp, d: interp.eval_join(
+        d[left], d[right], schema, li, ri, left_outer=left_outer
+    )
+
+
+def _union(stmt: ast.Union, sources, schema, types):
+    left, right, location = stmt.left, stmt.right, stmt.location
+    return lambda interp, d: interp.eval_union(d[left], d[right], location)
+
+
+def _io(call):
+    """An action compiler for an I/O statement: ``call(stmt, io, d)``
+    runs it, and a failure raises at the statement's location."""
+
+    def compile_io(stmt, sources, schema, types):
+        location = stmt.location
+
+        def located_io(interp, d):
+            try:
+                return call(stmt, interp.io, d)
+            except ExecutionError as exc:
+                raise exc.at(location)
+
+        return located_io
+
+    return compile_io
+
+
+_ACTION_COMPILERS = {
+    ast.Filter: _filter,
+    ast.Select: _select,
+    ast.Distinct: _distinct,
+    ast.Map: _map,
+    ast.Rename: _rename,
+    ast.Drop: _drop,
+    ast.AddColumn: _add_column,
+    ast.Aggregate: _aggregate,
+    ast.Sort: _sort,
+    ast.Limit: _limit,
+    ast.Skip: _skip,
+    ast.Slice: _slice,
+    ast.Join: _join,
+    ast.LeftJoin: _join,
+    ast.Union: _union,
+    ast.Read: _io(lambda s, io, d: io.read_table(s.path, s.format, s.schema)),
+    ast.Fetch: _io(lambda s, io, d: io.fetch_table(s.url, s.schema)),
+    ast.Write: _io(lambda s, io, d: io.write_table(d[s.source], s.path, s.format)),
+    ast.Post: _io(lambda s, io, d: io.post_table(s.url, d[s.source])),
+}
 
 
 class Interpreter:
@@ -299,8 +380,7 @@ class Interpreter:
         return Table.trusted(src.schema, kept)
 
     def eval_select(self, src: Table, schema: Schema, indices: list[int]) -> Table:
-        rows = [tuple(row[i] for i in indices) for row in src.rows]
-        return Table.trusted(schema, rows)
+        return Table.trusted(schema, map(_picker(indices), src.rows))
 
     def eval_distinct(self, src: Table) -> Table:
         seen = set()
@@ -392,62 +472,53 @@ class Interpreter:
         src: Table,
         schema: Schema,
         keys: list[int],
-        computes: list[tuple[str, Optional[int]]],
+        computes: list[tuple[str, Optional[int], Optional[Callable]]],
         location,
     ) -> Table:
         """One output row per distinct group key, in order of first
-        appearance; ``computes`` pairs each function with its argument
-        column (None for COUNT). An empty GROUP_BY aggregates the whole
-        table into a single row even when the table is empty."""
+        appearance; ``computes`` gives each function with its argument
+        column (None for COUNT) and, for SUM and AVG, the addition kernel.
+        An empty GROUP_BY aggregates the whole table into a single row
+        even when the table is empty."""
         groups: dict[Row, list[Row]] = {}
+        group_of = _picker(keys)
         for row in src.rows:
             self._tick()
-            groups.setdefault(tuple(row[i] for i in keys), []).append(row)
+            groups.setdefault(group_of(row), []).append(row)
         if not keys:
             groups.setdefault((), [])
         rows = []
         for key, members in groups.items():
             cells = list(key)
-            for fn, index in computes:
-                cells.append(self._aggregate_value(fn, index, members, location))
+            for fn, index, add in computes:
+                cells.append(self._aggregate_value(fn, index, add, members, location))
             rows.append(tuple(cells))
         return Table.trusted(schema, rows)
 
     def _aggregate_value(
-        self, fn: str, index: Optional[int], members: list[Row], location
+        self, fn: str, index: Optional[int], add, members: list[Row], location
     ) -> Cell:
         if fn == "COUNT":
             return len(members)
         values = [row[index] for row in members if row[index] is not None]
         if not values:
             return None
+        # every value has the column's type, so MIN and MAX compare
+        # directly; both keep the first of equal values
+        if fn == "MIN":
+            return min(values)
+        if fn == "MAX":
+            return max(values)
         try:
             if fn == "SUM":
-                total: Cell = values[0]
-                for value in values[1:]:
-                    total = add_values(total, value)
-                return total
-            if fn == "AVG":
-                total = Decimal(0)
-                for value in values:
-                    total = add_values(total, value)
-                scale = decimal_scale(total) + DIVISION_EXTRA_SCALE
-                return decimal_divide(total, Decimal(len(values)), scale)
-            if fn == "MIN":
-                best = values[0]
-                for value in values[1:]:
-                    if compare_values(value, best) < 0:
-                        best = value
-                return best
-            if fn == "MAX":
-                best = values[0]
-                for value in values[1:]:
-                    if compare_values(value, best) > 0:
-                        best = value
-                return best
+                return reduce(add, values)
+            total = reduce(add, values, Decimal(0))
+            scale = decimal_scale(total) + DIVISION_EXTRA_SCALE
+            return decimal_divide(total, len(values), scale)
         except ExecutionError as exc:
             raise exc.at(location)
-        raise AssertionError(f"unhandled aggregate {fn}")
+        except decimal.Inexact:
+            raise ConversionError("DECIMAL overflow in addition", location) from None
 
     # -- resource guards -------------------------------------------------------
 
@@ -465,118 +536,192 @@ class Interpreter:
             )
 
 
+def _picker(indices: list[int]) -> Callable[[Row], Row]:
+    """A function from a row to the tuple of its cells at ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (only,) = indices
+        return lambda row: (row[only],)
+    return lambda row: ()
+
+
 # -- compiling expressions ----------------------------------------------------
 # Each expression becomes a closure from a row tuple to a cell, with every
-# column reference bound to its index. A failing operator or call raises
-# with its own node's location, so the innermost failing node names it.
+# column reference bound to its index and every operator bound to the
+# kernel for the operand types the validator proved, so the only per-row
+# branch left is the null check. A failing operator or call raises with
+# its own node's location, so the innermost failing node names it.
 
 
-def _compile_expr(expr: ast.Expr, schema: Optional[Schema]) -> Callable[[Row], Cell]:
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, ast.ColumnRef):
-        return itemgetter(schema.index_of(expr.name))
+def _compile_expr(
+    expr: ast.Expr, schema: Optional[Schema], types: dict[int, ValueType]
+) -> Callable[[Row], Cell]:
+    return _EXPR_COMPILERS[type(expr)](expr, schema, types)
+
+
+def _literal(expr: ast.Literal, schema, types):
+    value = expr.value
+    return lambda row: value
+
+
+def _column(expr: ast.ColumnRef, schema, types):
+    return itemgetter(schema.index_of(expr.name))
+
+
+def _neg(expr: ast.Neg, schema, types):
     location = expr.location
-    if isinstance(expr, ast.Neg):
-        operand = _compile_expr(expr.operand, schema)
+    operand = _compile_expr(expr.operand, schema, types)
+    kernel = NEGATION_KERNELS[types[id(expr)]]
 
-        def neg(row):
-            value = operand(row)
-            try:
-                return negate_value(value)
-            except ExecutionError as exc:
-                raise exc.at(location) from None
+    def neg(row):
+        value = operand(row)
+        if value is None:
+            return None
+        try:
+            return kernel(value)
+        except ExecutionError as exc:
+            raise exc.at(location) from None
+        except decimal.Inexact:
+            raise ConversionError("DECIMAL overflow in negation", location) from None
 
-        return neg
-    if isinstance(expr, ast.BinaryOp):
-        left = _compile_expr(expr.left, schema)
-        right = _compile_expr(expr.right, schema)
-        fn = _ARITHMETIC[expr.op]
+    return neg
 
-        def arithmetic(row):
-            a, b = left(row), right(row)
-            try:
-                return fn(a, b)
-            except ExecutionError as exc:
-                raise exc.at(location) from None
 
-        return arithmetic
-    if isinstance(expr, ast.Comparison):
-        left = _compile_expr(expr.left, schema)
-        right = _compile_expr(expr.right, schema)
-        holds = _COMPARISON_RESULTS[expr.op]
+def _arithmetic(expr: ast.BinaryOp, schema, types):
+    location = expr.location
+    left = _compile_expr(expr.left, schema, types)
+    right = _compile_expr(expr.right, schema, types)
+    kernel = ARITHMETIC_KERNELS[expr.op, types[id(expr)]]
+    overflow = f"DECIMAL overflow in {OPERATION_NAMES[expr.op]}"
 
-        def comparison(row):
-            a, b = left(row), right(row)
-            if a is None or b is None:
-                return None
-            return holds(compare_values(a, b))
+    def arithmetic(row):
+        a = left(row)
+        b = right(row)
+        if a is None or b is None:
+            return None
+        try:
+            return kernel(a, b)
+        except ExecutionError as exc:
+            raise exc.at(location) from None
+        except decimal.Inexact:
+            raise ConversionError(overflow, location) from None
 
-        return comparison
-    if isinstance(expr, ast.BoolOp):
-        left = _compile_expr(expr.left, schema)
-        right = _compile_expr(expr.right, schema)
-        if expr.op == "AND":
+    return arithmetic
 
-            def conjunction(row):
-                a = left(row)
-                if a is False:
-                    return False
-                b = right(row)
-                if b is False:
-                    return False
-                return None if a is None or b is None else True
 
-            return conjunction
+# The validator admits only same-type and INT/DECIMAL pairs, and for
+# those Python's own ordering is the language's.
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+}
 
-        def disjunction(row):
+
+def _comparison(expr: ast.Comparison, schema, types):
+    left = _compile_expr(expr.left, schema, types)
+    right = _compile_expr(expr.right, schema, types)
+    holds = _COMPARISONS[expr.op]
+
+    def comparison(row):
+        a = left(row)
+        b = right(row)
+        if a is None or b is None:
+            return None
+        return holds(a, b)
+
+    return comparison
+
+
+def _bool_op(expr: ast.BoolOp, schema, types):
+    left = _compile_expr(expr.left, schema, types)
+    right = _compile_expr(expr.right, schema, types)
+    if expr.op == "AND":
+
+        def conjunction(row):
             a = left(row)
-            if a is True:
-                return True
+            if a is False:
+                return False
             b = right(row)
-            if b is True:
-                return True
-            return None if a is None or b is None else False
+            if b is False:
+                return False
+            return None if a is None or b is None else True
 
-        return disjunction
-    if isinstance(expr, ast.Not):
-        operand = _compile_expr(expr.operand, schema)
+        return conjunction
 
-        def negation(row):
-            value = operand(row)
-            return None if value is None else not value
+    def disjunction(row):
+        a = left(row)
+        if a is True:
+            return True
+        b = right(row)
+        if b is True:
+            return True
+        return None if a is None or b is None else False
 
-        return negation
-    if isinstance(expr, ast.Call):
-        name = expr.name
-        args = [_compile_expr(arg, schema) for arg in expr.args]
+    return disjunction
+
+
+def _not(expr: ast.Not, schema, types):
+    operand = _compile_expr(expr.operand, schema, types)
+
+    def negation(row):
+        value = operand(row)
+        return None if value is None else not value
+
+    return negation
+
+
+def _call(expr: ast.Call, schema, types):
+    # call_builtin is read as a global per call, not captured, so that a
+    # profiler can wrap anka.interpreter.call_builtin. Builtins take one
+    # to three arguments, and each arity has its own closure, so no
+    # per-row loop gathers them.
+    location, name = expr.location, expr.name
+    args = [_compile_expr(arg, schema, types) for arg in expr.args]
+    if len(args) == 1:
+        (first,) = args
 
         def call(row):
-            values = [arg(row) for arg in args]
+            values = [first(row)]
             try:
-                # a global read per call, not a captured function, so that
-                # a profiler can wrap anka.interpreter.call_builtin
                 return call_builtin(name, values)
             except ExecutionError as exc:
                 raise exc.at(location) from None
 
-        return call
-    raise AssertionError(f"unhandled expression {type(expr).__name__}")
+    elif len(args) == 2:
+        first, second = args
+
+        def call(row):
+            values = [first(row), second(row)]
+            try:
+                return call_builtin(name, values)
+            except ExecutionError as exc:
+                raise exc.at(location) from None
+
+    else:
+        first, second, third = args
+
+        def call(row):
+            values = [first(row), second(row), third(row)]
+            try:
+                return call_builtin(name, values)
+            except ExecutionError as exc:
+                raise exc.at(location) from None
+
+    return call
 
 
-_ARITHMETIC = {
-    "+": add_values,
-    "-": subtract_values,
-    "*": multiply_values,
-    "/": divide_values,
-}
-
-_COMPARISON_RESULTS = {
-    "==": lambda order: order == 0,
-    "!=": lambda order: order != 0,
-    ">": lambda order: order > 0,
-    ">=": lambda order: order >= 0,
-    "<": lambda order: order < 0,
-    "<=": lambda order: order <= 0,
+_EXPR_COMPILERS = {
+    ast.Literal: _literal,
+    ast.ColumnRef: _column,
+    ast.Neg: _neg,
+    ast.BinaryOp: _arithmetic,
+    ast.Comparison: _comparison,
+    ast.BoolOp: _bool_op,
+    ast.Not: _not,
+    ast.Call: _call,
 }

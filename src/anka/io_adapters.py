@@ -16,17 +16,18 @@ import json
 import urllib.error
 import urllib.request
 from decimal import Decimal
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 from anka.errors import ConversionError, HttpError, IoError
 from anka.values import (
+    CELL_FORMATTERS,
     Cell,
     Schema,
     Table,
     ValueType,
     check_decimal,
     check_int,
-    format_cell,
     parse_date,
     parse_datetime,
     parse_decimal,
@@ -44,25 +45,30 @@ DEFAULT_HTTP_TIMEOUT = 10.0
 def table_to_json(table: Table) -> bytes:
     """Encode as a JSON array of objects, fields in schema order.
     DECIMAL cells become strings so no precision is lost in transit."""
-    rows = []
-    for row in table.rows:
-        obj = {}
-        for field, cell in zip(table.schema.fields, row):
-            obj[field.name] = _json_cell(cell)
-        rows.append(obj)
+    names = table.schema.names()
+    rows = [dict(zip(names, row)) for row in _formatted_rows(table, _JSON_NATIVE)]
     return (json.dumps(rows, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _json_cell(cell: Cell):
-    if cell is None:
-        return None
-    if isinstance(cell, bool) or isinstance(cell, int):
-        return cell
-    if isinstance(cell, Decimal):
-        return format(cell, "f")
-    if isinstance(cell, str):
-        return cell
-    return format_cell(cell)
+# the column types whose cells JSON writes as they are
+_JSON_NATIVE = frozenset({ValueType.INT, ValueType.BOOL, ValueType.STRING})
+
+
+def _formatted_rows(table: Table, native: frozenset) -> Iterable[tuple]:
+    """The table's rows, each cell of a column whose type is not in
+    ``native`` replaced by its text form; nulls stay None. The formatter
+    is picked once per column, and applied a column at a time."""
+    formats = [
+        (i, CELL_FORMATTERS[field.type])
+        for i, field in enumerate(table.schema.fields)
+        if field.type not in native
+    ]
+    if not formats or not table.rows:
+        return table.rows
+    columns = list(zip(*table.rows))
+    for i, text in formats:
+        columns[i] = [None if cell is None else text(cell) for cell in columns[i]]
+    return zip(*columns)
 
 
 def _reject_constant(text: str):
@@ -175,9 +181,13 @@ def table_to_csv(table: Table) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(table.schema.names())
-    for row in table.rows:
-        writer.writerow(["" if cell is None else format_cell(cell) for cell in row])
+    writer.writerows(_formatted_rows(table, _CSV_NATIVE))
     return buf.getvalue().encode("utf-8")
+
+
+# the column types whose text form is str(), which the CSV writer applies
+# itself; it writes null as an empty field
+_CSV_NATIVE = frozenset(t for t, text in CELL_FORMATTERS.items() if text is str)
 
 
 def table_from_csv(data: bytes, schema: Schema) -> Table:
@@ -189,6 +199,23 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConversionError(f"CSV input is not valid UTF-8: {exc}") from None
+    parsers = [_CSV_PARSERS.get(field.type) for field in schema.fields]
+    try:
+        rows = _csv_by_columns(text, schema, parsers)
+    except (ConversionError, csv.Error):
+        rows = None
+    if rows is None:
+        # row by row, so the first failing cell is reported with its line
+        rows = _csv_by_rows(text, schema, parsers)
+    return Table.trusted(schema, rows)
+
+
+_CSV_CHUNK_ROWS = 1024
+
+
+def _csv_reader(text: str, schema: Schema):
+    """A reader over ``text`` past its header row, which must hold the
+    schema's names in order."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -199,7 +226,32 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
         raise ConversionError(
             f"line 1: header mismatch: expected {expected}, got {header}"
         )
-    parsers = [_CSV_PARSERS.get(field.type) for field in schema.fields]
+    return reader
+
+
+def _csv_by_columns(text: str, schema: Schema, parsers) -> Optional[list]:
+    """The rows of well-formed CSV, decoded a chunk of records at a time
+    with one loop per column and its parser. None when a record is blank
+    or has the wrong number of fields; a failing cell raises, without
+    its line. The row-by-row reading handles both."""
+    reader = _csv_reader(text, schema)
+    arity = {len(schema)}
+    rows: list = []
+    while True:
+        chunk = list(islice(reader, _CSV_CHUNK_ROWS))
+        if not chunk:
+            return rows
+        if set(map(len, chunk)) != arity:
+            return None
+        columns = [
+            column if parse is None else [parse(raw) if raw else None for raw in column]
+            for parse, column in zip(parsers, zip(*chunk))
+        ]
+        rows.extend(zip(*columns))
+
+
+def _csv_by_rows(text: str, schema: Schema, parsers) -> list:
+    reader = _csv_reader(text, schema)
     rows = []
     for record in reader:
         line = reader.line_num
@@ -223,7 +275,7 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
                     f"line {line}, field '{field.name}': {exc.message}"
                 ) from None
         rows.append(tuple(row))
-    return Table.trusted(schema, rows)
+    return rows
 
 
 def _csv_bool(raw: str) -> bool:

@@ -50,14 +50,16 @@ class Binding:
 
 class ValidationResult:
     """Outcome of ``validate``: the final bindings, the diagnostics, and
-    the schemas each statement resolved, which the interpreter runs on.
+    the schemas and types each statement resolved, which the interpreter
+    runs on.
 
     ``sources`` maps a statement that reads datasets to their schemas, in
     the order it names them; ``outputs`` maps a data statement to the
-    schema it binds. Both are keyed by ``id(stmt)``, not by the statement:
-    statements that compare equal (locations take no part in equality)
-    can see different schemas, as the same text in a TRY body and in its
-    handler can.
+    schema it binds; ``types`` maps each arithmetic node (``BinaryOp`` and
+    ``Neg``) to its result type, which picks its kernel. All three are
+    keyed by ``id(node)``, not by the node: nodes that compare equal
+    (locations take no part in equality) can see different schemas, as
+    the same text in a TRY body and in its handler can.
     """
 
     def __init__(
@@ -67,12 +69,14 @@ class ValidationResult:
         output_schema: Optional[Schema],
         sources: dict[int, list[Optional[Schema]]],
         outputs: dict[int, Optional[Schema]],
+        types: dict[int, ValueType],
     ) -> None:
         self.environment = environment
         self.errors = errors
         self.output_schema = output_schema
         self.sources = sources
         self.outputs = outputs
+        self.types = types
 
     @property
     def ok(self) -> bool:
@@ -125,7 +129,12 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
         output_schema = env[pipeline.output].schema
 
     result = ValidationResult(
-        env, checker.errors, output_schema, checker.sources, checker.outputs
+        env,
+        checker.errors,
+        output_schema,
+        checker.sources,
+        checker.outputs,
+        checker.types,
     )
     pipeline.__dict__[_MEMO] = result
     return result
@@ -147,6 +156,7 @@ class _Checker:
         self.errors: list[ValidationError] = []
         self.sources: dict[int, list[Optional[Schema]]] = {}
         self.outputs: dict[int, Optional[Schema]] = {}
+        self.types: dict[int, ValueType] = {}
 
     def error(self, kind: ValidationKind, message: str, location: SourceLocation) -> None:
         self.errors.append(ValidationError(kind, message, location))
@@ -590,6 +600,7 @@ class _Checker:
                     expr.location,
                 )
                 return None
+            self.types[id(expr)] = inner
             return inner
         if isinstance(expr, ast.BinaryOp):
             left = self.typecheck(expr.left, schema)
@@ -604,9 +615,10 @@ class _Checker:
                     expr.location,
                 )
                 return None
-            if left is ValueType.INT and right is ValueType.INT:
-                return ValueType.INT
-            return ValueType.DECIMAL
+            both_int = left is ValueType.INT and right is ValueType.INT
+            result = ValueType.INT if both_int else ValueType.DECIMAL
+            self.types[id(expr)] = result
+            return result
         if isinstance(expr, ast.Comparison):
             left = self.typecheck(expr.left, schema)
             right = self.typecheck(expr.right, schema)

@@ -22,8 +22,7 @@ import enum
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from anka.errors import (
     ConversionError,
@@ -302,6 +301,9 @@ def table_equal(left: Table, right: Table) -> bool:
 # past 9 exponent digits Decimal() itself fails
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_TEXT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,9})?")
+# plain decimal text that check_decimal admits unchanged: at most 37
+# digits, at most 10 of them after the point, no exponent
+_PLAIN_DECIMAL_TEXT = re.compile(r"-?[0-9]{1,27}(?:\.[0-9]{1,10})?")
 
 
 def clip_text(text: str) -> str:
@@ -311,6 +313,8 @@ def clip_text(text: str) -> str:
 
 def parse_int(text: str) -> int:
     """Parse an optional sign and ASCII digits into a 64-bit INT."""
+    if len(text) <= 18 and text.isdigit() and text.isascii():
+        return int(text)  # plain digits the grammar admits, all in range
     if not _INT_TEXT.fullmatch(text):
         raise ConversionError(f"cannot parse {clip_text(text)!r} as INT")
     # int() fails past 4300 digits, and 20 are out of range already
@@ -330,6 +334,8 @@ def check_int(value: int, text: Optional[str] = None) -> int:
 
 def parse_decimal(text: str) -> Decimal:
     """Parse ASCII decimal text, with an optional exponent, exactly."""
+    if _PLAIN_DECIMAL_TEXT.fullmatch(text):
+        return Decimal(text)
     if not _DECIMAL_TEXT.fullmatch(text):
         raise ConversionError(f"malformed DECIMAL value {clip_text(text)!r}")
     return check_decimal(Decimal(text), text)
@@ -354,8 +360,22 @@ def check_decimal(value: Decimal, text: Optional[str] = None) -> Decimal:
 
 
 # ---------------------------------------------------------------------------
-# Decimal and integer arithmetic
+# Arithmetic kernels. The validator proves each operator's operand types,
+# so the interpreter picks one kernel per operator when it compiles a
+# plan: INT op INT is an int operation with the 64-bit range check, and
+# any other pair goes through the exact decimal context, whose methods
+# take an INT operand exactly. Kernels never see null; their callers
+# check for it. The context methods raise decimal.Inexact where an exact
+# result needs more than 38 digits, which callers report as
+# "DECIMAL overflow in <operation>".
 # ---------------------------------------------------------------------------
+
+OPERATION_NAMES = {
+    "+": "addition",
+    "-": "subtraction",
+    "*": "multiplication",
+    "/": "division",
+}
 
 
 def decimal_scale(value: Decimal) -> int:
@@ -372,87 +392,96 @@ def _check_int64(value: int, op: str) -> int:
     return value
 
 
-def _exact(op: str, fn, *args: Decimal) -> Decimal:
-    try:
-        return fn(*args)
-    except decimal.Inexact:
-        raise ConversionError(f"DECIMAL overflow in {op}") from None
-    except decimal.Overflow:
-        raise ConversionError(f"DECIMAL overflow in {op}") from None
+def int_add(left: int, right: int) -> int:
+    value = left + right
+    if INT64_MIN <= value <= INT64_MAX:
+        return value
+    raise ConversionError("INT overflow in addition")
 
 
-def add_values(left: Cell, right: Cell) -> Cell:
-    """Numeric addition with INT->DECIMAL promotion; null propagates."""
-    if left is None or right is None:
-        return None
-    if isinstance(left, int) and isinstance(right, int):
-        return _check_int64(left + right, "addition")
-    return _exact("addition", _EXACT_CTX.add, _as_decimal(left), _as_decimal(right))
+def int_subtract(left: int, right: int) -> int:
+    value = left - right
+    if INT64_MIN <= value <= INT64_MAX:
+        return value
+    raise ConversionError("INT overflow in subtraction")
 
 
-def subtract_values(left: Cell, right: Cell) -> Cell:
-    if left is None or right is None:
-        return None
-    if isinstance(left, int) and isinstance(right, int):
-        return _check_int64(left - right, "subtraction")
-    return _exact(
-        "subtraction", _EXACT_CTX.subtract, _as_decimal(left), _as_decimal(right)
-    )
+def int_multiply(left: int, right: int) -> int:
+    value = left * right
+    if INT64_MIN <= value <= INT64_MAX:
+        return value
+    raise ConversionError("INT overflow in multiplication")
 
 
-def multiply_values(left: Cell, right: Cell) -> Cell:
-    if left is None or right is None:
-        return None
-    if isinstance(left, int) and isinstance(right, int):
-        return _check_int64(left * right, "multiplication")
-    return _exact(
-        "multiplication", _EXACT_CTX.multiply, _as_decimal(left), _as_decimal(right)
-    )
-
-
-def divide_values(left: Cell, right: Cell) -> Cell:
-    """INT / INT truncates toward zero; DECIMAL division rounds half-even
-    to scale max(operand scales) + 4. Division by zero raises."""
-    if left is None or right is None:
-        return None
-    if isinstance(left, int) and isinstance(right, int):
-        if right == 0:
-            raise DivisionByZero("division by zero")
-        quotient = abs(left) // abs(right)
-        if (left < 0) != (right < 0):
-            quotient = -quotient
-        return _check_int64(quotient, "division")
-    lv = _as_decimal(left)
-    rv = _as_decimal(right)
-    if rv == 0:
+def int_divide(left: int, right: int) -> int:
+    """INT / INT truncates toward zero."""
+    if right == 0:
         raise DivisionByZero("division by zero")
-    scale = max(decimal_scale(lv), decimal_scale(rv)) + DIVISION_EXTRA_SCALE
-    return decimal_divide(lv, rv, scale)
+    quotient = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        quotient = -quotient
+    return _check_int64(quotient, "division")
 
 
-def decimal_divide(numerator: Decimal, denominator: Decimal, scale: int) -> Decimal:
-    """Exact rational division rounded half-even to ``scale`` digits."""
-    if denominator == 0:
+def int_negate(value: int) -> int:
+    return _check_int64(-value, "negation")
+
+
+def decimal_quotient(left: Union[int, Decimal], right: Union[int, Decimal]) -> Decimal:
+    """DECIMAL division, rounded half-even to scale max(operand scales)
+    + 4; an INT operand has scale 0."""
+    if not right:
         raise DivisionByZero("division by zero")
-    exact = Fraction(numerator) / Fraction(denominator) * 10**scale
-    mantissa = round(exact)  # Fraction.__round__ is half-even
-    if len(str(abs(mantissa))) > DECIMAL_PRECISION:
+    scale = max(
+        0 if isinstance(left, int) else decimal_scale(left),
+        0 if isinstance(right, int) else decimal_scale(right),
+    )
+    return decimal_divide(left, right, scale + DIVISION_EXTRA_SCALE)
+
+
+_MANTISSA_LIMIT = 10**DECIMAL_PRECISION
+
+
+def decimal_divide(
+    numerator: Union[int, Decimal], denominator: Union[int, Decimal], scale: int
+) -> Decimal:
+    """Exact rational division rounded half-even to ``scale`` digits,
+    in integer arithmetic."""
+    top, below = numerator.as_integer_ratio()
+    bottom, above = denominator.as_integer_ratio()
+    if bottom == 0:
+        raise DivisionByZero("division by zero")
+    # numerator / denominator * 10**scale == top * above * 10**scale / (below * bottom)
+    top *= above * 10**scale
+    bottom *= below
+    if bottom < 0:
+        top, bottom = -top, -bottom
+    mantissa, rest = divmod(top, bottom)  # floors, so 0 <= rest < bottom
+    rest *= 2
+    if rest > bottom or (rest == bottom and mantissa & 1):
+        mantissa += 1
+    if not -_MANTISSA_LIMIT < mantissa < _MANTISSA_LIMIT:
         raise ConversionError("DECIMAL overflow in division")
     return Decimal(mantissa).scaleb(-scale, context=_EXACT_CTX)
 
 
-def negate_value(value: Cell) -> Cell:
-    if value is None:
-        return None
-    if isinstance(value, int):
-        return _check_int64(-value, "negation")
-    return _exact("negation", _EXACT_CTX.minus, value)
+# Kernel per operator and result type: the result type is INT exactly
+# when both operands are INT.
+ARITHMETIC_KERNELS: dict[tuple[str, ValueType], Callable[[Cell, Cell], Cell]] = {
+    ("+", ValueType.INT): int_add,
+    ("-", ValueType.INT): int_subtract,
+    ("*", ValueType.INT): int_multiply,
+    ("/", ValueType.INT): int_divide,
+    ("+", ValueType.DECIMAL): _EXACT_CTX.add,
+    ("-", ValueType.DECIMAL): _EXACT_CTX.subtract,
+    ("*", ValueType.DECIMAL): _EXACT_CTX.multiply,
+    ("/", ValueType.DECIMAL): decimal_quotient,
+}
 
-
-def _as_decimal(value: Cell) -> Decimal:
-    if isinstance(value, Decimal):
-        return value
-    return Decimal(value)
+NEGATION_KERNELS: dict[ValueType, Callable[[Cell], Cell]] = {
+    ValueType.INT: int_negate,
+    ValueType.DECIMAL: _EXACT_CTX.minus,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +512,20 @@ def parse_datetime(text: str) -> datetime.datetime:
         raise ConversionError(f"invalid DATETIME value {text!r}") from None
 
 
+# The text form of each type, as TO_STRING and CSV write it; encoders
+# pick one per column. str() of a date is its ISO form.
+CELL_FORMATTERS: dict[ValueType, Callable[[Cell], str]] = {
+    ValueType.INT: str,
+    ValueType.STRING: str,
+    ValueType.DECIMAL: lambda value: format(value, "f"),
+    ValueType.BOOL: lambda value: "true" if value else "false",
+    ValueType.DATE: str,
+    ValueType.DATETIME: lambda value: value.strftime("%Y-%m-%dT%H:%M:%S"),
+}
+
+
 def format_cell(value: Cell) -> str:
-    """Canonical text form of a cell, as used by TO_STRING and CSV."""
+    """Canonical text form of a cell, as used by TO_STRING."""
     if value is None:
         raise ConversionError("cannot format null")
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, datetime.datetime):
-        return value.strftime("%Y-%m-%dT%H:%M:%S")
-    if isinstance(value, datetime.date):
-        return value.isoformat()
-    if isinstance(value, Decimal):
-        return format(value, "f")
-    return str(value)
+    return CELL_FORMATTERS[value_type_of(value)](value)

@@ -30,12 +30,10 @@ from anka.io_adapters import (
 from anka.parser import parse
 from anka.validator import validate
 from anka.values import (
+    ARITHMETIC_KERNELS,
     ValueType as VT,
-    add_values,
     make_table,
-    multiply_values,
     schema_of,
-    subtract_values,
     table_equal,
 )
 
@@ -203,11 +201,12 @@ def test_criterion_06_decimal_exactness():
     with criterion(6, "decimal add/subtract identity and exact 8% products"):
         rng = random.Random(0xDEC)
         rate = Decimal("0.08")
+        add, subtract, multiply = (ARITHMETIC_KERNELS[op, VT.DECIMAL] for op in "+-*")
         for _ in range(1_000):
             a = Decimal(rng.randint(-10**9, 10**9)).scaleb(-rng.randint(0, 4))
             b = Decimal(rng.randint(-10**9, 10**9)).scaleb(-rng.randint(0, 4))
-            assert subtract_values(add_values(a, b), b) == a
-            product = multiply_values(a, rate)
+            assert subtract(add(a, b), b) == a
+            product = multiply(a, rate)
             text = str(product)
             assert Decimal(text) == product
             assert str(Decimal(text)) == text

@@ -19,7 +19,14 @@ from anka.interpreter import run_pipeline
 from anka.io_adapters import IoAdapter
 from anka.parser import parse
 from anka.validator import ValidationException, validate
-from anka.values import Table, ValueType as VT, make_table, schema_of, table_equal
+from anka.values import (
+    ARITHMETIC_KERNELS,
+    Table,
+    ValueType as VT,
+    make_table,
+    schema_of,
+    table_equal,
+)
 
 D = Decimal
 
@@ -759,7 +766,7 @@ class TestTrustedTables:
 
     def test_operator_outputs_are_not_rechecked(self, monkeypatch):
         # an ill-typed INT + INT result passes through unchecked ...
-        monkeypatch.setitem(interpreter._ARITHMETIC, "+", lambda a, b: str(a + b))
+        monkeypatch.setitem(ARITHMETIC_KERNELS, ("+", VT.INT), lambda a, b: str(a + b))
         table = make_table(schema_of(("a", VT.INT)), [(1,)])
         assert simple("MAP t WITH b => a + a INTO result", table).rows == ((1, "2"),)
 
@@ -767,7 +774,7 @@ class TestTrustedTables:
         self, checked_tables, monkeypatch
     ):
         # ... and the fixture that criteria 04 and 05 run under catches it
-        monkeypatch.setitem(interpreter._ARITHMETIC, "+", lambda a, b: str(a + b))
+        monkeypatch.setitem(ARITHMETIC_KERNELS, ("+", VT.INT), lambda a, b: str(a + b))
         table = make_table(schema_of(("a", VT.INT)), [(1,)])
         with pytest.raises(TableError, match="column 'b': expected INT, got STRING"):
             simple("MAP t WITH b => a + a INTO result", table)

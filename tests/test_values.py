@@ -7,22 +7,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anka.errors import ConversionError, DivisionByZero, IncomparableError, TableError
+from anka.interpreter import run_pipeline
+from anka.parser import parse
 from anka.values import (
+    ARITHMETIC_KERNELS,
     Schema,
     ValueType,
-    add_values,
     check_decimal,
     check_int,
     compare_values,
     decimal_scale,
-    divide_values,
     make_table,
-    multiply_values,
     parse_date,
     parse_datetime,
     parse_decimal,
     parse_int,
-    subtract_values,
     table_equal,
     schema_of,
 )
@@ -191,14 +190,23 @@ class TestCompareValues:
         assert compare_values(a, b) == -compare_values(b, a)
 
 
+ADD = ARITHMETIC_KERNELS["+", ValueType.DECIMAL]
+SUBTRACT = ARITHMETIC_KERNELS["-", ValueType.DECIMAL]
+MULTIPLY = ARITHMETIC_KERNELS["*", ValueType.DECIMAL]
+DIVIDE = ARITHMETIC_KERNELS["/", ValueType.DECIMAL]
+INT_DIVIDE = ARITHMETIC_KERNELS["/", ValueType.INT]
+
+
 class TestDecimalArithmetic:
+    """The kernels the interpreter picks per operator and result type."""
+
     def test_addition_keeps_worst_scale(self):
-        total = add_values(Decimal("1.50"), Decimal("2.5"))
+        total = ADD(Decimal("1.50"), Decimal("2.5"))
         assert total == Decimal("4.00")
         assert decimal_scale(total) == 2
 
     def test_multiplication_adds_scales(self):
-        product = multiply_values(Decimal("1500.00"), Decimal("0.08"))
+        product = MULTIPLY(Decimal("1500.00"), Decimal("0.08"))
         assert str(product) == "120.0000"
 
     @given(
@@ -206,38 +214,46 @@ class TestDecimalArithmetic:
         st.decimals(allow_nan=False, allow_infinity=False, places=4, min_value=-10**8, max_value=10**8),
     )
     def test_add_then_subtract_is_identity(self, a, b):
-        assert subtract_values(add_values(a, b), b) == a
+        assert SUBTRACT(ADD(a, b), b) == a
 
     def test_int_division_truncates_toward_zero(self):
-        assert divide_values(7, 2) == 3
-        assert divide_values(-7, 2) == -3
-        assert divide_values(7, -2) == -3
+        assert INT_DIVIDE(7, 2) == 3
+        assert INT_DIVIDE(-7, 2) == -3
+        assert INT_DIVIDE(7, -2) == -3
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
-            divide_values(1, 0)
+            INT_DIVIDE(1, 0)
         with pytest.raises(DivisionByZero):
-            divide_values(Decimal("1"), Decimal("0.00"))
+            DIVIDE(Decimal("1"), Decimal("0.00"))
 
     def test_decimal_division_scale_and_rounding(self):
         # scale = max(0, 0) + 4, ties round half-even
-        assert str(divide_values(Decimal("1"), Decimal("3"))) == "0.3333"
-        assert str(divide_values(Decimal("2"), Decimal("3"))) == "0.6667"
+        assert str(DIVIDE(Decimal("1"), Decimal("3"))) == "0.3333"
+        assert str(DIVIDE(Decimal("2"), Decimal("3"))) == "0.6667"
         # exact ties at the fifth digit: 1/32 = 0.03125, 3/32 = 0.09375
-        assert str(divide_values(Decimal("1"), Decimal("32"))) == "0.0312"
-        assert str(divide_values(Decimal("3"), Decimal("32"))) == "0.0938"
+        assert str(DIVIDE(Decimal("1"), Decimal("32"))) == "0.0312"
+        assert str(DIVIDE(Decimal("3"), Decimal("32"))) == "0.0938"
 
     def test_mixed_int_decimal_promotes(self):
-        assert add_values(1, Decimal("0.5")) == Decimal("1.5")
-        assert isinstance(multiply_values(2, Decimal("1.1")), Decimal)
+        assert ADD(1, Decimal("0.5")) == Decimal("1.5")
+        assert isinstance(MULTIPLY(2, Decimal("1.1")), Decimal)
+        assert str(DIVIDE(1, 4)) == "0.2500"
 
     def test_null_propagates(self):
-        assert add_values(None, 1) is None
-        assert divide_values(1, None) is None
+        # kernels never see null: the compiled operator checks first
+        schema = schema_of(("a", ValueType.INT), ("b", ValueType.DECIMAL))
+        table = make_table(schema, [(None, Decimal("1")), (1, None), (1, Decimal("2"))])
+        source = (
+            "PIPELINE p:\n INPUT t: TABLE[a: INT, b: DECIMAL]\n STEP s:\n"
+            "  MAP t WITH c => a / b + a INTO r\n OUTPUT r"
+        )
+        out = run_pipeline(parse(source), {"t": table})
+        assert out.column("c") == (None, None, Decimal("1.5000"))
 
     def test_int_overflow_raises(self):
         with pytest.raises(ConversionError, match="INT overflow"):
-            add_values(2**63 - 1, 1)
+            ARITHMETIC_KERNELS["+", ValueType.INT](2**63 - 1, 1)
 
     def test_parse_decimal_scale_cap(self):
         parse_decimal("0.0000000001")  # scale 10 is fine
