@@ -1,8 +1,9 @@
 """AST node types for pipelines, statements, and expressions.
 
-Every node carries a SourceLocation. Locations are excluded from
-equality so that a formatted-and-reparsed tree compares equal to the
-original; all semantic fields participate.
+Every node carries a SourceLocation, declared once on ``Node`` and
+passed by keyword. Locations are excluded from equality so that a
+formatted-and-reparsed tree compares equal to the original; all
+semantic fields participate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from anka.values import Schema, ValueType, format_cell
 
 @dataclass(frozen=True)
 class Node:
-    pass
+    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 # --- Expressions -----------------------------------------------------------
@@ -35,13 +36,11 @@ class Literal(Expr):
 
     value: Union[int, str, Decimal, bool, datetime.date, datetime.datetime]
     type: ValueType
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class ColumnRef(Expr):
     name: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class BinaryOp(Expr):
     op: str
     left: Expr
     right: Expr
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class Comparison(Expr):
     op: str
     left: Expr
     right: Expr
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -71,13 +68,11 @@ class BoolOp(Expr):
     op: str
     left: Expr
     right: Expr
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Not(Expr):
     operand: Expr
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,6 @@ class Neg(Expr):
     """Unary arithmetic negation."""
 
     operand: Expr
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,6 @@ class Call(Expr):
 
     name: str
     args: tuple[Expr, ...]
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 # --- Statements ------------------------------------------------------------
@@ -110,7 +103,6 @@ class Filter(Statement):
     source: str
     predicate: Expr
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -118,14 +110,12 @@ class Select(Statement):
     source: str
     columns: tuple[str, ...]
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Distinct(Statement):
     source: str
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -136,7 +126,6 @@ class Map(Statement):
     column: str
     expr: Expr
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -145,7 +134,6 @@ class Rename(Statement):
     old_name: str
     new_name: str
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,6 @@ class Drop(Statement):
     source: str
     column: str
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -164,7 +151,6 @@ class AddColumn(Statement):
     column: str
     value: Literal
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -174,7 +160,6 @@ class AggregateSpec(Node):
     fn: str
     arg: Optional[str]
     alias: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,6 @@ class Aggregate(Statement):
     group_by: tuple[str, ...]
     computes: tuple[AggregateSpec, ...]
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -192,7 +176,6 @@ class Sort(Statement):
     column: str
     descending: bool
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -200,7 +183,6 @@ class Limit(Statement):
     source: str
     count: int
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -208,7 +190,6 @@ class Skip(Statement):
     source: str
     count: int
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -219,7 +200,6 @@ class Slice(Statement):
     start: int
     stop: int
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -229,7 +209,6 @@ class Join(Statement):
     left_key: str
     right_key: str
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -239,7 +218,6 @@ class LeftJoin(Statement):
     left_key: str
     right_key: str
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -247,7 +225,6 @@ class Union(Statement):
     left: str
     right: str
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -256,7 +233,6 @@ class Read(Statement):
     format: str  # "json" | "csv"
     schema: Schema
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -264,7 +240,6 @@ class Write(Statement):
     source: str
     path: str
     format: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -272,14 +247,12 @@ class Fetch(Statement):
     url: str
     schema: Schema
     target: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Post(Statement):
     source: str
     url: str
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -287,7 +260,6 @@ class If(Statement):
     condition: Expr
     then_body: tuple[Statement, ...]
     else_body: tuple[Statement, ...]
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -295,21 +267,18 @@ class ForEach(Statement):
     var: str
     source: str
     body: tuple[Statement, ...]
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class While(Statement):
     condition: Expr
     body: tuple[Statement, ...]
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Try(Statement):
     body: tuple[Statement, ...]
     handler: tuple[Statement, ...]
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 # --- Pipeline --------------------------------------------------------------
@@ -319,14 +288,12 @@ class Try(Statement):
 class InputDecl(Node):
     name: str
     schema: Schema
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Step(Node):
     name: str
     body: tuple[Statement, ...]
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -336,7 +303,6 @@ class Pipeline(Node):
     steps: tuple[Step, ...]
     output: str
     output_location: SourceLocation = field(compare=False, kw_only=True)
-    location: SourceLocation = field(compare=False, kw_only=True)
 
 
 def statement_target(stmt: Statement) -> Optional[str]:
@@ -364,7 +330,9 @@ def ast_to_dict(node: object) -> object:
     if isinstance(node, Node):
         out: dict[str, object] = {"node": type(node).__name__}
         for f in fields(node):
-            out[f.name] = ast_to_dict(getattr(node, f.name))
+            if f.name != "location":
+                out[f.name] = ast_to_dict(getattr(node, f.name))
+        out["location"] = ast_to_dict(node.location)
         return out
     if isinstance(node, SourceLocation):
         return {"line": node.line, "column": node.column, "offset": node.offset}

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from anka.bench.suite import CATEGORIES, TaskSpec
-from anka.errors import AnkaError, ExecutionError, InputError, ParseError
+from anka.errors import ExecutionError, InputError, ParseError
 from anka.interpreter import DEFAULT_WHILE_CAP, run_pipeline
 from anka.io_adapters import IoAdapter
 from anka.parser import parse
@@ -130,10 +130,6 @@ def evaluate_sample(
                 )
             )
         except (ExecutionError, InputError) as exc:
-            return SampleResult(
-                sample_name, True, False, False, f"test {index}: {exc}"
-            )
-        except AnkaError as exc:  # defensive: no other kind should escape
             return SampleResult(
                 sample_name, True, False, False, f"test {index}: {exc}"
             )

@@ -11,9 +11,7 @@ indent deeper.
 from __future__ import annotations
 
 from anka import ast_nodes as ast
-from anka.grammar import STATEMENTS, format_expr, format_schema
-
-_KEYWORDS = {node: keyword for keyword, (node, _) in STATEMENTS.items()}
+from anka.grammar import NODE_KEYWORDS, STATEMENTS, format_expr, format_schema
 
 
 def format_ast(pipeline: ast.Pipeline) -> str:
@@ -58,7 +56,7 @@ def _emit_block(lines: list[str], body: tuple[ast.Statement, ...], indent: int) 
 
 def format_statement(stmt: ast.Statement) -> str:
     """Single-line canonical form of a data statement."""
-    keyword = _KEYWORDS.get(type(stmt))
+    keyword = NODE_KEYWORDS.get(type(stmt))
     if keyword is None:
         raise TypeError(f"cannot format statement {type(stmt).__name__}")
     parts = [keyword]

@@ -275,3 +275,6 @@ STATEMENTS = {
         ("POST", ast.Post, "source:dataset TO url:url"),
     ]
 }
+
+# Node class -> its statement keyword.
+NODE_KEYWORDS = {node: keyword for keyword, (node, _) in STATEMENTS.items()}

@@ -218,7 +218,7 @@ def _csv_reader(text: str, schema: Schema):
     schema's names in order."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
+        header = next(_records(reader))
     except StopIteration:
         raise ConversionError("CSV input is empty, expected a header row") from None
     expected = list(schema.names())
@@ -253,7 +253,7 @@ def _csv_by_columns(text: str, schema: Schema, parsers) -> Optional[list]:
 def _csv_by_rows(text: str, schema: Schema, parsers) -> list:
     reader = _csv_reader(text, schema)
     rows = []
-    for record in reader:
+    for record in _records(reader):
         line = reader.line_num
         if record == []:
             # A blank line. For single-column tables this is how a null
@@ -276,6 +276,15 @@ def _csv_by_rows(text: str, schema: Schema, parsers) -> list:
                 ) from None
         rows.append(tuple(row))
     return rows
+
+
+def _records(reader):
+    """The reader's records. A malformed one, such as a field past the
+    csv module's size limit, raises ConversionError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ConversionError(f"line {reader.line_num}: {exc}") from None
 
 
 def _csv_bool(raw: str) -> bool:

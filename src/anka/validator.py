@@ -27,6 +27,7 @@ from typing import Optional
 from anka import ast_nodes as ast
 from anka.builtins import BUILTINS
 from anka.errors import AnkaError, ValidationError, ValidationKind
+from anka.grammar import NODE_KEYWORDS, SLOTS, STATEMENTS
 from anka.location import SourceLocation
 from anka.values import NUMERIC_TYPES, Field, Schema, ValueType
 
@@ -48,6 +49,7 @@ class Binding:
     location: SourceLocation
 
 
+@dataclass(eq=False)
 class ValidationResult:
     """Outcome of ``validate``: the final bindings, the diagnostics, and
     the schemas and types each statement resolved, which the interpreter
@@ -62,21 +64,12 @@ class ValidationResult:
     the same text in a TRY body and in its handler can.
     """
 
-    def __init__(
-        self,
-        environment: dict[str, Binding],
-        errors: list[ValidationError],
-        output_schema: Optional[Schema],
-        sources: dict[int, list[Optional[Schema]]],
-        outputs: dict[int, Optional[Schema]],
-        types: dict[int, ValueType],
-    ) -> None:
-        self.environment = environment
-        self.errors = errors
-        self.output_schema = output_schema
-        self.sources = sources
-        self.outputs = outputs
-        self.types = types
+    environment: dict[str, Binding]
+    errors: list[ValidationError]
+    output_schema: Optional[Schema]
+    sources: dict[int, list[Optional[Schema]]]
+    outputs: dict[int, Optional[Schema]]
+    types: dict[int, ValueType]
 
     @property
     def ok(self) -> bool:
@@ -179,22 +172,14 @@ class _Checker:
         env: dict[str, Binding],
         row_schema: Optional[Schema],
     ) -> dict[str, Binding]:
-        if isinstance(stmt, ast.If):
-            return self._check_if(stmt, env, row_schema)
-        if isinstance(stmt, ast.ForEach):
-            return self._check_for_each(stmt, env, row_schema)
-        if isinstance(stmt, ast.While):
-            return self._check_while(stmt, env, row_schema)
-        if isinstance(stmt, ast.Try):
-            return self._check_try(stmt, env, row_schema)
-        if isinstance(stmt, (ast.Write, ast.Post)):
-            self._resolve(stmt, stmt.source, env)
-            return env
-
+        control = _CONTROL.get(type(stmt))
+        if control is not None:
+            return control(self, stmt, env, row_schema)
         schema = self.infer(stmt, env)
-        self.outputs[id(stmt)] = schema
         target = ast.statement_target(stmt)
-        assert target is not None
+        if target is None:  # WRITE and POST bind nothing
+            return env
+        self.outputs[id(stmt)] = schema
         if target in env:
             self.error(
                 ValidationKind.DUPLICATE_BINDING,
@@ -294,194 +279,141 @@ class _Checker:
     # -- per-statement schema inference --------------------------------------
 
     def infer(self, stmt: ast.Statement, env: dict[str, Binding]) -> Optional[Schema]:
-        if isinstance(stmt, (ast.Read, ast.Fetch)):
-            return stmt.schema
-        if isinstance(stmt, (ast.Join, ast.LeftJoin)):
-            return self._infer_join(stmt, env)
-        if isinstance(stmt, ast.Union):
-            left = self._resolve(stmt, stmt.left, env)
-            right = self._resolve(stmt, stmt.right, env)
-            if left is None or right is None:
-                return None
-            if left != right:
-                self.error(
-                    ValidationKind.SCHEMA_MISMATCH,
-                    f"UNION requires identical schemas, got {left!r} and {right!r}",
-                    stmt.location,
-                )
-                return None
-            return left
-
-        schema = self._resolve(stmt, stmt.source, env)
-        if schema is None:
+        """Schema a data, WRITE or POST statement yields, by its rule in
+        ``_RULES`` applied to the schemas of the datasets it reads; None
+        when any is unknown."""
+        rule, fields = _RULES[type(stmt)]
+        sources = [self._resolve(stmt, getattr(stmt, field), env) for field in fields]
+        if any(schema is None for schema in sources):
             return None
-        if isinstance(stmt, ast.Filter):
-            ptype = self.typecheck(stmt.predicate, schema)
-            if ptype is not None and ptype is not ValueType.BOOL:
-                self.error(
-                    ValidationKind.TYPE_MISMATCH,
-                    f"WHERE condition must be BOOL, got {ptype.value}",
-                    stmt.predicate.location,
-                )
-            return schema
+        return rule(self, stmt, *sources)
 
-        if isinstance(stmt, (ast.Distinct, ast.Sort, ast.Limit, ast.Skip, ast.Slice)):
-            if isinstance(stmt, ast.Sort) and not schema.has(stmt.column):
-                self.error(
-                    ValidationKind.UNKNOWN_COLUMN,
-                    f"unknown column '{stmt.column}' in '{stmt.source}'",
-                    stmt.location,
-                )
-            if isinstance(stmt, ast.Limit) and stmt.count < 0:
-                self.error(
-                    ValidationKind.TYPE_MISMATCH,
-                    f"LIMIT count must be non-negative, got {stmt.count}",
-                    stmt.location,
-                )
-            if isinstance(stmt, ast.Skip) and stmt.count < 0:
-                self.error(
-                    ValidationKind.TYPE_MISMATCH,
-                    f"SKIP count must be non-negative, got {stmt.count}",
-                    stmt.location,
-                )
-            if isinstance(stmt, ast.Slice) and (stmt.start < 0 or stmt.stop < 0):
-                self.error(
-                    ValidationKind.TYPE_MISMATCH,
-                    "SLICE bounds must be non-negative, "
-                    f"got FROM {stmt.start} TO {stmt.stop}",
-                    stmt.location,
-                )
-            return schema
+    def _known(self, schema: Schema, name: str, source: str, location: SourceLocation) -> bool:
+        if schema.has(name):
+            return True
+        self.error(
+            ValidationKind.UNKNOWN_COLUMN,
+            f"unknown column '{name}' in '{source}'",
+            location,
+        )
+        return False
 
-        if isinstance(stmt, ast.Select):
-            fields = []
-            seen = set()
-            ok = True
-            for name in stmt.columns:
-                if not schema.has(name):
-                    self.error(
-                        ValidationKind.UNKNOWN_COLUMN,
-                        f"unknown column '{name}' in '{stmt.source}'",
-                        stmt.location,
-                    )
-                    ok = False
-                    continue
-                if name in seen:
-                    self.error(
-                        ValidationKind.SCHEMA_MISMATCH,
-                        f"column '{name}' selected twice",
-                        stmt.location,
-                    )
-                    ok = False
-                    continue
-                seen.add(name)
-                fields.append(Field(name, schema.type_of(name)))
-            return Schema(fields) if ok and fields else None
-
-        if isinstance(stmt, ast.Map):
-            if schema.has(stmt.column):
-                self.error(
-                    ValidationKind.SCHEMA_MISMATCH,
-                    f"MAP cannot overwrite existing column '{stmt.column}'",
-                    stmt.location,
-                )
-                return None
-            etype = self.typecheck(stmt.expr, schema)
-            if etype is None:
-                return None
-            return Schema(tuple(schema.fields) + (Field(stmt.column, etype),))
-
-        if isinstance(stmt, ast.Rename):
-            if not schema.has(stmt.old_name):
-                self.error(
-                    ValidationKind.UNKNOWN_COLUMN,
-                    f"unknown column '{stmt.old_name}' in '{stmt.source}'",
-                    stmt.location,
-                )
-                return None
-            if stmt.new_name != stmt.old_name and schema.has(stmt.new_name):
-                self.error(
-                    ValidationKind.SCHEMA_MISMATCH,
-                    f"cannot rename to '{stmt.new_name}': column already exists",
-                    stmt.location,
-                )
-                return None
-            return Schema(
-                Field(stmt.new_name, f.type) if f.name == stmt.old_name else f
-                for f in schema.fields
-            )
-
-        if isinstance(stmt, ast.Drop):
-            if not schema.has(stmt.column):
-                self.error(
-                    ValidationKind.UNKNOWN_COLUMN,
-                    f"unknown column '{stmt.column}' in '{stmt.source}'",
-                    stmt.location,
-                )
-                return None
-            if len(schema) == 1:
-                self.error(
-                    ValidationKind.SCHEMA_MISMATCH,
-                    "cannot drop the only column of a table",
-                    stmt.location,
-                )
-                return None
-            return Schema(f for f in schema.fields if f.name != stmt.column)
-
-        if isinstance(stmt, ast.AddColumn):
-            if schema.has(stmt.column):
-                self.error(
-                    ValidationKind.SCHEMA_MISMATCH,
-                    f"ADD_COLUMN cannot overwrite existing column '{stmt.column}'",
-                    stmt.location,
-                )
-                return None
-            return Schema(
-                tuple(schema.fields) + (Field(stmt.column, stmt.value.type),)
-            )
-
-        if isinstance(stmt, ast.Aggregate):
-            return self._infer_aggregate(stmt, schema)
-        raise AssertionError(f"unhandled statement {type(stmt).__name__}")
-
-    def _infer_aggregate(self, stmt: ast.Aggregate, schema: Schema) -> Optional[Schema]:
-        fields: list[Field] = []
-        taken: set[str] = set()
+    def _columns(
+        self, stmt, schema: Schema, names: tuple[str, ...], verb: str, taken: set[str]
+    ) -> tuple[list[Field], bool]:
+        """The fields of ``names``, each known and not yet in ``taken``, and
+        whether every name was."""
+        fields = []
         ok = True
-        for name in stmt.group_by:
-            if not schema.has(name):
-                self.error(
-                    ValidationKind.UNKNOWN_COLUMN,
-                    f"unknown column '{name}' in '{stmt.source}'",
-                    stmt.location,
-                )
+        for name in names:
+            if not self._known(schema, name, stmt.source, stmt.location):
                 ok = False
-                continue
-            if name in taken:
+            elif name in taken:
                 self.error(
                     ValidationKind.SCHEMA_MISMATCH,
-                    f"column '{name}' grouped twice",
+                    f"column '{name}' {verb} twice",
                     stmt.location,
                 )
                 ok = False
-                continue
-            taken.add(name)
-            fields.append(Field(name, schema.type_of(name)))
+            else:
+                taken.add(name)
+                fields.append(Field(name, schema.type_of(name)))
+        return fields, ok
+
+    def _non_negative(self, stmt, what: str, shown: object, *counts: int) -> None:
+        if min(counts) < 0:
+            self.error(
+                ValidationKind.TYPE_MISMATCH,
+                f"{NODE_KEYWORDS[type(stmt)]} {what} must be non-negative, got {shown}",
+                stmt.location,
+            )
+
+    def _declared(self, stmt) -> Schema:
+        return stmt.schema
+
+    def _same(self, stmt, schema: Schema) -> Schema:
+        return schema
+
+    def _filter(self, stmt: ast.Filter, schema: Schema) -> Schema:
+        self._check_condition(stmt.predicate, schema, "WHERE")
+        return schema
+
+    def _sort(self, stmt: ast.Sort, schema: Schema) -> Schema:
+        self._known(schema, stmt.column, stmt.source, stmt.location)
+        return schema
+
+    def _limit(self, stmt, schema: Schema) -> Schema:
+        self._non_negative(stmt, "count", stmt.count, stmt.count)
+        return schema
+
+    def _slice(self, stmt: ast.Slice, schema: Schema) -> Schema:
+        shown = f"FROM {stmt.start} TO {stmt.stop}"
+        self._non_negative(stmt, "bounds", shown, stmt.start, stmt.stop)
+        return schema
+
+    def _select(self, stmt: ast.Select, schema: Schema) -> Optional[Schema]:
+        fields, ok = self._columns(stmt, schema, stmt.columns, "selected", set())
+        return Schema(fields) if ok and fields else None
+
+    def _append(self, stmt, schema: Schema) -> Optional[Schema]:
+        """MAP and ADD_COLUMN: one new column after the source's."""
+        if schema.has(stmt.column):
+            self.error(
+                ValidationKind.SCHEMA_MISMATCH,
+                f"{NODE_KEYWORDS[type(stmt)]} cannot overwrite existing column '{stmt.column}'",
+                stmt.location,
+            )
+            return None
+        value = stmt.expr if isinstance(stmt, ast.Map) else stmt.value
+        vtype = self.typecheck(value, schema)
+        if vtype is None:
+            return None
+        return Schema(tuple(schema.fields) + (Field(stmt.column, vtype),))
+
+    def _rename(self, stmt: ast.Rename, schema: Schema) -> Optional[Schema]:
+        if not self._known(schema, stmt.old_name, stmt.source, stmt.location):
+            return None
+        if stmt.new_name != stmt.old_name and schema.has(stmt.new_name):
+            self.error(
+                ValidationKind.SCHEMA_MISMATCH,
+                f"cannot rename to '{stmt.new_name}': column already exists",
+                stmt.location,
+            )
+            return None
+        return Schema(
+            Field(stmt.new_name, f.type) if f.name == stmt.old_name else f
+            for f in schema.fields
+        )
+
+    def _drop(self, stmt: ast.Drop, schema: Schema) -> Optional[Schema]:
+        if not self._known(schema, stmt.column, stmt.source, stmt.location):
+            return None
+        if len(schema) == 1:
+            self.error(
+                ValidationKind.SCHEMA_MISMATCH,
+                "cannot drop the only column of a table",
+                stmt.location,
+            )
+            return None
+        return Schema(f for f in schema.fields if f.name != stmt.column)
+
+    def _aggregate(self, stmt: ast.Aggregate, schema: Schema) -> Optional[Schema]:
+        taken: set[str] = set()
+        fields, ok = self._columns(stmt, schema, stmt.group_by, "grouped", taken)
         for spec in stmt.computes:
             result_type = self._aggregate_result_type(spec, schema, stmt.source)
             if result_type is None:
                 ok = False
-                continue
-            if spec.alias in taken:
+            elif spec.alias in taken:
                 self.error(
                     ValidationKind.SCHEMA_MISMATCH,
                     f"duplicate aggregate output column '{spec.alias}'",
                     spec.location,
                 )
                 ok = False
-                continue
-            taken.add(spec.alias)
-            fields.append(Field(spec.alias, result_type))
+            else:
+                taken.add(spec.alias)
+                fields.append(Field(spec.alias, result_type))
         return Schema(fields) if ok and fields else None
 
     def _aggregate_result_type(
@@ -489,13 +421,7 @@ class _Checker:
     ) -> Optional[ValueType]:
         if spec.fn == "COUNT":
             return ValueType.INT
-        assert spec.arg is not None
-        if not schema.has(spec.arg):
-            self.error(
-                ValidationKind.UNKNOWN_COLUMN,
-                f"unknown column '{spec.arg}' in '{source}'",
-                spec.location,
-            )
+        if not self._known(schema, spec.arg, source, spec.location):
             return None
         arg_type = schema.type_of(spec.arg)
         if spec.fn in ("SUM", "AVG"):
@@ -508,38 +434,19 @@ class _Checker:
                 )
                 return None
             return ValueType.DECIMAL if spec.fn == "AVG" else arg_type
-        if spec.fn in ("MIN", "MAX"):
-            if arg_type not in _MINMAX_TYPES:
-                self.error(
-                    ValidationKind.TYPE_MISMATCH,
-                    f"{spec.fn} cannot aggregate a {arg_type.value} column",
-                    spec.location,
-                )
-                return None
-            return arg_type
-        raise AssertionError(f"unhandled aggregate {spec.fn}")
-
-    def _infer_join(self, stmt, env: dict[str, Binding]) -> Optional[Schema]:
-        left = self._resolve(stmt, stmt.left, env)
-        right = self._resolve(stmt, stmt.right, env)
-        if left is None or right is None:
+        if arg_type not in _MINMAX_TYPES:  # MIN or MAX
+            self.error(
+                ValidationKind.TYPE_MISMATCH,
+                f"{spec.fn} cannot aggregate a {arg_type.value} column",
+                spec.location,
+            )
             return None
-        ok = True
-        if not left.has(stmt.left_key):
-            self.error(
-                ValidationKind.UNKNOWN_COLUMN,
-                f"unknown column '{stmt.left_key}' in '{stmt.left}'",
-                stmt.location,
-            )
-            ok = False
-        if not right.has(stmt.right_key):
-            self.error(
-                ValidationKind.UNKNOWN_COLUMN,
-                f"unknown column '{stmt.right_key}' in '{stmt.right}'",
-                stmt.location,
-            )
-            ok = False
-        if not ok:
+        return arg_type
+
+    def _join(self, stmt, left: Schema, right: Schema) -> Optional[Schema]:
+        # both keys are checked, so both can be reported
+        ok = self._known(left, stmt.left_key, stmt.left, stmt.location)
+        if not self._known(right, stmt.right_key, stmt.right, stmt.location) or not ok:
             return None
         lt = left.type_of(stmt.left_key)
         rt = right.type_of(stmt.right_key)
@@ -551,11 +458,10 @@ class _Checker:
             )
             return None
         fields = list(left.fields)
-        left_names = set(left.names())
         for f in right.fields:
             if f.name == stmt.right_key:
                 continue
-            if f.name in left_names:
+            if left.has(f.name):
                 self.error(
                     ValidationKind.SCHEMA_MISMATCH,
                     f"join would duplicate column name '{f.name}'",
@@ -565,6 +471,16 @@ class _Checker:
                 continue
             fields.append(f)
         return Schema(fields) if ok else None
+
+    def _union(self, stmt: ast.Union, left: Schema, right: Schema) -> Optional[Schema]:
+        if left != right:
+            self.error(
+                ValidationKind.SCHEMA_MISMATCH,
+                f"UNION requires identical schemas, got {left!r} and {right!r}",
+                stmt.location,
+            )
+            return None
+        return left
 
     # -- expression typing ----------------------------------------------------
 
@@ -699,3 +615,44 @@ class _Checker:
                 )
                 ok = False
         return builtin.result if ok else None
+
+
+_CONTROL = {
+    ast.If: _Checker._check_if,
+    ast.ForEach: _Checker._check_for_each,
+    ast.While: _Checker._check_while,
+    ast.Try: _Checker._check_try,
+}
+
+
+def _dataset_fields(node: type) -> tuple[str, ...]:
+    """The fields of a statement that name the datasets it reads,
+    in the order its grammar form has them."""
+    form = STATEMENTS[NODE_KEYWORDS[node]][1]
+    return tuple(part[0] for part in form
+                 if isinstance(part, tuple) and part[1] is SLOTS["dataset"])
+
+
+# Each data, WRITE or POST statement's rule, with the fields it reads
+# datasets from.
+_RULES = {node: (rule, _dataset_fields(node)) for node, rule in {
+    ast.Read: _Checker._declared,
+    ast.Fetch: _Checker._declared,
+    ast.Filter: _Checker._filter,
+    ast.Distinct: _Checker._same,
+    ast.Sort: _Checker._sort,
+    ast.Limit: _Checker._limit,
+    ast.Skip: _Checker._limit,
+    ast.Slice: _Checker._slice,
+    ast.Select: _Checker._select,
+    ast.Map: _Checker._append,
+    ast.AddColumn: _Checker._append,
+    ast.Rename: _Checker._rename,
+    ast.Drop: _Checker._drop,
+    ast.Aggregate: _Checker._aggregate,
+    ast.Join: _Checker._join,
+    ast.LeftJoin: _Checker._join,
+    ast.Union: _Checker._union,
+    ast.Write: _Checker._same,
+    ast.Post: _Checker._same,
+}.items()}

@@ -234,24 +234,6 @@ def make_table(schema: Schema, rows: Iterable[Sequence[Cell]]) -> Table:
     return Table(schema, rows)
 
 
-def values_equal(left: Cell, right: Cell) -> bool:
-    """Cell equality as used by table comparison and DISTINCT.
-
-    Null equals null. INT and DECIMAL compare numerically and exactly;
-    any other cross-type pair is unequal. Decimal equality ignores
-    trailing zeros (2.50 == 2.5).
-    """
-    if left is None or right is None:
-        return left is None and right is None
-    lt = value_type_of(left)
-    rt = value_type_of(right)
-    if lt is rt:
-        return left == right
-    if lt in NUMERIC_TYPES and rt in NUMERIC_TYPES:
-        return left == right
-    return False
-
-
 def compare_values(left: Cell, right: Cell) -> int:
     """Three-way comparison: -1, 0, or 1.
 
@@ -278,17 +260,11 @@ def compare_values(left: Cell, right: Cell) -> int:
 
 
 def table_equal(left: Table, right: Table) -> bool:
-    """Exact table equality: same schema (names, types, order) and the
-    same rows in the same order. Null equals null."""
-    if left.schema != right.schema:
-        return False
-    if len(left.rows) != len(right.rows):
-        return False
-    for lrow, rrow in zip(left.rows, right.rows):
-        for lcell, rcell in zip(lrow, rrow):
-            if not values_equal(lcell, rcell):
-                return False
-    return True
+    """Exact table equality: the same schema (names, types, order) and
+    the same rows in the same order. The cells of a column share its
+    type, so Python's ``==`` on the rows is the language's equality:
+    null equals null, and DECIMAL compares by value (2.50 equals 2.5)."""
+    return left.schema == right.schema and left.rows == right.rows
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,22 @@ random bytes decoded permissively, and keyword soup. A fixed list of
 lexer and parser edge cases (long digit runs, CRLF, non-ASCII, broken
 strings, 1000-term operator chains) complements them, and so do
 programs nested or chained either side of the parser's nesting limit.
+Semantic mutants, which mostly still parse, exercise the validator.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import re
 import string
 from pathlib import Path
 
 from anka.bench import fixture_dir
+from anka.formatter import format_ast
 from anka.lexer import KEYWORDS
+
+from pipelinegen import rand_pipeline
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -99,6 +104,62 @@ def fuzz_inputs(count: int, seed: int = 0xF0220) -> tuple[str, ...]:
             raw = bytes(rng.randrange(256) for _ in range(rng.randint(0, 120)))
             inputs.append(raw.decode("latin-1"))
     return tuple(inputs)
+
+
+# Words a semantic mutation swaps within their group.
+_SWAP_GROUPS = (
+    ("INT", "DECIMAL", "STRING", "BOOL", "DATE", "DATETIME"),
+    ("COUNT", "SUM", "AVG", "MIN", "MAX"),
+    ("TRUE", "FALSE"),
+    ("AND", "OR"),
+)
+_SWAP_WORDS = {word: group for group in _SWAP_GROUPS for word in group}
+_LITERALS = ("7", "-1", "2.5", '"text"', "TRUE", 'DATE "2024-02-29"',
+             'DATETIME "2024-02-29T12:00:00"')
+# Comments, strings, words and numbers, each a span of the source.
+_SPAN = re.compile(r'#[^\n]*|"(?:[^"\\\n]|\\.)*"|[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?')
+
+
+def _semantic_mutate(rng: random.Random, text: str) -> str:
+    """One mutation that keeps most programs parseable: swap an identifier,
+    a type, aggregate or boolean keyword, or a literal, or duplicate a line."""
+    spans = [m for m in _SPAN.finditer(text) if not m[0].startswith("#")]
+    idents = [m for m in spans
+              if (m[0][0].isalpha() or m[0][0] == "_") and m[0] not in KEYWORDS]
+    keywords = [m for m in spans if m[0] in _SWAP_WORDS]
+    literals = [m for m in spans
+                if m[0][0] in '"0123456789' or m[0] in ("TRUE", "FALSE")]
+    kind = rng.randrange(4)
+    if kind == 0 and idents:
+        names = sorted({m[0] for m in idents}) + ["fresh"]
+        m = rng.choice(idents)
+        return text[: m.start()] + rng.choice(names) + text[m.end():]
+    if kind == 1 and keywords:
+        m = rng.choice(keywords)
+        return text[: m.start()] + rng.choice(_SWAP_WORDS[m[0]]) + text[m.end():]
+    if kind == 2 and literals:
+        m = rng.choice(literals)
+        return text[: m.start()] + rng.choice(_LITERALS) + text[m.end():]
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    return "\n".join(lines[: i + 1] + lines[i:])
+
+
+@functools.cache
+def semantic_mutants(count: int = 6000, seed: int = 0x5E3A) -> tuple[str, ...]:
+    """Mutants of the corpus, the fixture samples and 300 generated
+    pipelines, one or two mutations each, that mostly still parse and so
+    reach the validator's rules."""
+    rng = random.Random(seed)
+    bases = list(corpus_sources()) + fixture_sources()
+    bases += [format_ast(rand_pipeline(random.Random(n))[0]) for n in range(300)]
+    mutants = []
+    for _ in range(count):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 2)):
+            text = _semantic_mutate(rng, text)
+        mutants.append(text)
+    return tuple(mutants)
 
 
 _EDGE_PROGRAM = (

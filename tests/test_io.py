@@ -11,6 +11,7 @@ import pytest
 
 from anka.bench import SuiteError, load_suite
 from anka.errors import ConversionError, HttpError, IoError
+from anka.interpreter import run_pipeline
 from anka.io_adapters import (
     FileOps,
     HttpOps,
@@ -20,6 +21,7 @@ from anka.io_adapters import (
     table_to_csv,
     table_to_json,
 )
+from anka.parser import parse
 from anka.values import ValueType as VT, make_table, schema_of, table_equal
 
 from generators import rand_schema, rand_table
@@ -240,6 +242,27 @@ class TestCsv:
         assert table_from_csv(b"a\r\n1\r\n", schema).rows == ((1,),)
         assert table_from_csv(b"a\n1\n", schema).rows == ((1,),)
 
+    def test_field_past_the_csv_size_limit_is_a_conversion_error(self):
+        big = b"x" * 200_000  # the csv module stops at 131,072 characters
+        schema = schema_of(("a", VT.STRING))
+        with pytest.raises(ConversionError, match="^line 2: field larger than field limit"):
+            table_from_csv(b"a\r\n" + big + b"\r\n", schema)
+        with pytest.raises(ConversionError, match="^line 1: field larger than field limit"):
+            table_from_csv(big + b"\r\n", schema)
+
+    def test_read_of_an_oversized_field_runs_on_error(self):
+        files = RecordingFileOps({"big.csv": b"a\n" + b"x" * 200_000 + b"\n",
+                                  "small.csv": b"a\nfallback\n"})
+        source = (
+            "PIPELINE p:\n STEP s:\n"
+            '  TRY READ "big.csv" AS CSV TABLE[a: STRING] INTO t\n'
+            '  ON_ERROR READ "small.csv" AS CSV TABLE[a: STRING] INTO t END_TRY\n'
+            " OUTPUT t"
+        )
+        adapter = IoAdapter(sandbox=False, file_ops=files)
+        assert run_pipeline(parse(source), {}, adapter).rows == (("fallback",),)
+        assert files.calls == [("read", "big.csv"), ("read", "small.csv")]
+
     def test_random_roundtrips_without_null_strings(self):
         rng = random.Random(778)
         for _ in range(80):
@@ -250,12 +273,13 @@ class TestCsv:
 
 
 class RecordingFileOps(FileOps):
-    def __init__(self):
+    def __init__(self, contents=None):
         self.calls = []
+        self.contents = contents or {}
 
     def read_bytes(self, path):
         self.calls.append(("read", path))
-        return b"[]"
+        return self.contents.get(path, b"[]")
 
     def write_bytes(self, path, data):
         self.calls.append(("write", path))

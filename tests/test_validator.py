@@ -1,11 +1,15 @@
 """Static analysis: inference rules, binding discipline, typing."""
 
+import hashlib
+
 import pytest
 
-from anka.errors import ValidationKind
+from anka.errors import ParseError, ValidationKind
 from anka.parser import parse
 from anka.validator import ValidationException, typecheck_expr, validate
 from anka.values import ValueType, schema_of
+
+import fuzzing
 
 REFERENCE_PIPELINE = """
 PIPELINE transform_sales:
@@ -345,3 +349,81 @@ class TestControlFlowScoping:
         )
         result = check(source)
         assert ValidationKind.DUPLICATE_BINDING in kinds(result)
+
+
+_TWO_INPUTS = "INPUT t: TABLE[a: INT, b: STRING]\n INPUT u: TABLE[k: INT, b: DATE]"
+
+# One program per rule at least, several rules firing in one statement
+# where a statement checks more than one, so their order is pinned too.
+RULE_CASES = [
+    pipeline_with("SORT t BY z DESC INTO r"),
+    pipeline_with("SELECT t COLUMNS z, a, a, y INTO r"),
+    pipeline_with("RENAME t COLUMN z TO y INTO r"),
+    pipeline_with("RENAME t COLUMN a TO b INTO r"),
+    pipeline_with("RENAME t COLUMN a TO a INTO r"),
+    pipeline_with("DROP t COLUMN z INTO r"),
+    pipeline_with("DROP t COLUMN a INTO r", inputs="INPUT t: TABLE[a: INT]"),
+    pipeline_with("MAP t WITH a => z + 1 INTO r"),
+    pipeline_with("MAP t WITH c => z + 1 INTO r"),
+    pipeline_with('ADD_COLUMN t WITH b = "x" INTO r'),
+    pipeline_with("LIMIT t TO -1 INTO r"),
+    pipeline_with("SKIP t FIRST -2 INTO r"),
+    pipeline_with("SLICE t FROM 3 TO -1 INTO r"),
+    pipeline_with("AGGREGATE t GROUP_BY z, b, b COMPUTE COUNT() AS b, SUM(y) AS s INTO r"),
+    pipeline_with("AGGREGATE t COMPUTE SUM(b) AS s, AVG(b) AS v, COUNT() AS s INTO r"),
+    pipeline_with("AGGREGATE t COMPUTE MIN(f) AS lo, MAX(f) AS hi, MIN(a) AS m INTO r",
+                  inputs="INPUT t: TABLE[a: INT, f: BOOL]"),
+    pipeline_with("JOIN t WITH u ON z == y INTO r", inputs=_TWO_INPUTS),
+    pipeline_with("LEFT_JOIN t WITH u ON a == b INTO r", inputs=_TWO_INPUTS),
+    pipeline_with("JOIN t WITH u ON a == k INTO r", inputs=_TWO_INPUTS),
+    pipeline_with("UNION t WITH u INTO r", inputs=_TWO_INPUTS),
+    pipeline_with("UNION t WITH ghost INTO r"),
+    pipeline_with("FILTER t WHERE a INTO r"),
+    pipeline_with("FILTER t WHERE b OR a > 0 AND 1 INTO r"),
+    pipeline_with("FILTER t WHERE NOT a AND -b == 1 OR a + b INTO r"),
+    pipeline_with("FILTER t WHERE a > DATE \"2024-01-01\" INTO r"),
+    pipeline_with("FILTER t WHERE UPPER(b, b) == b AND LENGTH(a) > FROB(z) INTO r"),
+    pipeline_with("IF 1 THEN DISTINCT t INTO x END_IF"),
+    pipeline_with("IF a > 0 THEN DISTINCT t INTO x END_IF"),
+    pipeline_with("WHILE 2.5 DO DISTINCT t INTO x END_WHILE"),
+    pipeline_with("FOR_EACH row IN t DO WHILE b DO DISTINCT t INTO y END_WHILE END_FOR"),
+    pipeline_with("IF TRUE THEN SELECT t COLUMNS a INTO x ELSE SELECT t COLUMNS b INTO x END_IF"),
+    pipeline_with("TRY SELECT t COLUMNS a INTO x ON_ERROR SELECT t COLUMNS b INTO x END_TRY"),
+    pipeline_with('WRITE ghost TO "x.json" AS JSON'),
+    pipeline_with("DISTINCT t INTO t"),
+    "PIPELINE p:\n INPUT t: TABLE[a: INT]\n INPUT t: TABLE[b: INT]\n"
+    " STEP s:\n  DISTINCT t INTO r\n OUTPUT ghost",
+]
+
+
+def _validator_digest(texts) -> str:
+    """SHA-256 over, for each text in turn, each diagnostic's kind,
+    message, line and column in order and the output schema, or a
+    marker for a text that does not parse."""
+    digest = hashlib.sha256()
+    for text in texts:
+        try:
+            pipeline = parse(text)
+        except ParseError:
+            record = ("parse error",)
+        else:
+            result = validate(pipeline)
+            diagnostics = [(e.kind.value, e.message, e.location.line, e.location.column)
+                           for e in result.errors]
+            record = (diagnostics, repr(result.output_schema))
+        digest.update(repr(record).encode("utf-8") + b"\0")
+    return digest.hexdigest()
+
+
+# Recorded from the validator that wrote each rule out once per statement
+# in an isinstance chain; no diagnostic may change.
+VALIDATOR_DIGESTS = {
+    "mutants": "f345068c3c85cdbad50b5383d34ece4f00efd9d53d6825451cc8828e03ed150c",
+    "rules": "3a22df32d7306a966d1e48e9f8f861e1780b82dc622074abfeca16e48f49a197",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATOR_DIGESTS))
+def test_validator_digest_unchanged(name):
+    texts = {"mutants": fuzzing.semantic_mutants, "rules": lambda: RULE_CASES}[name]()
+    assert _validator_digest(texts) == VALIDATOR_DIGESTS[name]
