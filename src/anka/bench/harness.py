@@ -14,6 +14,7 @@ name, and no timing data is embedded.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -283,10 +284,13 @@ def run_suite(
         )
 
     per_task: dict[int, list[SampleResult]] = {t: [] for t in range(len(suite))}
-    if jobs <= 1 or len(work) <= 1:
+    # pool.map queues every sample at once, so a pool may start a thread
+    # per sample: never ask for more workers than there are CPUs
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or len(work) <= 1:
         evaluated = [evaluate(item) for item in work]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             evaluated = list(pool.map(evaluate, work))
     for t, result in evaluated:
         per_task[t].append(result)

@@ -45,9 +45,21 @@ DEFAULT_HTTP_TIMEOUT = 10.0
 def table_to_json(table: Table) -> bytes:
     """Encode as a JSON array of objects, fields in schema order.
     DECIMAL cells become strings so no precision is lost in transit."""
+    if not table.rows:
+        return b"[]\n"
     names = table.schema.names()
-    rows = [dict(zip(names, row)) for row in _formatted_rows(table, _JSON_NATIVE)]
-    return (json.dumps(rows, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    # The text of json.dumps(rows, indent=2, ensure_ascii=False), which
+    # any indent sends through the pure-Python encoder: the C encoder
+    # writes each row flat, with the indent in its item separator.
+    encode = _JSON_ROW.encode
+    rows = [
+        "{\n    " + encode(dict(zip(names, row)))[1:-1] + "\n  }"
+        for row in _formatted_rows(table, _JSON_NATIVE)
+    ]
+    return ("[\n  " + ",\n  ".join(rows) + "\n]\n").encode("utf-8")
+
+
+_JSON_ROW = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": "))
 
 
 # the column types whose cells JSON writes as they are

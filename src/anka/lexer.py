@@ -5,8 +5,8 @@ and ``#`` comments are skipped; block structure comes entirely from
 keywords and colons, never from indentation.
 
 Scanning costs one regex match per token, skipped text included. Tokens
-keep their character index; line, column and byte offset are worked out
-only when a token's location is read.
+keep their character index, and so do the locations they hand out; line,
+column and byte offset are worked out only when a location is read.
 """
 
 from __future__ import annotations
@@ -82,8 +82,9 @@ _ESCAPE = re.compile(r"\\(.)")
 
 
 class _Lines:
-    """Turns a character index of one source text into a SourceLocation,
-    bisecting a table of line starts that is built on first use."""
+    """The line table of one source text: works out line, column and byte
+    offset of a character index, for a location the first time it is read,
+    bisecting a table of line starts built on first use."""
 
     __slots__ = ("source", "starts", "byte_starts")
 
@@ -92,21 +93,25 @@ class _Lines:
         self.starts: Optional[list[int]] = None
         self.byte_starts: Optional[list[int]] = None
 
-    def location(self, index: int) -> SourceLocation:
+    def position(self, index: int) -> tuple[int, int, int]:
         if self.starts is None:
             lines = self.source.split("\n")[:-1]
-            self.starts = list(accumulate((len(ln) + 1 for ln in lines), initial=0))
             if not self.source.isascii():
                 self.byte_starts = list(
                     accumulate((_utf8_len(ln) + 1 for ln in lines), initial=0)
                 )
+            # set last: a thread that sees the starts sees the byte starts
+            self.starts = list(accumulate((len(ln) + 1 for ln in lines), initial=0))
         line = bisect_right(self.starts, index)
         start = self.starts[line - 1]
         if self.byte_starts is None:
             offset = index
         else:
             offset = self.byte_starts[line - 1] + _utf8_len(self.source[start:index])
-        return SourceLocation(line, index - start + 1, offset)
+        return line, index - start + 1, offset
+
+
+_deferred = SourceLocation.deferred
 
 
 def _utf8_len(text: str) -> int:
@@ -130,7 +135,7 @@ class Token:
 
     @property
     def location(self) -> SourceLocation:
-        return self._lines.location(self.start)
+        return _deferred(self._lines, self.start)
 
     def describe(self) -> str:
         if self.kind == KIND_KEYWORD:
@@ -184,18 +189,18 @@ def _literal(kind: str, text: str, start: int, lines: _Lines) -> Token:
         except ConversionError:  # digits only, so the one failure is range
             raise ParseError(
                 f"integer literal {clip_text(text)} out of 64-bit range",
-                lines.location(start),
+                _deferred(lines, start),
             ) from None
         return Token(KIND_INT, text, start, lines, value)
     if kind == "decimal":
         try:
             value = parse_decimal(text)
         except ConversionError as exc:
-            raise ParseError(str(exc), lines.location(start)) from None
+            raise ParseError(str(exc), _deferred(lines, start)) from None
         return Token(KIND_DECIMAL, text, start, lines, value)
     if text == '"':
         raise _string_error(lines, start)
-    raise ParseError(f"unexpected character {text!r}", lines.location(start))
+    raise ParseError(f"unexpected character {text!r}", _deferred(lines, start))
 
 
 def _string_error(lines: _Lines, start: int) -> ParseError:
@@ -205,6 +210,6 @@ def _string_error(lines: _Lines, start: int) -> ParseError:
     end = _STRING_PREFIX.match(source, start + 1).end()
     if source.startswith("\\", end) and end + 1 < len(source):
         return ParseError(
-            f"invalid escape sequence '\\{source[end + 1]}'", lines.location(end + 1)
+            f"invalid escape sequence '\\{source[end + 1]}'", _deferred(lines, end + 1)
         )
-    return ParseError("unterminated string literal", lines.location(start))
+    return ParseError("unterminated string literal", _deferred(lines, start))

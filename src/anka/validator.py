@@ -162,6 +162,8 @@ class _Checker:
         env: dict[str, Binding],
         row_schema: Optional[Schema],
     ) -> dict[str, Binding]:
+        """Check ``body`` in order. Its bindings are written into ``env``,
+        which the caller hands over: a branch or loop body gets a copy."""
         for stmt in body:
             env = self.check_statement(stmt, env, row_schema)
         return env
@@ -187,7 +189,6 @@ class _Checker:
                 stmt.location,
             )
             return env
-        env = dict(env)
         env[target] = Binding(schema, PROVENANCE_INTO, stmt.location)
         return env
 
@@ -368,7 +369,7 @@ class _Checker:
         vtype = self.typecheck(value, schema)
         if vtype is None:
             return None
-        return Schema(tuple(schema.fields) + (Field(stmt.column, vtype),))
+        return schema.with_field(Field(stmt.column, vtype))
 
     def _rename(self, stmt: ast.Rename, schema: Schema) -> Optional[Schema]:
         if not self._known(schema, stmt.old_name, stmt.source, stmt.location):
@@ -380,10 +381,7 @@ class _Checker:
                 stmt.location,
             )
             return None
-        return Schema(
-            Field(stmt.new_name, f.type) if f.name == stmt.old_name else f
-            for f in schema.fields
-        )
+        return schema.renamed(stmt.old_name, stmt.new_name)
 
     def _drop(self, stmt: ast.Drop, schema: Schema) -> Optional[Schema]:
         if not self._known(schema, stmt.column, stmt.source, stmt.location):
@@ -395,7 +393,7 @@ class _Checker:
                 stmt.location,
             )
             return None
-        return Schema(f for f in schema.fields if f.name != stmt.column)
+        return schema.without(stmt.column)
 
     def _aggregate(self, stmt: ast.Aggregate, schema: Schema) -> Optional[Schema]:
         taken: set[str] = set()

@@ -22,6 +22,7 @@ import enum
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from anka.errors import (
@@ -162,6 +163,51 @@ class Schema:
 
     def type_of(self, name: str) -> ValueType:
         return self.fields[self.index_of(name)].type
+
+    # Derivations: each builds the new schema from this one's fields and
+    # name index without a pass in Python over every field, and keeps the
+    # constructor's invariants.
+
+    def with_field(self, field: Field) -> Schema:
+        """This schema with ``field`` added at the end."""
+        if field.name in self._index:
+            raise TableError(f"duplicate field name '{field.name}' in schema")
+        index = self._index.copy()
+        index[field.name] = len(self.fields)
+        return _schema(self.fields + (field,), index)
+
+    def renamed(self, old: str, new: str) -> Schema:
+        """This schema with field ``old`` named ``new``, in its place."""
+        i = self.index_of(old)
+        if new != old and new in self._index:
+            raise TableError(f"duplicate field name '{new}' in schema")
+        index = self._index.copy()
+        del index[old]
+        index[new] = i
+        fields = self.fields
+        return _schema(fields[:i] + (Field(new, fields[i].type),) + fields[i + 1 :], index)
+
+    def without(self, name: str) -> Schema:
+        """This schema with field ``name`` removed."""
+        i = self.index_of(name)
+        if len(self.fields) == 1:
+            raise TableError("schema must have at least one field")
+        fields = self.fields[:i] + self.fields[i + 1 :]
+        index = self._index.copy()
+        del index[name]
+        # every later field moves down one place
+        index.update(zip(map(_field_name, fields[i:]), range(i, len(fields))))
+        return _schema(fields, index)
+
+
+_field_name = attrgetter("name")
+
+
+def _schema(fields: tuple[Field, ...], index: dict[str, int]) -> Schema:
+    schema = object.__new__(Schema)
+    object.__setattr__(schema, "fields", fields)
+    object.__setattr__(schema, "_index", index)
+    return schema
 
 
 def schema_of(*pairs: tuple[str, ValueType]) -> Schema:

@@ -106,6 +106,29 @@ class TestJson:
         with pytest.raises(ConversionError, match="array"):
             table_from_json(b"{}", schema_of(("a", VT.INT)))
 
+    def test_text_equals_indented_dumps(self):
+        schema = schema_of(
+            ("s", VT.STRING), ("i", VT.INT), ("d", VT.DECIMAL),
+            ("b", VT.BOOL), ("day", VT.DATE), ("at", VT.DATETIME),
+        )
+        texts = [
+            "", 'quote " and \\ backslash', "new\nline\ttab\rreturn",
+            "nul \x00 bell \x07 esc \x1b del \x7f", "naïve ∆ 日本 😀 \u2028",
+        ]
+        rows = [
+            (text, n - 2**63, Decimal("-0.5000") * n, n % 2 == 0,
+             datetime.date(2024, 1, n + 1), datetime.datetime(2024, 1, 31, 23, 59, n))
+            for n, text in enumerate(texts)
+        ] + [(None,) * 6]
+        written = [
+            {"s": s, "i": i, "d": format(d, "f"), "b": b,
+             "day": day.isoformat(), "at": at.isoformat()}
+            for s, i, d, b, day, at in rows[:-1]
+        ] + [dict.fromkeys(schema.names())]
+        for table, objects in ((make_table(schema, []), []), (make_table(schema, rows), written)):
+            expected = json.dumps(objects, indent=2, ensure_ascii=False) + "\n"
+            assert table_to_json(table) == expected.encode("utf-8")
+
     def test_full_roundtrip(self):
         assert table_equal(
             table_from_json(table_to_json(FULL_TABLE), FULL_SCHEMA), FULL_TABLE

@@ -1,14 +1,17 @@
 """Tokenizer behavior: token shapes, locations, lexical errors."""
 
 import hashlib
+from dataclasses import fields
 from decimal import Decimal
 
 import pytest
 
+from anka.ast_nodes import Node
 from anka.errors import ParseError
 from anka.lexer import tokenize
 from anka.location import SourceLocation
 from anka.parser import parse
+from anka.validator import validate
 
 import fuzzing
 
@@ -168,6 +171,63 @@ class TestLocations:
         with pytest.raises(ParseError, match="end of input") as err:
             parse("PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:  # ∆\n  ")
         assert err.value.location == SourceLocation(4, 3, 54)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "FILTER t WHERE a > 1\nINTO big  # done\n x",
+            '# naïve ∆\nMAP t WITH s => "日本😀" INTO u\n  x',
+            "FILTER\r\n  t\r\nWHERE a\r\n\r\n x",
+        ],
+        ids=["ascii", "non_ascii", "crlf"],
+    )
+    def test_deferred_location_equals_eager(self, source):
+        # every read of token.location is a fresh location, not yet resolved
+        for token in tokenize(source):
+            index = token.start
+            eager = SourceLocation(
+                source.count("\n", 0, index) + 1,
+                index - source.rfind("\n", 0, index),
+                len(source[:index].encode("utf-8")),
+            )
+            assert token.location == eager
+            assert eager == token.location
+            assert token.location == token.location
+            assert hash(token.location) == hash(eager)
+            assert repr(token.location) == repr(eager)
+            assert str(token.location) == str(eager)
+            assert (token.location.line, token.location.column, token.location.offset) == (
+                eager.line, eager.column, eager.offset)
+
+    def test_location_repr_and_immutability(self):
+        assert repr(SourceLocation(2, 3, 10)) == "SourceLocation(line=2, column=3, offset=10)"
+        assert SourceLocation(2, 3) == SourceLocation(2, 3, 0)
+        assert SourceLocation(2, 3, 10) != (2, 3, 10)
+        for location in (SourceLocation(1, 1, 0), tokenize("x")[0].location):
+            for name in ("line", "column", "offset"):
+                with pytest.raises(AttributeError):
+                    setattr(location, name, 2)
+
+    def test_compile_resolves_no_location(self):
+        # only diagnostics read a location, so a valid program never
+        # builds its line table
+        for source in fuzzing.corpus_sources():
+            pipeline = parse(source)
+            assert validate(pipeline).ok
+            table = pipeline.location._table
+            assert table.starts is None
+            assert all(loc._table is table for loc in _node_locations(pipeline))
+
+
+def _node_locations(node):
+    if isinstance(node, SourceLocation):
+        yield node
+    elif isinstance(node, Node):
+        for f in fields(node):
+            yield from _node_locations(getattr(node, f.name))
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _node_locations(item)
 
 
 def _lexer_digest(texts) -> str:

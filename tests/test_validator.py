@@ -7,7 +7,7 @@ import pytest
 from anka.errors import ParseError, ValidationKind
 from anka.parser import parse
 from anka.validator import ValidationException, typecheck_expr, validate
-from anka.values import ValueType, schema_of
+from anka.values import Schema, ValueType, schema_of
 
 import fuzzing
 
@@ -349,6 +349,55 @@ class TestControlFlowScoping:
         )
         result = check(source)
         assert ValidationKind.DUPLICATE_BINDING in kinds(result)
+
+    def test_branch_bindings_stay_in_their_branch(self):
+        # each branch binds into its own copy of the enclosing scope
+        for statement in (
+            "IF TRUE THEN DISTINCT t INTO x ELSE DISTINCT x INTO y END_IF",
+            "TRY DISTINCT t INTO x ON_ERROR DISTINCT x INTO y END_TRY",
+        ):
+            result = check(pipeline_with(statement))
+            assert kinds(result) == [ValidationKind.UNKNOWN_DATASET]
+
+
+def derivation_chain(length: int) -> str:
+    """A pipeline of ``length`` MAP, ADD_COLUMN, RENAME and DROP statements
+    in turn, each reading the one before; it gains a column every four."""
+    statements = []
+    for n in range(length):
+        source, target = f"t{n}", f"t{n + 1}"
+        statements.append([
+            f"MAP {source} WITH m{n} => a + 1 INTO {target}",
+            f'ADD_COLUMN {source} WITH c{n} = "x" INTO {target}',
+            f"RENAME {source} COLUMN c{n - 1} TO r{n} INTO {target}",
+            f"DROP {source} COLUMN r{n - 1} INTO {target}",
+        ][n % 4])
+    body = "\n  ".join(statements)
+    return f"PIPELINE p:\n INPUT t0: TABLE[a: INT, b: STRING]\n STEP s:\n  {body}\n OUTPUT t{length}"
+
+
+class TestCompileCost:
+    def test_derived_schemas_build_no_schema(self, monkeypatch):
+        # a count, not a timing: a statement that adds, renames or drops
+        # one column derives its schema from its source's
+        built = []
+        construct = Schema.__init__
+
+        def counting(self, fields):
+            built.append(1)
+            construct(self, fields)
+
+        counts = []
+        for length in (100, 300):
+            pipeline = parse(derivation_chain(length))
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Schema, "__init__", counting)
+                result = validate(pipeline)
+            assert result.ok
+            assert len(result.output_schema) == 2 + length // 4
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
 
 _TWO_INPUTS = "INPUT t: TABLE[a: INT, b: STRING]\n INPUT u: TABLE[k: INT, b: DATE]"

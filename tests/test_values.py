@@ -11,6 +11,7 @@ from anka.interpreter import run_pipeline
 from anka.parser import parse
 from anka.values import (
     ARITHMETIC_KERNELS,
+    Field,
     Schema,
     ValueType,
     check_decimal,
@@ -37,6 +38,39 @@ class TestSchema:
     def test_empty_schema_rejected(self):
         with pytest.raises(TableError, match="at least one field"):
             Schema([])
+
+    def test_derivations_equal_constructed_schemas(self):
+        base = schema_of(("a", ValueType.INT), ("b", ValueType.STRING), ("c", ValueType.DATE))
+        a, b, c = base.fields
+        derived = [
+            (base.with_field(Field("d", ValueType.BOOL)), [a, b, c, Field("d", ValueType.BOOL)]),
+            (base.renamed("b", "x"), [a, Field("x", ValueType.STRING), c]),
+            (base.renamed("a", "a"), [a, b, c]),
+            (base.without("a"), [b, c]),
+            (base.without("b"), [a, c]),
+            (base.without("c"), [a, b]),
+        ]
+        for schema, fields in derived:
+            built = Schema(fields)
+            assert schema == built and hash(schema) == hash(built)
+            assert schema.names() == built.names()
+            assert [schema.index_of(n) for n in built.names()] == list(range(len(fields)))
+            assert all(schema.has(n) == built.has(n) for n in ("a", "b", "c", "d", "x"))
+        assert base == schema_of(("a", ValueType.INT), ("b", ValueType.STRING), ("c", ValueType.DATE))
+        assert not base.has("d") and not base.has("x")
+
+    def test_derivations_keep_the_constructor_invariants(self):
+        base = schema_of(("a", ValueType.INT), ("b", ValueType.STRING))
+        with pytest.raises(TableError, match="duplicate field name 'b'"):
+            base.with_field(Field("b", ValueType.INT))
+        with pytest.raises(TableError, match="duplicate field name 'b'"):
+            base.renamed("a", "b")
+        with pytest.raises(KeyError, match="no field named 'z'"):
+            base.renamed("z", "y")
+        with pytest.raises(KeyError, match="no field named 'z'"):
+            base.without("z")
+        with pytest.raises(TableError, match="at least one field"):
+            base.without("a").without("b")
 
     def test_order_matters_for_equality(self):
         ab = schema_of(("a", ValueType.INT), ("b", ValueType.INT))
