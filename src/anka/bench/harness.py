@@ -257,7 +257,6 @@ def run_suite(
     order_insensitive: bool = False,
     sandbox: bool = True,
     sample_timeout: float = DEFAULT_SAMPLE_TIMEOUT,
-    while_cap: int = DEFAULT_WHILE_CAP,
 ) -> RunReport:
     """Evaluate every candidate sample of every task and aggregate the
     four metrics per category and overall.
@@ -280,7 +279,6 @@ def run_suite(
             order_insensitive=order_insensitive,
             sandbox=sandbox,
             sample_timeout=sample_timeout,
-            while_cap=while_cap,
         )
 
     per_task: dict[int, list[SampleResult]] = {t: [] for t in range(len(suite))}

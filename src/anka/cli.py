@@ -19,16 +19,10 @@ from typing import Optional
 from anka.ast_nodes import ast_to_dict
 from anka.bench.harness import CandidateSet, run_suite
 from anka.bench.suite import SuiteError, load_suite
-from anka.errors import (
-    AnkaError,
-    ConversionError,
-    ExecutionError,
-    InputError,
-    ParseError,
-)
+from anka.errors import AnkaError, ExecutionError, InputError, ParseError
 from anka.formatter import format_schema
 from anka.interpreter import run_pipeline
-from anka.io_adapters import IoAdapter, encode_table, table_from_csv, table_from_json
+from anka.io_adapters import IoAdapter, decode_table, encode_table
 from anka.parser import parse
 from anka.validator import validate
 
@@ -167,11 +161,9 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _load_input_table(path: str, schema):
-    data = Path(path).read_bytes()
-    if path.endswith(".csv"):
-        return table_from_csv(data, schema)
-    return table_from_json(data, schema)
+def _table_format(path: str) -> str:
+    """The format of an ``--input`` or ``--output`` file, by its suffix."""
+    return "csv" if path.endswith(".csv") else "json"
 
 
 def cmd_run(args) -> int:
@@ -204,8 +196,9 @@ def cmd_run(args) -> int:
             print(f"error: no --input binding for '{name}'", file=sys.stderr)
             return EXIT_CONFIG
         try:
-            inputs[name] = _load_input_table(bindings[name], schema)
-        except (OSError, ConversionError, AnkaError) as exc:
+            path = bindings[name]
+            inputs[name] = decode_table(Path(path).read_bytes(), _table_format(path), schema)
+        except (OSError, AnkaError) as exc:
             print(f"error: input '{name}': {exc}", file=sys.stderr)
             return EXIT_CONFIG
     for name in bindings:
@@ -224,9 +217,8 @@ def cmd_run(args) -> int:
         return EXIT_RUNTIME
 
     if args.output:
-        fmt = "csv" if args.output.endswith(".csv") else "json"
         try:
-            Path(args.output).write_bytes(encode_table(table, fmt))
+            Path(args.output).write_bytes(encode_table(table, _table_format(args.output)))
         except OSError as exc:
             print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

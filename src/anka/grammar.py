@@ -1,11 +1,11 @@
 """Anka's canonical forms, each written once.
 
-``STATEMENTS`` gives each data statement's form: its keywords and
-operators, and typed slots for the parts that vary. ``BINARY_OPERATORS``
+``STATEMENTS`` gives the form of each of the 23 statements, control
+flow included: its keywords and operators, and typed slots for the parts
+that vary, a nested block of statements among them. ``BINARY_OPERATORS``
 and ``PREFIX_OPERATORS`` give each operator's precedence level and the
 node it builds. The parser reads source by these tables and the
-formatter writes trees back by them, so the two cannot disagree. The
-control-flow statements span several lines and are written out in both.
+formatter writes trees back by them, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -132,11 +132,14 @@ class Slot(NamedTuple):
     """A typed part of a statement form. ``read(parser, what)`` takes it
     from the parser's tokens, and ``what`` names it in the "expected …"
     of a ParseError; ``write(value)`` gives its canonical text, or None
-    for an optional part that is absent."""
+    for an optional part that is absent. A block of statements has no
+    ``write``: it goes on lines of its own, after its ``header`` keyword
+    if it has one."""
 
     read: Callable[[Any, str], Any]
-    write: Callable[[Any], Optional[str]]
+    write: Optional[Callable[[Any], Optional[str]]]
     what: str = ""
+    header: str = ""
 
 
 AGGREGATE_FNS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
@@ -186,6 +189,19 @@ def _write_group_by(names: tuple[str, ...]) -> Optional[str]:
     return "GROUP_BY " + ", ".join(names) if names else None
 
 
+def _read_block(p, what: str) -> tuple[ast.Statement, ...]:
+    return p.parse_statement_block()
+
+
+def _optional_block(header: str) -> Slot:
+    """A block after ``header``, or neither: read as () when absent."""
+
+    def read(p, what: str) -> tuple[ast.Statement, ...]:
+        return p.parse_statement_block() if p.accept_keyword(header) else ()
+
+    return Slot(read, None, header=header)
+
+
 def _read_aggregate_spec(p) -> ast.AggregateSpec:
     tok = p.peek()
     if tok.kind != KIND_KEYWORD or tok.text not in AGGREGATE_FNS:
@@ -225,6 +241,9 @@ SLOTS = {
     "direction": _choice({"ASC": False, "DESC": True}),
     "group_by": Slot(_read_group_by, _write_group_by, "column name"),
     "computes": Slot(_read_computes, _write_computes),
+    "row": Slot(_read_name, str, "row variable"),
+    "block": Slot(_read_block, None),
+    "else": _optional_block("ELSE"),
 }
 
 
@@ -273,6 +292,12 @@ STATEMENTS = {
         ("WRITE", ast.Write, "source:dataset TO path:path AS format:format"),
         ("FETCH", ast.Fetch, "url:url schema:table INTO target:target"),
         ("POST", ast.Post, "source:dataset TO url:url"),
+        ("IF", ast.If,
+         "condition:expression THEN then_body:block else_body:else END_IF"),
+        ("FOR_EACH", ast.ForEach,
+         "var:row IN source:dataset DO body:block END_FOR"),
+        ("WHILE", ast.While, "condition:expression DO body:block END_WHILE"),
+        ("TRY", ast.Try, "body:block ON_ERROR handler:block END_TRY"),
     ]
 }
 

@@ -256,12 +256,11 @@ def _aggregate(stmt: ast.Aggregate, sources, schema, types):
     keys = [src.index_of(name) for name in stmt.group_by]
     computes = []
     for spec in stmt.computes:
+        # SUM and AVG add with the kernel of the type the validator gave
+        # their output column: the argument's for SUM, DECIMAL for AVG
+        add = None
         if spec.fn in ("SUM", "AVG"):
-            # SUM adds with the kernel of its column's type, AVG in DECIMAL
-            vtype = src.type_of(spec.arg) if spec.fn == "SUM" else ValueType.DECIMAL
-            add = ARITHMETIC_KERNELS["+", vtype]
-        else:
-            add = None
+            add = ARITHMETIC_KERNELS["+", schema.type_of(spec.alias)]
         index = None if spec.arg is None else src.index_of(spec.arg)
         computes.append((spec.fn, index, add))
     return lambda interp, d: interp.eval_aggregate(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import decimal
+import http.client
 import io
 import json
 import urllib.error
@@ -379,7 +380,7 @@ class IoAdapter:
             data = self.file_ops.read_bytes(path)
         except OSError as exc:
             raise IoError(f"cannot read {path!r}: {exc}") from None
-        return _decode_table(data, fmt, schema)
+        return decode_table(data, fmt, schema)
 
     def write_table(self, table: Table, path: str, fmt: str) -> None:
         if self.sandbox:
@@ -414,11 +415,16 @@ class IoAdapter:
                 return self.http_ops.get(url, self.timeout)
             return self.http_ops.post(url, body or b"", self.timeout)
         except urllib.error.HTTPError as exc:
-            return exc.code, exc.read() if exc.fp else b""
+            # a non-2xx status fails on its own; its body is never read
+            return exc.code, b""
         except urllib.error.URLError as exc:
             raise HttpError(f"{method} {url!r} failed: {exc.reason}") from None
         except TimeoutError:
             raise HttpError(f"{method} {url!r} timed out") from None
+        # a malformed URL, or a connection lost after the request was sent
+        except (http.client.HTTPException, OSError, ValueError) as exc:
+            reason = str(exc) or type(exc).__name__
+            raise HttpError(f"{method} {url!r} failed: {reason}") from None
 
 
 def encode_table(table: Table, fmt: str) -> bytes:
@@ -429,7 +435,7 @@ def encode_table(table: Table, fmt: str) -> bytes:
     raise ValueError(f"unknown table format {fmt!r}")
 
 
-def _decode_table(data: bytes, fmt: str, schema: Schema) -> Table:
+def decode_table(data: bytes, fmt: str, schema: Schema) -> Table:
     if fmt == "json":
         return table_from_json(data, schema)
     if fmt == "csv":

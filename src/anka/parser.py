@@ -1,15 +1,16 @@
 """Recursive-descent parser producing a fully located AST.
 
-The grammar admits exactly one statement production per operation
-keyword. Each data statement is read by its form in
+The grammar admits exactly one statement production per statement
+keyword. Every statement, control flow included, is read by its form in
 ``grammar.STATEMENTS``, the same table the formatter writes it back by;
-the four control-flow statements are read by hand. Expressions are read
+a block slot reads the nested statements. Expressions are read
 by precedence climbing over ``grammar.BINARY_OPERATORS`` and
 ``grammar.PREFIX_OPERATORS``, loosest first: OR, AND, NOT, the
 comparisons (which do not chain), ``+ -``, ``* /``, unary minus.
 Statements are self-delimiting (every data statement ends in its INTO
-target or a trailing literal clause), so no separators are needed and
-newlines carry no meaning.
+target or a trailing literal clause, every control-flow statement in
+its ``END_*`` keyword), so no separators are needed and newlines carry
+no meaning.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ class _Parser:
         statements = []
         while True:
             tok = self.peek()
-            if tok.kind == KIND_KEYWORD and tok.text in STATEMENT_KEYWORDS:
+            if tok.kind == KIND_KEYWORD and tok.text in _FORMS:
                 statements.append(self.parse_statement())
             elif statements:
                 return tuple(statements)
@@ -227,67 +228,18 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
-        tok = self.peek()
-        if tok.kind != KIND_KEYWORD or tok.text not in STATEMENT_KEYWORDS:
-            raise self.fail("a statement")
+        """The statement whose keyword is the current token."""
+        start = self.peek()
         self._enter()
-        control = _CONTROL.get(tok.text)
-        statement = control(self) if control else self._parse_form(*_FORMS[tok.text])
-        self.depth -= 1
-        return statement
-
-    def _parse_form(self, node: type, form: tuple) -> ast.Statement:
-        start = self.advance()
+        self.advance()
+        node, parts = _FORMS[start.text]
         fields = {}
-        for field, read, arg in form:
+        for field, read, arg in parts:
             value = read(self, arg)
             if field is not None:
                 fields[field] = value
+        self.depth -= 1
         return node(**fields, location=start.location)
-
-    def _parse_if(self) -> ast.If:
-        start = self.advance()
-        condition = self.parse_expr()
-        self.expect_keyword("THEN")
-        then_body = self.parse_statement_block()
-        else_body: tuple[ast.Statement, ...] = ()
-        if self.accept_keyword("ELSE"):
-            else_body = self.parse_statement_block()
-        self.expect_keyword("END_IF")
-        return ast.If(
-            condition=condition,
-            then_body=then_body,
-            else_body=else_body,
-            location=start.location,
-        )
-
-    def _parse_for_each(self) -> ast.ForEach:
-        start = self.advance()
-        var = self.expect_ident("row variable")
-        self.expect_keyword("IN")
-        source = self.expect_ident("dataset name")
-        self.expect_keyword("DO")
-        body = self.parse_statement_block()
-        self.expect_keyword("END_FOR")
-        return ast.ForEach(
-            var=var.text, source=source.text, body=body, location=start.location
-        )
-
-    def _parse_while(self) -> ast.While:
-        start = self.advance()
-        condition = self.parse_expr()
-        self.expect_keyword("DO")
-        body = self.parse_statement_block()
-        self.expect_keyword("END_WHILE")
-        return ast.While(condition=condition, body=body, location=start.location)
-
-    def _parse_try(self) -> ast.Try:
-        start = self.advance()
-        body = self.parse_statement_block()
-        self.expect_keyword("ON_ERROR")
-        handler = self.parse_statement_block()
-        self.expect_keyword("END_TRY")
-        return ast.Try(body=body, handler=handler, location=start.location)
 
     # -- expressions ---------------------------------------------------------
 
@@ -425,15 +377,6 @@ class _Parser:
         except ConversionError as exc:
             raise ParseError(str(exc), tok.location) from None
 
-
-_CONTROL = {
-    "IF": _Parser._parse_if,
-    "FOR_EACH": _Parser._parse_for_each,
-    "WHILE": _Parser._parse_while,
-    "TRY": _Parser._parse_try,
-}
-
-STATEMENT_KEYWORDS = tuple(STATEMENTS) + tuple(_CONTROL)
 
 # Each form part as (field or None, reader, its argument): a keyword or an
 # operator is expected as written, a slot is read by its kind.

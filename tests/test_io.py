@@ -1,9 +1,12 @@
 """Serialization round-trips, conversion errors, HTTP, and sandboxing."""
 
 import datetime
+import http.client
+import io
 import json
 import random
 import threading
+import urllib.error
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -321,6 +324,83 @@ class RecordingHttpOps(HttpOps):
     def post(self, url, body, timeout):
         self.calls.append(("post", url))
         return self.status, self.body
+
+
+class FailingHttpOps(HttpOps):
+    """Raises ``error`` on every request, as a broken connection does."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def get(self, url, timeout):
+        raise self.error
+
+    def post(self, url, body, timeout):
+        raise self.error
+
+
+CONNECTION_FAILURES = [
+    http.client.RemoteDisconnected("Remote end closed connection without response"),
+    http.client.IncompleteRead(b"[{", 10),
+    http.client.InvalidURL("nonnumeric port: 'abc'"),
+    http.client.HTTPException(),
+    ConnectionResetError(104, "Connection reset by peer"),
+    ValueError("Invalid IPv6 URL"),
+]
+
+
+class TestConnectionFailures:
+    @pytest.mark.parametrize("error", CONNECTION_FAILURES, ids=lambda e: type(e).__name__)
+    def test_fetch_and_post_raise_http_error(self, error):
+        adapter = IoAdapter(sandbox=False, http_ops=FailingHttpOps(error))
+        schema = schema_of(("a", VT.INT))
+        reason = str(error) or type(error).__name__
+        with pytest.raises(HttpError) as err:
+            adapter.fetch_table("http://example.test/rows", schema)
+        assert err.value.message == f"GET 'http://example.test/rows' failed: {reason}"
+        with pytest.raises(HttpError) as err:
+            adapter.post_table("http://example.test/sink", make_table(schema, []))
+        assert err.value.message == f"POST 'http://example.test/sink' failed: {reason}"
+
+    def test_body_of_an_error_status_is_not_read(self):
+        class BrokenBody(io.BytesIO):
+            def read(self, *args):
+                raise ConnectionResetError(104, "Connection reset by peer")
+
+        url = "http://example.test/rows"
+        error = urllib.error.HTTPError(url, 503, "Service Unavailable", {}, BrokenBody())
+        adapter = IoAdapter(sandbox=False, http_ops=FailingHttpOps(error))
+        with pytest.raises(HttpError) as err:
+            adapter.fetch_table(url, schema_of(("a", VT.INT)))
+        assert err.value.status == 503
+
+    def test_try_catches_a_failed_fetch(self):
+        error = http.client.RemoteDisconnected("Remote end closed connection")
+        files = RecordingFileOps({"fallback.json": b'[{"a": 7}]'})
+        adapter = IoAdapter(sandbox=False, file_ops=files, http_ops=FailingHttpOps(error))
+        source = (
+            "PIPELINE p:\n STEP s:\n"
+            '  TRY FETCH "http://example.test/rows" TABLE[a: INT] INTO t\n'
+            '  ON_ERROR READ "fallback.json" AS JSON TABLE[a: INT] INTO t END_TRY\n'
+            " OUTPUT t"
+        )
+        assert run_pipeline(parse(source), {}, adapter).rows == ((7,),)
+        assert files.calls == [("read", "fallback.json")]
+
+    @pytest.mark.parametrize(
+        "url, reason",
+        [("http://x.test:abc/t", "nonnumeric port: 'abc'"),
+         ("http://[::1/t", "Invalid IPv6 URL")],
+    )
+    def test_malformed_url_fails_before_connecting(self, monkeypatch, url, reason):
+        # both fail while the URL is parsed; without a proxy nothing else
+        # could be contacted
+        for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        adapter = IoAdapter(sandbox=False)
+        with pytest.raises(HttpError) as err:
+            adapter.fetch_table(url, schema_of(("a", VT.INT)))
+        assert err.value.message == f"GET {url!r} failed: {reason}"
 
 
 class TestSandbox:

@@ -217,31 +217,28 @@ class TestStatementForms:
 
 class TestCanonicalForms:
     def test_exactly_one_production_per_statement_keyword(self):
-        # the statement table and the four control handlers ARE the
-        # grammar's statement productions: each data statement's node
-        # class has exactly one form, each control keyword one handler,
-        # and the keyword list is derived from them
+        # the statement table IS the grammar's statement productions: each
+        # statement's node class, control flow included, has exactly one
+        # form, the parser's keywords are the table's, and no statement
+        # has a reader of its own
+        from anka import parser
         from anka.grammar import STATEMENTS
-        from anka.parser import _CONTROL, STATEMENT_KEYWORDS, _Parser
 
-        data_nodes = [
+        nodes = [
             ast.Filter, ast.Select, ast.Distinct, ast.Map, ast.Rename, ast.Drop,
             ast.AddColumn, ast.Aggregate, ast.Sort, ast.Limit, ast.Skip, ast.Slice,
             ast.Join, ast.LeftJoin, ast.Union, ast.Read, ast.Write, ast.Fetch, ast.Post,
+            ast.If, ast.ForEach, ast.While, ast.Try,
         ]
         table_nodes = [node for node, _ in STATEMENTS.values()]
-        for node in data_nodes:
+        for node in nodes:
             assert table_nodes.count(node) == 1, node
-        assert len(table_nodes) == 19
-        assert _CONTROL == {
-            "IF": _Parser._parse_if,
-            "FOR_EACH": _Parser._parse_for_each,
-            "WHILE": _Parser._parse_while,
-            "TRY": _Parser._parse_try,
-        }
-        assert STATEMENT_KEYWORDS == tuple(STATEMENTS) + tuple(_CONTROL)
-        assert len(STATEMENT_KEYWORDS) == len(set(STATEMENT_KEYWORDS)) == 23
-        assert not [name for name in vars(_Parser)
+        assert len(table_nodes) == 23
+        keywords = list(parser._FORMS)
+        assert keywords == list(STATEMENTS)
+        assert len(set(keywords)) == 23
+        assert not hasattr(parser, "_CONTROL")
+        assert not [name for name in vars(parser._Parser)
                     if name.startswith("_parse_") and name[7:].upper() in STATEMENTS]
 
     def test_alternate_spellings_are_rejected(self):
