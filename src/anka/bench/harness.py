@@ -14,10 +14,8 @@ name, and no timing data is embedded.
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -261,48 +259,34 @@ def run_suite(
     """Evaluate every candidate sample of every task and aggregate the
     four metrics per category and overall.
 
+    Samples are scored in order in the calling thread. ``jobs`` is only
+    recorded in the report's ``config``.
+
     Tasks with no candidate files score zero samples and count as not
-    accurate; they are flagged rather than fatal. Results are identical
-    at any job count.
+    accurate; they are flagged rather than fatal.
     """
-    work: list[tuple[int, str, str, TaskSpec]] = []
-    for t, task in enumerate(suite):
-        for name, source in candidates.samples_for(task.id):
-            work.append((t, name, source, task))
-
-    def evaluate(item) -> tuple[int, SampleResult]:
-        t, name, source, task = item
-        return t, evaluate_sample(
-            task,
-            source,
-            sample_name=name,
-            order_insensitive=order_insensitive,
-            sandbox=sandbox,
-            sample_timeout=sample_timeout,
-        )
-
-    per_task: dict[int, list[SampleResult]] = {t: [] for t in range(len(suite))}
-    # pool.map queues every sample at once, so a pool may start a thread
-    # per sample: never ask for more workers than there are CPUs
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or len(work) <= 1:
-        evaluated = [evaluate(item) for item in work]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate, work))
-    for t, result in evaluated:
-        per_task[t].append(result)
-
     task_reports = []
-    for t, task in enumerate(suite):
-        results = sorted(per_task[t], key=lambda r: r.sample)
-        accurate = bool(results) and task_accuracy(results)
+    for task in suite:
+        results = sorted(
+            (
+                evaluate_sample(
+                    task,
+                    source,
+                    sample_name=name,
+                    order_insensitive=order_insensitive,
+                    sandbox=sandbox,
+                    sample_timeout=sample_timeout,
+                )
+                for name, source in candidates.samples_for(task.id)
+            ),
+            key=lambda r: r.sample,
+        )
         task_reports.append(
             TaskReport(
                 task_id=task.id,
                 category=task.category,
                 samples=tuple(results),
-                accurate=accurate,
+                accurate=bool(results) and task_accuracy(results),
             )
         )
 

@@ -63,28 +63,21 @@ def _replace(s: str, needle: str, replacement: str) -> str:
     return s.replace(needle, replacement)
 
 
+# The validator admits only STRING, INT and DECIMAL arguments to the casts.
 def _to_int(value: Cell) -> int:
-    if isinstance(value, bool):
-        raise ConversionError("TO_INT does not accept BOOL")
     if isinstance(value, int):
         return value
     if isinstance(value, Decimal):
         return check_int(int(value))  # truncates toward zero
-    if isinstance(value, str):
-        return parse_int(value.strip())
-    raise ConversionError(f"cannot convert {type(value).__name__} to INT")
+    return parse_int(value.strip())
 
 
 def _to_decimal(value: Cell) -> Decimal:
-    if isinstance(value, bool):
-        raise ConversionError("TO_DECIMAL does not accept BOOL")
     if isinstance(value, Decimal):
         return value
     if isinstance(value, int):
         return Decimal(value)
-    if isinstance(value, str):
-        return parse_decimal(value.strip())
-    raise ConversionError(f"cannot convert {type(value).__name__} to DECIMAL")
+    return parse_decimal(value.strip())
 
 
 _STRINGY = frozenset({ValueType.STRING})

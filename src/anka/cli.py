@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 from anka.ast_nodes import ast_to_dict
-from anka.bench.harness import CandidateSet, run_suite
+from anka.bench.harness import DEFAULT_SAMPLE_TIMEOUT, CandidateSet, run_suite
 from anka.bench.suite import SuiteError, load_suite
 from anka.errors import AnkaError, ExecutionError, InputError, ParseError
 from anka.formatter import format_schema
@@ -83,7 +84,14 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("suite", help="task suite JSON file")
     p_bench.add_argument("candidates", help="directory of <task_id>/<sample>.anka files")
     p_bench.add_argument("--report", help="write the JSON report here")
-    p_bench.add_argument("--jobs", type=int, default=1, metavar="N")
+    p_bench.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="at least 1; recorded in the report's config, samples are "
+        "scored serially in the calling thread",
+    )
     p_bench.add_argument(
         "--order-insensitive",
         action="store_true",
@@ -98,9 +106,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--sample-timeout",
         type=float,
-        default=5.0,
+        default=DEFAULT_SAMPLE_TIMEOUT,
         metavar="SECONDS",
-        help="wall-clock cap per candidate sample",
+        help="wall-clock cap per candidate sample; finite and above 0",
     )
     p_bench.set_defaults(handler=cmd_bench)
     return root
@@ -230,6 +238,9 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if not (math.isfinite(args.sample_timeout) and args.sample_timeout > 0):
+        print("error: --sample-timeout must be finite and above 0", file=sys.stderr)
         return EXIT_CONFIG
     try:
         suite = load_suite(args.suite)

@@ -233,3 +233,19 @@ class TestBenchCommand:
             ["bench", str(fixture_dir() / "suite.json"), str(tmp_path), "--jobs", "0"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+    def test_sample_timeout_must_be_finite_and_positive(self, tmp_path, capsys, timeout):
+        # nan and inf would switch the per-sample deadline off, and 0 or
+        # less would fail every sample
+        code = main(
+            [
+                "bench",
+                str(fixture_dir() / "suite.json"),
+                str(fixture_dir() / "candidates"),
+                "--sample-timeout",
+                timeout,
+            ]
+        )
+        assert code == 2
+        assert "--sample-timeout" in capsys.readouterr().err

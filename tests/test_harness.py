@@ -1,6 +1,7 @@
 """Metric definitions, flag monotonicity, aggregation, determinism."""
 
 import json
+import threading
 
 import pytest
 
@@ -315,32 +316,16 @@ class TestRunSuite:
         assert eight.overall.to_dict() == one.overall.to_dict()
         assert [t.to_dict() for t in eight.tasks] == [t.to_dict() for t in one.tasks]
 
-    def test_jobs_clamped_to_cpu_count(self, fixture_suite, fixture_candidates, monkeypatch):
-        # the pool is a fake that maps serially: no thread is started
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_jobs_start_no_thread(self, fixture_suite, fixture_candidates, monkeypatch):
         one = run_suite(fixture_suite, fixture_candidates, jobs=1)
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
-        for cpus, pools in ((3, [3]), (None, [])):
-            asked.clear()
-            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-            report = run_suite(fixture_suite, fixture_candidates, jobs=100_000)
-            assert asked == pools
-            assert report.config["jobs"] == 100_000
-            assert [t.to_dict() for t in report.tasks] == [t.to_dict() for t in one.tasks]
+
+        def refuse(self):
+            raise AssertionError("run_suite started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        report = run_suite(fixture_suite, fixture_candidates, jobs=100_000)
+        assert report.config["jobs"] == 100_000
+        assert [t.to_dict() for t in report.tasks] == [t.to_dict() for t in one.tasks]
 
     def test_broken_variants_score_as_predicted(self, fixture_suite):
         # per category: correct + syntax + runtime + wrong output on the

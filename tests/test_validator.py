@@ -258,6 +258,20 @@ class TestExpressionTyping:
         result = check(pipeline_with("FILTER t WHERE LENGTH(b) > 0 INTO r"))
         assert result.ok
 
+    @pytest.mark.parametrize("cast", ["TO_INT", "TO_DECIMAL"])
+    @pytest.mark.parametrize("arg, type_name", [("f", "BOOL"), ("TRUE", "BOOL"), ("d", "DATE")])
+    def test_casts_reject_bool_and_date(self, cast, arg, type_name):
+        # the casts' implementations rely on this: they handle only
+        # STRING, INT and DECIMAL
+        result = check(
+            pipeline_with(
+                f"MAP t WITH c => {cast}({arg}) INTO r",
+                inputs="INPUT t: TABLE[f: BOOL, d: DATE]",
+            )
+        )
+        assert kinds(result) == [ValidationKind.TYPE_MISMATCH]
+        assert f"{cast} expects DECIMAL/INT/STRING, got {type_name}" in result.errors[0].message
+
     def test_statement_schemas_are_recorded_by_node(self):
         pipeline = parse(pipeline_with("SELECT t COLUMNS b, a INTO r"))
         result = validate(pipeline)
