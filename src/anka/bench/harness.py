@@ -14,6 +14,7 @@ name, and no timing data is embedded.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -30,9 +31,19 @@ from anka.values import Table, table_equal
 
 DEFAULT_SAMPLE_TIMEOUT = 5.0
 
-# Bounds the damage a runaway candidate can do before the wall clock
-# catches it.
+# Bound the damage a runaway candidate can do before the wall clock
+# catches it: the rows of any one table, and the cells (rows times
+# columns) of all tables bound at once.
 MAX_RESULT_ROWS = 1_000_000
+MAX_RESULT_CELLS = 10_000_000
+
+
+def check_sample_timeout(seconds: float) -> None:
+    """Raise ``ValueError`` unless ``seconds`` is a usable per-sample wall
+    clock: finite and above 0. NaN would switch the deadline off, since
+    no clock reading compares greater than it."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"sample_timeout must be finite and above 0, got {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,10 @@ def evaluate_sample(
     sample_timeout: float = DEFAULT_SAMPLE_TIMEOUT,
     while_cap: int = DEFAULT_WHILE_CAP,
 ) -> SampleResult:
-    """Run one candidate program against every test case of a task."""
+    """Run one candidate program against every test case of a task.
+    Raises ``ValueError`` on a ``sample_timeout`` that is not finite and
+    above 0."""
+    check_sample_timeout(sample_timeout)
     try:
         pipeline = parse(source)
     except ParseError as exc:
@@ -126,6 +140,7 @@ def evaluate_sample(
                     while_cap=while_cap,
                     deadline=deadline,
                     max_rows=MAX_RESULT_ROWS,
+                    max_cells=MAX_RESULT_CELLS,
                 )
             )
         except (ExecutionError, InputError) as exc:
@@ -263,8 +278,10 @@ def run_suite(
     recorded in the report's ``config``.
 
     Tasks with no candidate files score zero samples and count as not
-    accurate; they are flagged rather than fatal.
+    accurate; they are flagged rather than fatal. Raises ``ValueError`` on
+    a ``sample_timeout`` that is not finite and above 0.
     """
+    check_sample_timeout(sample_timeout)
     task_reports = []
     for task in suite:
         results = sorted(

@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 from anka.ast_nodes import ast_to_dict
-from anka.bench.harness import DEFAULT_SAMPLE_TIMEOUT, CandidateSet, run_suite
+from anka.bench.harness import (
+    DEFAULT_SAMPLE_TIMEOUT,
+    CandidateSet,
+    check_sample_timeout,
+    run_suite,
+)
 from anka.bench.suite import SuiteError, load_suite
 from anka.errors import AnkaError, ExecutionError, InputError, ParseError
 from anka.formatter import format_schema
@@ -239,7 +243,9 @@ def cmd_bench(args) -> int:
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
-    if not (math.isfinite(args.sample_timeout) and args.sample_timeout > 0):
+    try:
+        check_sample_timeout(args.sample_timeout)
+    except ValueError:
         print("error: --sample-timeout must be finite and above 0", file=sys.stderr)
         return EXIT_CONFIG
     try:

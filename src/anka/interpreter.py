@@ -6,9 +6,13 @@ output schema, the column indices it resolved, and its expressions
 compiled into closures over row-tuple indices (Feeley and Lapalme,
 "Using closures for code generation", 1987), each operator bound to the
 kernel for the types the validator proved (Neumann, "Efficiently
-compiling efficient query plans", VLDB 2011). Steps bind every INTO
-target in one dict of named tables; the validator forbids rebinding, so
-only loop and TRY scopes copy it. Input tables are never modified.
+compiling efficient query plans", VLDB 2011). Steps bind INTO targets in
+one dict of named tables; the validator forbids rebinding, so only loop
+and TRY scopes copy it. After each top-level statement the names the
+validator found it last to read or bind (``ValidationResult.dies``) are
+dropped from that dict, so an intermediate table is released after its
+last reader rather than at the end of the run. Input tables are never
+modified.
 
 Null semantics: arithmetic, comparisons, and builtins propagate null;
 WHERE coerces a null predicate to false (the row is dropped); AND/OR
@@ -54,7 +58,8 @@ DEFAULT_WHILE_CAP = 100_000
 
 Row = tuple[Cell, ...]
 Step = Callable[["Interpreter", dict[str, Table], Optional[Row]], None]
-Block = tuple[tuple[SourceLocation, Step], ...]
+# Each step with its location and the names to release once it has run.
+Block = tuple[tuple[SourceLocation, Step, tuple[str, ...]], ...]
 
 _PLAN = "_plan"
 
@@ -67,6 +72,7 @@ def run_pipeline(
     while_cap: int = DEFAULT_WHILE_CAP,
     deadline: Optional[float] = None,
     max_rows: Optional[int] = None,
+    max_cells: Optional[int] = None,
 ) -> Table:
     """Execute a pipeline against named input tables and return the
     table bound to the OUTPUT name.
@@ -77,8 +83,9 @@ def run_pipeline(
     ``ValidationException`` with its diagnostics. The compiled steps are
     likewise kept with the pipeline. ``io`` defaults to a sandboxed
     adapter that denies all file and network access. ``deadline`` is an
-    absolute ``time.monotonic()`` stamp and ``max_rows`` caps the size of
-    any produced table; both let a harness bound untrusted programs.
+    absolute ``time.monotonic()`` stamp, ``max_rows`` caps the size of
+    any produced table and ``max_cells`` the rows times columns of all
+    tables bound at once; each lets a harness bound untrusted programs.
     """
     result = validate(pipeline)
     if not result.ok:
@@ -87,8 +94,10 @@ def run_pipeline(
     plan = pipeline.__dict__.get(_PLAN)
     if plan is None:
         body = tuple(stmt for step in pipeline.steps for stmt in step.body)
-        plan = pipeline.__dict__[_PLAN] = _compile_block(body, result, None)
-    interp = Interpreter(io or IoAdapter(sandbox=True), while_cap, deadline, max_rows)
+        plan = pipeline.__dict__[_PLAN] = _compile_block(body, result, None, result.dies)
+    interp = Interpreter(
+        io or IoAdapter(sandbox=True), while_cap, deadline, max_rows, max_cells
+    )
     datasets = dict(inputs)
     interp._exec(plan, datasets, None)
     return datasets[pipeline.output]
@@ -113,9 +122,21 @@ def _check_inputs(pipeline: ast.Pipeline, inputs: dict[str, Table]) -> None:
 # One compiler per statement class, looked up by the node's exact class.
 
 
-def _compile_block(body, result: ValidationResult, row_schema: Optional[Schema]) -> Block:
+def _compile_block(
+    body,
+    result: ValidationResult,
+    row_schema: Optional[Schema],
+    dies: Optional[dict[int, tuple[str, ...]]] = None,
+) -> Block:
+    """Steps for ``body``; ``dies`` is given for the top-level block only,
+    since nested blocks release nothing."""
     return tuple(
-        (stmt.location, _compile_statement(stmt, result, row_schema)) for stmt in body
+        (
+            stmt.location,
+            _compile_statement(stmt, result, row_schema),
+            dies.get(id(stmt), ()) if dies else (),
+        )
+        for stmt in body
     )
 
 
@@ -129,12 +150,15 @@ def _compile_statement(
     action = _ACTION_COMPILERS[type(stmt)](
         stmt, result.sources.get(key), result.outputs.get(key), result.types
     )
-    target = ast.statement_target(stmt)
+    target, location = ast.statement_target(stmt), stmt.location
     if target is None:
         return lambda interp, datasets, row: action(interp, datasets)
 
     def bind(interp, datasets, row):
-        datasets[target] = action(interp, datasets)
+        table = action(interp, datasets)
+        if interp.max_cells is not None:
+            interp._charge(table, datasets.get(target), location)
+        datasets[target] = table
 
     return bind
 
@@ -159,6 +183,7 @@ def _compile_while(stmt: ast.While, result, row_schema) -> Step:
 
     def run_while(interp, datasets, row):
         iterations = 0
+        cells = interp.cells
         while condition(row) is True:
             iterations += 1
             if iterations > interp.while_cap:
@@ -168,6 +193,7 @@ def _compile_while(stmt: ast.While, result, row_schema) -> Step:
                 )
             interp._tick(location)
             interp._exec(body, dict(datasets), row)
+            interp.cells = cells
 
     return run_while
 
@@ -178,9 +204,11 @@ def _compile_for_each(stmt: ast.ForEach, result, row_schema) -> Step:
     body = _compile_block(stmt.body, result, source_schema)
 
     def run_for_each(interp, datasets, row):
+        cells = interp.cells
         for each in datasets[source].rows:
             interp._tick(location)
             interp._exec(body, dict(datasets), each)
+            interp.cells = cells
 
     return run_for_each
 
@@ -190,10 +218,11 @@ def _compile_try(stmt: ast.Try, result, row_schema) -> Step:
     handler = _compile_block(stmt.handler, result, row_schema)
 
     def run_try(interp, datasets, row):
-        scope = dict(datasets)
+        scope, cells = dict(datasets), interp.cells
         try:
             interp._exec(body, scope, row)
         except ExecutionError:
+            interp.cells = cells
             interp._exec(handler, datasets, row)
         else:
             datasets.update(scope)
@@ -346,7 +375,12 @@ _ACTION_COMPILERS = {
 class Interpreter:
     """Runs compiled steps under one run's I/O adapter and caps. Steps
     call the ``eval_*`` methods through the instance, not as captured
-    functions, so a profiler that wraps a class attribute sees each call."""
+    functions, so a profiler that wraps a class attribute sees each call.
+
+    When ``max_cells`` is set, ``cells`` counts the rows times columns of
+    the tables bound by INTO in the live scopes; a loop iteration or a
+    failed TRY body restores the count it started from when its scope is
+    discarded."""
 
     def __init__(
         self,
@@ -354,16 +388,40 @@ class Interpreter:
         while_cap: int = DEFAULT_WHILE_CAP,
         deadline: Optional[float] = None,
         max_rows: Optional[int] = None,
+        max_cells: Optional[int] = None,
     ) -> None:
         self.io = io
         self.while_cap = while_cap
         self.deadline = deadline
         self.max_rows = max_rows
+        self.max_cells = max_cells
+        self.cells = 0
 
     def _exec(self, block: Block, datasets: dict[str, Table], row: Optional[Row]) -> None:
-        for location, step in block:
+        for location, step, dies in block:
             self._tick(location)
             step(self, datasets, row)
+            if dies:
+                self._release(datasets, dies)
+
+    def _release(self, datasets: dict[str, Table], names: tuple[str, ...]) -> None:
+        for name in names:
+            # one IF branch may not have bound the name
+            table = datasets.pop(name, None)
+            if table is not None and self.max_cells is not None:
+                self.cells -= _cells(table)
+
+    def _charge(
+        self, table: Table, replaced: Optional[Table], location: SourceLocation
+    ) -> None:
+        """Count a newly bound table against ``max_cells``. ``replaced`` is
+        what its name held before: a table that one IF or TRY branch bound
+        and no later statement reads, whose cells are returned."""
+        self.cells += _cells(table) - _cells(replaced)
+        if self.cells > self.max_cells:
+            raise AssertionFailed(
+                f"result exceeds the cell limit of {self.max_cells}", location
+            )
 
     # -- data operations -------------------------------------------------------
     # Outputs are built with Table.trusted: the validator proved every
@@ -533,6 +591,11 @@ class Interpreter:
             raise AssertionFailed(
                 f"result exceeds the row limit of {self.max_rows}", location
             )
+
+
+def _cells(table: Optional[Table]) -> int:
+    """Rows times columns of a table, 0 for None."""
+    return 0 if table is None else len(table.rows) * len(table.schema.fields)
 
 
 def _picker(indices: list[int]) -> Callable[[Row], Row]:

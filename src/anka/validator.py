@@ -17,6 +17,13 @@ Scoping rules for control flow:
 * IF and WHILE conditions are scalar: column references in them are
   legal only inside a FOR_EACH body, where they resolve against the
   iterated dataset's row.
+
+The walk also finds, for each top-level statement, the bound names it is
+the last to read or bind: live-variable analysis over the statement list
+(Aho, Lam, Sethi and Ullman, "Compilers", 2nd ed., section 9.2.5). A read
+or bind anywhere inside a control statement counts against that whole
+top-level statement, so a name stays live through it. The interpreter
+releases each such name once its statement has run.
 """
 
 from __future__ import annotations
@@ -58,10 +65,14 @@ class ValidationResult:
     ``sources`` maps a statement that reads datasets to their schemas, in
     the order it names them; ``outputs`` maps a data statement to the
     schema it binds; ``types`` maps each arithmetic node (``BinaryOp`` and
-    ``Neg``) to its result type, which picks its kernel. All three are
-    keyed by ``id(node)``, not by the node: nodes that compare equal
-    (locations take no part in equality) can see different schemas, as
-    the same text in a TRY body and in its handler can.
+    ``Neg``) to its result type, which picks its kernel; ``dies`` maps a
+    top-level statement to the INTO names it is the last to read or bind,
+    in the order they were first seen. Input names and the OUTPUT name
+    never die, and the last statement has no entry, since the end of the
+    run releases every name. All four are keyed by ``id(node)``, not by
+    the node: nodes that compare equal (locations take no part in
+    equality) can see different schemas, as the same text in a TRY body
+    and in its handler can.
     """
 
     environment: dict[str, Binding]
@@ -70,6 +81,7 @@ class ValidationResult:
     sources: dict[int, list[Optional[Schema]]]
     outputs: dict[int, Optional[Schema]]
     types: dict[int, ValueType]
+    dies: dict[int, tuple[str, ...]]
 
     @property
     def ok(self) -> bool:
@@ -109,7 +121,9 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
         env[decl.name] = Binding(decl.schema, PROVENANCE_INPUT, decl.location)
 
     for step in pipeline.steps:
-        env = checker.check_block(step.body, env, row_schema=None)
+        for stmt in step.body:
+            checker.top = stmt
+            env = checker.check_statement(stmt, env, row_schema=None)
 
     output_schema: Optional[Schema] = None
     if pipeline.output not in env:
@@ -121,6 +135,15 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
     else:
         output_schema = env[pipeline.output].schema
 
+    last = checker.last
+    last.pop(pipeline.output, None)
+    for decl in pipeline.inputs:
+        last.pop(decl.name, None)
+    dies: dict[int, tuple[str, ...]] = {}
+    for name, stmt in last.items():
+        if stmt is not checker.top:  # the end of the run releases the rest
+            key = id(stmt)
+            dies[key] = dies.get(key, ()) + (name,)
     result = ValidationResult(
         env,
         checker.errors,
@@ -128,6 +151,7 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
         checker.sources,
         checker.outputs,
         checker.types,
+        dies,
     )
     pipeline.__dict__[_MEMO] = result
     return result
@@ -150,6 +174,10 @@ class _Checker:
         self.sources: dict[int, list[Optional[Schema]]] = {}
         self.outputs: dict[int, Optional[Schema]] = {}
         self.types: dict[int, ValueType] = {}
+        # the top-level statement being checked, and the last one to
+        # read or bind each name
+        self.top: Optional[ast.Statement] = None
+        self.last: dict[str, Optional[ast.Statement]] = {}
 
     def error(self, kind: ValidationKind, message: str, location: SourceLocation) -> None:
         self.errors.append(ValidationError(kind, message, location))
@@ -182,6 +210,7 @@ class _Checker:
         if target is None:  # WRITE and POST bind nothing
             return env
         self.outputs[id(stmt)] = schema
+        self.last[target] = self.top
         if target in env:
             self.error(
                 ValidationKind.DUPLICATE_BINDING,
@@ -265,6 +294,7 @@ class _Checker:
         self, stmt: ast.Statement, name: str, env: dict[str, Binding]
     ) -> Optional[Schema]:
         """Schema of a dataset ``stmt`` reads, recorded as its next source."""
+        self.last[name] = self.top
         schema = None
         if name in env:
             schema = env[name].schema

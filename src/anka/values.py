@@ -224,7 +224,8 @@ class Table:
     tables and never mutate their inputs.
     """
 
-    __slots__ = ("schema", "rows")
+    # a weak reference lets a caller see when a run releases a table
+    __slots__ = ("schema", "rows", "__weakref__")
 
     def __init__(self, schema: Schema, rows: Iterable[Sequence[Cell]]) -> None:
         arity = len(schema)

@@ -213,6 +213,27 @@ class TestEvaluateSample:
             if not executes:
                 assert "test 3" in result.detail and "time limit" in result.detail
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_unusable_sample_timeout_is_rejected(self, timeout):
+        # NaN would switch the deadline off and land in the report as NaN
+        with pytest.raises(ValueError, match="sample_timeout"):
+            evaluate_sample(simple_task(), CORRECT, sample_timeout=timeout)
+        with pytest.raises(ValueError, match="sample_timeout"):
+            run_suite([simple_task()], CandidateSet({}), sample_timeout=timeout)
+
+    def test_cell_cap_stops_a_runaway_sample(self, monkeypatch):
+        widening = CORRECT.replace(
+            "FILTER rows WHERE v > 2 INTO result",
+            "UNION rows WITH rows INTO twice\n"
+            "    ADD_COLUMN twice WITH w = 1 INTO wide\n"
+            "    FILTER rows WHERE v > 2 INTO result",
+        )
+        assert evaluate_sample(simple_task(), widening).correct
+        monkeypatch.setattr(harness, "MAX_RESULT_CELLS", 11)
+        result = evaluate_sample(simple_task(), widening)
+        assert (result.parse, result.execute) == (True, False)
+        assert "cell limit of 11" in result.detail
+
     def test_monotone_flags(self):
         for source in (CORRECT, SYNTAX_ERROR, VALIDATION_ERROR, RUNTIME_ERROR, WRONG_OUTPUT):
             r = evaluate_sample(simple_task(), source)

@@ -1,6 +1,7 @@
 """Interpreter semantics: operations, expressions, control flow."""
 
 import datetime
+import weakref
 from decimal import Decimal
 
 import pytest
@@ -680,6 +681,203 @@ class PostedTables(IoAdapter):
 
     def post_table(self, url, table):
         self.tables[url] = table
+
+
+class AliveAtPost(IoAdapter):
+    """At each POST, records by URL which watched tables are still alive,
+    without keeping the posted table."""
+
+    def __init__(self, watched):
+        super().__init__(sandbox=True)
+        self.watched = watched
+        self.alive = {}
+        self.posts = 0
+
+    def post_table(self, url, table):
+        self.posts += 1
+        self.alive[url] = [ref() is not None for ref in self.watched]
+
+
+def watch_filters(monkeypatch) -> list:
+    """Weak references to every table FILTER builds from now on."""
+    made = []
+    eval_filter = interpreter.Interpreter.eval_filter
+
+    def watched(self, src, keep):
+        table = eval_filter(self, src, keep)
+        made.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(interpreter.Interpreter, "eval_filter", watched)
+    return made
+
+
+def pipeline_of(statements: str) -> str:
+    return (
+        "PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n"
+        + "".join(f"  {line}\n" for line in statements.strip().splitlines())
+        + " OUTPUT result"
+    )
+
+
+class TestReleasedBindings:
+    TABLE = make_table(schema_of(("a", VT.INT)), [(1,), (-2,), (3,)])
+
+    def test_intermediate_is_released_after_its_last_reader(self, monkeypatch):
+        made = watch_filters(monkeypatch)
+        probe = AliveAtPost(made)
+        source = pipeline_of('''
+            FILTER t WHERE a > 0 INTO mid
+            POST t TO "http://before.test/"
+            MAP mid WITH b => a + 1 INTO result
+            POST t TO "http://after.test/"
+        ''')
+        out = run_pipeline(parse(source), {"t": self.TABLE}, probe)
+        assert out.rows == ((1, 2), (3, 4))
+        assert probe.alive == {"http://before.test/": [True], "http://after.test/": [False]}
+
+    def test_name_read_only_inside_a_loop_body_lives_through_the_loop(self, monkeypatch):
+        made = watch_filters(monkeypatch)
+        probe = AliveAtPost(made)
+        source = pipeline_of('''
+            FILTER t WHERE a > 0 INTO kept
+            FOR_EACH row IN t DO
+                POST kept TO "http://each.test/"
+            END_FOR
+            TRY
+                WHILE TRUE DO
+                    POST kept TO "http://while.test/"
+                END_WHILE
+            ON_ERROR
+                DISTINCT t INTO ignored
+            END_TRY
+            DISTINCT t INTO result
+            POST t TO "http://after.test/"
+        ''')
+        run_pipeline(parse(source), {"t": self.TABLE}, probe, while_cap=2)
+        # three rows, then two WHILE iterations before the cap, all posting
+        # the one FILTER result, which is released once the TRY has run
+        assert probe.posts == 3 + 2 + 1
+        assert probe.alive["http://while.test/"] == [True]
+        assert probe.alive["http://after.test/"] == [False]
+
+    def test_name_bound_in_both_try_branches_survives_to_its_reader(self):
+        source = pipeline_of('''
+            TRY
+                MAP t WITH c => 6 / a INTO x
+            ON_ERROR
+                ADD_COLUMN t WITH c = 0 INTO x
+            END_TRY
+            DISTINCT t INTO spacer
+            FILTER x WHERE c > 0 INTO result
+        ''')
+        pipeline = parse(source)
+        out = run_pipeline(pipeline, {"t": self.TABLE})
+        assert out.rows == ((1, 6), (3, 2))
+        zero = make_table(schema_of(("a", VT.INT)), [(0,), (2,)])
+        assert run_pipeline(pipeline, {"t": zero}).rows == ()
+
+    def test_output_bound_early_and_never_read_again_is_returned(self):
+        source = pipeline_of('''
+            DISTINCT t INTO result
+            FILTER t WHERE a > 0 INTO other
+            SELECT other COLUMNS a INTO last
+        ''')
+        assert run_pipeline(parse(source), {"t": self.TABLE}).rows == self.TABLE.rows
+
+    def test_caller_inputs_are_untouched(self):
+        inputs = {"t": self.TABLE}
+        source = pipeline_of('''
+            FILTER t WHERE a > 0 INTO mid
+            DISTINCT mid INTO result
+        ''')
+        run_pipeline(parse(source), inputs)
+        assert list(inputs) == ["t"] and inputs["t"] is self.TABLE
+        assert self.TABLE.rows == ((1,), (-2,), (3,))
+
+
+def self_unions_then_columns(unions: int, columns: int) -> str:
+    """The cell-cap escape: self-UNIONs double the rows, then each
+    ADD_COLUMN widens the last table by one."""
+    lines = ["DISTINCT t INTO u0"]
+    lines += [f"UNION u{i} WITH u{i} INTO u{i + 1}" for i in range(unions)]
+    lines.append(f"RENAME u{unions} COLUMN a TO a INTO w0")
+    lines += [f"ADD_COLUMN w{i} WITH c{i} = {i} INTO w{i + 1}" for i in range(columns)]
+    lines.append(f"DISTINCT w{columns} INTO result")
+    return pipeline_of("\n".join(lines))
+
+
+class TestCellCap:
+    TEN = make_table(schema_of(("a", VT.INT)), [(n,) for n in range(10)])
+
+    def test_escape_stops_at_the_cell_limit(self):
+        # 10 rows doubled 6 times are 640; the 40 columns would need 26k
+        # cells in the last table alone
+        pipeline = parse(self_unions_then_columns(6, 40))
+        with pytest.raises(AssertionFailed, match="cell limit of 3000") as err:
+            run_pipeline(pipeline, {"t": self.TEN}, max_cells=3000)
+        assert err.value.location.line > 4
+        assert len(run_pipeline(pipeline, {"t": self.TEN}).schema) == 41
+
+    def test_try_catches_the_cell_limit(self):
+        source = pipeline_of('''
+            TRY
+                UNION t WITH t INTO twice
+                UNION twice WITH twice INTO result
+            ON_ERROR
+                DISTINCT t INTO result
+            END_TRY
+        ''')
+        out = run_pipeline(parse(source), {"t": self.TEN}, max_cells=50)
+        assert out.rows == self.TEN.rows
+
+    def test_released_tables_return_their_cells(self):
+        # each table holds 10 cells and at most two are bound at once, but
+        # the six together hold 60
+        chain = "\n".join(
+            f"DISTINCT {a} INTO {b}"
+            for a, b in zip(["t", "x1", "x2", "x3", "x4", "x5"], ["x1", "x2", "x3", "x4", "x5", "result"])
+        )
+        out = run_pipeline(parse(pipeline_of(chain)), {"t": self.TEN}, max_cells=20)
+        assert out.rows == self.TEN.rows
+
+    def test_discarded_scopes_return_their_cells(self):
+        # every iteration and the failed TRY body bind 20 cells that their
+        # scope discards; kept, they would pass the cap of 30
+        source = pipeline_of('''
+            FOR_EACH row IN t DO
+                UNION t WITH t INTO inner
+            END_FOR
+            TRY
+                UNION t WITH t INTO doomed
+                MAP doomed WITH b => a / 0 INTO broken
+                DISTINCT t INTO spare
+            ON_ERROR
+                DISTINCT t INTO spare
+            END_TRY
+            UNION t WITH spare INTO result
+        ''')
+        out = run_pipeline(parse(source), {"t": self.TEN}, max_cells=30)
+        assert len(out) == 20
+
+    def test_rebinding_a_branch_local_name_returns_its_cells(self):
+        # the IF leaves `x` behind though it is not visible after END_IF, so
+        # the top-level rebinding replaces a table that held 10 cells
+        source = pipeline_of('''
+            IF TRUE THEN
+                DISTINCT t INTO x
+            END_IF
+            DISTINCT t INTO x
+            DISTINCT x INTO result
+        ''')
+        out = run_pipeline(parse(source), {"t": self.TEN}, max_cells=20)
+        assert out.rows == self.TEN.rows
+
+    def test_input_cells_are_not_charged(self):
+        out = simple("DISTINCT t INTO result", self.TEN, max_cells=10)
+        assert out.rows == self.TEN.rows
+        with pytest.raises(AssertionFailed, match="cell limit of 9"):
+            simple("DISTINCT t INTO result", self.TEN, max_cells=9)
 
 
 class TestValidatedPlans:

@@ -374,6 +374,45 @@ class TestControlFlowScoping:
             assert kinds(result) == [ValidationKind.UNKNOWN_DATASET]
 
 
+class TestLiveness:
+    def test_dies_names_each_bindings_last_toucher(self):
+        pipeline = parse(
+            "PIPELINE p:\n INPUT t: TABLE[a: INT, b: STRING]\n STEP s:\n"
+            "  FILTER t WHERE a > 0 INTO pos\n"
+            "  DISTINCT t INTO unread\n"
+            "  IF TRUE THEN\n"
+            "    DISTINCT pos INTO x\n"
+            "    DISTINCT pos INTO only_then\n"
+            "  ELSE\n"
+            "    DISTINCT t INTO x\n"
+            "  END_IF\n"
+            " STEP loops:\n"
+            "  FOR_EACH row IN x DO\n"
+            "    WHILE FALSE DO\n"
+            "      DISTINCT pos INTO loop_local\n"
+            "    END_WHILE\n"
+            "  END_FOR\n"
+            "  TRY DISTINCT x INTO result ON_ERROR DISTINCT t INTO result END_TRY\n"
+            '  POST x TO "http://out.test/"\n'
+            " OUTPUT result"
+        )
+        result = validate(pipeline)
+        assert result.ok
+        top = [stmt for step in pipeline.steps for stmt in step.body]
+        # reads and binds anywhere inside a control statement count against
+        # it; the input and the OUTPUT name never die, and the last
+        # statement releases nothing, since the run ends there
+        assert [result.dies.get(id(stmt), ()) for stmt in top] == [
+            (),
+            ("unread",),
+            ("only_then",),
+            ("pos", "loop_local"),
+            (),
+            (),
+        ]
+        assert set(result.dies) == {id(stmt) for stmt in top[1:4]}
+
+
 def derivation_chain(length: int) -> str:
     """A pipeline of ``length`` MAP, ADD_COLUMN, RENAME and DROP statements
     in turn, each reading the one before; it gains a column every four."""
