@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import attrgetter
 from typing import Callable, Optional
 
 from anka.errors import AssertionFailed, ConversionError
@@ -42,7 +43,8 @@ def _check_length(name: str, length: int) -> None:
 
 
 def _concat(a: str, b: str) -> str:
-    _check_length("CONCAT", len(a) + len(b))
+    if len(a) + len(b) > MAX_STRING_LENGTH:
+        _check_length("CONCAT", len(a) + len(b))
     return a + b
 
 
@@ -98,9 +100,9 @@ BUILTINS: dict[str, Builtin] = {
         Builtin("TO_STRING", (ANY,), ValueType.STRING, format_cell),
         Builtin("TO_INT", (_CASTABLE,), ValueType.INT, _to_int),
         Builtin("TO_DECIMAL", (_CASTABLE,), ValueType.DECIMAL, _to_decimal),
-        Builtin("YEAR", (_TEMPORAL,), ValueType.INT, lambda d: d.year),
-        Builtin("MONTH", (_TEMPORAL,), ValueType.INT, lambda d: d.month),
-        Builtin("DAY", (_TEMPORAL,), ValueType.INT, lambda d: d.day),
+        Builtin("YEAR", (_TEMPORAL,), ValueType.INT, attrgetter("year")),
+        Builtin("MONTH", (_TEMPORAL,), ValueType.INT, attrgetter("month")),
+        Builtin("DAY", (_TEMPORAL,), ValueType.INT, attrgetter("day")),
     ]
 }
 

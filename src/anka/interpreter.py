@@ -321,8 +321,9 @@ def _slice(stmt: ast.Slice, sources, schema, types):
 def _join(stmt, sources, schema, types):
     left, right, left_outer = stmt.left, stmt.right, type(stmt) is ast.LeftJoin
     li, ri = sources[0].index_of(stmt.left_key), sources[1].index_of(stmt.right_key)
+    location = stmt.location
     return lambda interp, d: interp.eval_join(
-        d[left], d[right], schema, li, ri, left_outer=left_outer
+        d[left], d[right], schema, li, ri, location, left_outer=left_outer
     )
 
 
@@ -491,6 +492,7 @@ class Interpreter:
         schema: Schema,
         li: int,
         ri: int,
+        location: SourceLocation,
         *,
         left_outer: bool,
     ) -> Table:
@@ -512,10 +514,10 @@ class Interpreter:
             found = matches.get(lrow[li], ())
             for rest in found:
                 rows.append(lrow + rest)
-                self._check_size(len(rows))
+                self._check_size(len(rows), location)
             if left_outer and not found:
                 rows.append(lrow + padding)
-                self._check_size(len(rows))
+                self._check_size(len(rows), location)
         return Table.trusted(schema, rows)
 
     def eval_union(self, left: Table, right: Table, location) -> Table:
@@ -612,8 +614,12 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 # Each expression becomes a closure from a row tuple to a cell, with every
 # column reference bound to its index and every operator bound to the
 # kernel for the operand types the validator proved, so the only per-row
-# branch left is the null check. A failing operator or call raises with
-# its own node's location, so the innermost failing node names it.
+# branch left is the null check. A literal is a closure that returns its
+# value; as the right operand of a comparison or arithmetic operator it
+# is bound in the operator's closure as a constant instead (a literal is
+# never null), which saves a call per row. A failing operator or call
+# raises with its own node's location, so the innermost failing node
+# names it.
 
 
 def _compile_expr(
@@ -653,9 +659,26 @@ def _neg(expr: ast.Neg, schema, types):
 def _arithmetic(expr: ast.BinaryOp, schema, types):
     location = expr.location
     left = _compile_expr(expr.left, schema, types)
-    right = _compile_expr(expr.right, schema, types)
     kernel = ARITHMETIC_KERNELS[expr.op, types[id(expr)]]
     overflow = f"DECIMAL overflow in {OPERATION_NAMES[expr.op]}"
+
+    if type(expr.right) is ast.Literal:
+        b = expr.right.value
+
+        def arithmetic_literal(row):
+            a = left(row)
+            if a is None:
+                return None
+            try:
+                return kernel(a, b)
+            except ExecutionError as exc:
+                raise exc.at(location) from None
+            except decimal.Inexact:
+                raise ConversionError(overflow, location) from None
+
+        return arithmetic_literal
+
+    right = _compile_expr(expr.right, schema, types)
 
     def arithmetic(row):
         a = left(row)
@@ -686,8 +709,18 @@ _COMPARISONS = {
 
 def _comparison(expr: ast.Comparison, schema, types):
     left = _compile_expr(expr.left, schema, types)
-    right = _compile_expr(expr.right, schema, types)
     holds = _COMPARISONS[expr.op]
+
+    if type(expr.right) is ast.Literal:
+        b = expr.right.value
+
+        def comparison_literal(row):
+            a = left(row)
+            return None if a is None else holds(a, b)
+
+        return comparison_literal
+
+    right = _compile_expr(expr.right, schema, types)
 
     def comparison(row):
         a = left(row)

@@ -5,6 +5,11 @@ The adapter holds low-level file and HTTP capability handles plus a
 sandbox flag. Sandboxed adapters (the default) deny every operation
 deterministically before touching any handle, which makes benchmark
 runs hermetic.
+
+The CSV decoder admits cells a column chunk at a time, through
+``values.parse_column``; a chunk it declines is read cell by cell, so
+each cell is admitted by the same per-cell rules and a bad one fails
+with the same message and line either way.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from anka.values import (
     ValueType,
     check_decimal,
     check_int,
+    parse_bool,
+    parse_column,
     parse_date,
     parse_datetime,
     parse_decimal,
@@ -206,8 +213,10 @@ _CSV_NATIVE = frozenset(t for t, text in CELL_FORMATTERS.items() if text is str)
 def table_from_csv(data: bytes, schema: Schema) -> Table:
     """Decode CSV with a header row matching the schema names in order.
     An empty field reads as null for non-STRING columns and as the empty
-    string for STRING columns; errors carry 1-based line numbers. Each
-    cell is admitted by its column's parser as it is read."""
+    string for STRING columns; errors carry 1-based line numbers. Cells
+    are admitted a column chunk at a time by ``values.parse_column``,
+    and by the column's per-cell parser where it declines, so the rules
+    for each cell are the per-cell parser's."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -244,11 +253,13 @@ def _csv_reader(text: str, schema: Schema):
 
 def _csv_by_columns(text: str, schema: Schema, parsers) -> Optional[list]:
     """The rows of well-formed CSV, decoded a chunk of records at a time
-    with one loop per column and its parser. None when a record is blank
-    or has the wrong number of fields; a failing cell raises, without
-    its line. The row-by-row reading handles both."""
+    one column at a time: by ``parse_column``, or by the column's parser
+    cell by cell where that declines. None when a record is blank or has
+    the wrong number of fields; a failing cell raises, without its line.
+    The row-by-row reading handles both."""
     reader = _csv_reader(text, schema)
     arity = {len(schema)}
+    types = [field.type for field in schema.fields]
     rows: list = []
     while True:
         chunk = list(islice(reader, _CSV_CHUNK_ROWS))
@@ -257,10 +268,17 @@ def _csv_by_columns(text: str, schema: Schema, parsers) -> Optional[list]:
         if set(map(len, chunk)) != arity:
             return None
         columns = [
-            column if parse is None else [parse(raw) if raw else None for raw in column]
-            for parse, column in zip(parsers, zip(*chunk))
+            column if parse is None else _csv_column(vtype, parse, column)
+            for vtype, parse, column in zip(types, parsers, zip(*chunk))
         ]
         rows.extend(zip(*columns))
+
+
+def _csv_column(vtype: ValueType, parse, column: tuple[str, ...]) -> list:
+    cells = parse_column(vtype, column)
+    if cells is None:
+        cells = [parse(raw) if raw else None for raw in column]
+    return cells
 
 
 def _csv_by_rows(text: str, schema: Schema, parsers) -> list:
@@ -300,18 +318,10 @@ def _records(reader):
         raise ConversionError(f"line {reader.line_num}: {exc}") from None
 
 
-def _csv_bool(raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConversionError(f"cannot parse {raw!r} as BOOL, expected true/false")
-
-
 _CSV_PARSERS = {
     ValueType.INT: parse_int,
     ValueType.DECIMAL: parse_decimal,
-    ValueType.BOOL: _csv_bool,
+    ValueType.BOOL: parse_bool,
     ValueType.DATE: parse_date,
     ValueType.DATETIME: parse_datetime,
 }

@@ -348,7 +348,7 @@ class _Checker:
                 ok = False
             else:
                 taken.add(name)
-                fields.append(Field(name, schema.type_of(name)))
+                fields.append(schema.fields[schema.index_of(name)])
         return fields, ok
 
     def _non_negative(self, stmt, what: str, shown: object, *counts: int) -> None:

@@ -12,6 +12,13 @@ Cells are plain Python objects tagged by their column's declared type:
 
 ``bool`` is an ``int`` subclass and ``datetime`` a ``date`` subclass in
 Python, so all type dispatch here checks the narrow type first.
+
+This module is the one place that turns text into cells. Each parser
+admits one cell; ``parse_column`` admits a chunk of a column's CSV
+fields at once, with one regex match and one map, when every field has
+the shape of its type's per-cell fast path, and otherwise leaves the
+chunk to the per-cell parser, so the rules and messages are those of
+the per-cell parsers either way.
 """
 
 from __future__ import annotations
@@ -324,9 +331,17 @@ def table_equal(left: Table, right: Table) -> bool:
 # past 9 exponent digits Decimal() itself fails
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_TEXT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,9})?")
-# plain decimal text that check_decimal admits unchanged: at most 37
-# digits, at most 10 of them after the point, no exponent
-_PLAIN_DECIMAL_TEXT = re.compile(r"-?[0-9]{1,27}(?:\.[0-9]{1,10})?")
+# Field shapes whose text converts directly to a cell, for the fast
+# paths. An INT of at most 18 digits is in range whatever its sign
+# (parse_int's own fast path takes the unsigned ones). Plain decimal text
+# is what check_decimal admits unchanged: at most 37 digits, at most 10
+# of them after the point, no exponent.
+_INT_FIELD = "-?[0-9]{1,18}"
+_PLAIN_DECIMAL_FIELD = r"-?[0-9]{1,27}(?:\.[0-9]{1,10})?"
+_DATE_FIELD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_DATETIME_FIELD = _DATE_FIELD + "T[0-9]{2}:[0-9]{2}:[0-9]{2}"
+_BOOL_FIELD = "true|false"
+_PLAIN_DECIMAL_TEXT = re.compile(_PLAIN_DECIMAL_FIELD)
 
 
 def clip_text(text: str) -> str:
@@ -511,12 +526,12 @@ NEGATION_KERNELS: dict[ValueType, Callable[[Cell], Cell]] = {
 # Date and datetime wire formats (ISO-8601, no timezones)
 # ---------------------------------------------------------------------------
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_DATETIME_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}$")
+_DATE_RE = re.compile(_DATE_FIELD)
+_DATETIME_RE = re.compile(_DATETIME_FIELD)
 
 
 def parse_date(text: str) -> datetime.date:
-    if not _DATE_RE.match(text):
+    if not _DATE_RE.fullmatch(text):
         raise ConversionError(f"malformed DATE value {text!r}, expected YYYY-MM-DD")
     try:
         return datetime.date.fromisoformat(text)
@@ -525,7 +540,7 @@ def parse_date(text: str) -> datetime.date:
 
 
 def parse_datetime(text: str) -> datetime.datetime:
-    if not _DATETIME_RE.match(text):
+    if not _DATETIME_RE.fullmatch(text):
         raise ConversionError(
             f"malformed DATETIME value {text!r}, expected YYYY-MM-DDTHH:MM:SS"
         )
@@ -533,6 +548,51 @@ def parse_datetime(text: str) -> datetime.datetime:
         return datetime.datetime.fromisoformat(text)
     except ValueError:
         raise ConversionError(f"invalid DATETIME value {text!r}") from None
+
+
+def parse_bool(text: str) -> bool:
+    """BOOL text as CSV writes it: ``true`` or ``false``."""
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ConversionError(f"cannot parse {text!r} as BOOL, expected true/false")
+
+
+def _column_shape(field: str) -> re.Pattern:
+    """Newline-separated fields, each empty or of the shape ``field``."""
+    return re.compile(f"(?:{field})?(?:\n(?:{field})?)*")
+
+
+# Per column type: the shape of a chunk the column fast path admits, and
+# the C-level conversion of each of its non-empty fields, which gives the
+# cell the type's per-cell parser gives for the same text.
+_COLUMN_FORMS: dict[ValueType, tuple[re.Pattern, Callable[[str], Cell]]] = {
+    ValueType.INT: (_column_shape(_INT_FIELD), int),
+    ValueType.DECIMAL: (_column_shape(_PLAIN_DECIMAL_FIELD), Decimal),
+    ValueType.BOOL: (_column_shape(_BOOL_FIELD), "true".__eq__),
+    ValueType.DATE: (_column_shape(_DATE_FIELD), datetime.date.fromisoformat),
+    ValueType.DATETIME: (_column_shape(_DATETIME_FIELD), datetime.datetime.fromisoformat),
+}
+
+
+def parse_column(vtype: ValueType, texts: Sequence[str]) -> Optional[list[Cell]]:
+    """The cells of a chunk of one non-STRING column's CSV fields, an
+    empty field as null, from one match of the joined chunk and one map;
+    None when a field is outside its type's fast-path shape or fails to
+    convert (such as 2024-02-30), which leaves the chunk to the per-cell
+    parser and its diagnostics."""
+    shape, convert = _COLUMN_FORMS[vtype]
+    joined = "\n".join(texts)
+    # a quoted field may hold a newline, which would read as two fields
+    if joined.count("\n") != len(texts) - 1 or not shape.fullmatch(joined):
+        return None
+    try:
+        if "" in texts:
+            return [convert(text) if text else None for text in texts]
+        return list(map(convert, texts))
+    except ValueError:
+        return None
 
 
 # The text form of each type, as TO_STRING and CSV write it; encoders
@@ -547,8 +607,22 @@ CELL_FORMATTERS: dict[ValueType, Callable[[Cell], str]] = {
 }
 
 
+# the formatter of each cell class, so that TO_STRING finds it in one lookup
+_FORMATTERS_BY_CLASS: dict[type, Callable[[Cell], str]] = {
+    int: CELL_FORMATTERS[ValueType.INT],
+    str: CELL_FORMATTERS[ValueType.STRING],
+    Decimal: CELL_FORMATTERS[ValueType.DECIMAL],
+    bool: CELL_FORMATTERS[ValueType.BOOL],
+    datetime.date: CELL_FORMATTERS[ValueType.DATE],
+    datetime.datetime: CELL_FORMATTERS[ValueType.DATETIME],
+}
+
+
 def format_cell(value: Cell) -> str:
     """Canonical text form of a cell, as used by TO_STRING."""
+    text = _FORMATTERS_BY_CLASS.get(type(value))
+    if text is not None:
+        return text(value)
     if value is None:
         raise ConversionError("cannot format null")
     return CELL_FORMATTERS[value_type_of(value)](value)

@@ -294,6 +294,18 @@ class TestJoins:
             with pytest.raises(AssertionFailed, match="row limit"):
                 self._join(kind, left, right, max_rows=99)
 
+    def test_join_row_limit_error_names_the_statement(self):
+        table = make_table(schema_of(("k", VT.INT)), [(1,)] * 10)
+        for kind in ("JOIN", "LEFT_JOIN"):
+            source = (
+                "PIPELINE p:\n INPUT t: TABLE[k: INT]\n STEP s:\n"
+                f"  {kind} t WITH t ON k == k INTO result\n OUTPUT result"
+            )
+            with pytest.raises(AssertionFailed, match="row limit of 5") as err:
+                run(source, {"t": table}, max_rows=5)
+            location = err.value.location
+            assert (location.line, location.column) == (4, 3), kind
+
     def test_join_past_deadline_raises(self, monkeypatch):
         class SteppingClock:
             """Stands in for the time module: each reading is 1 s later."""

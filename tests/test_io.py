@@ -1,5 +1,6 @@
 """Serialization round-trips, conversion errors, HTTP, and sandboxing."""
 
+import csv
 import datetime
 import http.client
 import io
@@ -25,7 +26,17 @@ from anka.io_adapters import (
     table_to_json,
 )
 from anka.parser import parse
-from anka.values import ValueType as VT, make_table, schema_of, table_equal
+from anka.values import (
+    ValueType as VT,
+    make_table,
+    parse_bool,
+    parse_date,
+    parse_datetime,
+    parse_decimal,
+    parse_int,
+    schema_of,
+    table_equal,
+)
 
 from generators import rand_schema, rand_table
 
@@ -296,6 +307,112 @@ class TestCsv:
             has_string = any(f.type is VT.STRING for f in schema.fields)
             table = rand_table(rng, schema, null_rate=0.0 if has_string else 0.2)
             assert table_equal(table_from_csv(table_to_csv(table), schema), table)
+
+
+# The per-cell parser of each non-STRING CSV column type.
+PER_CELL_PARSERS = {
+    VT.INT: parse_int,
+    VT.DECIMAL: parse_decimal,
+    VT.BOOL: parse_bool,
+    VT.DATE: parse_date,
+    VT.DATETIME: parse_datetime,
+}
+
+# A field of each type that a column chunk admits as it is, and edge
+# fields, good and bad, on either side of the chunk shapes.
+PLAIN_FIELDS = {
+    VT.INT: "42",
+    VT.DECIMAL: "1.50",
+    VT.BOOL: "true",
+    VT.DATE: "2024-01-02",
+    VT.DATETIME: "2024-01-02T03:04:05",
+}
+EDGE_FIELDS = {
+    VT.INT: [
+        "-7", "-0", "007", "+5", " 5", "5 ", "1_000", "١٢", "１２", "123456789012345678",
+        "1234567890123456789", "9223372036854775807", "-9223372036854775808",
+        "9223372036854775808", "12\n",
+    ],
+    VT.DECIMAL: [
+        "-0.50", "0.0000000001", "0.00000000001", "1" * 27, "1" * 28, "1" * 28 + ".25",
+        "1e3", "1E+3", ".5", "5.", "+1.5", "١٫٥", "NaN", "1.5\n",
+    ],
+    VT.BOOL: ["false", "True", "TRUE", "1", " true", "true\n"],
+    VT.DATE: ["2024-02-29", "2023-02-29", "2024-02-30", "2024-W01-1", "20240102",
+              "٢٠٢٤-01-02", "2024-01-02\n"],
+    VT.DATETIME: ["2024-01-02T23:59:59", "2024-01-02T24:00:00", "2024-01-02 03:04:05",
+                  "2024-01-02T03:04:05Z", "2024-01-02T03:04:05\n"],
+}
+
+
+def _csv_text(schema, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(schema.names())
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _decoded(data, schema):
+    try:
+        return "ok", repr(table_from_csv(data, schema).rows)
+    except ConversionError as exc:
+        return "error", exc.message
+
+
+def _decoded_per_cell(data, schema):
+    """What ``table_from_csv`` must give: each cell from its column's
+    per-cell parser, or the first failing cell's message and line."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    next(reader)
+    rows = []
+    for record in reader:
+        row = []
+        for field, raw in zip(schema.fields, record):
+            parse = PER_CELL_PARSERS.get(field.type)
+            try:
+                row.append(raw if parse is None else parse(raw) if raw else None)
+            except ConversionError as exc:
+                line = reader.line_num
+                return "error", f"line {line}, field '{field.name}': {exc.message}"
+        rows.append(tuple(row))
+    return "ok", repr(tuple(rows))
+
+
+class TestCsvColumnChunks:
+    """Cells are admitted a chunk of 1,024 records and one column at a
+    time; a chunk must decode to exactly the per-cell parsers' cells, or
+    fail with the same message and line."""
+
+    @pytest.mark.parametrize("vtype", list(EDGE_FIELDS), ids=lambda t: t.value)
+    @pytest.mark.parametrize("where", [0, 1024], ids=["first-chunk", "second-chunk"])
+    def test_edge_fields_decode_as_per_cell(self, vtype, where):
+        schema = schema_of(("s", VT.STRING), ("x", vtype))
+        plain = PLAIN_FIELDS[vtype]
+        # nulls, and a quoted field holding a line feed in each chunk
+        base = [[f"r{i}", "" if i % 7 == 3 else plain] for i in range(1100)]
+        base[5][0] = base[1030][0] = "two\nlines"
+        for field in EDGE_FIELDS[vtype] + [plain]:
+            rows = [list(row) for row in base]
+            rows[where + 1][1] = field
+            data = _csv_text(schema, rows)
+            assert _decoded(data, schema) == _decoded_per_cell(data, schema), field
+
+    def test_bad_cell_in_the_second_chunk_names_its_line(self):
+        schema = schema_of(("a", VT.INT), ("b", VT.DATE))
+        rows = [[str(i), "2024-01-02"] for i in range(1100)]
+        rows[1024][1] = "2024-02-30"  # row 1,025: the second chunk's first
+        with pytest.raises(ConversionError) as err:
+            table_from_csv(_csv_text(schema, rows), schema)
+        assert err.value.message == "line 1026, field 'b': invalid DATE value '2024-02-30'"
+        # a quoted line feed before it moves it one line down
+        schema = schema_of(("s", VT.STRING), ("a", VT.INT))
+        rows = [["x", str(i)] for i in range(1100)]
+        rows[3][0] = "two\nlines"
+        rows[1024][1] = "1_000"
+        with pytest.raises(ConversionError) as err:
+            table_from_csv(_csv_text(schema, rows), schema)
+        assert err.value.message == "line 1027, field 'a': cannot parse '1_000' as INT"
 
 
 class RecordingFileOps(FileOps):

@@ -24,6 +24,10 @@ from anka.values import (
     compare_values,
     decimal_divide,
     format_cell,
+    parse_bool,
+    parse_column,
+    parse_date,
+    parse_datetime,
     parse_decimal,
     parse_int,
     schema_of,
@@ -167,6 +171,81 @@ class TestComparisonKernels:
                 assert run(a, b) is expected, (a, op, b)
 
 
+def _literal(value):
+    """A literal of ``value``'s type, and the value it holds. A number
+    literal holds the magnitude, as a leading minus is an operator, and
+    at most INT64_MAX for an INT; a DECIMAL literal needs a point, so an
+    integral one gains a fractional zero, in place of its last digit
+    where a 38th digit would be too many."""
+    if isinstance(value, bool):
+        return ("TRUE" if value else "FALSE"), value
+    if isinstance(value, int):
+        value = min(abs(value), INT64_MAX)
+        return str(value), value
+    if isinstance(value, Decimal):
+        text = format(value.copy_abs(), "f")
+        if "." not in text:
+            text = (text if len(text) < 38 else text[:-1]) + ".0"
+        return text, Decimal(text)
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"', value
+    kind = "DATETIME" if isinstance(value, datetime.datetime) else "DATE"
+    return f'{kind} "{format_cell(value)}"', value
+
+
+def _located_outcome(compute, *args):
+    try:
+        return "ok", repr(compute(*args))
+    except ExecutionError as exc:
+        return type(exc).__name__, exc.message, (exc.location.line, exc.location.column)
+
+
+class TestLiteralOperands:
+    """A literal right operand is bound into its operator as a constant.
+    Each operator must give what it gives with the same value in a column:
+    the same result, null for a null left operand, and the same error at
+    the same location."""
+
+    @pytest.mark.parametrize("types", COMPARISON_PAIRS, ids=lambda t: f"{t[0].value}-{t[1].value}")
+    def test_comparison(self, types):
+        rng = random.Random(f"literal comparison {types}")
+        schema = schema_of(("a", types[0]), ("b", types[1]))
+        draws = (SAMPLES[types[1]](rng) for _ in range(8))
+        literals = set(map(_literal, draws))
+        lefts = [None] + [SAMPLES[types[0]](rng) for _ in range(20)]
+        for op in _HOLDS:
+            column = _expression_runner(f"a {op} b", schema)
+            for text, b in literals:
+                if isinstance(b, str) and not b.isprintable():
+                    continue
+                literal = _expression_runner(f"a {op} {text}", schema)
+                for a in lefts:
+                    assert literal(a, b) is column(a, b), (a, op, b)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    @pytest.mark.parametrize("types", NUMERIC_PAIRS, ids=lambda t: f"{t[0].value}-{t[1].value}")
+    def test_arithmetic(self, op, types):
+        rng = random.Random(f"literal arithmetic {op} {types}")
+        schema = schema_of(("a", types[0]), ("b", types[1]))
+        column = _expression_runner(f"a {op} b", schema)
+        # zero and the largest operands reach division by zero and overflow
+        if types[1] is VT.INT:
+            values = [0, 1, 3, INT64_MAX] + [_rand_int(rng) for _ in range(4)]
+        else:
+            values = [Decimal("0.00"), Decimal("3"), Decimal("9" * 37 + ".9")]
+            values += [_rand_decimal(rng) for _ in range(4)]
+        big = INT64_MAX if types[0] is VT.INT else Decimal("9" * 38)
+        lefts = [None, big, -big] + [_rand_operand(rng, types[0]) for _ in range(30)]
+        seen = set()
+        for text, b in map(_literal, values):
+            literal = _expression_runner(f"a {op} {text}", schema)
+            for a in lefts:
+                expected = _located_outcome(column, a, b)
+                assert _located_outcome(literal, a, b) == expected, (a, op, b)
+                seen.add(expected[0])
+        assert "ok" in seen and len(seen) > 1
+
+
 def _generic_aggregate(fn, values):
     """SUM, AVG, MIN and MAX over non-null values, one generic step at
     a time."""
@@ -299,6 +378,84 @@ class TestCellFastPaths:
         rng = random.Random(f"cells {fast.__name__}")
         for text in CELL_EDGES + [_rand_text(rng) for _ in range(3000)]:
             assert _outcome(fast, text) == _outcome(grammar, text), text
+
+
+# The per-cell parser of each non-STRING CSV column type.
+CSV_CELL_PARSERS = {
+    VT.INT: parse_int,
+    VT.DECIMAL: parse_decimal,
+    VT.BOOL: parse_bool,
+    VT.DATE: parse_date,
+    VT.DATETIME: parse_datetime,
+}
+
+# A field of each type that the column fast path admits as it is.
+PLAIN_FIELDS = {
+    VT.INT: "42",
+    VT.DECIMAL: "1.50",
+    VT.BOOL: "true",
+    VT.DATE: "2024-01-02",
+    VT.DATETIME: "2024-01-02T03:04:05",
+}
+
+COLUMN_EDGES = {
+    VT.INT: CELL_EDGES + ["-7", "-" + "9" * 18, "-" + "9" * 19, "12\n", "1\n2"],
+    VT.DECIMAL: CELL_EDGES + [
+        "0.0000000001", "0.00000000001", "1" * 27, "1" * 28, "1" * 28 + ".5",
+        "-" + "9" * 27 + ".5", "5.", "1e3", ".5", "-0.0", "1.5\n", "1\n2",
+    ],
+    VT.BOOL: ["true", "false", "True", "TRUE", "FALSE", "1", "0", " true", "true ", "yes",
+              "true\n", "true\nfalse", ""],
+    VT.DATE: [
+        "2024-01-02", "2024-02-29", "2023-02-29", "2024-02-30", "2024-13-01", "2024-00-10",
+        "0000-01-01", "0001-01-01", "9999-12-31", "2024-W01-1", "20240102", "2024-1-2",
+        "٢٠٢٤-01-02", "2024-01-02T00:00:00", " 2024-01-02", "2024-01-02\n",
+        "2024-01-02\n2024-01-03", "",
+    ],
+    VT.DATETIME: [
+        "2024-01-02T03:04:05", "2024-01-02T23:59:59", "2024-01-02T24:00:00",
+        "2024-01-02T03:60:00", "2024-01-02 03:04:05", "2024-01-02T03:04:05.5",
+        "2024-01-02T03:04", "2024-01-02T03:04:05Z", "2024-01-02T03:04:05+00:00",
+        "2024-02-30T00:00:00", "20240102T030405", "2024-01-02", "٢٠٢٤-01-02T03:04:05",
+        "2024-01-02T03:04:05\n", "",
+    ],
+}
+
+
+def _cell_outcomes(vtype, texts):
+    """Each field's outcome from its type's per-cell parser; empty is null."""
+    parse = CSV_CELL_PARSERS[vtype]
+    return [_outcome(parse, text) if text else ("ok", "None") for text in texts]
+
+
+class TestColumnFastPath:
+    """``parse_column`` against the per-cell parsers: a chunk it admits
+    holds exactly the per-cell cells, and it declines every chunk that
+    holds a field the per-cell parser rejects."""
+
+    @pytest.mark.parametrize("vtype", list(COLUMN_EDGES), ids=lambda t: t.value)
+    def test_matches_per_cell_parsers(self, vtype):
+        rng = random.Random(f"column {vtype}")
+        edges, plain = COLUMN_EDGES[vtype], PLAIN_FIELDS[vtype]
+        chunks = [[text] for text in edges] + [[plain, text, ""] for text in edges]
+        pool = edges + [plain] * len(edges)
+        chunks += [rng.choices(pool, k=rng.randint(1, 60)) for _ in range(400)]
+        admitted = 0
+        for chunk in chunks:
+            cells = parse_column(vtype, chunk)
+            if cells is not None:
+                admitted += 1
+                assert [("ok", repr(cell)) for cell in cells] == _cell_outcomes(vtype, chunk)
+            else:
+                assert len(chunk) > 0
+        assert admitted
+
+    @pytest.mark.parametrize("vtype", list(COLUMN_EDGES), ids=lambda t: t.value)
+    def test_plain_chunks_take_the_fast_path(self, vtype):
+        chunk = [PLAIN_FIELDS[vtype], ""] * 600
+        cells = parse_column(vtype, chunk)
+        assert cells is not None
+        assert [("ok", repr(cell)) for cell in cells] == _cell_outcomes(vtype, chunk)
 
 
 def _csv_per_cell(table):

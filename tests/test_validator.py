@@ -1,6 +1,7 @@
 """Static analysis: inference rules, binding discipline, typing."""
 
 import hashlib
+import operator
 
 import pytest
 
@@ -451,6 +452,19 @@ class TestCompileCost:
             assert len(result.output_schema) == 2 + length // 4
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+    def test_selected_and_grouped_columns_reuse_the_source_fields(self):
+        pipeline = parse(
+            "PIPELINE p:\n INPUT t: TABLE[a: INT, b: STRING, c: DATE]\n STEP s:\n"
+            "  SELECT t COLUMNS c, a INTO r\n"
+            "  AGGREGATE t GROUP_BY b COMPUTE COUNT() AS n INTO g\n OUTPUT r"
+        )
+        result = validate(pipeline)
+        select, aggregate = pipeline.steps[0].body
+        a, b, c = pipeline.inputs[0].schema.fields
+        assert result.outputs[id(select)].fields == (c, a)
+        assert all(map(operator.is_, result.outputs[id(select)].fields, (c, a)))
+        assert result.outputs[id(aggregate)].fields[0] is b
 
 
 _TWO_INPUTS = "INPUT t: TABLE[a: INT, b: STRING]\n INPUT u: TABLE[k: INT, b: DATE]"

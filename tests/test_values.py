@@ -399,3 +399,21 @@ class TestTemporalParsing:
     def test_invalid_calendar_date(self):
         with pytest.raises(ConversionError):
             parse_date("2024-02-31")
+
+    @pytest.mark.parametrize(
+        "parse, text, expected",
+        [
+            (parse_date, "2024-01-02\n", "YYYY-MM-DD"),
+            (parse_date, "٢٠٢٤-01-02", "YYYY-MM-DD"),
+            (parse_datetime, "2024-01-02T03:04:05\n", "YYYY-MM-DDTHH:MM:SS"),
+            (parse_datetime, "٢٠٢٤-01-02T03:04:05", "YYYY-MM-DDTHH:MM:SS"),
+        ],
+        ids=["date-newline", "date-arabic-digits", "datetime-newline", "datetime-arabic-digits"],
+    )
+    def test_shape_is_ascii_and_whole_text(self, parse, text, expected):
+        # a trailing newline and other scripts' digits are malformed text,
+        # not a date that the calendar rejects
+        with pytest.raises(ConversionError) as err:
+            parse(text)
+        assert err.value.message.startswith("malformed ")
+        assert err.value.message.endswith(f"{text!r}, expected {expected}")
