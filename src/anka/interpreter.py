@@ -615,9 +615,9 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 # column reference bound to its index and every operator bound to the
 # kernel for the operand types the validator proved, so the only per-row
 # branch left is the null check. A literal is a closure that returns its
-# value; as the right operand of a comparison or arithmetic operator it
-# is bound in the operator's closure as a constant instead (a literal is
-# never null), which saves a call per row. A failing operator or call
+# value; as the right operand of a comparison it is bound in the
+# comparison's closure as a constant instead (a literal is never null),
+# which saves a call per row of a FILTER. A failing operator or call
 # raises with its own node's location, so the innermost failing node
 # names it.
 
@@ -661,22 +661,6 @@ def _arithmetic(expr: ast.BinaryOp, schema, types):
     left = _compile_expr(expr.left, schema, types)
     kernel = ARITHMETIC_KERNELS[expr.op, types[id(expr)]]
     overflow = f"DECIMAL overflow in {OPERATION_NAMES[expr.op]}"
-
-    if type(expr.right) is ast.Literal:
-        b = expr.right.value
-
-        def arithmetic_literal(row):
-            a = left(row)
-            if a is None:
-                return None
-            try:
-                return kernel(a, b)
-            except ExecutionError as exc:
-                raise exc.at(location) from None
-            except decimal.Inexact:
-                raise ConversionError(overflow, location) from None
-
-        return arithmetic_literal
 
     right = _compile_expr(expr.right, schema, types)
 

@@ -7,9 +7,9 @@ deterministically before touching any handle, which makes benchmark
 runs hermetic.
 
 The CSV decoder admits cells a column chunk at a time, through
-``values.parse_column``; a chunk it declines is read cell by cell, so
-each cell is admitted by the same per-cell rules and a bad one fails
-with the same message and line either way.
+``values.parse_column``, which reads a chunk outside its fast path cell
+by cell, so each cell is admitted by the same per-cell rules and a bad
+one fails with the same message and line either way.
 """
 
 from __future__ import annotations
@@ -28,18 +28,17 @@ from typing import Iterable, Optional
 from anka.errors import ConversionError, HttpError, IoError
 from anka.values import (
     CELL_FORMATTERS,
+    CSV_PARSERS,
     Cell,
     Schema,
     Table,
     ValueType,
     check_decimal,
     check_int,
-    parse_bool,
     parse_column,
     parse_date,
     parse_datetime,
     parse_decimal,
-    parse_int,
 )
 
 DEFAULT_HTTP_TIMEOUT = 10.0
@@ -215,20 +214,18 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
     An empty field reads as null for non-STRING columns and as the empty
     string for STRING columns; errors carry 1-based line numbers. Cells
     are admitted a column chunk at a time by ``values.parse_column``,
-    and by the column's per-cell parser where it declines, so the rules
-    for each cell are the per-cell parser's."""
+    whose rules for each cell are the per-cell parser's."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConversionError(f"CSV input is not valid UTF-8: {exc}") from None
-    parsers = [_CSV_PARSERS.get(field.type) for field in schema.fields]
     try:
-        rows = _csv_by_columns(text, schema, parsers)
+        rows = _csv_by_columns(text, schema)
     except (ConversionError, csv.Error):
         rows = None
     if rows is None:
         # row by row, so the first failing cell is reported with its line
-        rows = _csv_by_rows(text, schema, parsers)
+        rows = _csv_by_rows(text, schema)
     return Table.trusted(schema, rows)
 
 
@@ -251,15 +248,13 @@ def _csv_reader(text: str, schema: Schema):
     return reader
 
 
-def _csv_by_columns(text: str, schema: Schema, parsers) -> Optional[list]:
+def _csv_by_columns(text: str, schema: Schema) -> Optional[list]:
     """The rows of well-formed CSV, decoded a chunk of records at a time
-    one column at a time: by ``parse_column``, or by the column's parser
-    cell by cell where that declines. None when a record is blank or has
-    the wrong number of fields; a failing cell raises, without its line.
-    The row-by-row reading handles both."""
+    one column at a time by ``parse_column``. None when a record is blank
+    or has the wrong number of fields; a failing cell raises, without its
+    line. The row-by-row reading handles both."""
     reader = _csv_reader(text, schema)
     arity = {len(schema)}
-    types = [field.type for field in schema.fields]
     rows: list = []
     while True:
         chunk = list(islice(reader, _CSV_CHUNK_ROWS))
@@ -268,21 +263,16 @@ def _csv_by_columns(text: str, schema: Schema, parsers) -> Optional[list]:
         if set(map(len, chunk)) != arity:
             return None
         columns = [
-            column if parse is None else _csv_column(vtype, parse, column)
-            for vtype, parse, column in zip(types, parsers, zip(*chunk))
+            column if field.type is ValueType.STRING
+            else parse_column(field.type, column)
+            for field, column in zip(schema.fields, zip(*chunk))
         ]
         rows.extend(zip(*columns))
 
 
-def _csv_column(vtype: ValueType, parse, column: tuple[str, ...]) -> list:
-    cells = parse_column(vtype, column)
-    if cells is None:
-        cells = [parse(raw) if raw else None for raw in column]
-    return cells
-
-
-def _csv_by_rows(text: str, schema: Schema, parsers) -> list:
+def _csv_by_rows(text: str, schema: Schema) -> list:
     reader = _csv_reader(text, schema)
+    parsers = [CSV_PARSERS.get(field.type) for field in schema.fields]
     rows = []
     for record in _records(reader):
         line = reader.line_num
@@ -316,15 +306,6 @@ def _records(reader):
         yield from reader
     except csv.Error as exc:
         raise ConversionError(f"line {reader.line_num}: {exc}") from None
-
-
-_CSV_PARSERS = {
-    ValueType.INT: parse_int,
-    ValueType.DECIMAL: parse_decimal,
-    ValueType.BOOL: parse_bool,
-    ValueType.DATE: parse_date,
-    ValueType.DATETIME: parse_datetime,
-}
 
 
 # ---------------------------------------------------------------------------

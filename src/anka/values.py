@@ -16,8 +16,8 @@ Python, so all type dispatch here checks the narrow type first.
 This module is the one place that turns text into cells. Each parser
 admits one cell; ``parse_column`` admits a chunk of a column's CSV
 fields at once, with one regex match and one map, when every field has
-the shape of its type's per-cell fast path, and otherwise leaves the
-chunk to the per-cell parser, so the rules and messages are those of
+the shape of its type's per-cell fast path, and otherwise reads the
+chunk with the per-cell parser, so the rules and messages are those of
 the per-cell parsers either way.
 """
 
@@ -564,6 +564,15 @@ def _column_shape(field: str) -> re.Pattern:
     return re.compile(f"(?:{field})?(?:\n(?:{field})?)*")
 
 
+# The per-cell parser of each non-STRING CSV column type.
+CSV_PARSERS: dict[ValueType, Callable[[str], Cell]] = {
+    ValueType.INT: parse_int,
+    ValueType.DECIMAL: parse_decimal,
+    ValueType.BOOL: parse_bool,
+    ValueType.DATE: parse_date,
+    ValueType.DATETIME: parse_datetime,
+}
+
 # Per column type: the shape of a chunk the column fast path admits, and
 # the C-level conversion of each of its non-empty fields, which gives the
 # cell the type's per-cell parser gives for the same text.
@@ -576,23 +585,25 @@ _COLUMN_FORMS: dict[ValueType, tuple[re.Pattern, Callable[[str], Cell]]] = {
 }
 
 
-def parse_column(vtype: ValueType, texts: Sequence[str]) -> Optional[list[Cell]]:
+def parse_column(vtype: ValueType, texts: Sequence[str]) -> list[Cell]:
     """The cells of a chunk of one non-STRING column's CSV fields, an
-    empty field as null, from one match of the joined chunk and one map;
-    None when a field is outside its type's fast-path shape or fails to
-    convert (such as 2024-02-30), which leaves the chunk to the per-cell
-    parser and its diagnostics."""
+    empty field as null. A chunk whose fields all have their type's
+    fast-path shape takes one match of the joined chunk and one map; any
+    other chunk, or one that fails to convert (such as 2024-02-30), is
+    read by the per-cell parser, whose ConversionError names the first
+    bad field."""
     shape, convert = _COLUMN_FORMS[vtype]
     joined = "\n".join(texts)
     # a quoted field may hold a newline, which would read as two fields
-    if joined.count("\n") != len(texts) - 1 or not shape.fullmatch(joined):
-        return None
-    try:
-        if "" in texts:
-            return [convert(text) if text else None for text in texts]
-        return list(map(convert, texts))
-    except ValueError:
-        return None
+    if joined.count("\n") == len(texts) - 1 and shape.fullmatch(joined):
+        try:
+            if "" in texts:
+                return [convert(text) if text else None for text in texts]
+            return list(map(convert, texts))
+        except ValueError:
+            pass
+    parse = CSV_PARSERS[vtype]
+    return [parse(text) if text else None for text in texts]
 
 
 # The text form of each type, as TO_STRING and CSV write it; encoders

@@ -23,6 +23,16 @@ STRING_ALPHABET = string.ascii_letters + string.digits + ' ,;"\'\\\n\t_-#éß'
 
 _COLUMN_NAMES = ["a", "b", "c", "d", "e", "f", "g", "h"]
 
+# A CSV field of each non-STRING type that the column fast path
+# (``values.parse_column``) admits as it is.
+PLAIN_FIELDS = {
+    ValueType.INT: "42",
+    ValueType.DECIMAL: "1.50",
+    ValueType.BOOL: "true",
+    ValueType.DATE: "2024-01-02",
+    ValueType.DATETIME: "2024-01-02T03:04:05",
+}
+
 
 def rand_type(rng: random.Random) -> ValueType:
     return rng.choice(TYPES)

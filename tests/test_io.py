@@ -27,18 +27,14 @@ from anka.io_adapters import (
 )
 from anka.parser import parse
 from anka.values import (
+    CSV_PARSERS,
     ValueType as VT,
     make_table,
-    parse_bool,
-    parse_date,
-    parse_datetime,
-    parse_decimal,
-    parse_int,
     schema_of,
     table_equal,
 )
 
-from generators import rand_schema, rand_table
+from generators import PLAIN_FIELDS, rand_schema, rand_table
 
 FULL_SCHEMA = schema_of(
     ("i", VT.INT),
@@ -309,24 +305,8 @@ class TestCsv:
             assert table_equal(table_from_csv(table_to_csv(table), schema), table)
 
 
-# The per-cell parser of each non-STRING CSV column type.
-PER_CELL_PARSERS = {
-    VT.INT: parse_int,
-    VT.DECIMAL: parse_decimal,
-    VT.BOOL: parse_bool,
-    VT.DATE: parse_date,
-    VT.DATETIME: parse_datetime,
-}
-
-# A field of each type that a column chunk admits as it is, and edge
-# fields, good and bad, on either side of the chunk shapes.
-PLAIN_FIELDS = {
-    VT.INT: "42",
-    VT.DECIMAL: "1.50",
-    VT.BOOL: "true",
-    VT.DATE: "2024-01-02",
-    VT.DATETIME: "2024-01-02T03:04:05",
-}
+# Edge fields of each type, good and bad, on either side of the column
+# chunk shapes.
 EDGE_FIELDS = {
     VT.INT: [
         "-7", "-0", "007", "+5", " 5", "5 ", "1_000", "١٢", "１２", "123456789012345678",
@@ -369,7 +349,7 @@ def _decoded_per_cell(data, schema):
     for record in reader:
         row = []
         for field, raw in zip(schema.fields, record):
-            parse = PER_CELL_PARSERS.get(field.type)
+            parse = CSV_PARSERS.get(field.type)
             try:
                 row.append(raw if parse is None else parse(raw) if raw else None)
             except ConversionError as exc:

@@ -17,6 +17,7 @@ from anka.interpreter import run_pipeline
 from anka.io_adapters import table_from_csv, table_to_csv, table_to_json
 from anka.parser import parse
 from anka.values import (
+    CSV_PARSERS,
     INT64_MAX,
     INT64_MIN,
     Table,
@@ -24,17 +25,14 @@ from anka.values import (
     compare_values,
     decimal_divide,
     format_cell,
-    parse_bool,
     parse_column,
-    parse_date,
-    parse_datetime,
     parse_decimal,
     parse_int,
     schema_of,
 )
 
 import generic_values as generic
-from generators import rand_schema, rand_table
+from generators import PLAIN_FIELDS, rand_schema, rand_table
 
 INT_EDGES = [
     0, 1, -1, 2, -2, 7, INT64_MAX, INT64_MIN, INT64_MAX - 1, INT64_MIN + 1,
@@ -380,24 +378,6 @@ class TestCellFastPaths:
             assert _outcome(fast, text) == _outcome(grammar, text), text
 
 
-# The per-cell parser of each non-STRING CSV column type.
-CSV_CELL_PARSERS = {
-    VT.INT: parse_int,
-    VT.DECIMAL: parse_decimal,
-    VT.BOOL: parse_bool,
-    VT.DATE: parse_date,
-    VT.DATETIME: parse_datetime,
-}
-
-# A field of each type that the column fast path admits as it is.
-PLAIN_FIELDS = {
-    VT.INT: "42",
-    VT.DECIMAL: "1.50",
-    VT.BOOL: "true",
-    VT.DATE: "2024-01-02",
-    VT.DATETIME: "2024-01-02T03:04:05",
-}
-
 COLUMN_EDGES = {
     VT.INT: CELL_EDGES + ["-7", "-" + "9" * 18, "-" + "9" * 19, "12\n", "1\n2"],
     VT.DECIMAL: CELL_EDGES + [
@@ -422,40 +402,65 @@ COLUMN_EDGES = {
 }
 
 
-def _cell_outcomes(vtype, texts):
-    """Each field's outcome from its type's per-cell parser; empty is null."""
-    parse = CSV_CELL_PARSERS[vtype]
-    return [_outcome(parse, text) if text else ("ok", "None") for text in texts]
+def _per_cell(vtype, texts):
+    """The outcome of reading ``texts`` field by field with their type's
+    per-cell parser, empty as null: the cells, or the first bad field's
+    error."""
+    parse = CSV_PARSERS[vtype]
+    return _outcome(lambda: [parse(text) if text else None for text in texts])
+
+
+class _Declined(Exception):
+    pass
+
+
+def _declined(text):
+    """A per-cell parser that refuses every field, so that ``parse_column``
+    gives cells only from its column fast path."""
+    raise _Declined(text)
+
+
+def _column_chunks(vtype):
+    """Single edge fields, edge fields between a plain field and a null,
+    and 400 seeded random mixes of edge and plain fields."""
+    rng = random.Random(f"column {vtype}")
+    edges, plain = COLUMN_EDGES[vtype], PLAIN_FIELDS[vtype]
+    chunks = [[text] for text in edges] + [[plain, text, ""] for text in edges]
+    pool = edges + [plain] * len(edges)
+    return chunks + [rng.choices(pool, k=rng.randint(1, 60)) for _ in range(400)]
 
 
 class TestColumnFastPath:
-    """``parse_column`` against the per-cell parsers: a chunk it admits
-    holds exactly the per-cell cells, and it declines every chunk that
-    holds a field the per-cell parser rejects."""
+    """``parse_column`` against the per-cell parsers: every chunk reads as
+    the per-cell parsers read it, and a chunk its fast path admits holds
+    exactly the per-cell cells, so the fast path declines every chunk
+    that holds a field the per-cell parser rejects."""
 
     @pytest.mark.parametrize("vtype", list(COLUMN_EDGES), ids=lambda t: t.value)
     def test_matches_per_cell_parsers(self, vtype):
-        rng = random.Random(f"column {vtype}")
-        edges, plain = COLUMN_EDGES[vtype], PLAIN_FIELDS[vtype]
-        chunks = [[text] for text in edges] + [[plain, text, ""] for text in edges]
-        pool = edges + [plain] * len(edges)
-        chunks += [rng.choices(pool, k=rng.randint(1, 60)) for _ in range(400)]
+        for chunk in _column_chunks(vtype):
+            assert _outcome(parse_column, vtype, chunk) == _per_cell(vtype, chunk), chunk
+
+    @pytest.mark.parametrize("vtype", list(COLUMN_EDGES), ids=lambda t: t.value)
+    def test_fast_path_admits_only_per_cell_cells(self, vtype, monkeypatch):
+        expected = [(chunk, _per_cell(vtype, chunk)) for chunk in _column_chunks(vtype)]
+        monkeypatch.setitem(CSV_PARSERS, vtype, _declined)
         admitted = 0
-        for chunk in chunks:
-            cells = parse_column(vtype, chunk)
-            if cells is not None:
-                admitted += 1
-                assert [("ok", repr(cell)) for cell in cells] == _cell_outcomes(vtype, chunk)
-            else:
-                assert len(chunk) > 0
+        for chunk, outcome in expected:
+            try:
+                cells = parse_column(vtype, chunk)
+            except _Declined:
+                continue
+            admitted += 1
+            assert ("ok", repr(cells)) == outcome, chunk
         assert admitted
 
     @pytest.mark.parametrize("vtype", list(COLUMN_EDGES), ids=lambda t: t.value)
-    def test_plain_chunks_take_the_fast_path(self, vtype):
+    def test_plain_chunks_take_the_fast_path(self, vtype, monkeypatch):
         chunk = [PLAIN_FIELDS[vtype], ""] * 600
-        cells = parse_column(vtype, chunk)
-        assert cells is not None
-        assert [("ok", repr(cell)) for cell in cells] == _cell_outcomes(vtype, chunk)
+        expected = _per_cell(vtype, chunk)
+        monkeypatch.setitem(CSV_PARSERS, vtype, _declined)
+        assert ("ok", repr(parse_column(vtype, chunk))) == expected
 
 
 def _csv_per_cell(table):
