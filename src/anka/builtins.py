@@ -107,8 +107,12 @@ BUILTINS: dict[str, Builtin] = {
 }
 
 
-def call_builtin(name: str, args: list[Cell]) -> Cell:
+# each builtin's implementation by name, so a call reads one dict entry
+_FUNCTIONS: dict[str, Callable[..., Cell]] = {b.name: b.fn for b in BUILTINS.values()}
+
+
+def call_builtin(name: str, args: tuple[Cell, ...]) -> Cell:
     """Invoke a builtin with evaluated arguments. Null in, null out."""
     if None in args:
         return None
-    return BUILTINS[name].fn(*args)
+    return _FUNCTIONS[name](*args)

@@ -55,6 +55,7 @@ from anka.values import (
 )
 
 DEFAULT_WHILE_CAP = 100_000
+_TIME_LIMIT = "execution time limit exceeded"
 
 Row = tuple[Cell, ...]
 Step = Callable[["Interpreter", dict[str, Table], Optional[Row]], None]
@@ -430,9 +431,11 @@ class Interpreter:
     # Operators that build a new schema take the validator's.
 
     def eval_filter(self, src: Table, keep: Callable[[Row], Cell]) -> Table:
+        deadline, monotonic = self.deadline, time.monotonic
         kept = []
         for row in src.rows:
-            self._tick()
+            if deadline is not None and monotonic() > deadline:
+                raise AssertionFailed(_TIME_LIMIT)
             if keep(row) is True:
                 kept.append(row)
         return Table.trusted(src.schema, kept)
@@ -441,19 +444,23 @@ class Interpreter:
         return Table.trusted(schema, map(_picker(indices), src.rows))
 
     def eval_distinct(self, src: Table) -> Table:
+        deadline, monotonic = self.deadline, time.monotonic
         seen = set()
         kept = []
         for row in src.rows:
-            self._tick()
+            if deadline is not None and monotonic() > deadline:
+                raise AssertionFailed(_TIME_LIMIT)
             if row not in seen:
                 seen.add(row)
                 kept.append(row)
         return Table.trusted(src.schema, kept)
 
     def eval_map(self, src: Table, schema: Schema, compute: Callable[[Row], Cell]) -> Table:
+        deadline, monotonic = self.deadline, time.monotonic
         rows = []
         for row in src.rows:
-            self._tick()
+            if deadline is not None and monotonic() > deadline:
+                raise AssertionFailed(_TIME_LIMIT)
             rows.append(row + (compute(row),))
         return Table.trusted(schema, rows)
 
@@ -508,16 +515,20 @@ class Interpreter:
         for rrow in right.rows:
             if rrow[ri] is not None:
                 matches.setdefault(rrow[ri], []).append(rrow[:ri] + rrow[ri + 1 :])
+        deadline, monotonic, max_rows = self.deadline, time.monotonic, self.max_rows
         rows = []
         for lrow in left.rows:
-            self._tick()
+            if deadline is not None and monotonic() > deadline:
+                raise AssertionFailed(_TIME_LIMIT)
             found = matches.get(lrow[li], ())
             for rest in found:
                 rows.append(lrow + rest)
-                self._check_size(len(rows), location)
+                if max_rows is not None:
+                    self._check_size(len(rows), location)
             if left_outer and not found:
                 rows.append(lrow + padding)
-                self._check_size(len(rows), location)
+                if max_rows is not None:
+                    self._check_size(len(rows), location)
         return Table.trusted(schema, rows)
 
     def eval_union(self, left: Table, right: Table, location) -> Table:
@@ -539,10 +550,12 @@ class Interpreter:
         column (None for COUNT) and, for SUM and AVG, the addition kernel.
         An empty GROUP_BY aggregates the whole table into a single row
         even when the table is empty."""
+        deadline, monotonic = self.deadline, time.monotonic
         groups: dict[Row, list[Row]] = {}
         group_of = _picker(keys)
         for row in src.rows:
-            self._tick()
+            if deadline is not None and monotonic() > deadline:
+                raise AssertionFailed(_TIME_LIMIT)
             groups.setdefault(group_of(row), []).append(row)
         if not keys:
             groups.setdefault((), [])
@@ -581,12 +594,14 @@ class Interpreter:
 
     # -- resource guards -------------------------------------------------------
 
-    def _tick(self, location: Optional[SourceLocation] = None) -> None:
-        """Read the clock before every statement, loop iteration and row
-        of a per-row operator, so a run stops within one row's work of
-        its deadline."""
+    def _tick(self, location: SourceLocation) -> None:
+        """Read the clock before a statement or loop iteration when a
+        deadline is set. The per-row operators make the same check
+        inline, with the deadline and ``time.monotonic`` held in locals
+        and no location, so a run stops within one row's work of its
+        deadline and a run without one reads no clock."""
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise AssertionFailed("execution time limit exceeded", location)
+            raise AssertionFailed(_TIME_LIMIT, location)
 
     def _check_size(self, count: int, location=None) -> None:
         if self.max_rows is not None and count > self.max_rows:
@@ -617,9 +632,12 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 # branch left is the null check. A literal is a closure that returns its
 # value; as the right operand of a comparison it is bound in the
 # comparison's closure as a constant instead (a literal is never null),
-# which saves a call per row of a FILTER. A failing operator or call
-# raises with its own node's location, so the innermost failing node
-# names it.
+# which saves a call per row of a FILTER. Likewise the trailing literal
+# arguments of a builtin call are bound once as a constant tuple, so
+# ``SUBSTRING(TRIM(product), 0, 3)`` evaluates one argument per row; the
+# builtin itself is still called once per row. A failing operator or
+# call raises with its own node's location, so the innermost failing
+# node names it.
 
 
 def _compile_expr(
@@ -757,15 +775,28 @@ def _not(expr: ast.Not, schema, types):
 def _call(expr: ast.Call, schema, types):
     # call_builtin is read as a global per call, not captured, so that a
     # profiler can wrap anka.interpreter.call_builtin. Builtins take one
-    # to three arguments, and each arity has its own closure, so no
-    # per-row loop gathers them.
+    # to three arguments; the trailing literals among them are bound as
+    # one constant tuple, and each count of evaluated arguments before
+    # them has its own closure, so no per-row loop gathers them.
     location, name = expr.location, expr.name
-    args = [_compile_expr(arg, schema, types) for arg in expr.args]
-    if len(args) == 1:
+    count = len(expr.args)
+    while count and type(expr.args[count - 1]) is ast.Literal:
+        count -= 1
+    constants = tuple(arg.value for arg in expr.args[count:])
+    args = [_compile_expr(arg, schema, types) for arg in expr.args[:count]]
+    if not args:
+
+        def call(row):
+            try:
+                return call_builtin(name, constants)
+            except ExecutionError as exc:
+                raise exc.at(location) from None
+
+    elif len(args) == 1:
         (first,) = args
 
         def call(row):
-            values = [first(row)]
+            values = (first(row),) + constants
             try:
                 return call_builtin(name, values)
             except ExecutionError as exc:
@@ -775,7 +806,7 @@ def _call(expr: ast.Call, schema, types):
         first, second = args
 
         def call(row):
-            values = [first(row), second(row)]
+            values = (first(row), second(row)) + constants
             try:
                 return call_builtin(name, values)
             except ExecutionError as exc:
@@ -785,7 +816,7 @@ def _call(expr: ast.Call, schema, types):
         first, second, third = args
 
         def call(row):
-            values = [first(row), second(row), third(row)]
+            values = (first(row), second(row), third(row))
             try:
                 return call_builtin(name, values)
             except ExecutionError as exc:

@@ -23,6 +23,7 @@ import urllib.error
 import urllib.request
 from decimal import Decimal
 from itertools import islice
+from json.encoder import encode_basestring
 from typing import Iterable, Optional
 
 from anka.errors import ConversionError, HttpError, IoError
@@ -50,44 +51,48 @@ DEFAULT_HTTP_TIMEOUT = 10.0
 
 
 def table_to_json(table: Table) -> bytes:
-    """Encode as a JSON array of objects, fields in schema order.
-    DECIMAL cells become strings so no precision is lost in transit."""
+    """Encode as a JSON array of objects, fields in schema order, with
+    the text of ``json.dumps(rows, indent=2, ensure_ascii=False)``.
+    DECIMAL, DATE and DATETIME cells become their text form as strings,
+    so no precision is lost in transit.
+
+    Each column's cells become JSON text once, and one ``str.format``
+    template per table, built from the encoded names, lays out every
+    row. A cell is a ``format`` argument, never part of the template,
+    so braces in its text are written as they are."""
     if not table.rows:
         return b"[]\n"
-    names = table.schema.names()
-    # The text of json.dumps(rows, indent=2, ensure_ascii=False), which
-    # any indent sends through the pure-Python encoder: the C encoder
-    # writes each row flat, with the indent in its item separator.
-    encode = _JSON_ROW.encode
-    rows = [
-        "{\n    " + encode(dict(zip(names, row)))[1:-1] + "\n  }"
-        for row in _formatted_rows(table, _JSON_NATIVE)
+    fields = table.schema.fields
+    template = "  {{\n" + ",\n".join(
+        "    " + encode_basestring(field.name).replace("{", "{{").replace("}", "}}")
+        + ": {}"
+        for field in fields
+    ) + "\n  }}"
+    columns = [
+        _json_column(field.type, column)
+        for field, column in zip(fields, zip(*table.rows))
     ]
-    return ("[\n  " + ",\n  ".join(rows) + "\n]\n").encode("utf-8")
+    rows = map(template.format, *columns)
+    return ("[\n" + ",\n".join(rows) + "\n]\n").encode("utf-8")
 
 
-_JSON_ROW = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": "))
+def _json_column(vtype: ValueType, column: tuple) -> list[str]:
+    """Each cell of a column as JSON text: INT and BOOL cells as their
+    text form, every other type's text form as a JSON string, and null
+    as ``null``."""
+    text = CELL_FORMATTERS[vtype]
+    if vtype is ValueType.STRING:
+        encode = encode_basestring
+    elif vtype is ValueType.INT or vtype is ValueType.BOOL:
+        encode = text
+    else:
 
+        def encode(cell):
+            return encode_basestring(text(cell))
 
-# the column types whose cells JSON writes as they are
-_JSON_NATIVE = frozenset({ValueType.INT, ValueType.BOOL, ValueType.STRING})
-
-
-def _formatted_rows(table: Table, native: frozenset) -> Iterable[tuple]:
-    """The table's rows, each cell of a column whose type is not in
-    ``native`` replaced by its text form; nulls stay None. The formatter
-    is picked once per column, and applied a column at a time."""
-    formats = [
-        (i, CELL_FORMATTERS[field.type])
-        for i, field in enumerate(table.schema.fields)
-        if field.type not in native
-    ]
-    if not formats or not table.rows:
-        return table.rows
-    columns = list(zip(*table.rows))
-    for i, text in formats:
-        columns[i] = [None if cell is None else text(cell) for cell in columns[i]]
-    return zip(*columns)
+    if None in column:
+        return ["null" if cell is None else encode(cell) for cell in column]
+    return list(map(encode, column))
 
 
 def _reject_constant(text: str):
@@ -200,13 +205,30 @@ def table_to_csv(table: Table) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(table.schema.names())
-    writer.writerows(_formatted_rows(table, _CSV_NATIVE))
+    writer.writerows(_formatted_rows(table))
     return buf.getvalue().encode("utf-8")
 
 
 # the column types whose text form is str(), which the CSV writer applies
 # itself; it writes null as an empty field
 _CSV_NATIVE = frozenset(t for t, text in CELL_FORMATTERS.items() if text is str)
+
+
+def _formatted_rows(table: Table) -> Iterable[tuple]:
+    """The table's rows, each cell of a column whose type is not in
+    ``_CSV_NATIVE`` replaced by its text form; nulls stay None. The
+    formatter is picked once per column, and applied a column at a time."""
+    formats = [
+        (i, CELL_FORMATTERS[field.type])
+        for i, field in enumerate(table.schema.fields)
+        if field.type not in _CSV_NATIVE
+    ]
+    if not formats or not table.rows:
+        return table.rows
+    columns = list(zip(*table.rows))
+    for i, text in formats:
+        columns[i] = [None if cell is None else text(cell) for cell in columns[i]]
+    return zip(*columns)
 
 
 def table_from_csv(data: bytes, schema: Schema) -> Table:

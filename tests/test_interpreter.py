@@ -684,6 +684,142 @@ class TestControlFlow:
             run_pipeline(pipeline, {"t": table}, max_rows=15)
 
 
+class SteppingClock:
+    """Stands in for the time module: each reading is 1 s later."""
+
+    now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+class RefusingClock:
+    """Stands in for the time module and fails the run if it is read."""
+
+    def monotonic(self):
+        raise RuntimeError("the clock was read")
+
+
+THREE_ROWS = make_table(
+    schema_of(("k", VT.INT), ("s", VT.STRING)), [(1, "a"), (2, "b"), (3, "c")]
+)
+
+
+class TestDeadlineReads:
+    """The per-row operators read the clock once per row after the
+    statement's own read, and never when the run has no deadline."""
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "FILTER t WHERE k > 0 INTO result",
+            "DISTINCT t INTO result",
+            "MAP t WITH c => k + 1 INTO result",
+            "AGGREGATE t GROUP_BY s COMPUTE COUNT() AS n INTO result",
+        ],
+        ids=["filter", "distinct", "map", "aggregate"],
+    )
+    def test_one_read_per_row(self, monkeypatch, statement):
+        # the statement reads the clock at 1 s, its three rows at 2, 3, 4 s
+        for deadline in (1.5, 2.5, 3.5):
+            clock = SteppingClock()
+            monkeypatch.setattr(interpreter, "time", clock)
+            with pytest.raises(AssertionFailed, match="time limit") as err:
+                simple(statement, THREE_ROWS, deadline=deadline)
+            # stopped at the row whose read passed the deadline
+            assert clock.now == deadline + 0.5
+            assert err.value.location is None
+        clock = SteppingClock()
+        monkeypatch.setattr(interpreter, "time", clock)
+        assert len(simple(statement, THREE_ROWS, deadline=4.5)) == 3
+        assert clock.now == 4.0
+
+    def test_statement_read_carries_its_location(self, monkeypatch):
+        monkeypatch.setattr(interpreter, "time", SteppingClock())
+        with pytest.raises(AssertionFailed, match="time limit") as err:
+            simple("DISTINCT t INTO result", THREE_ROWS, deadline=0.5)
+        assert (err.value.location.line, err.value.location.column) == (4, 3)
+
+    def test_no_deadline_reads_no_clock(self, monkeypatch):
+        monkeypatch.setattr(interpreter, "time", RefusingClock())
+        out = simple(
+            "FILTER t WHERE k > 0 INTO kept "
+            "DISTINCT kept INTO unique "
+            "MAP unique WITH c => UPPER(s) INTO mapped "
+            "SELECT t COLUMNS k INTO keys "
+            "JOIN mapped WITH keys ON k == k INTO joined "
+            "LEFT_JOIN joined WITH keys ON k == k INTO padded "
+            "FOR_EACH row IN padded DO DISTINCT t INTO ignored END_FOR "
+            "AGGREGATE padded GROUP_BY c COMPUTE COUNT() AS n INTO result",
+            THREE_ROWS,
+        )
+        assert out.rows == (("A", 1), ("B", 1), ("C", 1))
+
+
+class TestBuiltinCalls:
+    """A trailing literal argument is bound once as a constant; the call
+    must behave exactly as with the same value read from a column."""
+
+    SOURCE = make_table(
+        schema_of(
+            ("s", VT.STRING), ("zero", VT.INT), ("three", VT.INT), ("x", VT.STRING),
+            ("yy", VT.STRING), ("bang", VT.STRING), ("minus", VT.INT), ("two", VT.INT),
+        ),
+        [
+            (s, 0, 3, "x", "yy", "!", -1, 2)
+            for s in ("xaxbx", "", None, "ab", "日本x{0}")
+        ],
+    )
+
+    def _column(self, expr: str, table=SOURCE):
+        return [row[-1] for row in simple(f"MAP t WITH c => {expr} INTO result", table).rows]
+
+    @pytest.mark.parametrize(
+        "literal, columns",
+        [
+            ("SUBSTRING(s, 0, 3)", "SUBSTRING(s, zero, three)"),
+            ("SUBSTRING(s, zero, 3)", "SUBSTRING(s, zero, three)"),
+            ('REPLACE(s, "x", "yy")', "REPLACE(s, x, yy)"),
+            ('REPLACE(s, x, "yy")', "REPLACE(s, x, yy)"),
+            ('CONCAT(s, "!")', "CONCAT(s, bang)"),
+            ('CONCAT("x", "!")', "CONCAT(x, bang)"),
+            ('LENGTH("yy")', "LENGTH(yy)"),
+            ("TO_STRING(3)", "TO_STRING(three)"),
+        ],
+    )
+    def test_literal_argument_matches_column(self, literal, columns):
+        expected = self._column(columns)
+        assert self._column(literal) == expected
+        # the third row's null s propagates through every call that reads it
+        assert (expected[2] is None) == literal.startswith(("SUBSTRING", "REPLACE", "CONCAT(s"))
+
+    def test_literal_argument_fails_like_column(self):
+        errors = []
+        for expr in ("SUBSTRING(s, -1, 2)", "SUBSTRING(s, minus, two)"):
+            with pytest.raises(ConversionError) as err:
+                self._column(expr)
+            location = err.value.location
+            errors.append((type(err.value), err.value.message, location.line, location.column))
+        assert errors[0] == errors[1]
+        assert errors[0][2:] == (4, 19)  # at the call
+
+    def test_each_call_goes_through_the_hook(self, monkeypatch):
+        calls = []
+        call_builtin = interpreter.call_builtin
+
+        def counting(name, args):
+            calls.append(name)
+            return call_builtin(name, args)
+
+        monkeypatch.setattr(interpreter, "call_builtin", counting)
+        out = self._column('CONCAT(UPPER(SUBSTRING(TRIM(s), 0, 3)), TO_STRING(LENGTH("ab")))')
+        assert out == ["XAX2", "2", None, "AB2", "日本X2"]
+        rows = len(self.SOURCE)
+        assert len(calls) == rows * 6
+        assert calls.count("LENGTH") == calls.count("SUBSTRING") == rows
+
+
 class PostedTables(IoAdapter):
     """Keeps each POSTed table by URL instead of sending it."""
 

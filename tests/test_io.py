@@ -139,6 +139,47 @@ class TestJson:
             expected = json.dumps(objects, indent=2, ensure_ascii=False) + "\n"
             assert table_to_json(table) == expected.encode("utf-8")
 
+    def test_random_text_equals_indented_dumps(self):
+        # STRING cells mix JSON escapes, non-ASCII text and format fields,
+        # which the row template must write as they are
+        pieces = ["{", "}", "{0}", "{}", "{{s}}", '"', "\\", "\n", "\x00", "\x1f",
+                  "\x7f", "é", "日本", "😀", "\u2028", "a", " "]
+        texts = {
+            VT.DECIMAL: lambda cell: format(cell, "f"),
+            VT.DATE: datetime.date.isoformat,
+            VT.DATETIME: datetime.datetime.isoformat,
+        }
+        rng = random.Random(4242)
+        for case in range(300):
+            # every type on its own, names that hold format fields and
+            # quotes, then mixed schemas of up to six columns
+            if case < len(VT):
+                schema = schema_of(("a", list(VT)[case]))
+            elif case == len(VT):
+                schema = schema_of(("{0}", VT.STRING), ('"}{', VT.INT))
+            else:
+                schema = rand_schema(rng, max_cols=6)
+            table = rand_table(rng, schema, max_rows=rng.choice((0, 1, 12)), null_rate=0.3)
+            rows = [
+                tuple(
+                    "".join(rng.choices(pieces, k=rng.randint(0, 6)))
+                    if field.type is VT.STRING and cell is not None else cell
+                    for field, cell in zip(schema.fields, row)
+                )
+                for row in table.rows
+            ]
+            table = make_table(schema, rows)
+            objects = [
+                {
+                    field.name: cell if cell is None or field.type not in texts
+                    else texts[field.type](cell)
+                    for field, cell in zip(schema.fields, row)
+                }
+                for row in rows
+            ]
+            expected = json.dumps(objects, indent=2, ensure_ascii=False) + "\n"
+            assert table_to_json(table) == expected.encode("utf-8"), (schema, rows)
+
     def test_full_roundtrip(self):
         assert table_equal(
             table_from_json(table_to_json(FULL_TABLE), FULL_SCHEMA), FULL_TABLE
