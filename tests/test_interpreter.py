@@ -772,8 +772,9 @@ class TestBuiltinCalls:
         ],
     )
 
-    def _column(self, expr: str, table=SOURCE):
-        return [row[-1] for row in simple(f"MAP t WITH c => {expr} INTO result", table).rows]
+    def _column(self, expr: str):
+        out = simple(f"MAP t WITH c => {expr} INTO result", self.SOURCE)
+        return [row[-1] for row in out.rows]
 
     @pytest.mark.parametrize(
         "literal, columns",
