@@ -17,7 +17,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -55,13 +55,7 @@ class SampleResult:
     detail: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "sample": self.sample,
-            "parse": self.parse,
-            "execute": self.execute,
-            "correct": self.correct,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 class CandidateSet:

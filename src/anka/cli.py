@@ -14,9 +14,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
-from anka.ast_nodes import ast_to_dict
+from anka.ast_nodes import Pipeline, ast_to_dict
 from anka.bench.harness import (
     DEFAULT_SAMPLE_TIMEOUT,
     CandidateSet,
@@ -118,30 +118,28 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _read_source(path: str) -> Optional[str]:
+def _parse_file(path: str, json_diagnostics: bool) -> Union[Pipeline, int]:
+    """The pipeline in the file at ``path``, or the exit code once the
+    reason there is none has been reported."""
     try:
-        return Path(path).read_text(encoding="utf-8", errors="replace")
+        source = Path(path).read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         print(f"error: cannot read {path!r}: {exc}", file=sys.stderr)
-        return None
-
-
-def _report_parse_error(err: ParseError, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps([err.to_dict()], indent=2))
-    else:
-        print(f"error: {err.location}: {err.message}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        return parse(source)
+    except ParseError as err:
+        if json_diagnostics:
+            print(json.dumps([err.to_dict()], indent=2))
+        else:
+            print(f"error: {err.location}: {err.message}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def cmd_parse(args) -> int:
-    source = _read_source(args.file)
-    if source is None:
-        return EXIT_CONFIG
-    try:
-        pipeline = parse(source)
-    except ParseError as err:
-        _report_parse_error(err, args.json_diagnostics)
-        return EXIT_INVALID
+    pipeline = _parse_file(args.file, args.json_diagnostics)
+    if isinstance(pipeline, int):
+        return pipeline
     if args.ast:
         print(json.dumps(ast_to_dict(pipeline), indent=2))
     elif args.json_diagnostics:
@@ -152,14 +150,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_check(args) -> int:
-    source = _read_source(args.file)
-    if source is None:
-        return EXIT_CONFIG
-    try:
-        pipeline = parse(source)
-    except ParseError as err:
-        _report_parse_error(err, args.json_diagnostics)
-        return EXIT_INVALID
+    pipeline = _parse_file(args.file, args.json_diagnostics)
+    if isinstance(pipeline, int):
+        return pipeline
     result = validate(pipeline)
     if args.json_diagnostics:
         print(json.dumps([e.to_dict() for e in result.errors], indent=2))
@@ -179,14 +172,9 @@ def _table_format(path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    source = _read_source(args.file)
-    if source is None:
-        return EXIT_CONFIG
-    try:
-        pipeline = parse(source)
-    except ParseError as err:
-        _report_parse_error(err, False)
-        return EXIT_INVALID
+    pipeline = _parse_file(args.file, False)
+    if isinstance(pipeline, int):
+        return pipeline
     result = validate(pipeline)
     if not result.ok:
         for error in result.errors:

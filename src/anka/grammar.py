@@ -4,19 +4,20 @@
 flow included: its keywords and operators, and typed slots for the parts
 that vary, a nested block of statements among them. ``BINARY_OPERATORS``
 and ``PREFIX_OPERATORS`` give each operator's precedence level and the
-node it builds. The parser reads source by these tables and the
-formatter writes trees back by them, so the two cannot disagree.
+node it builds. ``LITERAL_TOKENS`` and ``LITERAL_KEYWORDS`` give each
+literal's spelling around its payload, the cell's text form in
+``values.CELL_FORMATTERS``. The parser reads source by these tables and
+the formatter writes trees back by them, so the two cannot disagree.
 """
 
 from __future__ import annotations
 
-import datetime
-from decimal import Decimal
 from typing import Any, Callable, NamedTuple, Optional
 
 from anka import ast_nodes as ast
-from anka.lexer import KIND_INT, KIND_KEYWORD
-from anka.values import Schema, ValueType
+from anka.errors import ConversionError, ParseError
+from anka.lexer import KIND_DECIMAL, KIND_INT, KIND_KEYWORD, KIND_STRING
+from anka.values import CELL_FORMATTERS, Schema, ValueType, parse_date, parse_datetime
 
 # -- operators -----------------------------------------------------------------
 
@@ -93,26 +94,7 @@ def _format_expr(expr: ast.Expr) -> tuple[int, str]:
 
 
 def format_literal(lit: ast.Literal) -> str:
-    if lit.type is ValueType.INT:
-        return str(lit.value)
-    if lit.type is ValueType.DECIMAL:
-        assert isinstance(lit.value, Decimal)
-        text = format(lit.value, "f")
-        # Parsed DECIMAL literals always carry a fraction; keep a point
-        # on programmatically built scale-0 values so they stay DECIMAL.
-        return text if "." in text else text + ".0"
-    if lit.type is ValueType.STRING:
-        assert isinstance(lit.value, str)
-        return quote(lit.value)
-    if lit.type is ValueType.BOOL:
-        return "TRUE" if lit.value else "FALSE"
-    if lit.type is ValueType.DATE:
-        assert isinstance(lit.value, datetime.date)
-        return f'DATE "{lit.value.isoformat()}"'
-    if lit.type is ValueType.DATETIME:
-        assert isinstance(lit.value, datetime.datetime)
-        return f'DATETIME "{lit.value.strftime("%Y-%m-%dT%H:%M:%S")}"'
-    raise TypeError(f"cannot format literal of type {lit.type}")
+    return _LITERAL_WRITERS[lit.type](CELL_FORMATTERS[lit.type](lit.value))
 
 
 def format_schema(schema: Schema) -> str:
@@ -123,6 +105,63 @@ def format_schema(schema: Schema) -> str:
 def quote(text: str) -> str:
     escaped = "".join(_STRING_ESCAPES.get(ch, ch) for ch in text)
     return f'"{escaped}"'
+
+
+# -- literals ------------------------------------------------------------------
+
+
+class LiteralForm(NamedTuple):
+    """How a literal of ``type`` is spelled around its payload, the cell's
+    text form. ``read(parser, token)`` gives its value once ``token``, its
+    first, has been taken; ``write(payload)`` gives its canonical text."""
+
+    type: ValueType
+    read: Callable[[Any, Any], Any]
+    write: Callable[[str], str]
+
+
+def _with_point(payload: str) -> str:
+    # Parsed DECIMAL literals always carry a fraction; keep a point on
+    # programmatically built scale-0 values so they stay DECIMAL.
+    return payload if "." in payload else payload + ".0"
+
+
+def _text_literal(vtype: ValueType, parse: Callable[[str], Any]) -> LiteralForm:
+    """The type's name, then a string of the cell's text read by ``parse``."""
+
+    def read(p, tok) -> Any:
+        text = p.expect_string(f"{vtype.value.lower()} string")
+        try:
+            return parse(text.value)
+        except ConversionError as exc:
+            raise ParseError(str(exc), text.location) from None
+
+    return LiteralForm(vtype, read, lambda payload: f"{vtype.value} {quote(payload)}")
+
+
+def _token_value(p, tok) -> Any:
+    return tok.value
+
+
+# The literals by their first token: a token whose value is the literal,
+# where only a number may follow a leading "-" ...
+LITERAL_TOKENS = {
+    KIND_INT: LiteralForm(ValueType.INT, _token_value, str),
+    KIND_DECIMAL: LiteralForm(ValueType.DECIMAL, _token_value, _with_point),
+    KIND_STRING: LiteralForm(ValueType.STRING, _token_value, quote),
+}
+
+# ... a keyword that is the cell's text in capitals, or a type's name.
+LITERAL_KEYWORDS = {
+    "TRUE": LiteralForm(ValueType.BOOL, lambda p, tok: True, str.upper),
+    "FALSE": LiteralForm(ValueType.BOOL, lambda p, tok: False, str.upper),
+    "DATE": _text_literal(ValueType.DATE, parse_date),
+    "DATETIME": _text_literal(ValueType.DATETIME, parse_datetime),
+}
+
+_LITERAL_WRITERS = {
+    form.type: form.write for form in (*LITERAL_TOKENS.values(), *LITERAL_KEYWORDS.values())
+}
 
 
 # -- statement slots -----------------------------------------------------------

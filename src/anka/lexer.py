@@ -100,7 +100,6 @@ class _Lines:
                 self.byte_starts = list(
                     accumulate((_utf8_len(ln) + 1 for ln in lines), initial=0)
                 )
-            # set last: a thread that sees the starts sees the byte starts
             self.starts = list(accumulate((len(ln) + 1 for ln in lines), initial=0))
         line = bisect_right(self.starts, index)
         start = self.starts[line - 1]

@@ -35,8 +35,6 @@ class SourceLocation:
     def _resolve(self) -> tuple[int, int, int]:
         table = self._table
         if table is not None:
-            # the numbers are written before the table is dropped, so a
-            # thread that sees no table sees them
             self._line, self._column, self._offset = table.position(self._index)
             self._table = None
         return self._line, self._column, self._offset

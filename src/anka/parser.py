@@ -6,7 +6,10 @@ keyword. Every statement, control flow included, is read by its form in
 a block slot reads the nested statements. Expressions are read
 by precedence climbing over ``grammar.BINARY_OPERATORS`` and
 ``grammar.PREFIX_OPERATORS``, loosest first: OR, AND, NOT, the
-comparisons (which do not chain), ``+ -``, ``* /``, unary minus.
+comparisons (which do not chain), ``+ -``, ``* /``, unary minus. A
+literal is read by the form its first token has in
+``grammar.LITERAL_TOKENS`` or ``grammar.LITERAL_KEYWORDS``, the form
+the formatter writes it back by.
 Statements are self-delimiting (every data statement ends in its INTO
 target or a trailing literal clause, every control-flow statement in
 its ``END_*`` keyword), so no separators are needed and newlines carry
@@ -18,14 +21,19 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from anka import ast_nodes as ast
-from anka.errors import ConversionError, ParseError
-from anka.grammar import BINARY_OPERATORS, PREFIX_OPERATORS, PRIMARY_LEVEL, STATEMENTS
+from anka.errors import ParseError
+from anka.grammar import (
+    BINARY_OPERATORS,
+    LITERAL_KEYWORDS,
+    LITERAL_TOKENS,
+    PREFIX_OPERATORS,
+    PRIMARY_LEVEL,
+    STATEMENTS,
+)
 from anka.lexer import (
     KEYWORDS,
-    KIND_DECIMAL,
     KIND_EOF,
     KIND_IDENT,
-    KIND_INT,
     KIND_KEYWORD,
     KIND_OP,
     KIND_STRING,
@@ -33,18 +41,12 @@ from anka.lexer import (
     end_of_input,
     tokenize,
 )
-from anka.values import Field, Schema, ValueType, parse_date, parse_datetime
+from anka.values import NUMERIC_TYPES, Field, Schema, ValueType
 
 MAX_NESTING_DEPTH = 200
 
-TYPE_KEYWORDS = {
-    "INT": ValueType.INT,
-    "STRING": ValueType.STRING,
-    "DECIMAL": ValueType.DECIMAL,
-    "BOOL": ValueType.BOOL,
-    "DATE": ValueType.DATE,
-    "DATETIME": ValueType.DATETIME,
-}
+# Each type's keyword is its name.
+TYPE_KEYWORDS = {vtype.value: vtype for vtype in ValueType}
 
 # A string token's text is its value, so only these kinds spell operators.
 _OPERATOR_KINDS = (KIND_KEYWORD, KIND_OP)
@@ -315,67 +317,23 @@ class _Parser:
         return ast.Call(name=name.text, args=tuple(args), location=name.location)
 
     def parse_literal(self) -> ast.Literal:
-        tok = self.peek()
-        if tok.kind == KIND_INT:
+        start = tok = self.peek()
+        negative = tok.kind == KIND_OP and tok.text == "-"
+        if negative:
+            # a negative number, in literal-only positions
             self.advance()
-            return ast.Literal(value=tok.value, type=ValueType.INT, location=tok.location)
-        if tok.kind == KIND_DECIMAL:
-            self.advance()
-            return ast.Literal(
-                value=tok.value, type=ValueType.DECIMAL, location=tok.location
-            )
-        if tok.kind == KIND_STRING:
-            self.advance()
-            return ast.Literal(
-                value=tok.value, type=ValueType.STRING, location=tok.location
-            )
-        if tok.kind == KIND_OP and tok.text == "-":
-            # negative numeric literal in literal-only positions
-            self.advance()
-            inner = self.peek()
-            if inner.kind == KIND_INT:
-                self.advance()
-                return ast.Literal(
-                    value=-inner.value, type=ValueType.INT, location=tok.location
-                )
-            if inner.kind == KIND_DECIMAL:
-                self.advance()
-                return ast.Literal(
-                    value=-inner.value, type=ValueType.DECIMAL, location=tok.location
-                )
-            raise self.fail("numeric literal")
+            tok = self.peek()
         if tok.kind == KIND_KEYWORD:
-            if tok.text == "TRUE":
-                self.advance()
-                return ast.Literal(value=True, type=ValueType.BOOL, location=tok.location)
-            if tok.text == "FALSE":
-                self.advance()
-                return ast.Literal(
-                    value=False, type=ValueType.BOOL, location=tok.location
-                )
-            if tok.text == "DATE":
-                self.advance()
-                text = self.expect_string("date string")
-                return ast.Literal(
-                    value=self._parse_temporal(parse_date, text),
-                    type=ValueType.DATE,
-                    location=tok.location,
-                )
-            if tok.text == "DATETIME":
-                self.advance()
-                text = self.expect_string("datetime string")
-                return ast.Literal(
-                    value=self._parse_temporal(parse_datetime, text),
-                    type=ValueType.DATETIME,
-                    location=tok.location,
-                )
-        raise self.fail("an expression")
-
-    def _parse_temporal(self, parser, tok: Token):
-        try:
-            return parser(tok.value)
-        except ConversionError as exc:
-            raise ParseError(str(exc), tok.location) from None
+            form = LITERAL_KEYWORDS.get(tok.text)
+        else:
+            form = LITERAL_TOKENS.get(tok.kind)
+        if form is None or negative and form.type not in NUMERIC_TYPES:
+            raise self.fail("numeric literal" if negative else "an expression")
+        self.advance()
+        value = form.read(self, tok)
+        return ast.Literal(
+            value=-value if negative else value, type=form.type, location=start.location
+        )
 
 
 # Each form part as (field or None, reader, its argument): a keyword or an

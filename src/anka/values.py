@@ -606,15 +606,17 @@ def parse_column(vtype: ValueType, texts: Sequence[str]) -> list[Cell]:
     return [parse(text) if text else None for text in texts]
 
 
-# The text form of each type, as TO_STRING and CSV write it; encoders
-# pick one per column. str() of a date is its ISO form.
+# The one text form of each type: TO_STRING, CSV, JSON, a literal's
+# payload in formatted source and the AST dump all write it, and the
+# parsers above read it back. Encoders pick one per column. str() of a
+# date is its ISO form; both ISO forms pad the year to four digits.
 CELL_FORMATTERS: dict[ValueType, Callable[[Cell], str]] = {
     ValueType.INT: str,
     ValueType.STRING: str,
     ValueType.DECIMAL: lambda value: format(value, "f"),
     ValueType.BOOL: lambda value: "true" if value else "false",
     ValueType.DATE: str,
-    ValueType.DATETIME: lambda value: value.strftime("%Y-%m-%dT%H:%M:%S"),
+    ValueType.DATETIME: lambda value: value.isoformat(timespec="seconds"),
 }
 
 

@@ -1,7 +1,9 @@
 """Canonical formatting: corpus round-trips and randomized tree
 round-trips through format -> parse."""
 
+import datetime
 import random
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -89,8 +91,11 @@ def _rand_expr(rng: random.Random, depth: int) -> ast.Expr:
 
 
 def _wrap_in_pipeline(expr: ast.Expr) -> ast.Pipeline:
+    return _pipeline_of(ast.Filter(source="t", predicate=expr, target="r", location=LOC))
+
+
+def _pipeline_of(stmt: ast.Statement) -> ast.Pipeline:
     schema = Schema([Field(name, ValueType.INT) for name in "abcxyz"])
-    stmt = ast.Filter(source="t", predicate=expr, target="r", location=LOC)
     step = ast.Step(name="s", body=(stmt,), location=LOC)
     decl = ast.InputDecl(name="t", schema=schema, location=LOC)
     return ast.Pipeline(
@@ -130,6 +135,39 @@ def test_random_whole_pipelines_round_trip():
     for _ in range(150):
         pipeline, _tables = rand_pipeline(rng)
         assert parse(format_ast(pipeline)) == pipeline
+
+
+# Literal values at the edges of their text forms, and the canonical text
+# each is written as.
+EDGE_LITERALS = [
+    (datetime.date(1, 1, 1), ValueType.DATE, 'DATE "0001-01-01"'),
+    (datetime.date(999, 12, 31), ValueType.DATE, 'DATE "0999-12-31"'),
+    (datetime.datetime(1, 1, 1), ValueType.DATETIME, 'DATETIME "0001-01-01T00:00:00"'),
+    (
+        datetime.datetime(999, 1, 2, 3, 4, 5),
+        ValueType.DATETIME,
+        'DATETIME "0999-01-02T03:04:05"',
+    ),
+    (True, ValueType.BOOL, "TRUE"),
+    (False, ValueType.BOOL, "FALSE"),
+    (Decimal("5"), ValueType.DECIMAL, "5.0"),
+    (-7, ValueType.INT, "-7"),
+    (Decimal("-2.50"), ValueType.DECIMAL, "-2.50"),
+    ('q"b\\s\nn\tt', ValueType.STRING, '"q\\"b\\\\s\\nn\\tt"'),
+]
+
+
+@pytest.mark.parametrize(
+    "value, vtype, text", EDGE_LITERALS, ids=[text for _, _, text in EDGE_LITERALS]
+)
+def test_edge_literals_round_trip(value, vtype, text):
+    literal = ast.Literal(value=value, type=vtype, location=LOC)
+    pipeline = _pipeline_of(
+        ast.AddColumn(source="t", column="c", value=literal, target="r", location=LOC)
+    )
+    rendered = format_ast(pipeline)
+    assert f"    ADD_COLUMN t WITH c = {text} INTO r\n" in rendered
+    assert parse(rendered) == pipeline
 
 
 def test_map_statement_keyword_order():

@@ -193,6 +193,43 @@ class TestJson:
             assert table_equal(table_from_json(table_to_json(table), schema), table)
 
 
+# Cells before the year 1000, with the four-digit text every encoder writes.
+EARLY_CELLS = [
+    (VT.DATE, datetime.date(1, 1, 1), "0001-01-01"),
+    (VT.DATE, datetime.date(999, 12, 31), "0999-12-31"),
+    (VT.DATETIME, datetime.datetime(1, 1, 1, 0, 0, 0), "0001-01-01T00:00:00"),
+    (VT.DATETIME, datetime.datetime(999, 1, 2, 3, 4, 5), "0999-01-02T03:04:05"),
+]
+
+
+@pytest.mark.parametrize(
+    "vtype, cell, text", EARLY_CELLS, ids=[text for _, _, text in EARLY_CELLS]
+)
+class TestEarlyYears:
+    def test_csv_round_trip(self, vtype, cell, text):
+        schema = schema_of(("d", vtype))
+        table = make_table(schema, [(cell,)])
+        data = table_to_csv(table)
+        assert data == f"d\r\n{text}\r\n".encode()
+        assert table_equal(table_from_csv(data, schema), table)
+
+    def test_json_round_trip(self, vtype, cell, text):
+        schema = schema_of(("d", vtype))
+        table = make_table(schema, [(cell,)])
+        data = table_to_json(table)
+        assert json.loads(data) == [{"d": text}]
+        assert table_equal(table_from_json(data, schema), table)
+
+    def test_to_string_reads_back(self, vtype, cell, text):
+        source = (
+            f"PIPELINE p:\n INPUT t: TABLE[d: {vtype.value}]\n STEP s:\n"
+            "  MAP t WITH s => TO_STRING(d) INTO r\n OUTPUT r"
+        )
+        table = make_table(schema_of(("d", vtype)), [(cell,)])
+        assert run_pipeline(parse(source), {"t": table}).rows == ((cell, text),)
+        assert CSV_PARSERS[vtype](text) == cell
+
+
 LONG_DIGITS = "9" * 5000
 INT_COLUMN = schema_of(("a", VT.INT))
 DECIMAL_COLUMN = schema_of(("a", VT.DECIMAL))
