@@ -2,11 +2,12 @@
 
 ``run_pipeline`` runs what ``validate`` resolved. Each statement is
 compiled once per pipeline into a step that holds the validator's
-output schema, the column indices it resolved, and its expressions
-compiled into closures over row-tuple indices (Feeley and Lapalme,
-"Using closures for code generation", 1987), each operator bound to the
-kernel for the types the validator proved (Neumann, "Efficiently
-compiling efficient query plans", VLDB 2011). Steps bind INTO targets in
+output schema and the column indices it resolved. A MAP or FILTER
+becomes one generated Python function that runs its whole row loop, and
+an IF or WHILE condition a generated function of one row, each operator
+bound to the kernel for the types the validator proved (Neumann,
+"Efficiently compiling efficient query plans", VLDB 2011); the code is
+generated once per expression shape and cached. Steps bind INTO targets in
 one dict of named tables; the validator forbids rebinding, so only loop
 and TRY scopes copy it. After each top-level statement the names the
 validator found it last to read or bind (``ValidationResult.dies``) are
@@ -28,7 +29,7 @@ bindings and runs the ON_ERROR handler instead.
 from __future__ import annotations
 
 import decimal
-import operator
+import itertools
 import time
 from decimal import Decimal
 from functools import reduce
@@ -58,9 +59,13 @@ DEFAULT_WHILE_CAP = 100_000
 _TIME_LIMIT = "execution time limit exceeded"
 
 Row = tuple[Cell, ...]
-Step = Callable[["Interpreter", dict[str, Table], Optional[Row]], None]
-# Each step with its location and the names to release once it has run.
-Block = tuple[tuple[SourceLocation, Step, tuple[str, ...]], ...]
+# A step returns the table its statement binds, or None.
+Step = Callable[["Interpreter", dict[str, Table], Optional[Row]], Optional[Table]]
+# Each step with its location, its INTO target (None when it binds
+# nothing) and the names to release once it has run.
+Block = tuple[tuple[SourceLocation, Step, Optional[str], tuple[str, ...]], ...]
+# A generated MAP or FILTER loop, from source rows and the deadline to rows.
+RowLoop = Callable[[tuple[Row, ...], Optional[float]], list[Row]]
 
 _PLAN = "_plan"
 
@@ -135,6 +140,7 @@ def _compile_block(
         (
             stmt.location,
             _compile_statement(stmt, result, row_schema),
+            ast.statement_target(stmt),
             dies.get(id(stmt), ()) if dies else (),
         )
         for stmt in body
@@ -148,24 +154,13 @@ def _compile_statement(
     if control is not None:
         return control(stmt, result, row_schema)
     key = id(stmt)
-    action = _ACTION_COMPILERS[type(stmt)](
+    return _ACTION_COMPILERS[type(stmt)](
         stmt, result.sources.get(key), result.outputs.get(key), result.types
     )
-    target, location = ast.statement_target(stmt), stmt.location
-    if target is None:
-        return lambda interp, datasets, row: action(interp, datasets)
-
-    def bind(interp, datasets, row):
-        table = action(interp, datasets)
-        if interp.max_cells is not None:
-            interp._charge(table, datasets.get(target), location)
-        datasets[target] = table
-
-    return bind
 
 
 def _compile_if(stmt: ast.If, result, row_schema) -> Step:
-    condition = _compile_expr(stmt.condition, row_schema, result.types)
+    condition = _compile_expr("row", stmt.condition, row_schema, result.types)
     then_body = _compile_block(stmt.then_body, result, row_schema)
     else_body = _compile_block(stmt.else_body, result, row_schema)
 
@@ -179,7 +174,7 @@ def _compile_if(stmt: ast.If, result, row_schema) -> Step:
 
 def _compile_while(stmt: ast.While, result, row_schema) -> Step:
     location = stmt.location
-    condition = _compile_expr(stmt.condition, row_schema, result.types)
+    condition = _compile_expr("row", stmt.condition, row_schema, result.types)
     body = _compile_block(stmt.body, result, row_schema)
 
     def run_while(interp, datasets, row):
@@ -240,44 +235,44 @@ _CONTROL_COMPILERS = {
 
 # Action compilers take a data, WRITE or POST statement with the schemas
 # the validator resolved for it: those of its sources, in the order it
-# names them, and the one it binds. Each returns a function of the
-# interpreter and the bindings that runs the statement through its
-# ``eval_*`` or ``IoAdapter`` method, with every name already looked up.
+# names them, and the one it binds. Each returns a step that runs the
+# statement through its ``eval_*`` or ``IoAdapter`` method, with every
+# name already looked up; the block loop binds what it returns.
 
 
 def _filter(stmt: ast.Filter, sources, schema, types):
-    source, keep = stmt.source, _compile_expr(stmt.predicate, sources[0], types)
-    return lambda interp, d: interp.eval_filter(d[source], keep)
+    source, keep = stmt.source, _compile_expr("filter", stmt.predicate, sources[0], types)
+    return lambda interp, d, row: interp.eval_filter(d[source], keep)
 
 
 def _select(stmt: ast.Select, sources, schema, types):
     source, indices = stmt.source, [sources[0].index_of(n) for n in stmt.columns]
-    return lambda interp, d: interp.eval_select(d[source], schema, indices)
+    return lambda interp, d, row: interp.eval_select(d[source], schema, indices)
 
 
 def _distinct(stmt: ast.Distinct, sources, schema, types):
     source = stmt.source
-    return lambda interp, d: interp.eval_distinct(d[source])
+    return lambda interp, d, row: interp.eval_distinct(d[source])
 
 
 def _map(stmt: ast.Map, sources, schema, types):
-    source, compute = stmt.source, _compile_expr(stmt.expr, sources[0], types)
-    return lambda interp, d: interp.eval_map(d[source], schema, compute)
+    source, compute = stmt.source, _compile_expr("map", stmt.expr, sources[0], types)
+    return lambda interp, d, row: interp.eval_map(d[source], schema, compute)
 
 
 def _rename(stmt: ast.Rename, sources, schema, types):
     source = stmt.source
-    return lambda interp, d: interp.eval_rename(d[source], schema)
+    return lambda interp, d, row: interp.eval_rename(d[source], schema)
 
 
 def _drop(stmt: ast.Drop, sources, schema, types):
     source, gone = stmt.source, sources[0].index_of(stmt.column)
-    return lambda interp, d: interp.eval_drop(d[source], schema, gone)
+    return lambda interp, d, row: interp.eval_drop(d[source], schema, gone)
 
 
 def _add_column(stmt: ast.AddColumn, sources, schema, types):
     source, value = stmt.source, stmt.value.value
-    return lambda interp, d: interp.eval_add_column(d[source], schema, value)
+    return lambda interp, d, row: interp.eval_add_column(d[source], schema, value)
 
 
 def _aggregate(stmt: ast.Aggregate, sources, schema, types):
@@ -293,7 +288,7 @@ def _aggregate(stmt: ast.Aggregate, sources, schema, types):
             add = ARITHMETIC_KERNELS["+", schema.type_of(spec.alias)]
         index = None if spec.arg is None else src.index_of(spec.arg)
         computes.append((spec.fn, index, add))
-    return lambda interp, d: interp.eval_aggregate(
+    return lambda interp, d, row: interp.eval_aggregate(
         d[source], schema, keys, computes, location
     )
 
@@ -301,36 +296,36 @@ def _aggregate(stmt: ast.Aggregate, sources, schema, types):
 def _sort(stmt: ast.Sort, sources, schema, types):
     source, descending = stmt.source, stmt.descending
     key = sources[0].index_of(stmt.column)
-    return lambda interp, d: interp.eval_sort(d[source], key, descending)
+    return lambda interp, d, row: interp.eval_sort(d[source], key, descending)
 
 
 def _limit(stmt: ast.Limit, sources, schema, types):
     source, count = stmt.source, stmt.count
-    return lambda interp, d: interp.eval_limit(d[source], count)
+    return lambda interp, d, row: interp.eval_limit(d[source], count)
 
 
 def _skip(stmt: ast.Skip, sources, schema, types):
     source, count = stmt.source, stmt.count
-    return lambda interp, d: interp.eval_skip(d[source], count)
+    return lambda interp, d, row: interp.eval_skip(d[source], count)
 
 
 def _slice(stmt: ast.Slice, sources, schema, types):
     source, start, stop = stmt.source, stmt.start, stmt.stop
-    return lambda interp, d: interp.eval_slice(d[source], start, stop)
+    return lambda interp, d, row: interp.eval_slice(d[source], start, stop)
 
 
 def _join(stmt, sources, schema, types):
     left, right, left_outer = stmt.left, stmt.right, type(stmt) is ast.LeftJoin
     li, ri = sources[0].index_of(stmt.left_key), sources[1].index_of(stmt.right_key)
     location = stmt.location
-    return lambda interp, d: interp.eval_join(
+    return lambda interp, d, row: interp.eval_join(
         d[left], d[right], schema, li, ri, location, left_outer=left_outer
     )
 
 
 def _union(stmt: ast.Union, sources, schema, types):
     left, right, location = stmt.left, stmt.right, stmt.location
-    return lambda interp, d: interp.eval_union(d[left], d[right], location)
+    return lambda interp, d, row: interp.eval_union(d[left], d[right], location)
 
 
 def _io(call):
@@ -340,7 +335,7 @@ def _io(call):
     def compile_io(stmt, sources, schema, types):
         location = stmt.location
 
-        def located_io(interp, d):
+        def located_io(interp, d, row):
             try:
                 return call(stmt, interp.io, d)
             except ExecutionError as exc:
@@ -400,9 +395,13 @@ class Interpreter:
         self.cells = 0
 
     def _exec(self, block: Block, datasets: dict[str, Table], row: Optional[Row]) -> None:
-        for location, step, dies in block:
+        for location, step, target, dies in block:
             self._tick(location)
-            step(self, datasets, row)
+            table = step(self, datasets, row)
+            if target is not None:
+                if self.max_cells is not None:
+                    self._charge(table, datasets.get(target), location)
+                datasets[target] = table
             if dies:
                 self._release(datasets, dies)
 
@@ -430,15 +429,8 @@ class Interpreter:
     # cell well-typed, and row-passing operators keep the source tuples.
     # Operators that build a new schema take the validator's.
 
-    def eval_filter(self, src: Table, keep: Callable[[Row], Cell]) -> Table:
-        deadline, monotonic = self.deadline, time.monotonic
-        kept = []
-        for row in src.rows:
-            if deadline is not None and monotonic() > deadline:
-                raise AssertionFailed(_TIME_LIMIT)
-            if keep(row) is True:
-                kept.append(row)
-        return Table.trusted(src.schema, kept)
+    def eval_filter(self, src: Table, keep: RowLoop) -> Table:
+        return Table.trusted(src.schema, keep(src.rows, self.deadline))
 
     def eval_select(self, src: Table, schema: Schema, indices: list[int]) -> Table:
         return Table.trusted(schema, map(_picker(indices), src.rows))
@@ -455,14 +447,8 @@ class Interpreter:
                 kept.append(row)
         return Table.trusted(src.schema, kept)
 
-    def eval_map(self, src: Table, schema: Schema, compute: Callable[[Row], Cell]) -> Table:
-        deadline, monotonic = self.deadline, time.monotonic
-        rows = []
-        for row in src.rows:
-            if deadline is not None and monotonic() > deadline:
-                raise AssertionFailed(_TIME_LIMIT)
-            rows.append(row + (compute(row),))
-        return Table.trusted(schema, rows)
+    def eval_map(self, src: Table, schema: Schema, compute: RowLoop) -> Table:
+        return Table.trusted(schema, compute(src.rows, self.deadline))
 
     def eval_rename(self, src: Table, schema: Schema) -> Table:
         return Table.trusted(schema, src.rows)
@@ -626,212 +612,216 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 
 
 # -- compiling expressions ----------------------------------------------------
-# Each expression becomes a closure from a row tuple to a cell, with every
-# column reference bound to its index and every operator bound to the
-# kernel for the operand types the validator proved, so the only per-row
-# branch left is the null check. A literal is a closure that returns its
-# value; as the right operand of a comparison it is bound in the
-# comparison's closure as a constant instead (a literal is never null),
-# which saves a call per row of a FILTER. Likewise the trailing literal
-# arguments of a builtin call are bound once as a constant tuple, so
-# ``SUBSTRING(TRIM(product), 0, 3)`` evaluates one argument per row; the
-# builtin itself is still called once per row. A failing operator or
-# call raises with its own node's location, so the innermost failing
-# node names it.
+# Each MAP and FILTER expression becomes one generated Python function that
+# runs the statement's whole row loop, and each IF or WHILE condition a
+# generated function of one row (Neumann, "Efficiently compiling efficient
+# query plans", VLDB 2011). One walk of the expression lists its shape as
+# tokens from a closed set: "lit", "col", the six comparison symbols, AND,
+# OR, NOT, "neg", "arith" and a call's argument count. It lists the
+# parameters apart: column indices, literal values, the kernels the
+# validator's types select, builtin names, locations and overflow
+# messages. The tokens key a bounded cache of factories, and only a miss
+# generates source, from the tokens alone, so no program text reaches the
+# compiler; a hit costs one call of the factory with the parameters.
+#
+# In the generated code a column is a read of the row tuple and a literal
+# a parameter. A strict operator tests its non-literal operands for null
+# and calls its kernel, or ``call_builtin``, in a ``try`` of its own that
+# gives an error the node's location, so the innermost failing node names
+# it. The right operand of AND and OR is an inner function, called only
+# when the left does not decide, so the indentation stays flat at any
+# expression height. ``call_builtin`` and ``time`` are read from this
+# module's globals when the code runs, so a profiler or a test can wrap
+# them, and a run without a deadline reads no clock.
+
+_MAX_FACTORIES = 512
+_FACTORIES: dict[tuple, Callable] = {}
+
+_COMPARISONS = frozenset(("==", "!=", ">", ">=", "<", "<="))
+# each operator token with its counts of parameters and of operands; a
+# call's token is its argument count, with the name and location
+_OPERATORS = {
+    **{symbol: (0, 2) for symbol in _COMPARISONS},
+    "AND": (0, 2),
+    "OR": (0, 2),
+    "NOT": (0, 1),
+    "neg": (3, 1),
+    "arith": (3, 2),
+}
+_LOOP = (
+    "    def run(rows, deadline):",
+    "        monotonic = time.monotonic",
+    "        out = []",
+    "        for row in rows:",
+    "            if deadline is not None and monotonic() > deadline:",
+    "                raise AssertionFailed(_TIME_LIMIT)",
+)
+# each shape's function: the lines before the expression's code, that
+# code's indentation, and the lines after it, "{}" being its value
+_SHAPES = {
+    "row": (("    def run(row):",), 8, ("        return {}",)),
+    "map": (_LOOP, 12, ("            out.append(row + ({},))", "        return out")),
+    "filter": (
+        _LOOP,
+        12,
+        ("            if {} is True:", "                out.append(row)", "        return out"),
+    ),
+}
+_NEGATION_OVERFLOW = "DECIMAL overflow in negation"
+_OVERFLOW = {op: f"DECIMAL overflow in {name}" for op, name in OPERATION_NAMES.items()}
 
 
 def _compile_expr(
-    expr: ast.Expr, schema: Optional[Schema], types: dict[int, ValueType]
-) -> Callable[[Row], Cell]:
-    return _EXPR_COMPILERS[type(expr)](expr, schema, types)
+    shape: str, expr: ast.Expr, schema: Optional[Schema], types: dict[int, ValueType]
+) -> Callable:
+    """The generated function for ``expr``. ``shape`` is "map" for a
+    function from source rows to output rows, "filter" for one from
+    source rows to the rows kept, both taking the deadline too, and
+    "row" for a function from one row to the expression's value."""
+    tokens, params, stack = [shape], [], [expr]
+    while stack:
+        node = stack.pop()
+        while True:  # down the first operands; the others wait on the stack
+            kind = type(node)
+            if kind is ast.ColumnRef:
+                tokens.append("col")
+                params.append(schema.index_of(node.name))
+                break
+            if kind is ast.Literal:
+                tokens.append("lit")
+                params.append(node.value)
+                break
+            if kind is ast.Comparison or kind is ast.BoolOp:
+                tokens.append(node.op)
+            elif kind is ast.BinaryOp:
+                tokens.append("arith")
+                kernel = ARITHMETIC_KERNELS[node.op, types[id(node)]]
+                params += (kernel, node.location, _OVERFLOW[node.op])
+            elif kind is ast.Not:
+                tokens.append("NOT")
+                node = node.operand
+                continue
+            elif kind is ast.Neg:
+                tokens.append("neg")
+                kernel = NEGATION_KERNELS[types[id(node)]]
+                params += (kernel, node.location, _NEGATION_OVERFLOW)
+                node = node.operand
+                continue
+            else:
+                tokens.append(len(node.args))
+                params += (node.name, node.location)
+                stack += reversed(node.args[1:])
+                node = node.args[0]
+                continue
+            stack.append(node.right)
+            node = node.left
+    key = tuple(tokens)
+    make = _FACTORIES.get(key)
+    if make is None:
+        make = _factory(key)
+    return make(*params)
 
 
-def _literal(expr: ast.Literal, schema, types):
-    value = expr.value
-    return lambda row: value
+def _factory(key: tuple) -> Callable:
+    """Generate, compile and cache the factory for one expression shape.
+    The tokens arrive in prefix order; each operand becomes a name and
+    whether it may be null, and each operator's code is emitted when its
+    last operand is done, so the code runs in the language's order."""
+    shape, numbers = key[0], itertools.count()
+    temps = (f"v{i}" for i in itertools.count())
+    inner: list[str] = []  # the AND and OR right-operand functions
+    bodies: list[list[str]] = [[]]  # the function being generated is last
+    pending = []  # operators still waiting for operands
+    for token in key[1:]:
+        if token == "lit":
+            value = f"p{next(numbers)}", False
+        elif token == "col":
+            value = next(temps), True
+            bodies[-1].append(f"{value[0]} = row[p{next(numbers)}]")
+        else:
+            width, operands = (2, token) if type(token) is int else _OPERATORS[token]
+            names = [f"p{next(numbers)}" for _ in range(width)]
+            pending.append((token, operands, names, []))
+            continue
+        while pending:
+            op, operands, names, values = pending[-1]
+            values.append(value)
+            if len(values) < operands:
+                if op in ("AND", "OR"):
+                    bodies.append([])
+                break
+            pending.pop()
+            if op in ("AND", "OR"):
+                value = _emit_bool(op, values, bodies.pop(), bodies[-1], inner, temps)
+            else:
+                value = _emit(op, names, values, bodies[-1], next(temps))
+        else:  # no operator is left waiting: this is the expression's value
+            result = value[0]
+    head, indent, tail = _SHAPES[shape]
+    params = ", ".join(f"p{i}" for i in range(next(numbers)))
+    lines = [f"def make({params}):", *inner, *head]
+    lines += (" " * indent + line for line in bodies[0])
+    lines += (line.format(result) for line in tail)
+    lines.append("    return run")
+    namespace: dict[str, Callable] = {}
+    exec(compile("\n".join(lines), f"<anka {shape}>", "exec"), globals(), namespace)
+    if len(_FACTORIES) >= _MAX_FACTORIES:
+        try:  # drop the oldest, as the re module's cache does
+            del _FACTORIES[next(iter(_FACTORIES))]
+        except (StopIteration, RuntimeError, KeyError):
+            pass
+    make = _FACTORIES[key] = namespace["make"]
+    return make
 
 
-def _column(expr: ast.ColumnRef, schema, types):
-    return itemgetter(schema.index_of(expr.name))
-
-
-def _neg(expr: ast.Neg, schema, types):
-    location = expr.location
-    operand = _compile_expr(expr.operand, schema, types)
-    kernel = NEGATION_KERNELS[types[id(expr)]]
-
-    def neg(row):
-        value = operand(row)
-        if value is None:
-            return None
-        try:
-            return kernel(value)
-        except ExecutionError as exc:
-            raise exc.at(location) from None
-        except decimal.Inexact:
-            raise ConversionError("DECIMAL overflow in negation", location) from None
-
-    return neg
-
-
-def _arithmetic(expr: ast.BinaryOp, schema, types):
-    location = expr.location
-    left = _compile_expr(expr.left, schema, types)
-    kernel = ARITHMETIC_KERNELS[expr.op, types[id(expr)]]
-    overflow = f"DECIMAL overflow in {OPERATION_NAMES[expr.op]}"
-
-    right = _compile_expr(expr.right, schema, types)
-
-    def arithmetic(row):
-        a = left(row)
-        b = right(row)
-        if a is None or b is None:
-            return None
-        try:
-            return kernel(a, b)
-        except ExecutionError as exc:
-            raise exc.at(location) from None
-        except decimal.Inexact:
-            raise ConversionError(overflow, location) from None
-
-    return arithmetic
-
-
-# The validator admits only same-type and INT/DECIMAL pairs, and for
-# those Python's own ordering is the language's.
-_COMPARISONS = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "<": operator.lt,
-    "<=": operator.le,
-}
-
-
-def _comparison(expr: ast.Comparison, schema, types):
-    left = _compile_expr(expr.left, schema, types)
-    holds = _COMPARISONS[expr.op]
-
-    if type(expr.right) is ast.Literal:
-        b = expr.right.value
-
-        def comparison_literal(row):
-            a = left(row)
-            return None if a is None else holds(a, b)
-
-        return comparison_literal
-
-    right = _compile_expr(expr.right, schema, types)
-
-    def comparison(row):
-        a = left(row)
-        b = right(row)
-        if a is None or b is None:
-            return None
-        return holds(a, b)
-
-    return comparison
-
-
-def _bool_op(expr: ast.BoolOp, schema, types):
-    left = _compile_expr(expr.left, schema, types)
-    right = _compile_expr(expr.right, schema, types)
-    if expr.op == "AND":
-
-        def conjunction(row):
-            a = left(row)
-            if a is False:
-                return False
-            b = right(row)
-            if b is False:
-                return False
-            return None if a is None or b is None else True
-
-        return conjunction
-
-    def disjunction(row):
-        a = left(row)
-        if a is True:
-            return True
-        b = right(row)
-        if b is True:
-            return True
-        return None if a is None or b is None else False
-
-    return disjunction
-
-
-def _not(expr: ast.Not, schema, types):
-    operand = _compile_expr(expr.operand, schema, types)
-
-    def negation(row):
-        value = operand(row)
-        return None if value is None else not value
-
-    return negation
-
-
-def _call(expr: ast.Call, schema, types):
-    # call_builtin is read as a global per call, not captured, so that a
-    # profiler can wrap anka.interpreter.call_builtin. Builtins take one
-    # to three arguments; the trailing literals among them are bound as
-    # one constant tuple, and each count of evaluated arguments before
-    # them has its own closure, so no per-row loop gathers them.
-    location, name = expr.location, expr.name
-    count = len(expr.args)
-    while count and type(expr.args[count - 1]) is ast.Literal:
-        count -= 1
-    constants = tuple(arg.value for arg in expr.args[count:])
-    args = [_compile_expr(arg, schema, types) for arg in expr.args[:count]]
-    if not args:
-
-        def call(row):
-            try:
-                return call_builtin(name, constants)
-            except ExecutionError as exc:
-                raise exc.at(location) from None
-
-    elif len(args) == 1:
-        (first,) = args
-
-        def call(row):
-            values = (first(row),) + constants
-            try:
-                return call_builtin(name, values)
-            except ExecutionError as exc:
-                raise exc.at(location) from None
-
-    elif len(args) == 2:
-        first, second = args
-
-        def call(row):
-            values = (first(row), second(row)) + constants
-            try:
-                return call_builtin(name, values)
-            except ExecutionError as exc:
-                raise exc.at(location) from None
-
+def _emit(token, names: list[str], values, body: list[str], out: str) -> tuple[str, bool]:
+    """Append to ``body`` the code of a strict operator or a call that
+    sets ``out``; return ``out`` and whether it may be null."""
+    args = ", ".join(name for name, _ in values)
+    if type(token) is int:
+        # call_builtin itself returns null for a null argument
+        name, location = names
+        body += _guarded(f"{out} = call_builtin({name}, ({args},))", location)
+        return out, True
+    if token == "NOT" or token in _COMPARISONS:
+        text = f"not {args}" if token == "NOT" else f" {token} ".join(name for name, _ in values)
+        text, nullable = _strict(text, values)
+        body.append(f"{out} = {text}")
     else:
-        first, second, third = args
-
-        def call(row):
-            values = (first(row), second(row), third(row))
-            try:
-                return call_builtin(name, values)
-            except ExecutionError as exc:
-                raise exc.at(location) from None
-
-    return call
+        kernel, location, overflow = names
+        text, nullable = _strict(f"{kernel}({args})", values)
+        body += _guarded(f"{out} = {text}", location, overflow)
+    return out, nullable
 
 
-_EXPR_COMPILERS = {
-    ast.Literal: _literal,
-    ast.ColumnRef: _column,
-    ast.Neg: _neg,
-    ast.BinaryOp: _arithmetic,
-    ast.Comparison: _comparison,
-    ast.BoolOp: _bool_op,
-    ast.Not: _not,
-    ast.Call: _call,
-}
+def _strict(text: str, values) -> tuple[str, bool]:
+    """``text``, or null when one of ``values`` is; only the operands
+    that may be null are tested, so a literal never is."""
+    test = " or ".join(f"{name} is None" for name, nullable in values if nullable)
+    return (f"None if {test} else {text}", True) if test else (text, False)
+
+
+def _guarded(line: str, location: str, overflow: Optional[str] = None) -> list[str]:
+    """``line`` in a ``try`` that gives an error the location named
+    ``location``, and a DECIMAL overflow the message named ``overflow``."""
+    lines = ["try:", f"    {line}", "except ExecutionError as exc:"]
+    lines.append(f"    raise exc.at({location}) from None")
+    if overflow:
+        lines.append("except decimal.Inexact:")
+        lines.append(f"    raise ConversionError({overflow}, {location}) from None")
+    return lines
+
+
+def _emit_bool(token: str, values, right_body, body, inner, temps) -> tuple[str, bool]:
+    """Emit AND or OR: ``right_body`` computes the right operand and
+    becomes an inner function, called only when the left one does not
+    decide; return the result's name and whether it may be null."""
+    (left, left_null), (right, right_null) = values
+    decided, otherwise = ("False", "True") if token == "AND" else ("True", "False")
+    result, nullable = _strict(otherwise, (("left", left_null), (right, right_null)))
+    function, out = next(temps), next(temps)
+    inner.append(f"    def {function}(row, left):")
+    inner += (f"        {line}" for line in right_body)
+    inner.append(f"        return {decided} if {right} is {decided} else {result}")
+    body.append(f"{out} = {left} if {left} is {decided} else {function}(row, {left})")
+    return out, nullable

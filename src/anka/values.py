@@ -129,11 +129,13 @@ class Schema:
         fields = tuple(fields)
         if not fields:
             raise TableError("schema must have at least one field")
-        index: dict[str, int] = {}
-        for i, f in enumerate(fields):
-            if f.name in index:
-                raise TableError(f"duplicate field name '{f.name}' in schema")
-            index[f.name] = i
+        index = {f.name: i for i, f in enumerate(fields)}
+        if len(index) != len(fields):
+            seen = set()
+            for f in fields:
+                if f.name in seen:
+                    raise TableError(f"duplicate field name '{f.name}' in schema")
+                seen.add(f.name)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "_index", index)
 

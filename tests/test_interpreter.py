@@ -306,6 +306,21 @@ class TestJoins:
             location = err.value.location
             assert (location.line, location.column) == (4, 3), kind
 
+    def test_left_join_padding_alone_crosses_the_row_limit(self):
+        # no key matches, so every output row is a padded one
+        left = make_table(schema_of(("k", VT.INT)), [(i,) for i in range(6)])
+        right = make_table(schema_of(("rk", VT.INT), ("r", VT.STRING)), [(-1, "x")])
+        source = (
+            "PIPELINE p:\n INPUT t: TABLE[k: INT]\n INPUT u: TABLE[rk: INT, r: STRING]\n"
+            " STEP s:\n  LEFT_JOIN t WITH u ON k == rk INTO result\n OUTPUT result"
+        )
+        inputs = {"t": left, "u": right}
+        assert run(source, inputs, max_rows=6).rows == tuple((i, None) for i in range(6))
+        with pytest.raises(AssertionFailed, match="row limit of 5") as err:
+            run(source, inputs, max_rows=5)
+        location = err.value.location
+        assert (location.line, location.column) == (5, 3)
+
     def test_join_past_deadline_raises(self, monkeypatch):
         class SteppingClock:
             """Stands in for the time module: each reading is 1 s later."""

@@ -374,6 +374,24 @@ class TestCsv:
         assert run_pipeline(parse(source), {}, adapter).rows == (("fallback",),)
         assert files.calls == [("read", "big.csv"), ("read", "small.csv")]
 
+    def test_blank_line_is_skipped_with_several_columns(self):
+        schema = schema_of(("a", VT.INT), ("s", VT.STRING))
+        table = table_from_csv(b"a,s\n1,x\n\n2,y\n", schema)
+        assert table.rows == ((1, "x"), (2, "y"))
+
+    def test_blank_line_is_a_null_row_with_one_column(self):
+        table = table_from_csv(b"a\n1\n\n2\n", schema_of(("a", VT.INT)))
+        assert table.rows == ((1,), (None,), (2,))
+        strings = table_from_csv(b"s\nx\n\ny\n", schema_of(("s", VT.STRING)))
+        assert strings.rows == (("x",), ("",), ("y",))
+
+    def test_bad_cell_after_a_blank_line_names_its_line(self):
+        # the blank line 3 sends decoding row by row, which still counts it
+        schema = schema_of(("a", VT.INT), ("s", VT.STRING))
+        with pytest.raises(ConversionError, match="^line 5, field 'a': ") as err:
+            table_from_csv(b"a,s\n1,x\n\n2,y\nbad,z\n", schema)
+        assert "'bad'" in err.value.message
+
     def test_random_roundtrips_without_null_strings(self):
         rng = random.Random(778)
         for _ in range(80):
