@@ -4,12 +4,18 @@ Every node carries a SourceLocation, declared once on ``Node`` and
 passed by keyword. Locations are excluded from equality so that a
 formatted-and-reparsed tree compares equal to the original; all
 semantic fields participate.
+
+The 23 statement classes are not written out one by one: each is built
+from its row of ``STATEMENT_FORMS``, whose form text spells the
+statement's syntax and names its fields in order. ``grammar.STATEMENTS``
+is the same rows with each slot kind resolved, so a statement's fields
+and its form are declared once.
 """
 
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from decimal import Decimal
 from typing import Optional, Union
 
@@ -99,61 +105,6 @@ class Statement(Node):
 
 
 @dataclass(frozen=True)
-class Filter(Statement):
-    source: str
-    predicate: Expr
-    target: str
-
-
-@dataclass(frozen=True)
-class Select(Statement):
-    source: str
-    columns: tuple[str, ...]
-    target: str
-
-
-@dataclass(frozen=True)
-class Distinct(Statement):
-    source: str
-    target: str
-
-
-@dataclass(frozen=True)
-class Map(Statement):
-    """Appends a computed column: MAP src WITH name => expr INTO t."""
-
-    source: str
-    column: str
-    expr: Expr
-    target: str
-
-
-@dataclass(frozen=True)
-class Rename(Statement):
-    source: str
-    old_name: str
-    new_name: str
-    target: str
-
-
-@dataclass(frozen=True)
-class Drop(Statement):
-    source: str
-    column: str
-    target: str
-
-
-@dataclass(frozen=True)
-class AddColumn(Statement):
-    """Appends a constant-valued column (MAP handles expressions)."""
-
-    source: str
-    column: str
-    value: Literal
-    target: str
-
-
-@dataclass(frozen=True)
 class AggregateSpec(Node):
     """One COMPUTE entry: fn(arg) AS alias. COUNT takes no argument."""
 
@@ -162,123 +113,64 @@ class AggregateSpec(Node):
     alias: str
 
 
-@dataclass(frozen=True)
-class Aggregate(Statement):
-    source: str
-    group_by: tuple[str, ...]
-    computes: tuple[AggregateSpec, ...]
-    target: str
+def _statement(keyword: str, name: str, form: str) -> tuple[type, tuple]:
+    """The class and form parts of one statement row. The class is a
+    frozen dataclass whose fields are the form's ``field:kind`` words in
+    order, built as ``collections.namedtuple`` builds its classes."""
+    parts = tuple(tuple(word.split(":")) if ":" in word else word for word in form.split())
+    cls = make_dataclass(
+        name, [part[0] for part in parts if isinstance(part, tuple)],
+        bases=(Statement,), frozen=True,
+    )
+    # make_dataclass names the module "types" on Python 3.10 and 3.11.
+    cls.__module__ = __name__
+    cls.__doc__ = f"{keyword} {form}"
+    globals()[name] = cls
+    return cls, parts
 
 
-@dataclass(frozen=True)
-class Sort(Statement):
-    source: str
-    column: str
-    descending: bool
-    target: str
-
-
-@dataclass(frozen=True)
-class Limit(Statement):
-    source: str
-    count: int
-    target: str
-
-
-@dataclass(frozen=True)
-class Skip(Statement):
-    source: str
-    count: int
-    target: str
-
-
-@dataclass(frozen=True)
-class Slice(Statement):
-    """Half-open row range on 0-based positions."""
-
-    source: str
-    start: int
-    stop: int
-    target: str
-
-
-@dataclass(frozen=True)
-class Join(Statement):
-    left: str
-    right: str
-    left_key: str
-    right_key: str
-    target: str
-
-
-@dataclass(frozen=True)
-class LeftJoin(Statement):
-    left: str
-    right: str
-    left_key: str
-    right_key: str
-    target: str
-
-
-@dataclass(frozen=True)
-class Union(Statement):
-    left: str
-    right: str
-    target: str
-
-
-@dataclass(frozen=True)
-class Read(Statement):
-    path: str
-    format: str  # "json" | "csv"
-    schema: Schema
-    target: str
-
-
-@dataclass(frozen=True)
-class Write(Statement):
-    source: str
-    path: str
-    format: str
-
-
-@dataclass(frozen=True)
-class Fetch(Statement):
-    url: str
-    schema: Schema
-    target: str
-
-
-@dataclass(frozen=True)
-class Post(Statement):
-    source: str
-    url: str
-
-
-@dataclass(frozen=True)
-class If(Statement):
-    condition: Expr
-    then_body: tuple[Statement, ...]
-    else_body: tuple[Statement, ...]
-
-
-@dataclass(frozen=True)
-class ForEach(Statement):
-    var: str
-    source: str
-    body: tuple[Statement, ...]
-
-
-@dataclass(frozen=True)
-class While(Statement):
-    condition: Expr
-    body: tuple[Statement, ...]
-
-
-@dataclass(frozen=True)
-class Try(Statement):
-    body: tuple[Statement, ...]
-    handler: tuple[Statement, ...]
+# Keyword -> (statement class, form parts), from one row per statement,
+# control flow included: (keyword, class name, form after the keyword).
+# In a form, ``field:kind`` is the class's next field, filled from a slot
+# of that kind (``grammar.SLOTS``); any other word is a keyword or an
+# operator that must appear as written. Each form part is that word, or
+# a (field, kind) pair.
+STATEMENT_FORMS = {
+    keyword: _statement(keyword, name, form) for keyword, name, form in [
+        ("FILTER", "Filter", "source:dataset WHERE predicate:expression INTO target:target"),
+        ("SELECT", "Select", "source:dataset COLUMNS columns:columns INTO target:target"),
+        ("DISTINCT", "Distinct", "source:dataset INTO target:target"),
+        ("MAP", "Map",
+         "source:dataset WITH column:new_column => expr:expression INTO target:target"),
+        ("RENAME", "Rename",
+         "source:dataset COLUMN old_name:column TO new_name:new_column INTO target:target"),
+        ("DROP", "Drop", "source:dataset COLUMN column:column INTO target:target"),
+        ("ADD_COLUMN", "AddColumn",
+         "source:dataset WITH column:new_column = value:literal INTO target:target"),
+        ("AGGREGATE", "Aggregate",
+         "source:dataset group_by:group_by COMPUTE computes:computes INTO target:target"),
+        ("SORT", "Sort",
+         "source:dataset BY column:column descending:direction INTO target:target"),
+        ("LIMIT", "Limit", "source:dataset TO count:count INTO target:target"),
+        ("SKIP", "Skip", "source:dataset FIRST count:count INTO target:target"),
+        ("SLICE", "Slice", "source:dataset FROM start:count TO stop:count INTO target:target"),
+        ("JOIN", "Join",
+         "left:dataset WITH right:dataset ON left_key:column == right_key:column "
+         "INTO target:target"),
+        ("LEFT_JOIN", "LeftJoin",
+         "left:dataset WITH right:dataset ON left_key:column == right_key:column "
+         "INTO target:target"),
+        ("UNION", "Union", "left:dataset WITH right:dataset INTO target:target"),
+        ("READ", "Read", "path:path AS format:format schema:table INTO target:target"),
+        ("WRITE", "Write", "source:dataset TO path:path AS format:format"),
+        ("FETCH", "Fetch", "url:url schema:table INTO target:target"),
+        ("POST", "Post", "source:dataset TO url:url"),
+        ("IF", "If", "condition:expression THEN then_body:block else_body:else END_IF"),
+        ("FOR_EACH", "ForEach", "var:row IN source:dataset DO body:block END_FOR"),
+        ("WHILE", "While", "condition:expression DO body:block END_WHILE"),
+        ("TRY", "Try", "body:block ON_ERROR handler:block END_TRY"),
+    ]
+}
 
 
 # --- Pipeline --------------------------------------------------------------

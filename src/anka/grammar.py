@@ -2,12 +2,15 @@
 
 ``STATEMENTS`` gives the form of each of the 23 statements, control
 flow included: its keywords and operators, and typed slots for the parts
-that vary, a nested block of statements among them. ``BINARY_OPERATORS``
-and ``PREFIX_OPERATORS`` give each operator's precedence level and the
-node it builds. ``LITERAL_TOKENS`` and ``LITERAL_KEYWORDS`` give each
-literal's spelling around its payload, the cell's text form in
-``values.CELL_FORMATTERS``. The parser reads source by these tables and
-the formatter writes trees back by them, so the two cannot disagree.
+that vary, a nested block of statements among them. Its rows are those
+of ``ast_nodes.STATEMENT_FORMS``, the table the statement classes are
+built from, with each ``field:kind`` word's kind resolved to its slot in
+``SLOTS``. ``BINARY_OPERATORS`` and ``PREFIX_OPERATORS`` give each
+operator's precedence level and the node it builds. ``LITERAL_TOKENS``
+and ``LITERAL_KEYWORDS`` give each literal's spelling around its
+payload, the cell's text form in ``values.CELL_FORMATTERS``. The parser
+reads source by these tables and the formatter writes trees back by
+them, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -289,55 +292,14 @@ SLOTS = {
 # -- statements ----------------------------------------------------------------
 
 
-def _form(node: type, spec: str) -> tuple[type, tuple]:
-    """``field:kind`` fills the node's field from a slot of that kind; any
-    other word is a keyword or an operator that must appear as written."""
-    parts: list = []
-    for word in spec.split():
-        field, colon, kind = word.partition(":")
-        parts.append((field, SLOTS[kind]) if colon else word)
-    return node, tuple(parts)
-
-
-# Keyword -> (node class, form after the keyword): one production each.
+# Keyword -> (node class, form after the keyword): one production each,
+# the rows of ``ast_nodes.STATEMENT_FORMS`` with each (field, kind) part's
+# kind resolved to its slot.
 STATEMENTS = {
-    keyword: _form(node, spec) for keyword, node, spec in [
-        ("FILTER", ast.Filter, "source:dataset WHERE predicate:expression INTO target:target"),
-        ("SELECT", ast.Select, "source:dataset COLUMNS columns:columns INTO target:target"),
-        ("DISTINCT", ast.Distinct, "source:dataset INTO target:target"),
-        ("MAP", ast.Map,
-         "source:dataset WITH column:new_column => expr:expression INTO target:target"),
-        ("RENAME", ast.Rename,
-         "source:dataset COLUMN old_name:column TO new_name:new_column INTO target:target"),
-        ("DROP", ast.Drop, "source:dataset COLUMN column:column INTO target:target"),
-        ("ADD_COLUMN", ast.AddColumn,
-         "source:dataset WITH column:new_column = value:literal INTO target:target"),
-        ("AGGREGATE", ast.Aggregate,
-         "source:dataset group_by:group_by COMPUTE computes:computes INTO target:target"),
-        ("SORT", ast.Sort,
-         "source:dataset BY column:column descending:direction INTO target:target"),
-        ("LIMIT", ast.Limit, "source:dataset TO count:count INTO target:target"),
-        ("SKIP", ast.Skip, "source:dataset FIRST count:count INTO target:target"),
-        ("SLICE", ast.Slice,
-         "source:dataset FROM start:count TO stop:count INTO target:target"),
-        ("JOIN", ast.Join,
-         "left:dataset WITH right:dataset ON left_key:column == right_key:column "
-         "INTO target:target"),
-        ("LEFT_JOIN", ast.LeftJoin,
-         "left:dataset WITH right:dataset ON left_key:column == right_key:column "
-         "INTO target:target"),
-        ("UNION", ast.Union, "left:dataset WITH right:dataset INTO target:target"),
-        ("READ", ast.Read, "path:path AS format:format schema:table INTO target:target"),
-        ("WRITE", ast.Write, "source:dataset TO path:path AS format:format"),
-        ("FETCH", ast.Fetch, "url:url schema:table INTO target:target"),
-        ("POST", ast.Post, "source:dataset TO url:url"),
-        ("IF", ast.If,
-         "condition:expression THEN then_body:block else_body:else END_IF"),
-        ("FOR_EACH", ast.ForEach,
-         "var:row IN source:dataset DO body:block END_FOR"),
-        ("WHILE", ast.While, "condition:expression DO body:block END_WHILE"),
-        ("TRY", ast.Try, "body:block ON_ERROR handler:block END_TRY"),
-    ]
+    keyword: (node, tuple(
+        part if isinstance(part, str) else (part[0], SLOTS[part[1]]) for part in parts
+    ))
+    for keyword, (node, parts) in ast.STATEMENT_FORMS.items()
 }
 
 # Node class -> its statement keyword.

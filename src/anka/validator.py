@@ -34,7 +34,7 @@ from typing import Optional
 from anka import ast_nodes as ast
 from anka.builtins import BUILTINS
 from anka.errors import AnkaError, ValidationError, ValidationKind
-from anka.grammar import NODE_KEYWORDS, SLOTS, STATEMENTS
+from anka.grammar import NODE_KEYWORDS
 from anka.location import SourceLocation
 from anka.values import NUMERIC_TYPES, Field, Schema, ValueType
 
@@ -655,10 +655,10 @@ _CONTROL = {
 
 def _dataset_fields(node: type) -> tuple[str, ...]:
     """The fields of a statement that name the datasets it reads,
-    in the order its grammar form has them."""
-    form = STATEMENTS[NODE_KEYWORDS[node]][1]
-    return tuple(part[0] for part in form
-                 if isinstance(part, tuple) and part[1] is SLOTS["dataset"])
+    in the order its form has them."""
+    parts = ast.STATEMENT_FORMS[NODE_KEYWORDS[node]][1]
+    return tuple(part[0] for part in parts
+                 if isinstance(part, tuple) and part[1] == "dataset")
 
 
 # Each data, WRITE or POST statement's rule, with the fields it reads

@@ -175,6 +175,15 @@ class TestRunCommand:
     def test_bad_input_syntax_exit_two(self, pipeline_file, capsys):
         assert main(["run", pipeline_file(VALID), "--input", "rowsnopath"]) == 2
 
+    def test_unwritable_output_exit_two(self, pipeline_file, rows_json, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out.json")
+        code = main(["run", pipeline_file(VALID), "--input", f"rows={rows_json}",
+                     "--output", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out!r}: ")
+        assert captured.out == ""
+
 
 class TestBenchCommand:
     def test_fixture_bench_run(self, tmp_path, capsys):
@@ -213,6 +222,17 @@ class TestBenchCommand:
             "task_accuracy": 0.0,
         }
         assert all(t["no_samples"] for t in doc["tasks"])
+
+    def test_unwritable_report_exit_two(self, tmp_path, capsys):
+        report_path = str(tmp_path / "missing" / "r.json")
+        code = main(
+            ["bench", str(fixture_dir() / "suite.json"), str(fixture_dir() / "candidates"),
+             "--report", report_path]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {report_path!r}: ")
+        assert captured.out == ""
 
     def test_unreadable_suite_exit_two(self, tmp_path):
         assert main(["bench", "/nonexistent/suite.json", str(tmp_path)]) == 2

@@ -1,5 +1,6 @@
 """Metric definitions, flag monotonicity, aggregation, determinism."""
 
+import copy
 import json
 import threading
 
@@ -447,3 +448,139 @@ class TestSuiteLoading:
         path.write_text(json.dumps(doc))
         with pytest.raises(SuiteError, match="category"):
             load_suite(path)
+
+
+def _valid_suite_doc() -> dict:
+    return {
+        "tasks": [
+            {
+                "id": "t1",
+                "category": "filter",
+                "description": "keep every row",
+                "order_insensitive": False,
+                "inputs": {"rows": [{"name": "v", "type": "INT"}]},
+                "tests": [
+                    {
+                        "inputs": {"rows": [{"v": 1}]},
+                        "expected": {"schema": [{"name": "v", "type": "INT"}], "rows": [{"v": 1}]},
+                    }
+                ],
+            }
+        ]
+    }
+
+
+def _parent(doc, path: str):
+    """The container and the key that a dotted path of keys and indices names."""
+    *keys, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+    for key in keys:
+        doc = doc[key]
+    return doc, last
+
+
+def _set(path: str, value):
+    def edit(doc):
+        parent, key = _parent(doc, path)
+        parent[key] = value
+
+    return edit
+
+
+def _delete(path: str):
+    def edit(doc):
+        parent, key = _parent(doc, path)
+        del parent[key]
+
+    return edit
+
+
+_TEST = "task 't1', test #0"
+
+# Each case changes one part of a valid suite document and names the
+# SuiteError it must raise; "{path}" stands for the suite file.
+_SUITE_ERRORS = {
+    "document not an object": (
+        lambda doc: [doc], "suite {path}: expected an object with a 'tasks' array"),
+    "no tasks array": (
+        _delete("tasks"), "suite {path}: expected an object with a 'tasks' array"),
+    "task not an object": (_set("tasks.0", "t1"), "task #0: expected an object"),
+    "no id": (_delete("tasks.0.id"), "task #0: missing or invalid 'id'"),
+    "no description": (_delete("tasks.0.description"), "task 't1': missing 'description'"),
+    "order_insensitive not a boolean": (
+        _set("tasks.0.order_insensitive", "yes"),
+        "task 't1': 'order_insensitive' must be a boolean"),
+    "inputs empty": (
+        _set("tasks.0.inputs", {}), "task 't1': 'inputs' must map names to schemas"),
+    "inputs not a mapping": (
+        _set("tasks.0.inputs", [{"name": "v", "type": "INT"}]),
+        "task 't1': 'inputs' must map names to schemas"),
+    "schema not a list": (
+        _set("tasks.0.inputs.rows", "INT"),
+        "task 't1': input 'rows': schema must be a non-empty field list"),
+    "schema empty": (
+        _set("tasks.0.inputs.rows", []),
+        "task 't1': input 'rows': schema must be a non-empty field list"),
+    "field without name": (
+        _set("tasks.0.inputs.rows", [{"type": "INT"}]),
+        "task 't1': input 'rows': each field needs 'name' and 'type'"),
+    "field without type": (
+        _set("tasks.0.inputs.rows", [{"name": "v"}]),
+        "task 't1': input 'rows': each field needs 'name' and 'type'"),
+    "unknown type": (
+        _set("tasks.0.inputs.rows", [{"name": "v", "type": "NUMBER"}]),
+        "task 't1': input 'rows': unknown type 'NUMBER' for field 'v'"),
+    "repeated field": (
+        _set("tasks.0.inputs.rows", [{"name": "v", "type": "INT"}] * 2),
+        "task 't1': input 'rows': duplicate field name 'v' in schema"),
+    "no tests": (_delete("tasks.0.tests"), "task 't1': at least one test is required"),
+    "tests empty": (_set("tasks.0.tests", []), "task 't1': at least one test is required"),
+    "test not an object": (_set("tasks.0.tests.0", []), f"{_TEST}: expected an object"),
+    "test inputs not a mapping": (
+        _set("tasks.0.tests.0.inputs", [[{"v": 1}]]),
+        f"{_TEST}: 'inputs' must map names to row arrays"),
+    "test input names differ": (
+        _set("tasks.0.tests.0.inputs", {"other": [{"v": 1}]}),
+        f"{_TEST}: test inputs ['other'] do not match declared inputs ['rows']"),
+    "test input rows not an array": (
+        _set("tasks.0.tests.0.inputs.rows", {"v": 1}),
+        f"{_TEST}: input 'rows' must be an array of objects"),
+    "expected not an object": (
+        _set("tasks.0.tests.0.expected", [{"v": 1}]),
+        f"{_TEST}: 'expected' must carry 'schema' and 'rows'"),
+    "expected rows not an array": (
+        _set("tasks.0.tests.0.expected.rows", {"v": 1}),
+        f"{_TEST}: expected 'rows' must be an array of objects"),
+    "expected table fails to convert": (
+        _set("tasks.0.tests.0.expected.rows", [{"v": "x"}]),
+        f"{_TEST}: expected table: row 0, field 'v': expected INT, got string"),
+    "duplicate task id": (
+        lambda doc: doc["tasks"].append(copy.deepcopy(doc["tasks"][0])),
+        "duplicate task id 't1'"),
+}
+
+
+def test_valid_suite_document_loads(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(_valid_suite_doc()))
+    (task,) = load_suite(path)
+    assert task.id == "t1" and len(task.tests) == 1
+
+
+def test_undecodable_suite_names_the_file(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text('{"tasks": [')
+    with pytest.raises(SuiteError) as info:
+        load_suite(path)
+    assert str(info.value).startswith(f"suite {path}: malformed JSON")
+
+
+@pytest.mark.parametrize("case", list(_SUITE_ERRORS))
+def test_malformed_suite_document_names_the_fault(tmp_path, case):
+    edit, message = _SUITE_ERRORS[case]
+    doc = _valid_suite_doc()
+    replaced = edit(doc)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc if replaced is None else replaced))
+    with pytest.raises(SuiteError) as info:
+        load_suite(path)
+    assert str(info.value) == message.format(path=path)

@@ -217,10 +217,14 @@ class TestStatementForms:
 
 class TestCanonicalForms:
     def test_exactly_one_production_per_statement_keyword(self):
-        # the statement table IS the grammar's statement productions: each
-        # statement's node class, control flow included, has exactly one
-        # form, the parser's keywords are the table's, and no statement
-        # has a reader of its own
+        # the statement table in ast_nodes IS both the statement classes
+        # and the grammar's statement productions: each class, control
+        # flow included, is built from exactly one row and has exactly one
+        # form, its fields are its form's field words in order, the
+        # parser's keywords are the table's, and no statement has a
+        # reader of its own
+        from dataclasses import fields
+
         from anka import parser
         from anka.grammar import STATEMENTS
 
@@ -240,6 +244,19 @@ class TestCanonicalForms:
         assert not hasattr(parser, "_CONTROL")
         assert not [name for name in vars(parser._Parser)
                     if name.startswith("_parse_") and name[7:].upper() in STATEMENTS]
+        assert set(ast.Statement.__subclasses__()) == set(nodes)
+        assert len(ast.Statement.__subclasses__()) == 23
+        assert list(ast.STATEMENT_FORMS) == keywords
+        for keyword, (node, _) in ast.STATEMENT_FORMS.items():
+            assert STATEMENTS[keyword][0] is node
+            assert node.__module__ == "anka.ast_nodes"
+            assert node.__qualname__ == node.__name__
+            assert getattr(ast, node.__name__) is node
+            form = node.__doc__.split()
+            assert form[0] == keyword
+            names = [f.name for f in fields(node)]
+            assert names[0] == "location"
+            assert names[1:] == [word.split(":")[0] for word in form[1:] if ":" in word]
 
     def test_alternate_spellings_are_rejected(self):
         # common near-miss forms must not be a second way in
