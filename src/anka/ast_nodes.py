@@ -17,7 +17,7 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass, field, fields, make_dataclass
 from decimal import Decimal
-from typing import Optional, Union
+from typing import Any, Optional
 
 from anka.location import SourceLocation
 from anka.values import Schema, ValueType, format_cell
@@ -40,7 +40,8 @@ class Expr(Node):
 class Literal(Expr):
     """A constant of one of the six value types."""
 
-    value: Union[int, str, Decimal, bool, datetime.date, datetime.datetime]
+    # not Union[...]: the UNION statement's class is this module's Union
+    value: int | str | Decimal | bool | datetime.date | datetime.datetime
     type: ValueType
 
 
@@ -116,10 +117,11 @@ class AggregateSpec(Node):
 def _statement(keyword: str, name: str, form: str) -> tuple[type, tuple]:
     """The class and form parts of one statement row. The class is a
     frozen dataclass whose fields are the form's ``field:kind`` words in
-    order, built as ``collections.namedtuple`` builds its classes."""
+    order, built as ``collections.namedtuple`` builds its classes. Each
+    field is annotated ``Any``, which ``typing.get_type_hints`` resolves."""
     parts = tuple(tuple(word.split(":")) if ":" in word else word for word in form.split())
     cls = make_dataclass(
-        name, [part[0] for part in parts if isinstance(part, tuple)],
+        name, [(part[0], Any) for part in parts if isinstance(part, tuple)],
         bases=(Statement,), frozen=True,
     )
     # make_dataclass names the module "types" on Python 3.10 and 3.11.

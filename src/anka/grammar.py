@@ -19,8 +19,8 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from anka import ast_nodes as ast
 from anka.errors import ConversionError, ParseError
-from anka.lexer import KIND_DECIMAL, KIND_INT, KIND_KEYWORD, KIND_STRING
-from anka.values import CELL_FORMATTERS, Schema, ValueType, parse_date, parse_datetime
+from anka.lexer import KIND_DECIMAL, KIND_INT, KIND_STRING, LITERAL_VALUES, token_kind
+from anka.values import CELL_FORMATTERS, Schema, ValueType, parse_date, parse_datetime, parse_int
 
 # -- operators -----------------------------------------------------------------
 
@@ -115,8 +115,9 @@ def quote(text: str) -> str:
 
 class LiteralForm(NamedTuple):
     """How a literal of ``type`` is spelled around its payload, the cell's
-    text form. ``read(parser, token)`` gives its value once ``token``, its
-    first, has been taken; ``write(payload)`` gives its canonical text."""
+    text form. ``read(parser, text)`` gives its value once its first
+    token, whose text is ``text``, has been taken; ``write(payload)``
+    gives its canonical text."""
 
     type: ValueType
     read: Callable[[Any, Any], Any]
@@ -132,32 +133,35 @@ def _with_point(payload: str) -> str:
 def _text_literal(vtype: ValueType, parse: Callable[[str], Any]) -> LiteralForm:
     """The type's name, then a string of the cell's text read by ``parse``."""
 
-    def read(p, tok) -> Any:
-        text = p.expect_string(f"{vtype.value.lower()} string")
+    def read(p, text: str) -> Any:
+        at = p.pos
+        payload = p.expect_string(f"{vtype.value.lower()} string")
         try:
-            return parse(text.value)
+            return parse(payload)
         except ConversionError as exc:
-            raise ParseError(str(exc), text.location) from None
+            raise ParseError(str(exc), p.location(at)) from None
 
     return LiteralForm(vtype, read, lambda payload: f"{vtype.value} {quote(payload)}")
 
 
-def _token_value(p, tok) -> Any:
-    return tok.value
+def _token_literal(kind: str, vtype: ValueType, write: Callable[[str], str]) -> LiteralForm:
+    """A token of ``kind`` whose value is the literal."""
+    value = LITERAL_VALUES[kind]
+    return LiteralForm(vtype, lambda p, text: value(text), write)
 
 
-# The literals by their first token: a token whose value is the literal,
-# where only a number may follow a leading "-" ...
+# The literals by their first token's kind: a token whose value is the
+# literal, where only a number may follow a leading "-" ...
 LITERAL_TOKENS = {
-    KIND_INT: LiteralForm(ValueType.INT, _token_value, str),
-    KIND_DECIMAL: LiteralForm(ValueType.DECIMAL, _token_value, _with_point),
-    KIND_STRING: LiteralForm(ValueType.STRING, _token_value, quote),
+    KIND_INT: _token_literal(KIND_INT, ValueType.INT, str),
+    KIND_DECIMAL: _token_literal(KIND_DECIMAL, ValueType.DECIMAL, _with_point),
+    KIND_STRING: _token_literal(KIND_STRING, ValueType.STRING, quote),
 }
 
 # ... a keyword that is the cell's text in capitals, or a type's name.
 LITERAL_KEYWORDS = {
-    "TRUE": LiteralForm(ValueType.BOOL, lambda p, tok: True, str.upper),
-    "FALSE": LiteralForm(ValueType.BOOL, lambda p, tok: False, str.upper),
+    "TRUE": LiteralForm(ValueType.BOOL, lambda p, text: True, str.upper),
+    "FALSE": LiteralForm(ValueType.BOOL, lambda p, text: False, str.upper),
     "DATE": _text_literal(ValueType.DATE, parse_date),
     "DATETIME": _text_literal(ValueType.DATETIME, parse_datetime),
 }
@@ -188,43 +192,42 @@ AGGREGATE_FNS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
 
 def _read_name(p, what: str) -> str:
-    return p.expect_ident(what).text
+    return p.expect_ident(what)
 
 
 def _read_names(p, what: str) -> tuple[str, ...]:
-    return p.comma_list(lambda: p.expect_ident(what).text)
+    return p.comma_list(lambda: p.expect_ident(what))
 
 
 def _read_count(p, what: str) -> int:
-    negative = p.at_op("-")
-    if negative:
-        p.advance()
-    tok = p.peek()
-    if tok.kind != KIND_INT:
+    negative = p.accept("-")
+    text = p.peek()
+    if token_kind(text) != KIND_INT:
         raise p.fail(what)
     p.advance()
-    return -tok.value if negative else tok.value
+    value = parse_int(text)
+    return -value if negative else value
 
 
 def _read_string(p, what: str) -> str:
-    return p.expect_string(what).value
+    return p.expect_string(what)
 
 
 def _choice(words: dict[str, Any]) -> Slot:
     """A slot filled by one of ``words``' keywords, read as its value."""
 
     def read(p, what: str) -> Any:
-        tok = p.peek()
-        if tok.kind == KIND_KEYWORD and tok.text in words:
+        text = p.peek()
+        if text in words:
             p.advance()
-            return words[tok.text]
+            return words[text]
         raise p.fail(*words)
 
     return Slot(read, {value: word for word, value in words.items()}.__getitem__)
 
 
 def _read_group_by(p, what: str) -> tuple[str, ...]:
-    return _read_names(p, what) if p.accept_keyword("GROUP_BY") else ()
+    return _read_names(p, what) if p.accept("GROUP_BY") else ()
 
 
 def _write_group_by(names: tuple[str, ...]) -> Optional[str]:
@@ -239,24 +242,24 @@ def _optional_block(header: str) -> Slot:
     """A block after ``header``, or neither: read as () when absent."""
 
     def read(p, what: str) -> tuple[ast.Statement, ...]:
-        return p.parse_statement_block() if p.accept_keyword(header) else ()
+        return p.parse_statement_block() if p.accept(header) else ()
 
     return Slot(read, None, header=header)
 
 
 def _read_aggregate_spec(p) -> ast.AggregateSpec:
-    tok = p.peek()
-    if tok.kind != KIND_KEYWORD or tok.text not in AGGREGATE_FNS:
+    fn = p.peek()
+    if fn not in AGGREGATE_FNS:
         raise p.fail(*AGGREGATE_FNS)
-    p.advance()
-    p.expect_op("(")
+    start = p.advance()
+    p.expect("(")
     arg: Optional[str] = None
-    if tok.text != "COUNT":
-        arg = p.expect_ident("column name").text
-    p.expect_op(")")
-    p.expect_keyword("AS")
+    if fn != "COUNT":
+        arg = p.expect_ident("column name")
+    p.expect(")")
+    p.expect("AS")
     alias = p.expect_ident("alias")
-    return ast.AggregateSpec(fn=tok.text, arg=arg, alias=alias.text, location=tok.location)
+    return ast.AggregateSpec(fn=fn, arg=arg, alias=alias, location=p.location(start))
 
 
 def _read_computes(p, what: str) -> tuple[ast.AggregateSpec, ...]:

@@ -4,18 +4,29 @@ Keywords are case-sensitive upper-case. Whitespace (including newlines)
 and ``#`` comments are skipped; block structure comes entirely from
 keywords and colons, never from indentation.
 
-Scanning costs one regex match per token, skipped text included. Tokens
-keep their character index, and so do the locations they hand out; line,
-column and byte offset are worked out only when a location is read.
+``scan`` reads a source with one ``findall`` into a ``TokenStream``: the
+token texts, in order, and beside them the gaps, the whitespace and
+comments after each token. The texts end in one ``""``, the end of
+input. A token is its text and nothing more: a string literal keeps its
+quotes and escapes, so no literal's text equals a keyword or an operator,
+and the parser compares keywords and operators by text. A token's kind
+is worked out from its text (``token_kind``) only where a reader needs
+it: an identifier, a literal, or a token named in an error message.
+
+A location is a token index into its stream. The stream turns it into
+line, column and byte offset only when the location is read, by summing
+the lengths of the texts and gaps before it: only diagnostics read one.
+
+``tokenize`` is the public view of the same stream as ``Token`` objects,
+each with its kind, value and character index.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from decimal import Decimal
-from itertools import accumulate
-from typing import Optional, Union
+from itertools import accumulate, chain, islice
+from typing import Union
 
 from anka.errors import ConversionError, ParseError
 from anka.location import SourceLocation
@@ -59,156 +70,196 @@ KIND_EOF = "EOF"
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 _STRING_BODY = r'[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
+_GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
 
-# After the skipped prefix the next character is never whitespace or `#`,
-# so some alternative always matches and the engine never backtracks into
-# a comment: `bad` takes any other character, the empty one takes the end.
-# Classes are spelled out because \d and \w admit non-ASCII digits and letters.
+# A token, or nothing where no token starts (the end of input, a character
+# no token starts with, a malformed string), then the gap after it. Each
+# match starts after a gap, so its next character is never whitespace or
+# `#`. Classes are spelled out because \d and \w admit non-ASCII digits
+# and letters.
 _TOKEN = re.compile(
-    rf"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
-    (?:
-        (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>{"|".join(map(re.escape, OPERATORS))})
-      | (?P<decimal>[0-9]+\.[0-9]+)
-      | (?P<int>[0-9]+)
-      | (?P<string>"{_STRING_BODY}")
-      | (?P<bad>.)
+    rf"""(
+        [A-Za-z_][A-Za-z0-9_]*
+      | {"|".join(map(re.escape, OPERATORS))}
+      | [0-9]+(?:\.[0-9]+)?
+      | "{_STRING_BODY}"
       |
-    )""",
+    )({_GAP})""",
     re.VERBOSE,
 )
+_LEADING_GAP = re.compile(_GAP, re.VERBOSE)
+# A number literal out of range has 11 digits in a row or more: 19
+# significant ones for an INT, 11 after the point or 29 before it for a
+# DECIMAL. A source without such a run holds none to check. The first
+# digit is spelled apart so that the search skips to a digit in C.
+_DIGIT_RUN = re.compile(r"[0-9][0-9]{10}")
 _STRING_PREFIX = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 
+# A token's kind by its first character; a word is a keyword if it is one.
+_FIRST_KINDS = {
+    "": KIND_EOF,
+    '"': KIND_STRING,
+    **dict.fromkeys("0123456789", KIND_INT),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", KIND_IDENT),
+}
 
-class _Lines:
-    """The line table of one source text: works out line, column and byte
-    offset of a character index, for a location the first time it is read,
-    bisecting a table of line starts built on first use."""
 
-    __slots__ = ("source", "starts", "byte_starts")
+def token_kind(text: str) -> str:
+    """The kind of a token text of a ``TokenStream``."""
+    if text in KEYWORDS:
+        return KIND_KEYWORD
+    kind = _FIRST_KINDS.get(text[:1], KIND_OP)
+    if kind is KIND_INT and "." in text:
+        return KIND_DECIMAL
+    return kind
 
-    def __init__(self, source: str) -> None:
+
+def describe(text: str) -> str:
+    """A token text as an error message names what it found."""
+    kind = token_kind(text)
+    if kind == KIND_KEYWORD:
+        return text
+    if kind == KIND_OP:
+        return f"'{text}'"
+    if kind == KIND_EOF:
+        return "end of input"
+    return kind.lower() if kind != KIND_IDENT else "identifier"
+
+
+def unquote(text: str) -> str:
+    """The value of a string literal's token text."""
+    value = text[1:-1]
+    if "\\" in value:
+        value = _ESCAPE.sub(lambda esc: _ESCAPES[esc[1]], value)
+    return value
+
+
+# Literal kind -> the value of a token text of that kind. A stream's
+# number texts are all in range: ``scan`` has checked them.
+LITERAL_VALUES = {KIND_INT: parse_int, KIND_DECIMAL: parse_decimal, KIND_STRING: unquote}
+
+
+class TokenStream:
+    """The tokens of one source: ``texts`` ends in ``""``, ``gaps[i]`` is
+    the skipped text after ``texts[i]``, and ``first`` is the character
+    index of the first token. ``len`` counts the tokens, not the end."""
+
+    __slots__ = ("source", "texts", "gaps", "first")
+
+    def __init__(self, source: str, texts: list[str], gaps: list[str], first: int) -> None:
         self.source = source
-        self.starts: Optional[list[int]] = None
-        self.byte_starts: Optional[list[int]] = None
+        self.texts = texts
+        self.gaps = gaps
+        self.first = first
+
+    def __len__(self) -> int:
+        return len(self.texts) - 1
 
     def position(self, index: int) -> tuple[int, int, int]:
-        if self.starts is None:
-            lines = self.source.split("\n")[:-1]
-            if not self.source.isascii():
-                self.byte_starts = list(
-                    accumulate((_utf8_len(ln) + 1 for ln in lines), initial=0)
-                )
-            self.starts = list(accumulate((len(ln) + 1 for ln in lines), initial=0))
-        line = bisect_right(self.starts, index)
-        start = self.starts[line - 1]
-        if self.byte_starts is None:
-            offset = index
-        else:
-            offset = self.byte_starts[line - 1] + _utf8_len(self.source[start:index])
-        return line, index - start + 1, offset
+        """Line, column and byte offset of token ``index``."""
+        start = (self.first + sum(map(len, self.texts[:index]))
+                 + sum(map(len, self.gaps[:index])))
+        return _locate(self.source, start)
 
 
-_deferred = SourceLocation.deferred
+def scan(source: str) -> TokenStream:
+    """Scan source text into a token stream. Raises ParseError on an
+    illegal character, a malformed string literal or an out-of-range
+    number, the first one in the source."""
+    first = _LEADING_GAP.match(source).end()
+    # two lists, and no (text, gap) pair outlives the scan
+    pairs = _TOKEN.findall(source, first)
+    texts = [text for text, _ in pairs]
+    gaps = [gap for _, gap in pairs]
+    end = texts.index("")
+    stopped = end + 1 < len(texts)
+    if stopped or _DIGIT_RUN.search(source, first):
+        _check(source, texts[:end], gaps, first, stopped)
+    return TokenStream(source, texts, gaps, first)
 
 
-def _utf8_len(text: str) -> int:
+def _check(source: str, texts: list[str], gaps: list[str], start: int, stopped: bool) -> None:
+    """Raise the first lexical error: a number text out of range, then,
+    if the scan ``stopped`` after ``texts``, the character it stopped at.
+    ``start`` is the character index of ``texts[0]``."""
+    for text, gap in zip(texts, gaps):
+        kind = token_kind(text)
+        if kind == KIND_INT or kind == KIND_DECIMAL:
+            try:
+                LITERAL_VALUES[kind](text)
+            except ConversionError as exc:
+                # digits only, so an INT's one failure is range
+                message = (str(exc) if kind == KIND_DECIMAL
+                           else f"integer literal {clip_text(text)} out of 64-bit range")
+                raise ParseError(message, _location(source, start)) from None
+        start += len(text) + len(gap)
+    if stopped:
+        if source.startswith('"', start):
+            raise _string_error(source, start)
+        raise ParseError(f"unexpected character {source[start]!r}", _location(source, start))
+
+
+def _string_error(source: str, start: int) -> ParseError:
+    """The error for the string literal at ``start``, which the token
+    pattern rejected: it stops at a bad escape, a newline or the end."""
+    end = _STRING_PREFIX.match(source, start + 1).end()
+    if source.startswith("\\", end) and end + 1 < len(source):
+        return ParseError(
+            f"invalid escape sequence '\\{source[end + 1]}'", _location(source, end + 1)
+        )
+    return ParseError("unterminated string literal", _location(source, start))
+
+
+def _locate(source: str, index: int) -> tuple[int, int, int]:
+    """Line, column and byte offset of character ``index`` of ``source``."""
+    line = source.count("\n", 0, index) + 1
+    column = index - source.rfind("\n", 0, index)
+    if source.isascii():
+        return line, column, index
     # surrogatepass: a lone surrogate is an unexpected character, not a
     # reason for locating it to fail
-    return len(text.encode("utf-8", "surrogatepass"))
+    return line, column, len(source[:index].encode("utf-8", "surrogatepass"))
+
+
+def _location(source: str, index: int) -> SourceLocation:
+    return SourceLocation(*_locate(source, index))
 
 
 class Token:
-    """One token; ``start`` is its character index in the source."""
+    """One token of ``tokenize``'s view; ``start`` is its character index
+    in the source. A string token's text is its value."""
 
-    __slots__ = ("kind", "text", "value", "start", "_lines")
+    __slots__ = ("kind", "text", "value", "start", "_source")
 
-    def __init__(self, kind: str, text: str, start: int, lines: _Lines,
+    def __init__(self, kind: str, text: str, start: int, source: str,
                  value: Union[int, str, Decimal, None] = None) -> None:
         self.kind = kind
         self.text = text
         self.value = value
         self.start = start
-        self._lines = lines
+        self._source = source
 
     @property
     def location(self) -> SourceLocation:
-        return _deferred(self._lines, self.start)
-
-    def describe(self) -> str:
-        if self.kind == KIND_KEYWORD:
-            return self.text
-        if self.kind == KIND_OP:
-            return f"'{self.text}'"
-        if self.kind == KIND_EOF:
-            return "end of input"
-        return self.kind.lower() if self.kind != KIND_IDENT else "identifier"
+        return _location(self._source, self.start)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Scan source text into tokens. Raises ParseError on an illegal
-    character, a malformed string literal or an out-of-range number."""
-    lines = _Lines(source)
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind == "word":
-            word = m["word"]
-            if word in KEYWORDS:
-                append(Token(KIND_KEYWORD, word, m.start(kind), lines))
-            else:
-                append(Token(KIND_IDENT, word, m.start(kind), lines, word))
-        elif kind == "op":
-            append(Token(KIND_OP, m["op"], m.start(kind), lines))
-        elif kind is None:
-            break
+    """Scan source text into tokens, without the end of input. Raises
+    ParseError as ``scan`` does."""
+    stream = scan(source)
+    lengths = map(len, chain.from_iterable(zip(stream.texts, stream.gaps)))
+    starts = islice(accumulate(lengths, initial=stream.first), 0, None, 2)
+    tokens = []
+    for text, start in zip(stream.texts[:-1], starts):
+        kind = token_kind(text)
+        if kind == KIND_IDENT:
+            tokens.append(Token(kind, text, start, source, text))
+        elif kind in LITERAL_VALUES:
+            value = LITERAL_VALUES[kind](text)
+            shown = value if kind == KIND_STRING else text
+            tokens.append(Token(kind, shown, start, source, value))
         else:
-            append(_literal(kind, m[kind], m.start(kind), lines))
+            tokens.append(Token(kind, text, start, source))
     return tokens
-
-
-def end_of_input(source: str, tokens: list[Token]) -> Token:
-    """The EOF token of ``source``, located through the same line table
-    as ``tokens``, the result of ``tokenize(source)``."""
-    lines = tokens[-1]._lines if tokens else _Lines(source)
-    return Token(KIND_EOF, "", len(source), lines)
-
-
-def _literal(kind: str, text: str, start: int, lines: _Lines) -> Token:
-    if kind == "string":
-        value = text[1:-1]
-        if "\\" in value:
-            value = _ESCAPE.sub(lambda esc: _ESCAPES[esc[1]], value)
-        return Token(KIND_STRING, value, start, lines, value)
-    if kind == "int":
-        try:
-            value = parse_int(text)
-        except ConversionError:  # digits only, so the one failure is range
-            raise ParseError(
-                f"integer literal {clip_text(text)} out of 64-bit range",
-                _deferred(lines, start),
-            ) from None
-        return Token(KIND_INT, text, start, lines, value)
-    if kind == "decimal":
-        try:
-            value = parse_decimal(text)
-        except ConversionError as exc:
-            raise ParseError(str(exc), _deferred(lines, start)) from None
-        return Token(KIND_DECIMAL, text, start, lines, value)
-    if text == '"':
-        raise _string_error(lines, start)
-    raise ParseError(f"unexpected character {text!r}", _deferred(lines, start))
-
-
-def _string_error(lines: _Lines, start: int) -> ParseError:
-    """The error for the string literal at ``start``, which the token
-    pattern rejected: it stops at a bad escape, a newline or the end."""
-    source = lines.source
-    end = _STRING_PREFIX.match(source, start + 1).end()
-    if source.startswith("\\", end) and end + 1 < len(source):
-        return ParseError(
-            f"invalid escape sequence '\\{source[end + 1]}'", _deferred(lines, end + 1)
-        )
-    return ParseError("unterminated string literal", _deferred(lines, start))

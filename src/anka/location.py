@@ -10,11 +10,11 @@ class SourceLocation:
     offset into the source. A location is immutable, and compares,
     hashes and prints by those three numbers alone.
 
-    ``SourceLocation.deferred`` makes a location that holds a line table
-    (an object whose ``position(index)`` returns the three numbers) and
-    a character index, and asks the table on the first read of any of
-    them: the parser gives every node a location, and only diagnostics
-    read one.
+    ``SourceLocation.deferred`` makes a location that holds a table (an
+    object whose ``position(index)`` returns the three numbers; the
+    parser's is its ``lexer.TokenStream``) and an index into it (a token
+    index), and asks the table on the first read of any of them: the
+    parser gives every node a location, and only diagnostics read one.
     """
 
     __slots__ = ("_line", "_column", "_offset", "_table", "_index")

@@ -8,19 +8,27 @@ by precedence climbing over ``grammar.BINARY_OPERATORS`` and
 ``grammar.PREFIX_OPERATORS``, loosest first: OR, AND, NOT, the
 comparisons (which do not chain), ``+ -``, ``* /``, unary minus. A
 literal is read by the form its first token has in
-``grammar.LITERAL_TOKENS`` or ``grammar.LITERAL_KEYWORDS``, the form
-the formatter writes it back by.
+``grammar.LITERAL_TOKENS`` (by the token's kind) or
+``grammar.LITERAL_KEYWORDS``, the form the formatter writes it back by.
 Statements are self-delimiting (every data statement ends in its INTO
 target or a trailing literal clause, every control-flow statement in
 its ``END_*`` keyword), so no separators are needed and newlines carry
 no meaning.
+
+The parser reads the token texts of the source's ``lexer.TokenStream``
+by index. A keyword or an operator is matched by its text alone; a
+token's kind is worked out only where a slot needs one (an identifier,
+a literal) or an error message names it. Every node's location is the
+index of its first token, which the stream resolves only when a
+diagnostic reads it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from anka import ast_nodes as ast
+from anka import lexer
 from anka.errors import ParseError
 from anka.grammar import (
     BINARY_OPERATORS,
@@ -30,17 +38,8 @@ from anka.grammar import (
     PRIMARY_LEVEL,
     STATEMENTS,
 )
-from anka.lexer import (
-    KEYWORDS,
-    KIND_EOF,
-    KIND_IDENT,
-    KIND_KEYWORD,
-    KIND_OP,
-    KIND_STRING,
-    Token,
-    end_of_input,
-    tokenize,
-)
+from anka.lexer import KEYWORDS, describe, token_kind, unquote
+from anka.location import SourceLocation
 from anka.values import NUMERIC_TYPES, Field, Schema, ValueType
 
 MAX_NESTING_DEPTH = 200
@@ -48,8 +47,11 @@ MAX_NESTING_DEPTH = 200
 # Each type's keyword is its name.
 TYPE_KEYWORDS = {vtype.value: vtype for vtype in ValueType}
 
-# A string token's text is its value, so only these kinds spell operators.
-_OPERATOR_KINDS = (KIND_KEYWORD, KIND_OP)
+# Called through this module global, once per parse: perfbench's tracing
+# times the lexer by replacing it.
+tokenize = lexer.scan
+
+_deferred = SourceLocation.deferred
 
 
 def parse(source: str) -> ast.Pipeline:
@@ -63,74 +65,73 @@ def parse(source: str) -> ast.Pipeline:
 
 class _Parser:
     def __init__(self, source: str) -> None:
-        # EOF ends the list; every advance() follows a check that the
-        # current token is not EOF, so peek() never runs off the end
-        self.tokens = tokenize(source)
-        self.tokens.append(end_of_input(source, self.tokens))
+        # "" ends the texts; every advance() follows a check that the
+        # current text is not "", so peek() never runs off the end
+        self.stream = tokenize(source)
+        self.texts = self.stream.texts
         self.pos = 0
         self.depth = 0
         self.height = 0  # of the expression node last built
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.texts[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def advance(self) -> int:
+        """Take the current token; returns its index."""
+        pos = self.pos
+        self.pos = pos + 1
+        return pos
 
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == KIND_KEYWORD and tok.text in words
+    def location(self, index: int) -> SourceLocation:
+        return _deferred(self.stream, index)
 
-    def accept_keyword(self, word: str) -> Optional[Token]:
-        if self.at_keyword(word):
-            return self.advance()
-        return None
+    def at(self, text: str) -> bool:
+        return self.texts[self.pos] == text
+
+    def accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> int:
+        """Take a keyword or an operator; returns its index."""
+        pos = self.pos
+        if self.texts[pos] == text:
+            self.pos = pos + 1
+            return pos
+        raise self.fail(describe(text))
 
     def fail(self, *expected: str) -> ParseError:
-        tok = self.peek()
         what = ", ".join(expected)
         return ParseError(
-            f"expected {what}, found {tok.describe()}",
-            tok.location,
+            f"expected {what}, found {describe(self.texts[self.pos])}",
+            _deferred(self.stream, self.pos),
             expected=tuple(expected),
         )
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind == KIND_KEYWORD and tok.text == word:
-            return self.advance()
-        raise self.fail(word)
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind == KIND_OP and tok.text == op:
-            return self.advance()
-        raise self.fail(f"'{op}'")
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == KIND_OP and tok.text in ops
-
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind == KIND_IDENT:
-            return self.advance()
+    def expect_ident(self, what: str = "identifier") -> str:
+        text = self.texts[self.pos]
+        # a word, and not a keyword: the stream's texts are ASCII
+        if text.isidentifier() and text not in KEYWORDS:
+            self.pos += 1
+            return text
         raise self.fail(what)
 
-    def expect_string(self, what: str = "string literal") -> Token:
-        tok = self.peek()
-        if tok.kind == KIND_STRING:
-            return self.advance()
+    def expect_string(self, what: str = "string literal") -> str:
+        """Take a string literal; returns its value."""
+        text = self.texts[self.pos]
+        if text.startswith('"'):
+            self.pos += 1
+            return unquote(text)
         raise self.fail(what)
 
     def comma_list(self, read: Callable[[], object]) -> tuple:
         items = [read()]
-        while self.at_op(","):
-            self.advance()
+        while self.texts[self.pos] == ",":
+            self.pos += 1
             items.append(read())
         return tuple(items)
 
@@ -138,89 +139,87 @@ class _Parser:
         # callers take the levels off on return; a ParseError ends the parse
         self.depth += levels
         if self.depth > MAX_NESTING_DEPTH:
-            raise ParseError("nesting too deep", self.peek().location)
+            raise ParseError("nesting too deep", _deferred(self.stream, self.pos))
 
-    def _grow(self, height: int, tok: Token) -> None:
-        """Record the height of the node built at ``tok``: walkers recurse
-        that deep, so a chain of operators counts as nesting does."""
+    def _grow(self, height: int, at: int) -> None:
+        """Record the height of the node built at token ``at``: walkers
+        recurse that deep, so a chain of operators counts as nesting does."""
         if self.depth + height > MAX_NESTING_DEPTH:
-            raise ParseError("nesting too deep", tok.location)
+            raise ParseError("nesting too deep", _deferred(self.stream, at))
         self.height = height
 
     # -- pipeline structure --------------------------------------------------
 
     def parse_pipeline(self) -> ast.Pipeline:
-        start = self.expect_keyword("PIPELINE")
+        start = self.expect("PIPELINE")
         name = self.expect_ident("pipeline name")
-        self.expect_op(":")
+        self.expect(":")
 
         inputs = []
-        while self.at_keyword("INPUT"):
+        while self.at("INPUT"):
             inputs.append(self.parse_input())
 
         steps = [self.parse_step()]
-        while self.at_keyword("STEP"):
+        while self.at("STEP"):
             steps.append(self.parse_step())
 
-        out_kw = self.expect_keyword("OUTPUT")
+        out_kw = self.expect("OUTPUT")
         output = self.expect_ident("output dataset name")
-        tok = self.peek()
-        if tok.kind != KIND_EOF:
+        if self.texts[self.pos]:
             raise self.fail("end of input")
         return ast.Pipeline(
-            name=name.text,
+            name=name,
             inputs=tuple(inputs),
             steps=tuple(steps),
-            output=output.text,
-            output_location=out_kw.location,
-            location=start.location,
+            output=output,
+            output_location=self.location(out_kw),
+            location=self.location(start),
         )
 
     def parse_input(self) -> ast.InputDecl:
-        start = self.expect_keyword("INPUT")
+        start = self.expect("INPUT")
         name = self.expect_ident("input name")
-        self.expect_op(":")
+        self.expect(":")
         schema = self.parse_table_type()
-        return ast.InputDecl(name=name.text, schema=schema, location=start.location)
+        return ast.InputDecl(name=name, schema=schema, location=self.location(start))
 
     def parse_table_type(self) -> Schema:
-        self.expect_keyword("TABLE")
-        self.expect_op("[")
+        self.expect("TABLE")
+        self.expect("[")
         fields = self.comma_list(self.parse_field)
-        close = self.expect_op("]")
+        close = self.expect("]")
         seen = set()
         for f in fields:
             if f.name in seen:
                 raise ParseError(
                     f"duplicate field name '{f.name}' in TABLE declaration",
-                    close.location,
+                    self.location(close),
                 )
             seen.add(f.name)
         return Schema(fields)
 
     def parse_field(self) -> Field:
         name = self.expect_ident("field name")
-        self.expect_op(":")
-        tok = self.peek()
-        if tok.kind == KIND_KEYWORD and tok.text in TYPE_KEYWORDS:
-            self.advance()
-            return Field(name.text, TYPE_KEYWORDS[tok.text])
+        self.expect(":")
+        vtype = TYPE_KEYWORDS.get(self.texts[self.pos])
+        if vtype is not None:
+            self.pos += 1
+            return Field(name, vtype)
         raise self.fail(*sorted(TYPE_KEYWORDS))
 
     def parse_step(self) -> ast.Step:
-        start = self.expect_keyword("STEP")
+        start = self.expect("STEP")
         name = self.expect_ident("step name")
-        self.expect_op(":")
+        self.expect(":")
         body = self.parse_statement_block()
-        return ast.Step(name=name.text, body=body, location=start.location)
+        return ast.Step(name=name, body=body, location=self.location(start))
 
     def parse_statement_block(self) -> tuple[ast.Statement, ...]:
         """One or more statements; ends before the first non-statement
         keyword (STEP, OUTPUT, ELSE, END_*, ON_ERROR)."""
         statements = []
         while True:
-            tok = self.peek()
-            if tok.kind == KIND_KEYWORD and tok.text in _FORMS:
+            if self.texts[self.pos] in _FORMS:
                 statements.append(self.parse_statement())
             elif statements:
                 return tuple(statements)
@@ -231,17 +230,17 @@ class _Parser:
 
     def parse_statement(self) -> ast.Statement:
         """The statement whose keyword is the current token."""
-        start = self.peek()
+        start = self.pos
         self._enter()
-        self.advance()
-        node, parts = _FORMS[start.text]
+        self.pos = start + 1
+        node, parts = _FORMS[self.texts[start]]
         fields = {}
         for field, read, arg in parts:
             value = read(self, arg)
             if field is not None:
                 fields[field] = value
         self.depth -= 1
-        return node(**fields, location=start.location)
+        return node(**fields, location=_deferred(self.stream, start))
 
     # -- expressions ---------------------------------------------------------
 
@@ -255,84 +254,86 @@ class _Parser:
         """Precedence climbing: an operand, then each operator of at least
         ``min_level`` that may take the tree built so far as its left
         operand; its right operand is parsed one level up."""
-        tok = self.peek()
-        prefix = PREFIX_OPERATORS.get(tok.text) if tok.kind in _OPERATOR_KINDS else None
+        at = self.pos
+        prefix = PREFIX_OPERATORS.get(self.texts[at])
         if prefix is not None and prefix.level >= min_level:
-            self.advance()
+            self.pos = at + 1
             self._enter()
             operand = self._parse_operators(prefix.level)
             self.depth -= 1
-            self._grow(self.height + 1, tok)
-            left = prefix.node(operand=operand, location=tok.location)
+            self._grow(self.height + 1, at)
+            left = prefix.node(operand=operand, location=_deferred(self.stream, at))
             level = prefix.level
         else:
             left = self._parse_primary()
             level = PRIMARY_LEVEL
         while True:
-            tok = self.peek()
-            op = BINARY_OPERATORS.get(tok.text) if tok.kind in _OPERATOR_KINDS else None
+            at = self.pos
+            text = self.texts[at]
+            op = BINARY_OPERATORS.get(text)
             if op is None or op.level < min_level or level < op.left:
                 return left
-            self.advance()
+            self.pos = at + 1
             height = self.height
             right = self._parse_operators(op.level + 1)
-            self._grow(max(height, self.height) + 1, tok)
-            left = op.node(op=tok.text, left=left, right=right, location=tok.location)
+            self._grow(max(height, self.height) + 1, at)
+            left = op.node(op=text, left=left, right=right, location=_deferred(self.stream, at))
             level = op.level
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind == KIND_OP and tok.text == "(":
-            self.advance()
+        at = self.pos
+        text = self.texts[at]
+        if text == "(":
+            self.pos = at + 1
             self._enter()
             expr = self.parse_expr()
             self.depth -= 1
-            self.expect_op(")")
+            self.expect(")")
             return expr
         self.height = 0
-        if tok.kind == KIND_IDENT:
-            self.advance()
-            if self.at_op("("):
-                return self._parse_call(tok)
-            return ast.ColumnRef(name=tok.text, location=tok.location)
+        if text.isidentifier() and text not in KEYWORDS:  # as in expect_ident
+            self.pos = at + 1
+            if self.texts[at + 1] == "(":
+                return self._parse_call(text, at)
+            return ast.ColumnRef(name=text, location=_deferred(self.stream, at))
         return self.parse_literal()
 
-    def _parse_call(self, name: Token) -> ast.Call:
-        self.expect_op("(")
+    def _parse_call(self, name: str, at: int) -> ast.Call:
+        self.expect("(")
         args: list[ast.Expr] = []
         height = 0
         # 3 levels with parse_expr's: the parser recurses one frame deeper
         # through a call than through a parenthesis, which costs 2
         self._enter(2)
-        if not self.at_op(")"):
+        if not self.at(")"):
             args.append(self.parse_expr())
             height = self.height
-            while self.at_op(","):
-                self.advance()
+            while self.accept(","):
                 args.append(self.parse_expr())
                 height = max(height, self.height)
         self.depth -= 2
-        self.expect_op(")")
-        self._grow(height + 1, name)
-        return ast.Call(name=name.text, args=tuple(args), location=name.location)
+        self.expect(")")
+        self._grow(height + 1, at)
+        return ast.Call(name=name, args=tuple(args), location=self.location(at))
 
     def parse_literal(self) -> ast.Literal:
-        start = tok = self.peek()
-        negative = tok.kind == KIND_OP and tok.text == "-"
+        start = self.pos
+        text = self.texts[start]
+        negative = text == "-"
         if negative:
             # a negative number, in literal-only positions
-            self.advance()
-            tok = self.peek()
-        if tok.kind == KIND_KEYWORD:
-            form = LITERAL_KEYWORDS.get(tok.text)
-        else:
-            form = LITERAL_TOKENS.get(tok.kind)
+            self.pos += 1
+            text = self.texts[self.pos]
+        form = LITERAL_KEYWORDS.get(text)
+        if form is None:
+            form = LITERAL_TOKENS.get(token_kind(text))
         if form is None or negative and form.type not in NUMERIC_TYPES:
             raise self.fail("numeric literal" if negative else "an expression")
-        self.advance()
-        value = form.read(self, tok)
+        self.pos += 1
+        value = form.read(self, text)
         return ast.Literal(
-            value=-value if negative else value, type=form.type, location=start.location
+            value=-value if negative else value, type=form.type,
+            location=_deferred(self.stream, start),
         )
 
 
@@ -340,8 +341,8 @@ class _Parser:
 # operator is expected as written, a slot is read by its kind.
 _FORMS = {
     keyword: (node, tuple(
-        (None, _Parser.expect_keyword if part in KEYWORDS else _Parser.expect_op, part)
-        if isinstance(part, str) else (part[0], part[1].read, part[1].what)
+        (None, _Parser.expect, part) if isinstance(part, str)
+        else (part[0], part[1].read, part[1].what)
         for part in form
     ))
     for keyword, (node, form) in STATEMENTS.items()

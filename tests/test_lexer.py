@@ -6,12 +6,15 @@ from decimal import Decimal
 
 import pytest
 
+import anka.parser
 from anka.ast_nodes import Node
-from anka.errors import ParseError
-from anka.lexer import tokenize
+from anka.errors import ExecutionError, ParseError
+from anka.interpreter import run_pipeline
+from anka.lexer import TokenStream, scan, tokenize
 from anka.location import SourceLocation
 from anka.parser import parse
 from anka.validator import validate
+from anka.values import ValueType, make_table, schema_of
 
 import fuzzing
 
@@ -182,22 +185,44 @@ class TestLocations:
         ids=["ascii", "non_ascii", "crlf"],
     )
     def test_deferred_location_equals_eager(self, source):
-        # every read of token.location is a fresh location, not yet resolved
-        for token in tokenize(source):
+        # the parser's locations are token indices into the stream; every
+        # call of deferred() is a fresh location, not yet resolved
+        stream = scan(source)
+        for i, token in enumerate(tokenize(source)):
             index = token.start
             eager = SourceLocation(
                 source.count("\n", 0, index) + 1,
                 index - source.rfind("\n", 0, index),
                 len(source[:index].encode("utf-8")),
             )
+
+            def deferred():
+                return SourceLocation.deferred(stream, i)
+
             assert token.location == eager
-            assert eager == token.location
-            assert token.location == token.location
-            assert hash(token.location) == hash(eager)
-            assert repr(token.location) == repr(eager)
-            assert str(token.location) == str(eager)
-            assert (token.location.line, token.location.column, token.location.offset) == (
+            assert deferred() == eager
+            assert eager == deferred()
+            assert deferred() == deferred()
+            assert hash(deferred()) == hash(eager)
+            assert repr(deferred()) == repr(eager)
+            assert str(deferred()) == str(eager)
+            assert (deferred().line, deferred().column, deferred().offset) == (
                 eager.line, eager.column, eager.offset)
+
+    def test_runtime_error_location_equals_eager(self):
+        source = (
+            "# naïve ∆\r\nPIPELINE p:\r\n INPUT t: TABLE[a: INT]\r\n STEP s:\r\n"
+            "  MAP t WITH b => a / 0 INTO u\r\n OUTPUT u\r\n"
+        )
+        table = make_table(schema_of(("a", ValueType.INT)), [(1,)])
+        with pytest.raises(ExecutionError, match="division by zero") as err:
+            run_pipeline(parse(source), {"t": table})
+        index = source.index("/")
+        assert err.value.location == SourceLocation(
+            source.count("\n", 0, index) + 1,
+            index - source.rfind("\n", 0, index),
+            len(source[:index].encode("utf-8")),
+        )
 
     def test_location_repr_and_immutability(self):
         assert repr(SourceLocation(2, 3, 10)) == "SourceLocation(line=2, column=3, offset=10)"
@@ -208,15 +233,73 @@ class TestLocations:
                 with pytest.raises(AttributeError):
                     setattr(location, name, 2)
 
-    def test_compile_resolves_no_location(self):
-        # only diagnostics read a location, so a valid program never
-        # builds its line table
+    def test_compile_resolves_no_location(self, monkeypatch):
+        # only diagnostics read a location, so a valid program never asks
+        # its token stream for a position
+        calls = []
+        position = TokenStream.position
+        monkeypatch.setattr(
+            TokenStream, "position", lambda stream, i: calls.append(i) or position(stream, i)
+        )
         for source in fuzzing.corpus_sources():
             pipeline = parse(source)
             assert validate(pipeline).ok
-            table = pipeline.location._table
-            assert table.starts is None
-            assert all(loc._table is table for loc in _node_locations(pipeline))
+            stream = pipeline.location._table
+            assert isinstance(stream, TokenStream)
+            assert all(loc._table is stream for loc in _node_locations(pipeline))
+        assert calls == []
+        assert pipeline.location.line >= 1 and calls == [0]
+
+
+class TestStreamEdges:
+    def test_parse_calls_tokenize_once(self, monkeypatch):
+        calls = []
+        scan = anka.parser.tokenize
+        monkeypatch.setattr(anka.parser, "tokenize", lambda s: calls.append(s) or scan(s))
+        source = fuzzing.corpus_sources()[0]
+        parse(source)
+        assert calls == [source]
+        with pytest.raises(ParseError):
+            parse("PIPELINE")
+        assert calls == [source, "PIPELINE"]
+
+    def test_stream_length_is_token_count(self):
+        for source in (*fuzzing.corpus_sources(), *fuzzing.fixture_sources()):
+            assert len(anka.parser.tokenize(source)) == len(tokenize(source))
+
+    # Messages and locations as the per-token scanner gave them: a lexical
+    # error anywhere wins over a syntax error, and the first one wins.
+    @pytest.mark.parametrize(
+        "source, message, position",
+        [
+            ("", "expected PIPELINE, found end of input", (1, 1, 0)),
+            ("   \n\t ", "expected PIPELINE, found end of input", (2, 3, 6)),
+            ("# only a comment", "expected PIPELINE, found end of input", (1, 17, 16)),
+            ("# one\r\n# two\n", "expected PIPELINE, found end of input", (3, 1, 13)),
+            ("PIPELINE p:\n STEP s:\n  DISTINCT t INTO u\n OUTPUT \n\n  ",
+             "expected output dataset name, found end of input", (6, 3, 53)),
+            ("PIPELINE p:\n STEP s:\n  DISTINCT t INTO u\n OUTPUT u @",
+             "unexpected character '@'", (4, 11, 51)),
+            ("PIPELINE p:\n STEP s:\n  DISTINCT t INTO u\n OUTPUT u é",
+             "unexpected character 'é'", (4, 11, 51)),
+            ('PIPELINE p: "oops', "unterminated string literal", (1, 13, 12)),
+            ("PIPELINE PIPELINE 99999999999999999999",
+             "integer literal 99999999999999999999 out of 64-bit range", (1, 19, 18)),
+            ("PIPELINE p: STEP 0.00000000001 @",
+             "DECIMAL value '0.00000000001' exceeds maximum scale of 10", (1, 18, 17)),
+            ("x @ 99999999999999999999", "unexpected character '@'", (1, 3, 2)),
+            ("99999999999999999999 @",
+             "integer literal 99999999999999999999 out of 64-bit range", (1, 1, 0)),
+            ('"\\q" 0.00000000001', "invalid escape sequence '\\q'", (1, 3, 2)),
+            ('0.00000000001 "\\q"',
+             "DECIMAL value '0.00000000001' exceeds maximum scale of 10", (1, 1, 0)),
+        ],
+    )
+    def test_edge_messages_and_locations(self, source, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        loc = err.value.location
+        assert (err.value.message, (loc.line, loc.column, loc.offset)) == (message, position)
 
 
 def _node_locations(node):

@@ -1,9 +1,11 @@
 """Parser: structure of parsed pipelines and located syntax errors."""
 
+import dataclasses
 import datetime
 import hashlib
 import json
 import random
+import typing
 from decimal import Decimal
 
 import pytest
@@ -213,6 +215,17 @@ class TestStatementForms:
         expr = self._body("MAP t WITH c => -a * 2 INTO r").expr
         assert expr.op == "*"
         assert isinstance(expr.left, ast.Neg)
+
+
+def test_type_hints_resolve_on_every_node_class():
+    classes = [
+        obj for obj in vars(ast).values()
+        if dataclasses.is_dataclass(obj) and obj.__module__ == ast.__name__
+    ]
+    assert ast.Literal in classes and ast.Union in classes and len(classes) > 30
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        assert set(hints) == {f.name for f in dataclasses.fields(cls)}
 
 
 class TestCanonicalForms:
