@@ -15,7 +15,8 @@ it: an identifier, a literal, or a token named in an error message.
 
 A location is a token index into its stream. The stream turns it into
 line, column and byte offset only when the location is read, by summing
-the lengths of the texts and gaps before it: only diagnostics read one.
+the lengths of the texts and gaps between it and the token last located
+(the start, at the first read): only diagnostics read one.
 
 ``tokenize`` is the public view of the same stream as ``Token`` objects,
 each with its kind, value and character index.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from itertools import accumulate, chain, islice
-from typing import Union
+from typing import Optional, Union
 
 from anka.errors import ConversionError, ParseError
 from anka.location import SourceLocation
@@ -145,21 +146,33 @@ class TokenStream:
     the skipped text after ``texts[i]``, and ``first`` is the character
     index of the first token. ``len`` counts the tokens, not the end."""
 
-    __slots__ = ("source", "texts", "gaps", "first")
+    __slots__ = ("source", "texts", "gaps", "first", "_last")
 
     def __init__(self, source: str, texts: list[str], gaps: list[str], first: int) -> None:
         self.source = source
         self.texts = texts
         self.gaps = gaps
         self.first = first
+        # (token index, character index) of the token last located, if
+        # any; one attribute, so that threads reading locations see a
+        # matching pair
+        self._last: Optional[tuple[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.texts) - 1
 
     def position(self, index: int) -> tuple[int, int, int]:
-        """Line, column and byte offset of token ``index``."""
-        start = (self.first + sum(map(len, self.texts[:index]))
-                 + sum(map(len, self.gaps[:index])))
+        """Line, column and byte offset of token ``index``. Its character
+        index is that of the token last located, moved by the lengths of
+        the texts and gaps between the two, so a dump that reads every
+        node's location in tree order sums each length a few times, not
+        once per read."""
+        at, start = self._last or (0, self.first)
+        if index >= at:
+            start += sum(map(len, self.texts[at:index])) + sum(map(len, self.gaps[at:index]))
+        else:
+            start -= sum(map(len, self.texts[index:at])) + sum(map(len, self.gaps[index:at]))
+        self._last = (index, start)
         return _locate(self.source, start)
 
 

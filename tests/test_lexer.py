@@ -1,8 +1,10 @@
 """Tokenizer behavior: token shapes, locations, lexical errors."""
 
 import hashlib
+import random
 from dataclasses import fields
 from decimal import Decimal
+from functools import partial
 
 import pytest
 
@@ -195,10 +197,7 @@ class TestLocations:
                 index - source.rfind("\n", 0, index),
                 len(source[:index].encode("utf-8")),
             )
-
-            def deferred():
-                return SourceLocation.deferred(stream, i)
-
+            deferred = partial(SourceLocation.deferred, stream, i)
             assert token.location == eager
             assert deferred() == eager
             assert eager == deferred()
@@ -208,6 +207,11 @@ class TestLocations:
             assert str(deferred()) == str(eager)
             assert (deferred().line, deferred().column, deferred().offset) == (
                 eager.line, eager.column, eager.offset)
+        # the stream walks from the token it located last, in either direction
+        tokens = tokenize(source)
+        order = [*reversed(range(len(tokens))), *random.Random(7).sample(range(len(tokens)), 5)]
+        for i in order:
+            assert SourceLocation.deferred(stream, i) == tokens[i].location
 
     def test_runtime_error_location_equals_eager(self):
         source = (
@@ -228,7 +232,8 @@ class TestLocations:
         assert repr(SourceLocation(2, 3, 10)) == "SourceLocation(line=2, column=3, offset=10)"
         assert SourceLocation(2, 3) == SourceLocation(2, 3, 0)
         assert SourceLocation(2, 3, 10) != (2, 3, 10)
-        for location in (SourceLocation(1, 1, 0), tokenize("x")[0].location):
+        for location in (SourceLocation(1, 1, 0), tokenize("x")[0].location,
+                         SourceLocation.deferred(scan("x"), 0)):
             for name in ("line", "column", "offset"):
                 with pytest.raises(AttributeError):
                     setattr(location, name, 2)
