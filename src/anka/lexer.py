@@ -25,6 +25,7 @@ each with its kind, value and character index.
 from __future__ import annotations
 
 import re
+import string
 from decimal import Decimal
 from itertools import accumulate, chain, islice
 from typing import Optional, Union
@@ -101,8 +102,8 @@ _ESCAPE = re.compile(r"\\(.)")
 _FIRST_KINDS = {
     "": KIND_EOF,
     '"': KIND_STRING,
-    **dict.fromkeys("0123456789", KIND_INT),
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", KIND_IDENT),
+    **dict.fromkeys(string.digits, KIND_INT),
+    **dict.fromkeys(string.ascii_letters + "_", KIND_IDENT),
 }
 
 
@@ -181,7 +182,8 @@ def scan(source: str) -> TokenStream:
     illegal character, a malformed string literal or an out-of-range
     number, the first one in the source."""
     first = _LEADING_GAP.match(source).end()
-    # two lists, and no (text, gap) pair outlives the scan
+    # split at once into two lists of strings, so that the (text, gap)
+    # pairs, which the garbage collector tracks, are freed before the parse
     pairs = _TOKEN.findall(source, first)
     texts = [text for text, _ in pairs]
     gaps = [gap for _, gap in pairs]
