@@ -1,7 +1,8 @@
 """Anka: a data transformation pipeline language.
 
-Parser, static validator, tree-walking interpreter, JSON/CSV/HTTP I/O,
-and a benchmark harness for scoring generated candidate programs.
+Parser, static validator, interpreter (MAP and FILTER run as generated
+Python row loops), JSON/CSV/HTTP I/O, and a benchmark harness for
+scoring generated candidate programs.
 """
 
 from anka.errors import (

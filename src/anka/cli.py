@@ -167,8 +167,9 @@ def cmd_check(args) -> int:
 
 
 def _table_format(path: str) -> str:
-    """The format of an ``--input`` or ``--output`` file, by its suffix."""
-    return "csv" if path.endswith(".csv") else "json"
+    """The format of an ``--input`` or ``--output`` file, by its suffix
+    in any case."""
+    return "csv" if path.lower().endswith(".csv") else "json"
 
 
 def cmd_run(args) -> int:
@@ -186,6 +187,9 @@ def cmd_run(args) -> int:
         name, sep, path = item.partition("=")
         if not sep or not name or not path:
             print(f"error: --input expects NAME=PATH, got {item!r}", file=sys.stderr)
+            return EXIT_CONFIG
+        if name in bindings:
+            print(f"error: --input '{name}' is given more than once", file=sys.stderr)
             return EXIT_CONFIG
         bindings[name] = path
 

@@ -36,6 +36,7 @@ from anka.builtins import BUILTINS
 from anka.errors import AnkaError, ValidationError, ValidationKind
 from anka.grammar import NODE_KEYWORDS
 from anka.location import SourceLocation
+from anka.parser import MAX_NESTING_DEPTH
 from anka.values import NUMERIC_TYPES, Field, Schema, ValueType
 
 _MINMAX_TYPES = NUMERIC_TYPES | {ValueType.STRING, ValueType.DATE, ValueType.DATETIME}
@@ -161,7 +162,7 @@ def typecheck_expr(expr: ast.Expr, schema: Optional[Schema]) -> ValueType:
     """Type of an expression against a row schema (None outside row
     scope). Raises ValidationException on any diagnostic."""
     checker = _Checker()
-    result = checker.typecheck(expr, schema)
+    result = checker.typecheck(expr, schema, 0)
     if checker.errors:
         raise ValidationException(checker.errors)
     assert result is not None
@@ -178,9 +179,21 @@ class _Checker:
         # read or bind each name
         self.top: Optional[ast.Statement] = None
         self.last: dict[str, Optional[ast.Statement]] = {}
+        # statements around the one being checked; with the expression
+        # nodes above a node, the levels the parser bounds
+        self.level = 0
+        self.too_deep = False
 
     def error(self, kind: ValidationKind, message: str, location: SourceLocation) -> None:
         self.errors.append(ValidationError(kind, message, location))
+
+    def _too_deep(self, location: SourceLocation) -> None:
+        """A node nested past ``MAX_NESTING_DEPTH`` levels, as only the
+        AST API can build: it is not descended into, which keeps the walk
+        within the stack. The first such node is reported."""
+        if not self.too_deep:
+            self.too_deep = True
+            self.error(ValidationKind.TYPE_MISMATCH, "nesting too deep", location)
 
     # -- statement walking --------------------------------------------------
 
@@ -192,8 +205,10 @@ class _Checker:
     ) -> dict[str, Binding]:
         """Check ``body`` in order. Its bindings are written into ``env``,
         which the caller hands over: a branch or loop body gets a copy."""
+        self.level += 1
         for stmt in body:
             env = self.check_statement(stmt, env, row_schema)
+        self.level -= 1
         return env
 
     def check_statement(
@@ -203,9 +218,15 @@ class _Checker:
         row_schema: Optional[Schema],
     ) -> dict[str, Binding]:
         control = _CONTROL.get(type(stmt))
-        if control is not None:
+        if self.level >= MAX_NESTING_DEPTH:
+            self._too_deep(stmt.location)
+            if control is not None:
+                return env
+            schema = None
+        elif control is not None:
             return control(self, stmt, env, row_schema)
-        schema = self.infer(stmt, env)
+        else:
+            schema = self.infer(stmt, env)
         target = ast.statement_target(stmt)
         if target is None:  # WRITE and POST bind nothing
             return env
@@ -282,7 +303,7 @@ class _Checker:
     def _check_condition(
         self, condition: ast.Expr, row_schema: Optional[Schema], construct: str
     ) -> None:
-        ctype = self.typecheck(condition, row_schema)
+        ctype = self.typecheck(condition, row_schema, self.level + 1)
         if ctype is not None and ctype is not ValueType.BOOL:
             self.error(
                 ValidationKind.TYPE_MISMATCH,
@@ -396,7 +417,7 @@ class _Checker:
             )
             return None
         value = stmt.expr if isinstance(stmt, ast.Map) else stmt.value
-        vtype = self.typecheck(value, schema)
+        vtype = self.typecheck(value, schema, self.level + 1)
         if vtype is None:
             return None
         return schema.with_field(Field(stmt.column, vtype))
@@ -513,8 +534,14 @@ class _Checker:
     # -- expression typing ----------------------------------------------------
 
     def typecheck(
-        self, expr: ast.Expr, schema: Optional[Schema]
+        self, expr: ast.Expr, schema: Optional[Schema], depth: int
     ) -> Optional[ValueType]:
+        """Type of ``expr``, which sits under ``depth`` levels:
+        enclosing statements and expression nodes."""
+        if depth >= MAX_NESTING_DEPTH:
+            self._too_deep(expr.location)
+            return None
+        depth += 1
         if isinstance(expr, ast.Literal):
             return expr.type
         if isinstance(expr, ast.ColumnRef):
@@ -534,7 +561,7 @@ class _Checker:
                 return None
             return schema.type_of(expr.name)
         if isinstance(expr, ast.Neg):
-            inner = self.typecheck(expr.operand, schema)
+            inner = self.typecheck(expr.operand, schema, depth)
             if inner is None:
                 return None
             if inner not in NUMERIC_TYPES:
@@ -547,8 +574,8 @@ class _Checker:
             self.types[id(expr)] = inner
             return inner
         if isinstance(expr, ast.BinaryOp):
-            left = self.typecheck(expr.left, schema)
-            right = self.typecheck(expr.right, schema)
+            left = self.typecheck(expr.left, schema, depth)
+            right = self.typecheck(expr.right, schema, depth)
             if left is None or right is None:
                 return None
             if left not in NUMERIC_TYPES or right not in NUMERIC_TYPES:
@@ -564,8 +591,8 @@ class _Checker:
             self.types[id(expr)] = result
             return result
         if isinstance(expr, ast.Comparison):
-            left = self.typecheck(expr.left, schema)
-            right = self.typecheck(expr.right, schema)
+            left = self.typecheck(expr.left, schema, depth)
+            right = self.typecheck(expr.right, schema, depth)
             if left is None or right is None:
                 return None
             comparable = left is right or {left, right} <= NUMERIC_TYPES
@@ -580,7 +607,7 @@ class _Checker:
         if isinstance(expr, ast.BoolOp):
             ok = True
             for side in (expr.left, expr.right):
-                stype = self.typecheck(side, schema)
+                stype = self.typecheck(side, schema, depth)
                 if stype is None:
                     ok = False
                 elif stype is not ValueType.BOOL:
@@ -592,7 +619,7 @@ class _Checker:
                     ok = False
             return ValueType.BOOL if ok else None
         if isinstance(expr, ast.Not):
-            inner = self.typecheck(expr.operand, schema)
+            inner = self.typecheck(expr.operand, schema, depth)
             if inner is None:
                 return None
             if inner is not ValueType.BOOL:
@@ -604,11 +631,11 @@ class _Checker:
                 return None
             return ValueType.BOOL
         if isinstance(expr, ast.Call):
-            return self._typecheck_call(expr, schema)
+            return self._typecheck_call(expr, schema, depth)
         raise AssertionError(f"unhandled expression {type(expr).__name__}")
 
     def _typecheck_call(
-        self, expr: ast.Call, schema: Optional[Schema]
+        self, expr: ast.Call, schema: Optional[Schema], depth: int
     ) -> Optional[ValueType]:
         builtin = BUILTINS.get(expr.name)
         if builtin is None:
@@ -618,7 +645,7 @@ class _Checker:
                 expr.location,
             )
             for arg in expr.args:
-                self.typecheck(arg, schema)
+                self.typecheck(arg, schema, depth)
             return None
         if len(expr.args) != builtin.arity:
             self.error(
@@ -630,7 +657,7 @@ class _Checker:
             return None
         ok = True
         for arg, allowed in zip(expr.args, builtin.params):
-            atype = self.typecheck(arg, schema)
+            atype = self.typecheck(arg, schema, depth)
             if atype is None:
                 ok = False
                 continue

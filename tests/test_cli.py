@@ -172,6 +172,25 @@ class TestRunCommand:
         assert main(["run", pipeline_file(source), "--sandbox"]) == 3
         assert "sandboxed" in capsys.readouterr().err
 
+    def test_repeated_input_binding_exit_two(self, pipeline_file, rows_json, tmp_path, capsys):
+        rows_csv = tmp_path / "rows.csv"
+        rows_csv.write_text("v\n3\n")
+        code = main(["run", pipeline_file(VALID), "--input", f"rows={rows_csv}",
+                     "--input", f"rows={rows_json}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --input 'rows' is given more than once\n"
+        assert captured.out == ""
+
+    def test_csv_suffix_in_any_case(self, pipeline_file, tmp_path, capsys):
+        rows_csv = tmp_path / "ROWS.CSV"
+        rows_csv.write_text("v\n3\n")
+        out_csv = tmp_path / "Out.Csv"
+        code = main(["run", pipeline_file(VALID), "--input", f"rows={rows_csv}",
+                     "--output", str(out_csv)])
+        assert code == 0
+        assert out_csv.read_bytes() == b"v,doubled\r\n3,6\r\n"
+
     def test_bad_input_syntax_exit_two(self, pipeline_file, capsys):
         assert main(["run", pipeline_file(VALID), "--input", "rowsnopath"]) == 2
 

@@ -1,8 +1,10 @@
 """Metric definitions, flag monotonicity, aggregation, determinism."""
 
 import copy
+import importlib.util
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +288,16 @@ class TestRunSuite:
         assert report.overall.task_accuracy == 1.0
         assert report.overall.num_tasks == 16
         assert len(report.categories) == 8
+
+    def test_fixture_expected_tables_are_the_refresh(self):
+        # tables compare by value, so only the text catches an expected
+        # cell edited to an equal value, such as "150.0" for "150.00"
+        path = Path(__file__).resolve().parent.parent / "tools" / "refresh_fixture.py"
+        spec = importlib.util.spec_from_file_location("refresh_fixture", path)
+        refresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(refresh)
+        committed = (fixture_dir() / "suite.json").read_text(encoding="utf-8")
+        assert refresh.refreshed(fixture_dir()) == committed
 
     def test_empty_candidate_dir_scores_zero(self, fixture_suite, tmp_path):
         report = run_suite(fixture_suite, CandidateSet.from_directory(tmp_path))

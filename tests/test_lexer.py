@@ -1,6 +1,8 @@
 """Tokenizer behavior: token shapes, locations, lexical errors."""
 
+import ast as pyast
 import hashlib
+import inspect
 import random
 from dataclasses import fields
 from decimal import Decimal
@@ -9,10 +11,11 @@ from functools import partial
 import pytest
 
 import anka.parser
-from anka.ast_nodes import Node
+from anka import grammar
+from anka.ast_nodes import STATEMENT_FORMS, Node
 from anka.errors import ExecutionError, ParseError
 from anka.interpreter import run_pipeline
-from anka.lexer import TokenStream, scan, tokenize
+from anka.lexer import KEYWORDS, OPERATORS, TokenStream, scan, tokenize
 from anka.location import SourceLocation
 from anka.parser import parse
 from anka.validator import validate
@@ -353,3 +356,37 @@ def test_token_stream_digest_unchanged(name):
         "fuzz": lambda: fuzzing.fuzz_inputs(10_000),
     }[name]()
     assert _lexer_digest(texts) == LEXER_DIGESTS[name]
+
+
+def _grammar_vocabulary() -> set[str]:
+    """Every keyword and symbol the parser reads: the statement forms, the
+    grammar's operator, literal and slot tables, the type names, and each
+    text the parser and the grammar's readers take by ``expect``,
+    ``accept`` or ``at``."""
+    vocabulary = set(anka.parser.TYPE_KEYWORDS)
+    for keyword, (_, parts) in STATEMENT_FORMS.items():
+        vocabulary.add(keyword)
+        vocabulary.update(part for part in parts if isinstance(part, str))
+    vocabulary.update(grammar.BINARY_OPERATORS, grammar.PREFIX_OPERATORS,
+                      grammar.LITERAL_KEYWORDS, grammar.AGGREGATE_FNS)
+    for slot in grammar.SLOTS.values():
+        if slot.header:
+            vocabulary.add(slot.header)
+        words = getattr(slot.write, "__self__", None)  # a choice slot's
+        if isinstance(words, dict):
+            vocabulary.update(words.values())
+    for module in (anka.parser, grammar):
+        for node in pyast.walk(pyast.parse(inspect.getsource(module))):
+            if (isinstance(node, pyast.Call) and isinstance(node.func, pyast.Attribute)
+                    and node.func.attr in ("expect", "accept", "at") and node.args
+                    and isinstance(node.args[0], pyast.Constant)):
+                vocabulary.add(node.args[0].value)
+    return vocabulary
+
+
+def test_lexer_vocabulary_is_the_grammars():
+    # a keyword missing from KEYWORDS would lex as an identifier, and a
+    # symbol missing from OPERATORS would not lex at all
+    vocabulary = _grammar_vocabulary()
+    assert {w for w in vocabulary if w.isidentifier()} == KEYWORDS
+    assert {w for w in vocabulary if not w.isidentifier()} == set(OPERATORS)

@@ -2,11 +2,15 @@
 
 import hashlib
 import operator
+from dataclasses import replace
 
 import pytest
 
+from anka import ast_nodes as ast
 from anka.errors import ParseError, ValidationKind
-from anka.parser import parse
+from anka.interpreter import run_pipeline
+from anka.location import SourceLocation
+from anka.parser import MAX_NESTING_DEPTH, parse
 from anka.validator import ValidationException, typecheck_expr, validate
 from anka.values import Schema, ValueType, schema_of
 
@@ -465,6 +469,97 @@ class TestCompileCost:
         assert result.outputs[id(select)].fields == (c, a)
         assert all(map(operator.is_, result.outputs[id(select)].fields, (c, a)))
         assert result.outputs[id(aggregate)].fields[0] is b
+
+
+def _with_first_statement(pipeline, build):
+    """``pipeline`` with its first statement replaced by ``build(it)``."""
+    step = pipeline.steps[0]
+    body = (build(step.body[0]),) + step.body[1:]
+    return replace(pipeline, steps=(replace(step, body=body),) + pipeline.steps[1:])
+
+
+def _plus_chain(pipeline, terms: int):
+    """``a + 1 + ... + 1`` as the MAP of ``pipeline``, built through the
+    AST API, each node at its own location."""
+    expr = ast.ColumnRef(name="a", location=SourceLocation(1, 1))
+    for column in range(2, terms + 1):
+        one = ast.Literal(value=1, type=ValueType.INT, location=SourceLocation(2, column))
+        expr = ast.BinaryOp(op="+", left=expr, right=one, location=SourceLocation(1, column))
+    return _with_first_statement(pipeline, lambda stmt: replace(stmt, expr=expr)), expr
+
+
+class TestNestingBound:
+    """A tree built through the AST API is not bounded by the parser; the
+    validator reports one past its bound instead of recursing into it."""
+
+    MAP = pipeline_with("MAP t WITH c => a + 1 INTO r")
+
+    @pytest.mark.parametrize("terms", [1_000, 100_000])
+    def test_long_chain_is_one_diagnostic(self, terms):
+        pipeline, root = _plus_chain(parse(self.MAP), terms)
+        # the MAP is level 1 and the root level 2: the first node past
+        # the bound is the root's 199th left descendant
+        node = root
+        for _ in range(MAX_NESTING_DEPTH - 1):
+            node = node.left
+        result = validate(pipeline)
+        assert [(e.kind, e.message) for e in result.errors] == [
+            (ValidationKind.TYPE_MISMATCH, "nesting too deep")
+        ]
+        assert result.errors[0].location == node.location
+        with pytest.raises(ValidationException, match="nesting too deep"):
+            run_pipeline(pipeline, {})
+
+    @pytest.mark.parametrize("construct", ["IF", "TRY"])
+    def test_deep_nest_is_one_diagnostic(self, construct):
+        nest = []  # innermost first: nest[-k] is k levels deep
+
+        def wrap(stmt):
+            for line in range(1, 1_001):
+                location = SourceLocation(line, 1)
+                if construct == "IF":
+                    condition = ast.Literal(value=True, type=ValueType.BOOL,
+                                            location=SourceLocation(line, 4))
+                    stmt = ast.If(condition=condition, then_body=(stmt,), else_body=(),
+                                  location=location)
+                else:
+                    stmt = ast.Try(body=(stmt,), handler=(), location=location)
+                nest.append(stmt)
+            return stmt
+
+        pipeline = _with_first_statement(parse(pipeline_with("DISTINCT t INTO r")), wrap)
+        result = validate(pipeline)
+        assert [(e.kind, e.message) for e in result.errors] == [
+            (ValidationKind.TYPE_MISMATCH, "nesting too deep")
+        ]
+        # the first node past the bound: the condition of the IF at the
+        # bound, one level below it; a TRY has none, so the TRY past it
+        if construct == "IF":
+            first = nest[-MAX_NESTING_DEPTH].condition
+        else:
+            first = nest[-MAX_NESTING_DEPTH - 1]
+        assert result.errors[0].location == first.location
+        with pytest.raises(ValidationException, match="nesting too deep"):
+            run_pipeline(pipeline, {})
+
+    def test_chain_at_the_bound_validates(self):
+        # the MAP and 199 expression levels: a + 1 + ... with 199 terms
+        pipeline, _ = _plus_chain(parse(self.MAP), MAX_NESTING_DEPTH - 1)
+        assert validate(pipeline).ok
+        pipeline, _ = _plus_chain(parse(self.MAP), MAX_NESTING_DEPTH)
+        assert [e.message for e in validate(pipeline).errors] == ["nesting too deep"]
+
+    def test_parsed_trees_stay_within_the_bound(self):
+        parsed = 0
+        for source in fuzzing.nesting_inputs():
+            try:
+                pipeline = parse(source)
+            except ParseError:
+                continue
+            parsed += 1
+            messages = [e.message for e in validate(pipeline).errors]
+            assert "nesting too deep" not in messages, source
+        assert parsed
 
 
 _TWO_INPUTS = "INPUT t: TABLE[a: INT, b: STRING]\n INPUT u: TABLE[k: INT, b: DATE]"
