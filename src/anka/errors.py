@@ -95,10 +95,14 @@ class ExecutionError(AnkaError):
         super().__init__(message if location is None else f"{location}: {message}")
 
     def at(self, location: SourceLocation) -> "ExecutionError":
-        """Return a copy carrying ``location`` if none is attached yet."""
+        """Return a copy carrying ``location`` if none is attached yet,
+        with every attribute of its own, such as an HttpError's status."""
         if self.location is not None:
             return self
-        return type(self)(self.message, location)
+        located = type(self).__new__(type(self))
+        located.__dict__.update(self.__dict__)
+        ExecutionError.__init__(located, self.message, location)
+        return located
 
 
 class DivisionByZero(ExecutionError):
@@ -120,11 +124,6 @@ class HttpError(ExecutionError):
     ) -> None:
         super().__init__(message, location)
         self.status = status
-
-    def at(self, location: SourceLocation) -> "HttpError":
-        if self.location is not None:
-            return self
-        return HttpError(self.message, location, self.status)
 
 
 class ConversionError(ExecutionError):

@@ -8,8 +8,8 @@ runs hermetic.
 
 The CSV decoder admits cells a column chunk at a time, through
 ``values.parse_column``, which reads a chunk outside its fast path cell
-by cell, so each cell is admitted by the same per-cell rules and a bad
-one fails with the same message and line either way.
+by cell, so each cell is admitted by the same per-cell rules; only a
+chunk that fails is walked record by record, to name its bad line.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import urllib.error
 import urllib.request
 from decimal import Decimal
-from itertools import islice
 from json.encoder import encode_basestring
 from typing import Iterable, Optional
 
@@ -165,10 +164,12 @@ def _json_to_cell(value, vtype: ValueType) -> Cell:
         if vtype is ValueType.DECIMAL:
             return check_decimal(Decimal(value))
         if vtype is ValueType.INT:
-            number = check_decimal(Decimal(value))  # 38 digits at most for int()
-            if number != number.to_integral_value():
+            number = Decimal(value)
+            integral = number.to_integral_value()  # 1.000 is 1, whatever its scale
+            if number != integral:
+                check_decimal(number)  # past the DECIMAL bounds, its message first
                 raise ConversionError(f"expected INT, got non-integral number {number}")
-            return check_int(int(number))
+            return check_int(int(check_decimal(integral)))  # 38 digits at most for int()
     elif isinstance(value, str) and vtype in _JSON_TEXT_PARSERS:
         return _JSON_TEXT_PARSERS[vtype](value)
     temporal = vtype is ValueType.DATE or vtype is ValueType.DATETIME
@@ -234,91 +235,73 @@ def _formatted_rows(table: Table) -> Iterable[tuple]:
 def table_from_csv(data: bytes, schema: Schema) -> Table:
     """Decode CSV with a header row matching the schema names in order.
     An empty field reads as null for non-STRING columns and as the empty
-    string for STRING columns; errors carry 1-based line numbers. Cells
-    are admitted a column chunk at a time by ``values.parse_column``,
-    whose rules for each cell are the per-cell parser's."""
+    string for STRING columns. The text is read once; each chunk of
+    records is admitted a column at a time by ``values.parse_column``, and
+    only a failing one is walked record by record to name its bad line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConversionError(f"CSV input is not valid UTF-8: {exc}") from None
-    try:
-        rows = _csv_by_columns(text, schema)
-    except (ConversionError, csv.Error):
-        rows = None
-    if rows is None:
-        # row by row, so the first failing cell is reported with its line
-        rows = _csv_by_rows(text, schema)
-    return Table.trusted(schema, rows)
-
-
-_CSV_CHUNK_ROWS = 1024
-
-
-def _csv_reader(text: str, schema: Schema):
-    """A reader over ``text`` past its header row, which must hold the
-    schema's names in order."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(_records(reader))
-    except StopIteration:
-        raise ConversionError("CSV input is empty, expected a header row") from None
+    records = _records(reader)
+    header = next(records, None)
+    if header is None:
+        raise ConversionError("CSV input is empty, expected a header row")
     expected = list(schema.names())
     if header != expected:
         raise ConversionError(
             f"line 1: header mismatch: expected {expected}, got {header}"
         )
-    return reader
-
-
-def _csv_by_columns(text: str, schema: Schema) -> Optional[list]:
-    """The rows of well-formed CSV, decoded a chunk of records at a time
-    one column at a time by ``parse_column``. None when a record is blank
-    or has the wrong number of fields; a failing cell raises, without its
-    line. The row-by-row reading handles both."""
-    reader = _csv_reader(text, schema)
-    arity = {len(schema)}
+    # in a one-column table a blank line is a record of one empty field
+    # (as "" is); in any other it is skipped
+    blank = [""] if len(schema) == 1 else None
     rows: list = []
     while True:
-        chunk = list(islice(reader, _CSV_CHUNK_ROWS))
+        chunk, lines = [], []
+        try:
+            for record in records:
+                if record or blank:
+                    chunk.append(record or blank)
+                    lines.append(reader.line_num)
+                    if len(chunk) == _CSV_CHUNK_ROWS:
+                        break
+        except ConversionError as exc:
+            # the reader failed; a bad record read before it comes first
+            raise _first_bad_record(chunk, lines, schema) or exc from None
         if not chunk:
-            return rows
-        if set(map(len, chunk)) != arity:
-            return None
-        columns = [
-            column if field.type is ValueType.STRING
-            else parse_column(field.type, column)
-            for field, column in zip(schema.fields, zip(*chunk))
-        ]
-        rows.extend(zip(*columns))
+            return Table.trusted(schema, rows)
+        if set(map(len, chunk)) != {len(schema)}:
+            raise _first_bad_record(chunk, lines, schema)
+        try:
+            rows.extend(zip(*[
+                column if field.type is ValueType.STRING
+                else parse_column(field.type, column)
+                for field, column in zip(schema.fields, zip(*chunk))
+            ]))
+        except ConversionError:
+            raise _first_bad_record(chunk, lines, schema) from None
 
 
-def _csv_by_rows(text: str, schema: Schema) -> list:
-    reader = _csv_reader(text, schema)
-    parsers = [CSV_PARSERS.get(field.type) for field in schema.fields]
-    rows = []
-    for record in _records(reader):
-        line = reader.line_num
-        if record == []:
-            # A blank line. For single-column tables this is how a null
-            # cell serializes, so it is a real row; otherwise skip it.
-            if len(schema) == 1:
-                record = [""]
-            else:
-                continue
+_CSV_CHUNK_ROWS = 1024
+
+
+def _first_bad_record(chunk: list, lines: list, schema: Schema) -> Optional[ConversionError]:
+    """The error of the first record in ``chunk`` with the wrong number of
+    fields or a cell its column's per-cell parser rejects, naming the line
+    it ends on; None if there is none. A chunk that ``parse_column``
+    rejects has one, as it raises only what the per-cell parsers raise."""
+    for record, line in zip(chunk, lines):
         if len(record) != len(schema):
-            raise ConversionError(
+            return ConversionError(
                 f"line {line}: expected {len(schema)} fields, got {len(record)}"
             )
-        row = []
-        for field, parse, raw in zip(schema.fields, parsers, record):
+        for field, raw in zip(schema.fields, record):
             try:
-                row.append(raw if parse is None else parse(raw) if raw else None)
+                if raw and field.type is not ValueType.STRING:
+                    CSV_PARSERS[field.type](raw)
             except ConversionError as exc:
-                raise ConversionError(
-                    f"line {line}, field '{field.name}': {exc.message}"
-                ) from None
-        rows.append(tuple(row))
-    return rows
+                return ConversionError(f"line {line}, field '{field.name}': {exc.message}")
+    return None
 
 
 def _records(reader):
@@ -379,12 +362,10 @@ class IoAdapter:
         sandbox: bool = True,
         file_ops: Optional[FileOps] = None,
         http_ops: Optional[HttpOps] = None,
-        timeout: float = DEFAULT_HTTP_TIMEOUT,
     ) -> None:
         self.sandbox = sandbox
         self.file_ops = file_ops if file_ops is not None else FileOps()
         self.http_ops = http_ops if http_ops is not None else HttpOps()
-        self.timeout = timeout
 
     def read_table(self, path: str, fmt: str, schema: Schema) -> Table:
         if self.sandbox:
@@ -425,8 +406,8 @@ class IoAdapter:
             raise HttpError(f"unsupported URL {url!r}, expected http or https")
         try:
             if method == "GET":
-                return self.http_ops.get(url, self.timeout)
-            return self.http_ops.post(url, body or b"", self.timeout)
+                return self.http_ops.get(url, DEFAULT_HTTP_TIMEOUT)
+            return self.http_ops.post(url, body or b"", DEFAULT_HTTP_TIMEOUT)
         except urllib.error.HTTPError as exc:
             # a non-2xx status fails on its own; its body is never read
             return exc.code, b""

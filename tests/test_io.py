@@ -281,6 +281,10 @@ class TestNumbersFromOutside:
         with pytest.raises(ConversionError, match="64-bit range"):
             table_from_json(b'[{"a": 1E+20}]', INT_COLUMN)
 
+    def test_json_int_column_admits_an_integral_number_of_any_scale(self):
+        data = b'[{"a": 1.00000000000}, {"a": 1.' + b"0" * 38 + b"}]"
+        assert table_from_json(data, INT_COLUMN).rows == ((1,), (1,))
+
     def test_deeply_nested_json(self, tmp_path):
         deep = b"[" * 100_000 + b"]" * 100_000
         with pytest.raises(ConversionError, match="nesting too deep"):
@@ -386,11 +390,32 @@ class TestCsv:
         assert strings.rows == (("x",), ("",), ("y",))
 
     def test_bad_cell_after_a_blank_line_names_its_line(self):
-        # the blank line 3 sends decoding row by row, which still counts it
+        # the blank line 3 is skipped, and still counted
         schema = schema_of(("a", VT.INT), ("s", VT.STRING))
         with pytest.raises(ConversionError, match="^line 5, field 'a': ") as err:
             table_from_csv(b"a,s\n1,x\n\n2,y\nbad,z\n", schema)
         assert "'bad'" in err.value.message
+
+    def test_blank_lines_keep_the_column_path(self, monkeypatch):
+        # a blank record is a null row or is skipped as it is read, so the
+        # plain fields around it never reach the per-cell parsers
+        for vtype in CSV_PARSERS:
+            monkeypatch.setitem(CSV_PARSERS, vtype, _refused)
+        schema = schema_of(("a", VT.INT), ("day", VT.DATE), ("s", VT.STRING))
+        table = table_from_csv(b"a,day,s\n1,2024-01-02,x\n\n2,,y\n\n", schema)
+        assert table.rows == ((1, datetime.date(2024, 1, 2), "x"), (2, None, "y"))
+        table = table_from_csv(b"a\n1\n\n2\n\n", INT_COLUMN)
+        assert table.rows == ((1,), (None,), (2,), (None,))
+
+    def test_a_bad_record_before_a_reader_error_is_reported_first(self):
+        schema = schema_of(("a", VT.INT), ("s", VT.STRING))
+        big = "x" * 140_000  # past the csv module's 131,072-character limit
+        with pytest.raises(ConversionError) as err:
+            table_from_csv(f"a,s\n1,x\nbad,y\n2,{big}\n".encode(), schema)
+        assert err.value.message == "line 3, field 'a': cannot parse 'bad' as INT"
+        with pytest.raises(ConversionError) as err:
+            table_from_csv(f"a,s\n1,x\n2,{big}\nbad,y\n".encode(), schema)
+        assert err.value.message.startswith("line 3: field larger than field limit")
 
     def test_random_roundtrips_without_null_strings(self):
         rng = random.Random(778)
@@ -437,22 +462,72 @@ def _decoded(data, schema):
 
 
 def _decoded_per_cell(data, schema):
-    """What ``table_from_csv`` must give: each cell from its column's
-    per-cell parser, or the first failing cell's message and line."""
+    """What ``table_from_csv`` must give: the records past the header, a
+    blank one a null row in a one-column table and skipped otherwise,
+    each cell from its column's per-cell parser; or the error of the
+    first bad record in file order (a reader error, a wrong field count
+    or a failing cell) with the line the record ends on."""
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     next(reader)
     rows = []
-    for record in reader:
-        row = []
-        for field, raw in zip(schema.fields, record):
-            parse = CSV_PARSERS.get(field.type)
-            try:
-                row.append(raw if parse is None else parse(raw) if raw else None)
-            except ConversionError as exc:
-                line = reader.line_num
-                return "error", f"line {line}, field '{field.name}': {exc.message}"
-        rows.append(tuple(row))
+    try:
+        for record in reader:
+            line = reader.line_num
+            if record == [] and len(schema) > 1:
+                continue
+            record = record or [""]
+            if len(record) != len(schema):
+                return "error", f"line {line}: expected {len(schema)} fields, got {len(record)}"
+            row = []
+            for field, raw in zip(schema.fields, record):
+                parse = CSV_PARSERS.get(field.type)
+                try:
+                    row.append(raw if parse is None else parse(raw) if raw else None)
+                except ConversionError as exc:
+                    return "error", f"line {line}, field '{field.name}': {exc.message}"
+            rows.append(tuple(row))
+    except csv.Error as exc:
+        return "error", f"line {reader.line_num}: {exc}"
     return "ok", repr(tuple(rows))
+
+
+def _refused(text):
+    """A per-cell parser that refuses every field."""
+    raise AssertionError(f"per-cell parser called on {text!r}")
+
+
+def _csv_line(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+# lines to put among a file's plain records, each built for the file's
+# column types by a seeded random generator
+ODD_LINES = [
+    lambda rng, types: "",  # a blank line
+    lambda rng, types: ",".join(["7"] * rng.choice([len(types) - 1, len(types) + 1])),
+    lambda rng, types: "x" * 140_000,  # a field past the csv module's limit
+    lambda rng, types: _csv_line(["two\nlines" if t is VT.STRING else "" for t in types]),
+    lambda rng, types: _csv_line(
+        [rng.choice(EDGE_FIELDS.get(t, ["", "a,b", 'say "hi"'])) for t in types]
+    ),
+]
+
+
+def _random_csv(rng):
+    """A schema of one to three columns and a file of plain records, half
+    the time a few and otherwise about one, two or three chunks, with a
+    few odd lines (see ``ODD_LINES``), many of them at a chunk edge."""
+    types = [rng.choice([VT.STRING, *EDGE_FIELDS]) for _ in range(rng.randint(1, 3))]
+    schema = schema_of(*[(f"c{i}", t) for i, t in enumerate(types)])
+    lines = [",".join(PLAIN_FIELDS.get(t, "s") for t in types)]
+    lines *= rng.choice([0, 2, 5, 1023, 1025, 2049])
+    for _ in range(rng.randint(0, 3)):
+        at = rng.choice([0, 1022, 1023, 1024, 2046, 2047, 2048, rng.randint(0, len(lines))])
+        lines.insert(min(at, len(lines)), rng.choice(ODD_LINES)(rng, types))
+    end = rng.choice(["\r\n", "\n"])
+    return schema, end.join([",".join(schema.names()), *lines, ""]).encode("utf-8")
 
 
 class TestCsvColumnChunks:
@@ -473,6 +548,11 @@ class TestCsvColumnChunks:
             rows[where + 1][1] = field
             data = _csv_text(schema, rows)
             assert _decoded(data, schema) == _decoded_per_cell(data, schema), field
+
+    def test_random_files_decode_as_per_cell(self):
+        for seed in range(300):
+            schema, data = _random_csv(random.Random(seed))
+            assert _decoded(data, schema) == _decoded_per_cell(data, schema), seed
 
     def test_bad_cell_in_the_second_chunk_names_its_line(self):
         schema = schema_of(("a", VT.INT), ("b", VT.DATE))
@@ -630,6 +710,17 @@ class TestSandbox:
         with pytest.raises(HttpError) as err:
             adapter.fetch_table("http://example.test/", schema_of(("a", VT.INT)))
         assert err.value.status == 500
+
+    def test_a_failed_fetch_in_a_pipeline_keeps_its_status(self):
+        source = (
+            'PIPELINE p:\n STEP s:\n  FETCH "http://example.test/" TABLE[a: INT] INTO t\n'
+            " OUTPUT t"
+        )
+        adapter = IoAdapter(sandbox=False, http_ops=RecordingHttpOps(status=500))
+        with pytest.raises(HttpError) as err:
+            run_pipeline(parse(source), {}, adapter)
+        assert (err.value.location.line, err.value.status) == (3, 500)
+        assert str(err.value) == f"{err.value.location}: {err.value.message}"
 
     def test_invalid_url_scheme(self):
         adapter = IoAdapter(sandbox=False, http_ops=RecordingHttpOps())
