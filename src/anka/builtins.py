@@ -112,7 +112,13 @@ _FUNCTIONS: dict[str, Callable[..., Cell]] = {b.name: b.fn for b in BUILTINS.val
 
 
 def call_builtin(name: str, args: tuple[Cell, ...]) -> Cell:
-    """Invoke a builtin with evaluated arguments. Null in, null out."""
+    """Invoke a builtin with evaluated arguments. Null in, null out.
+
+    This is the public one-call API, and ``anka.interpreter.call_builtin``
+    is the seam a profiler or a test replaces. Generated row code calls
+    the kernels directly, but a plan compiled while that name is replaced
+    calls the replacement instead, for each call whose arguments are all
+    non-null."""
     if None in args:
         return None
     return _FUNCTIONS[name](*args)

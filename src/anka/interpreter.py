@@ -37,6 +37,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from anka import ast_nodes as ast
+from anka import builtins
 from anka.builtins import call_builtin
 from anka.errors import AssertionFailed, ConversionError, ExecutionError, InputError
 from anka.io_adapters import IoAdapter
@@ -625,14 +626,16 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 # compiler; a hit costs one call of the factory with the parameters.
 #
 # In the generated code a column is a read of the row tuple and a literal
-# a parameter. A strict operator tests its non-literal operands for null
-# and calls its kernel, or ``call_builtin``, in a ``try`` of its own that
-# gives an error the node's location, so the innermost failing node names
-# it. The right operand of AND and OR is an inner function, called only
-# when the left does not decide, so the indentation stays flat at any
-# expression height. ``call_builtin`` and ``time`` are read from this
-# module's globals when the code runs, so a profiler or a test can wrap
-# them, and a run without a deadline reads no clock.
+# a parameter. A strict operator or a builtin call tests its non-literal
+# operands for null and calls its kernel in a ``try`` of its own that gives
+# an error the node's location, so the innermost failing node names it. A
+# builtin's kernel is bound once each time a plan is compiled, in ``make``,
+# and ``call_builtin`` is read from this module's globals at that point: a
+# profiler or a test that replaces it there before the compile sees each
+# call that reaches a kernel. The right operand of AND and OR is an inner
+# function, called only when the left does not decide, so the indentation
+# stays flat at any expression height. ``time`` is still read from this
+# module's globals on each call, so a run without a deadline reads no clock.
 
 _MAX_FACTORIES = 512
 _FACTORIES: dict[tuple, Callable] = {}
@@ -730,6 +733,7 @@ def _factory(key: tuple) -> Callable:
     shape, numbers = key[0], itertools.count()
     temps = (f"v{i}" for i in itertools.count())
     inner: list[str] = []  # the AND and OR right-operand functions
+    kernels: list[str] = []  # the builtin calls' kernel bindings
     bodies: list[list[str]] = [[]]  # the function being generated is last
     pending = []  # operators still waiting for operands
     for token in key[1:]:
@@ -741,6 +745,8 @@ def _factory(key: tuple) -> Callable:
         else:
             width, operands = (2, token) if type(token) is int else _OPERATORS[token]
             names = [f"p{next(numbers)}" for _ in range(width)]
+            if type(token) is int:  # a call binds its kernel beside its name
+                kernels.append(f"    k{names[0][1:]} = _kernel({names[0]})")
             pending.append((token, operands, names, []))
             continue
         while pending:
@@ -759,7 +765,7 @@ def _factory(key: tuple) -> Callable:
             result = value[0]
     head, indent, tail = _SHAPES[shape]
     params = ", ".join(f"p{i}" for i in range(next(numbers)))
-    lines = [f"def make({params}):", *inner, *head]
+    lines = [f"def make({params}):", *kernels, *inner, *head]
     lines += (" " * indent + line for line in bodies[0])
     lines += (line.format(result) for line in tail)
     lines.append("    return run")
@@ -778,20 +784,29 @@ def _emit(token, names: list[str], values, body: list[str], out: str) -> tuple[s
     """Append to ``body`` the code of a strict operator or a call that
     sets ``out``; return ``out`` and whether it may be null."""
     args = ", ".join(name for name, _ in values)
-    if type(token) is int:
-        # call_builtin itself returns null for a null argument
-        name, location = names
-        body += _guarded(f"{out} = call_builtin({name}, ({args},))", location)
-        return out, True
     if token == "NOT" or token in _COMPARISONS:
         text = f"not {args}" if token == "NOT" else f" {token} ".join(name for name, _ in values)
         text, nullable = _strict(text, values)
         body.append(f"{out} = {text}")
+        return out, nullable
+    if type(token) is int:
+        # the kernel _factory bound; a builtin is null only on a null argument
+        (name, location), overflow = names, None
+        kernel = f"k{name[1:]}"
     else:
         kernel, location, overflow = names
-        text, nullable = _strict(f"{kernel}({args})", values)
-        body += _guarded(f"{out} = {text}", location, overflow)
+    text, nullable = _strict(f"{kernel}({args})", values)
+    body += _guarded(f"{out} = {text}", location, overflow)
     return out, nullable
+
+
+def _kernel(name: str) -> Callable:
+    """The function generated code calls for builtin ``name``: its kernel,
+    or a call through ``call_builtin`` when that has been replaced."""
+    hook = call_builtin
+    if hook is builtins.call_builtin:
+        return builtins._FUNCTIONS[name]
+    return lambda *args: hook(name, args)
 
 
 def _strict(text: str, values) -> tuple[str, bool]:

@@ -102,7 +102,7 @@ def decode_json(data: bytes):
     """Decode a JSON document, every number as an exact Decimal. Raises
     only ConversionError, also for absurd exponents and deep nesting."""
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConversionError(f"JSON input is not valid UTF-8: {exc}") from None
     try:
@@ -239,7 +239,7 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
     records is admitted a column at a time by ``values.parse_column``, and
     only a failing one is walked record by record to name its bad line."""
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConversionError(f"CSV input is not valid UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))

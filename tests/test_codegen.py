@@ -29,7 +29,7 @@ from anka.builtins import BUILTINS
 from anka.errors import ExecutionError
 from anka.interpreter import run_pipeline
 from anka.location import UNKNOWN_LOCATION as LOC, SourceLocation
-from anka.parser import MAX_NESTING_DEPTH
+from anka.parser import MAX_NESTING_DEPTH, parse
 from anka.validator import validate
 from anka.values import INT64_MAX, INT64_MIN, ValueType as VT, make_table, schema_of
 
@@ -396,3 +396,107 @@ def test_more_shapes_than_the_bound_keep_the_cache_at_its_bound(monkeypatch):
         assert kept == _reference("filter", expr, NUMBERS)
         assert len(interpreter._FACTORIES) <= bound
     assert len(interpreter._FACTORIES) == bound
+
+
+# -- builtin kernels ----------------------------------------------------------
+# Each call's kernel is bound in the factory's ``make``, once per compiled
+# plan, and the AND and OR inner functions close over it.
+
+
+def _call(name: str, *args: ast.Expr) -> ast.Call:
+    return ast.Call(name=name, args=args, location=LOC)
+
+
+def _string(text: str) -> ast.Literal:
+    return ast.Literal(value=text, type=VT.STRING, location=LOC)
+
+
+# LENGTH(TRIM(s)) > 1, a call that a null s makes null
+_TRIMMED_LONG = ast.Comparison(
+    op=">", left=_call("LENGTH", _call("TRIM", _column("s"))), right=_int(1), location=LOC
+)
+
+
+@pytest.mark.parametrize("op", ["AND", "OR"])
+@pytest.mark.parametrize("shape", ["map", "filter"])
+def test_a_call_in_the_right_operand_of_and_or_matches_the_reference(op, shape):
+    left = ast.Comparison(op=">", left=_column("a"), right=_int(0), location=LOC)
+    expr = ast.BoolOp(op=op, left=left, right=_TRIMMED_LONG, location=LOC)
+    expr = _relocated(expr, itertools.count(1))
+    pipeline, _ = _single(shape, expr, NUMBERS.schema)
+    expected = _reference(shape, expr, NUMBERS)
+    assert _generated(shape, pipeline, NUMBERS) == expected
+    assert isinstance(expected, list)
+
+
+CONDITIONS = """
+PIPELINE p:
+ INPUT t: TABLE[a: INT, s: STRING]
+ STEP s:
+  FOR_EACH row IN t DO
+   IF LENGTH(TRIM(s)) > 1 OR UPPER(s) == "X" THEN
+    DISTINCT t INTO kept
+   END_IF
+   WHILE LENGTH(CONCAT(s, "!")) > 100 AND a > 0 DO
+    DISTINCT t INTO ignored
+   END_WHILE
+  END_FOR
+  DISTINCT t INTO result
+ OUTPUT result
+"""
+
+
+def test_calls_in_if_and_while_conditions_match_the_reference():
+    pipeline = parse(CONDITIONS)
+    result = validate(pipeline)
+    assert result.ok, result.errors
+    loop = pipeline.steps[0].body[0]
+    assert [type(stmt) for stmt in loop.body] == [ast.If, ast.While]
+    for condition in (stmt.condition for stmt in loop.body):
+        function = interpreter._compile_expr("row", condition, NUMBERS.schema, result.types)
+        for generated, reference in _row_outcomes(function, condition, NUMBERS):
+            assert generated == reference, condition
+    assert run_pipeline(pipeline, {"t": NUMBERS}).rows == NUMBERS.rows
+
+
+def test_a_call_of_literals_is_not_tested_for_null(monkeypatch):
+    sources = []
+
+    def keeping(text, name, mode):
+        sources.append(text)
+        return compile(text, name, mode)
+
+    monkeypatch.setattr(interpreter, "_FACTORIES", {})
+    monkeypatch.setattr(interpreter, "compile", keeping, raising=False)
+    literal = _call("SUBSTRING", _string("abcdef"), _int(1), _int(3))
+    column = _call("SUBSTRING", _column("s"), _int(1), _int(3))
+    for expr in (literal, column):
+        function = interpreter._compile_expr("row", expr, NUMBERS.schema, {})
+        for generated, reference in _row_outcomes(function, expr, NUMBERS):
+            assert generated == reference
+    assert len(sources) == 2
+    assert "is None" not in sources[0]
+    assert "is None" in sources[1]
+
+
+def test_call_builtin_is_read_when_a_plan_is_compiled(monkeypatch):
+    text = (
+        "PIPELINE p:\n INPUT t: TABLE[a: INT, s: STRING]\n STEP s:\n"
+        "  MAP t WITH u => UPPER(s) INTO result\n OUTPUT result"
+    )
+    compiled = parse(text)
+    expected = run_pipeline(compiled, {"t": NUMBERS}).rows
+    calls = []
+    call_builtin = interpreter.call_builtin
+
+    def counting(name, args):
+        calls.append(name)
+        return call_builtin(name, args)
+
+    monkeypatch.setattr(interpreter, "call_builtin", counting)
+    # the plan kept with the parsed pipeline bound the kernel itself
+    assert run_pipeline(compiled, {"t": NUMBERS}).rows == expected
+    assert calls == []
+    # a fresh parse compiles a new plan, which reads the replacement
+    assert run_pipeline(parse(text), {"t": NUMBERS}).rows == expected
+    assert calls == ["UPPER"] * 4  # one row's s is null

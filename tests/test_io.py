@@ -67,6 +67,10 @@ class TestJson:
         table = table_from_json(b'[{"a":1},{"a":2}]', schema_of(("a", VT.INT)))
         assert table.rows == ((1,), (2,))
 
+    def test_leading_byte_order_mark_is_skipped(self):
+        table = table_from_json(b'\xef\xbb\xbf[{"a":1}]', schema_of(("a", VT.INT)))
+        assert table.rows == ((1,),)
+
     def test_empty_array(self):
         table = table_from_json(b"[]", schema_of(("a", VT.INT)))
         assert table.rows == ()
@@ -305,6 +309,10 @@ class TestCsv:
     def test_basic_read(self):
         table = table_from_csv(b"a\n1\n2\n", schema_of(("a", VT.INT)))
         assert table.rows == ((1,), (2,))
+
+    def test_leading_byte_order_mark_is_skipped(self):
+        table = table_from_csv(b"\xef\xbb\xbfa\n1\n", schema_of(("a", VT.INT)))
+        assert table.rows == ((1,),)
 
     def test_header_mismatch(self):
         with pytest.raises(ConversionError, match="header mismatch"):

@@ -12,6 +12,7 @@ from decimal import Decimal
 
 import pytest
 
+from anka.builtins import BUILTINS
 from anka.errors import ConversionError, ExecutionError
 from anka.interpreter import run_pipeline
 from anka.io_adapters import table_from_csv, table_to_csv, table_to_json
@@ -32,7 +33,7 @@ from anka.values import (
 )
 
 import generic_values as generic
-from generators import PLAIN_FIELDS, rand_schema, rand_table
+from generators import PLAIN_FIELDS, rand_cell, rand_schema, rand_table
 
 INT_EDGES = [
     0, 1, -1, 2, -2, 7, INT64_MAX, INT64_MIN, INT64_MAX - 1, INT64_MIN + 1,
@@ -167,6 +168,25 @@ class TestComparisonKernels:
                 a, b = (None if rng.random() < 0.1 else SAMPLES[t](rng) for t in types)
                 expected = None if a is None or b is None else holds(compare_values(a, b))
                 assert run(a, b) is expected, (a, op, b)
+
+
+class TestBuiltinKernels:
+    # generated code takes a call's result to be null only when an
+    # argument is, so it tests the operands of an enclosing operator alone
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_non_null_arguments_give_a_non_null_cell(self, name):
+        builtin, rng = BUILTINS[name], random.Random(name)
+        admitted = [sorted(types or VT, key=str) for types in builtin.params]
+        results = 0
+        for _ in range(300):
+            args = [rand_cell(rng, rng.choice(types), null_rate=0) for types in admitted]
+            try:
+                value = builtin.fn(*args)
+            except ExecutionError:
+                continue
+            assert value is not None, (name, args)
+            results += 1
+        assert results > 30, name
 
 
 def _literal(value):
