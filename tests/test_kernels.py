@@ -172,7 +172,7 @@ class TestComparisonKernels:
 
 class TestBuiltinKernels:
     # generated code takes a call's result to be null only when an
-    # argument is, so it tests the operands of an enclosing operator alone
+    # argument is, and skips the null test of a call on literals
     @pytest.mark.parametrize("name", sorted(BUILTINS))
     def test_non_null_arguments_give_a_non_null_cell(self, name):
         builtin, rng = BUILTINS[name], random.Random(name)
