@@ -174,7 +174,6 @@ def _compile_if(stmt: ast.If, result, row_schema) -> Step:
 
 
 def _compile_while(stmt: ast.While, result, row_schema) -> Step:
-    location = stmt.location
     condition = _compile_expr("row", stmt.condition, row_schema, result.types)
     body = _compile_block(stmt.body, result, row_schema)
 
@@ -185,10 +184,9 @@ def _compile_while(stmt: ast.While, result, row_schema) -> Step:
             iterations += 1
             if iterations > interp.while_cap:
                 raise AssertionFailed(
-                    f"WHILE exceeded the iteration cap of {interp.while_cap}",
-                    location,
+                    f"WHILE exceeded the iteration cap of {interp.while_cap}"
                 )
-            interp._tick(location)
+            interp._tick()
             interp._exec(body, dict(datasets), row)
             interp.cells = cells
 
@@ -196,14 +194,14 @@ def _compile_while(stmt: ast.While, result, row_schema) -> Step:
 
 
 def _compile_for_each(stmt: ast.ForEach, result, row_schema) -> Step:
-    location, source = stmt.location, stmt.source
+    source = stmt.source
     (source_schema,) = result.sources[id(stmt)]
     body = _compile_block(stmt.body, result, source_schema)
 
     def run_for_each(interp, datasets, row):
         cells = interp.cells
         for each in datasets[source].rows:
-            interp._tick(location)
+            interp._tick()
             interp._exec(body, dict(datasets), each)
             interp.cells = cells
 
@@ -278,7 +276,7 @@ def _add_column(stmt: ast.AddColumn, sources, schema, types):
 
 def _aggregate(stmt: ast.Aggregate, sources, schema, types):
     (src,) = sources
-    source, location = stmt.source, stmt.location
+    source = stmt.source
     keys = [src.index_of(name) for name in stmt.group_by]
     computes = []
     for spec in stmt.computes:
@@ -289,9 +287,7 @@ def _aggregate(stmt: ast.Aggregate, sources, schema, types):
             add = ARITHMETIC_KERNELS["+", schema.type_of(spec.alias)]
         index = None if spec.arg is None else src.index_of(spec.arg)
         computes.append((spec.fn, index, add))
-    return lambda interp, d, row: interp.eval_aggregate(
-        d[source], schema, keys, computes, location
-    )
+    return lambda interp, d, row: interp.eval_aggregate(d[source], schema, keys, computes)
 
 
 def _sort(stmt: ast.Sort, sources, schema, types):
@@ -318,31 +314,22 @@ def _slice(stmt: ast.Slice, sources, schema, types):
 def _join(stmt, sources, schema, types):
     left, right, left_outer = stmt.left, stmt.right, type(stmt) is ast.LeftJoin
     li, ri = sources[0].index_of(stmt.left_key), sources[1].index_of(stmt.right_key)
-    location = stmt.location
     return lambda interp, d, row: interp.eval_join(
-        d[left], d[right], schema, li, ri, location, left_outer=left_outer
+        d[left], d[right], schema, li, ri, left_outer=left_outer
     )
 
 
 def _union(stmt: ast.Union, sources, schema, types):
-    left, right, location = stmt.left, stmt.right, stmt.location
-    return lambda interp, d, row: interp.eval_union(d[left], d[right], location)
+    left, right = stmt.left, stmt.right
+    return lambda interp, d, row: interp.eval_union(d[left], d[right])
 
 
 def _io(call):
     """An action compiler for an I/O statement: ``call(stmt, io, d)``
-    runs it, and a failure raises at the statement's location."""
+    runs it."""
 
     def compile_io(stmt, sources, schema, types):
-        location = stmt.location
-
-        def located_io(interp, d, row):
-            try:
-                return call(stmt, interp.io, d)
-            except ExecutionError as exc:
-                raise exc.at(location)
-
-        return located_io
+        return lambda interp, d, row: call(stmt, interp.io, d)
 
     return compile_io
 
@@ -396,13 +383,19 @@ class Interpreter:
         self.cells = 0
 
     def _exec(self, block: Block, datasets: dict[str, Table], row: Optional[Row]) -> None:
+        """Run ``block``'s steps in order. An error gets the location of
+        the statement it stopped in, unless a nested statement or an
+        expression node inside it already gave it one."""
         for location, step, target, dies in block:
-            self._tick(location)
-            table = step(self, datasets, row)
-            if target is not None:
-                if self.max_cells is not None:
-                    self._charge(table, datasets.get(target), location)
-                datasets[target] = table
+            try:
+                self._tick()
+                table = step(self, datasets, row)
+                if target is not None:
+                    if self.max_cells is not None:
+                        self._charge(table, datasets.get(target))
+                    datasets[target] = table
+            except ExecutionError as exc:
+                raise exc.at(location) from None
             if dies:
                 self._release(datasets, dies)
 
@@ -413,17 +406,13 @@ class Interpreter:
             if table is not None and self.max_cells is not None:
                 self.cells -= _cells(table)
 
-    def _charge(
-        self, table: Table, replaced: Optional[Table], location: SourceLocation
-    ) -> None:
+    def _charge(self, table: Table, replaced: Optional[Table]) -> None:
         """Count a newly bound table against ``max_cells``. ``replaced`` is
         what its name held before: a table that one IF or TRY branch bound
         and no later statement reads, whose cells are returned."""
         self.cells += _cells(table) - _cells(replaced)
         if self.cells > self.max_cells:
-            raise AssertionFailed(
-                f"result exceeds the cell limit of {self.max_cells}", location
-            )
+            raise AssertionFailed(f"result exceeds the cell limit of {self.max_cells}")
 
     # -- data operations -------------------------------------------------------
     # Outputs are built with Table.trusted: the validator proved every
@@ -486,7 +475,6 @@ class Interpreter:
         schema: Schema,
         li: int,
         ri: int,
-        location: SourceLocation,
         *,
         left_outer: bool,
     ) -> Table:
@@ -511,17 +499,17 @@ class Interpreter:
             for rest in found:
                 rows.append(lrow + rest)
                 if max_rows is not None:
-                    self._check_size(len(rows), location)
+                    self._check_size(len(rows))
             if left_outer and not found:
                 rows.append(lrow + padding)
                 if max_rows is not None:
-                    self._check_size(len(rows), location)
+                    self._check_size(len(rows))
         return Table.trusted(schema, rows)
 
-    def eval_union(self, left: Table, right: Table, location) -> Table:
+    def eval_union(self, left: Table, right: Table) -> Table:
         """Row concatenation: left rows then right rows, duplicates kept
         (DISTINCT is the one way to deduplicate)."""
-        self._check_size(len(left.rows) + len(right.rows), location)
+        self._check_size(len(left.rows) + len(right.rows))
         return Table.trusted(left.schema, left.rows + right.rows)
 
     def eval_aggregate(
@@ -530,7 +518,6 @@ class Interpreter:
         schema: Schema,
         keys: list[int],
         computes: list[tuple[str, Optional[int], Optional[Callable]]],
-        location,
     ) -> Table:
         """One output row per distinct group key, in order of first
         appearance; ``computes`` gives each function with its argument
@@ -550,12 +537,12 @@ class Interpreter:
         for key, members in groups.items():
             cells = list(key)
             for fn, index, add in computes:
-                cells.append(self._aggregate_value(fn, index, add, members, location))
+                cells.append(self._aggregate_value(fn, index, add, members))
             rows.append(tuple(cells))
         return Table.trusted(schema, rows)
 
     def _aggregate_value(
-        self, fn: str, index: Optional[int], add, members: list[Row], location
+        self, fn: str, index: Optional[int], add, members: list[Row]
     ) -> Cell:
         if fn == "COUNT":
             return len(members)
@@ -574,27 +561,23 @@ class Interpreter:
             total = reduce(add, values, Decimal(0))
             scale = decimal_scale(total) + DIVISION_EXTRA_SCALE
             return decimal_divide(total, len(values), scale)
-        except ExecutionError as exc:
-            raise exc.at(location)
         except decimal.Inexact:
-            raise ConversionError("DECIMAL overflow in addition", location) from None
+            raise ConversionError("DECIMAL overflow in addition") from None
 
     # -- resource guards -------------------------------------------------------
 
-    def _tick(self, location: SourceLocation) -> None:
+    def _tick(self) -> None:
         """Read the clock before a statement or loop iteration when a
         deadline is set. The per-row operators make the same check
-        inline, with the deadline and ``time.monotonic`` held in locals
-        and no location, so a run stops within one row's work of its
-        deadline and a run without one reads no clock."""
+        inline, with the deadline and ``time.monotonic`` held in locals,
+        so a run stops within one row's work of its deadline and a run
+        without one reads no clock."""
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise AssertionFailed(_TIME_LIMIT, location)
+            raise AssertionFailed(_TIME_LIMIT)
 
-    def _check_size(self, count: int, location=None) -> None:
+    def _check_size(self, count: int) -> None:
         if self.max_rows is not None and count > self.max_rows:
-            raise AssertionFailed(
-                f"result exceeds the row limit of {self.max_rows}", location
-            )
+            raise AssertionFailed(f"result exceeds the row limit of {self.max_rows}")
 
 
 def _cells(table: Optional[Table]) -> int:

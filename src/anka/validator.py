@@ -37,7 +37,7 @@ from anka.errors import AnkaError, ValidationError, ValidationKind
 from anka.grammar import NODE_KEYWORDS
 from anka.location import SourceLocation
 from anka.parser import MAX_NESTING_DEPTH
-from anka.values import NUMERIC_TYPES, Field, Schema, ValueType
+from anka.values import NUMERIC_TYPES, Field, Schema, ValueType, cell_matches, clip_text
 
 _MINMAX_TYPES = NUMERIC_TYPES | {ValueType.STRING, ValueType.DATE, ValueType.DATETIME}
 
@@ -405,7 +405,7 @@ class _Checker:
 
     def _select(self, stmt: ast.Select, schema: Schema) -> Optional[Schema]:
         fields, ok = self._columns(stmt, schema, stmt.columns, "selected", set())
-        return Schema(fields) if ok and fields else None
+        return self._output_schema(stmt, fields) if ok else None
 
     def _append(self, stmt, schema: Schema) -> Optional[Schema]:
         """MAP and ADD_COLUMN: one new column after the source's."""
@@ -463,7 +463,19 @@ class _Checker:
             else:
                 taken.add(spec.alias)
                 fields.append(Field(spec.alias, result_type))
-        return Schema(fields) if ok and fields else None
+        return self._output_schema(stmt, fields) if ok else None
+
+    def _output_schema(self, stmt, fields: list[Field]) -> Optional[Schema]:
+        """The schema of SELECT's or AGGREGATE's ``fields``; only the AST
+        API can build one that names no column."""
+        if not fields:
+            self.error(
+                ValidationKind.SCHEMA_MISMATCH,
+                f"{NODE_KEYWORDS[type(stmt)]} yields no column",
+                stmt.location,
+            )
+            return None
+        return Schema(fields)
 
     def _aggregate_result_type(
         self, spec: ast.AggregateSpec, schema: Schema, source: str
@@ -543,6 +555,14 @@ class _Checker:
             return None
         depth += 1
         if isinstance(expr, ast.Literal):
+            # only the AST API can build a literal that its type does not hold
+            if expr.value is None or not cell_matches(expr.value, expr.type):
+                self.error(
+                    ValidationKind.TYPE_MISMATCH,
+                    f"literal {clip_text(repr(expr.value))} is not of type {expr.type.value}",
+                    expr.location,
+                )
+                return None
             return expr.type
         if isinstance(expr, ast.ColumnRef):
             if schema is None:

@@ -12,7 +12,9 @@ from anka.errors import (
     AssertionFailed,
     ConversionError,
     DivisionByZero,
+    HttpError,
     InputError,
+    IoError,
     TableError,
     ValidationKind,
 )
@@ -744,7 +746,8 @@ class TestDeadlineReads:
                 simple(statement, THREE_ROWS, deadline=deadline)
             # stopped at the row whose read passed the deadline
             assert clock.now == deadline + 0.5
-            assert err.value.location is None
+            location = err.value.location
+            assert (location.line, location.column) == (4, 3)
         clock = SteppingClock()
         monkeypatch.setattr(interpreter, "time", clock)
         assert len(simple(statement, THREE_ROWS, deadline=4.5)) == 3
@@ -770,6 +773,187 @@ class TestDeadlineReads:
             THREE_ROWS,
         )
         assert out.rows == (("A", 1), ("B", 1), ("C", 1))
+
+
+# Inputs for the located-error cases: ``n`` overflows a SUM of either type.
+LOCATING_INPUTS = {
+    "t": THREE_ROWS,
+    "u": make_table(
+        schema_of(("rk", VT.INT), ("r", VT.STRING)), [(1, "x"), (2, "y"), (3, "z")]
+    ),
+    "n": make_table(
+        schema_of(("v", VT.INT), ("d", VT.DECIMAL)),
+        [(2**63 - 1, D("9" * 27 + "." + "9" * 10))] * 20,
+    ),
+}
+
+# Each case: its statements, "@" marking the one the error must name,
+# the run's caps, and the error's class and message. Where a case sets a
+# deadline the clock reads 1 s, 2 s, ... (SteppingClock): once before
+# each statement and loop iteration, and once per row in the per-row
+# operators.
+LOCATED_ERRORS = {
+    # the SELECT reads at 1 s and the statement at 2 s; its second row's
+    # read, at 4 s, passes the deadline
+    **{
+        f"row-time-{name}": (
+            ["SELECT t COLUMNS k, s INTO first", f"@{statement}"],
+            {"deadline": 3.5},
+            AssertionFailed,
+            "time limit",
+        )
+        for name, statement in {
+            "filter": "FILTER first WHERE k > 0 INTO a",
+            "distinct": "DISTINCT first INTO a",
+            "map": "MAP first WITH c => k + 1 INTO a",
+            "aggregate": "AGGREGATE first GROUP_BY s COMPUTE COUNT() AS n INTO a",
+            "join": "JOIN first WITH u ON k == rk INTO a",
+            "left-join": "LEFT_JOIN first WITH u ON k == rk INTO a",
+        }.items()
+    },
+    "statement-time": (
+        ["SELECT t COLUMNS k INTO a", "@SORT t BY k ASC INTO b"],
+        {"deadline": 1.5},
+        AssertionFailed,
+        "time limit",
+    ),
+    "for-each-iteration-time": (
+        ["@FOR_EACH row IN t DO", "  DISTINCT t INTO x", "END_FOR"],
+        {"deadline": 1.5},
+        AssertionFailed,
+        "time limit",
+    ),
+    "for-each-body-time": (
+        ["FOR_EACH row IN t DO", "  @DISTINCT t INTO x", "END_FOR"],
+        {"deadline": 2.5},
+        AssertionFailed,
+        "time limit",
+    ),
+    "while-iteration-time": (
+        ["@WHILE TRUE DO", "  DISTINCT t INTO x", "END_WHILE"],
+        {"deadline": 1.5},
+        AssertionFailed,
+        "time limit",
+    ),
+    "while-cap": (
+        ["@WHILE TRUE DO", "  SORT t BY k ASC INTO x", "END_WHILE"],
+        {"while_cap": 2},
+        AssertionFailed,
+        "iteration cap of 2",
+    ),
+    "join-rows": (
+        ["SELECT t COLUMNS k INTO a", "@JOIN t WITH u ON k == rk INTO b"],
+        {"max_rows": 2},
+        AssertionFailed,
+        "row limit of 2",
+    ),
+    "union-rows": (
+        ["SELECT t COLUMNS k INTO a", "@UNION t WITH t INTO b"],
+        {"max_rows": 5},
+        AssertionFailed,
+        "row limit of 5",
+    ),
+    "cells": (
+        ["SELECT t COLUMNS k INTO a", "@UNION t WITH t INTO b"],
+        {"max_cells": 10},
+        AssertionFailed,
+        "cell limit of 10",
+    ),
+    "read": (['@READ "in.json" AS JSON TABLE[k: INT] INTO a'], {}, IoError, "sandboxed"),
+    "write": (['@WRITE t TO "out.json" AS JSON'], {}, IoError, "sandboxed"),
+    "fetch": (['@FETCH "http://host/in" TABLE[k: INT] INTO a'], {}, HttpError, "sandboxed"),
+    "post": (['@POST t TO "http://host/out"'], {}, HttpError, "sandboxed"),
+    "sum-int-overflow": (
+        ["SELECT t COLUMNS k INTO a", "@AGGREGATE n COMPUTE SUM(v) AS s INTO b"],
+        {},
+        ConversionError,
+        "INT overflow",
+    ),
+    "sum-decimal-overflow": (
+        ["SELECT t COLUMNS k INTO a", "@AGGREGATE n COMPUTE SUM(d) AS s INTO b"],
+        {},
+        ConversionError,
+        "DECIMAL overflow",
+    ),
+    "avg-decimal-overflow": (
+        ["SELECT t COLUMNS k INTO a", "@AGGREGATE n COMPUTE AVG(d) AS s INTO b"],
+        {},
+        ConversionError,
+        "DECIMAL overflow",
+    ),
+    # inside a control statement the nested statement is named
+    "in-if": (
+        ["IF TRUE THEN", "  @UNION t WITH t INTO x", "END_IF"],
+        {"max_rows": 5},
+        AssertionFailed,
+        "row limit",
+    ),
+    "in-for-each": (
+        ["FOR_EACH row IN t DO", "  @UNION t WITH t INTO x", "END_FOR"],
+        {"max_rows": 5},
+        AssertionFailed,
+        "row limit",
+    ),
+    "in-while": (
+        ["WHILE TRUE DO", "  @UNION t WITH t INTO x", "END_WHILE"],
+        {"max_rows": 5},
+        AssertionFailed,
+        "row limit",
+    ),
+    "in-try-handler": (
+        [
+            "TRY",
+            "  UNION t WITH t INTO x",
+            "ON_ERROR",
+            "  @UNION t WITH t INTO x",
+            "END_TRY",
+        ],
+        {"max_rows": 5},
+        AssertionFailed,
+        "row limit",
+    ),
+    "in-if-in-for-each": (
+        [
+            "FOR_EACH row IN t DO",
+            "  IF k > 1 THEN",
+            "    @WHILE TRUE DO",
+            "      SORT t BY k ASC INTO y",
+            "    END_WHILE",
+            "  END_IF",
+            "END_FOR",
+        ],
+        {"while_cap": 2},
+        AssertionFailed,
+        "iteration cap",
+    ),
+}
+
+
+class TestErrorLocations:
+    """Every ExecutionError that leaves ``run_pipeline`` names a source
+    location: the statement it stopped in, or the innermost one when
+    statements nest."""
+
+    @pytest.mark.parametrize("case", sorted(LOCATED_ERRORS))
+    def test_error_names_its_statement(self, monkeypatch, case):
+        lines, caps, kind, message = LOCATED_ERRORS[case]
+        decls = "".join(
+            f" INPUT {name}: TABLE["
+            + ", ".join(f"{f.name}: {f.type.value}" for f in table.schema.fields)
+            + "]\n"
+            for name, table in LOCATING_INPUTS.items()
+        )
+        body = "".join(f"  {line}\n" for line in lines)
+        source = f"PIPELINE p:\n{decls} STEP s:\n{body}  DISTINCT t INTO result\n OUTPUT result"
+        marked = source.index("@")
+        line = source.count("\n", 0, marked) + 1
+        column = marked - source.rfind("\n", 0, marked)
+        if "deadline" in caps:
+            monkeypatch.setattr(interpreter, "time", SteppingClock())
+        with pytest.raises(kind, match=message) as err:
+            run(source.replace("@", ""), LOCATING_INPUTS, **caps)
+        assert err.value.location is not None
+        assert (err.value.location.line, err.value.location.column) == (line, column)
 
 
 class TestBuiltinCalls:

@@ -3,6 +3,7 @@
 import hashlib
 import operator
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 
@@ -12,7 +13,7 @@ from anka.interpreter import run_pipeline
 from anka.location import SourceLocation
 from anka.parser import MAX_NESTING_DEPTH, parse
 from anka.validator import ValidationException, typecheck_expr, validate
-from anka.values import Schema, ValueType, schema_of
+from anka.values import Schema, ValueType, make_table, schema_of
 
 import fuzzing
 
@@ -560,6 +561,62 @@ class TestNestingBound:
             messages = [e.message for e in validate(pipeline).errors]
             assert "nesting too deep" not in messages, source
         assert parsed
+
+
+class TestApiOnlyTrees:
+    """Trees the parser cannot build but the AST API can: each is
+    reported, so that ``run_pipeline`` refuses it rather than failing
+    with a Python error or a table without a schema."""
+
+    @pytest.mark.parametrize(
+        "value, vtype",
+        [
+            (None, ValueType.INT),
+            ("x", ValueType.INT),
+            (True, ValueType.INT),
+            (2**63, ValueType.INT),
+            (1, ValueType.DECIMAL),
+            (Decimal("NaN"), ValueType.DECIMAL),
+        ],
+        ids=["null", "string", "bool", "out-of-range", "int-as-decimal", "nan"],
+    )
+    def test_literal_that_its_type_does_not_hold(self, value, vtype):
+        literal = ast.Literal(value=value, type=vtype, location=SourceLocation(2, 7))
+        pipeline = _with_first_statement(
+            parse(pipeline_with("MAP t WITH c => a + 1 INTO r")),
+            lambda stmt: replace(stmt, expr=replace(stmt.expr, right=literal)),
+        )
+        result = validate(pipeline)
+        assert [(e.kind, e.location) for e in result.errors] == [
+            (ValidationKind.TYPE_MISMATCH, literal.location)
+        ]
+        assert result.errors[0].message.endswith(f" is not of type {vtype.value}")
+        table = make_table(schema_of(("a", ValueType.INT), ("b", ValueType.STRING)), [])
+        with pytest.raises(ValidationException, match="is not of type"):
+            run_pipeline(pipeline, {"t": table})
+
+    @pytest.mark.parametrize(
+        "statement, empty, message",
+        [
+            ("SELECT t COLUMNS a INTO r", {"columns": ()}, "SELECT yields no column"),
+            (
+                "AGGREGATE t GROUP_BY a COMPUTE COUNT() AS n INTO r",
+                {"group_by": (), "computes": ()},
+                "AGGREGATE yields no column",
+            ),
+        ],
+        ids=["select", "aggregate"],
+    )
+    def test_statement_with_no_output_column(self, statement, empty, message):
+        source = f"PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n  {statement}\n OUTPUT r"
+        pipeline = _with_first_statement(parse(source), lambda stmt: replace(stmt, **empty))
+        result = validate(pipeline)
+        assert [(e.kind, e.message, e.location.line) for e in result.errors] == [
+            (ValidationKind.SCHEMA_MISMATCH, message, 4)
+        ]
+        table = make_table(schema_of(("a", ValueType.INT)), [(1,)])
+        with pytest.raises(ValidationException, match=message):
+            run_pipeline(pipeline, {"t": table})
 
 
 _TWO_INPUTS = "INPUT t: TABLE[a: INT, b: STRING]\n INPUT u: TABLE[k: INT, b: DATE]"
