@@ -179,7 +179,7 @@ def _parse_test(
             raise SuiteError(f"{context}: input '{name}' must be an array of objects")
         try:
             inputs[name] = json_rows_to_table(rows, input_schemas[name])
-        except (ConversionError, TableError) as exc:
+        except ConversionError as exc:
             raise SuiteError(f"{context}: input '{name}': {exc}") from None
 
     expected_spec = test.get("expected")
@@ -191,6 +191,6 @@ def _parse_test(
         raise SuiteError(f"{context}: expected 'rows' must be an array of objects")
     try:
         expected = json_rows_to_table(rows, schema)
-    except (ConversionError, TableError) as exc:
+    except ConversionError as exc:
         raise SuiteError(f"{context}: expected table: {exc}") from None
     return TestCase(inputs=inputs, expected=expected)

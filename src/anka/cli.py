@@ -211,8 +211,10 @@ def cmd_run(args) -> int:
             return EXIT_CONFIG
 
     io = IoAdapter(sandbox=args.sandbox)
+    fmt = _table_format(args.output) if args.output else "json"
     try:
-        table = run_pipeline(pipeline, inputs, io)
+        # an output cell the format cannot encode fails like the run
+        data = encode_table(run_pipeline(pipeline, inputs, io), fmt)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -222,12 +224,12 @@ def cmd_run(args) -> int:
 
     if args.output:
         try:
-            Path(args.output).write_bytes(encode_table(table, _table_format(args.output)))
+            Path(args.output).write_bytes(data)
         except OSError as exc:
             print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     else:
-        sys.stdout.write(encode_table(table, "json").decode("utf-8"))
+        sys.stdout.write(data.decode("utf-8"))
     return EXIT_OK
 
 

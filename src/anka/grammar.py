@@ -8,9 +8,9 @@ built from, with each ``field:kind`` word's kind resolved to its slot in
 ``SLOTS``. ``BINARY_OPERATORS`` and ``PREFIX_OPERATORS`` give each
 operator's precedence level and the node it builds. ``LITERAL_TOKENS``
 and ``LITERAL_KEYWORDS`` give each literal's spelling around its
-payload, the cell's text form in ``values.CELL_FORMATTERS``. The parser
-reads source by these tables and the formatter writes trees back by
-them, so the two cannot disagree.
+payload, the text form in its type's ``values.CELL_TYPES`` row. The
+parser reads source by these tables and the formatter writes trees back
+by them, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from anka import ast_nodes as ast
 from anka.errors import ConversionError, ParseError
 from anka.lexer import KIND_DECIMAL, KIND_INT, KIND_STRING, LITERAL_VALUES, token_kind
-from anka.values import CELL_FORMATTERS, Schema, ValueType, parse_date, parse_datetime, parse_int
+from anka.values import CELL_TYPES, Schema, ValueType, parse_date, parse_datetime, parse_int
 
 # -- operators -----------------------------------------------------------------
 
@@ -97,7 +97,7 @@ def _format_expr(expr: ast.Expr) -> tuple[int, str]:
 
 
 def format_literal(lit: ast.Literal) -> str:
-    return _LITERAL_WRITERS[lit.type](CELL_FORMATTERS[lit.type](lit.value))
+    return _LITERAL_WRITERS[lit.type](CELL_TYPES[lit.type].text(lit.value))
 
 
 def format_schema(schema: Schema) -> str:

@@ -45,15 +45,13 @@ from anka.location import SourceLocation
 from anka.validator import ValidationException, ValidationResult, validate
 from anka.values import (
     ARITHMETIC_KERNELS,
-    DIVISION_EXTRA_SCALE,
     NEGATION_KERNELS,
     OPERATION_NAMES,
     Cell,
     Schema,
     Table,
     ValueType,
-    decimal_divide,
-    decimal_scale,
+    decimal_quotient,
 )
 
 DEFAULT_WHILE_CAP = 100_000
@@ -370,10 +368,10 @@ class Interpreter:
     def __init__(
         self,
         io: IoAdapter,
-        while_cap: int = DEFAULT_WHILE_CAP,
-        deadline: Optional[float] = None,
-        max_rows: Optional[int] = None,
-        max_cells: Optional[int] = None,
+        while_cap: int,
+        deadline: Optional[float],
+        max_rows: Optional[int],
+        max_cells: Optional[int],
     ) -> None:
         self.io = io
         self.while_cap = while_cap
@@ -558,9 +556,7 @@ class Interpreter:
         try:
             if fn == "SUM":
                 return reduce(add, values)
-            total = reduce(add, values, Decimal(0))
-            scale = decimal_scale(total) + DIVISION_EXTRA_SCALE
-            return decimal_divide(total, len(values), scale)
+            return decimal_quotient(reduce(add, values, Decimal(0)), len(values))
         except decimal.Inexact:
             raise ConversionError("DECIMAL overflow in addition") from None
 

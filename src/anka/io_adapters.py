@@ -27,8 +27,7 @@ from typing import Iterable, Optional
 
 from anka.errors import ConversionError, HttpError, IoError
 from anka.values import (
-    CELL_FORMATTERS,
-    CSV_PARSERS,
+    CELL_TYPES,
     Cell,
     Schema,
     Table,
@@ -36,9 +35,6 @@ from anka.values import (
     check_decimal,
     check_int,
     parse_column,
-    parse_date,
-    parse_datetime,
-    parse_decimal,
 )
 
 DEFAULT_HTTP_TIMEOUT = 10.0
@@ -72,14 +68,24 @@ def table_to_json(table: Table) -> bytes:
         for field, column in zip(fields, zip(*table.rows))
     ]
     rows = map(template.format, *columns)
-    return ("[\n" + ",\n".join(rows) + "\n]\n").encode("utf-8")
+    return _utf8("[\n" + ",\n".join(rows) + "\n]\n")
+
+
+def _utf8(text: str) -> bytes:
+    """Encoded text. A STRING cell may hold a lone surrogate, which a
+    JSON escape such as ``\\ud800`` admits and UTF-8 cannot encode."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise ConversionError(f"cannot encode {bad!r} as UTF-8") from None
 
 
 def _json_column(vtype: ValueType, column: tuple) -> list[str]:
     """Each cell of a column as JSON text: INT and BOOL cells as their
     text form, every other type's text form as a JSON string, and null
     as ``null``."""
-    text = CELL_FORMATTERS[vtype]
+    text = CELL_TYPES[vtype].text
     if vtype is ValueType.STRING:
         encode = encode_basestring
     elif vtype is ValueType.INT or vtype is ValueType.BOOL:
@@ -177,12 +183,12 @@ def _json_to_cell(value, vtype: ValueType) -> Cell:
     raise ConversionError(f"expected {expected}, got {_json_type_name(value)}")
 
 
-# the column types a JSON string may hold, and how each reads it
+# the column types a JSON string may hold, all but INT and BOOL, and how
+# each reads it
 _JSON_TEXT_PARSERS = {
-    ValueType.STRING: str,
-    ValueType.DECIMAL: parse_decimal,
-    ValueType.DATE: parse_date,
-    ValueType.DATETIME: parse_datetime,
+    vtype: row.parse
+    for vtype, row in CELL_TYPES.items()
+    if vtype is not ValueType.INT and vtype is not ValueType.BOOL
 }
 
 
@@ -207,12 +213,12 @@ def table_to_csv(table: Table) -> bytes:
     writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(table.schema.names())
     writer.writerows(_formatted_rows(table))
-    return buf.getvalue().encode("utf-8")
+    return _utf8(buf.getvalue())
 
 
 # the column types whose text form is str(), which the CSV writer applies
 # itself; it writes null as an empty field
-_CSV_NATIVE = frozenset(t for t, text in CELL_FORMATTERS.items() if text is str)
+_CSV_NATIVE = frozenset(t for t, row in CELL_TYPES.items() if row.text is str)
 
 
 def _formatted_rows(table: Table) -> Iterable[tuple]:
@@ -220,7 +226,7 @@ def _formatted_rows(table: Table) -> Iterable[tuple]:
     ``_CSV_NATIVE`` replaced by its text form; nulls stay None. The
     formatter is picked once per column, and applied a column at a time."""
     formats = [
-        (i, CELL_FORMATTERS[field.type])
+        (i, CELL_TYPES[field.type].text)
         for i, field in enumerate(table.schema.fields)
         if field.type not in _CSV_NATIVE
     ]
@@ -297,8 +303,8 @@ def _first_bad_record(chunk: list, lines: list, schema: Schema) -> Optional[Conv
             )
         for field, raw in zip(schema.fields, record):
             try:
-                if raw and field.type is not ValueType.STRING:
-                    CSV_PARSERS[field.type](raw)
+                if raw:
+                    CELL_TYPES[field.type].parse(raw)
             except ConversionError as exc:
                 return ConversionError(f"line {line}, field '{field.name}': {exc.message}")
     return None

@@ -1,17 +1,12 @@
 """Typed scalar values, schemas, and immutable tables.
 
-Cells are plain Python objects tagged by their column's declared type:
-
-    INT       -> int (64-bit range enforced)
-    STRING    -> str
-    DECIMAL   -> decimal.Decimal (exact, non-negative scale, scale <= 10)
-    BOOL      -> bool
-    DATE      -> datetime.date
-    DATETIME  -> datetime.datetime (seconds precision, naive)
-    null      -> None (admitted in any column)
-
-``bool`` is an ``int`` subclass and ``datetime`` a ``date`` subclass in
-Python, so all type dispatch here checks the narrow type first.
+Each of the six cell types is declared once, in its ``CELL_TYPES`` row:
+the exact Python class of its cells, its one text form, the parser that
+reads that form back, and its CSV column fast path. A cell is typed by
+its exact class, so a ``bool`` is never an INT, a ``datetime`` never a
+DATE, and an instance of a subclass is no cell at all. Null is None,
+admitted in any column. INT cells are in the signed 64-bit range and
+DECIMAL cells are finite.
 
 This module is the one place that turns text into cells. Each parser
 admits one cell; ``parse_column`` admits a chunk of a column's CSV
@@ -30,7 +25,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from anka.errors import (
     ConversionError,
@@ -80,30 +75,16 @@ NUMERIC_TYPES = frozenset({ValueType.INT, ValueType.DECIMAL})
 
 
 def value_type_of(value: Cell) -> Optional[ValueType]:
-    """Classify a non-null cell; returns None for None or foreign objects."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return ValueType.BOOL
-    if isinstance(value, int):
-        return ValueType.INT
-    if isinstance(value, Decimal):
-        return ValueType.DECIMAL
-    if isinstance(value, str):
-        return ValueType.STRING
-    if isinstance(value, datetime.datetime):
-        return ValueType.DATETIME
-    if isinstance(value, datetime.date):
-        return ValueType.DATE
-    return None
+    """The type of a cell, by its exact class; None for null or any
+    other object."""
+    return _TYPE_BY_CLASS.get(type(value))
 
 
 def cell_matches(value: Cell, vtype: ValueType) -> bool:
     """True when ``value`` is null or a well-formed cell of ``vtype``."""
     if value is None:
         return True
-    actual = value_type_of(value)
-    if actual is not vtype:
+    if _TYPE_BY_CLASS.get(type(value)) is not vtype:
         return False
     if vtype is ValueType.INT:
         return INT64_MIN <= value <= INT64_MAX
@@ -566,25 +547,55 @@ def _column_shape(field: str) -> re.Pattern:
     return re.compile(f"(?:{field})?(?:\n(?:{field})?)*")
 
 
-# The per-cell parser of each non-STRING CSV column type.
-CSV_PARSERS: dict[ValueType, Callable[[str], Cell]] = {
-    ValueType.INT: parse_int,
-    ValueType.DECIMAL: parse_decimal,
-    ValueType.BOOL: parse_bool,
-    ValueType.DATE: parse_date,
-    ValueType.DATETIME: parse_datetime,
+class CellType(NamedTuple):
+    """One cell type's facts. ``text`` is its one text form: TO_STRING,
+    CSV, JSON, a literal's payload in formatted source and the AST dump
+    all write it, and ``parse`` reads it back, one cell, raising only
+    ConversionError. ``column`` is the shape of a chunk of CSV fields the
+    column fast path admits, and ``convert`` the C-level conversion of
+    each non-empty field, which gives the cell ``parse`` gives for the
+    same text; STRING has neither, as its CSV fields are its cells."""
+
+    cls: type  # the exact class of its cells
+    text: Callable[[Cell], str]
+    parse: Callable[[str], Cell]
+    column: Optional[re.Pattern]
+    convert: Optional[Callable[[str], Cell]]
+
+
+# str() of a date is its ISO form; both ISO forms pad the year to four digits
+CELL_TYPES: dict[ValueType, CellType] = {
+    ValueType.INT: CellType(int, str, parse_int, _column_shape(_INT_FIELD), int),
+    ValueType.STRING: CellType(str, str, str, None, None),
+    ValueType.DECIMAL: CellType(
+        Decimal,
+        lambda value: format(value, "f"),
+        parse_decimal,
+        _column_shape(_PLAIN_DECIMAL_FIELD),
+        Decimal,
+    ),
+    ValueType.BOOL: CellType(
+        bool,
+        lambda value: "true" if value else "false",
+        parse_bool,
+        _column_shape(_BOOL_FIELD),
+        "true".__eq__,
+    ),
+    ValueType.DATE: CellType(
+        datetime.date, str, parse_date, _column_shape(_DATE_FIELD), datetime.date.fromisoformat
+    ),
+    ValueType.DATETIME: CellType(
+        datetime.datetime,
+        lambda value: value.isoformat(timespec="seconds"),
+        parse_datetime,
+        _column_shape(_DATETIME_FIELD),
+        datetime.datetime.fromisoformat,
+    ),
 }
 
-# Per column type: the shape of a chunk the column fast path admits, and
-# the C-level conversion of each of its non-empty fields, which gives the
-# cell the type's per-cell parser gives for the same text.
-_COLUMN_FORMS: dict[ValueType, tuple[re.Pattern, Callable[[str], Cell]]] = {
-    ValueType.INT: (_column_shape(_INT_FIELD), int),
-    ValueType.DECIMAL: (_column_shape(_PLAIN_DECIMAL_FIELD), Decimal),
-    ValueType.BOOL: (_column_shape(_BOOL_FIELD), "true".__eq__),
-    ValueType.DATE: (_column_shape(_DATE_FIELD), datetime.date.fromisoformat),
-    ValueType.DATETIME: (_column_shape(_DATETIME_FIELD), datetime.datetime.fromisoformat),
-}
+# a cell's type and its text form by its exact class, each in one lookup
+_TYPE_BY_CLASS = {row.cls: vtype for vtype, row in CELL_TYPES.items()}
+_TEXT_BY_CLASS = {row.cls: row.text for row in CELL_TYPES.values()}
 
 
 def parse_column(vtype: ValueType, texts: Sequence[str]) -> list[Cell]:
@@ -594,7 +605,7 @@ def parse_column(vtype: ValueType, texts: Sequence[str]) -> list[Cell]:
     other chunk, or one that fails to convert (such as 2024-02-30), is
     read by the per-cell parser, whose ConversionError names the first
     bad field."""
-    shape, convert = _COLUMN_FORMS[vtype]
+    _, _, parse, shape, convert = CELL_TYPES[vtype]
     joined = "\n".join(texts)
     # a quoted field may hold a newline, which would read as two fields
     if joined.count("\n") == len(texts) - 1 and shape.fullmatch(joined):
@@ -604,40 +615,13 @@ def parse_column(vtype: ValueType, texts: Sequence[str]) -> list[Cell]:
             return list(map(convert, texts))
         except ValueError:
             pass
-    parse = CSV_PARSERS[vtype]
     return [parse(text) if text else None for text in texts]
-
-
-# The one text form of each type: TO_STRING, CSV, JSON, a literal's
-# payload in formatted source and the AST dump all write it, and the
-# parsers above read it back. Encoders pick one per column. str() of a
-# date is its ISO form; both ISO forms pad the year to four digits.
-CELL_FORMATTERS: dict[ValueType, Callable[[Cell], str]] = {
-    ValueType.INT: str,
-    ValueType.STRING: str,
-    ValueType.DECIMAL: lambda value: format(value, "f"),
-    ValueType.BOOL: lambda value: "true" if value else "false",
-    ValueType.DATE: str,
-    ValueType.DATETIME: lambda value: value.isoformat(timespec="seconds"),
-}
-
-
-# the formatter of each cell class, so that TO_STRING finds it in one lookup
-_FORMATTERS_BY_CLASS: dict[type, Callable[[Cell], str]] = {
-    int: CELL_FORMATTERS[ValueType.INT],
-    str: CELL_FORMATTERS[ValueType.STRING],
-    Decimal: CELL_FORMATTERS[ValueType.DECIMAL],
-    bool: CELL_FORMATTERS[ValueType.BOOL],
-    datetime.date: CELL_FORMATTERS[ValueType.DATE],
-    datetime.datetime: CELL_FORMATTERS[ValueType.DATETIME],
-}
 
 
 def format_cell(value: Cell) -> str:
     """Canonical text form of a cell, as used by TO_STRING."""
-    text = _FORMATTERS_BY_CLASS.get(type(value))
-    if text is not None:
-        return text(value)
-    if value is None:
-        raise ConversionError("cannot format null")
-    return CELL_FORMATTERS[value_type_of(value)](value)
+    text = _TEXT_BY_CLASS.get(type(value))
+    if text is None:
+        shown = "null" if value is None else type(value).__name__
+        raise ConversionError(f"cannot format {shown}")
+    return text(value)

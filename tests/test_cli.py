@@ -151,6 +151,24 @@ class TestRunCommand:
         assert main(["run", pipeline_file(DIVIDES), "--input", f"rows={rows_json}"]) == 3
         assert "DivisionByZero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output", [None, "out.json", "out.csv"])
+    def test_unencodable_output_exit_three(self, pipeline_file, tmp_path, capsys, output):
+        # a JSON escape admits a lone surrogate, which UTF-8 cannot encode
+        rows = tmp_path / "rows.json"
+        rows.write_text('[{"a": "\\ud800x"}]', encoding="utf-8")
+        source = (
+            "PIPELINE p:\n INPUT rows: TABLE[a: STRING]\n STEP s:\n"
+            "  FILTER rows WHERE a != \"\" INTO r\n OUTPUT r"
+        )
+        args = ["run", pipeline_file(source), "--input", f"rows={rows}"]
+        if output:
+            args += ["--output", str(tmp_path / output)]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ConversionError: cannot encode '\\ud800' as UTF-8\n"
+        assert not (tmp_path / (output or "out.json")).exists()
+
     def test_csv_input_binding(self, pipeline_file, tmp_path, capsys):
         rows_csv = tmp_path / "rows.csv"
         rows_csv.write_text("v\n3\n")

@@ -27,7 +27,7 @@ from anka.io_adapters import (
 )
 from anka.parser import parse
 from anka.values import (
-    CSV_PARSERS,
+    CELL_TYPES,
     ValueType as VT,
     make_table,
     schema_of,
@@ -231,7 +231,7 @@ class TestEarlyYears:
         )
         table = make_table(schema_of(("d", vtype)), [(cell,)])
         assert run_pipeline(parse(source), {"t": table}).rows == ((cell, text),)
-        assert CSV_PARSERS[vtype](text) == cell
+        assert CELL_TYPES[vtype].parse(text) == cell
 
 
 LONG_DIGITS = "9" * 5000
@@ -407,8 +407,9 @@ class TestCsv:
     def test_blank_lines_keep_the_column_path(self, monkeypatch):
         # a blank record is a null row or is skipped as it is read, so the
         # plain fields around it never reach the per-cell parsers
-        for vtype in CSV_PARSERS:
-            monkeypatch.setitem(CSV_PARSERS, vtype, _refused)
+        for vtype, row in CELL_TYPES.items():
+            if vtype is not VT.STRING:
+                monkeypatch.setitem(CELL_TYPES, vtype, row._replace(parse=_refused))
         schema = schema_of(("a", VT.INT), ("day", VT.DATE), ("s", VT.STRING))
         table = table_from_csv(b"a,day,s\n1,2024-01-02,x\n\n2,,y\n\n", schema)
         assert table.rows == ((1, datetime.date(2024, 1, 2), "x"), (2, None, "y"))
@@ -488,7 +489,7 @@ def _decoded_per_cell(data, schema):
                 return "error", f"line {line}: expected {len(schema)} fields, got {len(record)}"
             row = []
             for field, raw in zip(schema.fields, record):
-                parse = CSV_PARSERS.get(field.type)
+                parse = None if field.type is VT.STRING else CELL_TYPES[field.type].parse
                 try:
                     row.append(raw if parse is None else parse(raw) if raw else None)
                 except ConversionError as exc:
@@ -682,6 +683,34 @@ class TestConnectionFailures:
         with pytest.raises(HttpError) as err:
             adapter.fetch_table(url, schema_of(("a", VT.INT)))
         assert err.value.message == f"GET {url!r} failed: {reason}"
+
+
+class TestUnencodableStrings:
+    """A JSON escape admits a lone surrogate into a STRING cell, which
+    UTF-8 cannot encode: writing it is a ConversionError, which TRY can
+    catch, not a UnicodeEncodeError."""
+
+    SCHEMA = schema_of(("a", VT.STRING))
+
+    @pytest.mark.parametrize("encode", [table_to_json, table_to_csv])
+    def test_encoders_raise_conversion_error(self, encode):
+        table = table_from_json(b'[{"a": "\\ud800x"}]', self.SCHEMA)
+        assert table.rows == (("\ud800x",),)
+        with pytest.raises(ConversionError, match=r"^cannot encode '\\ud800' as UTF-8$"):
+            encode(table)
+
+    def test_try_around_a_write_runs_its_handler(self):
+        files = RecordingFileOps({"in.json": b'[{"a": "\\udc80"}]'})
+        source = (
+            "PIPELINE p:\n STEP s:\n"
+            '  READ "in.json" AS JSON TABLE[a: STRING] INTO t\n'
+            '  TRY WRITE t TO "out.csv" AS CSV MAP t WITH written => TRUE INTO r\n'
+            "  ON_ERROR MAP t WITH written => FALSE INTO r END_TRY\n"
+            " OUTPUT r"
+        )
+        adapter = IoAdapter(sandbox=False, file_ops=files)
+        assert run_pipeline(parse(source), {}, adapter).rows == (("\udc80", False),)
+        assert files.calls == [("read", "in.json")]
 
 
 class TestSandbox:

@@ -18,7 +18,7 @@ from anka.interpreter import run_pipeline
 from anka.io_adapters import table_from_csv, table_to_csv, table_to_json
 from anka.parser import parse
 from anka.values import (
-    CSV_PARSERS,
+    CELL_TYPES,
     INT64_MAX,
     INT64_MIN,
     Table,
@@ -426,7 +426,7 @@ def _per_cell(vtype, texts):
     """The outcome of reading ``texts`` field by field with their type's
     per-cell parser, empty as null: the cells, or the first bad field's
     error."""
-    parse = CSV_PARSERS[vtype]
+    parse = CELL_TYPES[vtype].parse
     return _outcome(lambda: [parse(text) if text else None for text in texts])
 
 
@@ -464,7 +464,7 @@ class TestColumnFastPath:
     @pytest.mark.parametrize("vtype", list(COLUMN_EDGES), ids=lambda t: t.value)
     def test_fast_path_admits_only_per_cell_cells(self, vtype, monkeypatch):
         expected = [(chunk, _per_cell(vtype, chunk)) for chunk in _column_chunks(vtype)]
-        monkeypatch.setitem(CSV_PARSERS, vtype, _declined)
+        monkeypatch.setitem(CELL_TYPES, vtype, CELL_TYPES[vtype]._replace(parse=_declined))
         admitted = 0
         for chunk, outcome in expected:
             try:
@@ -479,7 +479,7 @@ class TestColumnFastPath:
     def test_plain_chunks_take_the_fast_path(self, vtype, monkeypatch):
         chunk = [PLAIN_FIELDS[vtype], ""] * 600
         expected = _per_cell(vtype, chunk)
-        monkeypatch.setitem(CSV_PARSERS, vtype, _declined)
+        monkeypatch.setitem(CELL_TYPES, vtype, CELL_TYPES[vtype]._replace(parse=_declined))
         assert ("ok", repr(parse_column(vtype, chunk))) == expected
 
 

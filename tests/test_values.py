@@ -1,6 +1,7 @@
 """Core data model: tables, cell typing, ordering, decimal arithmetic."""
 
 import datetime
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, strategies as st
 from anka.errors import ConversionError, DivisionByZero, IncomparableError, TableError
 from anka.interpreter import run_pipeline
 from anka.parser import parse
+from anka.validator import ValidationKind, validate
 from anka.values import (
     ARITHMETIC_KERNELS,
+    CELL_TYPES,
     Field,
     Schema,
     ValueType,
@@ -25,6 +28,7 @@ from anka.values import (
     parse_int,
     table_equal,
     schema_of,
+    value_type_of,
 )
 
 INT_SCHEMA = schema_of(("a", ValueType.INT))
@@ -78,6 +82,34 @@ class TestSchema:
         assert ab != ba
 
 
+class TestCellTypes:
+    SAMPLES = {
+        ValueType.INT: -42,
+        ValueType.STRING: "a,\"b\"\n",
+        ValueType.DECIMAL: Decimal("-0.0050"),
+        ValueType.BOOL: False,
+        ValueType.DATE: datetime.date(9, 2, 3),
+        ValueType.DATETIME: datetime.datetime(2024, 1, 2, 3, 4, 5),
+    }
+
+    def test_one_row_per_type_reads_its_own_text_back(self):
+        assert list(CELL_TYPES) == list(ValueType)
+        for vtype, row in CELL_TYPES.items():
+            cell = self.SAMPLES[vtype]
+            assert type(cell) is row.cls
+            assert value_type_of(cell) is vtype
+            parsed = row.parse(row.text(cell))
+            assert type(parsed) is row.cls and repr(parsed) == repr(cell), vtype
+
+
+class _Text(str):
+    pass
+
+
+class _Moment(datetime.datetime):
+    pass
+
+
 class TestMakeTable:
     def test_empty_table(self):
         table = make_table(INT_SCHEMA, [])
@@ -107,6 +139,35 @@ class TestMakeTable:
         schema = schema_of(("d", ValueType.DATE))
         with pytest.raises(TableError):
             make_table(schema, [(datetime.datetime(2024, 1, 1, 0, 0, 0),)])
+
+    @pytest.mark.parametrize(
+        "vtype, source, cell",
+        [
+            (ValueType.STRING, '"x"', _Text("x")),
+            (
+                ValueType.DATETIME,
+                'DATETIME "2024-01-02T03:04:05"',
+                _Moment(2024, 1, 2, 3, 4, 5),
+            ),
+        ],
+        ids=["str", "datetime"],
+    )
+    def test_subclass_instance_is_no_cell(self, vtype, source, cell):
+        # cells are typed by their exact class
+        message = f"expected {vtype.value}, got {type(cell).__name__}$"
+        with pytest.raises(TableError, match=message):
+            make_table(schema_of(("a", vtype)), [(cell,)])
+        pipeline = parse(
+            f"PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n"
+            f"  MAP t WITH c => {source} INTO r\n OUTPUT r"
+        )
+        assert validate(pipeline).ok
+        step = pipeline.steps[0]
+        stmt = step.body[0]
+        stmt = replace(stmt, expr=replace(stmt.expr, value=cell))
+        result = validate(replace(pipeline, steps=(replace(step, body=(stmt,)),)))
+        assert [e.kind for e in result.errors] == [ValidationKind.TYPE_MISMATCH]
+        assert result.errors[0].message.endswith(f"is not of type {vtype.value}")
 
     def test_null_allowed_in_any_column(self):
         schema = schema_of(("a", ValueType.INT), ("s", ValueType.STRING))
