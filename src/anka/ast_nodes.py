@@ -234,6 +234,4 @@ def ast_to_dict(node: object) -> object:
         return [{"name": f.name, "type": f.type.value} for f in node.fields]
     if isinstance(node, tuple):
         return [ast_to_dict(item) for item in node]
-    if isinstance(node, ValueType):
-        return node.value
     return node

@@ -229,7 +229,9 @@ def cmd_run(args) -> int:
             print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        # the same UTF-8 bytes as an --output file, whatever the locale
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     return EXIT_OK
 
 

@@ -43,18 +43,9 @@ _MINMAX_TYPES = NUMERIC_TYPES | {ValueType.STRING, ValueType.DATE, ValueType.DAT
 
 _MEMO = "_validation"
 
-PROVENANCE_INPUT = "INPUT"
-PROVENANCE_INTO = "INTO"
-
-
-@dataclass(frozen=True)
-class Binding:
-    """A dataset visible in the environment; schema is None when
-    inference failed and the binding is poisoned."""
-
-    schema: Optional[Schema]
-    provenance: str
-    location: SourceLocation
+# A scope: each visible dataset name with its schema, None when
+# inference failed and the name is poisoned.
+Env = dict[str, Optional[Schema]]
 
 
 @dataclass(eq=False)
@@ -63,6 +54,8 @@ class ValidationResult:
     the schemas and types each statement resolved, which the interpreter
     runs on.
 
+    ``environment`` maps each name visible after the last statement to
+    its schema, with None for a poisoned one, in the order they were bound.
     ``sources`` maps a statement that reads datasets to their schemas, in
     the order it names them; ``outputs`` maps a data statement to the
     schema it binds; ``types`` maps each arithmetic node (``BinaryOp`` and
@@ -76,7 +69,7 @@ class ValidationResult:
     and in its handler can.
     """
 
-    environment: dict[str, Binding]
+    environment: Env
     errors: list[ValidationError]
     output_schema: Optional[Schema]
     sources: dict[int, list[Optional[Schema]]]
@@ -110,7 +103,7 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
     if memo is not None:
         return memo
     checker = _Checker()
-    env: dict[str, Binding] = {}
+    env: Env = {}
     for decl in pipeline.inputs:
         if decl.name in env:
             checker.error(
@@ -119,7 +112,7 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
                 decl.location,
             )
             continue
-        env[decl.name] = Binding(decl.schema, PROVENANCE_INPUT, decl.location)
+        env[decl.name] = decl.schema
 
     for step in pipeline.steps:
         for stmt in step.body:
@@ -134,7 +127,7 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
             pipeline.output_location,
         )
     else:
-        output_schema = env[pipeline.output].schema
+        output_schema = env[pipeline.output]
 
     last = checker.last
     last.pop(pipeline.output, None)
@@ -200,9 +193,9 @@ class _Checker:
     def check_block(
         self,
         body: tuple[ast.Statement, ...],
-        env: dict[str, Binding],
+        env: Env,
         row_schema: Optional[Schema],
-    ) -> dict[str, Binding]:
+    ) -> Env:
         """Check ``body`` in order. Its bindings are written into ``env``,
         which the caller hands over: a branch or loop body gets a copy."""
         self.level += 1
@@ -214,9 +207,9 @@ class _Checker:
     def check_statement(
         self,
         stmt: ast.Statement,
-        env: dict[str, Binding],
+        env: Env,
         row_schema: Optional[Schema],
-    ) -> dict[str, Binding]:
+    ) -> Env:
         control = _CONTROL.get(type(stmt))
         if self.level >= MAX_NESTING_DEPTH:
             self._too_deep(stmt.location)
@@ -239,20 +232,16 @@ class _Checker:
                 stmt.location,
             )
             return env
-        env[target] = Binding(schema, PROVENANCE_INTO, stmt.location)
+        env[target] = schema
         return env
 
-    def _check_if(
-        self, stmt: ast.If, env: dict[str, Binding], row_schema: Optional[Schema]
-    ) -> dict[str, Binding]:
+    def _check_if(self, stmt: ast.If, env: Env, row_schema: Optional[Schema]) -> Env:
         self._check_condition(stmt.condition, row_schema, "IF")
         then_env = self.check_block(stmt.then_body, dict(env), row_schema)
         else_env = self.check_block(stmt.else_body, dict(env), row_schema)
         return self._merge_branches(stmt, env, then_env, else_env, "the IF branches")
 
-    def _check_try(
-        self, stmt: ast.Try, env: dict[str, Binding], row_schema: Optional[Schema]
-    ) -> dict[str, Binding]:
+    def _check_try(self, stmt: ast.Try, env: Env, row_schema: Optional[Schema]) -> Env:
         body_env = self.check_block(stmt.body, dict(env), row_schema)
         handler_env = self.check_block(stmt.handler, dict(env), row_schema)
         return self._merge_branches(stmt, env, body_env, handler_env, "TRY and ON_ERROR")
@@ -260,42 +249,34 @@ class _Checker:
     def _merge_branches(
         self,
         stmt: ast.Statement,
-        env: dict[str, Binding],
-        first: dict[str, Binding],
-        second: dict[str, Binding],
+        env: Env,
+        first: Env,
+        second: Env,
         where: str,
-    ) -> dict[str, Binding]:
+    ) -> Env:
         """Bindings after one of two branches ran: a name both bind is
         bound after them, with no schema where the two disagree."""
         merged = dict(env)
-        for name, binding in first.items():
+        for name, schema in first.items():
             if name in env or name not in second:
                 continue
             other = second[name]
-            if binding.schema != other.schema and None not in (
-                binding.schema,
-                other.schema,
-            ):
+            if schema != other and schema is not None and other is not None:
                 self.error(
                     ValidationKind.SCHEMA_MISMATCH,
                     f"'{name}' is bound with different schemas in {where}",
                     stmt.location,
                 )
-                merged[name] = Binding(None, PROVENANCE_INTO, binding.location)
-            else:
-                merged[name] = binding
+                schema = None
+            merged[name] = schema
         return merged
 
-    def _check_for_each(
-        self, stmt: ast.ForEach, env: dict[str, Binding], row_schema: Optional[Schema]
-    ) -> dict[str, Binding]:
+    def _check_for_each(self, stmt: ast.ForEach, env: Env, row_schema: Optional[Schema]) -> Env:
         source_schema = self._resolve(stmt, stmt.source, env)
         self.check_block(stmt.body, dict(env), source_schema)
         return env
 
-    def _check_while(
-        self, stmt: ast.While, env: dict[str, Binding], row_schema: Optional[Schema]
-    ) -> dict[str, Binding]:
+    def _check_while(self, stmt: ast.While, env: Env, row_schema: Optional[Schema]) -> Env:
         self._check_condition(stmt.condition, row_schema, "WHILE")
         self.check_block(stmt.body, dict(env), row_schema)
         return env
@@ -311,14 +292,12 @@ class _Checker:
                 condition.location,
             )
 
-    def _resolve(
-        self, stmt: ast.Statement, name: str, env: dict[str, Binding]
-    ) -> Optional[Schema]:
+    def _resolve(self, stmt: ast.Statement, name: str, env: Env) -> Optional[Schema]:
         """Schema of a dataset ``stmt`` reads, recorded as its next source."""
         self.last[name] = self.top
         schema = None
         if name in env:
-            schema = env[name].schema
+            schema = env[name]
         else:
             self.error(
                 ValidationKind.UNKNOWN_DATASET,
@@ -330,7 +309,7 @@ class _Checker:
 
     # -- per-statement schema inference --------------------------------------
 
-    def infer(self, stmt: ast.Statement, env: dict[str, Binding]) -> Optional[Schema]:
+    def infer(self, stmt: ast.Statement, env: Env) -> Optional[Schema]:
         """Schema a data, WRITE or POST statement yields, by its rule in
         ``_RULES`` applied to the schemas of the datasets it reads; None
         when any is unknown."""

@@ -400,11 +400,9 @@ OPERATION_NAMES = {
 
 
 def decimal_scale(value: Decimal) -> int:
-    """Number of fractional digits (0 for integral-form decimals)."""
-    exponent = value.as_tuple().exponent
-    if not isinstance(exponent, int):  # NaN/Inf carry string exponents
-        raise ConversionError("non-finite DECIMAL value")
-    return max(0, -exponent)
+    """Number of fractional digits (0 for integral-form decimals) of a
+    finite DECIMAL."""
+    return max(0, -value.as_tuple().exponent)
 
 
 def _check_int64(value: int, op: str) -> int:

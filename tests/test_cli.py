@@ -1,11 +1,18 @@
 """End-to-end CLI behavior: every documented exit code path."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import anka
 from anka.bench import fixture_dir
 from anka.cli import main
+from anka.io_adapters import table_from_json, table_to_json
+from anka.values import ValueType, schema_of
 
 VALID = """\
 PIPELINE double_up:
@@ -84,6 +91,11 @@ class TestParseCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["line"] == 4 and "INTO" in doc[0]["expected"]
 
+    def test_json_diagnostics_of_a_valid_file(self, pipeline_file, capsys):
+        assert main(["parse", "--json-diagnostics", pipeline_file(VALID)]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
+
 
 class TestCheckCommand:
     def test_valid_prints_output_schema(self, pipeline_file, capsys):
@@ -94,6 +106,10 @@ class TestCheckCommand:
     def test_validation_error_exit_one(self, pipeline_file, capsys):
         assert main(["check", pipeline_file(BAD_TYPES)]) == 1
         assert "UnknownColumn" in capsys.readouterr().err
+
+    def test_syntax_error_exit_one(self, pipeline_file, capsys):
+        assert main(["check", pipeline_file(SYNTAX_ERROR)]) == 1
+        assert "4:2" in capsys.readouterr().err
 
     def test_json_diagnostics_list(self, pipeline_file, capsys):
         assert main(["check", "--json-diagnostics", pipeline_file(BAD_TYPES)]) == 1
@@ -168,6 +184,24 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err == "error: ConversionError: cannot encode '\\ud800' as UTF-8\n"
         assert not (tmp_path / (output or "out.json")).exists()
+
+    def test_non_ascii_stdout_under_ascii_locale(self, pipeline_file, tmp_path):
+        rows = tmp_path / "rows.json"
+        rows.write_bytes('[{"a": "éx"}]'.encode("utf-8"))
+        source = (
+            "PIPELINE p:\n INPUT t: TABLE[a: STRING]\n STEP s:\n"
+            "  DISTINCT t INTO u\n OUTPUT u"
+        )
+        env = dict(os.environ, PYTHONIOENCODING="ascii",
+                   PYTHONPATH=str(Path(anka.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "anka.cli", "run", pipeline_file(source),
+             "--input", f"t={rows}"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        expected = table_from_json(rows.read_bytes(), schema_of(("a", ValueType.STRING)))
+        assert done.stdout == table_to_json(expected)
 
     def test_csv_input_binding(self, pipeline_file, tmp_path, capsys):
         rows_csv = tmp_path / "rows.csv"

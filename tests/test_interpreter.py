@@ -102,6 +102,12 @@ class TestReferencePipeline:
         with pytest.raises(InputError, match="missing input"):
             run(REFERENCE_PIPELINE, {})
 
+    def test_undeclared_input_rejected(self):
+        extra = make_table(schema_of(("a", VT.INT)), [])
+        with pytest.raises(InputError) as err:
+            run(REFERENCE_PIPELINE, {"orders": ORDERS, "x": extra})
+        assert str(err.value) == "unexpected input table 'x'"
+
     def test_mismatched_input_schema_rejected(self):
         bad = make_table(schema_of(("order_id", VT.INT)), [(1,)])
         with pytest.raises(InputError, match="schema"):

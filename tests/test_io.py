@@ -120,6 +120,18 @@ class TestJson:
         with pytest.raises(ConversionError, match="array"):
             table_from_json(b"{}", schema_of(("a", VT.INT)))
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, constant):
+        data = f'[{{"a": {constant}}}]'.encode()
+        with pytest.raises(ConversionError) as err:
+            table_from_json(data, schema_of(("a", VT.INT)))
+        assert err.value.message == f"non-finite number '{constant}' in JSON input"
+
+    def test_array_item_that_is_not_an_object(self):
+        with pytest.raises(ConversionError) as err:
+            table_from_json(b'[{"a": 1}, 5]', schema_of(("a", VT.INT)))
+        assert err.value.message == "row 1: expected a JSON object"
+
     def test_text_equals_indented_dumps(self):
         schema = schema_of(
             ("s", VT.STRING), ("i", VT.INT), ("d", VT.DECIMAL),
@@ -313,6 +325,16 @@ class TestCsv:
     def test_leading_byte_order_mark_is_skipped(self):
         table = table_from_csv(b"\xef\xbb\xbfa\n1\n", schema_of(("a", VT.INT)))
         assert table.rows == ((1,),)
+
+    def test_bytes_that_are_not_utf8(self):
+        with pytest.raises(ConversionError, match="^CSV input is not valid UTF-8: "):
+            table_from_csv(b"a\n\xff\n", schema_of(("a", VT.STRING)))
+
+    @pytest.mark.parametrize("data", [b"", b"\xef\xbb\xbf"], ids=["empty", "bom-only"])
+    def test_empty_input_has_no_header(self, data):
+        with pytest.raises(ConversionError) as err:
+            table_from_csv(data, schema_of(("a", VT.INT)))
+        assert err.value.message == "CSV input is empty, expected a header row"
 
     def test_header_mismatch(self):
         with pytest.raises(ConversionError, match="header mismatch"):
@@ -643,6 +665,29 @@ class TestConnectionFailures:
         with pytest.raises(HttpError) as err:
             adapter.post_table("http://example.test/sink", make_table(schema, []))
         assert err.value.message == f"POST 'http://example.test/sink' failed: {reason}"
+
+    def test_post_error_status_keeps_its_status(self):
+        adapter = IoAdapter(sandbox=False, http_ops=RecordingHttpOps(status=404))
+        empty = make_table(schema_of(("a", VT.INT)), [])
+        with pytest.raises(HttpError) as err:
+            adapter.post_table("http://example.test/sink", empty)
+        assert err.value.status == 404
+
+    @pytest.mark.parametrize(
+        "error, reason",
+        [(urllib.error.URLError("no route to host"), "failed: no route to host"),
+         (TimeoutError("timed out"), "timed out"),
+         (ConnectionResetError(104, "Connection reset by peer"),
+          "failed: [Errno 104] Connection reset by peer")],
+        ids=["URLError", "TimeoutError", "ConnectionResetError"],
+    )
+    def test_failed_post_has_no_status(self, error, reason):
+        adapter = IoAdapter(sandbox=False, http_ops=FailingHttpOps(error))
+        empty = make_table(schema_of(("a", VT.INT)), [])
+        with pytest.raises(HttpError) as err:
+            adapter.post_table("http://example.test/sink", empty)
+        assert err.value.message == f"POST 'http://example.test/sink' {reason}"
+        assert err.value.status is None
 
     def test_body_of_an_error_status_is_not_read(self):
         class BrokenBody(io.BytesIO):

@@ -51,7 +51,7 @@ class TestReferenceInference:
     def test_intermediate_schemas(self):
         result = check(REFERENCE_PIPELINE)
         env = result.environment
-        assert env["with_tax"].schema == schema_of(
+        assert env["with_tax"] == schema_of(
             ("order_id", ValueType.INT),
             ("customer", ValueType.STRING),
             ("amount", ValueType.DECIMAL),
@@ -66,8 +66,6 @@ class TestReferenceInference:
 
     def test_environment_provenance(self):
         env = check(REFERENCE_PIPELINE).environment
-        assert env["orders"].provenance == "INPUT"
-        assert env["summary"].provenance == "INTO"
         assert tuple(env) == ("orders", "large_orders", "with_tax", "summary")
 
     def test_result_is_kept_on_the_pipeline(self):
