@@ -6,10 +6,12 @@ sandbox flag. Sandboxed adapters (the default) deny every operation
 deterministically before touching any handle, which makes benchmark
 runs hermetic.
 
-The CSV decoder admits cells a column chunk at a time, through
-``values.parse_column``, which reads a chunk outside its fast path cell
-by cell, so each cell is admitted by the same per-cell rules; only a
-chunk that fails is walked record by record, to name its bad line.
+The CSV decoder reads a chunk of records in one call and admits it a
+column at a time, through ``values.parse_column``, which reads a chunk
+outside its fast path cell by cell, so each cell is admitted by the
+same per-cell rules; only a file that fails is read again, record by
+record, to name its first bad line. The CSV encoder turns each column
+into text once and quotes only a STRING column that needs it.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import decimal
 import http.client
 import io
 import json
+import re
 import urllib.error
 import urllib.request
 from decimal import Decimal
+from itertools import islice
 from json.encoder import encode_basestring
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from anka.errors import ConversionError, HttpError, IoError
 from anka.values import (
@@ -209,114 +213,116 @@ def _json_type_name(value) -> str:
 
 
 def table_to_csv(table: Table) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(table.schema.names())
-    writer.writerows(_formatted_rows(table))
-    return _utf8(buf.getvalue())
-
-
-# the column types whose text form is str(), which the CSV writer applies
-# itself; it writes null as an empty field
-_CSV_NATIVE = frozenset(t for t, row in CELL_TYPES.items() if row.text is str)
-
-
-def _formatted_rows(table: Table) -> Iterable[tuple]:
-    """The table's rows, each cell of a column whose type is not in
-    ``_CSV_NATIVE`` replaced by its text form; nulls stay None. The
-    formatter is picked once per column, and applied a column at a time."""
-    formats = [
-        (i, CELL_TYPES[field.type].text)
-        for i, field in enumerate(table.schema.fields)
-        if field.type not in _CSV_NATIVE
+    """Encode with a header row of the schema names, fields joined by
+    ``,`` and each line ended by CRLF, byte for byte as ``csv.writer``
+    writes under ``QUOTE_MINIMAL``: a field holding ``,``, ``"``, CR or LF
+    is quoted, its quotes doubled, null is an empty field, and in a
+    one-column table an empty field is written ``""``. Each column
+    becomes text once."""
+    fields = table.schema.fields
+    columns = [
+        _csv_column(field.type, column)
+        for field, column in zip(fields, zip(*table.rows))
     ]
-    if not formats or not table.rows:
-        return table.rows
-    columns = list(zip(*table.rows))
-    for i, text in formats:
-        columns[i] = [None if cell is None else text(cell) for cell in columns[i]]
-    return zip(*columns)
+    lines = [",".join(_csv_column(ValueType.STRING, table.schema.names()))]
+    lines += map(",".join, zip(*columns))
+    if len(fields) == 1:
+        lines = [line or '""' for line in lines]
+    return _utf8("\r\n".join(lines) + "\r\n")
+
+
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_column(vtype: ValueType, column: Sequence) -> Sequence[str]:
+    """Each cell of a column as a CSV field, null as an empty one. Only
+    STRING text can need quotes, and a STRING column is quoted cell by
+    cell only when its joined text holds a character that needs them."""
+    if vtype is not ValueType.STRING:
+        text = CELL_TYPES[vtype].text
+        if None in column:
+            return ["" if cell is None else text(cell) for cell in column]
+        return list(map(text, column))
+    if None in column:
+        column = ["" if cell is None else cell for cell in column]
+    if _CSV_QUOTED.search("".join(column)):
+        return [
+            '"' + cell.replace('"', '""') + '"' if _CSV_QUOTED.search(cell) else cell
+            for cell in column
+        ]
+    return column
 
 
 def table_from_csv(data: bytes, schema: Schema) -> Table:
     """Decode CSV with a header row matching the schema names in order.
     An empty field reads as null for non-STRING columns and as the empty
-    string for STRING columns. The text is read once; each chunk of
-    records is admitted a column at a time by ``values.parse_column``, and
-    only a failing one is walked record by record to name its bad line."""
+    string for STRING columns. A blank line is a row of one empty field
+    in a one-column table and is skipped in any other. Each chunk of
+    records is read in one call and admitted a column at a time by
+    ``values.parse_column``; a file that fails is read again from its
+    start, to name its first bad line."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConversionError(f"CSV input is not valid UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    records = _records(reader)
-    header = next(records, None)
-    if header is None:
-        raise ConversionError("CSV input is empty, expected a header row")
-    expected = list(schema.names())
-    if header != expected:
-        raise ConversionError(
-            f"line 1: header mismatch: expected {expected}, got {header}"
-        )
-    # in a one-column table a blank line is a record of one empty field
-    # (as "" is); in any other it is skipped
-    blank = [""] if len(schema) == 1 else None
-    rows: list = []
-    while True:
-        chunk, lines = [], []
-        try:
-            for record in records:
-                if record or blank:
-                    chunk.append(record or blank)
-                    lines.append(reader.line_num)
-                    if len(chunk) == _CSV_CHUNK_ROWS:
-                        break
-        except ConversionError as exc:
-            # the reader failed; a bad record read before it comes first
-            raise _first_bad_record(chunk, lines, schema) or exc from None
-        if not chunk:
-            return Table.trusted(schema, rows)
-        if set(map(len, chunk)) != {len(schema)}:
-            raise _first_bad_record(chunk, lines, schema)
-        try:
-            rows.extend(zip(*[
-                column if field.type is ValueType.STRING
-                else parse_column(field.type, column)
-                for field, column in zip(schema.fields, zip(*chunk))
-            ]))
-        except ConversionError:
-            raise _first_bad_record(chunk, lines, schema) from None
+    width, rows = len(schema), []
+    try:
+        if next(reader, None) == list(schema.names()):
+            while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
+                if not all(chunk):  # a blank line reads as an empty record
+                    chunk = [r or [""] for r in chunk] if width == 1 else [r for r in chunk if r]
+                if not {width}.issuperset(map(len, chunk)):
+                    break  # a wrong field count: the walk below names it
+                rows.extend(zip(*[
+                    column if field.type is ValueType.STRING
+                    else parse_column(field.type, column)
+                    for field, column in zip(schema.fields, zip(*chunk))
+                ]))
+            else:
+                return Table.trusted(schema, rows)
+    except (csv.Error, ConversionError):
+        pass
+    raise _first_bad_record(text, schema)
 
 
 _CSV_CHUNK_ROWS = 1024
 
 
-def _first_bad_record(chunk: list, lines: list, schema: Schema) -> Optional[ConversionError]:
-    """The error of the first record in ``chunk`` with the wrong number of
-    fields or a cell its column's per-cell parser rejects, naming the line
-    it ends on; None if there is none. A chunk that ``parse_column``
-    rejects has one, as it raises only what the per-cell parsers raise."""
-    for record, line in zip(chunk, lines):
-        if len(record) != len(schema):
-            return ConversionError(
-                f"line {line}: expected {len(schema)} fields, got {len(record)}"
-            )
-        for field, raw in zip(schema.fields, record):
-            try:
-                if raw:
-                    CELL_TYPES[field.type].parse(raw)
-            except ConversionError as exc:
-                return ConversionError(f"line {line}, field '{field.name}': {exc.message}")
-    return None
-
-
-def _records(reader):
-    """The reader's records. A malformed one, such as a field past the
-    csv module's size limit, raises ConversionError naming its line."""
+def _first_bad_record(text: str, schema: Schema) -> ConversionError:
+    """The error of the first bad record of a CSV text that failed to
+    decode, in file order: no header, a wrong header, a record the reader
+    rejects (such as a field past the csv module's size limit), one with
+    the wrong number of fields, or one with a cell its column's per-cell
+    parser rejects, named by the line the record ends on. A text that
+    ``parse_column`` rejects has one, as it raises only what the per-cell
+    parsers raise."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    expected = list(schema.names())
     try:
-        yield from reader
+        header = next(reader, None)
+        if header is None:
+            return ConversionError("CSV input is empty, expected a header row")
+        if header != expected:
+            return ConversionError(
+                f"line 1: header mismatch: expected {expected}, got {header}"
+            )
+        for record in reader:
+            # a blank record is never bad: a null row or a skipped line
+            if record and len(record) != len(schema):
+                return ConversionError(
+                    f"line {reader.line_num}: expected {len(schema)} fields, got {len(record)}"
+                )
+            for field, raw in zip(schema.fields, record):
+                try:
+                    if raw:
+                        CELL_TYPES[field.type].parse(raw)
+                except ConversionError as exc:
+                    return ConversionError(
+                        f"line {reader.line_num}, field '{field.name}': {exc.message}"
+                    )
     except csv.Error as exc:
-        raise ConversionError(f"line {reader.line_num}: {exc}") from None
+        return ConversionError(f"line {reader.line_num}: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -318,9 +318,11 @@ _DECIMAL_TEXT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,9}
 # paths. An INT of at most 18 digits is in range whatever its sign
 # (parse_int's own fast path takes the unsigned ones). Plain decimal text
 # is what check_decimal admits unchanged: at most 37 digits, at most 10
-# of them after the point, no exponent.
-_INT_FIELD = "-?[0-9]{1,18}"
-_PLAIN_DECIMAL_FIELD = r"-?[0-9]{1,27}(?:\.[0-9]{1,10})?"
+# of them after the point, no exponent. The quantifiers are possessive
+# (``?+``, ``{m,n}+``): giving a digit back can never let a match go on,
+# so they admit the same text without the backtracking.
+_INT_FIELD = "-?+[0-9]{1,18}+"
+_PLAIN_DECIMAL_FIELD = r"-?+[0-9]{1,27}+(?:\.[0-9]{1,10}+)?+"
 _DATE_FIELD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _DATETIME_FIELD = _DATE_FIELD + "T[0-9]{2}:[0-9]{2}:[0-9]{2}"
 _BOOL_FIELD = "true|false"
@@ -541,8 +543,10 @@ def parse_bool(text: str) -> bool:
 
 
 def _column_shape(field: str) -> re.Pattern:
-    """Newline-separated fields, each empty or of the shape ``field``."""
-    return re.compile(f"(?:{field})?(?:\n(?:{field})?)*")
+    """Newline-separated fields, each empty or of the shape ``field``.
+    No field shape matches the newline, so possessive quantifiers admit
+    the same text as greedy ones, and a failing chunk is not retried."""
+    return re.compile(f"(?:{field})?+(?:\n(?:{field})?+)*+")
 
 
 class CellType(NamedTuple):

@@ -337,8 +337,12 @@ class TestCsv:
         assert err.value.message == "CSV input is empty, expected a header row"
 
     def test_header_mismatch(self):
-        with pytest.raises(ConversionError, match="header mismatch"):
+        with pytest.raises(ConversionError) as err:
             table_from_csv(b"b\n1\n", schema_of(("a", VT.INT)))
+        assert err.value.message == "line 1: header mismatch: expected ['a'], got ['b']"
+        with pytest.raises(ConversionError) as err:
+            table_from_csv(b"a\n1\n", schema_of(("a", VT.INT), ("b", VT.INT)))
+        assert err.value.message == "line 1: header mismatch: expected ['a', 'b'], got ['a']"
 
     def test_field_count_mismatch_carries_line(self):
         with pytest.raises(ConversionError, match="line 3"):
@@ -447,6 +451,23 @@ class TestCsv:
         with pytest.raises(ConversionError) as err:
             table_from_csv(f"a,s\n1,x\n2,{big}\nbad,y\n".encode(), schema)
         assert err.value.message.startswith("line 3: field larger than field limit")
+
+    def test_a_chunk_of_blank_lines_only_is_skipped(self):
+        # 1,100 blank lines in a row leave a chunk with no record at all
+        schema = schema_of(("a", VT.INT), ("s", VT.STRING))
+        data = b"a,s\r\n1,x\r\n" + b"\r\n" * 1100 + b"2,y\r\n" + b"\n" * 2048
+        assert table_from_csv(data, schema).rows == ((1, "x"), (2, "y"))
+        assert table_from_csv(b"a,s\r\n" + b"\r\n" * 1024, schema).rows == ()
+
+    def test_a_bad_cell_before_an_oversized_field_in_a_later_chunk_is_named(self):
+        schema = schema_of(("a", VT.INT), ("s", VT.STRING))
+        lines = [f"{i},x" for i in range(2500)]
+        lines[1500] = "oops,x"  # in the second chunk, line 1,502
+        lines[2200] = "1," + "x" * 140_000  # in the third
+        data = "\r\n".join(["a,s", *lines, ""]).encode()
+        with pytest.raises(ConversionError) as err:
+            table_from_csv(data, schema)
+        assert err.value.message == "line 1502, field 'a': cannot parse 'oops' as INT"
 
     def test_random_roundtrips_without_null_strings(self):
         rng = random.Random(778)

@@ -519,6 +519,34 @@ class TestColumnCodecs:
             assert table_to_csv(table) == _csv_per_cell(table)
             assert table_to_json(table) == _json_per_cell(table)
 
+    def test_csv_quoting_matches_the_csv_module(self):
+        rng = random.Random("quoting")
+        pieces = [",", '"', "\r", "\n", "\0", "\t", " ", '""', "a"]
+
+        def cell(vtype):
+            if rng.random() < 0.15:
+                return None
+            if vtype is VT.INT:
+                return rng.randint(-99, 99)
+            return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 3)))
+
+        tables = [
+            Table(schema_of(("s", VT.STRING)), [("",), (None,), ("x",), ("",)]),
+            Table(schema_of(("a", VT.INT)), [(None,), (1,), (None,)]),
+        ]
+        for _ in range(2000):
+            types = [rng.choice([VT.STRING, VT.INT]) for _ in range(rng.randint(1, 3))]
+            schema = schema_of(*[(f"c{i}", t) for i, t in enumerate(types)])
+            rows = [tuple(map(cell, types)) for _ in range(rng.randint(0, 6))]
+            tables.append(Table(schema, rows))
+        for table in tables:
+            assert table_to_csv(table) == _csv_per_cell(table), table.rows
+
+    def test_csv_encoder_rejects_a_lone_surrogate(self):
+        table = Table(schema_of(("s", VT.STRING), ("a", VT.INT)), [("ok\ud800", 1)])
+        with pytest.raises(ConversionError, match="cannot encode"):
+            table_to_csv(table)
+
     def test_csv_decoder_reports_the_first_failing_cell_in_row_order(self):
         schema = schema_of(("a", VT.INT), ("b", VT.DECIMAL))
         data = b"a,b\r\n1,1.5\r\n2,x\r\ny,2.5\r\n"
