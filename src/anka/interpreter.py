@@ -613,10 +613,11 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 # each time a plan is compiled, in ``make``, and ``call_builtin`` is read
 # from this module's globals at that point: a profiler or a test that
 # replaces it there before the compile sees each call that reaches a
-# kernel, as no call is folded then. The right operand of AND and OR is an inner
-# function, called only when the left does not decide, so the indentation
-# stays flat at any expression height. ``time`` is still read from this
-# module's globals on each call, so a run without a deadline reads no clock.
+# kernel, as no call is folded then. The right operand of AND and OR is an
+# inner function, called only when the left does not decide, so the
+# indentation stays flat at any expression height. ``time`` is still read
+# from this module's globals on each call, so a run without a deadline
+# reads no clock.
 
 _MAX_FACTORIES = 512
 _FACTORIES: dict[tuple, Callable] = {}
@@ -692,11 +693,13 @@ def _compile_expr(
                 node = node.operand
                 continue
             else:
-                value = _folded(node)
-                if value is not _VARIES:  # the same on every row: a literal
-                    tokens.append("lit")
-                    params.append(value)
-                    break
+                # a call of literals, or of such calls, may be a literal
+                if _FOLDABLE.issuperset(map(type, node.args)):
+                    value = _folded(node)
+                    if value is not _VARIES:
+                        tokens.append("lit")
+                        params.append(value)
+                        break
                 tokens.append(len(node.args))
                 params += (node.name, node.location)
                 stack += reversed(node.args[1:])
@@ -712,6 +715,7 @@ def _compile_expr(
 
 
 _VARIES = object()  # what _folded gives for a call it leaves to each row
+_FOLDABLE = frozenset((ast.Literal, ast.Call))  # the arguments _folded may fold
 
 
 def _folded(call: ast.Call):

@@ -283,13 +283,13 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
                 return Table.trusted(schema, rows)
     except (csv.Error, ConversionError):
         pass
-    raise _first_bad_record(text, schema)
+    raise _csv_error(text, schema)
 
 
 _CSV_CHUNK_ROWS = 1024
 
 
-def _first_bad_record(text: str, schema: Schema) -> ConversionError:
+def _csv_error(text: str, schema: Schema) -> ConversionError:
     """The error of the first bad record of a CSV text that failed to
     decode, in file order: no header, a wrong header, a record the reader
     rejects (such as a field past the csv module's size limit), one with
