@@ -605,19 +605,16 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 # compiler; a hit costs one call of the factory with the parameters.
 #
 # In the generated code a column is a read of the row tuple and a literal
-# a parameter, as is a builtin call whose arguments are all literals or
-# such calls, worked out once by ``_folded``. A strict operator or a
-# builtin call tests its non-literal operands for null and calls its
-# kernel in a ``try`` of its own that gives an error the node's location,
-# so the innermost failing node names it. A builtin's kernel is bound once
-# each time a plan is compiled, in ``make``, and ``call_builtin`` is read
-# from this module's globals at that point: a profiler or a test that
-# replaces it there before the compile sees each call that reaches a
-# kernel, as no call is folded then. The right operand of AND and OR is an
-# inner function, called only when the left does not decide, so the
-# indentation stays flat at any expression height. ``time`` is still read
-# from this module's globals on each call, so a run without a deadline
-# reads no clock.
+# a parameter. A strict operator or a builtin call tests its non-literal
+# operands for null and calls its kernel in a ``try`` of its own that gives
+# an error the node's location, so the innermost failing node names it. A
+# builtin's kernel is bound once each time a plan is compiled, in ``make``,
+# and ``call_builtin`` is read from this module's globals at that point: a
+# profiler or a test that replaces it there before the compile sees each
+# call that reaches a kernel. The right operand of AND and OR is an inner
+# function, called only when the left does not decide, so the indentation
+# stays flat at any expression height. ``time`` is still read from this
+# module's globals on each call, so a run without a deadline reads no clock.
 
 _MAX_FACTORIES = 512
 _FACTORIES: dict[tuple, Callable] = {}
@@ -693,13 +690,6 @@ def _compile_expr(
                 node = node.operand
                 continue
             else:
-                # a call of literals, or of such calls, may be a literal
-                if _FOLDABLE.issuperset(map(type, node.args)):
-                    value = _folded(node)
-                    if value is not _VARIES:
-                        tokens.append("lit")
-                        params.append(value)
-                        break
                 tokens.append(len(node.args))
                 params += (node.name, node.location)
                 stack += reversed(node.args[1:])
@@ -712,37 +702,6 @@ def _compile_expr(
     if make is None:
         make = _factory(key)
     return make(*params)
-
-
-_VARIES = object()  # what _folded gives for a call it leaves to each row
-_FOLDABLE = frozenset((ast.Literal, ast.Call))  # the arguments _folded may fold
-
-
-def _folded(call: ast.Call):
-    """The value of a call whose arguments are all literals or such calls,
-    worked out once, when the plan is compiled. ``_VARIES`` when an
-    argument reads the row, when the call raises, so that its error still
-    comes on the first row and names its node, and while ``call_builtin``
-    is replaced, so that the replacement sees the call."""
-    if call_builtin is not builtins.call_builtin:
-        return _VARIES
-    calls, values, stack = [], {}, [call]
-    while stack:
-        node = stack.pop()
-        if type(node) is ast.Call:
-            calls.append(node)
-            stack += node.args
-        elif type(node) is ast.Literal:
-            values[id(node)] = node.value
-        else:
-            return _VARIES
-    try:
-        for node in reversed(calls):  # each after the calls in its arguments
-            args = [values[id(arg)] for arg in node.args]
-            values[id(node)] = builtins._FUNCTIONS[node.name](*args)
-    except ExecutionError:
-        return _VARIES
-    return values[id(call)]
 
 
 def _factory(key: tuple) -> Callable:

@@ -9,9 +9,10 @@ runs hermetic.
 The CSV decoder reads a chunk of records in one call and admits it a
 column at a time, through ``values.parse_column``, which reads a chunk
 outside its fast path cell by cell, so each cell is admitted by the
-same per-cell rules; only a file that fails is read again, record by
-record, to name its first bad line. The CSV encoder turns each column
-into text once and quotes only a STRING column that needs it.
+same per-cell rules; only a file that fails is read again, and the
+records after the chunks it admitted whole are checked one by one, to
+name its first bad line. The CSV encoder turns each column into text
+once and quotes only a STRING column that needs it.
 """
 
 from __future__ import annotations
@@ -265,8 +266,9 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConversionError(f"CSV input is not valid UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    width, rows = len(schema), []
+    lines = io.StringIO(text, newline="")
+    reader = csv.reader(lines)
+    width, rows, admitted = len(schema), [], 0
     try:
         if next(reader, None) == list(schema.names()):
             while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
@@ -279,25 +281,29 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
                     else parse_column(field.type, column)
                     for field, column in zip(schema.fields, zip(*chunk))
                 ]))
+                admitted += _CSV_CHUNK_ROWS  # only the last chunk can be short
             else:
                 return Table.trusted(schema, rows)
     except (csv.Error, ConversionError):
         pass
-    raise _csv_error(text, schema)
+    raise _csv_error(lines, schema, admitted)
 
 
 _CSV_CHUNK_ROWS = 1024
 
 
-def _csv_error(text: str, schema: Schema) -> ConversionError:
-    """The error of the first bad record of a CSV text that failed to
-    decode, in file order: no header, a wrong header, a record the reader
-    rejects (such as a field past the csv module's size limit), one with
-    the wrong number of fields, or one with a cell its column's per-cell
-    parser rejects, named by the line the record ends on. A text that
-    ``parse_column`` rejects has one, as it raises only what the per-cell
-    parsers raise."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _csv_error(lines: io.StringIO, schema: Schema, admitted: int) -> ConversionError:
+    """The error of the first bad record, in file order, of the CSV text
+    in ``lines`` that failed to decode, read again from its start: no
+    header, a wrong header, a record the reader rejects (such as a field
+    past the csv module's size limit), one with the wrong number of
+    fields, or one with a cell its column's per-cell parser rejects,
+    named by the line the record ends on. A text that ``parse_column``
+    rejects has one, as it raises only what the per-cell parsers raise.
+    The first ``admitted`` records after the header were admitted whole
+    and are only read past."""
+    lines.seek(0)
+    reader = csv.reader(lines)
     expected = list(schema.names())
     try:
         header = next(reader, None)
@@ -307,7 +313,7 @@ def _csv_error(text: str, schema: Schema) -> ConversionError:
             return ConversionError(
                 f"line 1: header mismatch: expected {expected}, got {header}"
             )
-        for record in reader:
+        for record in islice(reader, admitted, None):
             # a blank record is never bad: a null row or a skipped line
             if record and len(record) != len(schema):
                 return ConversionError(

@@ -319,8 +319,9 @@ _DECIMAL_TEXT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,9}
 # (parse_int's own fast path takes the unsigned ones). Plain decimal text
 # is what check_decimal admits unchanged: at most 37 digits, at most 10
 # of them after the point, no exponent. The quantifiers are possessive
-# (``?+``, ``{m,n}+``): giving a digit back can never let a match go on,
-# so they admit the same text without the backtracking.
+# (``?+``, ``{m,n}+``, which ``re`` has from Python 3.11): giving a digit
+# back can never let a match go on, so they admit the same text without
+# the backtracking.
 _INT_FIELD = "-?+[0-9]{1,18}+"
 _PLAIN_DECIMAL_FIELD = r"-?+[0-9]{1,27}+(?:\.[0-9]{1,10}+)?+"
 _DATE_FIELD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"

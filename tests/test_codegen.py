@@ -19,7 +19,6 @@ import dataclasses
 import itertools
 import operator
 import random
-import re
 from decimal import Decimal
 
 import pytest
@@ -501,54 +500,3 @@ def test_call_builtin_is_read_when_a_plan_is_compiled(monkeypatch):
     # a fresh parse compiles a new plan, which reads the replacement
     assert run_pipeline(parse(text), {"t": NUMBERS}).rows == expected
     assert calls == ["UPPER"] * 4  # one row's s is null
-
-
-def _map_of(expr_text: str, schema_text: str = "TABLE[a: INT, s: STRING]") -> str:
-    return (
-        f"PIPELINE p:\n INPUT t: {schema_text}\n STEP s:\n"
-        f"  MAP t WITH c => {expr_text} INTO result\n OUTPUT result"
-    )
-
-
-def test_a_call_of_literal_calls_is_worked_out_when_the_plan_is_compiled(monkeypatch):
-    sources = []
-
-    def keeping(text, name, mode):
-        sources.append(text)
-        return compile(text, name, mode)
-
-    monkeypatch.setattr(interpreter, "_FACTORIES", {})
-    monkeypatch.setattr(interpreter, "compile", keeping, raising=False)
-    out = run_pipeline(parse(_map_of('TO_STRING(LENGTH("ab"))')), {"t": NUMBERS})
-    assert [row[-1] for row in out.rows] == ["2"] * len(NUMBERS.rows)
-    (source,) = sources
-    assert "_kernel" not in source and not re.search(r"\bk[0-9]+\(", source), source
-
-
-# -1 is a negated literal, and TO_INT's argument a literal alone
-@pytest.mark.parametrize("call, message", [
-    ('SUBSTRING("ab", -1, 1)', "SUBSTRING arguments must be non-negative"),
-    ('TO_INT("x")', "cannot parse 'x' as INT"),
-])
-def test_a_literal_call_that_fails_still_fails_on_the_first_row_at_its_node(call, message):
-    text = _map_of(call)
-    empty = make_table(NUMBERS.schema, [])
-    assert run_pipeline(parse(text), {"t": empty}).rows == ()
-    with pytest.raises(ExecutionError) as err:
-        run_pipeline(parse(text), {"t": make_table(NUMBERS.schema, NUMBERS.rows[:1])})
-    assert message in err.value.message
-    assert (err.value.location.line, err.value.location.column) == (4, 19)
-
-
-def test_a_replaced_call_builtin_sees_each_literal_call(monkeypatch):
-    calls = []
-    call_builtin = interpreter.call_builtin
-
-    def counting(name, args):
-        calls.append(name)
-        return call_builtin(name, args)
-
-    monkeypatch.setattr(interpreter, "call_builtin", counting)
-    out = run_pipeline(parse(_map_of('TO_STRING(LENGTH("ab"))')), {"t": NUMBERS})
-    assert [row[-1] for row in out.rows] == ["2"] * len(NUMBERS.rows)
-    assert calls == ["LENGTH", "TO_STRING"] * len(NUMBERS.rows)

@@ -459,6 +459,18 @@ class TestCsv:
         assert table_from_csv(data, schema).rows == ((1, "x"), (2, "y"))
         assert table_from_csv(b"a,s\r\n" + b"\r\n" * 1024, schema).rows == ()
 
+    @pytest.mark.parametrize("record, message", [
+        (b"2,y,z", "line 2103: expected 2 fields, got 3"),
+        (b"q,y", "line 2103, field 'a': cannot parse 'q' as INT"),
+    ])
+    def test_a_bad_record_after_whole_chunks_of_blank_lines_is_named(self, record, message):
+        # the error walk reads past the two chunks admitted whole, blanks and all
+        schema = schema_of(("a", VT.INT), ("s", VT.STRING))
+        data = b"a,s\r\n1,x\r\n" + b"\r\n" * 2100 + record + b"\r\n"
+        with pytest.raises(ConversionError) as err:
+            table_from_csv(data, schema)
+        assert err.value.message == message
+
     def test_a_bad_cell_before_an_oversized_field_in_a_later_chunk_is_named(self):
         schema = schema_of(("a", VT.INT), ("s", VT.STRING))
         lines = [f"{i},x" for i in range(2500)]
