@@ -7,12 +7,10 @@ deterministically before touching any handle, which makes benchmark
 runs hermetic.
 
 The CSV decoder reads a chunk of records in one call and admits it a
-column at a time, through ``values.parse_column``, which reads a chunk
-outside its fast path cell by cell, so each cell is admitted by the
-same per-cell rules; only a file that fails is read again, and the
-records after the chunks it admitted whole are checked one by one, to
-name its first bad line. The CSV encoder turns each column into text
-once and quotes only a STRING column that needs it.
+column at a time through ``values.parse_column``, which admits each cell
+by the per-cell rules; a file that fails is read again, past the chunks
+it admitted whole, to name its first bad line. The CSV encoder turns
+each column into text once and quotes only a STRING column that needs it.
 """
 
 from __future__ import annotations
