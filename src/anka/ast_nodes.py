@@ -5,6 +5,11 @@ passed by keyword. Locations are excluded from equality so that a
 formatted-and-reparsed tree compares equal to the original; all
 semantic fields participate.
 
+Every class is a ``dataclass(frozen=True, eq=False, repr=False)``.
+``Node`` defines equality, hashing and the repr once, with the semantics
+of the methods ``dataclass`` would generate, and every class has a
+docstring, which ``dataclass`` would otherwise derive from its signature.
+
 The 23 statement classes are not written out one by one: each is built
 from its row of ``STATEMENT_FORMS``, whose form text spells the
 statement's syntax and names its fields in order. ``grammar.STATEMENTS``
@@ -23,20 +28,41 @@ from anka.location import SourceLocation
 from anka.values import Schema, ValueType, format_cell
 
 
-@dataclass(frozen=True)
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Node:
+    """A syntax tree node. Two nodes are equal when they are of the same
+    class and their compared fields, all but the locations, are equal."""
+
     location: SourceLocation = field(compare=False, kw_only=True)
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._compared() == other._compared()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{self.__class__.__qualname__}({shown})"
 
 
 # --- Expressions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Expr(Node):
-    pass
+    """An expression, evaluated per row."""
 
 
-@dataclass(frozen=True)
+@_node
 class Literal(Expr):
     """A constant of one of the six value types."""
 
@@ -45,12 +71,14 @@ class Literal(Expr):
     type: ValueType
 
 
-@dataclass(frozen=True)
+@_node
 class ColumnRef(Expr):
+    """The value of a column in the current row."""
+
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class BinaryOp(Expr):
     """Arithmetic: + - * /"""
 
@@ -59,7 +87,7 @@ class BinaryOp(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Comparison(Expr):
     """Relational: > >= < <= == !="""
 
@@ -68,7 +96,7 @@ class Comparison(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class BoolOp(Expr):
     """AND / OR, short-circuiting, left-associative."""
 
@@ -77,19 +105,21 @@ class BoolOp(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Expr):
+    """Boolean negation."""
+
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     """Unary arithmetic negation."""
 
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     """Builtin function application, e.g. CONCAT(a, ", ")."""
 
@@ -100,12 +130,12 @@ class Call(Expr):
 # --- Statements ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Statement(Node):
-    pass
+    """A statement in a STEP or a block."""
 
 
-@dataclass(frozen=True)
+@_node
 class AggregateSpec(Node):
     """One COMPUTE entry: fn(arg) AS alias. COUNT takes no argument."""
 
@@ -122,11 +152,11 @@ def _statement(keyword: str, name: str, form: str) -> tuple[type, tuple]:
     parts = tuple(tuple(word.split(":")) if ":" in word else word for word in form.split())
     cls = make_dataclass(
         name, [(part[0], Any) for part in parts if isinstance(part, tuple)],
-        bases=(Statement,), frozen=True,
+        bases=(Statement,), namespace={"__doc__": f"{keyword} {form}"},
+        frozen=True, eq=False, repr=False,
     )
     # make_dataclass names the module "types" on Python 3.10 and 3.11.
     cls.__module__ = __name__
-    cls.__doc__ = f"{keyword} {form}"
     globals()[name] = cls
     return cls, parts
 
@@ -178,20 +208,26 @@ STATEMENT_FORMS = {
 # --- Pipeline --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class InputDecl(Node):
+    """INPUT name: TABLE[...], a dataset the caller passes in."""
+
     name: str
     schema: Schema
 
 
-@dataclass(frozen=True)
+@_node
 class Step(Node):
+    """STEP name: the statements of one named step, in order."""
+
     name: str
     body: tuple[Statement, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Pipeline(Node):
+    """PIPELINE name: its inputs, steps and OUTPUT dataset."""
+
     name: str
     inputs: tuple[InputDecl, ...]
     steps: tuple[Step, ...]

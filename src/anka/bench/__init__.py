@@ -1,6 +1,5 @@
 """Benchmark harness: task suites, candidate evaluation, metrics."""
 
-from importlib import resources
 from pathlib import Path
 
 from anka.bench.harness import (
@@ -18,7 +17,7 @@ from anka.bench.suite import CATEGORIES, SuiteError, TaskSpec, TestCase, load_su
 
 def fixture_dir() -> Path:
     """Location of the shipped fixture suite and its candidates."""
-    return Path(resources.files("anka.bench") / "fixture")
+    return Path(__file__).resolve().parent / "fixture"
 
 
 __all__ = [

@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import csv
 import decimal
-import http.client
 import io
 import json
 import re
-import urllib.error
-import urllib.request
 from decimal import Decimal
 from itertools import islice
 from json.encoder import encode_basestring
@@ -347,14 +344,18 @@ class FileOps:
 
 
 class HttpOps:
-    """Real HTTP access via urllib."""
+    """Real HTTP access via urllib, which is imported on the first request."""
 
     def get(self, url: str, timeout: float) -> tuple[int, bytes]:
+        import urllib.request
+
         request = urllib.request.Request(url, method="GET")
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, response.read()
 
     def post(self, url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
+        import urllib.request
+
         request = urllib.request.Request(
             url,
             data=body,
@@ -424,16 +425,23 @@ class IoAdapter:
             if method == "GET":
                 return self.http_ops.get(url, DEFAULT_HTTP_TIMEOUT)
             return self.http_ops.post(url, body or b"", DEFAULT_HTTP_TIMEOUT)
-        except urllib.error.HTTPError as exc:
-            # a non-2xx status fails on its own; its body is never read
-            return exc.code, b""
-        except urllib.error.URLError as exc:
-            raise HttpError(f"{method} {url!r} failed: {exc.reason}") from None
-        except TimeoutError:
-            raise HttpError(f"{method} {url!r} timed out") from None
-        # a malformed URL, or a connection lost after the request was sent
-        except (http.client.HTTPException, OSError, ValueError) as exc:
-            reason = str(exc) or type(exc).__name__
+        except Exception as exc:
+            # the error classes are loaded only when a request fails
+            import http.client
+            import urllib.error
+
+            if isinstance(exc, urllib.error.HTTPError):
+                # a non-2xx status fails on its own; its body is never read
+                return exc.code, b""
+            if isinstance(exc, urllib.error.URLError):
+                reason = exc.reason
+            elif isinstance(exc, TimeoutError):
+                raise HttpError(f"{method} {url!r} timed out") from None
+            # a malformed URL, or a connection lost after the request was sent
+            elif isinstance(exc, (http.client.HTTPException, OSError, ValueError)):
+                reason = str(exc) or type(exc).__name__
+            else:
+                raise
             raise HttpError(f"{method} {url!r} failed: {reason}") from None
 
 

@@ -255,18 +255,20 @@ class _Checker:
         where: str,
     ) -> Env:
         """Bindings after one of two branches ran: a name both bind is
-        bound after them, with no schema where the two disagree."""
+        bound after them, with no schema where the two disagree or where
+        either branch left it poisoned, whichever branch comes first."""
         merged = dict(env)
         for name, schema in first.items():
             if name in env or name not in second:
                 continue
             other = second[name]
-            if schema != other and schema is not None and other is not None:
-                self.error(
-                    ValidationKind.SCHEMA_MISMATCH,
-                    f"'{name}' is bound with different schemas in {where}",
-                    stmt.location,
-                )
+            if schema != other:
+                if schema is not None and other is not None:
+                    self.error(
+                        ValidationKind.SCHEMA_MISMATCH,
+                        f"'{name}' is bound with different schemas in {where}",
+                        stmt.location,
+                    )
                 schema = None
             merged[name] = schema
         return merged

@@ -1,10 +1,15 @@
-"""The runtime imports nothing but itself and the standard library, and
-leaves process-global state alone: callers, and any threads they run,
-share the garbage collector, the signal handlers, the recursion limit
-and the csv module's field size limit."""
+"""The runtime imports nothing but itself and the standard library,
+loads the HTTP stack only when a request is made or fails, and leaves
+process-global state alone: callers, and any threads they run, share
+the garbage collector, the signal handlers, the recursion limit and the
+csv module's field size limit."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -33,6 +38,60 @@ def test_every_import_is_anka_or_the_standard_library():
         if root != "anka" and root not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+# Modules that only an unsandboxed FETCH or POST needs, or that nothing
+# in the runtime needs; importing anka must not load them.
+DEFERRED_MODULES = (
+    "http.client", "urllib.request", "urllib.error", "email", "ssl", "importlib.resources",
+)
+
+
+def _newly_loaded(script: str) -> list[str]:
+    """The deferred modules that running ``script`` in a fresh interpreter
+    loads. The loaded modules are compared before and after the script,
+    because ``site`` may load some of them at start-up."""
+    code = "\n".join([
+        "import json, sys",
+        "before = set(sys.modules)",
+        textwrap.dedent(script),
+        "print(json.dumps(sorted(set(sys.modules) - before)))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SOURCE_ROOT.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = json.loads(done.stdout)
+    return [name for name in DEFERRED_MODULES if name in loaded]
+
+
+def test_importing_anka_loads_no_http_stack():
+    assert _newly_loaded("import anka, anka.bench") == []
+
+
+FETCH_AND_POST = (
+    "PIPELINE p:\n STEP s:\n"
+    '  FETCH "http://example.test/rows" TABLE[a: INT] INTO t\n'
+    '  POST t TO "http://example.test/sink"\n'
+    " OUTPUT t"
+)
+
+
+def test_a_fetch_and_post_that_succeed_load_no_http_stack():
+    script = f"""
+        from anka import parse, run_pipeline
+        from anka.io_adapters import HttpOps, IoAdapter
+
+        class Succeeding(HttpOps):
+            def get(self, url, timeout):
+                return 200, b'[{{"a": 1}}]'
+
+            def post(self, url, body, timeout):
+                return 201, b""
+
+        adapter = IoAdapter(sandbox=False, http_ops=Succeeding())
+        assert run_pipeline(parse({FETCH_AND_POST!r}), {{}}, adapter).rows == ((1,),)
+    """
+    assert _newly_loaded(script) == []
 
 
 # Modules whose every use changes process-global state, and the functions

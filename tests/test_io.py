@@ -699,6 +699,13 @@ class TestConnectionFailures:
             adapter.post_table("http://example.test/sink", make_table(schema, []))
         assert err.value.message == f"POST 'http://example.test/sink' failed: {reason}"
 
+    def test_an_unmapped_error_is_raised_unchanged(self):
+        error = RuntimeError("handle bug")
+        adapter = IoAdapter(sandbox=False, http_ops=FailingHttpOps(error))
+        with pytest.raises(RuntimeError) as err:
+            adapter.fetch_table("http://example.test/rows", schema_of(("a", VT.INT)))
+        assert err.value is error
+
     def test_post_error_status_keeps_its_status(self):
         adapter = IoAdapter(sandbox=False, http_ops=RecordingHttpOps(status=404))
         empty = make_table(schema_of(("a", VT.INT)), [])
