@@ -1,18 +1,20 @@
-"""Builtin scalar functions: signatures and implementations.
+"""Builtin scalar and aggregate functions: signatures and implementations.
 
 Every builtin propagates null: if any argument is null the result is
-null and the implementation is not invoked.
+null and the implementation is not invoked. Aggregates skip nulls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import partial, reduce
 from operator import attrgetter
 from typing import Callable, Optional
 
 from anka.errors import AssertionFailed, ConversionError
-from anka.values import Cell, ValueType, check_int, format_cell, parse_decimal, parse_int
+from anka.values import (NUMERIC_TYPES, Cell, ValueType, check_int, decimal_quotient,
+                         format_cell, parse_decimal, parse_int)
 
 ANY = None  # argument accepts every value type
 
@@ -24,14 +26,9 @@ MAX_STRING_LENGTH = 1_000_000
 
 @dataclass(frozen=True)
 class Builtin:
-    name: str
     params: tuple[Optional[frozenset[ValueType]], ...]
     result: ValueType
     fn: Callable[..., Cell]
-
-    @property
-    def arity(self) -> int:
-        return len(self.params)
 
 
 def _check_length(name: str, length: int) -> None:
@@ -88,27 +85,24 @@ _TEMPORAL = frozenset({ValueType.DATE, ValueType.DATETIME})
 _CASTABLE = frozenset({ValueType.STRING, ValueType.INT, ValueType.DECIMAL})
 
 BUILTINS: dict[str, Builtin] = {
-    b.name: b
-    for b in [
-        Builtin("CONCAT", (_STRINGY, _STRINGY), ValueType.STRING, _concat),
-        Builtin("UPPER", (_STRINGY,), ValueType.STRING, str.upper),
-        Builtin("LOWER", (_STRINGY,), ValueType.STRING, str.lower),
-        Builtin("TRIM", (_STRINGY,), ValueType.STRING, str.strip),
-        Builtin("LENGTH", (_STRINGY,), ValueType.INT, len),
-        Builtin("SUBSTRING", (_STRINGY, _INTY, _INTY), ValueType.STRING, _substring),
-        Builtin("REPLACE", (_STRINGY, _STRINGY, _STRINGY), ValueType.STRING, _replace),
-        Builtin("TO_STRING", (ANY,), ValueType.STRING, format_cell),
-        Builtin("TO_INT", (_CASTABLE,), ValueType.INT, _to_int),
-        Builtin("TO_DECIMAL", (_CASTABLE,), ValueType.DECIMAL, _to_decimal),
-        Builtin("YEAR", (_TEMPORAL,), ValueType.INT, attrgetter("year")),
-        Builtin("MONTH", (_TEMPORAL,), ValueType.INT, attrgetter("month")),
-        Builtin("DAY", (_TEMPORAL,), ValueType.INT, attrgetter("day")),
-    ]
+    "CONCAT": Builtin((_STRINGY, _STRINGY), ValueType.STRING, _concat),
+    "UPPER": Builtin((_STRINGY,), ValueType.STRING, str.upper),
+    "LOWER": Builtin((_STRINGY,), ValueType.STRING, str.lower),
+    "TRIM": Builtin((_STRINGY,), ValueType.STRING, str.strip),
+    "LENGTH": Builtin((_STRINGY,), ValueType.INT, len),
+    "SUBSTRING": Builtin((_STRINGY, _INTY, _INTY), ValueType.STRING, _substring),
+    "REPLACE": Builtin((_STRINGY, _STRINGY, _STRINGY), ValueType.STRING, _replace),
+    "TO_STRING": Builtin((ANY,), ValueType.STRING, format_cell),
+    "TO_INT": Builtin((_CASTABLE,), ValueType.INT, _to_int),
+    "TO_DECIMAL": Builtin((_CASTABLE,), ValueType.DECIMAL, _to_decimal),
+    "YEAR": Builtin((_TEMPORAL,), ValueType.INT, attrgetter("year")),
+    "MONTH": Builtin((_TEMPORAL,), ValueType.INT, attrgetter("month")),
+    "DAY": Builtin((_TEMPORAL,), ValueType.INT, attrgetter("day")),
 }
 
 
 # each builtin's implementation by name, so a call reads one dict entry
-_FUNCTIONS: dict[str, Callable[..., Cell]] = {b.name: b.fn for b in BUILTINS.values()}
+_FUNCTIONS: dict[str, Callable[..., Cell]] = {name: b.fn for name, b in BUILTINS.items()}
 
 
 def call_builtin(name: str, args: tuple[Cell, ...]) -> Cell:
@@ -122,3 +116,31 @@ def call_builtin(name: str, args: tuple[Cell, ...]) -> Cell:
     if None in args:
         return None
     return _FUNCTIONS[name](*args)
+
+
+@dataclass(frozen=True)
+class Aggregate:
+    """An aggregate function. ``fold(add)``, given the addition kernel of
+    the result type, folds a group's non-null values, one or more, or for
+    COUNT its rows, into a cell."""
+
+    params: tuple[frozenset[ValueType], ...]  # () for COUNT, which counts rows
+    result: Optional[ValueType]  # None for the argument's type
+    fold: Callable[[Optional[Callable]], Callable[[list], Cell]]
+
+
+def _average(add: Callable) -> Callable[[list], Cell]:
+    return lambda values: decimal_quotient(reduce(add, values, Decimal(0)), len(values))
+
+
+_ORDERED = NUMERIC_TYPES | {ValueType.STRING, ValueType.DATE, ValueType.DATETIME}
+
+# In the order a ParseError lists them. MIN and MAX compare values of one
+# column's type directly, and both keep the first of equal values.
+AGGREGATES: dict[str, Aggregate] = {
+    "COUNT": Aggregate((), ValueType.INT, lambda add: len),
+    "SUM": Aggregate((NUMERIC_TYPES,), None, lambda add: partial(reduce, add)),
+    "AVG": Aggregate((NUMERIC_TYPES,), ValueType.DECIMAL, _average),
+    "MIN": Aggregate((_ORDERED,), None, lambda add: min),
+    "MAX": Aggregate((_ORDERED,), None, lambda add: max),
+}

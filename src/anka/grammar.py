@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, NamedTuple, Optional
 
 from anka import ast_nodes as ast
+from anka.builtins import AGGREGATES
 from anka.errors import ConversionError, ParseError
 from anka.lexer import KIND_DECIMAL, KIND_INT, KIND_STRING, LITERAL_VALUES, token_kind
 from anka.values import CELL_TYPES, Schema, ValueType, parse_date, parse_datetime, parse_int
@@ -188,7 +189,10 @@ class Slot(NamedTuple):
     header: str = ""
 
 
-AGGREGATE_FNS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+AGGREGATE_FNS = tuple(AGGREGATES)
+
+# Each table format's keyword, with the name a READ or WRITE node holds.
+FORMATS = {"JSON": "json", "CSV": "csv"}
 
 
 def _read_name(p, what: str) -> str:
@@ -253,9 +257,7 @@ def _read_aggregate_spec(p) -> ast.AggregateSpec:
         raise p.fail(*AGGREGATE_FNS)
     start = p.advance()
     p.expect("(")
-    arg: Optional[str] = None
-    if fn != "COUNT":
-        arg = p.expect_ident("column name")
+    arg = p.expect_ident("column name") if AGGREGATES[fn].params else None
     p.expect(")")
     p.expect("AS")
     alias = p.expect_ident("alias")
@@ -281,7 +283,7 @@ SLOTS = {
     "count": Slot(_read_count, str, "integer literal"),
     "path": Slot(_read_string, quote, "file path string"),
     "url": Slot(_read_string, quote, "URL string"),
-    "format": _choice({"JSON": "json", "CSV": "csv"}),
+    "format": _choice(FORMATS),
     "table": Slot(lambda p, what: p.parse_table_type(), format_schema),
     "direction": _choice({"ASC": False, "DESC": True}),
     "group_by": Slot(_read_group_by, _write_group_by, "column name"),

@@ -31,14 +31,12 @@ from __future__ import annotations
 import decimal
 import itertools
 import time
-from decimal import Decimal
-from functools import reduce
 from operator import itemgetter
 from typing import Callable, Optional
 
 from anka import ast_nodes as ast
 from anka import builtins
-from anka.builtins import call_builtin
+from anka.builtins import AGGREGATES, call_builtin
 from anka.errors import AssertionFailed, ConversionError, ExecutionError, InputError
 from anka.io_adapters import IoAdapter
 from anka.location import SourceLocation
@@ -51,7 +49,6 @@ from anka.values import (
     Schema,
     Table,
     ValueType,
-    decimal_quotient,
 )
 
 DEFAULT_WHILE_CAP = 100_000
@@ -276,15 +273,12 @@ def _aggregate(stmt: ast.Aggregate, sources, schema, types):
     (src,) = sources
     source = stmt.source
     keys = [src.index_of(name) for name in stmt.group_by]
-    computes = []
-    for spec in stmt.computes:
-        # SUM and AVG add with the kernel of the type the validator gave
-        # their output column: the argument's for SUM, DECIMAL for AVG
-        add = None
-        if spec.fn in ("SUM", "AVG"):
-            add = ARITHMETIC_KERNELS["+", schema.type_of(spec.alias)]
-        index = None if spec.arg is None else src.index_of(spec.arg)
-        computes.append((spec.fn, index, add))
+    # each fold is bound to the addition kernel of its output column's type
+    computes = [
+        (None if spec.arg is None else src.index_of(spec.arg),
+         AGGREGATES[spec.fn].fold(ARITHMETIC_KERNELS.get(("+", schema.type_of(spec.alias)))))
+        for spec in stmt.computes
+    ]
     return lambda interp, d, row: interp.eval_aggregate(d[source], schema, keys, computes)
 
 
@@ -515,13 +509,13 @@ class Interpreter:
         src: Table,
         schema: Schema,
         keys: list[int],
-        computes: list[tuple[str, Optional[int], Optional[Callable]]],
+        computes: list[tuple[Optional[int], Callable[[list], Cell]]],
     ) -> Table:
         """One output row per distinct group key, in order of first
-        appearance; ``computes`` gives each function with its argument
-        column (None for COUNT) and, for SUM and AVG, the addition kernel.
-        An empty GROUP_BY aggregates the whole table into a single row
-        even when the table is empty."""
+        appearance; ``computes`` gives each function's argument column,
+        None for COUNT, with its fold. An empty or all-null group yields
+        null for every function but COUNT. An empty GROUP_BY aggregates
+        the whole table into a single row even when the table is empty."""
         deadline, monotonic = self.deadline, time.monotonic
         groups: dict[Row, list[Row]] = {}
         group_of = _picker(keys)
@@ -532,33 +526,19 @@ class Interpreter:
         if not keys:
             groups.setdefault((), [])
         rows = []
-        for key, members in groups.items():
-            cells = list(key)
-            for fn, index, add in computes:
-                cells.append(self._aggregate_value(fn, index, add, members))
-            rows.append(tuple(cells))
-        return Table.trusted(schema, rows)
-
-    def _aggregate_value(
-        self, fn: str, index: Optional[int], add, members: list[Row]
-    ) -> Cell:
-        if fn == "COUNT":
-            return len(members)
-        values = [row[index] for row in members if row[index] is not None]
-        if not values:
-            return None
-        # every value has the column's type, so MIN and MAX compare
-        # directly; both keep the first of equal values
-        if fn == "MIN":
-            return min(values)
-        if fn == "MAX":
-            return max(values)
         try:
-            if fn == "SUM":
-                return reduce(add, values)
-            return decimal_quotient(reduce(add, values, Decimal(0)), len(values))
+            for key, members in groups.items():
+                cells = list(key)
+                for index, fold in computes:
+                    if index is None:  # COUNT
+                        cells.append(fold(members))
+                        continue
+                    values = [row[index] for row in members if row[index] is not None]
+                    cells.append(fold(values) if values else None)
+                rows.append(tuple(cells))
         except decimal.Inexact:
             raise ConversionError("DECIMAL overflow in addition") from None
+        return Table.trusted(schema, rows)
 
     # -- resource guards -------------------------------------------------------
 

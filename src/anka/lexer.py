@@ -14,9 +14,9 @@ is worked out from its text (``token_kind``) only where a reader needs
 it: an identifier, a literal, or a token named in an error message.
 
 A location is a token index into its stream. The stream turns it into
-line, column and byte offset only when the location is read, by summing
-the lengths of the texts and gaps between it and the token last located
-(the start, at the first read): only diagnostics read one.
+line, column and byte offset only when the location is read (only
+diagnostics read one), by the character index of every token, which the
+first read sums from the lengths of the texts and gaps.
 
 ``tokenize`` is the public view of the same stream as ``Token`` objects,
 each with its kind, value and character index.
@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 import string
 from decimal import Decimal
-from itertools import accumulate, chain, islice
+from itertools import accumulate
+from operator import add
 from typing import Optional, Union
 
 from anka.errors import ConversionError, ParseError
@@ -147,34 +148,29 @@ class TokenStream:
     the skipped text after ``texts[i]``, and ``first`` is the character
     index of the first token. ``len`` counts the tokens, not the end."""
 
-    __slots__ = ("source", "texts", "gaps", "first", "_last")
+    __slots__ = ("source", "texts", "gaps", "first", "_starts")
 
     def __init__(self, source: str, texts: list[str], gaps: list[str], first: int) -> None:
         self.source = source
         self.texts = texts
         self.gaps = gaps
         self.first = first
-        # (token index, character index) of the token last located, if
-        # any; one attribute, so that threads reading locations see a
-        # matching pair
-        self._last: Optional[tuple[int, int]] = None
+        self._starts: Optional[list[int]] = None
 
     def __len__(self) -> int:
         return len(self.texts) - 1
 
+    @property
+    def starts(self) -> list[int]:
+        """Each token's character index, the end's too, summed on first read."""
+        if self._starts is None:
+            lengths = map(add, map(len, self.texts), map(len, self.gaps))
+            self._starts = list(accumulate(lengths, initial=self.first))
+        return self._starts
+
     def position(self, index: int) -> tuple[int, int, int]:
-        """Line, column and byte offset of token ``index``. Its character
-        index is that of the token last located, moved by the lengths of
-        the texts and gaps between the two, so a dump that reads every
-        node's location in tree order sums each length a few times, not
-        once per read."""
-        at, start = self._last or (0, self.first)
-        if index >= at:
-            start += sum(map(len, self.texts[at:index])) + sum(map(len, self.gaps[at:index]))
-        else:
-            start -= sum(map(len, self.texts[index:at])) + sum(map(len, self.gaps[index:at]))
-        self._last = (index, start)
-        return _locate(self.source, start)
+        """Line, column and byte offset of token ``index``."""
+        return _locate(self.source, self.starts[index])
 
 
 def scan(source: str) -> TokenStream:
@@ -185,20 +181,19 @@ def scan(source: str) -> TokenStream:
     # split at once into two lists of strings, so that the (text, gap)
     # pairs, which the garbage collector tracks, are freed before the parse
     pairs = _TOKEN.findall(source, first)
-    texts = [text for text, _ in pairs]
-    gaps = [gap for _, gap in pairs]
-    end = texts.index("")
-    stopped = end + 1 < len(texts)
-    if stopped or _DIGIT_RUN.search(source, first):
-        _check(source, texts[:end], gaps, first, stopped)
-    return TokenStream(source, texts, gaps, first)
+    stream = TokenStream(source, [text for text, _ in pairs], [gap for _, gap in pairs], first)
+    end = stream.texts.index("")
+    if end + 1 < len(stream.texts) or _DIGIT_RUN.search(source, first):
+        _check(stream, end)
+    return stream
 
 
-def _check(source: str, texts: list[str], gaps: list[str], start: int, stopped: bool) -> None:
-    """Raise the first lexical error: a number text out of range, then,
-    if the scan ``stopped`` after ``texts``, the character it stopped at.
-    ``start`` is the character index of ``texts[0]``."""
-    for text, gap in zip(texts, gaps):
+def _check(stream: TokenStream, end: int) -> None:
+    """Raise the first lexical error: a number text out of range among
+    the ``end`` texts before the first ``""``, then, if the scan stopped
+    there, short of the end of input, the character it stopped at."""
+    source, starts = stream.source, stream.starts
+    for text, start in zip(stream.texts[:end], starts):
         kind = token_kind(text)
         if kind == KIND_INT or kind == KIND_DECIMAL:
             try:
@@ -208,8 +203,8 @@ def _check(source: str, texts: list[str], gaps: list[str], start: int, stopped: 
                 message = (str(exc) if kind == KIND_DECIMAL
                            else f"integer literal {clip_text(text)} out of 64-bit range")
                 raise ParseError(message, _location(source, start)) from None
-        start += len(text) + len(gap)
-    if stopped:
+    if end + 1 < len(stream.texts):
+        start = starts[end]
         if source.startswith('"', start):
             raise _string_error(source, start)
         raise ParseError(f"unexpected character {source[start]!r}", _location(source, start))
@@ -264,10 +259,8 @@ def tokenize(source: str) -> list[Token]:
     """Scan source text into tokens, without the end of input. Raises
     ParseError as ``scan`` does."""
     stream = scan(source)
-    lengths = map(len, chain.from_iterable(zip(stream.texts, stream.gaps)))
-    starts = islice(accumulate(lengths, initial=stream.first), 0, None, 2)
     tokens = []
-    for text, start in zip(stream.texts[:-1], starts):
+    for text, start in zip(stream.texts[:-1], stream.starts):
         kind = token_kind(text)
         if kind == KIND_IDENT:
             tokens.append(Token(kind, text, start, source, text))

@@ -32,14 +32,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from anka import ast_nodes as ast
-from anka.builtins import BUILTINS
+from anka.builtins import AGGREGATES, BUILTINS
 from anka.errors import AnkaError, ValidationError, ValidationKind
-from anka.grammar import NODE_KEYWORDS
+from anka.grammar import FORMATS, NODE_KEYWORDS
 from anka.location import SourceLocation
 from anka.parser import MAX_NESTING_DEPTH
 from anka.values import NUMERIC_TYPES, Field, Schema, ValueType, cell_matches, clip_text
-
-_MINMAX_TYPES = NUMERIC_TYPES | {ValueType.STRING, ValueType.DATE, ValueType.DATETIME}
 
 _MEMO = "_validation"
 
@@ -314,8 +312,15 @@ class _Checker:
     def infer(self, stmt: ast.Statement, env: Env) -> Optional[Schema]:
         """Schema a data, WRITE or POST statement yields, by its rule in
         ``_RULES`` applied to the schemas of the datasets it reads; None
-        when any is unknown."""
-        rule, fields = _RULES[type(stmt)]
+        when any is unknown or ``stmt`` is no statement of the language."""
+        rule, fields = _RULES.get(type(stmt), (None, ()))
+        if rule is None:
+            self.error(ValidationKind.TYPE_MISMATCH,
+                       f"unknown statement {type(stmt).__name__}", stmt.location)
+            return None
+        if isinstance(stmt, (ast.Read, ast.Write)) and stmt.format not in FORMATS.values():
+            self.error(ValidationKind.TYPE_MISMATCH,
+                       f"unknown table format {clip_text(repr(stmt.format))}", stmt.location)
         sources = [self._resolve(stmt, getattr(stmt, field), env) for field in fields]
         if any(schema is None for schema in sources):
             return None
@@ -461,29 +466,23 @@ class _Checker:
     def _aggregate_result_type(
         self, spec: ast.AggregateSpec, schema: Schema, source: str
     ) -> Optional[ValueType]:
-        if spec.fn == "COUNT":
-            return ValueType.INT
+        given = 0 if spec.arg is None else 1
+        function = self._signature(AGGREGATES, "aggregate function", spec.fn, given, spec.location)
+        if function is None:
+            return None
+        if not given:
+            return function.result
         if not self._known(schema, spec.arg, source, spec.location):
             return None
         arg_type = schema.type_of(spec.arg)
-        if spec.fn in ("SUM", "AVG"):
-            if arg_type not in NUMERIC_TYPES:
-                self.error(
-                    ValidationKind.TYPE_MISMATCH,
-                    f"{spec.fn} requires a numeric column, "
-                    f"'{spec.arg}' is {arg_type.value}",
-                    spec.location,
-                )
-                return None
-            return ValueType.DECIMAL if spec.fn == "AVG" else arg_type
-        if arg_type not in _MINMAX_TYPES:  # MIN or MAX
-            self.error(
-                ValidationKind.TYPE_MISMATCH,
-                f"{spec.fn} cannot aggregate a {arg_type.value} column",
-                spec.location,
-            )
+        (allowed,) = function.params
+        if arg_type not in allowed:
+            message = (f"{spec.fn} requires a numeric column, '{spec.arg}' is {arg_type.value}"
+                       if allowed is NUMERIC_TYPES
+                       else f"{spec.fn} cannot aggregate a {arg_type.value} column")
+            self.error(ValidationKind.TYPE_MISMATCH, message, spec.location)
             return None
-        return arg_type
+        return function.result or arg_type
 
     def _join(self, stmt, left: Schema, right: Schema) -> Optional[Schema]:
         # both keys are checked, so both can be reported
@@ -633,28 +632,31 @@ class _Checker:
             return ValueType.BOOL
         if isinstance(expr, ast.Call):
             return self._typecheck_call(expr, schema, depth)
-        raise AssertionError(f"unhandled expression {type(expr).__name__}")
+        # only the AST API can build a node that is no expression of the language
+        self.error(ValidationKind.TYPE_MISMATCH,
+                   f"unknown expression {type(expr).__name__}", expr.location)
+        return None
+
+    def _signature(self, functions: dict, what: str, name: str, given: int,
+                   location: SourceLocation):
+        """``name``'s row in ``functions`` if it takes ``given`` arguments;
+        else None, with an unknown ``what`` or a wrong count reported."""
+        function = functions.get(name)
+        if function is not None and len(function.params) == given:
+            return function
+        message = (f"unknown {what} '{name}'" if function is None
+                   else f"{name} takes {len(function.params)} argument(s), got {given}")
+        self.error(ValidationKind.TYPE_MISMATCH, message, location)
+        return None
 
     def _typecheck_call(
         self, expr: ast.Call, schema: Optional[Schema], depth: int
     ) -> Optional[ValueType]:
-        builtin = BUILTINS.get(expr.name)
+        builtin = self._signature(BUILTINS, "function", expr.name, len(expr.args), expr.location)
         if builtin is None:
-            self.error(
-                ValidationKind.TYPE_MISMATCH,
-                f"unknown function '{expr.name}'",
-                expr.location,
-            )
-            for arg in expr.args:
-                self.typecheck(arg, schema, depth)
-            return None
-        if len(expr.args) != builtin.arity:
-            self.error(
-                ValidationKind.TYPE_MISMATCH,
-                f"{expr.name} takes {builtin.arity} argument(s), "
-                f"got {len(expr.args)}",
-                expr.location,
-            )
+            if expr.name not in BUILTINS:  # an unknown function's arguments are typed still
+                for arg in expr.args:
+                    self.typecheck(arg, schema, depth)
             return None
         ok = True
         for arg, allowed in zip(expr.args, builtin.params):

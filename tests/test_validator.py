@@ -1,19 +1,24 @@
 """Static analysis: inference rules, binding discipline, typing."""
 
+import datetime
 import hashlib
 import operator
+import re
 from dataclasses import replace
 from decimal import Decimal
 
 import pytest
 
 from anka import ast_nodes as ast
+from anka.builtins import AGGREGATES
 from anka.errors import ParseError, ValidationKind
+from anka.formatter import format_ast
 from anka.interpreter import run_pipeline
+from anka.io_adapters import IoAdapter
 from anka.location import SourceLocation
 from anka.parser import MAX_NESTING_DEPTH, parse
 from anka.validator import ValidationException, typecheck_expr, validate
-from anka.values import Schema, ValueType, make_table, schema_of
+from anka.values import Schema, ValueType, cell_matches, make_table, schema_of
 
 import fuzzing
 
@@ -637,6 +642,103 @@ class TestApiOnlyTrees:
         table = make_table(schema_of(("a", ValueType.INT)), [(1,)])
         with pytest.raises(ValidationException, match=message):
             run_pipeline(pipeline, {"t": table})
+
+    @pytest.mark.parametrize(
+        "statement, build",
+        [
+            ('READ "x.json" AS JSON TABLE[a: INT] INTO r', lambda s: replace(s, format="xml")),
+            ('WRITE t TO "x.csv" AS CSV', lambda s: replace(s, format="xml")),
+            ("MAP t WITH c => a + 1 INTO r",
+             lambda s: replace(s, expr=ast.Expr(location=SourceLocation(4, 18)))),
+            ("DISTINCT t INTO r", lambda s: ast.Statement(location=SourceLocation(4, 3))),
+        ],
+        ids=["read-format", "write-format", "bare-expr", "bare-statement"],
+    )
+    def test_node_or_format_outside_the_language(self, statement, build):
+        source = f"PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n  {statement}\n OUTPUT t"
+        pipeline = _with_first_statement(parse(source), build)
+        node = pipeline.steps[0].body[0]
+        result = validate(pipeline)
+        message = {
+            ast.Read: "unknown table format 'xml'",
+            ast.Write: "unknown table format 'xml'",
+            ast.Map: "unknown expression Expr",
+            ast.Statement: "unknown statement Statement",
+        }[type(node)]
+        assert [(e.kind, e.message, e.location) for e in result.errors] == [
+            (ValidationKind.TYPE_MISMATCH, message, getattr(node, "expr", node).location)
+        ]
+        # an adapter that may read and write, so only validation stops the run
+        table = make_table(schema_of(("a", ValueType.INT)), [(1,)])
+        with pytest.raises(ValidationException, match=message):
+            run_pipeline(pipeline, {"t": table}, IoAdapter(sandbox=False))
+
+
+# One column of each type, named after it, with two rows of values and a
+# row of nulls.
+_EACH_TYPE = schema_of(*((vtype.value.lower(), vtype) for vtype in ValueType))
+_EACH_TYPE_ROWS = [
+    (3, "b", Decimal("1.5"), True, datetime.date(2024, 1, 2),
+     datetime.datetime(2024, 1, 2, 3, 4, 5)),
+    (5, "a", Decimal("2.25"), False, datetime.date(2024, 1, 1),
+     datetime.datetime(2024, 1, 1, 0, 0, 0)),
+    (None,) * len(ValueType),
+]
+
+
+class TestAggregateTable:
+    """``builtins.AGGREGATES`` against the validator and the run: each
+    function accepts the column types its row gives and yields its row's
+    result type; nothing else validates."""
+
+    @staticmethod
+    def _source(compute: str) -> str:
+        decl = ", ".join(f"{f.name}: {f.type.value}" for f in _EACH_TYPE.fields)
+        return (f"PIPELINE p:\n INPUT t: TABLE[{decl}]\n STEP s:\n"
+                f"  AGGREGATE t COMPUTE {compute} AS x INTO r\n OUTPUT r")
+
+    @pytest.mark.parametrize("fn", list(AGGREGATES))
+    @pytest.mark.parametrize("column", list(ValueType), ids=lambda t: t.value)
+    def test_each_function_on_each_column_type(self, fn, column):
+        function = AGGREGATES[fn]
+        arg = column.value.lower() if function.params else ""
+        pipeline = parse(self._source(f"{fn}({arg})"))
+        assert parse(format_ast(pipeline)) == pipeline
+        result = validate(pipeline)
+        if function.params and column not in function.params[0]:
+            assert [(e.kind, e.location.line) for e in result.errors] == [
+                (ValidationKind.TYPE_MISMATCH, 4)
+            ]
+            return
+        assert result.ok
+        result_type = function.result or column
+        assert result.output_schema == schema_of(("x", result_type))
+        for rows in (_EACH_TYPE_ROWS, []):
+            (cell,) = run_pipeline(pipeline, {"t": make_table(_EACH_TYPE, rows)}).rows[0]
+            # an empty group is null, but for COUNT, which counts no rows
+            assert (cell is None) == (not rows and bool(function.params))
+            assert cell is None or cell_matches(cell, result_type)
+
+    @pytest.mark.parametrize(
+        "compute, spec, message",
+        [
+            ("SUM(int)", {"fn": "MEDIAN"}, "unknown aggregate function 'MEDIAN'"),
+            ("COUNT()", {"arg": "int"}, "COUNT takes 0 argument(s), got 1"),
+            ("SUM(int)", {"arg": None}, "SUM takes 1 argument(s), got 0"),
+        ],
+        ids=["unknown", "count-with-argument", "sum-without-argument"],
+    )
+    def test_ast_built_spec_outside_the_table(self, compute, spec, message):
+        pipeline = _with_first_statement(
+            parse(self._source(compute)),
+            lambda stmt: replace(stmt, computes=(replace(stmt.computes[0], **spec),)),
+        )
+        location = pipeline.steps[0].body[0].computes[0].location
+        assert [(e.kind, e.message, e.location) for e in validate(pipeline).errors] == [
+            (ValidationKind.TYPE_MISMATCH, message, location)
+        ]
+        with pytest.raises(ValidationException, match=re.escape(message)):
+            run_pipeline(pipeline, {"t": make_table(_EACH_TYPE, _EACH_TYPE_ROWS)})
 
 
 _TWO_INPUTS = "INPUT t: TABLE[a: INT, b: STRING]\n INPUT u: TABLE[k: INT, b: DATE]"
