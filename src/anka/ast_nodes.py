@@ -5,10 +5,17 @@ passed by keyword. Locations are excluded from equality so that a
 formatted-and-reparsed tree compares equal to the original; all
 semantic fields participate.
 
-Every class is a ``dataclass(frozen=True, eq=False, repr=False)``.
-``Node`` defines equality, hashing and the repr once, with the semantics
-of the methods ``dataclass`` would generate, and every class has a
-docstring, which ``dataclass`` would otherwise derive from its signature.
+Each class declares its fields as annotations and behaves as a
+``dataclass(frozen=True)`` would, without the code ``dataclass`` would
+generate for it at import. ``Node`` defines equality, hashing, the repr
+and the frozen ``__setattr__``/``__delattr__`` once. Each class's
+``__init__`` has the dataclass signature (its fields in order,
+``location`` and ``output_location`` by keyword) and sets each field
+through ``object.__setattr__``; all of them are compiled from one source
+in one ``exec``. ``dataclasses.fields``, ``replace`` and
+``is_dataclass`` work on every class: ``_DataclassAttribute`` makes its
+metadata on first read, so importing this module does not import
+``dataclasses``, nor ``inspect`` and the rest of what that loads.
 
 The 23 statement classes are not written out one by one: each is built
 from its row of ``STATEMENT_FORMS``, whose form text spells the
@@ -20,7 +27,6 @@ and its form are declared once.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field, fields, make_dataclass
 from decimal import Decimal
 from typing import Any, Optional
 
@@ -28,18 +34,73 @@ from anka.location import SourceLocation
 from anka.values import Schema, ValueType, format_cell
 
 
-_node = dataclass(frozen=True, eq=False, repr=False)
+# The fields a node takes by keyword and equality leaves out.
+_LOCATIONS = ("location", "output_location")
 
 
-@_node
+# Each node class's stand-in, made on the first read of its metadata.
+_STAND_INS: dict[type, type] = {}
+
+
+class _DataclassAttribute:
+    """A node class's ``__dataclass_fields__`` or ``__dataclass_params__``,
+    which ``dataclasses.fields``, ``replace`` and ``is_dataclass`` read.
+    The first read of either for a class applies ``dataclass(init=False,
+    eq=False, repr=False)`` to a stand-in class with the same annotations,
+    its locations keyword-only and not compared, and reads it from there."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, node: Optional[Node], cls: type) -> object:
+        stand_in = _STAND_INS.get(cls)
+        if stand_in is None:
+            from dataclasses import dataclass, field
+
+            namespace = {name: field(compare=False, kw_only=True)
+                         for name in _LOCATIONS if name in cls._field_names}
+            namespace.update(
+                __annotations__={name: hint for base in reversed(cls.__mro__)
+                                 for name, hint in vars(base).get("__annotations__", {}).items()},
+                __module__=cls.__module__, __doc__=cls.__doc__,
+            )
+            stand_in = dataclass(init=False, eq=False, repr=False)(
+                type(cls.__name__, (), namespace))
+            _STAND_INS[cls] = stand_in
+        return getattr(stand_in, self.name)
+
+
 class Node:
     """A syntax tree node. Two nodes are equal when they are of the same
     class and their compared fields, all but the locations, are equal."""
 
-    location: SourceLocation = field(compare=False, kw_only=True)
+    location: SourceLocation
+
+    # The class's field names in order, and the ones equality compares.
+    _field_names = ("location",)
+    _compared_names = ()
+    __match_args__ = ()
+    __dataclass_fields__ = _DataclassAttribute()
+    __dataclass_params__ = _DataclassAttribute()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._field_names += tuple(vars(cls).get("__annotations__", ()))
+        cls._compared_names = cls.__match_args__ = tuple(
+            name for name in cls._field_names if name not in _LOCATIONS)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _compared(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple(getattr(self, name) for name in self._compared_names)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -50,19 +111,17 @@ class Node:
         return hash(self._compared())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{self.__class__.__qualname__}({shown})"
 
 
 # --- Expressions -----------------------------------------------------------
 
 
-@_node
 class Expr(Node):
     """An expression, evaluated per row."""
 
 
-@_node
 class Literal(Expr):
     """A constant of one of the six value types."""
 
@@ -71,14 +130,12 @@ class Literal(Expr):
     type: ValueType
 
 
-@_node
 class ColumnRef(Expr):
     """The value of a column in the current row."""
 
     name: str
 
 
-@_node
 class BinaryOp(Expr):
     """Arithmetic: + - * /"""
 
@@ -87,7 +144,6 @@ class BinaryOp(Expr):
     right: Expr
 
 
-@_node
 class Comparison(Expr):
     """Relational: > >= < <= == !="""
 
@@ -96,7 +152,6 @@ class Comparison(Expr):
     right: Expr
 
 
-@_node
 class BoolOp(Expr):
     """AND / OR, short-circuiting, left-associative."""
 
@@ -105,21 +160,18 @@ class BoolOp(Expr):
     right: Expr
 
 
-@_node
 class Not(Expr):
     """Boolean negation."""
 
     operand: Expr
 
 
-@_node
 class Neg(Expr):
     """Unary arithmetic negation."""
 
     operand: Expr
 
 
-@_node
 class Call(Expr):
     """Builtin function application, e.g. CONCAT(a, ", ")."""
 
@@ -130,12 +182,10 @@ class Call(Expr):
 # --- Statements ------------------------------------------------------------
 
 
-@_node
 class Statement(Node):
     """A statement in a STEP or a block."""
 
 
-@_node
 class AggregateSpec(Node):
     """One COMPUTE entry: fn(arg) AS alias. COUNT takes no argument."""
 
@@ -145,19 +195,15 @@ class AggregateSpec(Node):
 
 
 def _statement(keyword: str, name: str, form: str) -> tuple[type, tuple]:
-    """The class and form parts of one statement row. The class is a
-    frozen dataclass whose fields are the form's ``field:kind`` words in
-    order, built as ``collections.namedtuple`` builds its classes. Each
-    field is annotated ``Any``, which ``typing.get_type_hints`` resolves."""
+    """The class and form parts of one statement row. The class's fields
+    are the form's ``field:kind`` words in order, each annotated ``Any``,
+    which ``typing.get_type_hints`` resolves."""
     parts = tuple(tuple(word.split(":")) if ":" in word else word for word in form.split())
-    cls = make_dataclass(
-        name, [(part[0], Any) for part in parts if isinstance(part, tuple)],
-        bases=(Statement,), namespace={"__doc__": f"{keyword} {form}"},
-        frozen=True, eq=False, repr=False,
-    )
-    # make_dataclass names the module "types" on Python 3.10 and 3.11.
-    cls.__module__ = __name__
-    globals()[name] = cls
+    cls = globals()[name] = type(name, (Statement,), {
+        "__annotations__": {part[0]: Any for part in parts if isinstance(part, tuple)},
+        "__doc__": f"{keyword} {form}",
+        "__module__": __name__,
+    })
     return cls, parts
 
 
@@ -208,7 +254,6 @@ STATEMENT_FORMS = {
 # --- Pipeline --------------------------------------------------------------
 
 
-@_node
 class InputDecl(Node):
     """INPUT name: TABLE[...], a dataset the caller passes in."""
 
@@ -216,7 +261,6 @@ class InputDecl(Node):
     schema: Schema
 
 
-@_node
 class Step(Node):
     """STEP name: the statements of one named step, in order."""
 
@@ -224,7 +268,6 @@ class Step(Node):
     body: tuple[Statement, ...]
 
 
-@_node
 class Pipeline(Node):
     """PIPELINE name: its inputs, steps and OUTPUT dataset."""
 
@@ -232,7 +275,28 @@ class Pipeline(Node):
     inputs: tuple[InputDecl, ...]
     steps: tuple[Step, ...]
     output: str
-    output_location: SourceLocation = field(compare=False, kw_only=True)
+    output_location: SourceLocation
+
+
+def _compile_inits(classes: list[type]) -> None:
+    """Give each class the ``__init__`` that ``dataclass(frozen=True)``
+    would generate, all compiled from one source in one ``exec``."""
+    source = []
+    for cls in classes:
+        names = cls._field_names
+        params = [*cls._compared_names, "*", *(name for name in names if name in _LOCATIONS)]
+        sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+        source.append(f"def {cls.__name__}(self, {', '.join(params)}):{sets}")
+    namespace = {"__name__": __name__, "_set": object.__setattr__}
+    exec("\n".join(source), namespace)
+    for cls in classes:
+        init = namespace[cls.__name__]
+        init.__name__, init.__qualname__ = "__init__", f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+
+_compile_inits([cls for cls in globals().values()
+                if isinstance(cls, type) and issubclass(cls, Node)])
 
 
 def statement_target(stmt: Statement) -> Optional[str]:
@@ -259,9 +323,9 @@ def ast_to_dict(node: object) -> object:
         }
     if isinstance(node, Node):
         out: dict[str, object] = {"node": type(node).__name__}
-        for f in fields(node):
-            if f.name != "location":
-                out[f.name] = ast_to_dict(getattr(node, f.name))
+        for name in node._field_names:
+            if name != "location":
+                out[name] = ast_to_dict(getattr(node, name))
         out["location"] = ast_to_dict(node.location)
         return out
     if isinstance(node, SourceLocation):

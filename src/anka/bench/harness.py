@@ -17,9 +17,8 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from anka.bench.suite import CATEGORIES, TaskSpec
 from anka.errors import ExecutionError, InputError, ParseError
@@ -46,8 +45,7 @@ def check_sample_timeout(seconds: float) -> None:
         raise ValueError(f"sample_timeout must be finite and above 0, got {seconds!r}")
 
 
-@dataclass(frozen=True)
-class SampleResult:
+class SampleResult(NamedTuple):
     sample: str
     parse: bool
     execute: bool
@@ -55,7 +53,7 @@ class SampleResult:
     detail: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 class CandidateSet:
@@ -158,8 +156,7 @@ def task_accuracy(results: list[SampleResult]) -> bool:
     return correct / len(results) >= 0.5
 
 
-@dataclass(frozen=True)
-class TaskReport:
+class TaskReport(NamedTuple):
     task_id: str
     category: str
     samples: tuple[SampleResult, ...]
@@ -181,8 +178,7 @@ class TaskReport:
         }
 
 
-@dataclass(frozen=True)
-class MetricBlock:
+class MetricBlock(NamedTuple):
     """Aggregate metrics over a set of tasks and their samples."""
 
     num_tasks: int
@@ -218,8 +214,7 @@ class MetricBlock:
         }
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     tasks: tuple[TaskReport, ...]
     categories: tuple[tuple[str, MetricBlock], ...]
     overall: MetricBlock

@@ -31,9 +31,8 @@ is optional and defaults to false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from anka.errors import AnkaError, ConversionError, TableError
 from anka.io_adapters import decode_json, json_rows_to_table
@@ -55,16 +54,14 @@ class SuiteError(AnkaError):
     """The suite document is malformed or internally inconsistent."""
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(NamedTuple):
     __test__ = False  # not a pytest class, despite the name
 
     inputs: dict[str, Table]
     expected: Table
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):
     id: str
     category: str
     description: str

@@ -6,11 +6,10 @@ null and the implementation is not invoked. Aggregates skip nulls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial, reduce
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from anka.errors import AssertionFailed, ConversionError
 from anka.values import (NUMERIC_TYPES, Cell, ValueType, check_int, decimal_quotient,
@@ -24,8 +23,7 @@ ANY = None  # argument accepts every value type
 MAX_STRING_LENGTH = 1_000_000
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(NamedTuple):
     params: tuple[Optional[frozenset[ValueType]], ...]
     result: ValueType
     fn: Callable[..., Cell]
@@ -118,8 +116,7 @@ def call_builtin(name: str, args: tuple[Cell, ...]) -> Cell:
     return _FUNCTIONS[name](*args)
 
 
-@dataclass(frozen=True)
-class Aggregate:
+class Aggregate(NamedTuple):
     """An aggregate function. ``fold(add)``, given the addition kernel of
     the result type, folds a group's non-null values, one or more, or for
     COUNT its rows, into a cell."""

@@ -27,7 +27,7 @@ from anka.bench.suite import SuiteError, load_suite
 from anka.errors import AnkaError, ExecutionError, InputError, ParseError
 from anka.formatter import format_schema
 from anka.interpreter import run_pipeline
-from anka.io_adapters import IoAdapter, decode_table, encode_table
+from anka.io_adapters import TABLE_CODECS, IoAdapter, decode_table, encode_table
 from anka.parser import parse
 from anka.validator import validate
 
@@ -168,8 +168,8 @@ def cmd_check(args) -> int:
 
 def _table_format(path: str) -> str:
     """The format of an ``--input`` or ``--output`` file, by its suffix
-    in any case."""
-    return "csv" if path.lower().endswith(".csv") else "json"
+    in any case; JSON when the suffix names no format."""
+    return next((name for name in TABLE_CODECS if path.lower().endswith(f".{name}")), "json")
 
 
 def cmd_run(args) -> int:

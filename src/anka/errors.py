@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from anka.location import SourceLocation
 
@@ -63,8 +62,7 @@ class ValidationKind(str, enum.Enum):
     OUTPUT_UNDEFINED = "OutputUndefined"
 
 
-@dataclass(frozen=True)
-class ValidationError:
+class ValidationError(NamedTuple):
     """A single static-analysis diagnostic. Not an exception: the
     validator collects these and returns them as a list."""
 

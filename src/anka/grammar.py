@@ -20,6 +20,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from anka import ast_nodes as ast
 from anka.builtins import AGGREGATES
 from anka.errors import ConversionError, ParseError
+from anka.io_adapters import TABLE_CODECS
 from anka.lexer import KIND_DECIMAL, KIND_INT, KIND_STRING, LITERAL_VALUES, token_kind
 from anka.values import CELL_TYPES, Schema, ValueType, parse_date, parse_datetime, parse_int
 
@@ -192,7 +193,7 @@ class Slot(NamedTuple):
 AGGREGATE_FNS = tuple(AGGREGATES)
 
 # Each table format's keyword, with the name a READ or WRITE node holds.
-FORMATS = {"JSON": "json", "CSV": "csv"}
+FORMATS = {name.upper(): name for name in TABLE_CODECS}
 
 
 def _read_name(p, what: str) -> str:

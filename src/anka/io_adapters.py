@@ -445,17 +445,17 @@ class IoAdapter:
             raise HttpError(f"{method} {url!r} failed: {reason}") from None
 
 
+# Each table format's encoder and decoder, by the name a READ or WRITE
+# node holds; ``grammar.FORMATS`` spells each name's keyword from here.
+TABLE_CODECS = {
+    "json": (table_to_json, table_from_json),
+    "csv": (table_to_csv, table_from_csv),
+}
+
+
 def encode_table(table: Table, fmt: str) -> bytes:
-    if fmt == "json":
-        return table_to_json(table)
-    if fmt == "csv":
-        return table_to_csv(table)
-    raise ValueError(f"unknown table format {fmt!r}")
+    return TABLE_CODECS[fmt][0](table)
 
 
 def decode_table(data: bytes, fmt: str, schema: Schema) -> Table:
-    if fmt == "json":
-        return table_from_json(data, schema)
-    if fmt == "csv":
-        return table_from_csv(data, schema)
-    raise ValueError(f"unknown table format {fmt!r}")
+    return TABLE_CODECS[fmt][1](data, schema)

@@ -28,7 +28,6 @@ releases each such name once its statement has run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from anka import ast_nodes as ast
@@ -46,7 +45,6 @@ _MEMO = "_validation"
 Env = dict[str, Optional[Schema]]
 
 
-@dataclass(eq=False)
 class ValidationResult:
     """Outcome of ``validate``: the final bindings, the diagnostics, and
     the schemas and types each statement resolved, which the interpreter
@@ -67,13 +65,27 @@ class ValidationResult:
     and in its handler can.
     """
 
-    environment: Env
-    errors: list[ValidationError]
-    output_schema: Optional[Schema]
-    sources: dict[int, list[Optional[Schema]]]
-    outputs: dict[int, Optional[Schema]]
-    types: dict[int, ValueType]
-    dies: dict[int, tuple[str, ...]]
+    def __init__(
+        self,
+        environment: Env,
+        errors: list[ValidationError],
+        output_schema: Optional[Schema],
+        sources: dict[int, list[Optional[Schema]]],
+        outputs: dict[int, Optional[Schema]],
+        types: dict[int, ValueType],
+        dies: dict[int, tuple[str, ...]],
+    ) -> None:
+        self.environment = environment
+        self.errors = errors
+        self.output_schema = output_schema
+        self.sources = sources
+        self.outputs = outputs
+        self.types = types
+        self.dies = dies
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({shown})"
 
     @property
     def ok(self) -> bool:
@@ -93,7 +105,7 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
     """Check a parsed pipeline. Returns the final environment together
     with all diagnostics found; an empty error list means well-typed.
 
-    The result is kept on the pipeline object, outside its dataclass
+    The result is kept on the pipeline object, outside its node
     fields, so equality and ``ast_to_dict`` never see it; validating the
     same object again, as ``run_pipeline`` does, returns the same result.
     """
@@ -312,8 +324,9 @@ class _Checker:
     def infer(self, stmt: ast.Statement, env: Env) -> Optional[Schema]:
         """Schema a data, WRITE or POST statement yields, by its rule in
         ``_RULES`` applied to the schemas of the datasets it reads; None
-        when any is unknown or ``stmt`` is no statement of the language."""
-        rule, fields = _RULES.get(type(stmt), (None, ()))
+        when any is unknown, ``stmt`` is no statement of the language or one
+        of its typed fields holds a value of another Python type."""
+        rule, fields, typed = _RULES.get(type(stmt), (None, (), ()))
         if rule is None:
             self.error(ValidationKind.TYPE_MISMATCH,
                        f"unknown statement {type(stmt).__name__}", stmt.location)
@@ -321,8 +334,16 @@ class _Checker:
         if isinstance(stmt, (ast.Read, ast.Write)) and stmt.format not in FORMATS.values():
             self.error(ValidationKind.TYPE_MISMATCH,
                        f"unknown table format {clip_text(repr(stmt.format))}", stmt.location)
+        ok = True
+        for field, expected in typed:
+            value = getattr(stmt, field)
+            if type(value) is not expected:
+                ok = False
+                self.error(ValidationKind.TYPE_MISMATCH,
+                           f"{NODE_KEYWORDS[type(stmt)]} {field} must be {expected.__name__}, "
+                           f"got {clip_text(repr(value))}", stmt.location)
         sources = [self._resolve(stmt, getattr(stmt, field), env) for field in fields]
-        if any(schema is None for schema in sources):
+        if not ok or any(schema is None for schema in sources):
             return None
         return rule(self, stmt, *sources)
 
@@ -683,17 +704,25 @@ _CONTROL = {
 }
 
 
-def _dataset_fields(node: type) -> tuple[str, ...]:
-    """The fields of a statement that name the datasets it reads,
-    in the order its form has them."""
-    parts = ast.STATEMENT_FORMS[NODE_KEYWORDS[node]][1]
-    return tuple(part[0] for part in parts
-                 if isinstance(part, tuple) and part[1] == "dataset")
+# The Python type a statement field filled from a slot of each of these
+# kinds must hold: the parser gives it no other, but the AST API can.
+# ``type(value) is int`` also keeps a bool out of a count.
+_SLOT_TYPES = {"count": int, "direction": bool, "literal": ast.Literal}
+
+
+def _form_fields(node: type) -> list[tuple[str, str]]:
+    """A statement's (field, slot kind) pairs, in the order of its form."""
+    return [part for part in ast.STATEMENT_FORMS[NODE_KEYWORDS[node]][1]
+            if isinstance(part, tuple)]
 
 
 # Each data, WRITE or POST statement's rule, with the fields it reads
-# datasets from.
-_RULES = {node: (rule, _dataset_fields(node)) for node, rule in {
+# datasets from and its fields that must hold one Python type, with it.
+_RULES = {node: (
+    rule,
+    tuple(field for field, kind in _form_fields(node) if kind == "dataset"),
+    tuple((field, _SLOT_TYPES[kind]) for field, kind in _form_fields(node) if kind in _SLOT_TYPES),
+) for node, rule in {
     ast.Read: _Checker._declared,
     ast.Fetch: _Checker._declared,
     ast.Filter: _Checker._filter,

@@ -22,7 +22,6 @@ import datetime
 import decimal
 import enum
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -93,8 +92,7 @@ def cell_matches(value: Cell, vtype: ValueType) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """A named, typed column."""
 
     name: str

@@ -1,10 +1,13 @@
 """The runtime imports nothing but itself and the standard library,
-loads the HTTP stack only when a request is made or fails, and leaves
-process-global state alone: callers, and any threads they run, share
-the garbage collector, the signal handlers, the recursion limit and the
-csv module's field size limit."""
+loads the HTTP stack only when a request is made or fails and
+``dataclasses`` only when a node's dataclass metadata is read, has no
+class for which ``dataclass`` generates code, and leaves process-global
+state alone: callers, and any threads they run, share the garbage
+collector, the signal handlers, the recursion limit and the csv
+module's field size limit."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -40,10 +43,12 @@ def test_every_import_is_anka_or_the_standard_library():
     assert foreign == []
 
 
-# Modules that only an unsandboxed FETCH or POST needs, or that nothing
-# in the runtime needs; importing anka must not load them.
+# Modules that only an unsandboxed FETCH or POST needs, that only a read
+# of the AST classes' dataclass metadata needs, or that nothing in the
+# runtime needs; importing anka must not load them.
 DEFERRED_MODULES = (
     "http.client", "urllib.request", "urllib.error", "email", "ssl", "importlib.resources",
+    "dataclasses", "inspect",
 )
 
 
@@ -140,3 +145,27 @@ def test_no_module_touches_process_global_state():
 )
 def test_the_global_state_check_sees_each_form(source):
     assert list(_global_state_uses(ast.parse(source)))
+
+
+def _anka_modules():
+    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+        parts = path.relative_to(SOURCE_ROOT.parent).with_suffix("").parts
+        yield importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+
+
+def test_no_class_has_generated_dataclass_methods():
+    # ``dataclass`` compiles an ``__init__``, ``__eq__`` or frozen
+    # ``__setattr__``/``__delattr__`` for each class by ``exec`` at import,
+    # which made up the largest share of ``import anka``; the AST nodes take
+    # theirs from ``Node`` and one shared ``exec`` instead
+    classes = [
+        cls for module in _anka_modules() for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        and hasattr(cls, "__dataclass_params__")
+    ]
+    assert len(classes) >= 38
+    generating = [
+        cls.__qualname__ for cls in classes
+        if any(getattr(cls.__dataclass_params__, flag) for flag in ("init", "eq", "frozen"))
+    ]
+    assert generating == []

@@ -673,6 +673,30 @@ class TestApiOnlyTrees:
         with pytest.raises(ValidationException, match=message):
             run_pipeline(pipeline, {"t": table}, IoAdapter(sandbox=False))
 
+    @pytest.mark.parametrize(
+        "statement, field, value, message",
+        [
+            ("SORT t BY a DESC INTO r", "descending", "yes",
+             "SORT descending must be bool, got 'yes'"),
+            ("LIMIT t TO 1 INTO r", "count", "1", "LIMIT count must be int, got '1'"),
+            ("ADD_COLUMN t WITH c = 1 INTO r", "value", None,
+             "ADD_COLUMN value must be Literal, got None"),
+            ("SLICE t FROM 0 TO 2 INTO r", "start", 1.5, "SLICE start must be int, got 1.5"),
+            ("SKIP t FIRST 1 INTO r", "count", True, "SKIP count must be int, got True"),
+        ],
+        ids=["sort-descending", "limit-count", "add-column-value", "slice-start", "skip-count"],
+    )
+    def test_field_of_another_python_type(self, statement, field, value, message):
+        source = f"PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n  {statement}\n OUTPUT r"
+        pipeline = _with_first_statement(parse(source), lambda s: replace(s, **{field: value}))
+        result = validate(pipeline)
+        assert [(e.kind, e.message, e.location.line) for e in result.errors] == [
+            (ValidationKind.TYPE_MISMATCH, message, 4)
+        ]
+        table = make_table(schema_of(("a", ValueType.INT)), [(1,), (2,)])
+        with pytest.raises(ValidationException, match=re.escape(message)):
+            run_pipeline(pipeline, {"t": table})
+
 
 # One column of each type, named after it, with two rows of values and a
 # row of nulls.
