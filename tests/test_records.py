@@ -17,6 +17,7 @@ from anka.bench.harness import (CandidateSet, MetricBlock, RunReport, SampleResu
 from anka.bench.suite import TaskSpec, TestCase, load_suite
 from anka.builtins import AGGREGATES, BUILTINS, Aggregate, Builtin
 from anka.errors import ParseError, ValidationError
+from anka.grammar import NODE_KEYWORDS
 from anka.location import SourceLocation
 from anka.parser import parse
 from anka.validator import ValidationResult, validate
@@ -128,8 +129,8 @@ def _field_names(cls) -> tuple[str, ...]:
 def _expected_fields(cls) -> tuple[str, ...]:
     if cls in RECORD_FIELDS:
         return RECORD_FIELDS[cls]
-    if issubclass(cls, ast.Statement) and cls is not ast.Statement:
-        form = ast.STATEMENT_FORMS[cls.__doc__.split()[0]][1]
+    if cls in NODE_KEYWORDS:
+        form = ast.STATEMENT_FORMS[NODE_KEYWORDS[cls]][1]
         return ("location", *(part[0] for part in form if isinstance(part, tuple)))
     own = [name for name in typing.get_type_hints(cls) if name != "location"]
     return ("location", *own)
