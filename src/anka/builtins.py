@@ -126,8 +126,8 @@ class Aggregate(NamedTuple):
     fold: Callable[[Optional[Callable]], Callable[[list], Cell]]
 
 
-def _average(add: Callable) -> Callable[[list], Cell]:
-    return lambda values: decimal_quotient(reduce(add, values, Decimal(0)), len(values))
+def _average(add: Callable, values: list) -> Cell:
+    return decimal_quotient(reduce(add, values, Decimal(0)), len(values))
 
 
 _ORDERED = NUMERIC_TYPES | {ValueType.STRING, ValueType.DATE, ValueType.DATETIME}
@@ -137,7 +137,7 @@ _ORDERED = NUMERIC_TYPES | {ValueType.STRING, ValueType.DATE, ValueType.DATETIME
 AGGREGATES: dict[str, Aggregate] = {
     "COUNT": Aggregate((), ValueType.INT, lambda add: len),
     "SUM": Aggregate((NUMERIC_TYPES,), None, lambda add: partial(reduce, add)),
-    "AVG": Aggregate((NUMERIC_TYPES,), ValueType.DECIMAL, _average),
+    "AVG": Aggregate((NUMERIC_TYPES,), ValueType.DECIMAL, lambda add: partial(_average, add)),
     "MIN": Aggregate((_ORDERED,), None, lambda add: min),
     "MAX": Aggregate((_ORDERED,), None, lambda add: max),
 }

@@ -1,4 +1,10 @@
-"""Error and diagnostic types shared across the toolchain."""
+"""Error and diagnostic types shared across the toolchain.
+
+An error that carries a source location keeps the message and the
+location apart and joins them only in ``__str__``, so an error that is
+caught and dropped, as TRY does, never resolves its location. Its
+``args`` are what its constructor takes, so it pickles and copies whole.
+"""
 
 from __future__ import annotations
 
@@ -25,7 +31,8 @@ class InputError(AnkaError):
 
 
 class ParseError(AnkaError):
-    """A syntax error with a precise source position.
+    """A syntax error with a precise source position, shown as
+    ``line:column: message``.
 
     ``expected`` lists token descriptions the parser would have accepted
     at the error location; empty for lexical errors.
@@ -40,7 +47,10 @@ class ParseError(AnkaError):
         self.message = message
         self.location = location
         self.expected = expected
-        super().__init__(f"{location}: {message}")
+        super().__init__(message, location, expected)
+
+    def __str__(self) -> str:
+        return f"{self.location}: {self.message}"
 
     def to_dict(self) -> dict:
         return {
@@ -83,14 +93,21 @@ class ValidationError(NamedTuple):
 
 
 class ExecutionError(AnkaError):
-    """Runtime failure while executing a pipeline statement."""
+    """Runtime failure while executing a pipeline statement, shown as
+    ``line:column: message``, or the message alone while it has no
+    location."""
 
     kind = "ExecutionError"
 
     def __init__(self, message: str, location: Optional[SourceLocation] = None) -> None:
         self.message = message
         self.location = location
-        super().__init__(message if location is None else f"{location}: {message}")
+        super().__init__(message, location)
+
+    def __str__(self) -> str:
+        if self.location is None:
+            return self.message
+        return f"{self.location}: {self.message}"
 
     def at(self, location: SourceLocation) -> "ExecutionError":
         """Return a copy carrying ``location`` if none is attached yet,
@@ -99,7 +116,8 @@ class ExecutionError(AnkaError):
             return self
         located = type(self).__new__(type(self))
         located.__dict__.update(self.__dict__)
-        ExecutionError.__init__(located, self.message, location)
+        located.location = location
+        located.args = (self.message, location, *self.args[2:])
         return located
 
 
@@ -122,6 +140,7 @@ class HttpError(ExecutionError):
     ) -> None:
         super().__init__(message, location)
         self.status = status
+        self.args += (status,)
 
 
 class ConversionError(ExecutionError):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import decimal
 import itertools
+import re
 import time
 from operator import itemgetter
 from typing import Callable, Optional
@@ -55,11 +56,16 @@ DEFAULT_WHILE_CAP = 100_000
 _TIME_LIMIT = "execution time limit exceeded"
 
 Row = tuple[Cell, ...]
-# A step returns the table its statement binds, or None.
-Step = Callable[["Interpreter", dict[str, Table], Optional[Row]], Optional[Table]]
-# Each step with its location, its INTO target (None when it binds
-# nothing) and the names to release once it has run.
-Block = tuple[tuple[SourceLocation, Step, Optional[str], tuple[str, ...]], ...]
+# A step is a module-level function and the values its statement binds:
+# it is called with those values, then the interpreter, the named tables
+# and the current row, and returns the table its statement binds, or None.
+Step = tuple[Callable[..., Optional[Table]], tuple]
+# Each statement's location, its step's function and values, its INTO
+# target (None when it binds nothing) and the names to release once it
+# has run. The values are held beside the function, not in a closure or
+# a ``partial``, so a statement adds two GC-tracked objects to a plan
+# besides the parts it compiles.
+Block = tuple[tuple[SourceLocation, Callable, tuple, Optional[str], tuple[str, ...]], ...]
 # A generated MAP or FILTER loop, from source rows and the deadline to rows.
 RowLoop = Callable[[tuple[Row, ...], Optional[float]], list[Row]]
 
@@ -135,7 +141,7 @@ def _compile_block(
     return tuple(
         (
             stmt.location,
-            _compile_statement(stmt, result, row_schema),
+            *_compile_statement(stmt, result, row_schema),
             ast.statement_target(stmt),
             dies.get(id(stmt), ()) if dies else (),
         )
@@ -155,69 +161,67 @@ def _compile_statement(
     )
 
 
+# Each compiler returns its statement's step: a ``_run_*`` function and
+# the names, schemas and compiled parts it is called with first.
+
+
 def _compile_if(stmt: ast.If, result, row_schema) -> Step:
     condition = _compile_expr("row", stmt.condition, row_schema, result.types)
     then_body = _compile_block(stmt.then_body, result, row_schema)
     else_body = _compile_block(stmt.else_body, result, row_schema)
+    return _run_if, (condition, then_body, else_body)
 
-    def run_if(interp, datasets, row):
-        # a null condition counts as false
-        branch = then_body if condition(row) is True else else_body
-        interp._exec(branch, datasets, row)
 
-    return run_if
+def _run_if(condition, then_body, else_body, interp, datasets, row):
+    # a null condition counts as false
+    branch = then_body if condition(row) is True else else_body
+    interp._exec(branch, datasets, row)
 
 
 def _compile_while(stmt: ast.While, result, row_schema) -> Step:
     condition = _compile_expr("row", stmt.condition, row_schema, result.types)
-    body = _compile_block(stmt.body, result, row_schema)
+    return _run_while, (condition, _compile_block(stmt.body, result, row_schema))
 
-    def run_while(interp, datasets, row):
-        iterations = 0
-        cells = interp.cells
-        while condition(row) is True:
-            iterations += 1
-            if iterations > interp.while_cap:
-                raise AssertionFailed(
-                    f"WHILE exceeded the iteration cap of {interp.while_cap}"
-                )
-            interp._tick()
-            interp._exec(body, dict(datasets), row)
-            interp.cells = cells
 
-    return run_while
+def _run_while(condition, body, interp, datasets, row):
+    iterations = 0
+    cells = interp.cells
+    while condition(row) is True:
+        iterations += 1
+        if iterations > interp.while_cap:
+            raise AssertionFailed(f"WHILE exceeded the iteration cap of {interp.while_cap}")
+        interp._tick()
+        interp._exec(body, dict(datasets), row)
+        interp.cells = cells
 
 
 def _compile_for_each(stmt: ast.ForEach, result, row_schema) -> Step:
-    source = stmt.source
     (source_schema,) = result.sources[id(stmt)]
-    body = _compile_block(stmt.body, result, source_schema)
+    return _run_for_each, (stmt.source, _compile_block(stmt.body, result, source_schema))
 
-    def run_for_each(interp, datasets, row):
-        cells = interp.cells
-        for each in datasets[source].rows:
-            interp._tick()
-            interp._exec(body, dict(datasets), each)
-            interp.cells = cells
 
-    return run_for_each
+def _run_for_each(source, body, interp, datasets, row):
+    cells = interp.cells
+    for each in datasets[source].rows:
+        interp._tick()
+        interp._exec(body, dict(datasets), each)
+        interp.cells = cells
 
 
 def _compile_try(stmt: ast.Try, result, row_schema) -> Step:
     body = _compile_block(stmt.body, result, row_schema)
-    handler = _compile_block(stmt.handler, result, row_schema)
+    return _run_try, (body, _compile_block(stmt.handler, result, row_schema))
 
-    def run_try(interp, datasets, row):
-        scope, cells = dict(datasets), interp.cells
-        try:
-            interp._exec(body, scope, row)
-        except ExecutionError:
-            interp.cells = cells
-            interp._exec(handler, datasets, row)
-        else:
-            datasets.update(scope)
 
-    return run_try
+def _run_try(body, handler, interp, datasets, row):
+    scope, cells = dict(datasets), interp.cells
+    try:
+        interp._exec(body, scope, row)
+    except ExecutionError:
+        interp.cells = cells
+        interp._exec(handler, datasets, row)
+    else:
+        datasets.update(scope)
 
 
 _CONTROL_COMPILERS = {
@@ -235,43 +239,66 @@ _CONTROL_COMPILERS = {
 
 
 def _filter(stmt: ast.Filter, sources, schema, types):
-    source, keep = stmt.source, _compile_expr("filter", stmt.predicate, sources[0], types)
-    return lambda interp, d, row: interp.eval_filter(d[source], keep)
+    keep = _compile_expr("filter", stmt.predicate, sources[0], types)
+    return _run_filter, (stmt.source, keep)
+
+
+def _run_filter(source, keep, interp, d, row):
+    return interp.eval_filter(d[source], keep)
 
 
 def _select(stmt: ast.Select, sources, schema, types):
-    source, indices = stmt.source, [sources[0].index_of(n) for n in stmt.columns]
-    return lambda interp, d, row: interp.eval_select(d[source], schema, indices)
+    indices = [sources[0].index_of(n) for n in stmt.columns]
+    return _run_select, (stmt.source, schema, indices)
+
+
+def _run_select(source, schema, indices, interp, d, row):
+    return interp.eval_select(d[source], schema, indices)
 
 
 def _distinct(stmt: ast.Distinct, sources, schema, types):
-    source = stmt.source
-    return lambda interp, d, row: interp.eval_distinct(d[source])
+    return _run_distinct, (stmt.source,)
+
+
+def _run_distinct(source, interp, d, row):
+    return interp.eval_distinct(d[source])
 
 
 def _map(stmt: ast.Map, sources, schema, types):
-    source, compute = stmt.source, _compile_expr("map", stmt.expr, sources[0], types)
-    return lambda interp, d, row: interp.eval_map(d[source], schema, compute)
+    compute = _compile_expr("map", stmt.expr, sources[0], types)
+    return _run_map, (stmt.source, schema, compute)
+
+
+def _run_map(source, schema, compute, interp, d, row):
+    return interp.eval_map(d[source], schema, compute)
 
 
 def _rename(stmt: ast.Rename, sources, schema, types):
-    source = stmt.source
-    return lambda interp, d, row: interp.eval_rename(d[source], schema)
+    return _run_rename, (stmt.source, schema)
+
+
+def _run_rename(source, schema, interp, d, row):
+    return interp.eval_rename(d[source], schema)
 
 
 def _drop(stmt: ast.Drop, sources, schema, types):
-    source, gone = stmt.source, sources[0].index_of(stmt.column)
-    return lambda interp, d, row: interp.eval_drop(d[source], schema, gone)
+    return _run_drop, (stmt.source, schema, sources[0].index_of(stmt.column))
+
+
+def _run_drop(source, schema, gone, interp, d, row):
+    return interp.eval_drop(d[source], schema, gone)
 
 
 def _add_column(stmt: ast.AddColumn, sources, schema, types):
-    source, value = stmt.source, stmt.value.value
-    return lambda interp, d, row: interp.eval_add_column(d[source], schema, value)
+    return _run_add_column, (stmt.source, schema, stmt.value.value)
+
+
+def _run_add_column(source, schema, value, interp, d, row):
+    return interp.eval_add_column(d[source], schema, value)
 
 
 def _aggregate(stmt: ast.Aggregate, sources, schema, types):
     (src,) = sources
-    source = stmt.source
     keys = [src.index_of(name) for name in stmt.group_by]
     # each fold is bound to the addition kernel of its output column's type
     computes = [
@@ -279,51 +306,94 @@ def _aggregate(stmt: ast.Aggregate, sources, schema, types):
          AGGREGATES[spec.fn].fold(ARITHMETIC_KERNELS.get(("+", schema.type_of(spec.alias)))))
         for spec in stmt.computes
     ]
-    return lambda interp, d, row: interp.eval_aggregate(d[source], schema, keys, computes)
+    return _run_aggregate, (stmt.source, schema, keys, computes)
+
+
+def _run_aggregate(source, schema, keys, computes, interp, d, row):
+    return interp.eval_aggregate(d[source], schema, keys, computes)
 
 
 def _sort(stmt: ast.Sort, sources, schema, types):
-    source, descending = stmt.source, stmt.descending
     key = sources[0].index_of(stmt.column)
-    return lambda interp, d, row: interp.eval_sort(d[source], key, descending)
+    return _run_sort, (stmt.source, key, stmt.descending)
+
+
+def _run_sort(source, key, descending, interp, d, row):
+    return interp.eval_sort(d[source], key, descending)
 
 
 def _limit(stmt: ast.Limit, sources, schema, types):
-    source, count = stmt.source, stmt.count
-    return lambda interp, d, row: interp.eval_limit(d[source], count)
+    return _run_limit, (stmt.source, stmt.count)
+
+
+def _run_limit(source, count, interp, d, row):
+    return interp.eval_limit(d[source], count)
 
 
 def _skip(stmt: ast.Skip, sources, schema, types):
-    source, count = stmt.source, stmt.count
-    return lambda interp, d, row: interp.eval_skip(d[source], count)
+    return _run_skip, (stmt.source, stmt.count)
+
+
+def _run_skip(source, count, interp, d, row):
+    return interp.eval_skip(d[source], count)
 
 
 def _slice(stmt: ast.Slice, sources, schema, types):
-    source, start, stop = stmt.source, stmt.start, stmt.stop
-    return lambda interp, d, row: interp.eval_slice(d[source], start, stop)
+    return _run_slice, (stmt.source, stmt.start, stmt.stop)
+
+
+def _run_slice(source, start, stop, interp, d, row):
+    return interp.eval_slice(d[source], start, stop)
 
 
 def _join(stmt, sources, schema, types):
-    left, right, left_outer = stmt.left, stmt.right, type(stmt) is ast.LeftJoin
     li, ri = sources[0].index_of(stmt.left_key), sources[1].index_of(stmt.right_key)
-    return lambda interp, d, row: interp.eval_join(
-        d[left], d[right], schema, li, ri, left_outer=left_outer
-    )
+    left_outer = type(stmt) is ast.LeftJoin
+    return _run_join, (stmt.left, stmt.right, schema, li, ri, left_outer)
+
+
+def _run_join(left, right, schema, li, ri, left_outer, interp, d, row):
+    return interp.eval_join(d[left], d[right], schema, li, ri, left_outer=left_outer)
 
 
 def _union(stmt: ast.Union, sources, schema, types):
-    left, right = stmt.left, stmt.right
-    return lambda interp, d, row: interp.eval_union(d[left], d[right])
+    return _run_union, (stmt.left, stmt.right)
 
 
-def _io(call):
-    """An action compiler for an I/O statement: ``call(stmt, io, d)``
-    runs it."""
+def _run_union(left, right, interp, d, row):
+    return interp.eval_union(d[left], d[right])
 
-    def compile_io(stmt, sources, schema, types):
-        return lambda interp, d, row: call(stmt, interp.io, d)
 
-    return compile_io
+def _read(stmt: ast.Read, sources, schema, types):
+    return _run_read, (stmt.path, stmt.format, stmt.schema)
+
+
+def _run_read(path, fmt, schema, interp, d, row):
+    return interp.io.read_table(path, fmt, schema)
+
+
+def _fetch(stmt: ast.Fetch, sources, schema, types):
+    return _run_fetch, (stmt.url, stmt.schema)
+
+
+def _run_fetch(url, schema, interp, d, row):
+    return interp.io.fetch_table(url, schema)
+
+
+def _write(stmt: ast.Write, sources, schema, types):
+    return _run_write, (stmt.source, stmt.path, stmt.format)
+
+
+def _run_write(source, path, fmt, interp, d, row):
+    return interp.io.write_table(d[source], path, fmt)
+
+
+def _post(stmt: ast.Post, sources, schema, types):
+    return _run_post, (stmt.source, stmt.url)
+
+
+def _run_post(source, url, interp, d, row):
+    return interp.io.post_table(url, d[source])
 
 
 _ACTION_COMPILERS = {
@@ -342,10 +412,10 @@ _ACTION_COMPILERS = {
     ast.Join: _join,
     ast.LeftJoin: _join,
     ast.Union: _union,
-    ast.Read: _io(lambda s, io, d: io.read_table(s.path, s.format, s.schema)),
-    ast.Fetch: _io(lambda s, io, d: io.fetch_table(s.url, s.schema)),
-    ast.Write: _io(lambda s, io, d: io.write_table(d[s.source], s.path, s.format)),
-    ast.Post: _io(lambda s, io, d: io.post_table(s.url, d[s.source])),
+    ast.Read: _read,
+    ast.Fetch: _fetch,
+    ast.Write: _write,
+    ast.Post: _post,
 }
 
 
@@ -378,10 +448,10 @@ class Interpreter:
         """Run ``block``'s steps in order. An error gets the location of
         the statement it stopped in, unless a nested statement or an
         expression node inside it already gave it one."""
-        for location, step, target, dies in block:
+        for location, step, args, target, dies in block:
             try:
                 self._tick()
-                table = step(self, datasets, row)
+                table = step(*args, self, datasets, row)
                 if target is not None:
                     if self.max_cells is not None:
                         self._charge(table, datasets.get(target))
@@ -593,7 +663,9 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 # profiler or a test that replaces it there before the compile sees each
 # call that reaches a kernel. The right operand of AND and OR is an inner
 # function, called only when the left does not decide, so the indentation
-# stays flat at any expression height. ``time`` is still read from this
+# stays flat at any expression height. Each function ``make`` defines takes
+# the parameters, kernels and inner functions its body reads as defaults,
+# so none of them holds a closure cell. ``time`` is still read from this
 # module's globals on each call, so a run without a deadline reads no clock.
 
 _MAX_FACTORIES = 512
@@ -611,24 +683,27 @@ _OPERATORS = {
     "arith": (3, 2),
 }
 _LOOP = (
-    "    def run(rows, deadline):",
-    "        monotonic = time.monotonic",
-    "        out = []",
-    "        for row in rows:",
-    "            if deadline is not None and monotonic() > deadline:",
-    "                raise AssertionFailed(_TIME_LIMIT)",
+    "monotonic = time.monotonic",
+    "out = []",
+    "for row in rows:",
+    "    if deadline is not None and monotonic() > deadline:",
+    "        raise AssertionFailed(_TIME_LIMIT)",
 )
-# each shape's function: the lines before the expression's code, that
-# code's indentation, and the lines after it, "{}" being its value
+# each shape's function: its name and parameters, unclosed, the lines of
+# its body before the expression's code, that code's indentation, and the
+# lines after it, "{}" being its value
 _SHAPES = {
-    "row": (("    def run(row):",), 8, ("        return {}",)),
-    "map": (_LOOP, 12, ("            out.append(row + ({},))", "        return out")),
+    "row": ("run(row", (), 0, ("return {}",)),
+    "map": ("run(rows, deadline", _LOOP, 4, ("    out.append(row + ({},))", "return out")),
     "filter": (
+        "run(rows, deadline",
         _LOOP,
-        12,
-        ("            if {} is True:", "                out.append(row)", "        return out"),
+        4,
+        ("    if {} is True:", "        out.append(row)", "return out"),
     ),
 }
+# a parameter, a kernel or an inner function in generated code
+_BOUND = re.compile(r"\b[pkf][0-9]+\b")
 _NEGATION_OVERFLOW = "DECIMAL overflow in negation"
 _OVERFLOW = {op: f"DECIMAL overflow in {name}" for op, name in OPERATION_NAMES.items()}
 
@@ -691,6 +766,7 @@ def _factory(key: tuple) -> Callable:
     last operand is done, so the code runs in the language's order."""
     shape, numbers = key[0], itertools.count()
     temps = (f"v{i}" for i in itertools.count())
+    functions = (f"f{i}" for i in itertools.count())
     inner: list[str] = []  # the AND and OR right-operand functions
     kernels: list[str] = []  # the builtin calls' kernel bindings
     bodies: list[list[str]] = [[]]  # the function being generated is last
@@ -717,16 +793,16 @@ def _factory(key: tuple) -> Callable:
                 break
             pending.pop()
             if op in ("AND", "OR"):
-                value = _emit_bool(op, values, bodies.pop(), bodies[-1], inner, temps)
+                value = _emit_bool(op, values, bodies.pop(), bodies[-1], inner, temps, functions)
             else:
                 value = _emit(op, names, values, bodies[-1], next(temps))
         else:  # no operator is left waiting: this is the expression's value
             result = value[0]
-    head, indent, tail = _SHAPES[shape]
+    signature, head, indent, tail = _SHAPES[shape]
+    body = [*head, *(" " * indent + line for line in bodies[0])]
+    body += (line.format(result) for line in tail)
     params = ", ".join(f"p{i}" for i in range(next(numbers)))
-    lines = [f"def make({params}):", *kernels, *inner, *head]
-    lines += (" " * indent + line for line in bodies[0])
-    lines += (line.format(result) for line in tail)
+    lines = [f"def make({params}):", *kernels, *inner, *_define(signature, body)]
     lines.append("    return run")
     namespace: dict[str, Callable] = {}
     exec(compile("\n".join(lines), f"<anka {shape}>", "exec"), globals(), namespace)
@@ -786,16 +862,24 @@ def _guarded(line: str, location: str, overflow: Optional[str] = None) -> list[s
     return lines
 
 
-def _emit_bool(token: str, values, right_body, body, inner, temps) -> tuple[str, bool]:
+def _define(signature: str, body: list[str]) -> list[str]:
+    """The lines of a function inside ``make``: ``signature`` is its name
+    and parameters, unclosed, to which each parameter, kernel and inner
+    function that ``body`` reads is added as a default of the same name."""
+    bound = dict.fromkeys(_BOUND.findall("\n".join(body)))
+    defaults = "".join(f", {name}={name}" for name in bound)
+    return [f"    def {signature}{defaults}):", *(f"        {line}" for line in body)]
+
+
+def _emit_bool(token: str, values, right_body, body, inner, temps, functions) -> tuple[str, bool]:
     """Emit AND or OR: ``right_body`` computes the right operand and
     becomes an inner function, called only when the left one does not
     decide; return the result's name and whether it may be null."""
     (left, left_null), (right, right_null) = values
     decided, otherwise = ("False", "True") if token == "AND" else ("True", "False")
     result, nullable = _strict(otherwise, (("left", left_null), (right, right_null)))
-    function, out = next(temps), next(temps)
-    inner.append(f"    def {function}(row, left):")
-    inner += (f"        {line}" for line in right_body)
-    inner.append(f"        return {decided} if {right} is {decided} else {result}")
+    function, out = next(functions), next(temps)
+    returned = f"return {decided} if {right} is {decided} else {result}"
+    inner += _define(f"{function}(row, left", [*right_body, returned])
     body.append(f"{out} = {left} if {left} is {decided} else {function}(row, {left})")
     return out, nullable

@@ -5,18 +5,20 @@ and ``#`` comments are skipped; block structure comes entirely from
 keywords and colons, never from indentation.
 
 ``scan`` reads a source with one ``findall`` into a ``TokenStream``: the
-token texts, in order, and beside them the gaps, the whitespace and
-comments after each token. The texts end in one ``""``, the end of
-input. A token is its text and nothing more: a string literal keeps its
-quotes and escapes, so no literal's text equals a keyword or an operator,
-and the parser compares keywords and operators by text. A token's kind
-is worked out from its text (``token_kind``) only where a reader needs
-it: an identifier, a literal, or a token named in an error message.
+token texts, in order, ending in one ``""``, the end of input. A token is
+its text and nothing more: a string literal keeps its quotes and escapes,
+so no literal's text equals a keyword or an operator, and the parser
+compares keywords and operators by text. A token's kind is worked out
+from its text (``token_kind``) only where a reader needs it: an
+identifier, a literal, or a token named in an error message.
 
 A location is a token index into its stream. The stream turns it into
 line, column and byte offset only when the location is read (only
-diagnostics read one), by the character index of every token, which the
-first read sums from the lengths of the texts and gaps.
+diagnostics read one), by the character index of every token. The first
+read sums those from the lengths of the texts and of the gaps, the
+whitespace and comments after each token, which a second ``findall``
+over the same source collects then; a run that reads no location never
+scans them.
 
 ``tokenize`` is the public view of the same stream as ``Token`` objects,
 each with its kind, value and character index.
@@ -72,30 +74,33 @@ KIND_OP = "OP"
 KIND_EOF = "EOF"
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
-_STRING_BODY = r'[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
-_GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+_STRING_BODY = r'[^"\\\n]*+(?:\\["\\nt][^"\\\n]*+)*+'
+_GAP = r"[ \t\r\n]*+(?:\#[^\n]*+[ \t\r\n]*+)*+"
 
 # A token, or nothing where no token starts (the end of input, a character
 # no token starts with, a malformed string), then the gap after it. Each
 # match starts after a gap, so its next character is never whitespace or
 # `#`. Classes are spelled out because \d and \w admit non-ASCII digits
-# and letters.
-_TOKEN = re.compile(
-    rf"""(
-        [A-Za-z_][A-Za-z0-9_]*
+# and letters. The classes are disjoint, so every quantifier is
+# possessive: no match ever gives a character back. ``_TOKEN`` captures
+# the token, ``_GAPS`` the gap; both match the same spans.
+_ALTERNATIVES = rf"""
+        [A-Za-z_][A-Za-z0-9_]*+
       | {"|".join(map(re.escape, OPERATORS))}
-      | [0-9]+(?:\.[0-9]+)?
+      | [0-9]++(?:\.[0-9]++)?+
       | "{_STRING_BODY}"
       |
-    )({_GAP})""",
-    re.VERBOSE,
-)
+"""
+_TOKEN = re.compile(rf"({_ALTERNATIVES})(?:{_GAP})", re.VERBOSE)
+_GAPS = re.compile(rf"(?:{_ALTERNATIVES})({_GAP})", re.VERBOSE)
 _LEADING_GAP = re.compile(_GAP, re.VERBOSE)
 # A number literal out of range has 11 digits in a row or more: 19
 # significant ones for an INT, 11 after the point or 29 before it for a
-# DECIMAL. A source without such a run holds none to check. The first
-# digit is spelled apart so that the search skips to a digit in C.
-_DIGIT_RUN = re.compile(r"[0-9][0-9]{10}")
+# DECIMAL. A source without such a run holds none to check. With every
+# digit of its UTF-8 bytes made a 0, a run is a substring test; a byte of
+# a non-ASCII character is never a digit.
+_ZEROS = bytes.maketrans(b"123456789", b"0" * 9)
+_DIGIT_RUN = b"0" * 11
 _STRING_PREFIX = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 
@@ -144,16 +149,15 @@ LITERAL_VALUES = {KIND_INT: parse_int, KIND_DECIMAL: parse_decimal, KIND_STRING:
 
 
 class TokenStream:
-    """The tokens of one source: ``texts`` ends in ``""``, ``gaps[i]`` is
-    the skipped text after ``texts[i]``, and ``first`` is the character
-    index of the first token. ``len`` counts the tokens, not the end."""
+    """The tokens of one source: ``texts`` ends in ``""``, and ``first`` is
+    the character index of the first token. ``len`` counts the tokens,
+    not the end."""
 
-    __slots__ = ("source", "texts", "gaps", "first", "_starts")
+    __slots__ = ("source", "texts", "first", "_starts")
 
-    def __init__(self, source: str, texts: list[str], gaps: list[str], first: int) -> None:
+    def __init__(self, source: str, texts: list[str], first: int) -> None:
         self.source = source
         self.texts = texts
-        self.gaps = gaps
         self.first = first
         self._starts: Optional[list[int]] = None
 
@@ -162,9 +166,11 @@ class TokenStream:
 
     @property
     def starts(self) -> list[int]:
-        """Each token's character index, the end's too, summed on first read."""
+        """Each token's character index, the end's too, summed on first
+        read from the texts and the gaps, which only this read scans."""
         if self._starts is None:
-            lengths = map(add, map(len, self.texts), map(len, self.gaps))
+            gaps = _GAPS.findall(self.source, self.first)
+            lengths = map(add, map(len, self.texts), map(len, gaps))
             self._starts = list(accumulate(lengths, initial=self.first))
         return self._starts
 
@@ -178,22 +184,23 @@ def scan(source: str) -> TokenStream:
     illegal character, a malformed string literal or an out-of-range
     number, the first one in the source."""
     first = _LEADING_GAP.match(source).end()
-    # split at once into two lists of strings, so that the (text, gap)
-    # pairs, which the garbage collector tracks, are freed before the parse
-    pairs = _TOKEN.findall(source, first)
-    stream = TokenStream(source, [text for text, _ in pairs], [gap for _, gap in pairs], first)
+    stream = TokenStream(source, _TOKEN.findall(source, first), first)
     end = stream.texts.index("")
-    if end + 1 < len(stream.texts) or _DIGIT_RUN.search(source, first):
+    if end + 1 < len(stream.texts) or _has_digit_run(source):
         _check(stream, end)
     return stream
+
+
+def _has_digit_run(source: str) -> bool:
+    return _DIGIT_RUN in source.encode("utf-8", "surrogatepass").translate(_ZEROS)
 
 
 def _check(stream: TokenStream, end: int) -> None:
     """Raise the first lexical error: a number text out of range among
     the ``end`` texts before the first ``""``, then, if the scan stopped
     there, short of the end of input, the character it stopped at."""
-    source, starts = stream.source, stream.starts
-    for text, start in zip(stream.texts[:end], starts):
+    source = stream.source
+    for index, text in enumerate(stream.texts[:end]):
         kind = token_kind(text)
         if kind == KIND_INT or kind == KIND_DECIMAL:
             try:
@@ -202,9 +209,9 @@ def _check(stream: TokenStream, end: int) -> None:
                 # digits only, so an INT's one failure is range
                 message = (str(exc) if kind == KIND_DECIMAL
                            else f"integer literal {clip_text(text)} out of 64-bit range")
-                raise ParseError(message, _location(source, start)) from None
+                raise ParseError(message, _location(source, stream.starts[index])) from None
     if end + 1 < len(stream.texts):
-        start = starts[end]
+        start = stream.starts[end]
         if source.startswith('"', start):
             raise _string_error(source, start)
         raise ParseError(f"unexpected character {source[start]!r}", _location(source, start))

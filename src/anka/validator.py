@@ -98,7 +98,10 @@ class ValidationException(AnkaError):
 
     def __init__(self, errors: list[ValidationError]) -> None:
         self.errors = list(errors)
-        super().__init__("; ".join(str(e) for e in errors))
+        super().__init__(self.errors)
+
+    def __str__(self) -> str:
+        return "; ".join(str(e) for e in self.errors)
 
 
 def validate(pipeline: ast.Pipeline) -> ValidationResult:

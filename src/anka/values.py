@@ -121,6 +121,11 @@ class Schema:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Schema is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild a schema from its fields, since
+        # __setattr__ refuses the state they would otherwise restore
+        return Schema, (self.fields,)
+
     def __len__(self) -> int:
         return len(self.fields)
 
@@ -249,6 +254,10 @@ class Table:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Table is immutable")
+
+    def __reduce__(self):
+        # the rows were checked when this table was built
+        return Table.trusted, (self.schema, self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)

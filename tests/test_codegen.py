@@ -16,9 +16,11 @@ The limit tests take the generator to the parser's nesting cap, to a
 """
 
 import dataclasses
+import functools
 import itertools
 import operator
 import random
+import types
 from decimal import Decimal
 
 import pytest
@@ -33,6 +35,7 @@ from anka.parser import MAX_NESTING_DEPTH, parse
 from anka.validator import validate
 from anka.values import INT64_MAX, INT64_MIN, ValueType as VT, make_table, schema_of
 
+import fuzzing
 import generic_values as generic
 from generators import rand_cell, rand_table
 from pipelinegen import rand_pipeline
@@ -500,3 +503,47 @@ def test_call_builtin_is_read_when_a_plan_is_compiled(monkeypatch):
     # a fresh parse compiles a new plan, which reads the replacement
     assert run_pipeline(parse(text), {"t": NUMBERS}).rows == expected
     assert calls == ["UPPER"] * 4  # one row's s is null
+
+
+# A plan binds each step's and each generated function's values without
+# closure cells: a step is a module-level function held beside its values,
+# and a generated function takes what it reads as defaults.
+
+
+def _plan_functions(value):
+    """Every function a compiled plan reaches: its steps, the functions
+    they are called with, and those bound in turn, nested blocks included."""
+    if isinstance(value, functools.partial):  # an aggregate's fold
+        yield value
+        yield from _plan_functions(value.func)
+        yield from _plan_functions(value.args)
+    elif isinstance(value, types.FunctionType):
+        yield value
+        yield from _plan_functions(value.__defaults__ or ())
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _plan_functions(item)
+
+
+def _compiled_plans():
+    for source in fuzzing.corpus_sources():
+        pipeline = parse(source)
+        rng = random.Random(len(source))
+        yield pipeline, {d.name: rand_table(rng, d.schema) for d in pipeline.inputs}
+    for seed in range(60):
+        yield rand_pipeline(random.Random(seed))
+
+
+def test_no_plan_holds_a_closure_cell():
+    generated = 0
+    for pipeline, inputs in _compiled_plans():
+        try:
+            run_pipeline(pipeline, inputs)
+        except ExecutionError:
+            pass  # the plan is compiled before the run starts
+        plan = pipeline.__dict__[interpreter._PLAN]
+        for function in _plan_functions(plan):
+            assert getattr(function, "__closure__", None) is None, function
+            if isinstance(function, types.FunctionType):
+                generated += function.__code__.co_filename.startswith("<anka")
+    assert generated > 100  # MAP and FILTER loops, conditions, AND/OR operands

@@ -10,10 +10,11 @@ from functools import partial
 
 import pytest
 
+import anka.lexer
 import anka.parser
 from anka import grammar
 from anka.ast_nodes import STATEMENT_FORMS, Node
-from anka.errors import ExecutionError, ParseError
+from anka.errors import DivisionByZero, ExecutionError, ParseError
 from anka.interpreter import run_pipeline
 from anka.lexer import KEYWORDS, OPERATORS, TokenStream, scan, tokenize
 from anka.location import SourceLocation
@@ -22,6 +23,7 @@ from anka.validator import validate
 from anka.values import ValueType, make_table, schema_of
 
 import fuzzing
+from generators import rand_table
 
 
 def kinds(tokens):
@@ -258,6 +260,33 @@ class TestLocations:
         assert calls == []
         assert pipeline.location.line >= 1 and calls == [0]
 
+    def test_a_run_locates_nothing_until_an_error_is_shown(self, monkeypatch):
+        # a run, also one whose TRY catches an error, neither asks a token
+        # stream for a position nor scans the gaps between its tokens
+        calls, scans = [], []
+        position = TokenStream.position
+        monkeypatch.setattr(
+            TokenStream, "position", lambda stream, i: calls.append(i) or position(stream, i)
+        )
+        monkeypatch.setattr(anka.lexer, "_GAPS", _Recorded(anka.lexer._GAPS, scans))
+        for index, source in enumerate(fuzzing.corpus_sources()):
+            pipeline = parse(source)
+            rng = random.Random(index)
+            try:
+                run_pipeline(pipeline, {d.name: rand_table(rng, d.schema) for d in pipeline.inputs})
+            except ExecutionError:
+                pass
+        body = "MAP t WITH r => a / 0 INTO out"
+        caught = f"TRY\n    {body}\n  ON_ERROR\n    MAP t WITH r => a INTO out\n  END_TRY"
+        table = make_table(schema_of(("a", ValueType.INT)), [(1,)])
+        assert run_pipeline(parse(_program(caught)), {"t": table}).rows == ((1, 1),)
+        with pytest.raises(DivisionByZero) as err:
+            run_pipeline(parse(_program(body)), {"t": table})
+        assert calls == [] and scans == []
+        assert str(err.value) == "4:21: division by zero"
+        assert str(err.value) == "4:21: division by zero"
+        assert len(calls) == 1 and len(scans) == 1
+
 
 class TestStreamEdges:
     def test_parse_calls_tokenize_once(self, monkeypatch):
@@ -308,6 +337,22 @@ class TestStreamEdges:
             parse(source)
         loc = err.value.location
         assert (err.value.message, (loc.line, loc.column, loc.offset)) == (message, position)
+
+
+def _program(statement: str) -> str:
+    return f"PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n  {statement}\n OUTPUT out\n"
+
+
+class _Recorded:
+    """A compiled pattern whose ``findall`` calls are counted in ``calls``."""
+
+    def __init__(self, pattern, calls: list) -> None:
+        self.pattern = pattern
+        self.calls = calls
+
+    def findall(self, *args):
+        self.calls.append(args)
+        return self.pattern.findall(*args)
 
 
 def _node_locations(node):
