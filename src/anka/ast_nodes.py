@@ -99,6 +99,11 @@ class Node:
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __getstate__(self) -> dict:
+        # ``pickle`` and ``copy`` carry the fields only: a validation
+        # result or compiled plan kept beside them belongs to this object
+        return {name: getattr(self, name) for name in self._field_names}
+
     def _compared(self) -> tuple:
         return tuple(getattr(self, name) for name in self._compared_names)
 

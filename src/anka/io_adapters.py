@@ -6,11 +6,17 @@ sandbox flag. Sandboxed adapters (the default) deny every operation
 deterministically before touching any handle, which makes benchmark
 runs hermetic.
 
-The CSV decoder reads a chunk of records in one call and admits it a
-column at a time through ``values.parse_column``, which admits each cell
-by the per-cell rules; a file that fails is read again, past the chunks
-it admitted whole, to name its first bad line. The CSV encoder turns
-each column into text once and quotes only a STRING column that needs it.
+The CSV decoder takes a chunk of records at a time from one of two
+record sources. A file with no quote, no line end other than CR, LF and
+CRLF, a header of the schema names and no line past the csv module's
+field size limit is split into lines once, and each chunk of lines is
+split at its commas in one call (``_split_chunks``); every other file is
+read by ``csv.reader`` a chunk per call (``_reader_chunks``). Either way
+each chunk is admitted a column at a time through ``values.parse_column``,
+which admits each cell by the per-cell rules; a file that fails is read
+again by ``csv.reader``, past the chunks it admitted whole, to name its
+first bad line. The CSV encoder turns each column into text once and
+quotes only a STRING column that needs it.
 """
 
 from __future__ import annotations
@@ -253,52 +259,113 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
     """Decode CSV with a header row matching the schema names in order.
     An empty field reads as null for non-STRING columns and as the empty
     string for STRING columns. A blank line is a row of one empty field
-    in a one-column table and is skipped in any other. Each chunk of
-    records is read in one call and admitted a column at a time by
-    ``values.parse_column``; a file that fails is read again from its
-    start, to name its first bad line."""
+    in a one-column table and is skipped in any other. The records come
+    a chunk at a time, split at line ends and commas when ``csv.reader``
+    would read the text that way and from ``csv.reader`` otherwise, and
+    each chunk is admitted a column at a time by ``values.parse_column``;
+    a file that fails is read again from its start, to name its first bad
+    line."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConversionError(f"CSV input is not valid UTF-8: {exc}") from None
-    lines = io.StringIO(text, newline="")
-    reader = csv.reader(lines)
-    width, rows, admitted = len(schema), [], 0
+    names = list(schema.names())
+    lines = _plain_lines(text, names)
+    chunks = _reader_chunks(text, names) if lines is None else _split_chunks(lines, len(names))
+    rows, admitted = [], 0
     try:
-        if next(reader, None) == list(schema.names()):
-            while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
-                if not all(chunk):  # a blank line reads as an empty record
-                    chunk = [r or [""] for r in chunk] if width == 1 else [r for r in chunk if r]
-                if not {width}.issuperset(map(len, chunk)):
-                    break  # a wrong field count: the walk below names it
-                rows.extend(zip(*[
-                    column if field.type is ValueType.STRING
-                    else parse_column(field.type, column)
-                    for field, column in zip(schema.fields, zip(*chunk))
-                ]))
-                admitted += _CSV_CHUNK_ROWS  # only the last chunk can be short
-            else:
-                return Table.trusted(schema, rows)
+        for read, columns in chunks:
+            rows.extend(zip(*[
+                column if field.type is ValueType.STRING
+                else parse_column(field.type, column)
+                for field, column in zip(schema.fields, columns)
+            ]))
+            admitted = read
+        return Table.trusted(schema, rows)
     except (csv.Error, ConversionError):
         pass
-    raise _csv_error(lines, schema, admitted)
+    raise _csv_error(text, schema, admitted)
 
 
 _CSV_CHUNK_ROWS = 1024
 
+# Characters that ``str.splitlines`` ends a line at and ``csv.reader``
+# reads as part of a field; CR, LF and CRLF end a line for both.
+_OTHER_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-def _csv_error(lines: io.StringIO, schema: Schema, admitted: int) -> ConversionError:
-    """The error of the first bad record, in file order, of the CSV text
-    in ``lines`` that failed to decode, read again from its start: no
-    header, a wrong header, a record the reader rejects (such as a field
-    past the csv module's size limit), one with the wrong number of
-    fields, or one with a cell its column's per-cell parser rejects,
-    named by the line the record ends on. A text that ``parse_column``
-    rejects has one, as it raises only what the per-cell parsers raise.
-    The first ``admitted`` records after the header were admitted whole
-    and are only read past."""
-    lines.seek(0)
-    reader = csv.reader(lines)
+
+def _plain_lines(text: str, names: list[str]) -> Optional[list[str]]:
+    """The lines of a CSV text that ``csv.reader`` reads as one record
+    per line, its fields split at each comma, or None. That is a text
+    with no quote, no line end that only one of the two sees, a header
+    of the schema names, and no line past the csv module's field size
+    limit, which is read by reading the longest line as one field."""
+    if '"' in text or any(map(text.__contains__, _OTHER_LINE_ENDS)):
+        return None
+    lines = text.splitlines()
+    # a blank first line reads as a header of no field at all
+    if not (lines and lines[0] and lines[0].split(",") == names):
+        return None
+    try:
+        next(csv.reader(["x" * max(map(len, lines))]))
+    except csv.Error:
+        return None
+    return lines
+
+
+def _split_chunks(lines: list[str], width: int):
+    """Each chunk of the records after the header, as the number of
+    records read so far and the list of its columns. A chunk is split
+    at its commas in one call: its lines are joined by ``,\\n,``, so a
+    field of ``\\n``, which no line holds, follows each line's fields,
+    and every line has ``width`` fields exactly when those separators
+    fall every ``width + 1`` fields. A wrong field count raises
+    ``csv.Error``, which sends the file to the error walk."""
+    stride = width + 1  # a line's fields and the separator after it
+    for start in range(1, len(lines), _CSV_CHUNK_ROWS):
+        chunk = lines[start : start + _CSV_CHUNK_ROWS]
+        read = start - 1 + len(chunk)
+        if width > 1 and not all(chunk):
+            chunk = list(filter(None, chunk))  # a blank line is skipped
+            if not chunk:
+                continue
+        fields = ",\n,".join(chunk).split(",")
+        count = len(chunk)
+        if len(fields) != count * stride - 1 or fields[width::stride].count("\n") != count - 1:
+            raise csv.Error("wrong field count")
+        yield read, [fields[i::stride] for i in range(width)]
+
+
+def _reader_chunks(text: str, names: list[str]):
+    """Each chunk of the records after the header, as ``csv.reader``
+    reads them, as the number of records read so far and the list of
+    its columns. A blank record is a null row in a one-column table and
+    is skipped in any other. A wrong header or field count raises
+    ``csv.Error``, which sends the file to the error walk."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    width, read = len(names), 0
+    if next(reader, None) != names:
+        raise csv.Error("wrong header")
+    while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
+        read += len(chunk)
+        if not all(chunk):  # a blank line reads as an empty record
+            chunk = [r or [""] for r in chunk] if width == 1 else [r for r in chunk if r]
+        if not {width}.issuperset(map(len, chunk)):
+            raise csv.Error("wrong field count")
+        yield read, zip(*chunk)
+
+
+def _csv_error(text: str, schema: Schema, admitted: int) -> ConversionError:
+    """The error of the first bad record, in file order, of a CSV text
+    that failed to decode, read again from its start: no header, a
+    wrong header, a record the reader rejects (such as a field past the
+    csv module's size limit), one with the wrong number of fields, or
+    one with a cell its column's per-cell parser rejects, named by the
+    line the record ends on. A text that ``parse_column`` rejects has
+    one, as it raises only what the per-cell parsers raise. The first
+    ``admitted`` records after the header were admitted whole and are
+    only read past."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     expected = list(schema.names())
     try:
         header = next(reader, None)

@@ -109,8 +109,9 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
     with all diagnostics found; an empty error list means well-typed.
 
     The result is kept on the pipeline object, outside its node
-    fields, so equality and ``ast_to_dict`` never see it; validating the
-    same object again, as ``run_pipeline`` does, returns the same result.
+    fields, so equality, ``ast_to_dict``, ``pickle`` and ``copy`` never
+    see it; validating the same object again, as ``run_pipeline`` does,
+    returns the same result.
     """
     memo = pipeline.__dict__.get(_MEMO)
     if memo is not None:

@@ -9,11 +9,13 @@ import random
 import threading
 import urllib.error
 from decimal import Decimal
+from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from anka.bench import SuiteError, load_suite
+from anka import io_adapters
 from anka.errors import ConversionError, HttpError, IoError
 from anka.interpreter import run_pipeline
 from anka.io_adapters import (
@@ -526,13 +528,16 @@ def _decoded(data, schema):
 
 
 def _decoded_per_cell(data, schema):
-    """What ``table_from_csv`` must give: the records past the header, a
-    blank one a null row in a one-column table and skipped otherwise,
+    """What ``table_from_csv`` must give: the records past a header of
+    the schema names, a blank one a null row in a one-column table and skipped otherwise,
     each cell from its column's per-cell parser; or the error of the
     first bad record in file order (a reader error, a wrong field count
     or a failing cell) with the line the record ends on."""
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    next(reader)
+    names = list(schema.names())
+    header = next(reader, None)
+    if header != names:
+        return "error", f"line 1: header mismatch: expected {names}, got {header}"
     rows = []
     try:
         for record in reader:
@@ -558,6 +563,11 @@ def _decoded_per_cell(data, schema):
 def _refused(text):
     """A per-cell parser that refuses every field."""
     raise AssertionError(f"per-cell parser called on {text!r}")
+
+
+def _no_buffer(*args, **kwargs):
+    """An ``io.StringIO`` that refuses to be made."""
+    raise AssertionError("string buffer made")
 
 
 def _csv_line(fields) -> str:
@@ -633,6 +643,147 @@ class TestCsvColumnChunks:
         with pytest.raises(ConversionError) as err:
             table_from_csv(_csv_text(schema, rows), schema)
         assert err.value.message == "line 1027, field 'a': cannot parse '1_000' as INT"
+
+
+# Quote-free STRING fields, some with a NUL or non-ASCII text, and the
+# characters that end a line for ``str.splitlines`` but not for the csv
+# module.
+PLAIN_STRINGS = ["s", "", "x y", "a\x00b", "é", "日本", "\U0001f600"]
+OTHER_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _plain_record(rng, types, null_rate=0.1):
+    return ",".join(
+        rng.choice(PLAIN_STRINGS) if t is VT.STRING
+        else "" if rng.random() < null_rate else PLAIN_FIELDS[t]
+        for t in types
+    )
+
+
+# lines to put among a quote-free file's records
+PLAIN_ODD_LINES = [
+    lambda rng, types: "",  # a blank line
+    lambda rng, types: ",".join(["7"] * rng.choice([len(types) - 1, len(types) + 1])),
+    # two lines whose wrong field counts even out
+    lambda rng, types: ",".join(["7"] * (len(types) + 1)) + "\n" + ",".join(["7"] * (len(types) - 1)),
+    lambda rng, types: ",".join(  # a bad cell, or an edge one that is good
+        rng.choice([f for f in EDGE_FIELDS.get(t, PLAIN_STRINGS) if "\n" not in f])
+        for t in types
+    ),
+    lambda rng, types: ",".join(  # a STRING field with a line end csv reads as text
+        rng.choice(OTHER_LINE_ENDS) if t is VT.STRING else PLAIN_FIELDS[t] for t in types
+    ),
+    # a line past the csv module's 131,072-character limit, as one field
+    # or as fields within it
+    lambda rng, types: ",".join(["x" * (140_000 // len(types))] * len(types)),
+]
+
+# what ends each line of a quote-free file; a CR alone, or an LF then a
+# CR, ends a line for the csv module and for ``str.splitlines`` alike
+LINE_ENDS = {
+    "lf": ["\n"],
+    "crlf": ["\r\n"],
+    "mixed": ["\n", "\r\n"],
+    "cr": ["\n", "\r\n", "\r", "\n\r"],
+}
+
+
+def _plain_csv(rng):
+    """A schema of one to three columns and a quote-free file for it:
+    none to about two chunks of records, with LF, CRLF, mixed or bare CR
+    line ends, a final line end or none, a few odd lines (see
+    ``PLAIN_ODD_LINES``), many at a chunk edge, and now and then a wrong
+    header."""
+    types = [rng.choice([VT.STRING, *EDGE_FIELDS]) for _ in range(rng.randint(1, 3))]
+    schema = schema_of(*[(f"c{i}", t) for i, t in enumerate(types)])
+    count = rng.choice([0, 1, 3, 1023, 1024, 1025, 2049])
+    lines = [_plain_record(rng, types) for _ in range(count)]
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        odd = rng.choices(PLAIN_ODD_LINES, weights=[4, 2, 2, 4, 2, 1])[0]
+        at = rng.choice([0, 1022, 1023, 1024, 1025, 2047, 2048, rng.randint(0, len(lines))])
+        lines.insert(min(at, len(lines)), odd(rng, types))
+    header = list(schema.names())
+    if rng.random() < 0.1:
+        header = rng.choice([header[:-1], header + ["extra"], ["C0", *header[1:]], []])
+    ends = LINE_ENDS[rng.choice(list(LINE_ENDS))]
+    text = ",".join(header)
+    for line in lines:
+        text += rng.choice(ends) + line
+    if rng.random() < 0.8:
+        text += rng.choice(ends)
+    return schema, text.encode("utf-8")
+
+
+class TestPlainCsv:
+    """A quote-free file is split at its line ends and commas, and must
+    decode to exactly what the csv module and the per-cell parsers give:
+    the same cells, or the same message and line."""
+
+    def test_random_plain_files_decode_as_per_cell(self, monkeypatch):
+        read = []
+        reader_chunks = io_adapters._reader_chunks
+        monkeypatch.setattr(io_adapters, "_reader_chunks",
+                            lambda *args: read.append(args) or reader_chunks(*args))
+        split = 0
+        for seed in range(200):
+            schema, data = _plain_csv(random.Random(seed))
+            before = len(read)
+            assert _decoded(data, schema) == _decoded_per_cell(data, schema), seed
+            split += len(read) == before
+        assert 100 < split < 190  # both record sources ran
+
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "\n\r", "\r\r\n"])
+    def test_line_ends_decode_as_per_cell(self, ends):
+        for schema in (schema_of(("a", VT.INT)), schema_of(("a", VT.INT), ("s", VT.STRING))):
+            width = len(schema)
+            for body in (["1", "", "2"], ["1", "", "x"], ["1", "2,3"]):
+                lines = [",".join(schema.names())] + [",".join([b] * width) for b in body]
+                for tail in ("", ends):
+                    data = (ends.join(lines) + tail).encode()
+                    assert _decoded(data, schema) == _decoded_per_cell(data, schema)
+
+    def test_field_counts_that_even_out_are_still_wrong(self):
+        schema = schema_of(("s", VT.STRING), ("t", VT.STRING))
+        for body in ("a,b,c\nd\n", "a,b\nc\nd,e,f\n"):
+            data = f"s,t\n{body}".encode()
+            assert _decoded(data, schema) == _decoded_per_cell(data, schema)
+            assert _decoded(data, schema)[0] == "error"
+
+    def test_a_blank_first_line_is_no_header(self):
+        # csv reads a blank line as no field at all, not one empty name
+        for data in (b"\n1\n", b"\r\n1\r\n"):
+            assert _decoded(data, schema_of(("", VT.INT))) == (
+                "error", "line 1: header mismatch: expected [''], got []")
+
+    def test_the_callers_field_size_limit_holds(self):
+        schema = schema_of(("a", VT.INT), ("s", VT.STRING))
+        limit = csv.field_size_limit()
+        try:
+            csv.field_size_limit(100)
+            data = f"a,s\r\n1,x\r\n2,{'y' * 150}\r\n".encode()
+            with pytest.raises(ConversionError) as err:
+                table_from_csv(data, schema)
+            assert err.value.message == "line 3: field larger than field limit (100)"
+            # a line past the limit whose fields are within it
+            data = f"a,s\n{'9' * 18},{'y' * 90}\n".encode()
+            assert table_from_csv(data, schema).rows == ((999999999999999999, "y" * 90),)
+            csv.field_size_limit(300_000)
+            data = f"a,s\r\n1,{'z' * 200_000}\r\n".encode()
+            assert table_from_csv(data, schema).rows == ((1, "z" * 200_000),)
+            assert _decoded(data, schema) == _decoded_per_cell(data, schema)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_a_plain_file_is_read_without_a_string_buffer(self, monkeypatch):
+        schema = schema_of(("i", VT.INT), ("s", VT.STRING), ("d", VT.DECIMAL),
+                           ("day", VT.DATE), ("b", VT.BOOL))
+        rows = [[str(i), f"s{i}", f"{i}.25", "2024-01-02", ""] for i in range(3000)]
+        data = _csv_text(schema, rows)
+        expected = table_from_csv(data, schema).rows
+        monkeypatch.setattr(io_adapters, "io", SimpleNamespace(StringIO=_no_buffer))
+        assert table_from_csv(data, schema).rows == expected
+        with pytest.raises(AssertionError, match="string buffer made"):
+            table_from_csv(data.replace(b"s7,", b'"s7",'), schema)
 
 
 class RecordingFileOps(FileOps):

@@ -1,12 +1,16 @@
 """Errors, schemas, tables and parsed pipelines survive ``pickle`` and
-``copy``: each comes back equal, with every attribute a caller reads."""
+``copy``: each comes back equal, with every attribute a caller reads. A
+pipeline that was validated and run comes back with its fields only,
+and runs again."""
 
 import copy
 import pickle
+import random
 
 import pytest
 
 from anka.errors import (
+    AnkaError,
     AssertionFailed,
     ConversionError,
     DivisionByZero,
@@ -19,12 +23,14 @@ from anka.errors import (
     ValidationError,
     ValidationKind,
 )
+from anka.interpreter import run_pipeline
 from anka.location import SourceLocation
 from anka.parser import parse
-from anka.validator import ValidationException
+from anka.validator import ValidationException, validate
 from anka.values import Field, Schema, Table, ValueType, make_table, schema_of
 
 import fuzzing
+from generators import rand_table
 
 ROUND_TRIPS = {
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
@@ -108,3 +114,27 @@ def test_schemas_tables_and_pipelines_survive_a_round_trip(name, trip):
             back.fields = ()
     if isinstance(value, Table):
         assert back.rows == value.rows and back.schema == value.schema
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+def test_a_validated_and_run_pipeline_runs_again_after_a_round_trip(trip):
+    rng = random.Random(31)
+    ran = 0
+    for source in fuzzing.corpus_sources():
+        pipeline = parse(source)
+        if not validate(pipeline).ok:
+            continue
+        inputs = {decl.name: rand_table(rng, decl.schema) for decl in pipeline.inputs}
+        before = ROUND_TRIPS[trip](pipeline)  # validated, not yet run
+        try:
+            expected = run_pipeline(pipeline, inputs)
+        except AnkaError:  # such as a READ in the sandbox
+            continue
+        after = ROUND_TRIPS[trip](pipeline)  # validated and run
+        for back in (before, after):
+            assert back == pipeline
+            assert sorted(vars(back)) == sorted(pipeline._field_names)
+            table = run_pipeline(back, inputs)
+            assert (table.schema, table.rows) == (expected.schema, expected.rows)
+        ran += 1
+    assert ran >= 20
