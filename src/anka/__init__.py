@@ -12,7 +12,6 @@ from anka.errors import (
     DivisionByZero,
     ExecutionError,
     HttpError,
-    IncomparableError,
     InputError,
     IoError,
     ParseError,
@@ -36,7 +35,6 @@ from anka.values import (
     Schema,
     Table,
     ValueType,
-    compare_values,
     make_table,
     table_equal,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "ExecutionError",
     "Field",
     "HttpError",
-    "IncomparableError",
     "InputError",
     "IoAdapter",
     "IoError",
@@ -62,7 +59,6 @@ __all__ = [
     "ValidationError",
     "ValidationKind",
     "ValueType",
-    "compare_values",
     "format_ast",
     "make_table",
     "parse",

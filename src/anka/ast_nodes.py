@@ -7,15 +7,13 @@ semantic fields participate.
 
 Each class declares its fields as annotations and behaves as a
 ``dataclass(frozen=True)`` would, without the code ``dataclass`` would
-generate for it at import. ``Node`` defines equality, hashing, the repr
-and the frozen ``__setattr__``/``__delattr__`` once. Each class's
+generate for it at import. ``Node`` defines equality, hashing, the repr,
+``_replace`` and the frozen ``__setattr__``/``__delattr__`` once, and
+``_field_names`` lists a class's fields in order. Each class's
 ``__init__`` has the dataclass signature (its fields in order,
 ``location`` and ``output_location`` by keyword) and sets each field
 through ``object.__setattr__``; all of them are compiled from one source
-in one ``exec``. ``dataclasses.fields``, ``replace`` and
-``is_dataclass`` work on every class: ``_DataclassAttribute`` makes its
-metadata on first read, so importing this module does not import
-``dataclasses``, nor ``inspect`` and the rest of what that loads.
+in one ``exec``.
 
 The 23 statement classes are not written out one by one: each is built
 from its row of ``STATEMENT_FORMS``, whose form text spells the
@@ -38,38 +36,6 @@ from anka.values import Schema, ValueType, format_cell
 _LOCATIONS = ("location", "output_location")
 
 
-# Each node class's stand-in, made on the first read of its metadata.
-_STAND_INS: dict[type, type] = {}
-
-
-class _DataclassAttribute:
-    """A node class's ``__dataclass_fields__`` or ``__dataclass_params__``,
-    which ``dataclasses.fields``, ``replace`` and ``is_dataclass`` read.
-    The first read of either for a class applies ``dataclass(init=False,
-    eq=False, repr=False)`` to a stand-in class with the same annotations,
-    its locations keyword-only and not compared, and reads it from there."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, node: Optional[Node], cls: type) -> object:
-        stand_in = _STAND_INS.get(cls)
-        if stand_in is None:
-            from dataclasses import dataclass, field
-
-            namespace = {name: field(compare=False, kw_only=True)
-                         for name in _LOCATIONS if name in cls._field_names}
-            namespace.update(
-                __annotations__={name: hint for base in reversed(cls.__mro__)
-                                 for name, hint in vars(base).get("__annotations__", {}).items()},
-                __module__=cls.__module__, __doc__=cls.__doc__,
-            )
-            stand_in = dataclass(init=False, eq=False, repr=False)(
-                type(cls.__name__, (), namespace))
-            _STAND_INS[cls] = stand_in
-        return getattr(stand_in, self.name)
-
-
 class Node:
     """A syntax tree node. Two nodes are equal when they are of the same
     class and their compared fields, all but the locations, are equal."""
@@ -79,14 +45,11 @@ class Node:
     # The class's field names in order, and the ones equality compares.
     _field_names = ("location",)
     _compared_names = ()
-    __match_args__ = ()
-    __dataclass_fields__ = _DataclassAttribute()
-    __dataclass_params__ = _DataclassAttribute()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._field_names += tuple(vars(cls).get("__annotations__", ()))
-        cls._compared_names = cls.__match_args__ = tuple(
+        cls._compared_names = tuple(
             name for name in cls._field_names if name not in _LOCATIONS)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -103,6 +66,13 @@ class Node:
         # ``pickle`` and ``copy`` carry the fields only: a validation
         # result or compiled plan kept beside them belongs to this object
         return {name: getattr(self, name) for name in self._field_names}
+
+    def _replace(self, **changes: object) -> Node:
+        """A copy of this node with the named fields changed, as
+        ``dataclasses.replace`` makes."""
+        fields = {name: getattr(self, name) for name in self._field_names}
+        fields.update(changes)
+        return type(self)(**fields)
 
     def _compared(self) -> tuple:
         return tuple(getattr(self, name) for name in self._compared_names)

@@ -22,10 +22,6 @@ class TableError(AnkaError):
     """Invalid table construction: arity or cell-type violation."""
 
 
-class IncomparableError(AnkaError):
-    """Two values have no defined ordering (cross-type comparison)."""
-
-
 class InputError(AnkaError):
     """Input tables handed to a pipeline do not match its declarations."""
 
@@ -97,8 +93,6 @@ class ExecutionError(AnkaError):
     ``line:column: message``, or the message alone while it has no
     location."""
 
-    kind = "ExecutionError"
-
     def __init__(self, message: str, location: Optional[SourceLocation] = None) -> None:
         self.message = message
         self.location = location
@@ -122,15 +116,15 @@ class ExecutionError(AnkaError):
 
 
 class DivisionByZero(ExecutionError):
-    kind = "DivisionByZero"
+    """Division by zero, INT or DECIMAL."""
 
 
 class IoError(ExecutionError):
-    kind = "IoError"
+    """A READ or WRITE that the file system or the sandbox refused."""
 
 
 class HttpError(ExecutionError):
-    kind = "HttpError"
+    """A FETCH or POST that failed; ``status`` is the HTTP status, if any."""
 
     def __init__(
         self,
@@ -144,8 +138,8 @@ class HttpError(ExecutionError):
 
 
 class ConversionError(ExecutionError):
-    kind = "ConversionError"
+    """Input that is no table or cell of its type, or arithmetic out of range."""
 
 
 class AssertionFailed(ExecutionError):
-    kind = "AssertionFailed"
+    """A run limit reached: time, rows, cells, WHILE iterations or STRING length."""

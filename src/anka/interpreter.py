@@ -49,7 +49,6 @@ from anka.values import (
     Cell,
     Schema,
     Table,
-    ValueType,
 )
 
 DEFAULT_WHILE_CAP = 100_000
@@ -709,7 +708,7 @@ _OVERFLOW = {op: f"DECIMAL overflow in {name}" for op, name in OPERATION_NAMES.i
 
 
 def _compile_expr(
-    shape: str, expr: ast.Expr, schema: Optional[Schema], types: dict[int, ValueType]
+    shape: str, expr: ast.Expr, schema: Optional[Schema], types: dict[int, object]
 ) -> Callable:
     """The generated function for ``expr``. ``shape`` is "map" for a
     function from source rows to output rows, "filter" for one from
@@ -732,7 +731,7 @@ def _compile_expr(
                 tokens.append(node.op)
             elif kind is ast.BinaryOp:
                 tokens.append("arith")
-                kernel = ARITHMETIC_KERNELS[node.op, types[id(node)]]
+                kernel = ARITHMETIC_KERNELS[types[id(node)]]
                 params += (kernel, node.location, _OVERFLOW[node.op])
             elif kind is ast.Not:
                 tokens.append("NOT")

@@ -19,19 +19,15 @@ read sums those from the lengths of the texts and of the gaps, the
 whitespace and comments after each token, which a second ``findall``
 over the same source collects then; a run that reads no location never
 scans them.
-
-``tokenize`` is the public view of the same stream as ``Token`` objects,
-each with its kind, value and character index.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from decimal import Decimal
 from itertools import accumulate
 from operator import add
-from typing import Optional, Union
+from typing import Optional
 
 from anka.errors import ConversionError, ParseError
 from anka.location import SourceLocation
@@ -242,39 +238,3 @@ def _locate(source: str, index: int) -> tuple[int, int, int]:
 def _location(source: str, index: int) -> SourceLocation:
     return SourceLocation(*_locate(source, index))
 
-
-class Token:
-    """One token of ``tokenize``'s view; ``start`` is its character index
-    in the source. A string token's text is its value."""
-
-    __slots__ = ("kind", "text", "value", "start", "_source")
-
-    def __init__(self, kind: str, text: str, start: int, source: str,
-                 value: Union[int, str, Decimal, None] = None) -> None:
-        self.kind = kind
-        self.text = text
-        self.value = value
-        self.start = start
-        self._source = source
-
-    @property
-    def location(self) -> SourceLocation:
-        return _location(self._source, self.start)
-
-
-def tokenize(source: str) -> list[Token]:
-    """Scan source text into tokens, without the end of input. Raises
-    ParseError as ``scan`` does."""
-    stream = scan(source)
-    tokens = []
-    for text, start in zip(stream.texts[:-1], stream.starts):
-        kind = token_kind(text)
-        if kind == KIND_IDENT:
-            tokens.append(Token(kind, text, start, source, text))
-        elif kind in LITERAL_VALUES:
-            value = LITERAL_VALUES[kind](text)
-            shown = value if kind == KIND_STRING else text
-            tokens.append(Token(kind, shown, start, source, value))
-        else:
-            tokens.append(Token(kind, text, start, source))
-    return tokens

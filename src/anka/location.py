@@ -69,5 +69,3 @@ class SourceLocation:
 
 
 _new = object.__new__
-
-UNKNOWN_LOCATION = SourceLocation(line=1, column=1, offset=0)

@@ -54,8 +54,9 @@ class ValidationResult:
     its schema, with None for a poisoned one, in the order they were bound.
     ``sources`` maps a statement that reads datasets to their schemas, in
     the order it names them; ``outputs`` maps a data statement to the
-    schema it binds; ``types`` maps each arithmetic node (``BinaryOp`` and
-    ``Neg``) to its result type, which picks its kernel; ``dies`` maps a
+    schema it binds; ``types`` maps each arithmetic node to its kernel's key:
+    a ``BinaryOp``'s in ``values.ARITHMETIC_KERNELS``, and a ``Neg``'s
+    result type in ``values.NEGATION_KERNELS``; ``dies`` maps a
     top-level statement to the INTO names it is the last to read or bind,
     in the order they were first seen. Input names and the OUTPUT name
     never die, and the last statement has no entry, since the end of the
@@ -72,7 +73,7 @@ class ValidationResult:
         output_schema: Optional[Schema],
         sources: dict[int, list[Optional[Schema]]],
         outputs: dict[int, Optional[Schema]],
-        types: dict[int, ValueType],
+        types: dict[int, object],
         dies: dict[int, tuple[str, ...]],
     ) -> None:
         self.environment = environment
@@ -93,8 +94,8 @@ class ValidationResult:
 
 
 class ValidationException(AnkaError):
-    """Raised by ``typecheck_expr`` and by ``run_pipeline`` on a pipeline
-    that does not validate; ``validate`` itself never raises."""
+    """Raised by ``run_pipeline`` on a pipeline that does not validate;
+    ``validate`` itself never raises."""
 
     def __init__(self, errors: list[ValidationError]) -> None:
         self.errors = list(errors)
@@ -165,23 +166,12 @@ def validate(pipeline: ast.Pipeline) -> ValidationResult:
     return result
 
 
-def typecheck_expr(expr: ast.Expr, schema: Optional[Schema]) -> ValueType:
-    """Type of an expression against a row schema (None outside row
-    scope). Raises ValidationException on any diagnostic."""
-    checker = _Checker()
-    result = checker.typecheck(expr, schema, 0)
-    if checker.errors:
-        raise ValidationException(checker.errors)
-    assert result is not None
-    return result
-
-
 class _Checker:
     def __init__(self) -> None:
         self.errors: list[ValidationError] = []
         self.sources: dict[int, list[Optional[Schema]]] = {}
         self.outputs: dict[int, Optional[Schema]] = {}
-        self.types: dict[int, ValueType] = {}
+        self.types: dict[int, object] = {}
         # the top-level statement being checked, and the last one to
         # read or bind each name
         self.top: Optional[ast.Statement] = None
@@ -613,7 +603,8 @@ class _Checker:
                 return None
             both_int = left is ValueType.INT and right is ValueType.INT
             result = ValueType.INT if both_int else ValueType.DECIMAL
-            self.types[id(expr)] = result
+            product = expr.op == "*" and left is right is ValueType.DECIMAL
+            self.types[id(expr)] = (expr.op, left, right) if product else (expr.op, result)
             return result
         if isinstance(expr, ast.Comparison):
             left = self.typecheck(expr.left, schema, depth)

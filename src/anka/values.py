@@ -29,15 +29,15 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 from anka.errors import (
     ConversionError,
     DivisionByZero,
-    IncomparableError,
     TableError,
 )
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-# Fractional digits allowed when a decimal enters the system (literals,
-# JSON, CSV). Arithmetic may produce finer intermediate scales.
+# Fractional digits a DECIMAL cell may have. Text with more is refused
+# where it enters the system (literals, TO_DECIMAL, JSON, CSV), and a
+# quotient or a product of two DECIMALs with more is rounded half-even.
 MAX_DECIMAL_SCALE = 10
 
 # Mantissa headroom comparable to a 128-bit integer (~38.5 digits).
@@ -50,7 +50,8 @@ _EXACT_CTX = decimal.Context(
     traps=[decimal.Inexact, decimal.InvalidOperation, decimal.Overflow],
 )
 
-# Scale added by division and AVG on top of the operand scale.
+# Scale added by division and AVG on top of the operand scale, up to
+# MAX_DECIMAL_SCALE.
 DIVISION_EXTRA_SCALE = 4
 
 Cell = Union[int, str, Decimal, bool, datetime.date, datetime.datetime, None]
@@ -88,7 +89,10 @@ def cell_matches(value: Cell, vtype: ValueType) -> bool:
     if vtype is ValueType.INT:
         return INT64_MIN <= value <= INT64_MAX
     if vtype is ValueType.DECIMAL:
-        return value.is_finite()
+        try:
+            check_decimal(value)
+        except ConversionError:
+            return False
     return True
 
 
@@ -203,11 +207,6 @@ def _schema(fields: tuple[Field, ...], index: dict[str, int]) -> Schema:
     return schema
 
 
-def schema_of(*pairs: tuple[str, ValueType]) -> Schema:
-    """Shorthand constructor used heavily in tests."""
-    return Schema(Field(name, vtype) for name, vtype in pairs)
-
-
 class Table:
     """An immutable schema plus an ordered sequence of row tuples.
 
@@ -268,39 +267,12 @@ class Table:
     def __repr__(self) -> str:
         return f"Table({self.schema!r}, {len(self.rows)} rows)"
 
-    def column(self, name: str) -> tuple[Cell, ...]:
-        i = self.schema.index_of(name)
-        return tuple(row[i] for row in self.rows)
-
 
 def make_table(schema: Schema, rows: Iterable[Sequence[Cell]]) -> Table:
-    """Construct a validated table. Raises TableError on bad rows."""
+    """``Table(schema, rows)``: a checked table, or TableError on a bad
+    row. It stays under this name for the code and docs that build
+    tables with it, the benchmark's long-pipeline workload among them."""
     return Table(schema, rows)
-
-
-def compare_values(left: Cell, right: Cell) -> int:
-    """Three-way comparison: -1, 0, or 1.
-
-    Total within each type family: numeric order across INT/DECIMAL,
-    code-point order for STRING, chronological for DATE and DATETIME,
-    false < true for BOOL. Null sorts after every non-null value and
-    equals null. Raises IncomparableError for any other cross-type pair.
-    """
-    if left is None or right is None:
-        if left is None and right is None:
-            return 0
-        return 1 if left is None else -1
-    lt = value_type_of(left)
-    rt = value_type_of(right)
-    comparable = lt is rt or (lt in NUMERIC_TYPES and rt in NUMERIC_TYPES)
-    if not comparable:
-        raise IncomparableError(
-            f"cannot compare {lt.value if lt else type(left).__name__} "
-            f"with {rt.value if rt else type(right).__name__}"
-        )
-    if left == right:
-        return 0
-    return -1 if left < right else 1
 
 
 def table_equal(left: Table, right: Table) -> bool:
@@ -373,9 +345,10 @@ def parse_decimal(text: str) -> Decimal:
 
 
 def check_decimal(value: Decimal, text: Optional[str] = None) -> Decimal:
-    """Admit a DECIMAL cell: finite, scale at most 10 and at most 38
-    digits. A positive exponent is spelled out, so 1E+3 becomes 1000.
-    Diagnostics echo ``text``, where the value came from, if given."""
+    """Admit a DECIMAL cell, as ``cell_matches`` does: finite, scale at
+    most 10 and at most 38 digits. A positive exponent is spelled out, so
+    1E+3 becomes 1000. Diagnostics echo ``text``, where the value came
+    from, if given."""
     # bounds first: quantize raises InvalidOperation past 38 digits
     _, digits, exponent = value.as_tuple()
     if not isinstance(exponent, int):  # NaN/Inf carry string exponents
@@ -458,24 +431,48 @@ def int_negate(value: int) -> int:
 
 def decimal_quotient(left: Union[int, Decimal], right: Union[int, Decimal]) -> Decimal:
     """DECIMAL division, rounded half-even to scale max(operand scales)
-    + 4; an INT operand has scale 0."""
+    + 4, at most 10; an INT operand has scale 0."""
     if not right:
         raise DivisionByZero("division by zero")
     scale = max(
         0 if isinstance(left, int) else decimal_scale(left),
         0 if isinstance(right, int) else decimal_scale(right),
     )
-    return decimal_divide(left, right, scale + DIVISION_EXTRA_SCALE)
+    return decimal_divide(left, right, min(scale + DIVISION_EXTRA_SCALE, MAX_DECIMAL_SCALE))
+
+
+# Quantizing a nonzero product to scale 10 here raises Rounded exactly
+# when it has more fractional digits, zeros too, and never lacks digits;
+# a zero raises nothing.
+_SCALE_CHECK = decimal.Context(prec=3 * DECIMAL_PRECISION, traps=[decimal.Rounded])
+_SCALE_UNIT = Decimal(1).scaleb(-MAX_DECIMAL_SCALE)
+
+
+def decimal_product(left: Decimal, right: Decimal) -> Decimal:
+    """DECIMAL × DECIMAL: exact while that has at most 10 fractional
+    digits, and otherwise rounded half-even to scale 10. An INT operand
+    adds no scale, so INT × DECIMAL is the exact context's product."""
+    try:
+        product = _EXACT_CTX.multiply(left, right)
+        _SCALE_CHECK.quantize(product, _SCALE_UNIT)
+        if product or product.adjusted() >= -MAX_DECIMAL_SCALE:  # a zero's exponent
+            return product
+    except (decimal.Inexact, decimal.Rounded):
+        pass  # past 38 digits or past scale 10: round the exact product
+    (top, below), (bottom, above) = left.as_integer_ratio(), right.as_integer_ratio()
+    return decimal_divide(top * bottom, below * above, MAX_DECIMAL_SCALE, "multiplication")
 
 
 _MANTISSA_LIMIT = 10**DECIMAL_PRECISION
 
 
 def decimal_divide(
-    numerator: Union[int, Decimal], denominator: Union[int, Decimal], scale: int
+    numerator: Union[int, Decimal], denominator: Union[int, Decimal], scale: int,
+    operation: str = "division",
 ) -> Decimal:
     """Exact rational division rounded half-even to ``scale`` digits,
-    in integer arithmetic."""
+    in integer arithmetic. Past 38 digits it fails as an overflow in
+    ``operation``."""
     top, below = numerator.as_integer_ratio()
     bottom, above = denominator.as_integer_ratio()
     if bottom == 0:
@@ -490,13 +487,14 @@ def decimal_divide(
     if rest > bottom or (rest == bottom and mantissa & 1):
         mantissa += 1
     if not -_MANTISSA_LIMIT < mantissa < _MANTISSA_LIMIT:
-        raise ConversionError("DECIMAL overflow in division")
+        raise ConversionError(f"DECIMAL overflow in {operation}")
     return Decimal(mantissa).scaleb(-scale, context=_EXACT_CTX)
 
 
 # Kernel per operator and result type: the result type is INT exactly
-# when both operands are INT.
-ARITHMETIC_KERNELS: dict[tuple[str, ValueType], Callable[[Cell, Cell], Cell]] = {
+# when both operands are INT. A product of two DECIMALs, which alone can
+# pass scale 10, has its own kernel, keyed by both operand types.
+ARITHMETIC_KERNELS: dict[tuple, Callable[[Cell, Cell], Cell]] = {
     ("+", ValueType.INT): int_add,
     ("-", ValueType.INT): int_subtract,
     ("*", ValueType.INT): int_multiply,
@@ -505,6 +503,7 @@ ARITHMETIC_KERNELS: dict[tuple[str, ValueType], Callable[[Cell, Cell], Cell]] = 
     ("-", ValueType.DECIMAL): _EXACT_CTX.subtract,
     ("*", ValueType.DECIMAL): _EXACT_CTX.multiply,
     ("/", ValueType.DECIMAL): decimal_quotient,
+    ("*", ValueType.DECIMAL, ValueType.DECIMAL): decimal_product,
 }
 
 NEGATION_KERNELS: dict[ValueType, Callable[[Cell], Cell]] = {

@@ -15,10 +15,10 @@ from decimal import Decimal
 
 from anka import ast_nodes as ast
 from anka.interpreter import run_pipeline
-from anka.location import UNKNOWN_LOCATION as LOC
 from anka.values import Field, Schema, Table, ValueType
 
 import oracle
+from builders import UNKNOWN_LOCATION as LOC
 from generators import (
     rand_filter_predicate,
     rand_map_expr,

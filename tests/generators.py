@@ -10,8 +10,9 @@ from decimal import Decimal
 from typing import Callable
 
 from anka import ast_nodes as ast
-from anka.location import UNKNOWN_LOCATION as LOC
 from anka.values import Field, Schema, Table, ValueType
+
+from builders import UNKNOWN_LOCATION as LOC
 
 EvalFn = Callable[[dict], object]
 

@@ -13,9 +13,9 @@ import random
 from decimal import Decimal
 
 from anka import ast_nodes as ast
-from anka.location import UNKNOWN_LOCATION as LOC
 from anka.values import Field, Schema, Table, ValueType
 
+from builders import UNKNOWN_LOCATION as LOC, expression_type
 from generators import rand_cell, rand_filter_predicate, rand_table, rand_type
 
 _NUMERIC = (ValueType.INT, ValueType.DECIMAL)
@@ -121,9 +121,7 @@ def _rand_statement(builder: _Builder) -> ast.Statement:
     if kind == "map":
         column = _fresh_column(schema, builder)
         expr = _safe_map_expr(rng, schema)
-        from anka.validator import typecheck_expr
-
-        new_type = typecheck_expr(expr, schema)
+        new_type = expression_type(expr, schema)
         builder.env[target] = Schema(tuple(schema.fields) + (Field(column, new_type),))
         return ast.Map(
             source=source, column=column, expr=expr, target=target, location=LOC

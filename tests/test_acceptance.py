@@ -33,12 +33,12 @@ from anka.values import (
     ARITHMETIC_KERNELS,
     ValueType as VT,
     make_table,
-    schema_of,
     table_equal,
 )
 
 import equivalence
 import fuzzing
+from builders import schema_of
 from generators import rand_schema, rand_table
 from pipelinegen import rand_pipeline
 from test_io import RecordingFileOps, RecordingHttpOps

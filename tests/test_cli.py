@@ -12,7 +12,9 @@ import anka
 from anka.bench import fixture_dir
 from anka.cli import main
 from anka.io_adapters import table_from_json, table_to_json
-from anka.values import ValueType, schema_of
+from anka.values import ValueType
+
+from builders import schema_of
 
 VALID = """\
 PIPELINE double_up:

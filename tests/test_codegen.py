@@ -15,7 +15,6 @@ The limit tests take the generator to the parser's nesting cap, to a
 1,000-term chain and past the bound of its cache of factories.
 """
 
-import dataclasses
 import functools
 import itertools
 import operator
@@ -30,13 +29,14 @@ from anka import interpreter
 from anka.builtins import BUILTINS
 from anka.errors import ExecutionError
 from anka.interpreter import run_pipeline
-from anka.location import UNKNOWN_LOCATION as LOC, SourceLocation
+from anka.location import SourceLocation
 from anka.parser import MAX_NESTING_DEPTH, parse
 from anka.validator import validate
-from anka.values import INT64_MAX, INT64_MIN, ValueType as VT, make_table, schema_of
+from anka.values import INT64_MAX, INT64_MIN, ValueType as VT, make_table
 
 import fuzzing
 import generic_values as generic
+from builders import UNKNOWN_LOCATION as LOC, schema_of
 from generators import rand_cell, rand_table
 from pipelinegen import rand_pipeline
 
@@ -161,7 +161,7 @@ def _relocated(expr: ast.Expr, lines) -> ast.Expr:
             changes[name] = _relocated(getattr(expr, name), lines)
     if type(expr) is ast.Call:
         changes["args"] = tuple(_relocated(arg, lines) for arg in expr.args)
-    return dataclasses.replace(expr, **changes)
+    return expr._replace(**changes)
 
 
 def _row_expressions(body, result, row_schema=None):
@@ -323,7 +323,7 @@ def test_a_thousand_term_chain_runs():
     for _ in range(999):
         location = SourceLocation(next(lines), 1)
         chain = ast.BinaryOp(op="+", left=chain, right=_int(1), location=location)
-        types[id(chain)] = VT.INT
+        types[id(chain)] = ("+", VT.INT)
     run = interpreter._compile_expr("map", chain, NUMBERS.schema, types)
     rows = run(NUMBERS.rows, None)
     assert [row[-1] for row in rows] == [999, 1000, None, 996, 1006]

@@ -1,10 +1,11 @@
 """The runtime imports nothing but itself and the standard library,
-loads the HTTP stack only when a request is made or fails and
-``dataclasses`` only when a node's dataclass metadata is read, has no
-class for which ``dataclass`` generates code, and leaves process-global
-state alone: callers, and any threads they run, share the garbage
-collector, the signal handlers, the recursion limit and the csv
-module's field size limit."""
+and no name it never uses; loads the HTTP stack only when a request is made or fails, has no class
+that ``dataclass`` made, and leaves process-global state alone: callers,
+and any threads they run, share the garbage collector, the signal
+handlers, the recursion limit and the csv module's field size limit.
+
+Nothing reads dataclass metadata any more, so ``dataclasses`` loads only
+when a frozen node is assigned to, for the exception that refuses it."""
 
 import ast
 import importlib
@@ -43,9 +44,57 @@ def test_every_import_is_anka_or_the_standard_library():
     assert foreign == []
 
 
-# Modules that only an unsandboxed FETCH or POST needs, that only a read
-# of the AST classes' dataclass metadata needs, or that nothing in the
-# runtime needs; importing anka must not load them.
+
+def _unused_imports(tree: ast.Module):
+    """(line, name) of each name the module imports and never reads. A
+    name in its ``__all__`` counts as read, and so does one in a string
+    annotation."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:  # a string annotation, or the text of an ``__all__`` entry
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+            except SyntaxError:
+                pass
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [
+        f"{path.relative_to(SOURCE_ROOT)}:{line}: {name}"
+        for path in sorted(SOURCE_ROOT.rglob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("from decimal import Decimal\nfrom typing import Optional, Union\nx: Optional[int]",
+         [(1, "Decimal"), (2, "Union")]),
+        ("import os.path\nimport json as j\n", [(1, "os"), (2, "j")]),
+        ("from anka.errors import IncomparableError, TableError\nraise TableError()",
+         [(1, "IncomparableError")]),
+        ("from __future__ import annotations\nimport os\ndef f() -> 'os.PathLike': ...", []),
+        ("from anka.values import Table\n__all__ = ['Table']", []),
+    ],
+)
+def test_the_unused_import_check_sees_each_form(source, unused):
+    assert _unused_imports(ast.parse(source)) == unused
+
+# Modules that only an unsandboxed FETCH or POST needs, that only an
+# assignment to a frozen node needs, or that nothing in the runtime
+# needs; importing anka must not load them.
 DEFERRED_MODULES = (
     "http.client", "urllib.request", "urllib.error", "email", "ssl", "importlib.resources",
     "dataclasses", "inspect",
@@ -157,15 +206,11 @@ def test_no_class_has_generated_dataclass_methods():
     # ``dataclass`` compiles an ``__init__``, ``__eq__`` or frozen
     # ``__setattr__``/``__delattr__`` for each class by ``exec`` at import,
     # which made up the largest share of ``import anka``; the AST nodes take
-    # theirs from ``Node`` and one shared ``exec`` instead
+    # theirs from ``Node`` and one shared ``exec`` instead, and no class
+    # goes through ``dataclass`` at all
     classes = [
         cls for module in _anka_modules() for cls in vars(module).values()
         if isinstance(cls, type) and cls.__module__ == module.__name__
-        and hasattr(cls, "__dataclass_params__")
     ]
     assert len(classes) >= 38
-    generating = [
-        cls.__qualname__ for cls in classes
-        if any(getattr(cls.__dataclass_params__, flag) for flag in ("init", "eq", "frozen"))
-    ]
-    assert generating == []
+    assert [cls.__qualname__ for cls in classes if hasattr(cls, "__dataclass_params__")] == []

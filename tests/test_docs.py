@@ -1,13 +1,17 @@
-"""The language reference against the tables it documents: a function
-the code declares cannot go unnamed in ``docs/language.md``."""
+"""The docs against what they document: a function the code declares
+cannot go unnamed in ``docs/language.md``, nor an exported name in
+README's "Library use"."""
 
 import re
 from pathlib import Path
 
+import anka
+import anka.bench
 from anka.builtins import AGGREGATES
 from anka.lexer import KEYWORDS
 
-LANGUAGE = Path(__file__).resolve().parent.parent / "docs" / "language.md"
+ROOT = Path(__file__).resolve().parent.parent
+LANGUAGE = ROOT / "docs" / "language.md"
 
 
 def _aggregate_bullet() -> str:
@@ -27,3 +31,11 @@ def test_docs_name_every_aggregate_function():
 def test_every_aggregate_function_is_a_keyword():
     # the parser reads a function's name as a keyword
     assert [fn for fn in AGGREGATES if fn not in KEYWORDS] == []
+
+
+def test_readme_gives_each_exported_name_a_line():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Library use\n(.*?)(?=^## )", text, re.M | re.S)
+    assert match, "README.md has no Library use section"
+    listed = re.findall(r"^\* `(\w+)`: ", match.group(1), re.M)
+    assert sorted(listed) == sorted([*anka.__all__, *anka.bench.__all__])

@@ -10,10 +10,10 @@ import pytest
 
 from anka import ast_nodes as ast
 from anka.formatter import format_ast, format_expr
-from anka.location import UNKNOWN_LOCATION as LOC
 from anka.parser import parse
 from anka.values import Field, Schema, ValueType
 
+from builders import UNKNOWN_LOCATION as LOC
 from generators import rand_cell
 
 CORPUS_DIR = Path(__file__).parent / "corpus"

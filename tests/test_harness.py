@@ -21,7 +21,9 @@ from anka.bench import (
 from anka.bench import harness
 from anka.bench.harness import SampleResult, tables_match
 from anka.bench.suite import TaskSpec, TestCase
-from anka.values import ValueType as VT, make_table, schema_of
+from anka.values import ValueType as VT, make_table
+
+from builders import schema_of
 
 
 @pytest.fixture(scope="module")

@@ -32,10 +32,10 @@ from anka.values import (
     CELL_TYPES,
     ValueType as VT,
     make_table,
-    schema_of,
     table_equal,
 )
 
+from builders import schema_of
 from generators import PLAIN_FIELDS, rand_schema, rand_table
 
 FULL_SCHEMA = schema_of(

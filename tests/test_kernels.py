@@ -23,16 +23,15 @@ from anka.values import (
     INT64_MIN,
     Table,
     ValueType as VT,
-    compare_values,
     decimal_divide,
     format_cell,
     parse_column,
     parse_decimal,
     parse_int,
-    schema_of,
 )
 
 import generic_values as generic
+from builders import schema_of
 from generators import PLAIN_FIELDS, rand_cell, rand_schema, rand_table
 
 INT_EDGES = [
@@ -118,7 +117,7 @@ class TestArithmeticKernels:
         big = Decimal("9" * 38)
         for op, name in (("+", "addition"), ("-", "subtraction"), ("*", "multiplication")):
             run = _expression_runner(f"a {op} b", schema)
-            assert _outcome(run, big, -big if op == "-" else big) == (
+            assert _outcome(run, big, big.copy_negate() if op == "-" else big) == (
                 "ConversionError", f"DECIMAL overflow in {name}"
             )
 
@@ -166,7 +165,7 @@ class TestComparisonKernels:
             run = _expression_runner(f"a {op} b", schema)
             for _ in range(60):
                 a, b = (None if rng.random() < 0.1 else SAMPLES[t](rng) for t in types)
-                expected = None if a is None or b is None else holds(compare_values(a, b))
+                expected = None if a is None or b is None else holds(generic.compare_values(a, b))
                 assert run(a, b) is expected, (a, op, b)
 
 
@@ -252,8 +251,10 @@ class TestLiteralOperands:
         else:
             values = [Decimal("0.00"), Decimal("3"), Decimal("9" * 37 + ".9")]
             values += [_rand_decimal(rng) for _ in range(4)]
+        # -Decimal rounds to the default context's 28 digits; copy_negate is exact
         big = INT64_MAX if types[0] is VT.INT else Decimal("9" * 38)
-        lefts = [None, big, -big] + [_rand_operand(rng, types[0]) for _ in range(30)]
+        lefts = [None, big, -big if types[0] is VT.INT else big.copy_negate()]
+        lefts += [_rand_operand(rng, types[0]) for _ in range(30)]
         seen = set()
         for text, b in map(_literal, values):
             literal = _expression_runner(f"a {op} {text}", schema)
@@ -276,12 +277,11 @@ def _generic_aggregate(fn, values):
         total = Decimal(0)
         for value in values:
             total = generic.add_values(total, value)
-        scale = generic.decimal_scale(total) + generic.DIVISION_EXTRA_SCALE
-        return generic.fraction_divide(total, Decimal(len(values)), scale)
+        return generic.fraction_divide(total, Decimal(len(values)), generic.quotient_scale(total))
     order = -1 if fn == "MIN" else 1
     best = values[0]
     for value in values[1:]:
-        if compare_values(value, best) == order:
+        if generic.compare_values(value, best) == order:
             best = value
     return best
 

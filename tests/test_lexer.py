@@ -4,9 +4,9 @@ import ast as pyast
 import hashlib
 import inspect
 import random
-from dataclasses import fields
 from decimal import Decimal
 from functools import partial
+from typing import NamedTuple
 
 import pytest
 
@@ -16,14 +16,42 @@ from anka import grammar
 from anka.ast_nodes import STATEMENT_FORMS, Node
 from anka.errors import DivisionByZero, ExecutionError, ParseError
 from anka.interpreter import run_pipeline
-from anka.lexer import KEYWORDS, OPERATORS, TokenStream, scan, tokenize
+from anka.lexer import KEYWORDS, LITERAL_VALUES, OPERATORS, TokenStream, scan, token_kind
 from anka.location import SourceLocation
 from anka.parser import parse
 from anka.validator import validate
-from anka.values import ValueType, make_table, schema_of
+from anka.values import ValueType, make_table
 
 import fuzzing
+from builders import schema_of
 from generators import rand_table
+
+
+class Lexeme(NamedTuple):
+    """A token as a reader of the stream sees it. A string's text is its
+    value, an identifier's value is its text, and a keyword's or an
+    operator's value is None; ``start`` is its character index."""
+
+    kind: str
+    text: str
+    value: object
+    start: int
+    location: SourceLocation
+
+
+def lex(source: str) -> list[Lexeme]:
+    """The tokens of ``source``, without the end of input, from the
+    stream ``scan`` makes. Raises ParseError as ``scan`` does."""
+    stream = scan(source)
+    tokens = []
+    for index, (text, start) in enumerate(zip(stream.texts[:-1], stream.starts)):
+        kind = token_kind(text)
+        value = LITERAL_VALUES[kind](text) if kind in LITERAL_VALUES else None
+        if kind == "IDENT":
+            value = text
+        location = SourceLocation(*stream.position(index))
+        tokens.append(Lexeme(kind, value if kind == "STRING" else text, value, start, location))
+    return tokens
 
 
 def kinds(tokens):
@@ -32,7 +60,7 @@ def kinds(tokens):
 
 class TestTokenStream:
     def test_filter_statement_tokens(self):
-        tokens = tokenize("FILTER orders WHERE amount > 1000 INTO big")
+        tokens = lex("FILTER orders WHERE amount > 1000 INTO big")
         assert kinds(tokens) == [
             ("KEYWORD", "FILTER"),
             ("IDENT", "orders"),
@@ -46,10 +74,10 @@ class TestTokenStream:
         assert len(tokens) == 8
 
     def test_empty_input(self):
-        assert tokenize("") == []
+        assert lex("") == []
 
     def test_comments_and_whitespace_skipped(self):
-        tokens = tokenize("# leading comment\nFILTER t # trailing\n\t WHERE")
+        tokens = lex("# leading comment\nFILTER t # trailing\n\t WHERE")
         assert kinds(tokens) == [
             ("KEYWORD", "FILTER"),
             ("IDENT", "t"),
@@ -57,63 +85,63 @@ class TestTokenStream:
         ]
 
     def test_keywords_are_case_sensitive(self):
-        tokens = tokenize("filter FILTER Filter")
+        tokens = lex("filter FILTER Filter")
         assert [t.kind for t in tokens] == ["IDENT", "KEYWORD", "IDENT"]
 
     def test_locations_track_lines_and_columns(self):
-        tokens = tokenize("FILTER t\n  WHERE x")
+        tokens = lex("FILTER t\n  WHERE x")
         where = tokens[2]
         assert (where.location.line, where.location.column) == (2, 3)
         assert where.location.offset == 11
 
     def test_decimal_vs_int_literals(self):
-        tokens = tokenize("1000 0.08 7")
+        tokens = lex("1000 0.08 7")
         assert tokens[0].kind == "INT" and tokens[0].value == 1000
         assert tokens[1].kind == "DECIMAL" and tokens[1].value == Decimal("0.08")
         assert tokens[2].kind == "INT"
 
     def test_multi_char_operators(self):
-        tokens = tokenize("== != >= <= => =")
+        tokens = lex("== != >= <= => =")
         assert [t.text for t in tokens] == ["==", "!=", ">=", "<=", "=>", "="]
 
     def test_string_escapes(self):
-        tokens = tokenize(r'"a\"b\\c\nd\te"')
+        tokens = lex(r'"a\"b\\c\nd\te"')
         assert tokens[0].value == 'a"b\\c\nd\te'
 
 
 class TestLexicalErrors:
     def test_illegal_character_position(self):
         with pytest.raises(ParseError) as err:
-            tokenize("FILTER @")
+            lex("FILTER @")
         assert err.value.location.line == 1
         assert err.value.location.column == 8
 
     def test_unterminated_string(self):
         with pytest.raises(ParseError, match="unterminated string"):
-            tokenize('WRITE t TO "oops')
+            lex('WRITE t TO "oops')
 
     def test_string_may_not_span_lines(self):
         with pytest.raises(ParseError, match="unterminated string"):
-            tokenize('"line one\nline two"')
+            lex('"line one\nline two"')
 
     def test_invalid_escape(self):
         with pytest.raises(ParseError, match="invalid escape"):
-            tokenize(r'"\q"')
+            lex(r'"\q"')
 
     def test_int_literal_out_of_range(self):
         with pytest.raises(ParseError, match="64-bit range"):
-            tokenize("9223372036854775808")
-        tokenize("9223372036854775807")
+            lex("9223372036854775808")
+        lex("9223372036854775807")
 
     def test_decimal_literal_scale_cap(self):
         with pytest.raises(ParseError, match="scale"):
-            tokenize("0.00000000001")
+            lex("0.00000000001")
 
     def test_long_int_literal_is_a_parse_error(self):
         for digits in ("1" * 20, "1" * 4300, "1" * 5000, "0" * 5000 + "1" * 20):
             with pytest.raises(ParseError, match="64-bit range"):
-                tokenize(digits)
-        assert tokenize("0" * 5000 + "7")[0].value == 7
+                lex(digits)
+        assert lex("0" * 5000 + "7")[0].value == 7
 
     def test_long_int_literal_in_program_is_a_parse_error(self):
         source = (
@@ -126,55 +154,55 @@ class TestLexicalErrors:
 
     def test_long_literals_are_clipped_in_messages(self):
         with pytest.raises(ParseError) as err:
-            tokenize("9" * 5000)
+            lex("9" * 5000)
         assert err.value.message == f"integer literal {'9' * 40}… out of 64-bit range"
         with pytest.raises(ParseError) as err:
-            tokenize("1" * 5000 + ".5")
+            lex("1" * 5000 + ".5")
         assert err.value.message == f"DECIMAL value '{'1' * 40}…' exceeds precision"
         with pytest.raises(ParseError) as err:
-            tokenize("9" * 20)
+            lex("9" * 20)
         assert err.value.message == f"integer literal {'9' * 20} out of 64-bit range"
 
 
 class TestLocations:
     def test_byte_offset_after_non_ascii_string(self):
-        tokens = tokenize('"é∆" x')
+        tokens = lex('"é∆" x')
         assert tokens[1].location == SourceLocation(1, 6, 8)
 
     def test_byte_offset_after_non_ascii_comment(self):
-        tokens = tokenize("# naïve ∆\nx")
+        tokens = lex("# naïve ∆\nx")
         assert tokens[0].location == SourceLocation(2, 1, 13)
 
     def test_line_and_column_after_crlf(self):
-        tokens = tokenize("FILTER\r\n  t\r\nWHERE")
+        tokens = lex("FILTER\r\n  t\r\nWHERE")
         assert tokens[1].location == SourceLocation(2, 3, 10)
         assert tokens[2].location == SourceLocation(3, 1, 13)
 
     def test_comment_at_end_of_input(self):
-        tokens = tokenize("x # trailing comment, no newline")
+        tokens = lex("x # trailing comment, no newline")
         assert kinds(tokens) == [("IDENT", "x")]
 
     def test_invalid_escape_location(self):
         with pytest.raises(ParseError) as err:
-            tokenize('x\n  "ab\\q"')
+            lex('x\n  "ab\\q"')
         assert err.value.message == "invalid escape sequence '\\q'"
         assert err.value.location == SourceLocation(2, 7, 8)
 
     def test_backslash_newline_in_string(self):
         with pytest.raises(ParseError) as err:
-            tokenize('"a\\\nb"')
+            lex('"a\\\nb"')
         assert err.value.message == "invalid escape sequence '\\\n'"
         assert err.value.location == SourceLocation(1, 4, 3)
 
     def test_backslash_at_end_of_input(self):
         with pytest.raises(ParseError) as err:
-            tokenize('x "\\')
+            lex('x "\\')
         assert err.value.message == "unterminated string literal"
         assert err.value.location == SourceLocation(1, 3, 2)
 
     def test_lone_surrogate_is_a_parse_error(self):
         with pytest.raises(ParseError, match="unexpected character") as err:
-            tokenize('"\ud800" \ud800')
+            lex('"\ud800" \ud800')
         assert err.value.location == SourceLocation(1, 5, 6)
 
     def test_eof_location_of_truncated_program(self):
@@ -195,7 +223,7 @@ class TestLocations:
         # the parser's locations are token indices into the stream; every
         # call of deferred() is a fresh location, not yet resolved
         stream = scan(source)
-        for i, token in enumerate(tokenize(source)):
+        for i, token in enumerate(lex(source)):
             index = token.start
             eager = SourceLocation(
                 source.count("\n", 0, index) + 1,
@@ -213,7 +241,7 @@ class TestLocations:
             assert (deferred().line, deferred().column, deferred().offset) == (
                 eager.line, eager.column, eager.offset)
         # the stream walks from the token it located last, in either direction
-        tokens = tokenize(source)
+        tokens = lex(source)
         order = [*reversed(range(len(tokens))), *random.Random(7).sample(range(len(tokens)), 5)]
         for i in order:
             assert SourceLocation.deferred(stream, i) == tokens[i].location
@@ -237,7 +265,7 @@ class TestLocations:
         assert repr(SourceLocation(2, 3, 10)) == "SourceLocation(line=2, column=3, offset=10)"
         assert SourceLocation(2, 3) == SourceLocation(2, 3, 0)
         assert SourceLocation(2, 3, 10) != (2, 3, 10)
-        for location in (SourceLocation(1, 1, 0), tokenize("x")[0].location,
+        for location in (SourceLocation(1, 1, 0), lex("x")[0].location,
                          SourceLocation.deferred(scan("x"), 0)):
             for name in ("line", "column", "offset"):
                 with pytest.raises(AttributeError):
@@ -302,7 +330,7 @@ class TestStreamEdges:
 
     def test_stream_length_is_token_count(self):
         for source in (*fuzzing.corpus_sources(), *fuzzing.fixture_sources()):
-            assert len(anka.parser.tokenize(source)) == len(tokenize(source))
+            assert len(anka.parser.tokenize(source)) == len(lex(source))
 
     # Messages and locations as the per-token scanner gave them: a lexical
     # error anywhere wins over a syntax error, and the first one wins.
@@ -359,8 +387,8 @@ def _node_locations(node):
     if isinstance(node, SourceLocation):
         yield node
     elif isinstance(node, Node):
-        for f in fields(node):
-            yield from _node_locations(getattr(node, f.name))
+        for name in node._field_names:
+            yield from _node_locations(getattr(node, name))
     elif isinstance(node, tuple):
         for item in node:
             yield from _node_locations(item)
@@ -375,7 +403,7 @@ def _lexer_digest(texts) -> str:
             records = [
                 (t.kind, t.text, repr(t.value), t.location.line,
                  t.location.column, t.location.offset)
-                for t in tokenize(text)
+                for t in lex(text)
             ]
         except ParseError as err:
             loc = err.location

@@ -1,6 +1,5 @@
 """Parser: structure of parsed pipelines and located syntax errors."""
 
-import dataclasses
 import datetime
 import hashlib
 import json
@@ -16,9 +15,10 @@ from anka.formatter import format_ast
 from anka.interpreter import run_pipeline
 from anka.parser import parse
 from anka.validator import validate
-from anka.values import ValueType, make_table, schema_of
+from anka.values import ValueType, make_table
 
 import fuzzing
+from builders import schema_of
 from pipelinegen import rand_pipeline
 
 REFERENCE_PIPELINE = """
@@ -98,7 +98,7 @@ class TestPipelineStructure:
                 if loc is not None:
                     assert 0 <= loc.offset < limit
                     assert loc.line >= 1 and loc.column >= 1
-                for name in node.__dataclass_fields__:
+                for name in node._field_names:
                     walk(getattr(node, name))
             elif isinstance(node, tuple):
                 for item in node:
@@ -220,12 +220,12 @@ class TestStatementForms:
 def test_type_hints_resolve_on_every_node_class():
     classes = [
         obj for obj in vars(ast).values()
-        if dataclasses.is_dataclass(obj) and obj.__module__ == ast.__name__
+        if isinstance(obj, type) and issubclass(obj, ast.Node)
     ]
     assert ast.Literal in classes and ast.Union in classes and len(classes) > 30
     for cls in classes:
         hints = typing.get_type_hints(cls)
-        assert set(hints) == {f.name for f in dataclasses.fields(cls)}
+        assert set(hints) == set(cls._field_names)
 
 
 class TestCanonicalForms:
@@ -236,8 +236,6 @@ class TestCanonicalForms:
         # form, its fields are its form's field words in order, the
         # parser's keywords are the table's, and no statement has a
         # reader of its own
-        from dataclasses import fields
-
         from anka import parser
         from anka.grammar import STATEMENTS
 
@@ -267,7 +265,7 @@ class TestCanonicalForms:
             assert getattr(ast, node.__name__) is node
             form = node.__doc__.split()
             assert form[0] == keyword
-            names = [f.name for f in fields(node)]
+            names = list(node._field_names)
             assert names[0] == "location"
             assert names[1:] == [word.split(":")[0] for word in form[1:] if ":" in word]
 

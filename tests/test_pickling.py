@@ -27,9 +27,10 @@ from anka.interpreter import run_pipeline
 from anka.location import SourceLocation
 from anka.parser import parse
 from anka.validator import ValidationException, validate
-from anka.values import Field, Schema, Table, ValueType, make_table, schema_of
+from anka.values import Field, Schema, Table, ValueType, make_table
 
 import fuzzing
+from builders import schema_of
 from generators import rand_table
 
 ROUND_TRIPS = {

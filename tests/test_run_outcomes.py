@@ -21,9 +21,10 @@ from anka.interpreter import run_pipeline
 from anka.io_adapters import IoAdapter
 from anka.parser import parse
 from anka.validator import validate
-from anka.values import Table, ValueType, schema_of
+from anka.values import Table, ValueType
 
 import fuzzing
+from builders import schema_of
 from generators import rand_table
 from pipelinegen import rand_pipeline
 

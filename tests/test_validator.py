@@ -4,7 +4,6 @@ import datetime
 import hashlib
 import operator
 import re
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -17,10 +16,11 @@ from anka.interpreter import run_pipeline
 from anka.io_adapters import IoAdapter
 from anka.location import SourceLocation
 from anka.parser import MAX_NESTING_DEPTH, parse
-from anka.validator import ValidationException, typecheck_expr, validate
-from anka.values import Schema, ValueType, cell_matches, make_table, schema_of
+from anka.validator import ValidationException, validate
+from anka.values import Schema, ValueType, cell_matches, make_table
 
 import fuzzing
+from builders import expression_type, schema_of
 
 REFERENCE_PIPELINE = """
 PIPELINE transform_sales:
@@ -235,17 +235,17 @@ class TestExpressionTyping:
         pipeline = parse(map_src)
         expr = pipeline.steps[0].body[0].expr
         schema = pipeline.inputs[0].schema
-        assert typecheck_expr(expr, schema) is ValueType.DECIMAL
+        assert expression_type(expr, schema) is ValueType.DECIMAL
 
     def test_comparison_yields_bool(self):
-        assert typecheck_expr(self._expr("amount > 1000"), self.SCHEMA) is ValueType.BOOL
+        assert expression_type(self._expr("amount > 1000"), self.SCHEMA) is ValueType.BOOL
 
     def test_int_decimal_comparison_ok(self):
-        assert typecheck_expr(self._expr("n > amount"), self.SCHEMA) is ValueType.BOOL
+        assert expression_type(self._expr("n > amount"), self.SCHEMA) is ValueType.BOOL
 
     def test_string_plus_int_rejected(self):
         with pytest.raises(ValidationException) as err:
-            typecheck_expr(self._expr('s + 1 == 2'), self.SCHEMA)
+            expression_type(self._expr('s + 1 == 2'), self.SCHEMA)
         assert any(
             e.kind is ValidationKind.TYPE_MISMATCH and "STRING" in e.message
             for e in err.value.errors
@@ -501,7 +501,7 @@ def _with_first_statement(pipeline, build):
     """``pipeline`` with its first statement replaced by ``build(it)``."""
     step = pipeline.steps[0]
     body = (build(step.body[0]),) + step.body[1:]
-    return replace(pipeline, steps=(replace(step, body=body),) + pipeline.steps[1:])
+    return pipeline._replace(steps=(step._replace(body=body),) + pipeline.steps[1:])
 
 
 def _plus_chain(pipeline, terms: int):
@@ -511,7 +511,7 @@ def _plus_chain(pipeline, terms: int):
     for column in range(2, terms + 1):
         one = ast.Literal(value=1, type=ValueType.INT, location=SourceLocation(2, column))
         expr = ast.BinaryOp(op="+", left=expr, right=one, location=SourceLocation(1, column))
-    return _with_first_statement(pipeline, lambda stmt: replace(stmt, expr=expr)), expr
+    return _with_first_statement(pipeline, lambda stmt: stmt._replace(expr=expr)), expr
 
 
 class TestNestingBound:
@@ -609,7 +609,7 @@ class TestApiOnlyTrees:
         literal = ast.Literal(value=value, type=vtype, location=SourceLocation(2, 7))
         pipeline = _with_first_statement(
             parse(pipeline_with("MAP t WITH c => a + 1 INTO r")),
-            lambda stmt: replace(stmt, expr=replace(stmt.expr, right=literal)),
+            lambda stmt: stmt._replace(expr=stmt.expr._replace(right=literal)),
         )
         result = validate(pipeline)
         assert [(e.kind, e.location) for e in result.errors] == [
@@ -634,7 +634,7 @@ class TestApiOnlyTrees:
     )
     def test_statement_with_no_output_column(self, statement, empty, message):
         source = f"PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n  {statement}\n OUTPUT r"
-        pipeline = _with_first_statement(parse(source), lambda stmt: replace(stmt, **empty))
+        pipeline = _with_first_statement(parse(source), lambda stmt: stmt._replace(**empty))
         result = validate(pipeline)
         assert [(e.kind, e.message, e.location.line) for e in result.errors] == [
             (ValidationKind.SCHEMA_MISMATCH, message, 4)
@@ -646,10 +646,10 @@ class TestApiOnlyTrees:
     @pytest.mark.parametrize(
         "statement, build",
         [
-            ('READ "x.json" AS JSON TABLE[a: INT] INTO r', lambda s: replace(s, format="xml")),
-            ('WRITE t TO "x.csv" AS CSV', lambda s: replace(s, format="xml")),
+            ('READ "x.json" AS JSON TABLE[a: INT] INTO r', lambda s: s._replace(format="xml")),
+            ('WRITE t TO "x.csv" AS CSV', lambda s: s._replace(format="xml")),
             ("MAP t WITH c => a + 1 INTO r",
-             lambda s: replace(s, expr=ast.Expr(location=SourceLocation(4, 18)))),
+             lambda s: s._replace(expr=ast.Expr(location=SourceLocation(4, 18)))),
             ("DISTINCT t INTO r", lambda s: ast.Statement(location=SourceLocation(4, 3))),
         ],
         ids=["read-format", "write-format", "bare-expr", "bare-statement"],
@@ -688,7 +688,7 @@ class TestApiOnlyTrees:
     )
     def test_field_of_another_python_type(self, statement, field, value, message):
         source = f"PIPELINE p:\n INPUT t: TABLE[a: INT]\n STEP s:\n  {statement}\n OUTPUT r"
-        pipeline = _with_first_statement(parse(source), lambda s: replace(s, **{field: value}))
+        pipeline = _with_first_statement(parse(source), lambda s: s._replace(**{field: value}))
         result = validate(pipeline)
         assert [(e.kind, e.message, e.location.line) for e in result.errors] == [
             (ValidationKind.TYPE_MISMATCH, message, 4)
@@ -755,7 +755,7 @@ class TestAggregateTable:
     def test_ast_built_spec_outside_the_table(self, compute, spec, message):
         pipeline = _with_first_statement(
             parse(self._source(compute)),
-            lambda stmt: replace(stmt, computes=(replace(stmt.computes[0], **spec),)),
+            lambda stmt: stmt._replace(computes=(stmt.computes[0]._replace(**spec),)),
         )
         location = pipeline.steps[0].body[0].computes[0].location
         assert [(e.kind, e.message, e.location) for e in validate(pipeline).errors] == [
