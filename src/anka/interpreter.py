@@ -605,7 +605,7 @@ class Interpreter:
                     values = [row[index] for row in members if row[index] is not None]
                     cells.append(fold(values) if values else None)
                 rows.append(tuple(cells))
-        except decimal.Inexact:
+        except decimal.Rounded:
             raise ConversionError("DECIMAL overflow in addition") from None
         return Table.trusted(schema, rows)
 
@@ -856,7 +856,7 @@ def _guarded(line: str, location: str, overflow: Optional[str] = None) -> list[s
     lines = ["try:", f"    {line}", "except ExecutionError as exc:"]
     lines.append(f"    raise exc.at({location}) from None")
     if overflow:
-        lines.append("except decimal.Inexact:")
+        lines.append("except decimal.Rounded:")
         lines.append(f"    raise ConversionError({overflow}, {location}) from None")
     return lines
 

@@ -47,7 +47,7 @@ DECIMAL_PRECISION = 38
 
 _EXACT_CTX = decimal.Context(
     prec=DECIMAL_PRECISION,
-    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.Overflow],
+    traps=[decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
 
 # Scale added by division and AVG on top of the operand scale, up to
@@ -369,9 +369,9 @@ def check_decimal(value: Decimal, text: Optional[str] = None) -> Decimal:
 # plan: INT op INT is an int operation with the 64-bit range check, and
 # any other pair goes through the exact decimal context, whose methods
 # take an INT operand exactly. Kernels never see null; their callers
-# check for it. The context methods raise decimal.Inexact where an exact
-# result needs more than 38 digits, which callers report as
-# "DECIMAL overflow in <operation>".
+# check for it. The context methods raise decimal.Rounded where an exact
+# result needs more than 38 digits, even when the digits past the 38th
+# are zeros, which callers report as "DECIMAL overflow in <operation>".
 # ---------------------------------------------------------------------------
 
 OPERATION_NAMES = {
@@ -457,7 +457,7 @@ def decimal_product(left: Decimal, right: Decimal) -> Decimal:
         _SCALE_CHECK.quantize(product, _SCALE_UNIT)
         if product or product.adjusted() >= -MAX_DECIMAL_SCALE:  # a zero's exponent
             return product
-    except (decimal.Inexact, decimal.Rounded):
+    except decimal.Rounded:
         pass  # past 38 digits or past scale 10: round the exact product
     (top, below), (bottom, above) = left.as_integer_ratio(), right.as_integer_ratio()
     return decimal_divide(top * bottom, below * above, MAX_DECIMAL_SCALE, "multiplication")

@@ -33,7 +33,7 @@ from anka.values import (
 
 _EXACT_CTX = decimal.Context(
     prec=DECIMAL_PRECISION,
-    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.Overflow],
+    traps=[decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
 
 
@@ -46,7 +46,7 @@ def _check_int64(value, op):
 def _exact(op, fn, *args):
     try:
         return fn(*args)
-    except (decimal.Inexact, decimal.Overflow):
+    except decimal.Rounded:
         raise ConversionError(f"DECIMAL overflow in {op}") from None
 
 

@@ -77,6 +77,15 @@ def test_a_product_past_38_exact_digits_rounds_into_range():
         _computed("a * b", (Decimal("9" * 28 + ".5"), Decimal("9" * 10 + ".5")))
 
 
+@pytest.mark.parametrize("expr, name", [("a * 1000000000000000000", "multiplication"),
+                                        ("b + b", "addition"), ("-b - b", "subtraction")])
+def test_a_result_past_38_digits_overflows_though_its_extra_digits_are_zeros(expr, name):
+    # each result is 10**38, 39 digits: the context would round it
+    # exactly, to a coefficient of 38 digits, and no decoder reads it back
+    with pytest.raises(ConversionError, match=f"DECIMAL overflow in {name}"):
+        _computed(expr, (Decimal(10**20), Decimal(5 * 10**37)))
+
+
 def test_avg_rounds_to_scale_10():
     pipeline = parse(
         "PIPELINE p:\n INPUT t: TABLE[a: DECIMAL]\n STEP s:\n"
