@@ -1,19 +1,22 @@
 """Evaluator for validated pipelines.
 
 ``run_pipeline`` runs what ``validate`` resolved. Each statement is
-compiled once per pipeline into a step that holds the validator's
-output schema and the column indices it resolved. A MAP or FILTER
-becomes one generated Python function that runs its whole row loop, and
-an IF or WHILE condition a generated function of one row, each operator
-bound to the kernel for the types the validator proved (Neumann,
-"Efficiently compiling efficient query plans", VLDB 2011); the code is
-generated once per expression shape and cached. Steps bind INTO targets in
-one dict of named tables; the validator forbids rebinding, so only loop
-and TRY scopes copy it. After each top-level statement the names the
-validator found it last to read or bind (``ValidationResult.dies``) are
-dropped from that dict, so an intermediate table is released after its
-last reader rather than at the end of the run. Input tables are never
-modified.
+compiled once per pipeline into a step: a shared module-level runner and
+a flat tuple of values. A data or I/O statement's row in one table, keyed
+by its class, names the ``Interpreter`` or ``IoAdapter`` method its
+runner calls and turns the validator's source and output schemas into
+that method's arguments, column indices resolved; each control statement
+has a compiler. A MAP or FILTER becomes one generated Python function
+that runs its whole row loop, and an IF or WHILE condition a generated
+function of one row, each operator bound to the kernel for the types the
+validator proved (Neumann, "Efficiently compiling efficient query plans",
+VLDB 2011); the code is generated once per expression shape and cached.
+Steps bind INTO targets in one dict of named tables; the validator
+forbids rebinding, so only loop and TRY scopes copy it. After each
+top-level statement the names the validator found it last to read or
+bind (``ValidationResult.dies``) are dropped from that dict, so an
+intermediate table is released after its last reader rather than at the
+end of the run. Input tables are never modified.
 
 Null semantics: arithmetic, comparisons, and builtins propagate null;
 WHERE coerces a null predicate to false (the row is dropped); AND/OR
@@ -55,14 +58,15 @@ DEFAULT_WHILE_CAP = 100_000
 _TIME_LIMIT = "execution time limit exceeded"
 
 Row = tuple[Cell, ...]
-# A step is a module-level function and the values its statement binds:
-# it is called with those values, then the interpreter, the named tables
-# and the current row, and returns the table its statement binds, or None.
+# A step is a module-level runner and the flat tuple of values its
+# statement compiled to: it is called with the interpreter, the named
+# tables, the current row and then those values, and returns the table its
+# statement binds, or None.
 Step = tuple[Callable[..., Optional[Table]], tuple]
-# Each statement's location, its step's function and values, its INTO
+# Each statement's location, its step's runner and values, its INTO
 # target (None when it binds nothing) and the names to release once it
-# has run. The values are held beside the function, not in a closure or
-# a ``partial``, so a statement adds two GC-tracked objects to a plan
+# has run. The values are held beside the runner, not in a closure or a
+# ``partial``, so a statement adds two GC-tracked objects to a plan
 # besides the parts it compiles.
 Block = tuple[tuple[SourceLocation, Callable, tuple, Optional[str], tuple[str, ...]], ...]
 # A generated MAP or FILTER loop, from source rows and the deadline to rows.
@@ -90,9 +94,11 @@ def run_pipeline(
     ``ValidationException`` with its diagnostics. The compiled steps are
     likewise kept with the pipeline. ``io`` defaults to a sandboxed
     adapter that denies all file and network access. ``deadline`` is an
-    absolute ``time.monotonic()`` stamp, ``max_rows`` caps the size of
-    any produced table and ``max_cells`` the rows times columns of all
-    tables bound at once; each lets a harness bound untrusted programs.
+    absolute ``time.monotonic()`` stamp, ``max_rows`` caps the rows of
+    each table a JOIN, LEFT_JOIN or UNION builds or a READ or FETCH
+    brings in (no other statement adds rows) and ``max_cells`` the rows
+    times columns of all tables bound at once; each lets a harness bound
+    untrusted programs.
     """
     result = validate(pipeline)
     if not result.ok:
@@ -126,7 +132,8 @@ def _check_inputs(pipeline: ast.Pipeline, inputs: dict[str, Table]) -> None:
 
 
 # -- compiling statements -----------------------------------------------------
-# One compiler per statement class, looked up by the node's exact class.
+# Each statement's step is built by its class's entry in one of two tables:
+# a control compiler, or a row of ``_ACTIONS`` for a data or I/O statement.
 
 
 def _compile_block(
@@ -151,17 +158,18 @@ def _compile_block(
 def _compile_statement(
     stmt: ast.Statement, result: ValidationResult, row_schema: Optional[Schema]
 ) -> Step:
-    control = _CONTROL_COMPILERS.get(type(stmt))
+    kind = type(stmt)
+    control = _CONTROL_COMPILERS.get(kind)
     if control is not None:
         return control(stmt, result, row_schema)
+    runner, method, values = _ACTIONS[kind]
     key = id(stmt)
-    return _ACTION_COMPILERS[type(stmt)](
-        stmt, result.sources.get(key), result.outputs.get(key), result.types
-    )
+    rest = values(stmt, result.sources.get(key), result.outputs.get(key), result.types)
+    return runner, (method, *rest)
 
 
-# Each compiler returns its statement's step: a ``_run_*`` function and
-# the names, schemas and compiled parts it is called with first.
+# Each control compiler returns its statement's step: its runner and the
+# condition, source name and nested blocks it is called with.
 
 
 def _compile_if(stmt: ast.If, result, row_schema) -> Step:
@@ -171,7 +179,7 @@ def _compile_if(stmt: ast.If, result, row_schema) -> Step:
     return _run_if, (condition, then_body, else_body)
 
 
-def _run_if(condition, then_body, else_body, interp, datasets, row):
+def _run_if(interp, datasets, row, condition, then_body, else_body):
     # a null condition counts as false
     branch = then_body if condition(row) is True else else_body
     interp._exec(branch, datasets, row)
@@ -182,7 +190,7 @@ def _compile_while(stmt: ast.While, result, row_schema) -> Step:
     return _run_while, (condition, _compile_block(stmt.body, result, row_schema))
 
 
-def _run_while(condition, body, interp, datasets, row):
+def _run_while(interp, datasets, row, condition, body):
     iterations = 0
     cells = interp.cells
     while condition(row) is True:
@@ -199,7 +207,7 @@ def _compile_for_each(stmt: ast.ForEach, result, row_schema) -> Step:
     return _run_for_each, (stmt.source, _compile_block(stmt.body, result, source_schema))
 
 
-def _run_for_each(source, body, interp, datasets, row):
+def _run_for_each(interp, datasets, row, source, body):
     cells = interp.cells
     for each in datasets[source].rows:
         interp._tick()
@@ -212,7 +220,7 @@ def _compile_try(stmt: ast.Try, result, row_schema) -> Step:
     return _run_try, (body, _compile_block(stmt.handler, result, row_schema))
 
 
-def _run_try(body, handler, interp, datasets, row):
+def _run_try(interp, datasets, row, body, handler):
     scope, cells = dict(datasets), interp.cells
     try:
         interp._exec(body, scope, row)
@@ -230,73 +238,43 @@ _CONTROL_COMPILERS = {
     ast.Try: _compile_try,
 }
 
-# Action compilers take a data, WRITE or POST statement with the schemas
-# the validator resolved for it: those of its sources, in the order it
-# names them, and the one it binds. Each returns a step that runs the
-# statement through its ``eval_*`` or ``IoAdapter`` method, with every
-# name already looked up; the block loop binds what it returns.
+# The runners of data and I/O steps. Each is called with the method name
+# and source names its ``_ACTIONS`` row put first in the step's values, and
+# looks the method up on the interpreter or its adapter on every run, so a
+# profiler that wraps the class attribute after the plan was compiled still
+# sees each call. JOIN, WRITE and POST have runners of their own because
+# perfbench's tracing hooks read their arguments: JOIN's span is named from
+# the ``left_outer`` keyword, and WRITE and POST count the rows of the
+# table they are given in that position.
 
 
-def _filter(stmt: ast.Filter, sources, schema, types):
-    keep = _compile_expr("filter", stmt.predicate, sources[0], types)
-    return _run_filter, (stmt.source, keep)
+def _run_source(interp, d, row, method, source, *values):
+    return getattr(interp, method)(d[source], *values)
 
 
-def _run_filter(source, keep, interp, d, row):
-    return interp.eval_filter(d[source], keep)
+def _run_pair(interp, d, row, method, left, right):
+    return getattr(interp, method)(d[left], d[right])
 
 
-def _select(stmt: ast.Select, sources, schema, types):
-    indices = [sources[0].index_of(n) for n in stmt.columns]
-    return _run_select, (stmt.source, schema, indices)
+def _run_join(interp, d, row, method, left, right, schema, li, ri, left_outer):
+    return getattr(interp, method)(d[left], d[right], schema, li, ri, left_outer=left_outer)
 
 
-def _run_select(source, schema, indices, interp, d, row):
-    return interp.eval_select(d[source], schema, indices)
+def _run_load(interp, d, row, method, *values):
+    table = getattr(interp.io, method)(*values)
+    interp._check_size(len(table.rows))
+    return table
 
 
-def _distinct(stmt: ast.Distinct, sources, schema, types):
-    return _run_distinct, (stmt.source,)
+def _run_write(interp, d, row, method, source, path, fmt):
+    return getattr(interp.io, method)(d[source], path, fmt)
 
 
-def _run_distinct(source, interp, d, row):
-    return interp.eval_distinct(d[source])
+def _run_post(interp, d, row, method, source, url):
+    return getattr(interp.io, method)(url, d[source])
 
 
-def _map(stmt: ast.Map, sources, schema, types):
-    compute = _compile_expr("map", stmt.expr, sources[0], types)
-    return _run_map, (stmt.source, schema, compute)
-
-
-def _run_map(source, schema, compute, interp, d, row):
-    return interp.eval_map(d[source], schema, compute)
-
-
-def _rename(stmt: ast.Rename, sources, schema, types):
-    return _run_rename, (stmt.source, schema)
-
-
-def _run_rename(source, schema, interp, d, row):
-    return interp.eval_rename(d[source], schema)
-
-
-def _drop(stmt: ast.Drop, sources, schema, types):
-    return _run_drop, (stmt.source, schema, sources[0].index_of(stmt.column))
-
-
-def _run_drop(source, schema, gone, interp, d, row):
-    return interp.eval_drop(d[source], schema, gone)
-
-
-def _add_column(stmt: ast.AddColumn, sources, schema, types):
-    return _run_add_column, (stmt.source, schema, stmt.value.value)
-
-
-def _run_add_column(source, schema, value, interp, d, row):
-    return interp.eval_add_column(d[source], schema, value)
-
-
-def _aggregate(stmt: ast.Aggregate, sources, schema, types):
+def _aggregate(stmt: ast.Aggregate, sources, schema, types) -> tuple:
     (src,) = sources
     keys = [src.index_of(name) for name in stmt.group_by]
     # each fold is bound to the addition kernel of its output column's type
@@ -305,123 +283,64 @@ def _aggregate(stmt: ast.Aggregate, sources, schema, types):
          AGGREGATES[spec.fn].fold(ARITHMETIC_KERNELS.get(("+", schema.type_of(spec.alias)))))
         for spec in stmt.computes
     ]
-    return _run_aggregate, (stmt.source, schema, keys, computes)
+    return stmt.source, schema, keys, computes
 
 
-def _run_aggregate(source, schema, keys, computes, interp, d, row):
-    return interp.eval_aggregate(d[source], schema, keys, computes)
-
-
-def _sort(stmt: ast.Sort, sources, schema, types):
-    key = sources[0].index_of(stmt.column)
-    return _run_sort, (stmt.source, key, stmt.descending)
-
-
-def _run_sort(source, key, descending, interp, d, row):
-    return interp.eval_sort(d[source], key, descending)
-
-
-def _limit(stmt: ast.Limit, sources, schema, types):
-    return _run_limit, (stmt.source, stmt.count)
-
-
-def _run_limit(source, count, interp, d, row):
-    return interp.eval_limit(d[source], count)
-
-
-def _skip(stmt: ast.Skip, sources, schema, types):
-    return _run_skip, (stmt.source, stmt.count)
-
-
-def _run_skip(source, count, interp, d, row):
-    return interp.eval_skip(d[source], count)
-
-
-def _slice(stmt: ast.Slice, sources, schema, types):
-    return _run_slice, (stmt.source, stmt.start, stmt.stop)
-
-
-def _run_slice(source, start, stop, interp, d, row):
-    return interp.eval_slice(d[source], start, stop)
-
-
-def _join(stmt, sources, schema, types):
+def _join(stmt, sources, schema, types) -> tuple:
     li, ri = sources[0].index_of(stmt.left_key), sources[1].index_of(stmt.right_key)
-    left_outer = type(stmt) is ast.LeftJoin
-    return _run_join, (stmt.left, stmt.right, schema, li, ri, left_outer)
+    return stmt.left, stmt.right, schema, li, ri, type(stmt) is ast.LeftJoin
 
 
-def _run_join(left, right, schema, li, ri, left_outer, interp, d, row):
-    return interp.eval_join(d[left], d[right], schema, li, ri, left_outer=left_outer)
-
-
-def _union(stmt: ast.Union, sources, schema, types):
-    return _run_union, (stmt.left, stmt.right)
-
-
-def _run_union(left, right, interp, d, row):
-    return interp.eval_union(d[left], d[right])
-
-
-def _read(stmt: ast.Read, sources, schema, types):
-    return _run_read, (stmt.path, stmt.format, stmt.schema)
-
-
-def _run_read(path, fmt, schema, interp, d, row):
-    return interp.io.read_table(path, fmt, schema)
-
-
-def _fetch(stmt: ast.Fetch, sources, schema, types):
-    return _run_fetch, (stmt.url, stmt.schema)
-
-
-def _run_fetch(url, schema, interp, d, row):
-    return interp.io.fetch_table(url, schema)
-
-
-def _write(stmt: ast.Write, sources, schema, types):
-    return _run_write, (stmt.source, stmt.path, stmt.format)
-
-
-def _run_write(source, path, fmt, interp, d, row):
-    return interp.io.write_table(d[source], path, fmt)
-
-
-def _post(stmt: ast.Post, sources, schema, types):
-    return _run_post, (stmt.source, stmt.url)
-
-
-def _run_post(source, url, interp, d, row):
-    return interp.io.post_table(url, d[source])
-
-
-_ACTION_COMPILERS = {
-    ast.Filter: _filter,
-    ast.Select: _select,
-    ast.Distinct: _distinct,
-    ast.Map: _map,
-    ast.Rename: _rename,
-    ast.Drop: _drop,
-    ast.AddColumn: _add_column,
-    ast.Aggregate: _aggregate,
-    ast.Sort: _sort,
-    ast.Limit: _limit,
-    ast.Skip: _skip,
-    ast.Slice: _slice,
-    ast.Join: _join,
-    ast.LeftJoin: _join,
-    ast.Union: _union,
-    ast.Read: _read,
-    ast.Fetch: _fetch,
-    ast.Write: _write,
-    ast.Post: _post,
+# Each data, WRITE or POST statement's runner, the ``Interpreter`` or
+# ``IoAdapter`` method that runner calls, and a function from the
+# statement, the schemas the validator resolved for its sources (in the
+# order it names them) and for its output, and the validator's types, to
+# the rest of its step's values: its source names, then what the method
+# takes besides the source tables.
+_ACTIONS = {
+    ast.Filter: (_run_source, "eval_filter", lambda stmt, sources, schema, types: (
+        stmt.source, _compile_expr("filter", stmt.predicate, sources[0], types))),
+    ast.Select: (_run_source, "eval_select", lambda stmt, sources, schema, types: (
+        stmt.source, schema, [sources[0].index_of(name) for name in stmt.columns])),
+    ast.Distinct: (_run_source, "eval_distinct", lambda stmt, sources, schema, types: (
+        stmt.source,)),
+    ast.Map: (_run_source, "eval_map", lambda stmt, sources, schema, types: (
+        stmt.source, schema, _compile_expr("map", stmt.expr, sources[0], types))),
+    ast.Rename: (_run_source, "eval_rename", lambda stmt, sources, schema, types: (
+        stmt.source, schema)),
+    ast.Drop: (_run_source, "eval_drop", lambda stmt, sources, schema, types: (
+        stmt.source, schema, sources[0].index_of(stmt.column))),
+    ast.AddColumn: (_run_source, "eval_add_column", lambda stmt, sources, schema, types: (
+        stmt.source, schema, stmt.value.value)),
+    ast.Aggregate: (_run_source, "eval_aggregate", _aggregate),
+    ast.Sort: (_run_source, "eval_sort", lambda stmt, sources, schema, types: (
+        stmt.source, sources[0].index_of(stmt.column), stmt.descending)),
+    ast.Limit: (_run_source, "eval_limit", lambda stmt, sources, schema, types: (
+        stmt.source, stmt.count)),
+    ast.Skip: (_run_source, "eval_skip", lambda stmt, sources, schema, types: (
+        stmt.source, stmt.count)),
+    ast.Slice: (_run_source, "eval_slice", lambda stmt, sources, schema, types: (
+        stmt.source, stmt.start, stmt.stop)),
+    ast.Join: (_run_join, "eval_join", _join),
+    ast.LeftJoin: (_run_join, "eval_join", _join),
+    ast.Union: (_run_pair, "eval_union", lambda stmt, sources, schema, types: (
+        stmt.left, stmt.right)),
+    ast.Read: (_run_load, "read_table", lambda stmt, sources, schema, types: (
+        stmt.path, stmt.format, stmt.schema)),
+    ast.Fetch: (_run_load, "fetch_table", lambda stmt, sources, schema, types: (
+        stmt.url, stmt.schema)),
+    ast.Write: (_run_write, "write_table", lambda stmt, sources, schema, types: (
+        stmt.source, stmt.path, stmt.format)),
+    ast.Post: (_run_post, "post_table", lambda stmt, sources, schema, types: (
+        stmt.source, stmt.url)),
 }
 
 
 class Interpreter:
     """Runs compiled steps under one run's I/O adapter and caps. Steps
-    call the ``eval_*`` methods through the instance, not as captured
-    functions, so a profiler that wraps a class attribute sees each call.
+    look the ``eval_*`` and adapter methods up by name on each run, not
+    as captured functions, so a profiler that wraps a class attribute
+    sees each call.
 
     When ``max_cells`` is set, ``cells`` counts the rows times columns of
     the tables bound by INTO in the live scopes; a loop iteration or a
@@ -450,7 +369,7 @@ class Interpreter:
         for location, step, args, target, dies in block:
             try:
                 self._tick()
-                table = step(*args, self, datasets, row)
+                table = step(self, datasets, row, *args)
                 if target is not None:
                     if self.max_cells is not None:
                         self._charge(table, datasets.get(target))

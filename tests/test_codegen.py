@@ -506,7 +506,7 @@ def test_call_builtin_is_read_when_a_plan_is_compiled(monkeypatch):
 
 
 # A plan binds each step's and each generated function's values without
-# closure cells: a step is a module-level function held beside its values,
+# closure cells: a step is a module-level runner held beside its values,
 # and a generated function takes what it reads as defaults.
 
 
@@ -534,8 +534,19 @@ def _compiled_plans():
         yield rand_pipeline(random.Random(seed))
 
 
+def _plan_steps(block):
+    """Each step of a compiled block, as its runner and values, nested
+    blocks included."""
+    for _, runner, values, _, _ in block:
+        yield runner, values
+        for value in values:
+            if type(value) is tuple:  # an IF, WHILE, FOR_EACH or TRY body
+                yield from _plan_steps(value)
+
+
 def test_no_plan_holds_a_closure_cell():
     generated = 0
+    action_runners = {runner for runner, _, _ in interpreter._ACTIONS.values()}
     for pipeline, inputs in _compiled_plans():
         try:
             run_pipeline(pipeline, inputs)
@@ -546,4 +557,24 @@ def test_no_plan_holds_a_closure_cell():
             assert getattr(function, "__closure__", None) is None, function
             if isinstance(function, types.FunctionType):
                 generated += function.__code__.co_filename.startswith("<anka")
+        for runner, values in _plan_steps(plan):
+            assert getattr(interpreter, runner.__name__) is runner
+            assert type(values) is tuple
+            if runner in action_runners:  # the method name, then flat values
+                assert type(values[0]) is str
+                assert not any(type(value) is tuple for value in values), values
     assert generated > 100  # MAP and FILTER loops, conditions, AND/OR operands
+
+
+def test_every_statement_class_has_one_compiler():
+    compiled = [*interpreter._CONTROL_COMPILERS, *interpreter._ACTIONS]
+    assert sorted(node.__name__ for node in compiled) == sorted(
+        node.__name__ for node, _ in ast.STATEMENT_FORMS.values()
+    )
+
+
+def test_every_action_method_exists():
+    for node, (_, method, _) in interpreter._ACTIONS.items():
+        owners = [owner for owner in (interpreter.Interpreter, interpreter.IoAdapter)
+                  if callable(getattr(owner, method, None))]
+        assert len(owners) == 1, (node.__name__, method)

@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import pytest
 
+from anka import ast_nodes as ast
 from anka import interpreter
 from anka.builtins import MAX_STRING_LENGTH
 from anka.errors import (
@@ -31,6 +32,7 @@ from anka.values import (
 )
 
 from builders import schema_of
+from test_io import RecordingFileOps, RecordingHttpOps
 
 D = Decimal
 
@@ -706,6 +708,104 @@ class TestControlFlow:
         assert validate(pipeline).ok
         with pytest.raises(AssertionFailed, match="row limit"):
             run_pipeline(pipeline, {"t": table}, max_rows=15)
+
+
+class TestRowCapOnLoads:
+    """``max_rows`` bounds the tables READ and FETCH bring in, as it does
+    those JOIN, LEFT_JOIN and UNION build."""
+
+    TEN_CSV = b"k\n" + b"".join(b"%d\n" % i for i in range(10))
+    TEN_JSON = b"[" + b", ".join(b'{"k": %d}' % i for i in range(10)) + b"]"
+
+    def test_read_past_row_limit_raises_at_the_statement(self):
+        source = (
+            "PIPELINE p:\n STEP s:\n"
+            '  READ "in.csv" AS CSV TABLE[k: INT] INTO result\n OUTPUT result'
+        )
+        adapter = IoAdapter(sandbox=False, file_ops=RecordingFileOps({"in.csv": self.TEN_CSV}))
+        assert len(run(source, {}, io=adapter, max_rows=10)) == 10
+        with pytest.raises(AssertionFailed, match="result exceeds the row limit of 5") as err:
+            run(source, {}, io=adapter, max_rows=5)
+        assert (err.value.location.line, err.value.location.column) == (3, 3)
+
+    def test_fetch_past_row_limit_is_caught_by_try(self):
+        source = (
+            "PIPELINE p:\n INPUT t: TABLE[k: INT]\n STEP s:\n"
+            '  TRY FETCH "http://host.test/rows" TABLE[k: INT] INTO result\n'
+            "  ON_ERROR LIMIT t TO 1 INTO result END_TRY\n OUTPUT result"
+        )
+        adapter = IoAdapter(sandbox=False, http_ops=RecordingHttpOps(body=self.TEN_JSON))
+        inputs = {"t": make_table(schema_of(("k", VT.INT)), [(-1,), (-2,)])}
+        assert len(run(source, inputs, io=adapter, max_rows=10)) == 10
+        assert run(source, inputs, io=adapter, max_rows=5).rows == ((-1,),)
+
+
+# Each data and I/O statement, run on t: TABLE[k: INT, v: STRING] and
+# keys: TABLE[k: INT], with the class and attribute its step calls.
+HOOKED_STATEMENTS = {
+    "FILTER": ("FILTER t WHERE k > 0 INTO r", interpreter.Interpreter, "eval_filter"),
+    "SELECT": ("SELECT t COLUMNS k INTO r", interpreter.Interpreter, "eval_select"),
+    "DISTINCT": ("DISTINCT t INTO r", interpreter.Interpreter, "eval_distinct"),
+    "MAP": ("MAP t WITH m => k + 1 INTO r", interpreter.Interpreter, "eval_map"),
+    "RENAME": ("RENAME t COLUMN k TO j INTO r", interpreter.Interpreter, "eval_rename"),
+    "DROP": ("DROP t COLUMN v INTO r", interpreter.Interpreter, "eval_drop"),
+    "ADD_COLUMN": ("ADD_COLUMN t WITH z = 1 INTO r", interpreter.Interpreter, "eval_add_column"),
+    "AGGREGATE": (
+        "AGGREGATE t GROUP_BY v COMPUTE COUNT() AS n INTO r",
+        interpreter.Interpreter,
+        "eval_aggregate",
+    ),
+    "SORT": ("SORT t BY k DESC INTO r", interpreter.Interpreter, "eval_sort"),
+    "LIMIT": ("LIMIT t TO 1 INTO r", interpreter.Interpreter, "eval_limit"),
+    "SKIP": ("SKIP t FIRST 1 INTO r", interpreter.Interpreter, "eval_skip"),
+    "SLICE": ("SLICE t FROM 0 TO 1 INTO r", interpreter.Interpreter, "eval_slice"),
+    "JOIN": ("JOIN t WITH keys ON k == k INTO r", interpreter.Interpreter, "eval_join"),
+    "LEFT_JOIN": ("LEFT_JOIN t WITH keys ON k == k INTO r", interpreter.Interpreter, "eval_join"),
+    "UNION": ("UNION t WITH t INTO r", interpreter.Interpreter, "eval_union"),
+    "READ": ('READ "in.json" AS JSON TABLE[k: INT] INTO r', IoAdapter, "read_table"),
+    "WRITE": ('WRITE t TO "out.json" AS JSON', IoAdapter, "write_table"),
+    "FETCH": ('FETCH "http://host.test/in" TABLE[k: INT] INTO r', IoAdapter, "fetch_table"),
+    "POST": ('POST t TO "http://host.test/out"', IoAdapter, "post_table"),
+}
+
+
+def test_hooked_statements_cover_every_data_and_io_statement():
+    control = {"IF", "FOR_EACH", "WHILE", "TRY"}
+    assert set(HOOKED_STATEMENTS) == set(ast.STATEMENT_FORMS) - control
+
+
+@pytest.mark.parametrize("keyword", HOOKED_STATEMENTS)
+def test_a_hook_installed_after_the_plan_is_compiled_sees_the_call(keyword, monkeypatch):
+    statement, owner, attr = HOOKED_STATEMENTS[keyword]
+    pipeline = parse(
+        "PIPELINE p:\n INPUT t: TABLE[k: INT, v: STRING]\n INPUT keys: TABLE[k: INT]\n"
+        f" STEP s:\n  {statement}\n OUTPUT t"
+    )
+    inputs = {
+        "t": make_table(schema_of(("k", VT.INT), ("v", VT.STRING)), [(1, "a"), (2, "b")]),
+        "keys": make_table(schema_of(("k", VT.INT)), [(2,)]),
+    }
+
+    def adapter():
+        return IoAdapter(sandbox=False, file_ops=RecordingFileOps(), http_ops=RecordingHttpOps())
+
+    assert validate(pipeline).ok
+    run_pipeline(pipeline, inputs, adapter())
+    plan = pipeline.__dict__[interpreter._PLAN]
+    original = owner.__dict__[attr]
+    calls = []
+
+    def hook(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, hook)
+    run_pipeline(pipeline, inputs, adapter())
+    assert pipeline.__dict__[interpreter._PLAN] is plan
+    if keyword in ("JOIN", "LEFT_JOIN"):
+        assert calls == [{"left_outer": keyword == "LEFT_JOIN"}]
+    else:
+        assert calls == [{}]
 
 
 class SteppingClock:
