@@ -13,10 +13,13 @@ field size limit is split into lines once, and each chunk of lines is
 split at its commas in one call (``_split_chunks``); every other file is
 read by ``csv.reader`` a chunk per call (``_reader_chunks``). Either way
 each chunk is admitted a column at a time through ``values.parse_column``,
-which admits each cell by the per-cell rules; a file that fails is read
-again by ``csv.reader``, past the chunks it admitted whole, to name its
-first bad line. The CSV encoder turns each column into text once and
-quotes only a STRING column that needs it.
+which admits each cell by the per-cell rules. A non-STRING column keeps
+its cells by field text and converts only the texts it has not seen, as
+long as no chunk brings more than half new texts; one that does reads
+plain from then on. A file that fails is read again by ``csv.reader``,
+past the chunks it admitted whole, to name its first bad line. The CSV
+encoder turns each column into text once and quotes only a STRING column
+that needs it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import io
 import json
 import re
 from decimal import Decimal
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring
+from operator import is_
 from typing import Optional, Sequence
 
 from anka.errors import ConversionError, HttpError, IoError
@@ -91,19 +95,36 @@ def _json_column(vtype: ValueType, column: tuple) -> list[str]:
     """Each cell of a column as JSON text: INT and BOOL cells as their
     text form, every other type's text form as a JSON string, and null
     as ``null``."""
-    text = CELL_TYPES[vtype].text
     if vtype is ValueType.STRING:
-        encode = encode_basestring
-    elif vtype is ValueType.INT or vtype is ValueType.BOOL:
-        encode = text
-    else:
+        return _texts(encode_basestring, column, "null")
+    texts = _cell_texts(vtype, column, "null")
+    if vtype is ValueType.INT or vtype is ValueType.BOOL:
+        return texts
+    # DECIMAL, DATE and DATETIME text holds no character JSON escapes
+    return [text if text == "null" else '"' + text + '"' for text in texts]
 
-        def encode(cell):
-            return encode_basestring(text(cell))
 
-    if None in column:
-        return ["null" if cell is None else encode(cell) for cell in column]
-    return list(map(encode, column))
+def _cell_texts(vtype: ValueType, column: Sequence, null: str) -> list[str]:
+    """Each cell of a non-STRING column as its text form, null as
+    ``null``. A DECIMAL column is written by ``str``, which spells a
+    cell as ``format(cell, "f")`` does unless it shows an exponent (for a
+    positive one, or past six zeros after the point); a column where one
+    shows is written by the text form."""
+    if vtype is ValueType.DECIMAL:
+        texts = _texts(str, column, null)
+        joined = "".join(texts)
+        # a context without capitals spells the exponent "e"
+        if "E" not in joined and "e" not in joined:
+            return texts
+    return _texts(CELL_TYPES[vtype].text, column, null)
+
+
+def _texts(text, column: Sequence, null: str) -> list[str]:
+    # not ``None in column``, which compares each cell to None by ``==``,
+    # ten times slower than an identity test for a Decimal
+    if any(map(is_, column, repeat(None))):
+        return [null if cell is None else text(cell) for cell in column]
+    return list(map(text, column))
 
 
 def _reject_constant(text: str):
@@ -241,10 +262,7 @@ def _csv_column(vtype: ValueType, column: Sequence) -> Sequence[str]:
     STRING text can need quotes, and a STRING column is quoted cell by
     cell only when its joined text holds a character that needs them."""
     if vtype is not ValueType.STRING:
-        text = CELL_TYPES[vtype].text
-        if None in column:
-            return ["" if cell is None else text(cell) for cell in column]
-        return list(map(text, column))
+        return _cell_texts(vtype, column, "")
     if None in column:
         column = ["" if cell is None else cell for cell in column]
     if _CSV_QUOTED.search("".join(column)):
@@ -262,9 +280,10 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
     in a one-column table and is skipped in any other. The records come
     a chunk at a time, split at line ends and commas when ``csv.reader``
     would read the text that way and from ``csv.reader`` otherwise, and
-    each chunk is admitted a column at a time by ``values.parse_column``;
-    a file that fails is read again from its start, to name its first bad
-    line."""
+    each chunk is admitted a column at a time by ``values.parse_column``,
+    which a non-STRING column whose chunks repeat their texts gives only
+    the texts it has not seen (``_known_cells``); a file that fails is
+    read again from its start, to name its first bad line."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -272,19 +291,44 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
     names = list(schema.names())
     lines = _plain_lines(text, names)
     chunks = _reader_chunks(text, names) if lines is None else _split_chunks(lines, len(names))
+    types = [field.type for field in schema.fields]
+    # each non-STRING column's cells by field text, None once it reads plain
+    # (a STRING column's fields are its cells)
+    known = [{} for _ in types]
     rows, admitted = [], 0
     try:
         for read, columns in chunks:
-            rows.extend(zip(*[
-                column if field.type is ValueType.STRING
-                else parse_column(field.type, column)
-                for field, column in zip(schema.fields, columns)
-            ]))
+            cells = []
+            for i, (vtype, texts) in enumerate(zip(types, columns)):
+                if vtype is ValueType.STRING:
+                    cells.append(texts)
+                    continue
+                column = None if known[i] is None else _known_cells(vtype, texts, known[i])
+                if column is None:
+                    known[i] = None
+                    column = parse_column(vtype, texts)
+                cells.append(column)
+            rows.extend(zip(*cells))
             admitted = read
         return Table.trusted(schema, rows)
     except (csv.Error, ConversionError):
         pass
     raise _csv_error(text, schema, admitted)
+
+
+def _known_cells(vtype: ValueType, texts: Sequence[str], known: dict):
+    """A chunk of a non-STRING column's cells, each looked up by its field
+    text in ``known`` after the chunk's new texts alone went through
+    ``parse_column`` into it; or None when more than half of its fields
+    are new texts, as in a column of unique values, where the lookups
+    cost more than they save. Every text of a column's first chunk is
+    new, so that chunk decides whether the column uses ``known`` at all."""
+    new = set(texts).difference(known)
+    if 2 * len(new) > len(texts):
+        return None
+    new = list(new)
+    known.update(zip(new, parse_column(vtype, new)))
+    return map(known.__getitem__, texts)
 
 
 _CSV_CHUNK_ROWS = 1024

@@ -14,18 +14,19 @@ identifier, a literal, or a token named in an error message.
 
 A location is a token index into its stream. The stream turns it into
 line, column and byte offset only when the location is read (only
-diagnostics read one), by the character index of every token. The first
-read sums those from the lengths of the texts and of the gaps, the
-whitespace and comments after each token, which a second ``findall``
-over the same source collects then; a run that reads no location never
-scans them.
+diagnostics read one, and most read one at most). The first read scans
+the source again only up to the token it locates, which starts where the
+token match before it ends; a second read sums every token's character
+index from the lengths of the texts and of the gaps, the whitespace and
+comments after each token, which a ``findall`` over the whole source
+collects then. A run that reads no location scans the source once.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add
 from typing import Optional
 
@@ -155,6 +156,7 @@ class TokenStream:
         self.source = source
         self.texts = texts
         self.first = first
+        # None until a token is located, then empty until ``starts`` is read
         self._starts: Optional[list[int]] = None
 
     def __len__(self) -> int:
@@ -164,15 +166,27 @@ class TokenStream:
     def starts(self) -> list[int]:
         """Each token's character index, the end's too, summed on first
         read from the texts and the gaps, which only this read scans."""
-        if self._starts is None:
+        if not self._starts:
             gaps = _GAPS.findall(self.source, self.first)
             lengths = map(add, map(len, self.texts), map(len, gaps))
             self._starts = list(accumulate(lengths, initial=self.first))
         return self._starts
 
+    def start(self, index: int) -> int:
+        """Character index of token ``index``: on the stream's first read,
+        the end of the token match before it, found by matching the tokens
+        up to it again; on any later read, from ``starts``."""
+        if self._starts is not None:
+            return self.starts[index]
+        self._starts = []
+        if index == 0:
+            return self.first
+        matches = _TOKEN.finditer(self.source, self.first)
+        return next(islice(matches, index - 1, None)).end()
+
     def position(self, index: int) -> tuple[int, int, int]:
         """Line, column and byte offset of token ``index``."""
-        return _locate(self.source, self.starts[index])
+        return _locate(self.source, self.start(index))
 
 
 def scan(source: str) -> TokenStream:
@@ -205,9 +219,9 @@ def _check(stream: TokenStream, end: int) -> None:
                 # digits only, so an INT's one failure is range
                 message = (str(exc) if kind == KIND_DECIMAL
                            else f"integer literal {clip_text(text)} out of 64-bit range")
-                raise ParseError(message, _location(source, stream.starts[index])) from None
+                raise ParseError(message, _location(source, stream.start(index))) from None
     if end + 1 < len(stream.texts):
-        start = stream.starts[end]
+        start = stream.start(end)
         if source.startswith('"', start):
             raise _string_error(source, start)
         raise ParseError(f"unexpected character {source[start]!r}", _location(source, start))

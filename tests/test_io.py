@@ -2,6 +2,7 @@
 
 import csv
 import datetime
+import decimal
 import http.client
 import io
 import json
@@ -784,6 +785,156 @@ class TestPlainCsv:
         assert table_from_csv(data, schema).rows == expected
         with pytest.raises(AssertionError, match="string buffer made"):
             table_from_csv(data.replace(b"s7,", b'"s7",'), schema)
+
+
+# Texts of each non-STRING type, the ``i``-th different from every other;
+# INT and DECIMAL columns share texts, which they read as different cells.
+NTH_TEXT = {
+    VT.INT: str,
+    VT.DECIMAL: lambda i: str(i) if i % 2 else f"{i // 100}.{i % 100:02d}",
+    VT.BOOL: lambda i: ("true", "false")[i % 2],
+    VT.DATE: lambda i: (datetime.date(2000, 1, 1) + datetime.timedelta(i)).isoformat(),
+    VT.DATETIME: lambda i: datetime.datetime(2000, 1, 1, 0, 0, i % 60, 0).replace(
+        minute=i // 60 % 60, hour=i // 3600).isoformat(),
+}
+
+
+def _column_texts(rng, vtype, count):
+    """``count`` fields of one column: drawn from one to five texts, all
+    different, or from a few texts in the first chunk and, after it,
+    new ones, either a few more or all different; some fields empty."""
+    kind = rng.choice(["few", "unique", "few-then-unique", "few-then-more"])
+    few = rng.sample(range(8), rng.randint(1, 5))
+    more = few + rng.sample(range(8, 16), rng.randint(1, 5))
+    texts = []
+    for row in range(count):
+        if kind == "unique" or kind == "few-then-unique" and row >= 1024:
+            n = 3000 + row
+        else:
+            n = rng.choice(more if kind == "few-then-more" and row >= 1024 else few)
+        texts.append("" if rng.random() < 0.05 else NTH_TEXT[vtype](n))
+    return texts
+
+
+def _distinct_csv(rng):
+    """A schema of one to four columns and a file of up to about four
+    chunks of records, its non-STRING columns of few or of unique texts
+    (see ``_column_texts``), now and then an edge field, good or bad,
+    first seen past the first chunk, and half the files with every field
+    quoted, which the csv module reads."""
+    pool = [VT.STRING, VT.INT, VT.DECIMAL, *NTH_TEXT]
+    types = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+    schema = schema_of(*[(f"c{i}", t) for i, t in enumerate(types)])
+    count = rng.choice([1, 40, 1024, 1500, 2049, 4000])
+    columns = [
+        [f"s{rng.randrange(3)}" for _ in range(count)] if t is VT.STRING
+        else _column_texts(rng, t, count)
+        for t in types
+    ]
+    rows = [list(row) for row in zip(*columns)]
+    for _ in range(rng.choice([0, 1, 2]) if count > 1024 else 0):
+        at, col = rng.randrange(1024, count), rng.randrange(len(types))
+        if types[col] is not VT.STRING:
+            rows[at][col] = rng.choice(EDGE_FIELDS[types[col]])
+    buf = io.StringIO()
+    quoting = rng.choice([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+    writer = csv.writer(buf, lineterminator=rng.choice(["\r\n", "\n"]), quoting=quoting)
+    writer.writerow(schema.names())
+    writer.writerows(rows)
+    return schema, buf.getvalue().encode("utf-8")
+
+
+class TestDistinctCells:
+    """A non-STRING column converts each distinct field text once, while
+    no chunk brings more than half new texts, and must still decode to
+    exactly the per-cell parsers' cells, or fail with the same message
+    and line."""
+
+    def test_random_files_decode_as_per_cell(self, monkeypatch):
+        read, kept = [], []
+        reader_chunks, known_cells = io_adapters._reader_chunks, io_adapters._known_cells
+        monkeypatch.setattr(io_adapters, "_reader_chunks",
+                            lambda *args: read.append(args) or reader_chunks(*args))
+
+        def counted(*args):
+            cells = known_cells(*args)
+            kept.append(cells is not None)
+            return cells
+
+        monkeypatch.setattr(io_adapters, "_known_cells", counted)
+        for seed in range(60):
+            schema, data = _distinct_csv(random.Random(seed))
+            assert _decoded(data, schema) == _decoded_per_cell(data, schema), seed
+        # both record sources ran, and columns were both looked up and let go
+        assert 10 < len(read) < 50
+        assert kept.count(True) > 50 and kept.count(False) > 10
+
+    def test_a_repeating_column_converts_each_text_once(self, monkeypatch):
+        converted = []
+        parse_column = io_adapters.parse_column
+        monkeypatch.setattr(
+            io_adapters, "parse_column",
+            lambda vtype, texts: converted.append((vtype, len(texts)))
+            or parse_column(vtype, texts),
+        )
+        schema = schema_of(("id", VT.INT), ("s", VT.STRING), ("d", VT.DECIMAL))
+        prices = ["1.50", "20.00", "0.05"]
+        rows = [[str(i), f"s{i}", prices[i % 3]] for i in range(5000)]
+        table = table_from_csv(_csv_text(schema, rows), schema)
+        assert table.rows[:4] == ((0, "s0", Decimal("1.50")), (1, "s1", Decimal("20.00")),
+                                  (2, "s2", Decimal("0.05")), (3, "s3", Decimal("1.50")))
+        assert sum(n for vtype, n in converted if vtype is VT.DECIMAL) == 3
+        # a column of unique values is converted a whole chunk at a time
+        assert sum(n for vtype, n in converted if vtype is VT.INT) == 5000
+
+    def test_a_chunk_of_mostly_new_texts_turns_the_lookup_off(self, monkeypatch):
+        looked_up = []
+        known_cells = io_adapters._known_cells
+        monkeypatch.setattr(io_adapters, "_known_cells",
+                            lambda *args: looked_up.append(args[1][0]) or known_cells(*args))
+        schema = schema_of(("a", VT.INT))
+        rows = [[str(i % 7 if i < 1024 else i)] for i in range(4000)]
+        table = table_from_csv(_csv_text(schema, rows), schema)
+        assert [row[0] for row in table.rows] == [i % 7 if i < 1024 else i for i in range(4000)]
+        assert looked_up == ["0", "1024"]  # the first two chunks only
+
+
+# Decimals whose ``str`` shows an exponent and ones whose does not.
+EXPONENT_DECIMALS = [
+    Decimal((sign, digits, exponent))
+    for exponent in range(-10, 6)
+    for sign in (0, 1)
+    for digits in ((1,), (1, 2, 3), (9, 0, 0, 0, 0, 0, 0, 7))
+] + [Decimal("0E-10"), Decimal("-0"), Decimal("1E+3"), Decimal("0.000001"), Decimal("1E-7")]
+
+
+class TestDecimalText:
+    """A DECIMAL column is written by ``str`` unless a cell's ``str``
+    shows an exponent, and its bytes are always ``format(cell, "f")``."""
+
+    @pytest.mark.parametrize("capitals", [1, 0])
+    def test_columns_are_written_as_format_f(self, capitals):
+        rng = random.Random(31)
+        columns = [[d] for d in EXPONENT_DECIMALS] + [EXPONENT_DECIMALS] + [
+            rng.sample(EXPONENT_DECIMALS, 5) + [None] for _ in range(20)
+        ] + [[Decimal("1.50"), None, Decimal("-0.25")]]
+        with decimal.localcontext() as ctx:
+            ctx.capitals = capitals
+            for column in columns:
+                texts = [None if d is None else format(d, "f") for d in column]
+                assert io_adapters._csv_column(VT.DECIMAL, column) == [t or "" for t in texts]
+                assert io_adapters._json_column(VT.DECIMAL, column) == [
+                    "null" if t is None else json.dumps(t) for t in texts
+                ]
+
+    def test_tables_are_written_as_format_f(self):
+        schema = schema_of(("d", VT.DECIMAL), ("i", VT.INT))
+        cells = [d for d in EXPONENT_DECIMALS if d.as_tuple().exponent <= 0] + [None]
+        table = make_table(schema, [(d, 1) for d in cells])
+        texts = ["" if d is None else format(d, "f") for d in cells]
+        assert table_to_csv(table) == ("d,i\r\n" + "".join(f"{t},1\r\n" for t in texts)).encode()
+        objects = [{"d": t or None, "i": 1} for t in texts]
+        assert table_to_json(table) == (json.dumps(objects, indent=2) + "\n").encode()
 
 
 class RecordingFileOps(FileOps):

@@ -246,6 +246,27 @@ class TestLocations:
         for i in order:
             assert SourceLocation.deferred(stream, i) == tokens[i].location
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "FILTER t WHERE a > 1\nINTO big  # done\n x",
+            '# naïve ∆\nMAP t WITH s => "日本😀" INTO u\n  x',
+            "FILTER\r\n  t\r\nWHERE a\r\n\r\n x  ",
+        ],
+        ids=["ascii", "non_ascii", "crlf"],
+    )
+    def test_first_read_equals_later_reads(self, source):
+        # a stream's first read rescans up to its token, a later one sums
+        # every token's start; the end of input is located too
+        for i, token in enumerate(lex(source)):
+            stream = scan(source)
+            first = stream.position(i)
+            assert stream.position(i) == first
+            assert SourceLocation(*first) == token.location
+        end = scan(source)
+        located = anka.lexer._locate(source, len(source))
+        assert end.position(len(end)) == end.position(len(end)) == located
+
     def test_runtime_error_location_equals_eager(self):
         source = (
             "# naïve ∆\r\nPIPELINE p:\r\n INPUT t: TABLE[a: INT]\r\n STEP s:\r\n"
@@ -290,13 +311,15 @@ class TestLocations:
 
     def test_a_run_locates_nothing_until_an_error_is_shown(self, monkeypatch):
         # a run, also one whose TRY catches an error, neither asks a token
-        # stream for a position nor scans the gaps between its tokens
+        # stream for a position nor scans its source again; an error shown
+        # rescans it once, up to the token it locates
         calls, scans = [], []
         position = TokenStream.position
         monkeypatch.setattr(
             TokenStream, "position", lambda stream, i: calls.append(i) or position(stream, i)
         )
-        monkeypatch.setattr(anka.lexer, "_GAPS", _Recorded(anka.lexer._GAPS, scans))
+        monkeypatch.setattr(anka.lexer, "_TOKEN", _Recorded(anka.lexer._TOKEN, scans, "finditer"))
+        monkeypatch.setattr(anka.lexer, "_GAPS", _Recorded(anka.lexer._GAPS, scans, "findall"))
         for index, source in enumerate(fuzzing.corpus_sources()):
             pipeline = parse(source)
             rng = random.Random(index)
@@ -313,7 +336,7 @@ class TestLocations:
         assert calls == [] and scans == []
         assert str(err.value) == "4:21: division by zero"
         assert str(err.value) == "4:21: division by zero"
-        assert len(calls) == 1 and len(scans) == 1
+        assert len(calls) == 1 and scans == ["finditer"]
 
 
 class TestStreamEdges:
@@ -372,15 +395,24 @@ def _program(statement: str) -> str:
 
 
 class _Recorded:
-    """A compiled pattern whose ``findall`` calls are counted in ``calls``."""
+    """A compiled pattern whose calls of its method ``counted`` are
+    recorded in ``calls``; its other methods are the pattern's own."""
 
-    def __init__(self, pattern, calls: list) -> None:
+    def __init__(self, pattern, calls: list, counted: str) -> None:
         self.pattern = pattern
         self.calls = calls
+        self.counted = counted
 
-    def findall(self, *args):
-        self.calls.append(args)
-        return self.pattern.findall(*args)
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+        if name != self.counted:
+            return method
+
+        def recorded(*args):
+            self.calls.append(name)
+            return method(*args)
+
+        return recorded
 
 
 def _node_locations(node):
