@@ -794,8 +794,8 @@ NTH_TEXT = {
     VT.DECIMAL: lambda i: str(i) if i % 2 else f"{i // 100}.{i % 100:02d}",
     VT.BOOL: lambda i: ("true", "false")[i % 2],
     VT.DATE: lambda i: (datetime.date(2000, 1, 1) + datetime.timedelta(i)).isoformat(),
-    VT.DATETIME: lambda i: datetime.datetime(2000, 1, 1, 0, 0, i % 60, 0).replace(
-        minute=i // 60 % 60, hour=i // 3600).isoformat(),
+    VT.DATETIME: lambda i: (
+        datetime.datetime(2000, 1, 1) + datetime.timedelta(seconds=i)).isoformat(),
 }
 
 
@@ -899,7 +899,7 @@ class TestDistinctCells:
         assert looked_up == ["0", "1024"]  # the first two chunks only
 
 
-# Decimals whose ``str`` shows an exponent and ones whose does not.
+# Decimals whose ``str`` shows an exponent, and others.
 EXPONENT_DECIMALS = [
     Decimal((sign, digits, exponent))
     for exponent in range(-10, 6)
