@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Union
 
 from anka.bench.suite import CATEGORIES, TaskSpec
 from anka.errors import ExecutionError, InputError, ParseError
-from anka.interpreter import DEFAULT_WHILE_CAP, run_pipeline
+from anka.interpreter import run_pipeline
 from anka.io_adapters import IoAdapter
 from anka.parser import parse
 from anka.validator import validate
@@ -101,7 +101,6 @@ def evaluate_sample(
     order_insensitive: bool = False,
     sandbox: bool = True,
     sample_timeout: float = DEFAULT_SAMPLE_TIMEOUT,
-    while_cap: int = DEFAULT_WHILE_CAP,
 ) -> SampleResult:
     """Run one candidate program against every test case of a task.
     Raises ``ValueError`` on a ``sample_timeout`` that is not finite and
@@ -129,7 +128,6 @@ def evaluate_sample(
                     pipeline,
                     test.inputs,
                     io,
-                    while_cap=while_cap,
                     deadline=deadline,
                     max_rows=MAX_RESULT_ROWS,
                     max_cells=MAX_RESULT_CELLS,

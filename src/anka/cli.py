@@ -24,7 +24,7 @@ from anka.bench.harness import (
     run_suite,
 )
 from anka.bench.suite import SuiteError, load_suite
-from anka.errors import AnkaError, ExecutionError, InputError, ParseError
+from anka.errors import AnkaError, ExecutionError, ParseError
 from anka.formatter import format_schema
 from anka.interpreter import run_pipeline
 from anka.io_adapters import TABLE_CODECS, IoAdapter, decode_table, encode_table
@@ -215,9 +215,6 @@ def cmd_run(args) -> int:
     try:
         # an output cell the format cannot encode fails like the run
         data = encode_table(run_pipeline(pipeline, inputs, io), fmt)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ExecutionError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

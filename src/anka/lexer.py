@@ -14,21 +14,19 @@ identifier, a literal, or a token named in an error message.
 
 A location is a token index into its stream. The stream turns it into
 line, column and byte offset only when the location is read (only
-diagnostics read one, and most read one at most). The first read scans
-the source again only up to the token it locates, which starts where the
-token match before it ends; a second read sums every token's character
-index from the lengths of the texts and of the gaps, the whitespace and
-comments after each token, which a ``findall`` over the whole source
-collects then. A run that reads no location scans the source once.
+diagnostics read one, and most read one at most), from the character
+index ``TokenStream.start`` finds: a token starts where the token match
+before it ends, so a read matches the tokens again from the last one
+located. The first read matches only up to the token it locates, a later
+one on to the end of input, so no token is matched more than once after
+the scan. A run that reads no location scans the source once.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from itertools import accumulate, islice
-from operator import add
-from typing import Optional
+from itertools import islice
 
 from anka.errors import ConversionError, ParseError
 from anka.location import SourceLocation
@@ -79,8 +77,7 @@ _GAP = r"[ \t\r\n]*+(?:\#[^\n]*+[ \t\r\n]*+)*+"
 # match starts after a gap, so its next character is never whitespace or
 # `#`. Classes are spelled out because \d and \w admit non-ASCII digits
 # and letters. The classes are disjoint, so every quantifier is
-# possessive: no match ever gives a character back. ``_TOKEN`` captures
-# the token, ``_GAPS`` the gap; both match the same spans.
+# possessive: no match ever gives a character back.
 _ALTERNATIVES = rf"""
         [A-Za-z_][A-Za-z0-9_]*+
       | {"|".join(map(re.escape, OPERATORS))}
@@ -89,7 +86,6 @@ _ALTERNATIVES = rf"""
       |
 """
 _TOKEN = re.compile(rf"({_ALTERNATIVES})(?:{_GAP})", re.VERBOSE)
-_GAPS = re.compile(rf"(?:{_ALTERNATIVES})({_GAP})", re.VERBOSE)
 _LEADING_GAP = re.compile(_GAP, re.VERBOSE)
 # A number literal out of range has 11 digits in a row or more: 19
 # significant ones for an INT, 11 after the point or 29 before it for a
@@ -146,43 +142,34 @@ LITERAL_VALUES = {KIND_INT: parse_int, KIND_DECIMAL: parse_decimal, KIND_STRING:
 
 
 class TokenStream:
-    """The tokens of one source: ``texts`` ends in ``""``, and ``first`` is
-    the character index of the first token. ``len`` counts the tokens,
-    not the end."""
+    """The tokens of one source, the first at character index ``first``:
+    ``texts`` ends in ``""``. ``len`` counts the tokens, not the end."""
 
-    __slots__ = ("source", "texts", "first", "_starts")
+    __slots__ = ("source", "texts", "_starts")
 
     def __init__(self, source: str, texts: list[str], first: int) -> None:
         self.source = source
         self.texts = texts
-        self.first = first
-        # None until a token is located, then empty until ``starts`` is read
-        self._starts: Optional[list[int]] = None
+        # the character index of each token located so far, from the first
+        self._starts = [first]
 
     def __len__(self) -> int:
         return len(self.texts) - 1
 
-    @property
-    def starts(self) -> list[int]:
-        """Each token's character index, the end's too, summed on first
-        read from the texts and the gaps, which only this read scans."""
-        if not self._starts:
-            gaps = _GAPS.findall(self.source, self.first)
-            lengths = map(add, map(len, self.texts), map(len, gaps))
-            self._starts = list(accumulate(lengths, initial=self.first))
-        return self._starts
-
     def start(self, index: int) -> int:
-        """Character index of token ``index``: on the stream's first read,
-        the end of the token match before it, found by matching the tokens
-        up to it again; on any later read, from ``starts``."""
-        if self._starts is not None:
-            return self.starts[index]
-        self._starts = []
-        if index == 0:
-            return self.first
-        matches = _TOKEN.finditer(self.source, self.first)
-        return next(islice(matches, index - 1, None)).end()
+        """Character index of token ``index``. A token not yet located is
+        found by matching the tokens on from the last one located: up to
+        it while only the first token is located, else to the end."""
+        starts = self._starts
+        if index < len(starts):
+            return starts[index]
+        matches = _TOKEN.finditer(self.source, starts[-1])
+        if len(starts) == 1:
+            matches = islice(matches, index)
+        # a new list, never extended in place, so that a read racing
+        # another in the same stream sees a whole one
+        self._starts = starts = starts + [match.end() for match in matches]
+        return starts[index]
 
     def position(self, index: int) -> tuple[int, int, int]:
         """Line, column and byte offset of token ``index``."""

@@ -1,5 +1,6 @@
 """The runtime imports nothing but itself and the standard library,
-and no name it never uses; loads the HTTP stack only when a request is made or fails, has no class
+and no name it never uses; binds no private name it never reads; loads
+the HTTP stack only when a request is made or fails, has no class
 that ``dataclass`` made, and leaves process-global state alone: callers,
 and any threads they run, share the garbage collector, the signal
 handlers, the recursion limit and the csv module's field size limit.
@@ -11,6 +12,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -91,6 +93,56 @@ def test_no_module_imports_a_name_it_never_uses():
 )
 def test_the_unused_import_check_sees_each_form(source, unused):
     assert _unused_imports(ast.parse(source)) == unused
+
+
+def _unread_private_names(tree: ast.Module):
+    """(line, name) of each private name the module binds at its top level
+    and never reads. A word in a string counts as a read, as generated
+    code reads such a name (``interpreter._kernel``) by the text it
+    compiles; a docstring or other bare string statement does not."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                bound += [(node.lineno, name.id) for name in ast.walk(target)
+                          if isinstance(name, ast.Name)]
+    bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in bare:
+            read.update(re.findall(r"\w+", node.value))
+    return [(line, name) for line, name in bound
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_every_private_module_name_is_read_in_its_module():
+    unread = [
+        f"{path.relative_to(SOURCE_ROOT)}:{line}: {name}"
+        for path in sorted(SOURCE_ROOT.rglob("*.py"))
+        for line, name in _unread_private_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unread == []
+
+
+@pytest.mark.parametrize(
+    "source, unread",
+    [
+        ("_A = 1\n_B: int = 2\n_C, (_D, e) = 3, (4, 5)\nprint(_B, _D)", [(1, "_A"), (3, "_C")]),
+        ("def _f(): pass\nclass _K: pass\nimport os as _os\n_K()", [(1, "_f"), (3, "_os")]),
+        ('"""_A is documented."""\n_A = 1\n"_A"', [(2, "_A")]),
+        ("_kernel = 1\nCODE = 'interpreter._kernel(x)'", []),
+        ("__all__ = []\n_A = 1\ndef f():\n    return _A", []),
+    ],
+)
+def test_the_unread_private_name_check_sees_each_form(source, unread):
+    assert _unread_private_names(ast.parse(source)) == unread
+
 
 # Modules that only an unsandboxed FETCH or POST needs, that only an
 # assignment to a frozen node needs, or that nothing in the runtime

@@ -158,9 +158,9 @@ class TestEvaluateSample:
         assert "sandboxed" in result.detail
 
     def test_while_cap_stops_spinning_program(self):
-        result = evaluate_sample(simple_task(), NONTERMINATING, while_cap=100)
+        result = evaluate_sample(simple_task(), NONTERMINATING)
         assert (result.parse, result.execute, result.correct) == (True, False, False)
-        assert "iteration cap" in result.detail
+        assert "iteration cap of 100000" in result.detail
 
     def test_conversion_failure_is_a_runtime_error(self):
         source = CORRECT.replace(

@@ -1165,6 +1165,26 @@ class TestSandbox:
         with pytest.raises(IoError, match="cannot read"):
             adapter.read_table("/nonexistent/nope.json", "json", schema_of(("a", VT.INT)))
 
+    def test_a_failed_file_write_is_an_io_error_at_the_write(self):
+        class FullDisk(RecordingFileOps):
+            def write_bytes(self, path, data):
+                raise OSError(28, "No space left on device")
+
+        read = '  READ "in.json" AS JSON TABLE[a: INT] INTO t\n'
+        adapter = IoAdapter(sandbox=False, file_ops=FullDisk({"in.json": b'[{"a": 1}]'}))
+        uncaught = f'PIPELINE p:\n STEP s:\n{read}  WRITE t TO "out.json" AS JSON\n OUTPUT t'
+        with pytest.raises(IoError) as err:
+            run_pipeline(parse(uncaught), {}, adapter)
+        assert str(err.value) == (
+            "4:3: cannot write 'out.json': [Errno 28] No space left on device")
+        caught = (
+            f"PIPELINE p:\n STEP s:\n{read}"
+            '  TRY WRITE t TO "out.json" AS JSON MAP t WITH written => TRUE INTO r\n'
+            "  ON_ERROR MAP t WITH written => FALSE INTO r END_TRY\n"
+            " OUTPUT r"
+        )
+        assert run_pipeline(parse(caught), {}, adapter).rows == ((1, False),)
+
 
 class _Handler(BaseHTTPRequestHandler):
     posted = []

@@ -4,8 +4,12 @@ import ast as pyast
 import hashlib
 import inspect
 import random
+import sys
+import threading
+from collections import Counter
 from decimal import Decimal
 from functools import partial
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -13,7 +17,7 @@ import pytest
 import anka.lexer
 import anka.parser
 from anka import grammar
-from anka.ast_nodes import STATEMENT_FORMS, Node
+from anka.ast_nodes import STATEMENT_FORMS, Node, ast_to_dict
 from anka.errors import DivisionByZero, ExecutionError, ParseError
 from anka.interpreter import run_pipeline
 from anka.lexer import KEYWORDS, LITERAL_VALUES, OPERATORS, TokenStream, scan, token_kind
@@ -44,11 +48,12 @@ def lex(source: str) -> list[Lexeme]:
     stream ``scan`` makes. Raises ParseError as ``scan`` does."""
     stream = scan(source)
     tokens = []
-    for index, (text, start) in enumerate(zip(stream.texts[:-1], stream.starts)):
+    for index, text in enumerate(stream.texts[:-1]):
         kind = token_kind(text)
         value = LITERAL_VALUES[kind](text) if kind in LITERAL_VALUES else None
         if kind == "IDENT":
             value = text
+        start = stream.start(index)
         location = SourceLocation(*stream.position(index))
         tokens.append(Lexeme(kind, value if kind == "STRING" else text, value, start, location))
     return tokens
@@ -256,11 +261,12 @@ class TestLocations:
         ids=["ascii", "non_ascii", "crlf"],
     )
     def test_first_read_equals_later_reads(self, source):
-        # a stream's first read rescans up to its token, a later one sums
-        # every token's start; the end of input is located too
+        # a stream's first read matches the tokens up to its own, a later
+        # one finds it among those located; the end of input is located too
         for i, token in enumerate(lex(source)):
             stream = scan(source)
             first = stream.position(i)
+            assert len(stream._starts) == i + 1  # none past its own
             assert stream.position(i) == first
             assert SourceLocation(*first) == token.location
         end = scan(source)
@@ -319,7 +325,6 @@ class TestLocations:
             TokenStream, "position", lambda stream, i: calls.append(i) or position(stream, i)
         )
         monkeypatch.setattr(anka.lexer, "_TOKEN", _Recorded(anka.lexer._TOKEN, scans, "finditer"))
-        monkeypatch.setattr(anka.lexer, "_GAPS", _Recorded(anka.lexer._GAPS, scans, "findall"))
         for index, source in enumerate(fuzzing.corpus_sources()):
             pipeline = parse(source)
             rng = random.Random(index)
@@ -337,6 +342,66 @@ class TestLocations:
         assert str(err.value) == "4:21: division by zero"
         assert str(err.value) == "4:21: division by zero"
         assert len(calls) == 1 and scans == ["finditer"]
+
+    def test_reading_every_node_location_matches_each_token_once(self, monkeypatch):
+        # a stream's first read matches the tokens up to its own, a later
+        # one on from the last located: with the scan, no token is matched
+        # more than twice, and a token once located is never matched again
+        token, matched = anka.lexer._TOKEN, []
+
+        def finditer(source, pos):
+            for match in token.finditer(source, pos):
+                matched.append(match.start())
+                yield match
+
+        monkeypatch.setattr(
+            anka.lexer, "_TOKEN", SimpleNamespace(findall=token.findall, finditer=finditer)
+        )
+        for source in (*fuzzing.corpus_sources(), *fuzzing.fixture_sources()):
+            try:
+                pipeline = parse(source)
+            except ParseError:
+                continue  # a broken variant that does not parse
+            stream = pipeline.location._table
+            indices = [loc._index for loc in _node_locations(pipeline)]
+            matched.clear()
+            ast_to_dict(pipeline)
+            assert matched and max(Counter(matched).values()) == 1
+            matched.clear()
+            for index in indices:
+                stream.position(index)
+            assert matched == []
+
+    def test_threads_locating_in_one_stream_agree(self):
+        # each read that misses assigns a new list of starts, so threads
+        # racing to locate tokens in one stream all get the right ones
+        source = max(fuzzing.corpus_sources(), key=len)
+        expected = [token.start for token in lex(source)]
+        rng = random.Random(3)
+
+        def locate(stream, barrier, order, out):
+            barrier.wait()
+            out.extend((i, stream.start(i)) for i in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                stream, barrier = scan(source), threading.Barrier(4)
+                found = [[] for _ in range(4)]
+                threads = [
+                    threading.Thread(target=locate, args=(
+                        stream, barrier, rng.sample(range(len(expected)), 8), out))
+                    for out in found
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert sorted(map(len, found)) == [8] * 4
+                assert all(start == expected[i] for out in found for i, start in out)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestStreamEdges:

@@ -255,6 +255,14 @@ class TestExpressionTyping:
         result = check(pipeline_with("FILTER t WHERE a + 1 INTO r"))
         assert kinds(result) == [ValidationKind.TYPE_MISMATCH]
 
+    def test_negated_unknown_column_is_one_diagnostic(self):
+        # the unknown operand is reported, and the negation adds no
+        # type mismatch of its own
+        result = check(pipeline_with("MAP t WITH n => -nope INTO r"))
+        assert [(e.kind, e.message) for e in result.errors] == [
+            (ValidationKind.UNKNOWN_COLUMN, "unknown column 'nope'")
+        ]
+
     def test_unknown_function(self):
         result = check(pipeline_with("FILTER t WHERE FROB(a) INTO r"))
         assert kinds(result) == [ValidationKind.TYPE_MISMATCH]
