@@ -98,8 +98,6 @@ def evaluate_sample(
     source: str,
     *,
     sample_name: str = "sample",
-    order_insensitive: bool = False,
-    sandbox: bool = True,
     sample_timeout: float = DEFAULT_SAMPLE_TIMEOUT,
 ) -> SampleResult:
     """Run one candidate program against every test case of a task.
@@ -117,8 +115,7 @@ def evaluate_sample(
             sample_name, False, False, False, f"validate: {first}"
         )
 
-    io = IoAdapter(sandbox=sandbox)
-    insensitive = order_insensitive or task.order_insensitive
+    io = IoAdapter()
     outputs = []
     deadline = time.monotonic() + sample_timeout
     for index, test in enumerate(task.tests):
@@ -139,7 +136,7 @@ def evaluate_sample(
             )
 
     for index, (test, actual) in enumerate(zip(task.tests, outputs)):
-        if not tables_match(actual, test.expected, insensitive):
+        if not tables_match(actual, test.expected, task.order_insensitive):
             return SampleResult(
                 sample_name, True, True, False, f"test {index}: output mismatch"
             )
@@ -254,8 +251,6 @@ def run_suite(
     candidates: CandidateSet,
     *,
     jobs: int = 1,
-    order_insensitive: bool = False,
-    sandbox: bool = True,
     sample_timeout: float = DEFAULT_SAMPLE_TIMEOUT,
 ) -> RunReport:
     """Evaluate every candidate sample of every task and aggregate the
@@ -277,8 +272,6 @@ def run_suite(
                     task,
                     source,
                     sample_name=name,
-                    order_insensitive=order_insensitive,
-                    sandbox=sandbox,
                     sample_timeout=sample_timeout,
                 )
                 for name, source in candidates.samples_for(task.id)
@@ -302,8 +295,6 @@ def run_suite(
     overall = MetricBlock.over(task_reports)
     config = {
         "jobs": jobs,
-        "order_insensitive": order_insensitive,
-        "sandbox": sandbox,
         "sample_timeout": sample_timeout,
     }
     return RunReport(

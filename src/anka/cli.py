@@ -97,17 +97,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         "scored serially in the calling thread",
     )
     p_bench.add_argument(
-        "--order-insensitive",
-        action="store_true",
-        help="compare expected outputs as row multisets for every task",
-    )
-    p_bench.add_argument(
-        "--sandbox",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="deny candidate I/O (default on)",
-    )
-    p_bench.add_argument(
         "--sample-timeout",
         type=float,
         default=DEFAULT_SAMPLE_TIMEOUT,
@@ -255,8 +244,6 @@ def cmd_bench(args) -> int:
         suite,
         candidates,
         jobs=args.jobs,
-        order_insensitive=args.order_insensitive,
-        sandbox=args.sandbox,
         sample_timeout=args.sample_timeout,
     )
     if args.report:

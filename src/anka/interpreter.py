@@ -96,9 +96,11 @@ def run_pipeline(
     adapter that denies all file and network access. ``deadline`` is an
     absolute ``time.monotonic()`` stamp, ``max_rows`` caps the rows of
     each table a JOIN, LEFT_JOIN or UNION builds or a READ or FETCH
-    brings in (no other statement adds rows) and ``max_cells`` the rows
-    times columns of all tables bound at once; each lets a harness bound
-    untrusted programs.
+    brings in (no other statement adds rows; a READ or FETCH is checked
+    only once its whole table is decoded, so the cap bounds what a run
+    keeps, not what it decodes) and ``max_cells`` the rows times columns
+    of all tables bound at once; each lets a harness bound untrusted
+    programs.
     """
     result = validate(pipeline)
     if not result.ok:

@@ -321,6 +321,20 @@ class TestBenchCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("option", ["--order-insensitive", "--sandbox", "--no-sandbox"])
+    def test_scoring_options_are_refused(self, pipeline_file, tmp_path, capsys, option):
+        # a suite is scored one way: always sandboxed, row order per task
+        with pytest.raises(SystemExit) as stop:
+            main(["bench", str(fixture_dir() / "suite.json"),
+                  str(fixture_dir() / "candidates"), option])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        # while `anka run --sandbox` still denies a pipeline's I/O
+        data = tmp_path / "data.json"
+        data.write_text('[{"v": 9}]')
+        assert main(["run", pipeline_file(READS_FILE.format(path=data)), "--sandbox"]) == 3
+        assert "sandboxed" in capsys.readouterr().err
+
     def test_jobs_must_be_positive(self, tmp_path):
         code = main(
             ["bench", str(fixture_dir() / "suite.json"), str(tmp_path), "--jobs", "0"]

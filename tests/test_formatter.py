@@ -179,3 +179,15 @@ def test_map_statement_keyword_order():
     line = next(l for l in rendered.splitlines() if "MAP" in l)
     positions = [line.index(k) for k in ("MAP", "WITH", "=>", "INTO")]
     assert positions == sorted(positions)
+
+
+def test_a_non_statement_in_a_block_is_a_type_error():
+    # only the AST API can put an expression where a statement goes
+    pipeline = _pipeline_of(ast.ColumnRef(name="a", location=LOC))
+    with pytest.raises(TypeError, match="cannot format statement ColumnRef"):
+        format_ast(pipeline)
+
+
+def test_a_non_expression_is_a_type_error():
+    with pytest.raises(TypeError, match="cannot format expression Distinct"):
+        format_expr(ast.Distinct(source="t", target="r", location=LOC))

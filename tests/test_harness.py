@@ -148,10 +148,6 @@ class TestEvaluateSample:
         result = evaluate_sample(simple_task(order_insensitive=True), WRONG_ORDER)
         assert result.correct
 
-    def test_order_insensitive_global_flag(self):
-        result = evaluate_sample(simple_task(), WRONG_ORDER, order_insensitive=True)
-        assert result.correct
-
     def test_sandbox_blocks_io(self):
         result = evaluate_sample(simple_task(), USES_IO)
         assert (result.parse, result.execute, result.correct) == (True, False, False)

@@ -185,5 +185,5 @@ def test_reprs_and_dicts_are_unchanged():
         "2a8cd88fd9261ee1913d0d02e69a591e21054b2eb47e1b59c5f0796c3267d001",
         "54b6dac4f157027891fb36e56526f655c97afb98558ba461dc4b3d29131bb28b",
         "428081eee43f60e8885c2090f8e70b8e5fd6f23379a0bc519aa46e1581442a32",
-        "01834a2874ae01a42b6d56e28365f6fc57577ac2b01b1358b2b6b22a1f5de614",
+        "168d98d2d8af7e7425a8812584e47197abcd5c3ef4277a55af530a4f9ac52b30",
     )

@@ -583,6 +583,41 @@ class TestNestingBound:
         pipeline, _ = _plus_chain(parse(self.MAP), MAX_NESTING_DEPTH)
         assert [e.message for e in validate(pipeline).errors] == ["nesting too deep"]
 
+    @pytest.mark.parametrize("whiles", [MAX_NESTING_DEPTH - 1, MAX_NESTING_DEPTH])
+    def test_statement_past_the_bound_is_not_inferred(self, whiles):
+        nest = []  # innermost first
+
+        def wrap(stmt):
+            for line in range(101, 101 + whiles):
+                condition = ast.Literal(value=True, type=ValueType.BOOL,
+                                        location=SourceLocation(line, 7))
+                stmt = ast.While(condition=condition, body=(stmt,),
+                                 location=SourceLocation(line, 1))
+                nest.append(stmt)
+            return stmt
+
+        source = pipeline_with("FILTER t WHERE nope > 0 INTO r")
+        pipeline = _with_first_statement(parse(source), wrap)
+        filter_, = nest[0].body
+        result = validate(pipeline)
+        assert [(e.kind, e.message) for e in result.errors] == [
+            (ValidationKind.TYPE_MISMATCH, "nesting too deep")
+        ]
+        if whiles == MAX_NESTING_DEPTH:
+            # the FILTER sits past the bound, under the innermost WHILE's
+            # condition, which is reported: the FILTER binds no schema
+            assert result.errors[0].location == nest[0].condition.location
+            assert result.outputs[id(filter_)] is None
+        else:
+            # one WHILE fewer: the FILTER is inferred, and its condition
+            # is the node past the bound
+            assert result.errors[0].location == filter_.predicate.location
+            assert result.outputs[id(filter_)] == schema_of(
+                ("a", ValueType.INT), ("b", ValueType.STRING)
+            )
+        with pytest.raises(ValidationException, match="nesting too deep"):
+            run_pipeline(pipeline, {})
+
     def test_parsed_trees_stay_within_the_bound(self):
         parsed = 0
         for source in fuzzing.nesting_inputs():
