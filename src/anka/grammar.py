@@ -262,7 +262,7 @@ def _read_aggregate_spec(p) -> ast.AggregateSpec:
     p.expect(")")
     p.expect("AS")
     alias = p.expect_ident("alias")
-    return ast.AggregateSpec(fn=fn, arg=arg, alias=alias, location=p.location(start))
+    return ast.AggregateSpec(fn, arg, alias, location=p.location(start))
 
 
 def _read_computes(p, what: str) -> tuple[ast.AggregateSpec, ...]:

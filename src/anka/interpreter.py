@@ -42,7 +42,7 @@ from anka import ast_nodes as ast
 from anka import builtins
 from anka.builtins import AGGREGATES, call_builtin
 from anka.errors import AssertionFailed, ConversionError, ExecutionError, InputError
-from anka.io_adapters import IoAdapter
+from anka.io_adapters import IoAdapter, _check_rows
 from anka.location import SourceLocation
 from anka.validator import ValidationException, ValidationResult, validate
 from anka.values import (
@@ -96,11 +96,11 @@ def run_pipeline(
     adapter that denies all file and network access. ``deadline`` is an
     absolute ``time.monotonic()`` stamp, ``max_rows`` caps the rows of
     each table a JOIN, LEFT_JOIN or UNION builds or a READ or FETCH
-    brings in (no other statement adds rows; a READ or FETCH is checked
-    only once its whole table is decoded, so the cap bounds what a run
-    keeps, not what it decodes) and ``max_cells`` the rows times columns
-    of all tables bound at once; each lets a harness bound untrusted
-    programs.
+    brings in (no other statement adds rows; a CSV READ stops decoding
+    after the first chunk of records that passes the cap, and a JSON
+    READ or a FETCH before it admits any row) and ``max_cells`` the rows
+    times columns of all tables bound at once; each lets a harness bound
+    untrusted programs.
     """
     result = validate(pipeline)
     if not result.ok:
@@ -263,9 +263,7 @@ def _run_join(interp, d, row, method, left, right, schema, li, ri, left_outer):
 
 
 def _run_load(interp, d, row, method, *values):
-    table = getattr(interp.io, method)(*values)
-    interp._check_size(len(table.rows))
-    return table
+    return getattr(interp.io, method)(*values, interp.max_rows)
 
 
 def _run_write(interp, d, row, method, source, path, fmt):
@@ -481,17 +479,17 @@ class Interpreter:
             for rest in found:
                 rows.append(lrow + rest)
                 if max_rows is not None:
-                    self._check_size(len(rows))
+                    _check_rows(len(rows), max_rows)
             if left_outer and not found:
                 rows.append(lrow + padding)
                 if max_rows is not None:
-                    self._check_size(len(rows))
+                    _check_rows(len(rows), max_rows)
         return Table.trusted(schema, rows)
 
     def eval_union(self, left: Table, right: Table) -> Table:
         """Row concatenation: left rows then right rows, duplicates kept
         (DISTINCT is the one way to deduplicate)."""
-        self._check_size(len(left.rows) + len(right.rows))
+        _check_rows(len(left.rows) + len(right.rows), self.max_rows)
         return Table.trusted(left.schema, left.rows + right.rows)
 
     def eval_aggregate(
@@ -540,10 +538,6 @@ class Interpreter:
         without one reads no clock."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise AssertionFailed(_TIME_LIMIT)
-
-    def _check_size(self, count: int) -> None:
-        if self.max_rows is not None and count > self.max_rows:
-            raise AssertionFailed(f"result exceeds the row limit of {self.max_rows}")
 
 
 def _cells(table: Optional[Table]) -> int:

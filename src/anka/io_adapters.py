@@ -35,7 +35,7 @@ from json.encoder import encode_basestring
 from operator import is_
 from typing import Optional, Sequence
 
-from anka.errors import ConversionError, HttpError, IoError
+from anka.errors import AssertionFailed, ConversionError, HttpError, IoError
 from anka.values import (
     CELL_TYPES,
     Cell,
@@ -48,6 +48,13 @@ from anka.values import (
 )
 
 DEFAULT_HTTP_TIMEOUT = 10.0
+
+
+def _check_rows(count: int, limit: Optional[int]) -> None:
+    """Refuse a table of ``count`` rows past a run's ``max_rows`` (None:
+    no cap), a load here or a table the interpreter builds."""
+    if limit is not None and count > limit:
+        raise AssertionFailed(f"result exceeds the row limit of {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +160,26 @@ def decode_json(data: bytes):
         raise ConversionError("malformed JSON: nesting too deep") from None
 
 
-def table_from_json(data: bytes, schema: Schema) -> Table:
+def table_from_json(data: bytes, schema: Schema, *, max_rows: Optional[int] = None) -> Table:
     """Decode a JSON array of objects against a declared schema.
 
     Missing keys become null; unknown keys are ignored. Numbers are
     decoded exactly (never through binary floats); DECIMAL accepts both
-    numbers and strings.
+    numbers and strings. An array of more than ``max_rows`` objects
+    raises ``AssertionFailed`` before any row is admitted.
     """
     parsed = decode_json(data)
     if not isinstance(parsed, list):
         raise ConversionError("JSON input must be an array of objects")
-    return json_rows_to_table(parsed, schema)
+    return json_rows_to_table(parsed, schema, max_rows=max_rows)
 
 
-def json_rows_to_table(items: list, schema: Schema) -> Table:
+def json_rows_to_table(items: list, schema: Schema, *, max_rows: Optional[int] = None) -> Table:
     """Build a table from already-decoded JSON row objects. Numbers are
     Decimals, as decode_json gives them, or ints. Each cell is admitted
-    by its column's type as it is read."""
+    by its column's type as it is read, once the row count is known to
+    be within ``max_rows``."""
+    _check_rows(len(items), max_rows)
     rows = []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
@@ -273,7 +283,7 @@ def _csv_column(vtype: ValueType, column: Sequence) -> Sequence[str]:
     return column
 
 
-def table_from_csv(data: bytes, schema: Schema) -> Table:
+def table_from_csv(data: bytes, schema: Schema, *, max_rows: Optional[int] = None) -> Table:
     """Decode CSV with a header row matching the schema names in order.
     An empty field reads as null for non-STRING columns and as the empty
     string for STRING columns. A blank line is a row of one empty field
@@ -283,7 +293,9 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
     each chunk is admitted a column at a time by ``values.parse_column``,
     which a non-STRING column whose chunks repeat their texts gives only
     the texts it has not seen (``_known_cells``); a file that fails is
-    read again from its start, to name its first bad line."""
+    read again from its start, to name its first bad line. The first
+    chunk that takes the rows past ``max_rows`` raises
+    ``AssertionFailed``, so a bad record in a later chunk is never read."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -309,6 +321,7 @@ def table_from_csv(data: bytes, schema: Schema) -> Table:
                     column = parse_column(vtype, texts)
                 cells.append(column)
             rows.extend(zip(*cells))
+            _check_rows(len(rows), max_rows)
             admitted = read
         return Table.trusted(schema, rows)
     except (csv.Error, ConversionError):
@@ -495,14 +508,16 @@ class IoAdapter:
         self.file_ops = file_ops if file_ops is not None else FileOps()
         self.http_ops = http_ops if http_ops is not None else HttpOps()
 
-    def read_table(self, path: str, fmt: str, schema: Schema) -> Table:
+    def read_table(
+        self, path: str, fmt: str, schema: Schema, max_rows: Optional[int] = None
+    ) -> Table:
         if self.sandbox:
             raise IoError(f"sandboxed: cannot read {path!r}")
         try:
             data = self.file_ops.read_bytes(path)
         except OSError as exc:
             raise IoError(f"cannot read {path!r}: {exc}") from None
-        return decode_table(data, fmt, schema)
+        return decode_table(data, fmt, schema, max_rows=max_rows)
 
     def write_table(self, table: Table, path: str, fmt: str) -> None:
         if self.sandbox:
@@ -513,13 +528,13 @@ class IoAdapter:
         except OSError as exc:
             raise IoError(f"cannot write {path!r}: {exc}") from None
 
-    def fetch_table(self, url: str, schema: Schema) -> Table:
+    def fetch_table(self, url: str, schema: Schema, max_rows: Optional[int] = None) -> Table:
         if self.sandbox:
             raise HttpError(f"sandboxed: cannot fetch {url!r}")
         status, body = self._request("GET", url, None)
         if not 200 <= status < 300:
             raise HttpError(f"GET {url!r} returned status {status}", status=status)
-        return table_from_json(body, schema)
+        return table_from_json(body, schema, max_rows=max_rows)
 
     def post_table(self, url: str, table: Table) -> int:
         if self.sandbox:
@@ -568,5 +583,7 @@ def encode_table(table: Table, fmt: str) -> bytes:
     return TABLE_CODECS[fmt][0](table)
 
 
-def decode_table(data: bytes, fmt: str, schema: Schema) -> Table:
-    return TABLE_CODECS[fmt][1](data, schema)
+def decode_table(
+    data: bytes, fmt: str, schema: Schema, *, max_rows: Optional[int] = None
+) -> Table:
+    return TABLE_CODECS[fmt][1](data, schema, max_rows=max_rows)

@@ -21,10 +21,15 @@ token's kind is worked out only where a slot needs one (an identifier,
 a literal) or an error message names it. Every node's location is the
 index of its first token, which the stream resolves only when a
 diagnostic reads it.
+
+Each distinct TABLE type, in an INPUT, READ or FETCH, is parsed once per
+process: its ``Schema`` is kept by the type's token texts (the last 512
+types) and shared by every later declaration with the same tokens.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 from anka import ast_nodes as ast
@@ -52,6 +57,16 @@ TYPE_KEYWORDS = {vtype.value: vtype for vtype in ValueType}
 tokenize = lexer.scan
 
 _deferred = SourceLocation.deferred
+
+# Each TABLE type's Schema by its token texts, TABLE through "]". The
+# texts alone determine a schema, which holds no location and cannot
+# change, so every parse of equal text shares one; a parse that fails is
+# never stored, so its ParseError is raised as if there were no memo.
+# Threads that parse at once share it, and store under the lock, so no
+# two stores race past its bound.
+_MAX_SCHEMAS = 512
+_SCHEMAS: dict[tuple, Schema] = {}
+_SCHEMAS_LOCK = threading.Lock()
 
 
 def parse(source: str) -> ast.Pipeline:
@@ -168,12 +183,8 @@ class _Parser:
         if self.texts[self.pos]:
             raise self.fail("end of input")
         return ast.Pipeline(
-            name=name,
-            inputs=tuple(inputs),
-            steps=tuple(steps),
-            output=output,
-            output_location=self.location(out_kw),
-            location=self.location(start),
+            name, tuple(inputs), tuple(steps), output,
+            output_location=self.location(out_kw), location=self.location(start),
         )
 
     def parse_input(self) -> ast.InputDecl:
@@ -181,9 +192,20 @@ class _Parser:
         name = self.expect_ident("input name")
         self.expect(":")
         schema = self.parse_table_type()
-        return ast.InputDecl(name=name, schema=schema, location=self.location(start))
+        return ast.InputDecl(name, schema, location=self.location(start))
 
     def parse_table_type(self) -> Schema:
+        start = self.pos
+        texts = self.texts
+        try:  # no field holds a "]", so a type that parses ends at the first
+            end = texts.index("]", start) + 1
+        except ValueError:
+            end = 0
+        key = tuple(texts[start:end])
+        schema = _SCHEMAS.get(key)
+        if schema is not None:
+            self.pos = end
+            return schema
         self.expect("TABLE")
         self.expect("[")
         fields = self.comma_list(self.parse_field)
@@ -196,7 +218,13 @@ class _Parser:
                     self.location(close),
                 )
             seen.add(f.name)
-        return Schema(fields)
+        schema = Schema(fields)
+        if self.pos == end:
+            with _SCHEMAS_LOCK:
+                if len(_SCHEMAS) >= _MAX_SCHEMAS:
+                    del _SCHEMAS[next(iter(_SCHEMAS))]  # the oldest
+                _SCHEMAS[key] = schema
+        return schema
 
     def parse_field(self) -> Field:
         name = self.expect_ident("field name")
@@ -212,7 +240,7 @@ class _Parser:
         name = self.expect_ident("step name")
         self.expect(":")
         body = self.parse_statement_block()
-        return ast.Step(name=name, body=body, location=self.location(start))
+        return ast.Step(name, body, location=self.location(start))
 
     def parse_statement_block(self) -> tuple[ast.Statement, ...]:
         """One or more statements; ends before the first non-statement
@@ -234,13 +262,13 @@ class _Parser:
         self._enter()
         self.pos = start + 1
         node, parts = _FORMS[self.texts[start]]
-        fields = {}
-        for field, read, arg in parts:
+        values = []
+        for read, arg, slot in parts:
             value = read(self, arg)
-            if field is not None:
-                fields[field] = value
+            if slot:
+                values.append(value)
         self.depth -= 1
-        return node(**fields, location=_deferred(self.stream, start))
+        return node(*values, location=_deferred(self.stream, start))
 
     # -- expressions ---------------------------------------------------------
 
@@ -262,7 +290,7 @@ class _Parser:
             operand = self._parse_operators(prefix.level)
             self.depth -= 1
             self._grow(self.height + 1, at)
-            left = prefix.node(operand=operand, location=_deferred(self.stream, at))
+            left = prefix.node(operand, location=_deferred(self.stream, at))
             level = prefix.level
         else:
             left = self._parse_primary()
@@ -277,7 +305,7 @@ class _Parser:
             height = self.height
             right = self._parse_operators(op.level + 1)
             self._grow(max(height, self.height) + 1, at)
-            left = op.node(op=text, left=left, right=right, location=_deferred(self.stream, at))
+            left = op.node(text, left, right, location=_deferred(self.stream, at))
             level = op.level
 
     def _parse_primary(self) -> ast.Expr:
@@ -295,7 +323,7 @@ class _Parser:
             self.pos = at + 1
             if self.texts[at + 1] == "(":
                 return self._parse_call(text, at)
-            return ast.ColumnRef(name=text, location=_deferred(self.stream, at))
+            return ast.ColumnRef(text, location=_deferred(self.stream, at))
         return self.parse_literal()
 
     def _parse_call(self, name: str, at: int) -> ast.Call:
@@ -314,7 +342,7 @@ class _Parser:
         self.depth -= 2
         self.expect(")")
         self._grow(height + 1, at)
-        return ast.Call(name=name, args=tuple(args), location=self.location(at))
+        return ast.Call(name, tuple(args), location=self.location(at))
 
     def parse_literal(self) -> ast.Literal:
         start = self.pos
@@ -332,17 +360,17 @@ class _Parser:
         self.pos += 1
         value = form.read(self, text)
         return ast.Literal(
-            value=-value if negative else value, type=form.type,
-            location=_deferred(self.stream, start),
+            -value if negative else value, form.type, location=_deferred(self.stream, start)
         )
 
 
-# Each form part as (field or None, reader, its argument): a keyword or an
-# operator is expected as written, a slot is read by its kind.
+# Each form part as (reader, its argument, whether it is a slot): a
+# keyword or an operator is expected as written, a slot is read by its
+# kind. The slots' values, in form order, are the node's fields in order.
 _FORMS = {
     keyword: (node, tuple(
-        (None, _Parser.expect, part) if isinstance(part, str)
-        else (part[0], part[1].read, part[1].what)
+        (_Parser.expect, part, False) if isinstance(part, str)
+        else (part[1].read, part[1].what, True)
         for part in form
     ))
     for keyword, (node, form) in STATEMENTS.items()

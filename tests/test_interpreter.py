@@ -739,6 +739,26 @@ class TestRowCapOnLoads:
         assert len(run(source, inputs, io=adapter, max_rows=10)) == 10
         assert run(source, inputs, io=adapter, max_rows=5).rows == ((-1,),)
 
+    @pytest.mark.parametrize("fmt", ["CSV", "JSON"])
+    def test_load_stops_at_the_row_limit_before_a_later_bad_record(self, fmt):
+        # the bad record is past the first 1,024-record chunk of the CSV,
+        # which passes the cap; a JSON array is counted before any row
+        good = range(2000)
+        data = {
+            "CSV": b"k\n" + b"".join(b"%d\n" % i for i in good) + b"x\n",
+            "JSON": b"[" + b"".join(b'{"k": %d}, ' % i for i in good) + b'{"k": "x"}]',
+        }[fmt]
+        source = (
+            "PIPELINE p:\n STEP s:\n"
+            f'  READ "in" AS {fmt} TABLE[k: INT] INTO result\n OUTPUT result'
+        )
+        adapter = IoAdapter(sandbox=False, file_ops=RecordingFileOps({"in": data}))
+        bad = "line 2002" if fmt == "CSV" else "row 2000"
+        with pytest.raises(ConversionError, match=f"{bad}, field 'k'"):
+            run(source, {}, io=adapter)
+        with pytest.raises(AssertionFailed, match="result exceeds the row limit of 5"):
+            run(source, {}, io=adapter, max_rows=5)
+
 
 # Each data and I/O statement, run on t: TABLE[k: INT, v: STRING] and
 # keys: TABLE[k: INT], with the class and attribute its step calls.

@@ -4,12 +4,15 @@ import datetime
 import hashlib
 import json
 import random
+import sys
+import threading
 import typing
 from decimal import Decimal
 
 import pytest
 
 from anka import ast_nodes as ast
+from anka import parser
 from anka.errors import ParseError
 from anka.formatter import format_ast
 from anka.interpreter import run_pipeline
@@ -236,7 +239,6 @@ class TestCanonicalForms:
         # form, its fields are its form's field words in order, the
         # parser's keywords are the table's, and no statement has a
         # reader of its own
-        from anka import parser
         from anka.grammar import STATEMENTS
 
         nodes = [
@@ -452,3 +454,87 @@ def test_parse_and_format_digest_unchanged(name):
         ],
     }[name]()
     assert _parser_digest(texts) == PARSER_DIGESTS[name]
+
+
+class TestTableTypeMemo:
+    """Each distinct TABLE type is parsed once per process and its Schema
+    shared; a parse that fails is never stored."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.setattr(parser, "_SCHEMAS", {})
+
+    TYPE = "TABLE[k: INT, v: STRING]"
+
+    def schemas(self, pipeline) -> list:
+        return [decl.schema for decl in pipeline.inputs] + [
+            stmt.schema for step in pipeline.steps for stmt in step.body
+        ]
+
+    def test_equal_types_share_one_schema_in_input_read_and_fetch(self):
+        source = (
+            f"PIPELINE p:\n INPUT t: {self.TYPE}\n STEP s:\n"
+            f'  READ "in.csv" AS CSV {self.TYPE} INTO r\n'
+            f'  FETCH "http://host.test/rows" {self.TYPE} INTO f\n OUTPUT f'
+        )
+        first, second = self.schemas(parse(source)), self.schemas(parse(source))
+        assert first[0] == schema_of(("k", ValueType.INT), ("v", ValueType.STRING))
+        assert len({id(schema) for schema in first + second}) == 1
+
+    @pytest.mark.parametrize("name", ["corpus", "fixture", "fuzz"])
+    def test_digests_are_the_same_cold_and_warm(self, name):
+        texts = {
+            "corpus": fuzzing.corpus_sources,
+            "fixture": fuzzing.fixture_sources,
+            "fuzz": lambda: fuzzing.fuzz_inputs(10_000),
+        }[name]()
+        assert _parser_digest(texts) == PARSER_DIGESTS[name]
+        assert parser._SCHEMAS
+        assert _parser_digest(texts) == PARSER_DIGESTS[name]
+
+    @pytest.mark.parametrize("bad", [
+        "TABLE[a: INT, a: INT]\n STEP s:\n  DISTINCT t INTO r\n OUTPUT r",
+        "TABLE[a: INT\n INPUT u: TABLE[a: INT]\n STEP s:\n  DISTINCT t INTO r\n OUTPUT r",
+        "TABLE[a: INT",
+    ], ids=["duplicate-field", "cut-before-a-later-type", "cut-at-end"])
+    def test_a_type_that_fails_raises_the_same_error_once_a_prefix_is_cached(self, bad):
+        def error():
+            with pytest.raises(ParseError) as caught:
+                parse(f"PIPELINE p:\n INPUT t: {bad}")
+            err = caught.value
+            loc = err.location
+            return err.message, loc.line, loc.column, loc.offset, err.expected
+
+        cold = error()
+        assert parser._SCHEMAS == {}
+        parse(MINIMAL)  # caches TABLE[a: INT]
+        cached = dict(parser._SCHEMAS)
+        assert error() == cold
+        assert parser._SCHEMAS == cached
+
+    def test_memo_keeps_at_most_512_types(self):
+        for i in range(600):
+            parse(f"PIPELINE p:\n INPUT t: TABLE[c{i}: INT]\n STEP s:\n  DISTINCT t INTO r\n"
+                  " OUTPUT r")
+        # the oldest 88 were dropped
+        kept = [key[2] for key in parser._SCHEMAS]
+        assert kept == [f"c{i}" for i in range(88, 600)]
+
+    def test_threads_storing_at_once_keep_the_bound(self):
+        def work(t):
+            for i in range(300):
+                parse(f"PIPELINE p:\n INPUT x: TABLE[t{t}c{i}: INT]\n STEP s:\n"
+                      "  DISTINCT x INTO r\n OUTPUT r")
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(parser._SCHEMAS) == 512
