@@ -32,6 +32,7 @@ bindings and runs the ON_ERROR handler instead.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import re
 import time
@@ -564,9 +565,9 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 # OR, NOT, "neg", "arith" and a call's argument count. It lists the
 # parameters apart: column indices, literal values, the kernels the
 # validator's types select, builtin names, locations and overflow
-# messages. The tokens key a bounded cache of factories, and only a miss
-# generates source, from the tokens alone, so no program text reaches the
-# compiler; a hit costs one call of the factory with the parameters.
+# messages. The tokens key a cache of the 512 most recently used shapes'
+# factories; only a miss generates source, from the tokens alone, so no
+# program text reaches the compiler, and a hit calls the factory once.
 #
 # In the generated code a column is a read of the row tuple and a literal
 # a parameter. A strict operator or a builtin call tests its non-literal
@@ -581,9 +582,6 @@ def _picker(indices: list[int]) -> Callable[[Row], Row]:
 # the parameters, kernels and inner functions its body reads as defaults,
 # so none of them holds a closure cell. ``time`` is still read from this
 # module's globals on each call, so a run without a deadline reads no clock.
-
-_MAX_FACTORIES = 512
-_FACTORIES: dict[tuple, Callable] = {}
 
 _COMPARISONS = frozenset(("==", "!=", ">", ">=", "<", "<="))
 # each operator token with its counts of parameters and of operands; a
@@ -666,15 +664,12 @@ def _compile_expr(
                 continue
             stack.append(node.right)
             node = node.left
-    key = tuple(tokens)
-    make = _FACTORIES.get(key)
-    if make is None:
-        make = _factory(key)
-    return make(*params)
+    return _factory(tuple(tokens))(*params)
 
 
+@functools.lru_cache(maxsize=512)
 def _factory(key: tuple) -> Callable:
-    """Generate, compile and cache the factory for one expression shape.
+    """Generate and compile the factory for one expression shape.
     The tokens arrive in prefix order; each operand becomes a name and
     whether it may be null, and each operator's code is emitted when its
     last operand is done, so the code runs in the language's order."""
@@ -720,13 +715,7 @@ def _factory(key: tuple) -> Callable:
     lines.append("    return run")
     namespace: dict[str, Callable] = {}
     exec(compile("\n".join(lines), f"<anka {shape}>", "exec"), globals(), namespace)
-    if len(_FACTORIES) >= _MAX_FACTORIES:
-        try:  # drop the oldest, as the re module's cache does
-            del _FACTORIES[next(iter(_FACTORIES))]
-        except (StopIteration, RuntimeError, KeyError):
-            pass
-    make = _FACTORIES[key] = namespace["make"]
-    return make
+    return namespace["make"]
 
 
 def _emit(token, names: list[str], values, body: list[str], out: str) -> tuple[str, bool]:

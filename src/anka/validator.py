@@ -16,7 +16,8 @@ Scoping rules for control flow:
   iteration starts from a fresh copy of the loop body's scope.
 * IF and WHILE conditions are scalar: column references in them are
   legal only inside a FOR_EACH body, where they resolve against the
-  iterated dataset's row.
+  iterated dataset's row. Under a FOR_EACH whose dataset is unknown or
+  poisoned, they are typed as unknown and not reported.
 
 The walk also finds, for each top-level statement, the bound names it is
 the last to read or bind: live-variable analysis over the statement list
@@ -43,6 +44,10 @@ _MEMO = "_validation"
 # A scope: each visible dataset name with its schema, None when
 # inference failed and the name is poisoned.
 Env = dict[str, Optional[Schema]]
+
+# The row scope of a FOR_EACH body whose dataset failed to resolve; only
+# its identity is read.
+_POISONED_ROW = Schema((Field("row", ValueType.BOOL),))
 
 
 class ValidationResult:
@@ -278,8 +283,8 @@ class _Checker:
         return merged
 
     def _check_for_each(self, stmt: ast.ForEach, env: Env, row_schema: Optional[Schema]) -> Env:
-        source_schema = self._resolve(stmt, stmt.source, env)
-        self.check_block(stmt.body, dict(env), source_schema)
+        schema = self._resolve(stmt, stmt.source, env)
+        self.check_block(stmt.body, dict(env), _POISONED_ROW if schema is None else schema)
         return env
 
     def _check_while(self, stmt: ast.While, env: Env, row_schema: Optional[Schema]) -> Env:
@@ -560,6 +565,8 @@ class _Checker:
                 return None
             return expr.type
         if isinstance(expr, ast.ColumnRef):
+            if schema is _POISONED_ROW:
+                return None
             if schema is None:
                 self.error(
                     ValidationKind.UNKNOWN_COLUMN,

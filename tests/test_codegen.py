@@ -12,13 +12,16 @@ its class, message and location.
 The differential test runs every MAP and FILTER expression, and every
 IF condition, of criterion 05's seeded random pipelines through both.
 The limit tests take the generator to the parser's nesting cap, to a
-1,000-term chain and past the bound of its cache of factories.
+1,000-term chain and past the bound of its cache of factories, from one
+thread and from six at once.
 """
 
 import functools
 import itertools
 import operator
 import random
+import sys
+import threading
 import types
 from decimal import Decimal
 
@@ -360,7 +363,15 @@ CLOSED_TOKENS = {
 }
 
 
-def test_every_cache_key_holds_only_closed_set_tokens():
+def test_every_cache_key_holds_only_closed_set_tokens(monkeypatch):
+    keys = []
+    factory = interpreter._factory
+
+    def recording(key):
+        keys.append(key)
+        return factory(key)
+
+    monkeypatch.setattr(interpreter, "_factory", recording)
     for kind, wrap in NESTED.items():
         for text in PYTHON_TEXTS:
             literal = ast.Literal(value=text, type=VT.STRING, location=LOC)
@@ -368,8 +379,8 @@ def test_every_cache_key_holds_only_closed_set_tokens():
             tree = _right_nested(leaf if kind in ("and", "or", "not") else LEAVES[kind], wrap, 6)
             pipeline, _ = _single("map", tree, NUMBERS.schema)
             run_pipeline(pipeline, {"t": NUMBERS})
-    assert interpreter._FACTORIES
-    for key in interpreter._FACTORIES:
+    assert keys
+    for key in set(keys):
         assert key[0] in ("map", "filter", "row"), key
         for token in key[1:]:
             assert token in CLOSED_TOKENS or type(token) is int and 1 <= token <= 3, key
@@ -387,18 +398,61 @@ def _conjunction(symbols) -> ast.Expr:
     return expr
 
 
-def test_more_shapes_than_the_bound_keep_the_cache_at_its_bound(monkeypatch):
-    # four comparisons joined by AND: 6**4 shapes, one per choice of symbols
-    monkeypatch.setattr(interpreter, "_FACTORIES", {})
-    bound = interpreter._MAX_FACTORIES
+def _shapes(count: int) -> list[ast.Expr]:
+    """``count`` expressions of distinct shapes: four comparisons joined
+    by AND, one per choice of symbols, 6**4 in all."""
     symbols = itertools.product(sorted(_COMPARE), repeat=4)
-    shapes = [_conjunction(ops) for ops in itertools.islice(symbols, bound + 20)]
-    for expr in shapes + shapes[:5]:
+    return [_conjunction(ops) for ops in itertools.islice(symbols, count)]
+
+
+def test_more_shapes_than_the_bound_keep_the_cache_at_its_bound():
+    factory = interpreter._factory
+    factory.cache_clear()
+    bound = factory.cache_info().maxsize
+    shapes = _shapes(bound + 20)
+
+    def compile_and_check(expr):
         run = interpreter._compile_expr("filter", expr, NUMBERS.schema, {})
         kept = [repr(row) for row in run(NUMBERS.rows, None)]
         assert kept == _reference("filter", expr, NUMBERS)
-        assert len(interpreter._FACTORIES) <= bound
-    assert len(interpreter._FACTORIES) == bound
+        assert factory.cache_info().currsize <= bound
+
+    for expr in shapes[:bound] + shapes[:1]:
+        compile_and_check(expr)
+    # the first shape was used again just before the bound was passed, so
+    # one more new shape drops the least recently used, the second
+    compile_and_check(shapes[bound])
+    hits = factory.cache_info().hits
+    compile_and_check(shapes[0])
+    assert factory.cache_info().hits == hits + 1
+    compile_and_check(shapes[1])
+    assert factory.cache_info().hits == hits + 1
+    for expr in shapes[bound + 1:] + shapes[:5]:
+        compile_and_check(expr)
+    assert factory.cache_info().currsize == bound
+
+
+def test_threads_compiling_at_once_keep_the_bound():
+    factory = interpreter._factory
+    factory.cache_clear()
+    shapes = _shapes(1024)
+
+    def work(t):
+        for expr in shapes[t::6]:
+            interpreter._compile_expr("filter", expr, NUMBERS.schema, {})
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert factory.cache_info().currsize <= factory.cache_info().maxsize == 512
 
 
 # -- builtin kernels ----------------------------------------------------------
@@ -469,7 +523,7 @@ def test_a_call_of_literals_is_not_tested_for_null(monkeypatch):
         sources.append(text)
         return compile(text, name, mode)
 
-    monkeypatch.setattr(interpreter, "_FACTORIES", {})
+    interpreter._factory.cache_clear()
     monkeypatch.setattr(interpreter, "compile", keeping, raising=False)
     literal = _call("SUBSTRING", _string("abcdef"), _int(1), _int(3))
     column = _call("SUBSTRING", _column("s"), _int(1), _int(3))

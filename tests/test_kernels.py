@@ -12,7 +12,7 @@ from decimal import Decimal
 
 import pytest
 
-from anka.builtins import BUILTINS
+from anka.builtins import BUILTINS, call_builtin
 from anka.errors import ConversionError, ExecutionError
 from anka.interpreter import run_pipeline
 from anka.io_adapters import table_from_csv, table_to_csv, table_to_json
@@ -186,6 +186,10 @@ class TestBuiltinKernels:
             assert value is not None, (name, args)
             results += 1
         assert results > 30, name
+
+    def test_call_builtin_gives_null_for_a_null_argument(self):
+        assert call_builtin("UPPER", (None,)) is None
+        assert call_builtin("CONCAT", ("a", None)) is None
 
 
 def _literal(value):

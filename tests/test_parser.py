@@ -16,6 +16,7 @@ from anka import parser
 from anka.errors import ParseError
 from anka.formatter import format_ast
 from anka.interpreter import run_pipeline
+from anka.location import SourceLocation
 from anka.parser import parse
 from anka.validator import validate
 from anka.values import ValueType, make_table
@@ -120,6 +121,25 @@ class TestPipelineStructure:
         assert isinstance(read, ast.Read)
         assert read.format == "json"
         assert read.path == "data.json"
+
+
+class TestNodeEquality:
+    # locations take no part in equality or hashing
+    HERE = SourceLocation(line=1, column=1, offset=0)
+    THERE = SourceLocation(line=3, column=5, offset=20)
+
+    def test_equal_nodes_at_different_locations_hash_equal(self):
+        here = ast.ColumnRef(name="a", location=self.HERE)
+        there = ast.ColumnRef(name="a", location=self.THERE)
+        assert here == there and hash(here) == hash(there)
+        assert len({here, there}) == 1
+
+    def test_a_node_never_equals_one_of_another_class(self):
+        literal = ast.Literal(value=1, type=ValueType.INT, location=self.HERE)
+        column = ast.ColumnRef(name="a", location=self.HERE)
+        assert literal.__eq__(column) is NotImplemented
+        assert literal != column
+        assert (literal == 1) is False
 
 
 class TestStatementForms:

@@ -349,6 +349,25 @@ class TestControlFlowScoping:
         )
         assert check(source).ok
 
+    @pytest.mark.parametrize(
+        "prelude, source, first",
+        [
+            ("", "nope", "unknown dataset 'nope'"),
+            ("SELECT t COLUMNS zz INTO bad ", "bad", "unknown column 'zz' in 't'"),
+        ],
+        ids=["unknown", "poisoned"],
+    )
+    def test_columns_under_an_unresolved_for_each_are_not_reported(
+        self, prelude, source, first
+    ):
+        result = check(pipeline_with(
+            f"{prelude}FOR_EACH r IN {source} DO "
+            "IF a > 1 THEN DISTINCT t INTO x END_IF "
+            "WHILE b < 2 AND NOT c DO DISTINCT t INTO y END_WHILE "
+            "END_FOR"
+        ))
+        assert [e.message for e in result.errors] == [first]
+
     def test_loop_bindings_do_not_escape(self):
         source = pipeline_with(
             "FOR_EACH row IN t DO DISTINCT t INTO inner END_FOR DISTINCT inner INTO out"
@@ -853,10 +872,11 @@ RULE_CASES = [
 ]
 
 
-def _validator_digest(texts) -> str:
+def _validator_digest(texts, skipped: str = "") -> str:
     """SHA-256 over, for each text in turn, each diagnostic's kind,
     message, line and column in order and the output schema, or a
-    marker for a text that does not parse."""
+    marker for a text that does not parse. Diagnostics whose message
+    holds a non-empty ``skipped`` are left out."""
     digest = hashlib.sha256()
     for text in texts:
         try:
@@ -866,7 +886,7 @@ def _validator_digest(texts) -> str:
         else:
             result = validate(pipeline)
             diagnostics = [(e.kind.value, e.message, e.location.line, e.location.column)
-                           for e in result.errors]
+                           for e in result.errors if not skipped or skipped not in e.message]
             record = (diagnostics, repr(result.output_schema))
         digest.update(repr(record).encode("utf-8") + b"\0")
     return digest.hexdigest()
@@ -875,14 +895,21 @@ def _validator_digest(texts) -> str:
 # Recorded from the validator that wrote each rule out once per statement
 # in an isinstance chain; no diagnostic may change. The "mutants" entry was
 # recorded again when a name poisoned in either IF or TRY branch became
-# poisoned after the merge: six mutants' output schema became None.
+# poisoned after the merge: six mutants' output schema became None. It was
+# recorded again when column references under a FOR_EACH over an unknown or
+# poisoned dataset stopped being reported: 70 diagnostics left 54 mutants.
+# "mutants_no_row_scope" leaves out every "referenced outside row scope"
+# diagnostic, so it reads the same from the validators before and after
+# that change: no other diagnostic moved.
 VALIDATOR_DIGESTS = {
-    "mutants": "4d188663f409cde48807a1efad6d2d38adfe72bdd0f38ceadffa639a73e67496",
+    "mutants": "498d30248538fd15cc7d6cec006d26c68c9d52e5f700b39c64500d5e4285c4ae",
+    "mutants_no_row_scope": "498d30248538fd15cc7d6cec006d26c68c9d52e5f700b39c64500d5e4285c4ae",
     "rules": "3a22df32d7306a966d1e48e9f8f861e1780b82dc622074abfeca16e48f49a197",
 }
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATOR_DIGESTS))
 def test_validator_digest_unchanged(name):
-    texts = {"mutants": fuzzing.semantic_mutants, "rules": lambda: RULE_CASES}[name]()
-    assert _validator_digest(texts) == VALIDATOR_DIGESTS[name]
+    texts = RULE_CASES if name == "rules" else fuzzing.semantic_mutants()
+    skipped = "referenced outside row scope" if name == "mutants_no_row_scope" else ""
+    assert _validator_digest(texts, skipped) == VALIDATOR_DIGESTS[name]

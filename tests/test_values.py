@@ -19,6 +19,7 @@ from anka.values import (
     check_decimal,
     check_int,
     decimal_scale,
+    format_cell,
     make_table,
     parse_date,
     parse_datetime,
@@ -100,6 +101,11 @@ class TestCellTypes:
             assert value_type_of(cell) is vtype
             parsed = row.parse(row.text(cell))
             assert type(parsed) is row.cls and repr(parsed) == repr(cell), vtype
+
+    @pytest.mark.parametrize("value, shown", [(None, "null"), (object(), "object")])
+    def test_format_cell_refuses_what_is_no_cell(self, value, shown):
+        with pytest.raises(ConversionError, match=f"^cannot format {shown}$"):
+            format_cell(value)
 
 
 class _Text(str):
