@@ -239,7 +239,11 @@ def cmd_bench(args) -> int:
     if not candidates_dir.is_dir():
         print(f"error: candidate directory {args.candidates!r} not found", file=sys.stderr)
         return EXIT_CONFIG
-    candidates = CandidateSet.from_directory(candidates_dir)
+    try:
+        candidates = CandidateSet.from_directory(candidates_dir)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     report = run_suite(
         suite,
         candidates,

@@ -23,13 +23,14 @@ index of its first token, which the stream resolves only when a
 diagnostic reads it.
 
 Each distinct TABLE type, in an INPUT, READ or FETCH, is parsed once per
-process: its ``Schema`` is kept by the type's token texts (the last 512
-types) and shared by every later declaration with the same tokens.
+process: its ``Schema`` is kept by the type's token texts (the 512 most
+recently used types) and shared by every later declaration with the
+same tokens.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from typing import Callable
 
 from anka import ast_nodes as ast
@@ -58,16 +59,6 @@ tokenize = lexer.scan
 
 _deferred = SourceLocation.deferred
 
-# Each TABLE type's Schema by its token texts, TABLE through "]". The
-# texts alone determine a schema, which holds no location and cannot
-# change, so every parse of equal text shares one; a parse that fails is
-# never stored, so its ParseError is raised as if there were no memo.
-# Threads that parse at once share it, and store under the lock, so no
-# two stores race past its bound.
-_MAX_SCHEMAS = 512
-_SCHEMAS: dict[tuple, Schema] = {}
-_SCHEMAS_LOCK = threading.Lock()
-
 
 def parse(source: str) -> ast.Pipeline:
     """Parse source text into a Pipeline AST.
@@ -75,15 +66,24 @@ def parse(source: str) -> ast.Pipeline:
     Raises ParseError with a location and the expected-token set at the
     first syntax error. Never raises anything else on any text input.
     """
-    return _Parser(source).parse_pipeline()
+    return _Parser(tokenize(source)).parse_pipeline()
+
+
+@functools.lru_cache(maxsize=512)
+def _table_type(texts: tuple[str, ...]) -> Schema:
+    """The Schema of the TABLE type spelled by ``texts``, TABLE through
+    its "]". The texts alone determine a schema, which holds no location
+    and cannot change, so every parse of equal text shares one. A read
+    that fails raises and is never cached."""
+    return _Parser(lexer.TokenStream("", [*texts, ""], 0)).read_table_type()
 
 
 class _Parser:
-    def __init__(self, source: str) -> None:
+    def __init__(self, stream: lexer.TokenStream) -> None:
         # "" ends the texts; every advance() follows a check that the
         # current text is not "", so peek() never runs off the end
-        self.stream = tokenize(source)
-        self.texts = self.stream.texts
+        self.stream = stream
+        self.texts = stream.texts
         self.pos = 0
         self.depth = 0
         self.height = 0  # of the expression node last built
@@ -199,13 +199,14 @@ class _Parser:
         texts = self.texts
         try:  # no field holds a "]", so a type that parses ends at the first
             end = texts.index("]", start) + 1
-        except ValueError:
-            end = 0
-        key = tuple(texts[start:end])
-        schema = _SCHEMAS.get(key)
-        if schema is not None:
-            self.pos = end
-            return schema
+            schema = _table_type(tuple(texts[start:end]))
+        except (ValueError, ParseError):
+            # read again here, to raise the error located in this stream
+            return self.read_table_type()
+        self.pos = end
+        return schema
+
+    def read_table_type(self) -> Schema:
         self.expect("TABLE")
         self.expect("[")
         fields = self.comma_list(self.parse_field)
@@ -218,13 +219,7 @@ class _Parser:
                     self.location(close),
                 )
             seen.add(f.name)
-        schema = Schema(fields)
-        if self.pos == end:
-            with _SCHEMAS_LOCK:
-                if len(_SCHEMAS) >= _MAX_SCHEMAS:
-                    del _SCHEMAS[next(iter(_SCHEMAS))]  # the oldest
-                _SCHEMAS[key] = schema
-        return schema
+        return Schema(fields)
 
     def parse_field(self) -> Field:
         name = self.expect_ident("field name")

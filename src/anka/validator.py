@@ -29,7 +29,7 @@ releases each such name once its statement has run.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from anka import ast_nodes as ast
 from anka.builtins import AGGREGATES, BUILTINS
@@ -50,7 +50,7 @@ Env = dict[str, Optional[Schema]]
 _POISONED_ROW = Schema((Field("row", ValueType.BOOL),))
 
 
-class ValidationResult:
+class ValidationResult(NamedTuple):
     """Outcome of ``validate``: the final bindings, the diagnostics, and
     the schemas and types each statement resolved, which the interpreter
     runs on.
@@ -71,27 +71,13 @@ class ValidationResult:
     and in its handler can.
     """
 
-    def __init__(
-        self,
-        environment: Env,
-        errors: list[ValidationError],
-        output_schema: Optional[Schema],
-        sources: dict[int, list[Optional[Schema]]],
-        outputs: dict[int, Optional[Schema]],
-        types: dict[int, object],
-        dies: dict[int, tuple[str, ...]],
-    ) -> None:
-        self.environment = environment
-        self.errors = errors
-        self.output_schema = output_schema
-        self.sources = sources
-        self.outputs = outputs
-        self.types = types
-        self.dies = dies
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__qualname__}({shown})"
+    environment: Env
+    errors: list[ValidationError]
+    output_schema: Optional[Schema]
+    sources: dict[int, list[Optional[Schema]]]
+    outputs: dict[int, Optional[Schema]]
+    types: dict[int, object]
+    dies: dict[int, tuple[str, ...]]
 
     @property
     def ok(self) -> bool:

@@ -335,6 +335,16 @@ class TestBenchCommand:
         assert main(["run", pipeline_file(READS_FILE.format(path=data)), "--sandbox"]) == 3
         assert "sandboxed" in capsys.readouterr().err
 
+    def test_unreadable_candidate_exit_two(self, tmp_path, capsys):
+        # a directory named like a sample cannot be read as one
+        (tmp_path / "filter_high_value" / "s1.anka").mkdir(parents=True)
+        code = main(["bench", str(fixture_dir() / "suite.json"), str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "s1.anka" in captured.err
+        assert captured.out == ""
+
     def test_jobs_must_be_positive(self, tmp_path):
         code = main(
             ["bench", str(fixture_dir() / "suite.json"), str(tmp_path), "--jobs", "0"]

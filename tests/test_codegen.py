@@ -28,7 +28,7 @@ from decimal import Decimal
 import pytest
 
 from anka import ast_nodes as ast
-from anka import interpreter
+from anka import interpreter, parser
 from anka.builtins import BUILTINS
 from anka.errors import ExecutionError
 from anka.interpreter import run_pipeline
@@ -432,15 +432,24 @@ def test_more_shapes_than_the_bound_keep_the_cache_at_its_bound():
     assert factory.cache_info().currsize == bound
 
 
-def test_threads_compiling_at_once_keep_the_bound():
-    factory = interpreter._factory
-    factory.cache_clear()
-    shapes = _shapes(1024)
+def _compile_filters(t: int) -> None:
+    for expr in _shapes(1024)[t::6]:
+        interpreter._compile_expr("filter", expr, NUMBERS.schema, {})
 
-    def work(t):
-        for expr in shapes[t::6]:
-            interpreter._compile_expr("filter", expr, NUMBERS.schema, {})
 
+def _parse_table_types(t: int) -> None:
+    for i in range(300):
+        parse(f"PIPELINE p:\n INPUT x: TABLE[t{t}c{i}: INT]\n STEP s:\n"
+              "  DISTINCT x INTO r\n OUTPUT r")
+
+
+@pytest.mark.parametrize("cache, work", [
+    (interpreter._factory, _compile_filters),
+    (parser._table_type, _parse_table_types),
+], ids=["factory", "table_type"])
+def test_threads_compiling_at_once_keep_the_bound(cache, work):
+    # six threads miss at once, each on its own keys
+    cache.cache_clear()
     threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -452,7 +461,7 @@ def test_threads_compiling_at_once_keep_the_bound():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert factory.cache_info().currsize <= factory.cache_info().maxsize == 512
+    assert cache.cache_info().currsize <= cache.cache_info().maxsize == 512
 
 
 # -- builtin kernels ----------------------------------------------------------

@@ -4,8 +4,6 @@ import datetime
 import hashlib
 import json
 import random
-import sys
-import threading
 import typing
 from decimal import Decimal
 
@@ -481,8 +479,8 @@ class TestTableTypeMemo:
     shared; a parse that fails is never stored."""
 
     @pytest.fixture(autouse=True)
-    def cold_memo(self, monkeypatch):
-        monkeypatch.setattr(parser, "_SCHEMAS", {})
+    def cold_memo(self):
+        parser._table_type.cache_clear()
 
     TYPE = "TABLE[k: INT, v: STRING]"
 
@@ -509,7 +507,7 @@ class TestTableTypeMemo:
             "fuzz": lambda: fuzzing.fuzz_inputs(10_000),
         }[name]()
         assert _parser_digest(texts) == PARSER_DIGESTS[name]
-        assert parser._SCHEMAS
+        assert parser._table_type.cache_info().currsize > 0
         assert _parser_digest(texts) == PARSER_DIGESTS[name]
 
     @pytest.mark.parametrize("bad", [
@@ -525,36 +523,31 @@ class TestTableTypeMemo:
             loc = err.location
             return err.message, loc.line, loc.column, loc.offset, err.expected
 
+        cache_info = parser._table_type.cache_info
         cold = error()
-        assert parser._SCHEMAS == {}
+        assert cache_info().currsize == 0
         parse(MINIMAL)  # caches TABLE[a: INT]
-        cached = dict(parser._SCHEMAS)
+        cached = cache_info().currsize
         assert error() == cold
-        assert parser._SCHEMAS == cached
+        assert cache_info().currsize == cached
 
     def test_memo_keeps_at_most_512_types(self):
-        for i in range(600):
+        cache_info = parser._table_type.cache_info
+
+        def parse_type(i):
             parse(f"PIPELINE p:\n INPUT t: TABLE[c{i}: INT]\n STEP s:\n  DISTINCT t INTO r\n"
                   " OUTPUT r")
-        # the oldest 88 were dropped
-        kept = [key[2] for key in parser._SCHEMAS]
-        assert kept == [f"c{i}" for i in range(88, 600)]
 
-    def test_threads_storing_at_once_keep_the_bound(self):
-        def work(t):
-            for i in range(300):
-                parse(f"PIPELINE p:\n INPUT x: TABLE[t{t}c{i}: INT]\n STEP s:\n"
-                      "  DISTINCT x INTO r\n OUTPUT r")
-
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(parser._SCHEMAS) == 512
+        for i in range(512):
+            parse_type(i)
+        parse_type(0)  # used again just before the 513th type
+        for i in range(512, 600):
+            parse_type(i)
+        assert cache_info().currsize == 512
+        # the 88 least recently used, c1 through c88, were dropped
+        hits, misses = cache_info().hits, cache_info().misses
+        parse_type(0)
+        assert (cache_info().hits, cache_info().misses) == (hits + 1, misses)
+        parse_type(1)
+        assert (cache_info().hits, cache_info().misses) == (hits + 1, misses + 1)
+        assert cache_info().currsize == 512
